@@ -2,9 +2,9 @@
 
 The package provides the full pipeline: box-constrained geometry, bounded
 convex loss families, delay schedules with their arrival/backlog structure,
-five online learners (projected gradient descent, its delayed variant, an
+four online learners (delayed projected gradient descent, an
 expert-aggregation pool over surrogate losses, and restart-based versions of
-the latter two), comparator/drift/adversarial environments, and regret
+both), comparator/drift/adversarial environments, and regret
 metrics with worst-case bound evaluators.
 """
 
@@ -21,8 +21,6 @@ from .losses import (
 )
 from .delay import (
     DelaySchedule,
-    FeedbackItem,
-    FeedbackQueue,
     block_schedule,
     constant_schedule,
     in_order_random_schedule,
@@ -36,7 +34,6 @@ from .learners import (
     EpochController,
     MildOGD,
     MildOgdDoublingTrick,
-    OnlineGradientDescent,
     OnlineLearner,
     corollary_lr,
     delayed_hedge_update,
@@ -44,10 +41,8 @@ from .learners import (
     expert_count,
     hedge_alpha,
     init_weights,
-    meta_play,
     mild_dt_params,
     mild_lr_grid,
-    ogd_step,
 )
 from .environments import (
     LowerBoundInstance,

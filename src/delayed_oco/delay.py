@@ -1,4 +1,4 @@
-"""Delay schedules, arrival sets, backlog accounting, and the feedback queue.
+"""Delay schedules, arrival sets and backlog accounting.
 
 A schedule assigns every round t in [1, T] a delay d_t >= 1; the gradient
 queried at round t becomes available at the end of round t + d_t - 1.  The
@@ -9,6 +9,12 @@ arrival set F_t collects the timestamps landing exactly at round t:
 Rounds past the horizon (t > T) form the flush window: nothing new is
 queried there, but still-pending gradients keep arriving, which is what
 lets consumption diagnostics cover all T timestamps.
+
+Every F_t is fixed by the delays alone, so a schedule builds its arrival
+plan once, at construction, in O(T) memory: the timestamps in delivery
+order (a stable argsort of the arrival rounds, so each F_t is ascending)
+plus offsets over only the rounds that receive feedback.  Nothing about
+the plan is rediscovered during a run.
 
 The backlog counter
 
@@ -21,30 +27,54 @@ sum_t m_t <= S <= d_max * T where S is the sum of all delays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
+def _integer(v) -> int:
+    """``v`` as an int; non-integral values (1.5, NaN, "2") are rejected, not truncated."""
+    try:
+        d = int(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{v!r} is not an integer") from exc
+    if d != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return d
+
+
 @dataclass(frozen=True)
 class DelaySchedule:
-    """Materialized per-round delays with derived arrival structure.
+    """Materialized per-round delays with their precomputed arrival plan.
 
-    Delays are stored as a concrete integer array (not a generator) so that
+    Delays are stored as a concrete integer tuple (not a generator) so that
     S, d_max, m_t and the arrival sets are all computable before a run,
-    which formula-derived learning rates require.
+    which formula-derived learning rates require.  The plan holds
+    ``stamps`` (all timestamps in delivery order), ``rounds`` (the rounds
+    that receive feedback, ascending) and ``offsets``: round ``rounds[j]``
+    receives ``stamps[offsets[j]:offsets[j + 1]]``.
     """
 
     delays: tuple
+    stamps: list = field(init=False, repr=False, compare=False)
+    rounds: list = field(init=False, repr=False, compare=False)
+    offsets: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = tuple(int(v) for v in self.delays)
+        d = tuple(_integer(v) for v in self.delays)
         if len(d) == 0:
             raise ValueError("schedule must cover at least one round")
         if any(v < 1 for v in d):
             raise ValueError("all delays must be >= 1")
         object.__setattr__(self, "delays", d)
+        arrival = np.arange(1, len(d) + 1, dtype=np.int64) + np.array(d, dtype=np.int64) - 1
+        order = np.argsort(arrival, kind="stable")
+        by_round = arrival[order]
+        starts = np.flatnonzero(np.r_[True, by_round[1:] != by_round[:-1]])
+        object.__setattr__(self, "stamps", (order + 1).tolist())
+        object.__setattr__(self, "rounds", by_round[starts].tolist())
+        object.__setattr__(self, "offsets", starts.tolist() + [len(d)])
 
     @property
     def horizon(self) -> int:
@@ -63,35 +93,38 @@ class DelaySchedule:
         """Round at whose end the gradient queried at round t is delivered."""
         return t + self.delays[t - 1] - 1
 
+    def arrivals(self, t: int) -> list[int]:
+        """F_t, ascending; empty for rounds that receive no feedback."""
+        j = bisect_left(self.rounds, t)
+        if j == len(self.rounds) or self.rounds[j] != t:
+            return []
+        return self.stamps[self.offsets[j]:self.offsets[j + 1]]
+
     def feedback_sets(self) -> list[list[int]]:
         """F_1 .. F_{T+d_max-1}, each sorted ascending.
 
         Every timestamp in [1, T] appears in exactly one set.
         """
-        T = self.horizon
-        sets: list[list[int]] = [[] for _ in range(T + self.max_delay - 1)]
-        for k in range(1, T + 1):
-            sets[self.arrival_round(k) - 1].append(k)
+        sets: list[list[int]] = [[] for _ in range(self.horizon + self.max_delay - 1)]
+        for j, r in enumerate(self.rounds):
+            sets[r - 1] = self.stamps[self.offsets[j]:self.offsets[j + 1]]
         return sets
 
     def is_in_order(self) -> bool:
         """True iff arrival rounds are nondecreasing in the query round.
 
         Ties are allowed: same-round arrivals are consumed in ascending
-        timestamp order, which preserves the original order anyway.
+        timestamp order, which preserves the original order anyway.  The
+        stable plan therefore lists the timestamps in query order exactly
+        when the schedule is in order.
         """
-        arrivals = [self.arrival_round(t) for t in range(1, self.horizon + 1)]
-        return all(a <= b for a, b in zip(arrivals, arrivals[1:]))
+        return self.stamps == list(range(1, self.horizon + 1))
 
     def backlog(self) -> np.ndarray:
         """m_t = t - sum_{i<t} |F_i| for t in [1, T]."""
-        T = self.horizon
-        sizes = np.zeros(T + self.max_delay - 1, dtype=np.int64)
-        for k in range(1, T + 1):
-            sizes[self.arrival_round(k) - 1] += 1
-        m = np.arange(1, T + 1, dtype=np.int64)
-        m[1:] -= np.cumsum(sizes[: T - 1])
-        return m
+        t = np.arange(1, self.horizon + 1, dtype=np.int64)
+        earlier = np.searchsorted(np.array(self.rounds, dtype=np.int64), t)  # rounds < t
+        return t - np.array(self.offsets, dtype=np.int64)[earlier]
 
     @property
     def sum_backlog(self) -> int:
@@ -101,46 +134,11 @@ class DelaySchedule:
         """F_t restricted to timestamps >= epoch_start (stale feedback dropped)."""
         if epoch_start > t:
             raise ValueError("epoch_start must be <= t")
-        return [k for k in range(epoch_start, min(t, self.horizon) + 1)
-                if self.arrival_round(k) == t]
+        F = self.arrivals(t)
+        return F[bisect_left(F, epoch_start):]
 
     def to_list(self) -> list[int]:
         return list(self.delays)
-
-
-class FeedbackItem(NamedTuple):
-    """A queried gradient in flight: timestamp, gradient, and query point."""
-
-    timestamp: int
-    gradient: np.ndarray
-    anchor: np.ndarray
-
-
-class FeedbackQueue:
-    """Single-owner queue that delivers each queried gradient exactly once,
-    at round timestamp + d_timestamp - 1, in ascending timestamp order."""
-
-    def __init__(self, schedule: DelaySchedule):
-        self.schedule = schedule
-        self._pending: dict[int, list[FeedbackItem]] = {}
-        self._n_pending = 0
-
-    def push(self, t: int, gradient, anchor) -> None:
-        if not 1 <= t <= self.schedule.horizon:
-            raise ValueError(f"round {t} outside horizon [1, {self.schedule.horizon}]")
-        item = FeedbackItem(t, np.asarray(gradient, dtype=np.float64),
-                            np.asarray(anchor, dtype=np.float64))
-        self._pending.setdefault(self.schedule.arrival_round(t), []).append(item)
-        self._n_pending += 1
-
-    def pop(self, r: int) -> list[FeedbackItem]:
-        items = self._pending.pop(r, [])
-        items.sort(key=lambda it: it.timestamp)
-        self._n_pending -= len(items)
-        return items
-
-    def __len__(self) -> int:
-        return self._n_pending
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +210,15 @@ def make_schedule(spec: dict, T: int, seed: int) -> DelaySchedule:
     """
     kind = spec.get("kind")
     if kind == "constant":
-        return constant_schedule(T, int(spec["value"]))
+        return constant_schedule(T, _integer(spec["value"]))
     if kind == "uniform":
-        return uniform_schedule(T, int(spec["lo"]), int(spec["hi"]), seed)
+        return uniform_schedule(T, _integer(spec["lo"]), _integer(spec["hi"]), seed)
     if kind == "blocks":
-        return block_schedule(T, int(spec["d"]))
+        return block_schedule(T, _integer(spec["d"]))
     if kind == "permuted":
         return permuted_schedule(T, seed)
     if kind == "in_order_random":
-        return in_order_random_schedule(T, int(spec["d_max"]), seed)
+        return in_order_random_schedule(T, _integer(spec["d_max"]), seed)
     if kind == "list":
         values = spec["values"]
         if len(values) != T:

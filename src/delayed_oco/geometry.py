@@ -55,8 +55,16 @@ class Box:
         return 2.0 * self.half_width * math.sqrt(self.dim)
 
     def project(self, p) -> np.ndarray:
-        """Euclidean projection: clamp each coordinate to [-half_width, half_width]."""
-        p = as_decision(p, self.dim)
+        """Euclidean projection: clamp each coordinate to [-half_width, half_width].
+
+        ``p`` is one point or an (N, dim) stack of points, projected row by row.
+        """
+        p = np.asarray(p, dtype=np.float64)
+        if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
+            raise ValueError(f"expected a point or a stack of points of dimension "
+                             f"{self.dim}, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("point has non-finite entries")
         return np.clip(p, -self.half_width, self.half_width)
 
     def contains(self, p, tol: float = 0.0) -> bool:

@@ -22,7 +22,7 @@ from . import delay as delay_mod
 from . import environments as env_mod
 from . import learners as learn_mod
 from . import metrics as metrics_mod
-from .delay import DelaySchedule, FeedbackQueue
+from .delay import DelaySchedule
 from .geometry import Box
 from .losses import LinearLoss, Loss
 from .metrics import RunTrace
@@ -171,8 +171,9 @@ def _build_learner(cfg: dict, box: Box, schedule: DelaySchedule):
     if name in ("ogd", "dogd"):
         eta = spec.get("eta", "paper")
         eta = learn_mod.corollary_lr(D, G, sum_m) if eta == "paper" else float(eta)
-        cls = learn_mod.OnlineGradientDescent if name == "ogd" else learn_mod.DelayedOGD
-        return cls(box, eta), {"eta": eta, "eta_source": spec.get("eta", "paper")}
+        # "ogd" names the same learner: under unit delays DelayedOGD is plain OGD
+        return (learn_mod.DelayedOGD(box, eta),
+                {"eta": eta, "eta_source": spec.get("eta", "paper")})
     if name == "mild":
         etas = spec.get("etas", "paper")
         alpha = spec.get("alpha", "paper")
@@ -193,38 +194,46 @@ def simulate(learner, losses: list[Loss], schedule: DelaySchedule, box: Box,
     """Drive one learner through the delayed-feedback protocol.
 
     Per round: play, suffer the loss, query the gradient at the played point,
-    deliver whatever the queue releases this round.  With ``flush`` the loop
-    continues past the horizon (plays suppressed) until the queue drains,
-    which completes the consumption log for diagnostics; reported losses
-    never include flush rounds.
+    then, if the schedule's arrival plan delivers feedback this round, hand
+    the learner ``ingest(t, stamps, grads)``.  Queried gradients are kept in
+    one (T, n) array laid out in delivery order, so each round's arrivals
+    are a contiguous slice.  With ``flush`` the plan's rounds past the
+    horizon are delivered too (plays suppressed), which completes the
+    consumption log for diagnostics; reported losses never include flush
+    rounds.
     """
     T = schedule.horizon
-    queue = FeedbackQueue(schedule)
+    stamps, rounds, offsets = schedule.stamps, schedule.rounds, schedule.offsets
+    slot = [0] * T  # slot[k-1]: row of timestamp k in delivery order
+    for i, k in enumerate(stamps):
+        slot[k - 1] = i
+    grads = np.empty((T, box.dim))
     decisions = np.empty((T, box.dim))
     loss_values = np.empty(T)
-    arrivals: list[tuple[int, ...]] = []
     weight_sums = np.empty(T) if collect_weight_sums else None
+    j = 0  # next entry of the plan
     for t in range(1, T + 1):
         x = learner.play(t)
         decisions[t - 1] = x
         loss_values[t - 1] = losses[t - 1].value(x)
-        queue.push(t, losses[t - 1].gradient(x), x)
-        items = queue.pop(t)
-        arrivals.append(tuple(it.timestamp for it in items))
-        learner.ingest(t, items)
+        grads[slot[t - 1]] = losses[t - 1].gradient(x)
+        if rounds[j] == t:  # j stays in range: timestamp T arrives at round T or later
+            lo, hi = offsets[j], offsets[j + 1]
+            learner.ingest(t, stamps[lo:hi], grads[lo:hi])
+            j += 1
         if collect_weight_sums:
             weight_sums[t - 1] = learner.weights.sum()
     if flush:
-        for t in range(T + 1, T + schedule.max_delay):
-            learner.ingest(t, queue.pop(t))
-        if len(queue):
-            raise AssertionError("queue not drained by the flush window")
+        for j in range(j, len(rounds)):
+            lo, hi = offsets[j], offsets[j + 1]
+            learner.ingest(rounds[j], stamps[lo:hi], grads[lo:hi])
+        if sorted(stamps) != list(range(1, T + 1)):
+            raise AssertionError("the arrival plan did not deliver each timestamp exactly once")
     c_log = getattr(learner, "c_log", None)
     if c_log is not None:
         c_log = tuple(c_log) if sorted(c_log) == list(range(1, T + 1)) else None
     return RunTrace(
-        decisions=decisions, loss_values=loss_values, arrivals=arrivals,
-        backlog=schedule.backlog(), schedule=schedule, c_log=c_log,
+        decisions=decisions, loss_values=loss_values, schedule=schedule, c_log=c_log,
         dropped=getattr(learner, "dropped", 0), weight_sums=weight_sums,
         epoch_starts=tuple(learner.epoch_starts) if hasattr(learner, "epoch_starts") else None,
     )
@@ -401,18 +410,20 @@ def lowerbound_report(T: int, d: int, D: float, G: float, n: int,
 def trace_to_csv(trace: RunTrace) -> str:
     """One row per round: t, x, loss, cum_loss, m_t, n_arrivals, arrived_timestamps.
 
-    Vector fields are semicolon-joined; floats use shortest-roundtrip repr so
-    identical runs render byte-identically.
+    The m_t and arrival columns come from the run's schedule.  Vector fields
+    are semicolon-joined; floats use shortest-roundtrip repr so identical
+    runs render byte-identically.
     """
     out = io.StringIO()
     out.write("t,x,loss,cum_loss,m_t,n_arrivals,arrived_timestamps\n")
+    backlog = trace.schedule.backlog()
     cum = 0.0
     for t in range(1, trace.horizon + 1):
         cum += float(trace.loss_values[t - 1])
         x = ";".join(repr(float(v)) for v in trace.decisions[t - 1])
-        arrived = ";".join(str(k) for k in trace.arrivals[t - 1])
+        F = trace.schedule.arrivals(t)
         out.write(f"{t},{x},{repr(float(trace.loss_values[t - 1]))},{repr(cum)},"
-                  f"{int(trace.backlog[t - 1])},{len(trace.arrivals[t - 1])},{arrived}\n")
+                  f"{int(backlog[t - 1])},{len(F)},{';'.join(map(str, F))}\n")
     return out.getvalue()
 
 
@@ -442,6 +453,16 @@ def _random_schedule(rng: np.random.Generator, T_max: int = 60,
                      d_max: int = 8) -> DelaySchedule:
     T = int(rng.integers(1, T_max + 1))
     return DelaySchedule(tuple(int(v) for v in rng.integers(1, d_max + 1, size=T)))
+
+
+def _projected_ogd(box: Box, eta: float, losses: list[Loss]) -> np.ndarray:
+    """Textbook projected OGD without delays: x_{t+1} = clip(x_t - eta * grad f_t(x_t))."""
+    x = np.zeros(box.dim)
+    xs = np.empty((len(losses), box.dim))
+    for t, f in enumerate(losses):
+        xs[t] = x
+        x = np.clip(x - eta * f.gradient(x), -box.half_width, box.half_width)
+    return xs
 
 
 def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
@@ -522,10 +543,9 @@ def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
         box1 = Box.from_diameter(2, 2.0)
         losses, _ = env_mod.make_drift_environment(box1, T, 0.05, "quadratic",
                                                    int(rng.integers(1 << 30)), 1.0)
-        sched = delay_mod.constant_schedule(T, 1)
-        tr_ogd = simulate(learn_mod.OnlineGradientDescent(box1, 0.3), losses, sched, box1)
-        tr_dogd = simulate(learn_mod.DelayedOGD(box1, 0.3), losses, sched, box1)
-        if not np.array_equal(tr_ogd.decisions, tr_dogd.decisions):
+        tr = simulate(learn_mod.DelayedOGD(box1, 0.3), losses,
+                      delay_mod.constant_schedule(T, 1), box1)
+        if not np.array_equal(tr.decisions, _projected_ogd(box1, 0.3, losses)):
             ok = False
     record("ogd_dogd_reduction", ok)
 
@@ -585,9 +605,9 @@ def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
     if corrupt_hedge:
         orig_ingest = mild.ingest
 
-        def bad_ingest(t, items):
-            orig_ingest(t, items)
-            if items:
+        def bad_ingest(t, stamps, grads):
+            orig_ingest(t, stamps, grads)
+            if stamps:
                 mild.log_w = mild.log_w + 0.05  # skip renormalization
         mild.ingest = bad_ingest
     tr = simulate(mild, [_Counting(f) for f in losses], sched, box1,

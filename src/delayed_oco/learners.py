@@ -2,18 +2,22 @@
 
 All learners share one protocol so the harness can drive them identically:
 
-    play(t)            -> decision vector for round t (never mutates math state)
-    ingest(t, items)   -> consume the FeedbackItems that arrived at round t
+    play(t)                    -> decision vector for round t (never mutates
+                                  math state)
+    ingest(t, stamps, grads)   -> consume the gradients delivered at the end of
+                                  round t: ``grads[i]`` was queried at round
+                                  ``stamps[i]``, and ``stamps`` is ascending
 
-Five algorithms are provided:
+Four algorithms are provided:
 
-* ``OnlineGradientDescent``  - the non-delayed projected-gradient baseline.
 * ``DelayedOGD``             - one projected step per delivered gradient, in
-  ascending timestamp order; under unit delays it reduces bitwise to OGD.
-* ``MildOGD``                - a pool of DelayedOGD experts with geometrically
-  spaced learning rates, combined by a delay-aware Hedge over linearized
-  surrogate losses. Experts reuse the meta decision's gradient, so the whole
-  ensemble costs exactly one gradient query per round.
+  ascending timestamp order; under unit delays this is textbook projected
+  online gradient descent.  Given an (N, 1) column of rates it runs N
+  iterates in lockstep on the same gradients.
+* ``MildOGD``                - one such N-rate DelayedOGD pool with
+  geometrically spaced learning rates, combined by a delay-aware Hedge over
+  linearized surrogate losses. The pool reuses the meta decision's gradient,
+  so the whole ensemble costs exactly one gradient query per round.
 * ``DogdDoublingTrick`` / ``MildOgdDoublingTrick`` - restart-based variants
   that track the backlog statistic online and need no horizon quantities.
 
@@ -25,10 +29,10 @@ formula-derived parameters each algorithm's guarantee asks for.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
-from .delay import FeedbackItem
 from .geometry import Box
 
 
@@ -38,35 +42,8 @@ class OnlineLearner:
     def play(self, t: int) -> np.ndarray:
         raise NotImplementedError
 
-    def ingest(self, t: int, items: list[FeedbackItem]) -> None:
+    def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
         raise NotImplementedError
-
-
-def ogd_step(box: Box, x: np.ndarray, eta: float, grad: np.ndarray) -> np.ndarray:
-    """One projected gradient step: project(x - eta * grad)."""
-    return box.project(x - eta * grad)
-
-
-class OnlineGradientDescent(OnlineLearner):
-    """Projected online gradient descent, the non-delayed baseline.
-
-    Applies one projected step per delivered gradient as it comes in; with
-    unit delays that is exactly one step per round on the current loss.
-    """
-
-    def __init__(self, box: Box, eta: float):
-        if eta <= 0:
-            raise ValueError("learning rate must be positive")
-        self.box = box
-        self.eta = eta
-        self.x = box.origin()
-
-    def play(self, t: int) -> np.ndarray:
-        return self.x.copy()
-
-    def ingest(self, t: int, items: list[FeedbackItem]) -> None:
-        for item in items:
-            self.x = ogd_step(self.box, self.x, self.eta, item.gradient)
 
 
 class DelayedOGD(OnlineLearner):
@@ -78,29 +55,40 @@ class DelayedOGD(OnlineLearner):
     order equal the query order whenever delays preserve arrival order).
     ``tau`` counts generated decisions; ``c_log[i]`` is the timestamp of the
     (i+1)-th consumed gradient.
+
+    ``eta`` is a positive scalar or an (N, 1) column of positive rates.  With
+    a column, y is an (N, n) stack whose row i steps at rate ``eta[i]`` on
+    the same gradients, and each step projects the whole stack at once.
     """
 
-    def __init__(self, box: Box, eta: float):
-        if eta <= 0:
+    def __init__(self, box: Box, eta):
+        rates = np.asarray(eta, dtype=np.float64)
+        if rates.ndim != 0 and (rates.ndim != 2 or rates.shape[1] != 1 or rates.size < 1):
+            raise ValueError("learning rate must be a scalar or an (N, 1) column")
+        if not np.all(rates > 0):
             raise ValueError("learning rate must be positive")
         self.box = box
-        self.eta = eta
-        self.y = box.origin()
+        if rates.ndim == 0:
+            self.eta = float(eta)
+            self.y = box.origin()
+        else:
+            self.eta = rates
+            self.y = np.zeros((rates.shape[0], box.dim))
         self.tau = 1
         self.c_log: list[int] = []
 
     def play(self, t: int) -> np.ndarray:
         return self.y.copy()
 
-    def ingest(self, t: int, items: list[FeedbackItem]) -> None:
-        last = None
-        for item in items:
-            if last is not None and item.timestamp <= last:
-                raise ValueError("feedback items must be sorted ascending by timestamp")
-            last = item.timestamp
-            self.y = ogd_step(self.box, self.y, self.eta, item.gradient)
-            self.tau += 1
-            self.c_log.append(item.timestamp)
+    def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
+        if len(stamps) != len(grads):
+            raise ValueError("one gradient per timestamp is required")
+        if any(a >= b for a, b in zip(stamps, stamps[1:])):
+            raise ValueError("feedback must be sorted ascending by timestamp")
+        for g in grads:
+            self.y = self.box.project(self.y - self.eta * g)
+        self.tau += len(stamps)
+        self.c_log.extend(stamps)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +158,6 @@ def mild_dt_params(D: float, G: float, T: int, v: int) -> tuple[float, np.ndarra
 # Expert aggregation.
 # ---------------------------------------------------------------------------
 
-def meta_play(weights: np.ndarray, decisions: np.ndarray) -> np.ndarray:
-    """Weighted combination sum_i w_i * x_i; stays feasible by convexity."""
-    weights = np.asarray(weights, dtype=np.float64)
-    decisions = np.asarray(decisions, dtype=np.float64)
-    if weights.shape[0] != decisions.shape[0]:
-        raise ValueError("one decision per expert weight is required")
-    return weights @ decisions
-
-
 def delayed_hedge_update(log_weights: np.ndarray, alpha: float,
                          arrived_loss_sums: np.ndarray) -> np.ndarray:
     """Exponential-weights update on whatever expert losses arrived this round.
@@ -193,31 +172,32 @@ def delayed_hedge_update(log_weights: np.ndarray, alpha: float,
 
 
 class MildOGD(OnlineLearner):
-    """Delay-aware Hedge over a pool of DelayedOGD experts on surrogate losses.
+    """Delay-aware Hedge over a pool of delayed descents on surrogate losses.
 
     Round protocol (order matters):
-      1. collect each expert's decision x_t^eta and play the weighted mix x_t;
-      2. the harness queries the real gradient at x_t and enqueues it;
+      1. read the pool's expert decisions x_t^eta and play the weighted mix x_t;
+      2. the harness queries the real gradient at x_t and schedules it;
       3. on arrival of timestamp k, reweight experts by their surrogate loss
-         <g_k, x_k^eta - x_k> and forward the same gradient to every expert,
-         which steps on it like plain DelayedOGD.
+         <g_k, x_k^eta - x_k> and step the whole pool on the same gradient,
+         each expert like plain DelayedOGD at its own rate.
 
-    Experts therefore never query gradients of their own: one query per round
-    serves the meta decision and the whole pool.  Each round's meta and expert
-    decisions are retained until that round's feedback arrives (memory is
-    bounded by the maximum backlog).
+    The pool is one ``DelayedOGD`` over an (N, n) iterate, so experts never
+    query gradients of their own: one query per round serves the meta
+    decision and the whole pool.  Each round's meta and expert decisions are
+    retained until that round's feedback arrives (memory is bounded by the
+    maximum backlog).
     """
 
     def __init__(self, box: Box, expert_rates, alpha: float):
         rates = np.sort(np.asarray(expert_rates, dtype=np.float64))
-        if rates.size < 1 or np.any(rates <= 0):
+        if rates.ndim != 1 or rates.size < 1 or np.any(rates <= 0):
             raise ValueError("expert rates must be positive")
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.box = box
         self.alpha = alpha
         self.expert_rates = rates
-        self.experts = [DelayedOGD(box, float(eta)) for eta in rates]
+        self.pool = DelayedOGD(box, rates[:, None])
         self.log_w = np.log(init_weights(rates.size))
         self._meta_plays: dict[int, np.ndarray] = {}
         self._expert_plays: dict[int, np.ndarray] = {}
@@ -229,31 +209,29 @@ class MildOGD(OnlineLearner):
         return np.exp(self.log_w)
 
     def play(self, t: int) -> np.ndarray:
-        xs = np.stack([e.play(t) for e in self.experts])
+        xs = self.pool.y  # each pool step rebinds y, so this stays round t's stack
         # clip guards the one-ulp rounding a float convex combination can incur
-        x = self.box.project(meta_play(self.weights, xs))
+        x = self.box.project(self.weights @ xs)
         self._expert_plays[t] = xs
         self._meta_plays[t] = x
         return x.copy()
 
-    def ingest(self, t: int, items: list[FeedbackItem]) -> None:
-        if not items:
+    def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
+        if not stamps:
             return
-        loss_sums = np.zeros(len(self.experts))
-        for item in items:
-            k = item.timestamp
+        # accumulate per arrival in timestamp order; a batched reduction would
+        # reorder the float sums and change the weights in the last bits
+        loss_sums = np.zeros(self.expert_rates.size)
+        for k, g in zip(stamps, grads):
             if k not in self._expert_plays:
                 raise AssertionError(f"feedback for round {k} without a recorded play")
-            loss_sums += (self._expert_plays[k] - self._meta_plays[k]) @ item.gradient
+            loss_sums += (self._expert_plays.pop(k) - self._meta_plays.pop(k)) @ g
         self.log_w = delayed_hedge_update(self.log_w, self.alpha, loss_sums)
-        for expert in self.experts:
-            expert.ingest(t, items)
-        for item in items:
-            del self._expert_plays[item.timestamp], self._meta_plays[item.timestamp]
+        self.pool.ingest(t, stamps, grads)
 
     @property
     def c_log(self) -> list[int]:
-        return self.experts[0].c_log
+        return self.pool.c_log
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +276,6 @@ class EpochController:
         """Record epoch-local arrivals delivered at the end of the current round."""
         self._arrived += count
 
-    def in_epoch(self, timestamp: int) -> bool:
-        return timestamp >= self.epoch_start
-
     @property
     def budget_used(self) -> int:
         return self._B
@@ -322,11 +297,13 @@ class _RestartingLearner(OnlineLearner):
             self._rebuild()
         return self.inner.play(t)
 
-    def ingest(self, t: int, items: list[FeedbackItem]) -> None:
-        kept = [it for it in items if self.ctrl.in_epoch(it.timestamp)]
-        self.dropped += len(items) - len(kept)
-        self.ctrl.note_arrivals(len(kept))
-        self.inner.ingest(t, kept)
+    def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
+        # stamps ascend, so the stale ones (queried before the epoch) are a prefix
+        stale = bisect_left(stamps, self.ctrl.epoch_start)
+        self.dropped += stale
+        self.ctrl.note_arrivals(len(stamps) - stale)
+        if stale < len(stamps):
+            self.inner.ingest(t, stamps[stale:], grads[stale:])
 
     @property
     def epoch_starts(self) -> list[int]:

@@ -28,19 +28,18 @@ from .losses import Loss, LinearLoss, QuadraticTrackingLoss, SignLinearLoss
 
 @dataclass
 class RunTrace:
-    """Per-round record of one learner run plus schedule bookkeeping.
+    """Per-round record of one learner run plus the schedule it ran on.
 
-    ``decisions`` has exactly T rows; ``arrivals[t-1]`` lists the timestamps
-    delivered at round t; ``backlog`` is the m_t column (recomputable from the
-    schedule); ``c_log`` is the consumption order including the flush window,
-    or None when it is incomplete (e.g. restart-based learners drop stale
-    feedback, so their log never covers all T timestamps).
+    ``decisions`` has exactly T rows; the arrivals and the backlog m_t of
+    each round are the schedule's (``schedule.arrivals(t)``,
+    ``schedule.backlog()``); ``c_log`` is the consumption order including
+    the flush window, or None when it is incomplete (e.g. restart-based
+    learners drop stale feedback, so their log never covers all T
+    timestamps).
     """
 
     decisions: np.ndarray
     loss_values: np.ndarray
-    arrivals: list
-    backlog: np.ndarray
     schedule: DelaySchedule
     c_log: tuple | None = None
     dropped: int = 0
@@ -51,10 +50,6 @@ class RunTrace:
     @property
     def horizon(self) -> int:
         return self.decisions.shape[0]
-
-    @property
-    def cumulative_losses(self) -> np.ndarray:
-        return np.cumsum(self.loss_values)
 
 
 def _decisions_of(trace_or_array) -> np.ndarray:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayed_oco import (
     DelaySchedule,
-    FeedbackQueue,
     block_schedule,
     constant_schedule,
     in_order_random_schedule,
@@ -161,26 +162,72 @@ def test_invalid_delays_rejected():
         DelaySchedule(())
 
 
-# --- queue ------------------------------------------------------------------
+def test_fractional_delays_rejected():
+    with pytest.raises(ValueError):
+        DelaySchedule((1.5, 2.9, 1))
+    with pytest.raises(ValueError):
+        make_schedule({"kind": "list", "values": [1.5, 2.9, 1]}, 3, 0)
+    with pytest.raises(ValueError):
+        make_schedule({"kind": "constant", "value": 2.5}, 3, 0)
+    with pytest.raises(ValueError):
+        DelaySchedule((1, float("nan")))
+    assert DelaySchedule((2.0, 1)).delays == (2, 1)
+    assert make_schedule({"kind": "list", "values": [2.0, 1.0, 1]}, 3, 0).to_list() == [2, 1, 1]
 
-def test_queue_delivers_each_item_once_sorted():
+
+# --- arrival plan -------------------------------------------------------------
+
+def test_plan_example():
+    s = DelaySchedule((3, 1, 1))
+    assert s.stamps == [2, 1, 3]
+    assert s.rounds == [2, 3]  # only rounds that receive feedback
+    assert s.offsets == [0, 1, 3]
+    assert [s.arrivals(t) for t in range(1, 5)] == [[], [2], [1, 3], []]
+
+
+def test_plan_delivers_each_timestamp_once_sorted():
     rng = np.random.default_rng(15)
     s = random_schedule(rng, T_max=50, d_max=8)
-    q = FeedbackQueue(s)
-    for t in range(1, s.horizon + 1):
-        q.push(t, np.array([float(t)]), np.array([0.0]))
     seen = []
     for r in range(1, s.horizon + s.max_delay):
-        items = q.pop(r)
-        stamps = [it.timestamp for it in items]
+        stamps = s.arrivals(r)
         assert stamps == sorted(stamps)
         assert all(s.arrival_round(k) == r for k in stamps)
         seen += stamps
     assert sorted(seen) == list(range(1, s.horizon + 1))
-    assert len(q) == 0
 
 
-def test_queue_rejects_out_of_horizon_push():
-    q = FeedbackQueue(DelaySchedule((1, 1)))
-    with pytest.raises(ValueError):
-        q.push(3, np.array([0.0]), np.array([0.0]))
+def test_arrivals_outside_the_window_are_empty():
+    s = DelaySchedule((1, 1))
+    assert s.arrivals(0) == [] and s.arrivals(3) == []
+    assert s.arrivals(1) == [1] and s.arrivals(2) == [2]
+
+
+def test_plan_memory_does_not_grow_with_the_delay():
+    s = constant_schedule(10, 10**9)
+    assert s.rounds == list(range(10**9, 10**9 + 10))
+    assert len(s.stamps) == 10 and len(s.offsets) == 11
+    assert s.sum_backlog == 55
+    assert s.epoch_feedback_set(3, 10**9 + 4) == [5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=40))
+def test_plan_properties(delays):
+    s = DelaySchedule(tuple(delays))
+    T = s.horizon
+    arrival = [k + d - 1 for k, d in enumerate(delays, start=1)]
+    # arrivals partition 1..T, each set ascending, each timestamp at its arrival round
+    window = range(1, T + max(delays))
+    flat = []
+    for t in window:
+        F = s.arrivals(t)
+        assert F == sorted(F) and all(arrival[k - 1] == t for k in F)
+        flat += F
+    assert sorted(flat) == list(range(1, T + 1))
+    # backlog: one plus the number of earlier gradients still in flight
+    live = [1 + sum(1 for k in range(1, t) if arrival[k - 1] >= t) for t in range(1, T + 1)]
+    assert list(s.backlog()) == live
+    # in order: arrival rounds nondecreasing over every pair
+    pairwise = all(arrival[i] <= arrival[j] for i in range(T) for j in range(i + 1, T))
+    assert s.is_in_order() == pairwise

@@ -1,11 +1,13 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from delayed_oco import cli, harness
-from delayed_oco.harness import ConfigError, lowerbound_report, run_experiment, run_many, sweep
+from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many, sweep,
+                                 trace_to_csv)
 
 
 def base_config(**overrides):
@@ -62,8 +64,11 @@ def test_run_hand_simulation_trace():
     }
     trace, summary = run_experiment(cfg)
     assert list(trace.decisions.ravel()) == [0.0, 0.0, 0.0]
-    assert list(trace.backlog) == [1, 2, 1]
-    assert trace.arrivals == [(), (1, 2), (3,)]
+    assert list(trace.schedule.backlog()) == [1, 2, 1]
+    assert [trace.schedule.arrivals(t) for t in (1, 2, 3)] == [[], [1, 2], [3]]
+    rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
+    assert [(r[4], r[5], r[6]) for r in rows] == [("1", "0", ""), ("2", "2", "1;2"),
+                                                  ("1", "1", "3")]
     assert trace.c_log == (1, 2, 3)
     assert summary["regret_dynamic"] == 0.0
     assert summary["joint_effect"] == 0.0
@@ -74,6 +79,17 @@ def test_run_reduction_dogd_equals_ogd():
     tr_d, _ = run_experiment({**cfg, "learner": {"name": "dogd", "eta": 0.3}})
     tr_o, _ = run_experiment({**cfg, "learner": {"name": "ogd", "eta": 0.3}})
     assert np.array_equal(tr_d.decisions, tr_o.decisions)
+
+
+def test_flush_window_cost_does_not_grow_with_the_delay():
+    # the flush visits only rounds that receive feedback, not all T + d_max - 1
+    for value in (10**6, 10**9):
+        start = time.perf_counter()
+        trace, summary = run_experiment(base_config(T=10, delay={"kind": "constant",
+                                                                 "value": value}))
+        assert time.perf_counter() - start < 1.0
+        assert summary["sum_m"] == 55 and summary["d_max"] == value
+        assert trace.c_log == tuple(range(1, 11))
 
 
 def test_run_is_deterministic():
@@ -219,6 +235,12 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["run"]) == 2
 
 
+def test_cli_fractional_delays_exit_code(tmp_path, capsys):
+    cfg = base_config(T=3, delay={"kind": "list", "values": [1.5, 2.9, 1]})
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    assert "1.5 is not an integer" in capsys.readouterr().err
+
+
 def test_cli_strict_bound_violation_exit_code(tmp_path, monkeypatch):
     # force a violation through a fault hook: an impossible negative bound
     monkeypatch.setattr("delayed_oco.metrics.bound_cor1", lambda *a, **k: -1.0)
@@ -274,3 +296,11 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
                         lambda seed=0: [{"name": "x", "ok": False, "detail": "boom"}])
     assert cli.main(["verify"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_verify_exits_4_under_corrupted_hedge(monkeypatch, capsys):
+    verify_all = harness.verify_all
+    monkeypatch.setattr(cli.harness, "verify_all",
+                        lambda seed=0: verify_all(seed=seed, corrupt_hedge=True))
+    assert cli.main(["verify"]) == 4
+    assert "[FAIL] hedge_weight_simplex" in capsys.readouterr().out

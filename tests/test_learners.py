@@ -9,11 +9,9 @@ from delayed_oco import (
     DelayedOGD,
     DogdDoublingTrick,
     EpochController,
-    FeedbackItem,
     LinearLoss,
     MildOGD,
     MildOgdDoublingTrick,
-    OnlineGradientDescent,
     constant_schedule,
     corollary_lr,
     delayed_hedge_update,
@@ -22,20 +20,27 @@ from delayed_oco import (
     hedge_alpha,
     init_weights,
     make_drift_environment,
-    meta_play,
     mild_dt_params,
     mild_lr_grid,
-    ogd_step,
     simulate,
     uniform_schedule,
 )
 from delayed_oco.losses import Loss
 
 
-def item(k, grad, anchor=None):
-    grad = np.atleast_1d(np.asarray(grad, dtype=float))
-    anchor = np.zeros_like(grad) if anchor is None else np.asarray(anchor, dtype=float)
-    return FeedbackItem(k, grad, anchor)
+def feedback(stamps, *grads):
+    """Arguments of ``ingest`` after ``t``: timestamps and one gradient row each."""
+    return list(stamps), np.array([np.atleast_1d(np.asarray(g, dtype=float)) for g in grads])
+
+
+def projected_ogd(box, eta, losses):
+    """Textbook projected OGD without delays: x_{t+1} = clip(x_t - eta * grad f_t(x_t))."""
+    x = np.zeros(box.dim)
+    xs = np.empty((len(losses), box.dim))
+    for t, f in enumerate(losses):
+        xs[t] = x
+        x = np.clip(x - eta * f.gradient(x), -box.half_width, box.half_width)
+    return xs
 
 
 def random_schedule(rng, T_max=200, d_max=20):
@@ -49,19 +54,48 @@ def zero_losses(T, n=1):
 
 # --- plain projected steps --------------------------------------------------
 
+def step(box, x, eta, grad):
+    """One delivered gradient through DelayedOGD, starting from x."""
+    learner = DelayedOGD(box, eta)
+    learner.y = np.asarray(x, dtype=float)
+    learner.ingest(1, *feedback([1], grad))
+    return learner.play(2)
+
+
 def test_ogd_step_descent():
     box = Box(1, 1.0)
-    assert ogd_step(box, np.array([0.0]), 0.5, np.array([1.0]))[0] == -0.5
+    assert step(box, [0.0], 0.5, [1.0])[0] == -0.5
 
 
 def test_ogd_step_zero_gradient():
     box = Box(1, 1.0)
-    assert ogd_step(box, np.array([0.3]), 0.5, np.array([0.0]))[0] == 0.3
+    assert step(box, [0.3], 0.5, [0.0])[0] == 0.3
 
 
 def test_ogd_step_clamps():
     box = Box(1, 1.0)
-    assert ogd_step(box, np.array([0.9]), 0.5, np.array([-1.0]))[0] == 1.0
+    assert step(box, [0.9], 0.5, [-1.0])[0] == 1.0
+
+
+def test_rate_column_steps_each_row_like_a_scalar_rate():
+    box = Box(2, 1.0)
+    rates = np.array([[0.1], [0.7], [2.0]])
+    pool = DelayedOGD(box, rates)
+    singles = [DelayedOGD(box, float(eta)) for eta in rates[:, 0]]
+    stamps, grads = feedback([1, 2], [0.4, -1.0], [-0.3, 0.2])
+    pool.ingest(2, stamps, grads)
+    for i, single in enumerate(singles):
+        single.ingest(2, stamps, grads)
+        assert np.array_equal(pool.play(3)[i], single.play(3))
+    assert pool.c_log == [1, 2] and pool.tau == 3
+
+
+def test_invalid_rates_rejected():
+    box = Box(2, 1.0)
+    for eta in (0.0, -1.0, np.array([[0.1], [0.0]]), np.array([0.1, 0.2]),
+                np.array([[0.1, 0.2]])):
+        with pytest.raises(ValueError):
+            DelayedOGD(box, eta)
 
 
 # --- delayed descent ---------------------------------------------------------
@@ -73,7 +107,7 @@ def test_dogd_initial_play_is_origin():
 
 def test_dogd_play_does_not_mutate():
     learner = DelayedOGD(Box(2, 1.0), 0.5)
-    learner.ingest(1, [item(1, [1.0, 0.0], [0.0, 0.0])])
+    learner.ingest(1, *feedback([1], [1.0, 0.0]))
     a, b = learner.play(2), learner.play(2)
     assert np.array_equal(a, b)
     assert np.array_equal(a, [-0.5, 0.0])
@@ -92,7 +126,7 @@ def test_dogd_hand_simulation():
 def test_dogd_empty_ingest_is_noop():
     learner = DelayedOGD(Box(1, 1.0), 0.5)
     before = learner.play(1)
-    learner.ingest(1, [])
+    learner.ingest(1, *feedback([]))
     assert np.array_equal(learner.play(2), before)
     assert learner.tau == 1
 
@@ -100,7 +134,9 @@ def test_dogd_empty_ingest_is_noop():
 def test_dogd_rejects_unsorted_items():
     learner = DelayedOGD(Box(1, 1.0), 0.5)
     with pytest.raises(ValueError):
-        learner.ingest(1, [item(2, 1.0), item(1, 1.0)])
+        learner.ingest(1, *feedback([2, 1], 1.0, 1.0))
+    with pytest.raises(ValueError):
+        learner.ingest(1, *feedback([1, 1], 1.0, 1.0))
 
 
 def test_dogd_reduces_to_ogd_without_delay():
@@ -113,8 +149,7 @@ def test_dogd_reduces_to_ogd_without_delay():
                                            int(rng.integers(1 << 30)), 1.0)
         sched = constant_schedule(T, 1)
         tr_d = simulate(DelayedOGD(box, eta), losses, sched, box)
-        tr_o = simulate(OnlineGradientDescent(box, eta), losses, sched, box)
-        assert np.array_equal(tr_d.decisions, tr_o.decisions)
+        assert np.array_equal(tr_d.decisions, projected_ogd(box, eta, losses))
 
 
 def test_dogd_consumption_log_is_permutation():
@@ -197,23 +232,34 @@ def test_hedge_alpha():
 
 # --- aggregation --------------------------------------------------------------
 
+def mixed_play(weights, decisions):
+    """MildOGD's meta play from the given weights and expert decisions."""
+    decisions = np.asarray(decisions, dtype=float)
+    pool = MildOGD(Box(decisions.shape[1], 1.0), np.ones(len(weights)), alpha=1.0)
+    pool.log_w = np.log(np.asarray(weights, dtype=float))
+    pool.pool.y = decisions
+    return pool.play(1)
+
+
 def test_meta_play_symmetry():
-    assert meta_play(np.array([0.5, 0.5]), np.array([[1.0], [-1.0]]))[0] == 0.0
+    assert mixed_play(np.array([0.5, 0.5]), np.array([[1.0], [-1.0]]))[0] == 0.0
 
 
 def test_meta_play_single_expert():
     x = np.array([[0.3, -0.2]])
-    assert np.array_equal(meta_play(np.array([1.0]), x), x[0])
+    assert np.array_equal(mixed_play(np.array([1.0]), x), x[0])
 
 
 def test_meta_play_weighted():
-    out = meta_play(np.array([2 / 3, 1 / 3]), np.array([[0.3], [0.9]]))
+    out = mixed_play(np.array([2 / 3, 1 / 3]), np.array([[0.3], [0.9]]))
     assert out[0] == pytest.approx(0.5)
 
 
-def test_meta_play_shape_mismatch():
-    with pytest.raises(ValueError):
-        meta_play(np.array([1.0]), np.array([[0.0], [1.0]]))
+def test_pool_rejects_malformed_rates():
+    box = Box(1, 1.0)
+    for rates in ([], [0.1, 0.0], [[0.1], [0.2]]):
+        with pytest.raises(ValueError):
+            MildOGD(box, rates, alpha=1.0)
 
 
 def test_hedge_update_example():
@@ -259,7 +305,7 @@ def test_pool_round_with_no_arrivals_changes_nothing_but_play():
     pool = MildOGD(box, [0.2, 0.8], alpha=0.5)
     w_before = pool.weights.copy()
     x = pool.play(1)
-    pool.ingest(1, [])
+    pool.ingest(1, *feedback([]))
     assert np.array_equal(pool.weights, w_before)
     assert x[0] == 0.0
 
@@ -273,7 +319,7 @@ def test_pool_weights_unchanged_while_experts_agree():
     sched = constant_schedule(3, 1)
     w0 = pool.weights.copy()
     x = pool.play(1)
-    pool.ingest(1, [item(1, losses[0].gradient(x), x)])
+    pool.ingest(1, *feedback([1], losses[0].gradient(x)))
     assert np.allclose(pool.weights, w0)
 
 
@@ -424,9 +470,9 @@ def test_mild_dt_reinitializes_weights_on_restart():
 def test_mild_dt_rates_scale_with_epoch():
     box = Box(1, 1.0)
     learner = MildOgdDoublingTrick(box, 2.0, 1.0, 100)
-    base = [e.eta for e in learner.inner.experts]
+    base = learner.inner.expert_rates
     s = DelaySchedule((2, 1))
     losses = [LinearLoss(np.array([1.0]), t=1), LinearLoss(np.array([1.0]), t=2)]
     simulate(learner, losses, s, box)
-    after = [e.eta for e in learner.inner.experts]
+    after = learner.inner.expert_rates
     assert np.allclose(np.array(base) / np.array(after), math.sqrt(2.0))

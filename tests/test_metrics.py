@@ -26,6 +26,7 @@ from delayed_oco import (
     reorder_penalty,
     simulate,
     static_regret,
+    trace_to_csv,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -254,4 +255,9 @@ def test_trace_backlog_matches_schedule_recomputation():
         s = DelaySchedule(tuple(int(v) for v in rng.integers(1, 9, size=T)))
         losses = [LinearLoss(np.zeros(1), t=t + 1) for t in range(T)]
         trace = simulate(DelayedOGD(box, 0.1), losses, s, box)
-        assert np.array_equal(trace.backlog, s.backlog())
+        rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
+        arrival = [k + d - 1 for k, d in enumerate(s.delays, start=1)]
+        for t, row in enumerate(rows, start=1):
+            live = sum(1 for k in range(1, t) if arrival[k - 1] >= t)
+            F = [k for k in range(1, T + 1) if arrival[k - 1] == t]
+            assert row[4:] == [str(1 + live), str(len(F)), ";".join(map(str, F))]
