@@ -1,24 +1,16 @@
 """Online convex optimization under arbitrarily delayed gradient feedback.
 
 The package provides the full pipeline: box-constrained geometry, bounded
-convex loss families, delay schedules with their arrival/backlog structure,
-four online learners (delayed projected gradient descent, an
+convex loss families (one array-backed family per kind, covering all
+rounds), delay schedules with their arrival/backlog structure, four online
+learners (delayed projected gradient descent, an
 expert-aggregation pool over surrogate losses, and restart-based versions of
 both), comparator/drift/adversarial environments, and regret
 metrics with worst-case bound evaluators.
 """
 
 from .geometry import Box, as_decision
-from .losses import (
-    LinearLoss,
-    Loss,
-    QuadraticTrackingLoss,
-    SignLinearLoss,
-    SurrogateLoss,
-    check_gradient_bound,
-    make_surrogate,
-    quadratic_drift_scale,
-)
+from .losses import Linear, QuadraticTracking, quadratic_drift_scale
 from .delay import (
     DelaySchedule,
     block_schedule,
@@ -57,7 +49,6 @@ from .environments import (
 )
 from .metrics import (
     RunTrace,
-    UnsupportedLossMix,
     bound_cor1,
     bound_lemma3,
     bound_lower,

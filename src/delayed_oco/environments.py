@@ -4,6 +4,10 @@ Comparator sequences are first-class inputs to regret evaluation rather than
 something inferred from the losses: dynamic regret is defined against any
 feasible sequence, and one trace can be scored against several of them.
 
+Every environment builds one loss family (``QuadraticTracking`` or
+``Linear``) over all T rounds with array operations; only the random walk
+of the drift targets is stepped round by round.
+
 The adversarial instance couples block-end delays with random-sign linear
 losses over a cube.  Within a block every round shares one loss
 h_z(x) = (G/sqrt(n)) * <w_z, x> whose signs w_z are drawn Rademacher, and all
@@ -11,7 +15,8 @@ of the block's gradients arrive only at the block's last round, so no decision
 inside block z can depend on w_z.  The best fixed decision in hindsight has
 the closed form  x*_i = -h * sign(sum_z w_{z,i} * |T_z|)  with total loss
 -h*(G/sqrt(n)) * sum_i |sum_z w_{z,i} * |T_z||  (a linear objective is
-minimized at a vertex of the cube).
+minimized at a vertex of the cube).  Its losses are the ``Linear`` family
+with rows (G/sqrt(n)) * w_z, so every gradient has norm exactly G.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .delay import DelaySchedule, block_schedule
 from .geometry import Box, as_decision
-from .losses import Loss, LinearLoss, QuadraticTrackingLoss, SignLinearLoss, quadratic_drift_scale
+from .losses import Linear, QuadraticTracking, quadratic_drift_scale
 
 
 def path_length(points) -> float:
@@ -72,21 +77,25 @@ def make_path_budget_comparators(box: Box, T: int, P: float, seed: int) -> np.nd
     return make_piecewise_comparators(box, T, L, anchors)
 
 
-def make_drift_environment(box: Box, T: int, step: float, loss_kind: str,
-                           seed: int, grad_bound: float) -> tuple[list[Loss], np.ndarray]:
+def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed: int,
+                           grad_bound: float) -> tuple[QuadraticTracking | Linear, np.ndarray]:
     """Non-stationary testbed: losses track a projected random walk.
 
     The target theta_t moves by at most ``step`` per round (projection is
     1-Lipschitz, so clamping cannot enlarge a move), and the comparator
     sequence is the target path itself, giving path length <= (T-1)*step.
+    Returns the loss family and the (T, n) targets.
 
     loss_kind "quadratic": f_t(x) = (s/2)*||x - theta_t||^2 with s chosen so
     gradients stay below ``grad_bound`` over the box with no clipping.
     loss_kind "linear":    f_t(x) = -grad_bound * <theta_t/||theta_t||, x>,
-    i.e. a unit gradient of norm ``grad_bound`` pulling toward the target side.
+    i.e. a unit gradient of norm ``grad_bound`` pulling toward the target side
+    (the zero gradient while theta_t sits at the origin).
     """
     if step < 0:
         raise ValueError("step must be nonnegative")
+    if loss_kind not in ("quadratic", "linear"):
+        raise ValueError(f"unknown drift loss kind: {loss_kind!r}")
     rng = np.random.default_rng(seed)
     targets = np.empty((T, box.dim))
     theta = box.origin()
@@ -98,20 +107,16 @@ def make_drift_environment(box: Box, T: int, step: float, loss_kind: str,
             move *= step / norm
         theta = box.project(theta + move)
 
-    losses: list[Loss] = []
     if loss_kind == "quadratic":
         scale = quadratic_drift_scale(grad_bound, box,
                                       float(np.linalg.norm(targets, axis=1).max()))
-        for t in range(T):
-            losses.append(QuadraticTrackingLoss(targets[t], scale, t=t + 1))
-    elif loss_kind == "linear":
-        for t in range(T):
-            norm = np.linalg.norm(targets[t])
-            g = (-grad_bound / norm) * targets[t] if norm > 1e-12 else np.zeros(box.dim)
-            losses.append(LinearLoss(g, t=t + 1))
-    else:
-        raise ValueError(f"unknown drift loss kind: {loss_kind!r}")
-    return losses, targets
+        return QuadraticTracking(targets, scale), targets
+    # one norm per row: a batched row reduction would round some rows differently
+    norms = np.array([np.linalg.norm(row) for row in targets])
+    away = norms > 1e-12
+    grads = np.zeros((T, box.dim))
+    grads[away] = (-grad_bound / norms[away])[:, None] * targets[away]
+    return Linear(grads), targets
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,10 @@ class LowerBoundInstance:
     def schedule(self) -> DelaySchedule:
         return block_schedule(self.T, self.d)
 
-    def losses(self) -> list[SignLinearLoss]:
-        out = []
-        for t in range(1, self.T + 1):
-            z = (t - 1) // self.d + 1
-            out.append(SignLinearLoss(self.signs[z - 1], self.G, t=t))
-        return out
+    def losses(self) -> Linear:
+        """f_t(x) = (G/sqrt(n)) * <w_z, x> for the block z that contains round t."""
+        block = np.arange(self.T) // self.d
+        return Linear((self.G / math.sqrt(self.n)) * self.signs[block])
 
     def to_dict(self) -> dict:
         return {"T": self.T, "d": self.d, "D": self.D, "G": self.G, "n": self.n,

@@ -24,7 +24,7 @@ from . import learners as learn_mod
 from . import metrics as metrics_mod
 from .delay import DelaySchedule
 from .geometry import Box
-from .losses import LinearLoss, Loss
+from .losses import Linear, QuadraticTracking
 from .metrics import RunTrace
 
 
@@ -94,6 +94,31 @@ def normalize_config(config: dict) -> dict:
     return cfg
 
 
+def _nonnegative_real(value, what: str) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not (math.isfinite(v) and v >= 0):
+        raise ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
+    return v
+
+
+def _gradient_array(env: dict, T: int, n: int) -> np.ndarray:
+    """The validated (T, n) gradients of a linear_list environment."""
+    try:
+        grads = np.asarray(env["gradients"])
+    except KeyError:
+        raise ConfigError("linear_list needs a gradients array") from None
+    except ValueError as exc:  # ragged rows
+        raise ConfigError(f"linear_list gradients are not an array: {exc}") from None
+    if grads.dtype.kind not in "iuf" or grads.shape != (T, n) \
+            or not np.all(np.isfinite(grads)):
+        raise ConfigError(f"linear_list gradients must be finite numbers of shape ({T}, {n}), "
+                          f"one row per round")
+    return grads.astype(np.float64)
+
+
 def _child_seeds(seed: int, k: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(k, dtype=np.uint64)]
 
@@ -109,18 +134,18 @@ def _build_environment(cfg: dict, box: Box, run_seed: int):
         fp = hashlib.sha256(inst.signs.tobytes()).hexdigest()[:16]
         return inst.losses(), None, inst, fp
     if kind == "drift":
+        step = _nonnegative_real(env.get("step", 0.01), "drift step")
+        loss_kind = env.get("loss", "quadratic")
+        if loss_kind not in ("quadratic", "linear"):
+            raise ConfigError(f'drift loss must be "quadratic" or "linear", got {loss_kind!r}')
         losses, targets = env_mod.make_drift_environment(
-            box, cfg["T"], float(env.get("step", 0.01)),
-            env.get("loss", "quadratic"), env_seed, cfg["G"])
+            box, cfg["T"], step, loss_kind, env_seed, cfg["G"])
         fp = hashlib.sha256(targets.tobytes()).hexdigest()[:16]
         return losses, targets, None, fp
     if kind == "linear_list":
-        grads = [np.asarray(g, dtype=np.float64) for g in env["gradients"]]
-        if len(grads) != cfg["T"]:
-            raise ConfigError("linear_list needs one gradient per round")
-        losses = [LinearLoss(g, t=t + 1) for t, g in enumerate(grads)]
-        fp = hashlib.sha256(np.stack(grads).tobytes()).hexdigest()[:16]
-        return losses, None, None, fp
+        grads = _gradient_array(env, cfg["T"], cfg["n"])
+        fp = hashlib.sha256(grads.tobytes()).hexdigest()[:16]
+        return Linear(grads), None, None, fp
     raise ConfigError(f"unknown environment kind: {kind!r}")
 
 
@@ -152,8 +177,10 @@ def _build_comparators(cfg: dict, box: Box, losses, targets, run_seed: int) -> n
         u = box.origin() if point == "origin" else box.project(np.asarray(point, dtype=float))
         return np.tile(u, (cfg["T"], 1))
     if kind == "piecewise":
+        if "path_budget" not in spec:
+            raise ConfigError('piecewise comparators need a "path_budget"')
         return env_mod.make_path_budget_comparators(
-            box, cfg["T"], float(spec["path_budget"]), comp_seed)
+            box, cfg["T"], _nonnegative_real(spec["path_budget"], "path_budget"), comp_seed)
     if kind == "list":
         pts = np.asarray(spec["points"], dtype=np.float64)
         if pts.shape != (cfg["T"], box.dim):
@@ -189,11 +216,12 @@ def _build_learner(cfg: dict, box: Box, schedule: DelaySchedule):
     raise ConfigError(f"unknown learner: {name!r}")
 
 
-def simulate(learner, losses: list[Loss], schedule: DelaySchedule, box: Box,
+def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedule, box: Box,
              flush: bool = True, collect_weight_sums: bool = False):
     """Drive one learner through the delayed-feedback protocol.
 
-    Per round: play, suffer the loss, query the gradient at the played point,
+    Per round: play, suffer the loss ``losses.value(t, x)``, query the
+    gradient ``losses.gradient(t, x)`` at the played point (exactly once),
     then, if the schedule's arrival plan delivers feedback this round, hand
     the learner ``ingest(t, stamps, grads)``.  Queried gradients are kept in
     one (T, n) array laid out in delivery order, so each round's arrivals
@@ -215,8 +243,8 @@ def simulate(learner, losses: list[Loss], schedule: DelaySchedule, box: Box,
     for t in range(1, T + 1):
         x = learner.play(t)
         decisions[t - 1] = x
-        loss_values[t - 1] = losses[t - 1].value(x)
-        grads[slot[t - 1]] = losses[t - 1].gradient(x)
+        loss_values[t - 1] = losses.value(t, x)
+        grads[slot[t - 1]] = losses.gradient(t, x)
         if rounds[j] == t:  # j stays in range: timestamp T arrives at round T or later
             lo, hi = offsets[j], offsets[j + 1]
             learner.ingest(t, stamps[lo:hi], grads[lo:hi])
@@ -276,11 +304,8 @@ def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dic
         "regret_dynamic": metrics_mod.dynamic_regret(trace, losses, comparators),
         "dropped": trace.dropped,
         "env_fingerprint": env_fp,
+        "regret_static": metrics_mod.static_regret(trace, losses, box),
     }
-    try:
-        summary["regret_static"] = metrics_mod.static_regret(trace, losses, box)
-    except metrics_mod.UnsupportedLossMix:
-        summary["regret_static"] = None
     summary["joint_effect"] = (metrics_mod.joint_effect(trace.c_log, comparators)
                                if trace.c_log is not None else None)
     summary["bound_thm1"] = (
@@ -455,13 +480,13 @@ def _random_schedule(rng: np.random.Generator, T_max: int = 60,
     return DelaySchedule(tuple(int(v) for v in rng.integers(1, d_max + 1, size=T)))
 
 
-def _projected_ogd(box: Box, eta: float, losses: list[Loss]) -> np.ndarray:
+def _projected_ogd(box: Box, eta: float, losses: QuadraticTracking | Linear) -> np.ndarray:
     """Textbook projected OGD without delays: x_{t+1} = clip(x_t - eta * grad f_t(x_t))."""
     x = np.zeros(box.dim)
     xs = np.empty((len(losses), box.dim))
-    for t, f in enumerate(losses):
-        xs[t] = x
-        x = np.clip(x - eta * f.gradient(x), -box.half_width, box.half_width)
+    for t in range(1, len(losses) + 1):
+        xs[t - 1] = x
+        x = np.clip(x - eta * losses.gradient(t, x), -box.half_width, box.half_width)
     return xs
 
 
@@ -514,27 +539,23 @@ def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
             break
     record("projection_optimal_idempotent", ok)
 
-    # --- losses: finite differences + surrogate anchoring ----------------
-    from .losses import QuadraticTrackingLoss, SignLinearLoss, make_surrogate
+    # --- losses: finite differences ---------------------------------------
     ok = True
-    fns = [LinearLoss(np.array([1.0, -2.0, 0.5])),
-           QuadraticTrackingLoss(np.array([0.3, -0.1, 0.2]), 0.7),
-           SignLinearLoss(np.array([1.0, -1.0, 1.0]), 2.0)]
+    fns = [Linear(np.array([[1.0, -2.0, 0.5]])),
+           QuadraticTracking(np.array([[0.3, -0.1, 0.2]]), 0.7),
+           Linear((2.0 / math.sqrt(3.0)) * np.array([[1.0, -1.0, 1.0]]))]
     for f in fns:
         for _ in range(30):
             x = rng.uniform(-0.9, 0.9, size=3)
-            g = f.gradient(x)
+            g = f.gradient(1, x)
             fd = np.empty(3)
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = 1e-6
-                fd[i] = (f.value(x + e) - f.value(x - e)) / 2e-6
+                fd[i] = (f.value(1, x + e) - f.value(1, x - e)) / 2e-6
             if np.linalg.norm(fd - g) > 1e-6 * max(1.0, np.linalg.norm(g)):
                 ok = False
-    sur = make_surrogate(np.array([1.0, 2.0]), np.array([0.5, -0.5]))
-    ok = ok and sur.value(sur.anchor) == 0.0 and np.array_equal(
-        sur.gradient(rng.normal(size=2)), sur.grad)
-    record("loss_gradients_surrogate", ok)
+    record("loss_gradients", ok)
 
     # --- learners: reduction, consumption log, epochs --------------------
     ok = True
@@ -553,8 +574,8 @@ def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
     for _ in range(200):
         s = _random_schedule(rng)
         T = s.horizon
-        zero_losses = [LinearLoss(np.zeros(1), t=t + 1) for t in range(T)]
-        tr = simulate(learn_mod.DelayedOGD(Box(1, 1.0), 0.1), zero_losses, s, Box(1, 1.0))
+        tr = simulate(learn_mod.DelayedOGD(Box(1, 1.0), 0.1), Linear(np.zeros((T, 1))), s,
+                      Box(1, 1.0))
         if tr.c_log is None:
             ok, detail = False, "incomplete consumption log"
             break
@@ -588,17 +609,10 @@ def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
     losses, _ = env_mod.make_drift_environment(box1, T, 0.05, "quadratic", 13, 1.0)
     calls = {"n": 0}
 
-    class _Counting(Loss):
-        def __init__(self, inner):
-            self.inner = inner
-            self.t = inner.t
-
-        def value(self, x):
-            return self.inner.value(x)
-
-        def gradient(self, x):
+    class _Counting(QuadraticTracking):
+        def gradient(self, t, x):
             calls["n"] += 1
-            return self.inner.gradient(x)
+            return super().gradient(t, x)
 
     mild = learn_mod.MildOGD(box1, learn_mod.mild_lr_grid(2.0, 1.0, sched.sum_backlog, T),
                              learn_mod.hedge_alpha(2.0, 1.0, sched.sum_backlog))
@@ -610,7 +624,7 @@ def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
             if stamps:
                 mild.log_w = mild.log_w + 0.05  # skip renormalization
         mild.ingest = bad_ingest
-    tr = simulate(mild, [_Counting(f) for f in losses], sched, box1,
+    tr = simulate(mild, _Counting(losses.targets, losses.scale), sched, box1,
                   collect_weight_sums=True)
     record("hedge_weight_simplex", float(np.abs(tr.weight_sums - 1.0).max()) <= 1e-9,
            f"max |sum-1| = {float(np.abs(tr.weight_sums - 1.0).max()):.2e}")
@@ -633,9 +647,8 @@ def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
     for _ in range(100):
         s = _random_schedule(rng, T_max=40, d_max=6)
         T = s.horizon
-        zero_losses = [LinearLoss(np.zeros(2), t=t + 1) for t in range(T)]
         b2 = Box.from_diameter(2, 2.0)
-        tr = simulate(learn_mod.DelayedOGD(b2, 0.1), zero_losses, s, b2)
+        tr = simulate(learn_mod.DelayedOGD(b2, 0.1), Linear(np.zeros((T, 2))), s, b2)
         us = np.stack([b2.random_point(rng) for _ in range(T)])
         je = metrics_mod.joint_effect(tr.c_log, us)
         P = env_mod.path_length(us)
@@ -651,9 +664,11 @@ def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
         inst = env_mod.make_lowerbound_instance(40, 7, 2.0, 1.0, n, seed=int(rng.integers(1 << 30)))
         x, total = env_mod.best_fixed_decision(inst)
         losses_i = inst.losses()
-        brute = min(sum(f.value(v) for f in losses_i) for v in inst.box.vertices())
+        vertices = np.stack(list(inst.box.vertices()))
+        brute = float(losses_i.values(vertices[:, None, :]).sum(axis=1).min())
+        at_x = float(losses_i.values(np.broadcast_to(x, (inst.T, n))).sum())
         if not (abs(total - brute) <= 1e-9 * max(1, abs(brute))
-                and abs(sum(f.value(x) for f in losses_i) - total) <= 1e-9):
+                and abs(at_x - total) <= 1e-9):
             ok = False
         sched_i = inst.schedule
         for start, end in inst.blocks:
@@ -664,13 +679,13 @@ def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
 
     # --- static regret closed form vs grid -------------------------------
     box2 = Box.from_diameter(2, 2.0)
-    lin = [LinearLoss(rng.uniform(-1, 1, size=2), t=t + 1) for t in range(8)]
+    lin = Linear(np.array([rng.uniform(-1, 1, size=2) for _ in range(8)]))
     xs = np.zeros((8, 2))
     closed = metrics_mod.static_regret(xs, lin, box2)
     _, grid_val, _ = metrics_mod.minimize_total_loss(lin, box2, grid_resolution=1e-3,
                                                      method="grid")
-    played = sum(f.value(x) for f, x in zip(lin, xs))
-    lipschitz = sum(float(np.linalg.norm(f.g)) for f in lin)
+    played = float(lin.values(xs).sum())
+    lipschitz = float(np.linalg.norm(lin.grads, axis=1).sum())
     record("static_regret_closed_vs_grid",
            abs((played - grid_val) - closed) <= lipschitz * 2e-3)
 

@@ -1,178 +1,80 @@
-"""Convex loss families and the linearized surrogate used by expert aggregation.
+"""Convex loss sequences f_1..f_T, one array-backed family per kind.
 
-Three evaluable/differentiable families are provided:
+* ``QuadraticTracking(targets, scale)``  f_t(x) = (scale/2) * ||x - targets[t-1]||^2
+* ``Linear(grads)``                      f_t(x) = <grads[t-1], x>
 
-* ``LinearLoss``       f(x) = <g, x>
-* ``QuadraticTrackingLoss``  f(x) = (scale/2) * ||x - target||^2
-* ``SignLinearLoss``   f(x) = (gain/sqrt(n)) * <signs, x>,  signs in {-1,+1}^n
+A family holds all T rounds as one (T, n) array.  ``value(t, x)`` and
+``gradient(t, x)`` evaluate round t (1-based, as everywhere in the package)
+at one point; ``values(X)`` evaluates every round t at row t-1 of X in one
+batched call.  Inputs are validated where they enter the program (the
+config boundary), not on every call.
 
-plus ``SurrogateLoss``, the linearization <g_t, x - x_t> anchored at the
-decision where the gradient g_t was queried.  Surrogates are stored as
-(gradient, anchor) pairs rather than closures so feedback traces stay
-serializable and replayable.
-
-Every loss carries the round index ``t`` it belongs to, so delayed delivery
-can be audited against the schedule.
+``len(f)`` is T and ``f[i]`` (0-based) is the one-round family of round i+1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, as_decision
+from .geometry import Box, as_decision  # noqa: F401  (the benchmark's tests read losses.as_decision)
 
 
-class Loss:
-    """Base class: a convex loss with an evaluable value and gradient."""
-
-    t: int
-
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        """Values at each row of the (m, n) array X (used by grid searches)."""
-        return np.apply_along_axis(self.value, 1, np.asarray(X, dtype=np.float64))
-
-    def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_sup(self, box: Box) -> float:
-        """Analytic supremum of ||grad f(x)||_2 over ``box``."""
-        raise NotImplementedError
+def _frozen(a) -> np.ndarray:
+    """Read-only float64 copy, so a row handed out can never alter the family."""
+    out = np.array(a, dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
-@dataclass(frozen=True)
-class LinearLoss(Loss):
-    """f(x) = <g, x>; the gradient is the constant vector g."""
+class QuadraticTracking:
+    """f_t(x) = (scale/2) * ||x - targets[t-1]||_2^2, minimized at the round's target."""
 
-    g: np.ndarray
-    t: int = 0
+    def __init__(self, targets, scale: float):
+        self.targets = _frozen(targets)
+        self.scale = float(scale)
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", as_decision(self.g))
+    def __len__(self) -> int:
+        return self.targets.shape[0]
 
-    def value(self, x) -> float:
-        return float(np.dot(self.g, as_decision(x, self.g.shape[0])))
+    def __getitem__(self, i: int) -> "QuadraticTracking":
+        return QuadraticTracking(self.targets[[i]], self.scale)
 
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.g
-
-    def gradient(self, x) -> np.ndarray:
-        as_decision(x, self.g.shape[0])
-        return self.g.copy()
-
-    def grad_sup(self, box: Box) -> float:
-        return float(np.linalg.norm(self.g))
-
-
-@dataclass(frozen=True)
-class QuadraticTrackingLoss(Loss):
-    """f(x) = (scale/2) * ||x - target||_2^2, minimized at the target point."""
-
-    target: np.ndarray
-    scale: float
-    t: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "target", as_decision(self.target))
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("scale must be a positive finite real")
-
-    def value(self, x) -> float:
-        d = as_decision(x, self.target.shape[0]) - self.target
+    def value(self, t: int, x) -> float:
+        d = x - self.targets[t - 1]
         return 0.5 * self.scale * float(np.dot(d, d))
 
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        d = np.asarray(X, dtype=np.float64) - self.target
-        return 0.5 * self.scale * np.einsum("ij,ij->i", d, d)
+    def gradient(self, t: int, x) -> np.ndarray:
+        return self.scale * (x - self.targets[t - 1])
 
-    def gradient(self, x) -> np.ndarray:
-        return self.scale * (as_decision(x, self.target.shape[0]) - self.target)
-
-    def grad_sup(self, box: Box) -> float:
-        # sup ||scale*(x - target)|| over the box is attained at a corner.
-        corner = box.half_width * np.ones(box.dim)
-        worst = np.maximum(np.abs(corner - self.target), np.abs(-corner - self.target))
-        return self.scale * float(np.linalg.norm(worst))
+    def values(self, X) -> np.ndarray:
+        """f_t at row t-1 of X, shape (..., T, n); leading axes broadcast."""
+        d = X - self.targets
+        return 0.5 * self.scale * np.einsum("...j,...j->...", d, d)
 
 
-@dataclass(frozen=True)
-class SignLinearLoss(Loss):
-    """f(x) = (gain/sqrt(n)) * <signs, x> with signs in {-1,+1}^n.
+class Linear:
+    """f_t(x) = <grads[t-1], x>; the gradient is the constant row grads[t-1]."""
 
-    Its gradient norm equals ``gain`` exactly, making ``gain`` the tight
-    gradient bound for the adversarial instances built from this family.
-    """
+    def __init__(self, grads):
+        self.grads = _frozen(grads)
 
-    signs: np.ndarray
-    gain: float
-    t: int = 0
+    def __len__(self) -> int:
+        return self.grads.shape[0]
 
-    def __post_init__(self):
-        s = np.asarray(self.signs, dtype=np.float64)
-        if s.ndim != 1 or not np.all(np.abs(s) == 1.0):
-            raise ValueError("signs must be a 1-d vector with entries in {-1,+1}")
-        if not (math.isfinite(self.gain) and self.gain > 0):
-            raise ValueError("gain must be a positive finite real")
-        object.__setattr__(self, "signs", s)
+    def __getitem__(self, i: int) -> "Linear":
+        return Linear(self.grads[[i]])
 
-    @property
-    def g(self) -> np.ndarray:
-        return (self.gain / math.sqrt(self.signs.shape[0])) * self.signs
+    def value(self, t: int, x) -> float:
+        return float(np.dot(self.grads[t - 1], x))
 
-    def value(self, x) -> float:
-        return float(np.dot(self.g, as_decision(x, self.signs.shape[0])))
+    def gradient(self, t: int, x) -> np.ndarray:
+        return self.grads[t - 1]
 
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.g
-
-    def gradient(self, x) -> np.ndarray:
-        as_decision(x, self.signs.shape[0])
-        return self.g
-
-    def grad_sup(self, box: Box) -> float:
-        return float(self.gain)
-
-
-@dataclass(frozen=True)
-class SurrogateLoss:
-    """Linearization <grad, x - anchor> of a loss at the point it was queried.
-
-    Properties that the aggregation analysis relies on:
-      * value(anchor) == 0
-      * gradient is constant and equals ``grad`` everywhere
-      * |value(x)| <= G*D whenever anchor and x lie in a diameter-D set
-    """
-
-    grad: np.ndarray
-    anchor: np.ndarray
-    t: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "grad", as_decision(self.grad))
-        object.__setattr__(self, "anchor", as_decision(self.anchor, self.grad.shape[0]))
-
-    def value(self, x) -> float:
-        x = as_decision(x, self.grad.shape[0])
-        return float(np.dot(self.grad, x - self.anchor))
-
-    def gradient(self, x) -> np.ndarray:
-        as_decision(x, self.grad.shape[0])
-        return self.grad.copy()
-
-
-def make_surrogate(grad, anchor, t: int = 0) -> SurrogateLoss:
-    return SurrogateLoss(np.asarray(grad, dtype=np.float64),
-                         np.asarray(anchor, dtype=np.float64), t)
-
-
-def check_gradient_bound(loss: Loss, box: Box, bound: float) -> bool:
-    """True iff the analytic sup of ||grad|| over the box is <= bound."""
-    return loss.grad_sup(box) <= bound
+    def values(self, X) -> np.ndarray:
+        """f_t at row t-1 of X, shape (..., T, n); leading axes broadcast."""
+        return np.einsum("...j,...j->...", X, self.grads)
 
 
 def quadratic_drift_scale(bound: float, box: Box, max_target_norm: float) -> float:

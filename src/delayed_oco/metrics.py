@@ -12,6 +12,11 @@ Throughout, the reorder penalty
 
 caps the joint effect of delays and moving comparators; the measured joint
 effect sum_t ||u_t - u_{c_t}|| can be far smaller, so both are reported.
+
+Regrets evaluate a loss family (``QuadraticTracking`` or ``Linear``) on all T
+rounds with one batched ``values`` call per sequence; the hindsight optimum
+has a closed form per family, and a dense grid (n <= 2) is kept as the
+reference that the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -22,8 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delay import DelaySchedule
+from .environments import comparator_block_length
 from .geometry import Box
-from .losses import Loss, LinearLoss, QuadraticTrackingLoss, SignLinearLoss
+from .losses import Linear, QuadraticTracking
+
+# grid search: mesh points x rounds evaluated per batched call (bounds memory)
+_GRID_BATCH = 1 << 20
 
 
 @dataclass
@@ -58,66 +67,56 @@ def _decisions_of(trace_or_array) -> np.ndarray:
     return np.asarray(trace_or_array, dtype=np.float64)
 
 
-def dynamic_regret(trace, losses: list[Loss], comparators) -> float:
+def dynamic_regret(trace, losses: QuadraticTracking | Linear, comparators) -> float:
     """sum_t f_t(x_t) - sum_t f_t(u_t) for an arbitrary comparator sequence."""
     xs = _decisions_of(trace)
     us = np.asarray(comparators, dtype=np.float64)
     if not (len(losses) == xs.shape[0] == us.shape[0]):
         raise ValueError("losses, decisions and comparators must share one horizon")
-    return float(sum(f.value(x) for f, x in zip(losses, xs))
-                 - sum(f.value(u) for f, u in zip(losses, us)))
+    return float(losses.values(xs).sum() - losses.values(us).sum())
 
 
-class UnsupportedLossMix(ValueError):
-    """Raised when no closed-form hindsight optimum exists and n > 2."""
-
-
-def minimize_total_loss(losses: list[Loss], box: Box, grid_resolution: float = 1e-3,
+def minimize_total_loss(losses: QuadraticTracking | Linear, box: Box,
+                        grid_resolution: float = 1e-3,
                         method: str = "auto") -> tuple[np.ndarray, float, str]:
     """Hindsight optimum of sum_t f_t over the box: (minimizer, value, method).
 
-    Closed forms: an all-linear sum is minimized at the vertex
-    x_i = -h*sign(sum_t g_{t,i}); an all-quadratic-tracking sum at the
-    clamped weighted mean of the targets (coordinate-separable).  Any other
-    mix falls back to a dense grid for n <= 2, with the method flagged.
-    Pass method="grid" to force the fallback (cross-checks the closed forms).
+    Closed forms by family: a ``Linear`` sum is minimized at the vertex
+    x_i = -h*sign(sum_t g_{t,i}); a ``QuadraticTracking`` sum at the clamped
+    mean of the targets (coordinate-separable).  method="grid" searches a
+    dense grid instead (n <= 2 only), the reference for the closed forms.
     """
     if method not in ("auto", "grid"):
         raise ValueError("method must be 'auto' or 'grid'")
     if method == "auto":
-        if all(isinstance(f, (LinearLoss, SignLinearLoss)) for f in losses):
-            g = np.sum([f.g for f in losses], axis=0)
+        if isinstance(losses, Linear):
+            g = losses.grads.sum(axis=0)
             h = box.half_width
             x = np.where(g > 0, -h, h)
             return x, -h * float(np.abs(g).sum()), "closed_linear"
-        if all(isinstance(f, QuadraticTrackingLoss) for f in losses):
-            scales = np.array([f.scale for f in losses])
-            targets = np.stack([f.target for f in losses])
-            x = box.project(scales @ targets / scales.sum())
-            return x, float(sum(f.value(x) for f in losses)), "closed_quadratic"
+        x = box.project(losses.targets.mean(axis=0))
+        total = losses.values(np.broadcast_to(x, losses.targets.shape)).sum()
+        return x, float(total), "closed_quadratic"
     if box.dim > 2:
-        raise UnsupportedLossMix(
-            "mixed loss families have no closed-form optimum; grid fallback "
-            "supports n <= 2 only")
+        raise ValueError("the grid search supports n <= 2 only")
     axes = [np.linspace(-box.half_width, box.half_width,
                         max(2, int(round(2 * box.half_width / grid_resolution)) + 1))
             for _ in range(box.dim)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    totals = np.zeros(mesh.shape[0])
-    for f in losses:
-        totals += f.value_batch(mesh)
+    step = max(1, _GRID_BATCH // len(losses))
+    totals = np.concatenate([losses.values(mesh[i:i + step, None, :]).sum(axis=1)
+                             for i in range(0, mesh.shape[0], step)])
     best = int(np.argmin(totals))
     return mesh[best], float(totals[best]), f"grid[{grid_resolution}]"
 
 
-def static_regret(trace, losses: list[Loss], box: Box) -> float:
+def static_regret(trace, losses: QuadraticTracking | Linear, box: Box) -> float:
     """sum_t f_t(x_t) - min_{x in K} sum_t f_t(x)."""
     xs = _decisions_of(trace)
     if len(losses) != xs.shape[0]:
         raise ValueError("losses and decisions must share one horizon")
-    played = sum(f.value(x) for f, x in zip(losses, xs))
     _, best, _ = minimize_total_loss(losses, box)
-    return float(played - best)
+    return float(losses.values(xs).sum() - best)
 
 
 def joint_effect(c_log, comparators) -> float:
@@ -199,15 +198,10 @@ def bound_lower(T: int, d: int, D: float, G: float, P: float) -> float:
     regime), else G*sqrt(d*D*max(P, D)*T)/(4*sqrt(2))."""
     if not 0 <= P <= T * D:
         raise ValueError("path budget must lie in [0, T*D]")
-    L = comparator_blocks_lower(T, D, P)
+    L = comparator_block_length(T, D, P)
     if d > L:
         return D * G * T / (2.0 * math.sqrt(2.0))
     return G * math.sqrt(d * D * max(P, D) * T) / (4.0 * math.sqrt(2.0))
-
-
-def comparator_blocks_lower(T: int, D: float, P: float) -> int:
-    """Block length L = ceil(T*D/max(P,D)) used by the lower-bound regimes."""
-    return math.ceil(T * D / max(P, D))
 
 
 def bound_lemma3(T: int, d: int, D: float, G: float) -> float:

@@ -11,9 +11,8 @@ from delayed_oco import (
     Box,
     DelaySchedule,
     DelayedOGD,
-    LinearLoss,
-    QuadraticTrackingLoss,
-    SignLinearLoss,
+    Linear,
+    QuadraticTracking,
     best_fixed_decision,
     bound_lemma3,
     in_order_random_schedule,
@@ -37,7 +36,7 @@ def random_schedule(rng, T_max=200, d_max=20):
 
 
 def zero_losses(T):
-    return [LinearLoss(np.zeros(1), t=t + 1) for t in range(T)]
+    return Linear(np.zeros((T, 1)))
 
 
 DRIFT_SWEEP = [(n, d, seed) for n in (1, 5) for d in (1, 5, 20) for seed in range(20)]
@@ -58,9 +57,9 @@ def projected_ogd(box, eta, losses):
     """Textbook projected OGD without delays: x_{t+1} = clip(x_t - eta * grad f_t(x_t))."""
     x = np.zeros(box.dim)
     xs = np.empty((len(losses), box.dim))
-    for t, f in enumerate(losses):
-        xs[t] = x
-        x = np.clip(x - eta * f.gradient(x), -box.half_width, box.half_width)
+    for t in range(1, len(losses) + 1):
+        xs[t - 1] = x
+        x = np.clip(x - eta * losses.gradient(t, x), -box.half_width, box.half_width)
     return xs
 
 
@@ -228,9 +227,7 @@ def test_criterion_9_oracle_equivalences():
                                         2.0, 1.0, n, seed=int(rng.integers(1 << 30)))
         x, total = best_fixed_decision(inst)
         vertices = np.stack(list(inst.box.vertices()))
-        totals = np.zeros(len(vertices))
-        for f in inst.losses():
-            totals += vertices @ f.g
+        totals = inst.losses().values(vertices[:, None, :]).sum(axis=1)
         if abs(total - totals.min()) > 1e-9 * max(1.0, abs(totals.min())):
             ok, detail = False, f"vertex oracle mismatch on instance #{i}"
             break
@@ -239,12 +236,11 @@ def test_criterion_9_oracle_equivalences():
     if ok:
         for n in (1, 2):
             box = Box.from_diameter(n, 2.0)
-            lin = [LinearLoss(rng.uniform(-1, 1, n), t=t + 1) for t in range(10)]
-            quad = [QuadraticTrackingLoss(box.random_point(rng), 0.5, t=t + 1)
-                    for t in range(10)]
+            lin = Linear(np.array([rng.uniform(-1, 1, n) for t in range(10)]))
+            quad = QuadraticTracking(np.array([box.random_point(rng) for t in range(10)]), 0.5)
             for losses, lipschitz in (
-                    (lin, sum(float(np.linalg.norm(f.g)) for f in lin)),
-                    (quad, sum(f.scale * box.diameter for f in quad))):
+                    (lin, float(np.linalg.norm(lin.grads, axis=1).sum())),
+                    (quad, len(quad) * quad.scale * box.diameter)):
                 _, closed, _ = minimize_total_loss(losses, box)
                 _, grid, _ = minimize_total_loss(losses, box, grid_resolution=1e-3,
                                                  method="grid")
@@ -258,17 +254,18 @@ def test_criterion_9_oracle_equivalences():
     if ok:
         for _ in range(100):
             n = int(rng.integers(1, 6))
-            fns = [LinearLoss(rng.normal(size=n)),
-                   QuadraticTrackingLoss(rng.uniform(-0.5, 0.5, n), float(rng.uniform(0.1, 2))),
-                   SignLinearLoss(rng.choice([-1.0, 1.0], n), float(rng.uniform(0.5, 3)))]
+            lin = Linear(rng.normal(size=(1, n)))
+            quad = QuadraticTracking(rng.uniform(-0.5, 0.5, (1, n)), float(rng.uniform(0.1, 2)))
+            signs, gain = rng.choice([-1.0, 1.0], (1, n)), float(rng.uniform(0.5, 3))
+            fns = [lin, quad, Linear((gain / math.sqrt(n)) * signs)]  # the sign-linear loss
             x = rng.uniform(-0.9, 0.9, size=n)
             for f in fns:
-                g = f.gradient(x)
+                g = f.gradient(1, x)
                 fd = np.empty(n)
                 for i in range(n):
                     e = np.zeros(n)
                     e[i] = 1e-6
-                    fd[i] = (f.value(x + e) - f.value(x - e)) / 2e-6
+                    fd[i] = (f.value(1, x + e) - f.value(1, x - e)) / 2e-6
                 if np.linalg.norm(fd - g) > 1e-6 * max(1.0, np.linalg.norm(g)):
                     ok, detail = False, "finite differences disagree with gradient"
                     break

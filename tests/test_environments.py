@@ -8,7 +8,6 @@ from delayed_oco import (
     LowerBoundInstance,
     best_fixed_decision,
     block_bounds,
-    check_gradient_bound,
     comparator_block_length,
     make_drift_environment,
     make_lowerbound_instance,
@@ -98,14 +97,17 @@ def test_drift_deterministic_given_seed():
     l1, t1 = make_drift_environment(box, 30, 0.05, "linear", 7, 1.0)
     l2, t2 = make_drift_environment(box, 30, 0.05, "linear", 7, 1.0)
     assert np.array_equal(t1, t2)
-    assert all(np.array_equal(a.g, b.g) for a, b in zip(l1, l2))
+    assert np.array_equal(l1.grads, l2.grads)
 
 
 def test_drift_losses_respect_gradient_bound():
     box = Box.from_diameter(4, 3.0)
-    for kind in ("quadratic", "linear"):
-        losses, _ = make_drift_environment(box, 40, 0.2, kind, 3, 1.7)
-        assert all(check_gradient_bound(f, box, 1.7 + 1e-12) for f in losses)
+    linear, _ = make_drift_environment(box, 40, 0.2, "linear", 3, 1.7)
+    assert np.all(np.linalg.norm(linear.grads, axis=1) <= 1.7 + 1e-12)
+    quad, _ = make_drift_environment(box, 40, 0.2, "quadratic", 3, 1.7)
+    # sup ||scale * (x - target)|| over the box sits at the corner farthest from the target
+    worst = box.half_width + np.abs(quad.targets)
+    assert np.all(quad.scale * np.linalg.norm(worst, axis=1) <= 1.7 + 1e-12)
 
 
 def test_drift_targets_feasible():
@@ -130,9 +132,10 @@ def test_instance_unit_blocks():
 def test_instance_gradient_norm_exact():
     inst = make_lowerbound_instance(12, 4, 2.0, 1.0, 1, seed=1)
     box = inst.box
-    for f in inst.losses():
-        assert f.grad_sup(box) == pytest.approx(1.0)
-        assert abs(f.gradient(box.origin())[0]) == pytest.approx(1.0)
+    losses = inst.losses()
+    assert np.allclose(np.linalg.norm(losses.grads, axis=1), 1.0)
+    for t in range(1, inst.T + 1):
+        assert abs(losses.gradient(t, box.origin())[0]) == pytest.approx(1.0)
 
 
 def test_instance_same_loss_within_block():
@@ -140,7 +143,7 @@ def test_instance_same_loss_within_block():
     losses = inst.losses()
     for start, end in inst.blocks:
         for t in range(start, end + 1):
-            assert np.array_equal(losses[t - 1].signs, losses[start - 1].signs)
+            assert np.array_equal(losses.grads[t - 1], losses.grads[start - 1])
 
 
 def test_instance_gradients_arrive_at_block_end():
@@ -191,6 +194,8 @@ def test_best_fixed_matches_vertex_enumeration(n):
                                         2.0, 1.0, n, seed=int(rng.integers(1 << 30)))
         x, total = best_fixed_decision(inst)
         losses = inst.losses()
-        brute = min(sum(f.value(v) for f in losses) for v in inst.box.vertices())
+        T = len(losses)
+        brute = min(sum(losses.value(t, v) for t in range(1, T + 1))
+                    for v in inst.box.vertices())
         assert total == pytest.approx(brute, abs=1e-9)
-        assert sum(f.value(x) for f in losses) == pytest.approx(total, abs=1e-9)
+        assert sum(losses.value(t, x) for t in range(1, T + 1)) == pytest.approx(total, abs=1e-9)

@@ -235,6 +235,40 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["run"]) == 2
 
 
+def _drift(**fields):
+    return {"environment": {"kind": "drift", "step": 0.05, "loss": "quadratic", **fields}}
+
+
+def _gradients(value):
+    return {"environment": {"kind": "linear_list", "gradients": value}}
+
+
+def _piecewise(**fields):
+    return {"comparators": {"kind": "piecewise", **fields}}
+
+
+@pytest.mark.parametrize("overrides", [
+    _drift(step=-0.1),
+    _drift(step="fast"),
+    _drift(step=math.nan),
+    _drift(loss="cubic"),
+    _gradients([[1.0, 0.0], [math.nan, 0.0], [0.0, 1.0]]),
+    _gradients([[1.0], [0.0], [1.0]]),  # n = 2: one column short
+    _gradients([[1.0, 0.0], [0.0, 1.0]]),  # T = 3: one round short
+    _gradients("1.0"),
+    _gradients([["1.0", "0.0"]] * 3),
+    _piecewise(),
+    _piecewise(path_budget=-1.0),
+    _piecewise(path_budget=math.inf),
+], ids=["negative-step", "text-step", "nan-step", "unknown-loss", "nan-gradient",
+        "narrow-gradients", "short-gradients", "string-gradients", "text-gradients",
+        "missing-budget", "negative-budget", "infinite-budget"])
+def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrides):
+    cfg = base_config(T=3, **overrides)
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_cli_fractional_delays_exit_code(tmp_path, capsys):
     cfg = base_config(T=3, delay={"kind": "list", "values": [1.5, 2.9, 1]})
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2

@@ -9,9 +9,10 @@ from delayed_oco import (
     DelayedOGD,
     DogdDoublingTrick,
     EpochController,
-    LinearLoss,
+    Linear,
     MildOGD,
     MildOgdDoublingTrick,
+    QuadraticTracking,
     constant_schedule,
     corollary_lr,
     delayed_hedge_update,
@@ -25,7 +26,7 @@ from delayed_oco import (
     simulate,
     uniform_schedule,
 )
-from delayed_oco.losses import Loss
+from delayed_oco import learners
 
 
 def feedback(stamps, *grads):
@@ -37,9 +38,9 @@ def projected_ogd(box, eta, losses):
     """Textbook projected OGD without delays: x_{t+1} = clip(x_t - eta * grad f_t(x_t))."""
     x = np.zeros(box.dim)
     xs = np.empty((len(losses), box.dim))
-    for t, f in enumerate(losses):
-        xs[t] = x
-        x = np.clip(x - eta * f.gradient(x), -box.half_width, box.half_width)
+    for t in range(1, len(losses) + 1):
+        xs[t - 1] = x
+        x = np.clip(x - eta * losses.gradient(t, x), -box.half_width, box.half_width)
     return xs
 
 
@@ -49,7 +50,7 @@ def random_schedule(rng, T_max=200, d_max=20):
 
 
 def zero_losses(T, n=1):
-    return [LinearLoss(np.zeros(n), t=t + 1) for t in range(T)]
+    return Linear(np.zeros((T, n)))
 
 
 # --- plain projected steps --------------------------------------------------
@@ -117,7 +118,7 @@ def test_dogd_hand_simulation():
     # losses f_t(x) = g_t * x with g = (1, -1), delays (2, 1), eta = 0.5:
     # both rounds play 0; round 2 consumes g_1 then g_2 and returns to 0
     box = Box(1, 1.0)
-    losses = [LinearLoss(np.array([1.0]), t=1), LinearLoss(np.array([-1.0]), t=2)]
+    losses = Linear(np.array([[1.0], [-1.0]]))
     trace = simulate(DelayedOGD(box, 0.5), losses, DelaySchedule((2, 1)), box)
     assert list(trace.decisions.ravel()) == [0.0, 0.0]
     assert trace.c_log == (1, 2)
@@ -315,18 +316,17 @@ def test_pool_weights_unchanged_while_experts_agree():
     # update sees identical surrogate values and keeps the prior weights
     box = Box(1, 1.0)
     pool = MildOGD(box, [0.5, 1.0], alpha=1.0)
-    losses = [LinearLoss(np.array([g]), t=t + 1) for t, g in enumerate((1.0, -1.0, 1.0))]
-    sched = constant_schedule(3, 1)
+    losses = Linear(np.array([[1.0], [-1.0], [1.0]]))
     w0 = pool.weights.copy()
     x = pool.play(1)
-    pool.ingest(1, *feedback([1], losses[0].gradient(x)))
+    pool.ingest(1, *feedback([1], losses.gradient(1, x)))
     assert np.allclose(pool.weights, w0)
 
 
 def test_pool_reweights_toward_better_expert():
     box = Box(1, 1.0)
     pool = MildOGD(box, [0.01, 1.0], alpha=1.0)
-    losses = [LinearLoss(np.array([1.0]), t=t + 1) for t in range(20)]
+    losses = Linear(np.ones((20, 1)))
     sched = constant_schedule(20, 1)
     simulate(pool, losses, sched, box)
     # constant positive gradient: the aggressive expert reaches -1 faster
@@ -336,16 +336,10 @@ def test_pool_reweights_toward_better_expert():
 def test_pool_gradient_queries_equal_horizon():
     calls = {"n": 0}
 
-    class Counting(Loss):
-        def __init__(self, inner):
-            self.inner, self.t = inner, inner.t
-
-        def value(self, x):
-            return self.inner.value(x)
-
-        def gradient(self, x):
+    class Counting(QuadraticTracking):
+        def gradient(self, t, x):
             calls["n"] += 1
-            return self.inner.gradient(x)
+            return super().gradient(t, x)
 
     box = Box(1, 1.0)
     T = 50
@@ -353,7 +347,7 @@ def test_pool_gradient_queries_equal_horizon():
     sched = uniform_schedule(T, 1, 7, 11)
     pool = MildOGD(box, mild_lr_grid(2.0, 1.0, sched.sum_backlog, T),
                    hedge_alpha(2.0, 1.0, sched.sum_backlog))
-    simulate(pool, [Counting(f) for f in losses], sched, box)
+    simulate(pool, Counting(losses.targets, losses.scale), sched, box)
     assert calls["n"] == T
 
 
@@ -366,6 +360,31 @@ def test_pool_weight_sums_near_one_every_round():
                    hedge_alpha(2.0, 1.0, sched.sum_backlog))
     trace = simulate(pool, losses, sched, box, collect_weight_sums=True)
     assert float(np.abs(trace.weight_sums - 1.0).max()) <= 1e-9
+
+
+def test_pool_surrogate_losses_bounded_by_GD(monkeypatch):
+    # the Hedge analysis needs |<g_k, x_k^eta - x_k>| <= G*D for every
+    # arrival; constant delays deliver one arrival per ingest, so each loss
+    # vector the pool hands to the Hedge update is a single arrival's
+    seen = []
+    update = learners.delayed_hedge_update
+
+    def recording(log_w, alpha, losses):
+        seen.append(losses.copy())
+        return update(log_w, alpha, losses)
+
+    monkeypatch.setattr(learners, "delayed_hedge_update", recording)
+    box, G, T = Box.from_diameter(3, 2.0), 1.5, 200
+    for kind in ("quadratic", "linear"):
+        for delay in (1, 3, 8):
+            seen.clear()
+            losses, _ = make_drift_environment(box, T, 0.2, kind, 5 + delay, G)
+            sched = constant_schedule(T, delay)
+            pool = MildOGD(box, mild_lr_grid(box.diameter, G, sched.sum_backlog, T),
+                           hedge_alpha(box.diameter, G, sched.sum_backlog))
+            simulate(pool, losses, sched, box)
+            assert len(seen) == T
+            assert max(np.abs(s).max() for s in seen) <= G * box.diameter + 1e-9
 
 
 # --- doubling trick -----------------------------------------------------------
@@ -440,7 +459,7 @@ def test_restarting_learner_drops_stale_feedback():
     box = Box(1, 1.0)
     s = DelaySchedule((2, 1))
     learner = DogdDoublingTrick(box, 2.0, 1.0)
-    losses = [LinearLoss(np.array([1.0]), t=1), LinearLoss(np.array([1.0]), t=2)]
+    losses = Linear(np.ones((2, 1)))
     trace = simulate(learner, losses, s, box)
     assert learner.epoch_starts == [1, 2]
     assert trace.dropped == 1
@@ -451,7 +470,7 @@ def test_restart_resets_rate_and_iterate():
     box = Box(1, 1.0)
     learner = DogdDoublingTrick(box, 2.0, 1.0)
     s = DelaySchedule((2, 1))
-    losses = [LinearLoss(np.array([1.0]), t=1), LinearLoss(np.array([1.0]), t=2)]
+    losses = Linear(np.ones((2, 1)))
     simulate(learner, losses, s, box)
     assert learner.inner.eta == pytest.approx(dogd_dt_lr(2.0, 1.0, 2))
 
@@ -472,7 +491,7 @@ def test_mild_dt_rates_scale_with_epoch():
     learner = MildOgdDoublingTrick(box, 2.0, 1.0, 100)
     base = learner.inner.expert_rates
     s = DelaySchedule((2, 1))
-    losses = [LinearLoss(np.array([1.0]), t=1), LinearLoss(np.array([1.0]), t=2)]
+    losses = Linear(np.ones((2, 1)))
     simulate(learner, losses, s, box)
     after = learner.inner.expert_rates
     assert np.allclose(np.array(base) / np.array(after), math.sqrt(2.0))

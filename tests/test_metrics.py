@@ -7,9 +7,8 @@ from delayed_oco import (
     Box,
     DelaySchedule,
     DelayedOGD,
-    LinearLoss,
-    QuadraticTrackingLoss,
-    UnsupportedLossMix,
+    Linear,
+    QuadraticTracking,
     bound_cor1,
     bound_lemma3,
     bound_lower,
@@ -35,13 +34,13 @@ SQ2 = math.sqrt(2.0)
 # --- regrets -----------------------------------------------------------------
 
 def test_dynamic_regret_zero_when_matching_comparators():
-    losses = [LinearLoss(np.array([1.0, -1.0]), t=t + 1) for t in range(4)]
+    losses = Linear(np.tile([1.0, -1.0], (4, 1)))
     xs = np.tile([0.25, 0.5], (4, 1))
     assert dynamic_regret(xs, losses, xs.copy()) == 0.0
 
 
 def test_dynamic_regret_linear_example():
-    losses = [LinearLoss(np.array([1.0]), t=t + 1) for t in range(5)]
+    losses = Linear(np.ones((5, 1)))
     xs = np.zeros((5, 1))
     us = -np.ones((5, 1))
     assert dynamic_regret(xs, losses, us) == pytest.approx(5.0)
@@ -49,27 +48,28 @@ def test_dynamic_regret_linear_example():
 
 def test_dynamic_regret_constant_comparator_is_static_at_that_point():
     rng = np.random.default_rng(40)
-    losses = [LinearLoss(rng.normal(size=2), t=t + 1) for t in range(6)]
+    losses = Linear(np.array([rng.normal(size=2) for t in range(6)]))
     xs = rng.uniform(-1, 1, size=(6, 2))
     point = np.array([0.3, -0.3])
     us = np.tile(point, (6, 1))
-    direct = sum(f.value(x) for f, x in zip(losses, xs)) - sum(f.value(point) for f in losses)
+    direct = sum(losses.value(t, x) for t, x in enumerate(xs, start=1)) \
+        - sum(losses.value(t, point) for t in range(1, 7))
     assert dynamic_regret(xs, losses, us) == pytest.approx(direct)
 
 
 def test_dynamic_regret_length_mismatch():
-    losses = [LinearLoss(np.array([1.0]))]
+    losses = Linear(np.ones((1, 1)))
     with pytest.raises(ValueError):
         dynamic_regret(np.zeros((2, 1)), losses, np.zeros((2, 1)))
 
 
 def test_static_regret_zero_losses():
-    losses = [LinearLoss(np.zeros(1), t=t + 1) for t in range(3)]
+    losses = Linear(np.zeros((3, 1)))
     assert static_regret(np.zeros((3, 1)), losses, Box(1, 1.0)) == 0.0
 
 
 def test_static_regret_linear_closed_form():
-    losses = [LinearLoss(np.array([g]), t=t + 1) for t, g in enumerate((1.0, -1.0, 1.0))]
+    losses = Linear(np.array([[1.0], [-1.0], [1.0]]))
     assert static_regret(np.zeros((3, 1)), losses, Box(1, 1.0)) == pytest.approx(1.0)
 
 
@@ -78,14 +78,13 @@ def test_static_regret_adversarial_instance_matches_vertex_oracle():
     losses = inst.losses()
     xs = np.zeros((30, 3))
     _, best = best_fixed_decision(inst)
-    played = sum(f.value(x) for f, x in zip(losses, xs))
+    played = sum(losses.value(t, x) for t, x in enumerate(xs, start=1))
     assert static_regret(xs, losses, inst.box) == pytest.approx(played - best)
 
 
 def test_quadratic_hindsight_optimum_is_projected_mean():
     box = Box(2, 0.25)
-    targets = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    losses = [QuadraticTrackingLoss(t, 1.0, t=i + 1) for i, t in enumerate(targets)]
+    losses = QuadraticTracking(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
     x, _, method = minimize_total_loss(losses, box)
     assert method == "closed_quadratic"
     assert np.allclose(x, [0.25, 0.25])  # mean (0.5, 0.5) clamped
@@ -94,10 +93,10 @@ def test_quadratic_hindsight_optimum_is_projected_mean():
 def test_closed_forms_match_grid():
     rng = np.random.default_rng(41)
     box = Box.from_diameter(2, 2.0)
-    lin = [LinearLoss(rng.uniform(-1, 1, 2), t=t + 1) for t in range(7)]
-    quad = [QuadraticTrackingLoss(box.random_point(rng), 0.5, t=t + 1) for t in range(7)]
-    for losses, lipschitz in ((lin, sum(np.linalg.norm(f.g) for f in lin)),
-                              (quad, sum(f.scale * box.diameter for f in quad))):
+    lin = Linear(np.array([rng.uniform(-1, 1, 2) for t in range(7)]))
+    quad = QuadraticTracking(np.array([box.random_point(rng) for t in range(7)]), 0.5)
+    for losses, lipschitz in ((lin, np.linalg.norm(lin.grads, axis=1).sum()),
+                              (quad, len(quad) * quad.scale * box.diameter)):
         _, closed, _ = minimize_total_loss(losses, box)
         _, grid, flag = minimize_total_loss(losses, box, grid_resolution=1e-3, method="grid")
         assert flag.startswith("grid")
@@ -105,11 +104,11 @@ def test_closed_forms_match_grid():
         assert grid - closed <= lipschitz * 2e-3
 
 
-def test_mixed_losses_above_two_dims_unsupported():
+def test_grid_above_two_dims_unsupported():
     box = Box(3, 1.0)
-    losses = [LinearLoss(np.ones(3), t=1), QuadraticTrackingLoss(np.zeros(3), 1.0, t=2)]
-    with pytest.raises(UnsupportedLossMix):
-        static_regret(np.zeros((2, 3)), losses, box)
+    for losses in (Linear(np.ones((2, 3))), QuadraticTracking(np.zeros((2, 3)), 1.0)):
+        with pytest.raises(ValueError, match="n <= 2"):
+            minimize_total_loss(losses, box, method="grid")
 
 
 # --- joint effect -----------------------------------------------------------
@@ -142,8 +141,7 @@ def test_joint_effect_capped_on_runs():
     for _ in range(100):
         T = int(rng.integers(2, 50))
         s = DelaySchedule(tuple(int(v) for v in rng.integers(1, 8, size=T)))
-        losses = [LinearLoss(np.zeros(2), t=t + 1) for t in range(T)]
-        trace = simulate(DelayedOGD(box, 0.1), losses, s, box)
+        trace = simulate(DelayedOGD(box, 0.1), Linear(np.zeros((T, 2))), s, box)
         us = np.stack([box.random_point(rng) for _ in range(T)])
         je = joint_effect(trace.c_log, us)
         P = path_length(us)
@@ -253,8 +251,7 @@ def test_trace_backlog_matches_schedule_recomputation():
     for _ in range(50):
         T = int(rng.integers(1, 60))
         s = DelaySchedule(tuple(int(v) for v in rng.integers(1, 9, size=T)))
-        losses = [LinearLoss(np.zeros(1), t=t + 1) for t in range(T)]
-        trace = simulate(DelayedOGD(box, 0.1), losses, s, box)
+        trace = simulate(DelayedOGD(box, 0.1), Linear(np.zeros((T, 1))), s, box)
         rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
         arrival = [k + d - 1 for k, d in enumerate(s.delays, start=1)]
         for t, row in enumerate(rows, start=1):
