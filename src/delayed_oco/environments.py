@@ -6,7 +6,7 @@ feasible sequence, and one trace can be scored against several of them.
 
 Every environment builds one loss family (``QuadraticTracking`` or
 ``Linear``) over all T rounds with array operations; only the random walk
-of the drift targets is stepped round by round.
+of the drift targets is stepped round by round, on moves drawn in one call.
 
 The adversarial instance couples block-end delays with random-sign linear
 losses over a cube.  Within a block every round shares one loss
@@ -92,27 +92,31 @@ def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed: 
     i.e. a unit gradient of norm ``grad_bound`` pulling toward the target side
     (the zero gradient while theta_t sits at the origin).
     """
-    if step < 0:
-        raise ValueError("step must be nonnegative")
+    if not (math.isfinite(step) and step >= 0):
+        raise ValueError("step must be a finite number >= 0")
     if loss_kind not in ("quadratic", "linear"):
         raise ValueError(f"unknown drift loss kind: {loss_kind!r}")
     rng = np.random.default_rng(seed)
+    # one draw for all rounds gives the same stream as one draw per round
+    moves = rng.uniform(-1.0, 1.0, size=(T, box.dim))
+    h = box.half_width
     targets = np.empty((T, box.dim))
     theta = box.origin()
     for t in range(T):
         targets[t] = theta
-        move = rng.uniform(-1.0, 1.0, size=box.dim)
-        norm = np.linalg.norm(move)
+        move = moves[t]
+        # exactly np.linalg.norm of a 1-d float vector, without its dispatch
+        norm = math.sqrt(move.dot(move))
         if norm > 0:
             move *= step / norm
-        theta = box.project(theta + move)
+        theta = (theta + move).clip(-h, h)
 
     if loss_kind == "quadratic":
         scale = quadratic_drift_scale(grad_bound, box,
                                       float(np.linalg.norm(targets, axis=1).max()))
         return QuadraticTracking(targets, scale), targets
     # one norm per row: a batched row reduction would round some rows differently
-    norms = np.array([np.linalg.norm(row) for row in targets])
+    norms = np.array([math.sqrt(row.dot(row)) for row in targets])
     away = norms > 1e-12
     grads = np.zeros((T, box.dim))
     grads[away] = (-grad_bound / norms[away])[:, None] * targets[away]

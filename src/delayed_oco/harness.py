@@ -73,10 +73,13 @@ def normalize_config(config: dict) -> dict:
         cfg["repetitions"] = int(cfg["repetitions"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scalar field: {exc}") from exc
-    if cfg["T"] < 1 or cfg["n"] < 1 or cfg["D"] <= 0 or cfg["G"] <= 0:
-        raise ConfigError("need T >= 1, n >= 1, D > 0, G > 0")
+    if cfg["T"] < 1 or cfg["n"] < 1 or not (0 < cfg["D"] < math.inf and 0 < cfg["G"] < math.inf):
+        raise ConfigError("need T >= 1, n >= 1 and finite D > 0, G > 0")
     if cfg["repetitions"] < 1:
         raise ConfigError("repetitions must be >= 1")
+    for section in ("delay", "environment", "comparators"):
+        if not isinstance(cfg[section], dict):
+            raise ConfigError(f"{section} must be a JSON object, got {cfg[section]!r}")
 
     learner = cfg["learner"]
     if not isinstance(learner, dict) or learner.get("name") not in _LEARNERS:
@@ -94,29 +97,48 @@ def normalize_config(config: dict) -> dict:
     return cfg
 
 
-def _nonnegative_real(value, what: str) -> float:
+def _number(value, what: str) -> float:
     try:
-        v = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _nonnegative_real(value, what: str) -> float:
+    v = _number(value, what)
     if not (math.isfinite(v) and v >= 0):
         raise ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
     return v
 
 
-def _gradient_array(env: dict, T: int, n: int) -> np.ndarray:
-    """The validated (T, n) gradients of a linear_list environment."""
+def _positive_real(value, what: str) -> float:
+    v = _number(value, what)
+    if not (math.isfinite(v) and v > 0):
+        raise ConfigError(f"{what} must be a finite number > 0, got {value!r}")
+    return v
+
+
+def _positive_reals(value, what: str) -> np.ndarray:
+    """A nonempty flat list of finite numbers > 0, as a float64 array."""
     try:
-        grads = np.asarray(env["gradients"])
-    except KeyError:
-        raise ConfigError("linear_list needs a gradients array") from None
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a list of numbers, got {value!r}") from None
+    if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0)):
+        raise ConfigError(f"{what} must be a nonempty flat list of finite numbers > 0, "
+                          f"got {value!r}")
+    return a
+
+
+def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``value`` as a float64 array of ``shape`` holding finite numbers only."""
+    try:
+        a = np.asarray(value)
     except ValueError as exc:  # ragged rows
-        raise ConfigError(f"linear_list gradients are not an array: {exc}") from None
-    if grads.dtype.kind not in "iuf" or grads.shape != (T, n) \
-            or not np.all(np.isfinite(grads)):
-        raise ConfigError(f"linear_list gradients must be finite numbers of shape ({T}, {n}), "
-                          f"one row per round")
-    return grads.astype(np.float64)
+        raise ConfigError(f"{what} is not an array: {exc}") from None
+    if a.dtype.kind not in "iuf" or a.shape != shape or not np.all(np.isfinite(a)):
+        raise ConfigError(f"{what} must be finite numbers of shape {shape}")
+    return a.astype(np.float64)
 
 
 def _child_seeds(seed: int, k: int) -> list[int]:
@@ -143,7 +165,9 @@ def _build_environment(cfg: dict, box: Box, run_seed: int):
         fp = hashlib.sha256(targets.tobytes()).hexdigest()[:16]
         return losses, targets, None, fp
     if kind == "linear_list":
-        grads = _gradient_array(env, cfg["T"], cfg["n"])
+        if "gradients" not in env:
+            raise ConfigError("linear_list needs a gradients array")
+        grads = _finite_array(env["gradients"], (cfg["T"], cfg["n"]), "linear_list gradients")
         fp = hashlib.sha256(grads.tobytes()).hexdigest()[:16]
         return Linear(grads), None, None, fp
     raise ConfigError(f"unknown environment kind: {kind!r}")
@@ -174,7 +198,8 @@ def _build_comparators(cfg: dict, box: Box, losses, targets, run_seed: int) -> n
         return np.tile(x, (cfg["T"], 1))
     if kind == "constant":
         point = spec.get("point", "origin")
-        u = box.origin() if point == "origin" else box.project(np.asarray(point, dtype=float))
+        u = box.origin() if point == "origin" else \
+            box.project(_finite_array(point, (box.dim,), "constant comparator point"))
         return np.tile(u, (cfg["T"], 1))
     if kind == "piecewise":
         if "path_budget" not in spec:
@@ -182,9 +207,11 @@ def _build_comparators(cfg: dict, box: Box, losses, targets, run_seed: int) -> n
         return env_mod.make_path_budget_comparators(
             box, cfg["T"], _nonnegative_real(spec["path_budget"], "path_budget"), comp_seed)
     if kind == "list":
-        pts = np.asarray(spec["points"], dtype=np.float64)
-        if pts.shape != (cfg["T"], box.dim):
-            raise ConfigError(f"comparator list must have shape ({cfg['T']}, {box.dim})")
+        if "points" not in spec:
+            raise ConfigError('list comparators need "points"')
+        pts = _finite_array(spec["points"], (cfg["T"], box.dim), "comparator list points")
+        if not all(box.contains(p) for p in pts):
+            raise ConfigError("comparator list points must lie in the feasible box")
         return pts
     raise ConfigError(f"unknown comparator kind: {kind!r}")
 
@@ -197,7 +224,8 @@ def _build_learner(cfg: dict, box: Box, schedule: DelaySchedule):
     sum_m = schedule.sum_backlog
     if name in ("ogd", "dogd"):
         eta = spec.get("eta", "paper")
-        eta = learn_mod.corollary_lr(D, G, sum_m) if eta == "paper" else float(eta)
+        eta = learn_mod.corollary_lr(D, G, sum_m) if eta == "paper" \
+            else _positive_real(eta, "learner.eta")
         # "ogd" names the same learner: under unit delays DelayedOGD is plain OGD
         return (learn_mod.DelayedOGD(box, eta),
                 {"eta": eta, "eta_source": spec.get("eta", "paper")})
@@ -205,8 +233,9 @@ def _build_learner(cfg: dict, box: Box, schedule: DelaySchedule):
         etas = spec.get("etas", "paper")
         alpha = spec.get("alpha", "paper")
         etas = learn_mod.mild_lr_grid(D, G, sum_m, T) if etas == "paper" \
-            else np.asarray(etas, dtype=np.float64)
-        alpha = learn_mod.hedge_alpha(D, G, sum_m) if alpha == "paper" else float(alpha)
+            else _positive_reals(etas, "learner.etas")
+        alpha = learn_mod.hedge_alpha(D, G, sum_m) if alpha == "paper" \
+            else _positive_real(alpha, "learner.alpha")
         return (learn_mod.MildOGD(box, etas, alpha),
                 {"expert_rates": [float(e) for e in etas], "alpha": alpha})
     if name == "dogd_dt":
@@ -225,9 +254,11 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
     then, if the schedule's arrival plan delivers feedback this round, hand
     the learner ``ingest(t, stamps, grads)``.  Queried gradients are kept in
     one (T, n) array laid out in delivery order, so each round's arrivals
-    are a contiguous slice.  With ``flush`` the plan's rounds past the
-    horizon are delivered too (plays suppressed), which completes the
-    consumption log for diagnostics; reported losses never include flush
+    are a contiguous slice.  The learners step on bare clamps, so after the
+    last round the run checks once that every decision and gradient was
+    finite, and raises ValueError if not.  With ``flush`` the plan's rounds
+    past the horizon are delivered too (plays suppressed), which completes
+    the consumption log for diagnostics; reported losses never include flush
     rounds.
     """
     T = schedule.horizon
@@ -251,6 +282,8 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
             j += 1
         if collect_weight_sums:
             weight_sums[t - 1] = learner.weights.sum()
+    if not (np.isfinite(decisions).all() and np.isfinite(grads).all()):
+        raise ValueError("the run played a non-finite decision or queried a non-finite gradient")
     if flush:
         for j in range(j, len(rounds)):
             lo, hi = offsets[j], offsets[j + 1]

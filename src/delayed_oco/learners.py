@@ -56,17 +56,22 @@ class DelayedOGD(OnlineLearner):
     ``tau`` counts generated decisions; ``c_log[i]`` is the timestamp of the
     (i+1)-th consumed gradient.
 
-    ``eta`` is a positive scalar or an (N, 1) column of positive rates.  With
-    a column, y is an (N, n) stack whose row i steps at rate ``eta[i]`` on
-    the same gradients, and each step projects the whole stack at once.
+    ``eta`` is a positive finite scalar or an (N, 1) column of such rates.
+    With a column, y is an (N, n) stack whose row i steps at rate ``eta[i]``
+    on the same gradients, and each step projects the whole stack at once.
+
+    A step projects by a bare clamp, without ``Box.project``'s checks: the
+    rates are checked here, and ``simulate`` checks once per run that every
+    gradient it handed out was finite.  A finite step that overflows to
+    +-inf clamps to the face it points at, which is its exact projection.
     """
 
     def __init__(self, box: Box, eta):
         rates = np.asarray(eta, dtype=np.float64)
         if rates.ndim != 0 and (rates.ndim != 2 or rates.shape[1] != 1 or rates.size < 1):
             raise ValueError("learning rate must be a scalar or an (N, 1) column")
-        if not np.all(rates > 0):
-            raise ValueError("learning rate must be positive")
+        if not np.all(np.isfinite(rates) & (rates > 0)):
+            raise ValueError("learning rate must be positive and finite")
         self.box = box
         if rates.ndim == 0:
             self.eta = float(eta)
@@ -85,8 +90,9 @@ class DelayedOGD(OnlineLearner):
             raise ValueError("one gradient per timestamp is required")
         if any(a >= b for a, b in zip(stamps, stamps[1:])):
             raise ValueError("feedback must be sorted ascending by timestamp")
+        h = self.box.half_width
         for g in grads:
-            self.y = self.box.project(self.y - self.eta * g)
+            self.y = (self.y - self.eta * g).clip(-h, h)
         self.tau += len(stamps)
         self.c_log.extend(stamps)
 
@@ -190,10 +196,10 @@ class MildOGD(OnlineLearner):
 
     def __init__(self, box: Box, expert_rates, alpha: float):
         rates = np.sort(np.asarray(expert_rates, dtype=np.float64))
-        if rates.ndim != 1 or rates.size < 1 or np.any(rates <= 0):
-            raise ValueError("expert rates must be positive")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if rates.ndim != 1 or rates.size < 1 or not np.all(np.isfinite(rates) & (rates > 0)):
+            raise ValueError("expert rates must be positive and finite")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError("alpha must be positive and finite")
         self.box = box
         self.alpha = alpha
         self.expert_rates = rates
@@ -211,7 +217,8 @@ class MildOGD(OnlineLearner):
     def play(self, t: int) -> np.ndarray:
         xs = self.pool.y  # each pool step rebinds y, so this stays round t's stack
         # clip guards the one-ulp rounding a float convex combination can incur
-        x = self.box.project(self.weights @ xs)
+        h = self.box.half_width
+        x = (self.weights @ xs).clip(-h, h)
         self._expert_plays[t] = xs
         self._meta_plays[t] = x
         return x.copy()

@@ -6,8 +6,8 @@
 A family holds all T rounds as one (T, n) array.  ``value(t, x)`` and
 ``gradient(t, x)`` evaluate round t (1-based, as everywhere in the package)
 at one point; ``values(X)`` evaluates every round t at row t-1 of X in one
-batched call.  Inputs are validated where they enter the program (the
-config boundary), not on every call.
+batched call.  A family checks once, at construction, that its arrays and
+scale are finite, and never re-checks them per call.
 
 ``len(f)`` is T and ``f[i]`` (0-based) is the one-round family of round i+1.
 """
@@ -22,8 +22,10 @@ from .geometry import Box, as_decision  # noqa: F401  (the benchmark's tests rea
 
 
 def _frozen(a) -> np.ndarray:
-    """Read-only float64 copy, so a row handed out can never alter the family."""
+    """Finite read-only float64 copy, so a row handed out can never alter the family."""
     out = np.array(a, dtype=np.float64)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("loss arrays must be finite")
     out.setflags(write=False)
     return out
 
@@ -34,6 +36,8 @@ class QuadraticTracking:
     def __init__(self, targets, scale: float):
         self.targets = _frozen(targets)
         self.scale = float(scale)
+        if not math.isfinite(self.scale):
+            raise ValueError("scale must be finite")
 
     def __len__(self) -> int:
         return self.targets.shape[0]

@@ -2,9 +2,9 @@
 
 The demos use the public API end to end (environments, loss families,
 ``simulate``, regrets, bounds), so a change to that API that a demo was not
-updated for fails here.  ``04_adversarial_floor.py`` is left out: it draws
-2 x 200 sign vectors at T=1000 and takes about half a minute, while the four
-below take a few seconds together.
+updated for fails here.  All five together take about 7 s on a 2-core box;
+``04_adversarial_floor.py``, which runs 2 x 200 adversarial draws at T=1000,
+is about 4 s of that.
 """
 
 import os
@@ -16,7 +16,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = ["01_delayed_descent.py", "02_expert_aggregation.py", "03_doubling_trick.py",
-         "05_delay_scaling.py"]
+         "04_adversarial_floor.py", "05_delay_scaling.py"]
 
 
 @pytest.mark.parametrize("script", DEMOS)

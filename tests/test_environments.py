@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayed_oco import (
     Box,
@@ -114,6 +116,47 @@ def test_drift_targets_feasible():
     box = Box(2, 0.3)
     _, targets = make_drift_environment(box, 50, 0.5, "quadratic", 4, 1.0)
     assert all(box.contains(x) for x in targets)
+
+
+def test_drift_rejects_invalid_step():
+    box = Box(2, 1.0)
+    for step in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            make_drift_environment(box, 10, step, "quadratic", 0, 1.0)
+
+
+def reference_drift(box, T, step, seed, grad_bound):
+    """The drift walk one draw per round, normalized by np.linalg.norm, stepped
+    through Box.project; returns the targets and the linear-drift gradients."""
+    rng = np.random.default_rng(seed)
+    targets = np.empty((T, box.dim))
+    theta = box.origin()
+    for t in range(T):
+        targets[t] = theta
+        move = rng.uniform(-1.0, 1.0, size=box.dim)
+        norm = np.linalg.norm(move)
+        if norm > 0:
+            move *= step / norm
+        theta = box.project(theta + move)
+    grads = np.zeros((T, box.dim))
+    for t, row in enumerate(targets):
+        norm = np.linalg.norm(row)
+        if norm > 1e-12:
+            grads[t] = (-grad_bound / norm) * row
+    return targets, grads
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 5, 10]), st.integers(1, 300), st.floats(0.0, 3.0),
+       st.floats(0.05, 5.0), st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
+def test_drift_walk_matches_per_round_reference_bitwise(n, T, step, h, seed, grad_bound):
+    box = Box(n, h)
+    targets, grads = reference_drift(box, T, step, seed, grad_bound)
+    quad, quad_targets = make_drift_environment(box, T, step, "quadratic", seed, grad_bound)
+    linear, linear_targets = make_drift_environment(box, T, step, "linear", seed, grad_bound)
+    for got in (quad_targets, quad.targets, linear_targets):
+        assert got.tobytes() == targets.tobytes()
+    assert linear.grads.tobytes() == grads.tobytes()
 
 
 # --- adversarial instance ---------------------------------------------------------

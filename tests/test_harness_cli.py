@@ -5,9 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from delayed_oco import cli, harness
-from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many, sweep,
-                                 trace_to_csv)
+from delayed_oco import Box, DelayedOGD, QuadraticTracking, cli, constant_schedule, harness
+from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many,
+                                 simulate, sweep, trace_to_csv)
+from delayed_oco.learners import OnlineLearner
 
 
 def base_config(**overrides):
@@ -90,6 +91,28 @@ def test_flush_window_cost_does_not_grow_with_the_delay():
         assert time.perf_counter() - start < 1.0
         assert summary["sum_m"] == 55 and summary["d_max"] == value
         assert trace.c_log == tuple(range(1, 11))
+
+
+def test_simulate_rejects_a_gradient_that_overflows():
+    # finite targets and scale, but scale * (x - target) overflows to -inf
+    box = Box(1, 1.0)
+    losses = QuadraticTracking(np.full((5, 1), 1e300), 1e10)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        simulate(DelayedOGD(box, 0.1), losses, constant_schedule(5, 2), box)
+
+
+def test_simulate_rejects_a_non_finite_play():
+    class PlaysNaN(OnlineLearner):
+        def play(self, t):
+            return np.full(2, np.nan)
+
+        def ingest(self, t, stamps, grads):
+            pass
+
+    box = Box(2, 1.0)
+    losses = QuadraticTracking(np.zeros((4, 2)), 1.0)
+    with pytest.raises(ValueError):
+        simulate(PlaysNaN(), losses, constant_schedule(4, 1), box)
 
 
 def test_run_is_deterministic():
@@ -247,6 +270,14 @@ def _piecewise(**fields):
     return {"comparators": {"kind": "piecewise", **fields}}
 
 
+def _learner(name, **fields):
+    return {"learner": {"name": name, **fields}}
+
+
+def _comparators(kind, **fields):
+    return {"comparators": {"kind": kind, **fields}}
+
+
 @pytest.mark.parametrize("overrides", [
     _drift(step=-0.1),
     _drift(step="fast"),
@@ -260,9 +291,54 @@ def _piecewise(**fields):
     _piecewise(),
     _piecewise(path_budget=-1.0),
     _piecewise(path_budget=math.inf),
+    _learner("dogd", eta=math.nan),
+    _learner("dogd", eta=math.inf),
+    _learner("ogd", eta=-math.inf),
+    _learner("dogd", eta=0.0),
+    _learner("dogd", eta=-1.0),
+    _learner("dogd", eta="fast"),
+    _learner("mild", etas=[0.1, math.nan]),
+    _learner("mild", etas=[0.1, math.inf]),
+    _learner("mild", etas=[-math.inf]),
+    _learner("mild", etas=[0.1, 0.0]),
+    _learner("mild", etas=[0.1, -1.0]),
+    _learner("mild", etas="fast"),
+    _learner("mild", etas=[0.1, "fast"]),
+    _learner("mild", etas=[]),
+    _learner("mild", etas=[[0.1], [0.2]]),
+    _learner("mild", alpha=math.nan),
+    _learner("mild", alpha=math.inf),
+    _learner("mild", alpha=-math.inf),
+    _learner("mild", alpha=0.0),
+    _learner("mild", alpha=-1.0),
+    _learner("mild", alpha="fast"),
+    {"D": math.nan},
+    {"D": math.inf},
+    {"G": math.nan},
+    {"G": math.inf},
+    {"delay": 5},
+    {"environment": "drift"},
+    {"comparators": ["origin"]},
+    _comparators("constant", point="middle"),
+    _comparators("constant", point=["a", "b"]),
+    _comparators("constant", point=[math.nan, 0.0]),
+    _comparators("constant", point=[0.1]),
+    _comparators("list"),
+    _comparators("list", points=[["a", "b"]] * 3),
+    _comparators("list", points=[[0.0, math.nan]] * 3),
+    _comparators("list", points=[[0.0, 0.0]] * 2),
+    _comparators("list", points=[[5.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
 ], ids=["negative-step", "text-step", "nan-step", "unknown-loss", "nan-gradient",
         "narrow-gradients", "short-gradients", "string-gradients", "text-gradients",
-        "missing-budget", "negative-budget", "infinite-budget"])
+        "missing-budget", "negative-budget", "infinite-budget",
+        "nan-eta", "infinite-eta", "negative-infinite-eta", "zero-eta", "negative-eta",
+        "text-eta", "nan-etas", "infinite-etas", "negative-infinite-etas", "zero-etas",
+        "negative-etas", "text-etas", "text-in-etas", "empty-etas", "nested-etas",
+        "nan-alpha", "infinite-alpha", "negative-infinite-alpha", "zero-alpha",
+        "negative-alpha", "text-alpha", "nan-D", "infinite-D", "nan-G", "infinite-G",
+        "number-delay", "text-environment", "list-comparators", "text-point",
+        "strings-point", "nan-point", "short-point", "missing-points", "strings-points",
+        "nan-points", "short-points", "points-outside-box"])
 def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrides):
     cfg = base_config(T=3, **overrides)
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from delayed_oco import (
     Box,
@@ -93,10 +96,50 @@ def test_rate_column_steps_each_row_like_a_scalar_rate():
 
 def test_invalid_rates_rejected():
     box = Box(2, 1.0)
-    for eta in (0.0, -1.0, np.array([[0.1], [0.0]]), np.array([0.1, 0.2]),
-                np.array([[0.1, 0.2]])):
+    for eta in (0.0, -1.0, math.nan, math.inf, -math.inf, np.array([[0.1], [0.0]]),
+                np.array([[0.1], [math.nan]]), np.array([[math.inf], [0.1]]),
+                np.array([0.1, 0.2]), np.array([[0.1, 0.2]])):
         with pytest.raises(ValueError):
             DelayedOGD(box, eta)
+
+
+def reference_descent(box, eta, schedule, grads):
+    """DelayedOGD's iterate after each arrival round, stepped through Box.project."""
+    y = np.zeros(box.dim) if np.ndim(eta) == 0 else np.zeros((len(eta), box.dim))
+    after = []
+    for j, r in enumerate(schedule.rounds):
+        for k in schedule.stamps[schedule.offsets[j]:schedule.offsets[j + 1]]:
+            y = box.project(y - eta * grads[k - 1])
+        after.append(y)
+    return after
+
+
+@st.composite
+def descent_cases(draw):
+    """A box, a scalar rate or an (N, 1) rate column, a schedule and its gradients."""
+    n = draw(st.integers(1, 5))
+    T = draw(st.integers(1, 40))
+    box = Box(n, draw(st.floats(0.05, 5.0)))
+    delays = draw(st.lists(st.integers(1, 8), min_size=T, max_size=T))
+    grads = draw(arrays(np.float64, (T, n), elements=st.floats(-1e3, 1e3, width=64)))
+    rates = st.floats(1e-3, 1e2, width=64)
+    if draw(st.booleans()):
+        eta = draw(rates)
+    else:
+        eta = draw(arrays(np.float64, (draw(st.integers(1, 6)), 1), elements=rates))
+    return box, eta, DelaySchedule(tuple(delays)), grads
+
+
+@settings(max_examples=200, deadline=None)
+@given(descent_cases())
+def test_bare_clamp_steps_match_box_project_bitwise(case):
+    box, eta, schedule, grads = case
+    learner = DelayedOGD(box, eta)
+    reference = reference_descent(box, eta, schedule, grads)
+    for j, r in enumerate(schedule.rounds):
+        stamps = schedule.stamps[schedule.offsets[j]:schedule.offsets[j + 1]]
+        learner.ingest(r, stamps, grads[np.asarray(stamps) - 1])
+        assert learner.play(r + 1).tobytes() == reference[j].tobytes()
 
 
 # --- delayed descent ---------------------------------------------------------
@@ -258,9 +301,28 @@ def test_meta_play_weighted():
 
 def test_pool_rejects_malformed_rates():
     box = Box(1, 1.0)
-    for rates in ([], [0.1, 0.0], [[0.1], [0.2]]):
+    for rates in ([], [0.1, 0.0], [[0.1], [0.2]], [0.1, math.nan], [math.inf], [-math.inf]):
         with pytest.raises(ValueError):
             MildOGD(box, rates, alpha=1.0)
+
+
+def test_pool_rejects_invalid_alpha():
+    box = Box(1, 1.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            MildOGD(box, [0.1, 0.2], alpha=alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 8), st.floats(0.05, 5.0), st.data())
+def test_meta_play_matches_box_project_bitwise(n, N, h, data):
+    box = Box(n, h)
+    pool = MildOGD(box, np.ones(N), alpha=1.0)
+    w = data.draw(arrays(np.float64, N, elements=st.floats(1e-3, 1.0)))
+    pool.log_w = np.log(w / w.sum())
+    # a pool stack reaches up to the faces; beyond them exercises the clamp too
+    pool.pool.y = data.draw(arrays(np.float64, (N, n), elements=st.floats(-2 * h, 2 * h)))
+    assert pool.play(1).tobytes() == box.project(pool.weights @ pool.pool.y).tobytes()
 
 
 def test_hedge_update_example():

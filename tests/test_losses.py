@@ -100,6 +100,17 @@ def test_dimension_mismatch_raises():
         Linear(np.array([[1.0, 2.0]])).value(1, [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_families_reject_non_finite_input(bad):
+    rows = np.array([[0.1, 0.2], [0.3, bad]])
+    with pytest.raises(ValueError):
+        Linear(rows)
+    with pytest.raises(ValueError):
+        QuadraticTracking(rows, 1.0)
+    with pytest.raises(ValueError):
+        QuadraticTracking(np.zeros((2, 2)), bad)
+
+
 def test_rows_handed_out_cannot_alter_the_family():
     f = Linear(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
