@@ -72,7 +72,7 @@ from .harness import (
     sweep,
     to_json,
     trace_to_csv,
-    verify_all,
 )
+from .invariants import verify_all
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ import json
 import pathlib
 import sys
 
-from . import harness
+from . import harness, invariants
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,7 +109,7 @@ def _cmd_lowerbound(args) -> int:
     if config["environment"].get("kind") != "lowerbound":
         raise harness.ConfigError('lowerbound needs environment {"kind": "lowerbound"}')
     report = harness.lowerbound_report(
-        T=config["T"], d=int(config["delay"]["d"]), D=config["D"], G=config["G"],
+        T=config["T"], d=config["delay"]["d"], D=config["D"], G=config["G"],
         n=config["n"], learner_spec=config["learner"],
         trials=args.trials, base_seed=args.seed if args.seed is not None else config["seed"])
     if args.format == "csv":
@@ -125,7 +125,10 @@ def _cmd_lowerbound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = harness.verify_all(seed=args.seed if args.seed is not None else 0)
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise harness.ConfigError(f"seed must be >= 0, got {seed}")
+    checks = invariants.verify_all(seed=seed)
     if args.format == "json":
         _emit(harness.to_json({"checks": checks}), args.out, "verify.json")
     for check in checks:

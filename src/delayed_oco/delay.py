@@ -221,6 +221,8 @@ def make_schedule(spec: dict, T: int, seed: int) -> DelaySchedule:
         return in_order_random_schedule(T, _integer(spec["d_max"]), seed)
     if kind == "list":
         values = spec["values"]
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"explicit delay values must be a list, got {values!r}")
         if len(values) != T:
             raise ValueError(f"explicit delay list has length {len(values)}, expected {T}")
         return DelaySchedule(tuple(values))

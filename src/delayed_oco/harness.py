@@ -1,5 +1,5 @@
-"""Experiment orchestration: configs, runs, sweeps, adversarial validation,
-and the self-check suite.
+"""Experiment orchestration: configs, runs, sweeps, adversarial validation
+and output rendering.
 
 A config is a JSON-compatible dict.  Every output embeds the resolved config
 (including formula-derived rates and the materialized delay list), so runs
@@ -65,18 +65,18 @@ def normalize_config(config: dict) -> dict:
     if "T" not in cfg:
         raise ConfigError("config must set the horizon T")
     try:
-        cfg["T"] = int(cfg["T"])
-        cfg["n"] = int(cfg["n"])
+        for key in ("T", "n", "seed", "repetitions"):
+            cfg[key] = delay_mod._integer(cfg[key])
         cfg["D"] = float(cfg["D"])
         cfg["G"] = float(cfg["G"])
-        cfg["seed"] = int(cfg["seed"])
-        cfg["repetitions"] = int(cfg["repetitions"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scalar field: {exc}") from exc
     if cfg["T"] < 1 or cfg["n"] < 1 or not (0 < cfg["D"] < math.inf and 0 < cfg["G"] < math.inf):
         raise ConfigError("need T >= 1, n >= 1 and finite D > 0, G > 0")
     if cfg["repetitions"] < 1:
         raise ConfigError("repetitions must be >= 1")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     for section in ("delay", "environment", "comparators"):
         if not isinstance(cfg[section], dict):
             raise ConfigError(f"{section} must be a JSON object, got {cfg[section]!r}")
@@ -90,10 +90,17 @@ def normalize_config(config: dict) -> dict:
             raise ConfigError(
                 f"doubling-trick learners derive rates per epoch; remove {sorted(banned)}")
 
-    env = cfg["environment"]
-    if env.get("kind") == "lowerbound" and cfg["delay"].get("kind") != "blocks":
-        raise ConfigError('environment "lowerbound" requires delay {"kind": "blocks", "d": ...}'
-                          " (the instance owns its block schedule)")
+    if cfg["environment"].get("kind") == "lowerbound":
+        delay = cfg["delay"]
+        if delay.get("kind") != "blocks":
+            raise ConfigError('environment "lowerbound" requires delay {"kind": "blocks", '
+                              '"d": ...} (the instance owns its block schedule)')
+        try:
+            delay["d"] = delay_mod._integer(delay.get("d"))
+        except ValueError as exc:
+            raise ConfigError(f"lowerbound block length d: {exc}") from exc
+        if delay["d"] < 1:
+            raise ConfigError(f"lowerbound block length d must be >= 1, got {delay['d']}")
     return cfg
 
 
@@ -152,7 +159,7 @@ def _build_environment(cfg: dict, box: Box, run_seed: int):
     kind = env.get("kind")
     if kind == "lowerbound":
         inst = env_mod.make_lowerbound_instance(
-            cfg["T"], int(cfg["delay"]["d"]), cfg["D"], cfg["G"], cfg["n"], env_seed)
+            cfg["T"], cfg["delay"]["d"], cfg["D"], cfg["G"], cfg["n"], env_seed)
         fp = hashlib.sha256(inst.signs.tobytes()).hexdigest()[:16]
         return inst.losses(), None, inst, fp
     if kind == "drift":
@@ -388,14 +395,14 @@ def _apply_cell(cfg: dict, cell: dict) -> dict:
         if key == "learner":
             out["learner"] = {"name": value}
         elif key == "T":
-            out["T"] = int(value)
+            out["T"] = value
         elif key == "d":
             kind = out["delay"]["kind"]
             field = {"constant": "value", "blocks": "d", "uniform": "hi",
                      "in_order_random": "d_max"}.get(kind)
             if field is None:
                 raise ConfigError(f'sweeping "d" unsupported for delay kind {kind!r}')
-            out["delay"][field] = int(value)
+            out["delay"][field] = value
         elif key == "P":
             out["comparators"] = {"kind": "piecewise", "path_budget": float(value)}
         else:
@@ -501,225 +508,3 @@ def _jsonable(obj):
 
 def to_json(payload) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Invariant suite (the CLI's verify subcommand).
-# ---------------------------------------------------------------------------
-
-def _random_schedule(rng: np.random.Generator, T_max: int = 60,
-                     d_max: int = 8) -> DelaySchedule:
-    T = int(rng.integers(1, T_max + 1))
-    return DelaySchedule(tuple(int(v) for v in rng.integers(1, d_max + 1, size=T)))
-
-
-def _projected_ogd(box: Box, eta: float, losses: QuadraticTracking | Linear) -> np.ndarray:
-    """Textbook projected OGD without delays: x_{t+1} = clip(x_t - eta * grad f_t(x_t))."""
-    x = np.zeros(box.dim)
-    xs = np.empty((len(losses), box.dim))
-    for t in range(1, len(losses) + 1):
-        xs[t - 1] = x
-        x = np.clip(x - eta * losses.gradient(t, x), -box.half_width, box.half_width)
-    return xs
-
-
-def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
-    """Run every module invariant at desk scale; returns one record per check.
-
-    ``corrupt_hedge`` is a fault-injection hook: it perturbs the aggregation
-    weights mid-run without renormalizing, which must trip the weight-simplex
-    invariant (used to prove the check has teeth).
-    """
-    rng = np.random.default_rng(seed)
-    checks: list[dict] = []
-
-    def record(name: str, ok: bool, detail: str = ""):
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-    # --- delay: partition, backlog, in-order delivery --------------------
-    ok, detail = True, ""
-    for _ in range(200):
-        s = _random_schedule(rng)
-        sets = s.feedback_sets()
-        flat = sorted(k for F in sets for k in F)
-        if flat != list(range(1, s.horizon + 1)):
-            ok, detail = False, f"partition failed for {s.delays}"
-            break
-        m = s.backlog()
-        live = [1 + sum(1 for k in range(1, t) if s.arrival_round(k) >= t)
-                for t in range(1, s.horizon + 1)]
-        if list(m) != live or not (1 <= m.sum() <= s.total_delay <= s.max_delay * s.horizon):
-            ok, detail = False, f"backlog identity failed for {s.delays}"
-            break
-        if s.is_in_order():
-            if [k for F in sets for k in F] != list(range(1, s.horizon + 1)):
-                ok, detail = False, f"in-order delivery broken for {s.delays}"
-                break
-    record("delay_partition_backlog", ok, detail)
-
-    # --- geometry: projection optimality + idempotence -------------------
-    box = Box.from_diameter(4, 3.0)
-    ok = True
-    for _ in range(200):
-        p = rng.normal(scale=3.0, size=4)
-        proj = box.project(p)
-        if not np.array_equal(box.project(proj), proj):
-            ok = False
-            break
-        q = box.random_point(rng)
-        if np.linalg.norm(proj - p) > np.linalg.norm(q - p) + 1e-12:
-            ok = False
-            break
-    record("projection_optimal_idempotent", ok)
-
-    # --- losses: finite differences ---------------------------------------
-    ok = True
-    fns = [Linear(np.array([[1.0, -2.0, 0.5]])),
-           QuadraticTracking(np.array([[0.3, -0.1, 0.2]]), 0.7),
-           Linear((2.0 / math.sqrt(3.0)) * np.array([[1.0, -1.0, 1.0]]))]
-    for f in fns:
-        for _ in range(30):
-            x = rng.uniform(-0.9, 0.9, size=3)
-            g = f.gradient(1, x)
-            fd = np.empty(3)
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = 1e-6
-                fd[i] = (f.value(1, x + e) - f.value(1, x - e)) / 2e-6
-            if np.linalg.norm(fd - g) > 1e-6 * max(1.0, np.linalg.norm(g)):
-                ok = False
-    record("loss_gradients", ok)
-
-    # --- learners: reduction, consumption log, epochs --------------------
-    ok = True
-    for _ in range(5):
-        T = int(rng.integers(5, 40))
-        box1 = Box.from_diameter(2, 2.0)
-        losses, _ = env_mod.make_drift_environment(box1, T, 0.05, "quadratic",
-                                                   int(rng.integers(1 << 30)), 1.0)
-        tr = simulate(learn_mod.DelayedOGD(box1, 0.3), losses,
-                      delay_mod.constant_schedule(T, 1), box1)
-        if not np.array_equal(tr.decisions, _projected_ogd(box1, 0.3, losses)):
-            ok = False
-    record("ogd_dogd_reduction", ok)
-
-    ok, detail = True, ""
-    for _ in range(200):
-        s = _random_schedule(rng)
-        T = s.horizon
-        tr = simulate(learn_mod.DelayedOGD(Box(1, 1.0), 0.1), Linear(np.zeros((T, 1))), s,
-                      Box(1, 1.0))
-        if tr.c_log is None:
-            ok, detail = False, "incomplete consumption log"
-            break
-        if s.is_in_order():
-            if list(tr.c_log) != list(range(1, T + 1)):
-                ok, detail = False, "in-order schedule did not give identity log"
-                break
-            us = rng.uniform(-1.0, 1.0, size=(T, 1))
-            if metrics_mod.joint_effect(tr.c_log, us) != 0.0:
-                ok, detail = False, "in-order run reported a nonzero joint effect"
-                break
-    record("consumption_log_permutation", ok, detail)
-
-    ok = True
-    T = 200
-    box1 = Box(1, 1.0)
-    losses, _ = env_mod.make_drift_environment(box1, T, 0.02, "quadratic", 7, 1.0)
-    dt = learn_mod.DogdDoublingTrick(box1, 2.0, 1.0)
-    simulate(dt, losses, delay_mod.constant_schedule(T, 1), box1)
-    expected = []
-    t0 = 1
-    while t0 <= T:
-        expected.append(t0)
-        t0 = t0 + 2 ** len(expected)  # epoch v spans 2^v rounds under unit delays
-    ok = dt.epoch_starts == expected
-    record("epoch_starts_closed_form", ok, f"got {dt.epoch_starts[:6]}")
-
-    # --- aggregation: weight simplex + single gradient query per round ---
-    T = 120
-    sched = delay_mod.uniform_schedule(T, 1, 6, 11)
-    losses, _ = env_mod.make_drift_environment(box1, T, 0.05, "quadratic", 13, 1.0)
-    calls = {"n": 0}
-
-    class _Counting(QuadraticTracking):
-        def gradient(self, t, x):
-            calls["n"] += 1
-            return super().gradient(t, x)
-
-    mild = learn_mod.MildOGD(box1, learn_mod.mild_lr_grid(2.0, 1.0, sched.sum_backlog, T),
-                             learn_mod.hedge_alpha(2.0, 1.0, sched.sum_backlog))
-    if corrupt_hedge:
-        orig_ingest = mild.ingest
-
-        def bad_ingest(t, stamps, grads):
-            orig_ingest(t, stamps, grads)
-            if stamps:
-                mild.log_w = mild.log_w + 0.05  # skip renormalization
-        mild.ingest = bad_ingest
-    tr = simulate(mild, _Counting(losses.targets, losses.scale), sched, box1,
-                  collect_weight_sums=True)
-    record("hedge_weight_simplex", float(np.abs(tr.weight_sums - 1.0).max()) <= 1e-9,
-           f"max |sum-1| = {float(np.abs(tr.weight_sums - 1.0).max()):.2e}")
-    record("single_gradient_query_per_round", calls["n"] == T,
-           f"{calls['n']} queries for T={T}")
-
-    # --- bounds: domination spot checks ----------------------------------
-    cfg = {"T": 300, "n": 2, "D": 2.0, "G": 1.0,
-           "delay": {"kind": "uniform", "lo": 1, "hi": 8},
-           "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}}
-    ok = True
-    for name in ("dogd", "mild", "dogd_dt", "mild_dt"):
-        _, summary = run_experiment({**cfg, "learner": {"name": name}}, seed=5)
-        if not summary["bound_check"]["ok"]:
-            ok = False
-    record("measured_regret_below_bounds", ok)
-
-    # --- joint effect caps ------------------------------------------------
-    ok = True
-    for _ in range(100):
-        s = _random_schedule(rng, T_max=40, d_max=6)
-        T = s.horizon
-        b2 = Box.from_diameter(2, 2.0)
-        tr = simulate(learn_mod.DelayedOGD(b2, 0.1), Linear(np.zeros((T, 2))), s, b2)
-        us = np.stack([b2.random_point(rng) for _ in range(T)])
-        je = metrics_mod.joint_effect(tr.c_log, us)
-        P = env_mod.path_length(us)
-        cap = min(math.sqrt(2 * s.max_delay * T * b2.diameter * P),
-                  2 * s.max_delay * P, T * b2.diameter)
-        if je > cap + 1e-9:
-            ok = False
-    record("joint_effect_caps", ok)
-
-    # --- adversarial instance oracles ------------------------------------
-    ok = True
-    for n in (1, 2, 3, 6):
-        inst = env_mod.make_lowerbound_instance(40, 7, 2.0, 1.0, n, seed=int(rng.integers(1 << 30)))
-        x, total = env_mod.best_fixed_decision(inst)
-        losses_i = inst.losses()
-        vertices = np.stack(list(inst.box.vertices()))
-        brute = float(losses_i.values(vertices[:, None, :]).sum(axis=1).min())
-        at_x = float(losses_i.values(np.broadcast_to(x, (inst.T, n))).sum())
-        if not (abs(total - brute) <= 1e-9 * max(1, abs(brute))
-                and abs(at_x - total) <= 1e-9):
-            ok = False
-        sched_i = inst.schedule
-        for start, end in inst.blocks:
-            for t in range(start, end + 1):
-                if sched_i.arrival_round(t) != end:
-                    ok = False
-    record("adversarial_instance_oracles", ok)
-
-    # --- static regret closed form vs grid -------------------------------
-    box2 = Box.from_diameter(2, 2.0)
-    lin = Linear(np.array([rng.uniform(-1, 1, size=2) for _ in range(8)]))
-    xs = np.zeros((8, 2))
-    closed = metrics_mod.static_regret(xs, lin, box2)
-    _, grid_val, _ = metrics_mod.minimize_total_loss(lin, box2, grid_resolution=1e-3,
-                                                     method="grid")
-    played = float(lin.values(xs).sum())
-    lipschitz = float(np.linalg.norm(lin.grads, axis=1).sum())
-    record("static_regret_closed_vs_grid",
-           abs((played - grid_val) - closed) <= lipschitz * 2e-3)
-
-    return checks

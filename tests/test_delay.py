@@ -12,11 +12,7 @@ from delayed_oco import (
     permuted_schedule,
     uniform_schedule,
 )
-
-
-def random_schedule(rng, T_max=200, d_max=20):
-    T = int(rng.integers(1, T_max + 1))
-    return DelaySchedule(tuple(int(v) for v in rng.integers(1, d_max + 1, size=T)))
+from delayed_oco.invariants import delay_partition_backlog, random_schedule
 
 
 # --- arrival sets ---------------------------------------------------------
@@ -37,12 +33,8 @@ def test_feedback_sets_out_of_order():
 
 
 def test_partition_property():
-    rng = np.random.default_rng(10)
-    for _ in range(300):
-        s = random_schedule(rng, T_max=80, d_max=12)
-        flat = [k for F in s.feedback_sets() for k in F]
-        assert sorted(flat) == list(range(1, s.horizon + 1))
-        assert len(flat) == len(set(flat))
+    ok, detail = delay_partition_backlog(np.random.default_rng(10), runs=300, T_max=80, d_max=12)
+    assert ok, detail
 
 
 def test_in_order_delivery_is_identity():
@@ -72,20 +64,13 @@ def test_backlog_examples():
 
 def test_backlog_counts_outstanding_gradients():
     # m_t - 1 equals the number of queried-but-undelivered gradients
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        s = random_schedule(rng, T_max=60, d_max=10)
-        m = s.backlog()
-        for t in range(1, s.horizon + 1):
-            live = sum(1 for k in range(1, t) if s.arrival_round(k) >= t)
-            assert m[t - 1] - 1 == live
+    ok, detail = delay_partition_backlog(np.random.default_rng(12), runs=200, T_max=60, d_max=10)
+    assert ok, detail
 
 
 def test_backlog_sum_bounds():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        s = random_schedule(rng, T_max=60, d_max=10)
-        assert 1 <= s.backlog().sum() <= s.total_delay <= s.max_delay * s.horizon
+    ok, detail = delay_partition_backlog(np.random.default_rng(13), runs=200, T_max=60, d_max=10)
+    assert ok, detail
 
 
 # --- epoch-restricted sets --------------------------------------------------

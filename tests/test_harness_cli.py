@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from delayed_oco import Box, DelayedOGD, QuadraticTracking, cli, constant_schedule, harness
+from delayed_oco import (Box, DelayedOGD, QuadraticTracking, cli, constant_schedule, harness,
+                         invariants)
 from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many,
                                  simulate, sweep, trace_to_csv)
 from delayed_oco.learners import OnlineLearner
@@ -183,6 +184,12 @@ def test_sweep_failure_identifies_cell():
         sweep(base_config(), {"T": [10, -5]})
 
 
+@pytest.mark.parametrize("grid", [{"T": [10.5]}, {"d": [2.5]}])
+def test_sweep_rejects_fractional_cells(grid):
+    with pytest.raises(harness.SweepError, match="not an integer"):
+        sweep(base_config(), grid)
+
+
 # --- lowerbound report -------------------------------------------------------------
 
 def test_lowerbound_report_shape():
@@ -201,14 +208,19 @@ def test_lowerbound_single_trial_suppresses_verdict():
 # --- invariant suite -----------------------------------------------------------------
 
 def test_verify_all_green():
-    checks = harness.verify_all(seed=0)
+    checks = invariants.verify_all(seed=0)
     failed = [c for c in checks if not c["ok"]]
     assert failed == []
-    assert len(checks) >= 10
+    assert [c["name"] for c in checks] == [
+        "delay_partition_backlog", "projection_optimal_idempotent", "loss_gradients",
+        "ogd_dogd_reduction", "consumption_log_permutation", "epoch_starts_closed_form",
+        "hedge_weight_simplex", "single_gradient_query_per_round",
+        "measured_regret_below_bounds", "joint_effect_caps", "adversarial_instance_oracles",
+        "static_regret_closed_vs_grid"]
 
 
 def test_verify_catches_corrupted_normalization():
-    checks = harness.verify_all(seed=0, corrupt_hedge=True)
+    checks = invariants.verify_all(seed=0, corrupt_hedge=True)
     simplex = [c for c in checks if c["name"] == "hedge_weight_simplex"]
     assert simplex and not simplex[0]["ok"]
 
@@ -278,6 +290,10 @@ def _comparators(kind, **fields):
     return {"comparators": {"kind": kind, **fields}}
 
 
+def _lowerbound(**delay):
+    return {"environment": {"kind": "lowerbound"}, "delay": {"kind": "blocks", **delay}}
+
+
 @pytest.mark.parametrize("overrides", [
     _drift(step=-0.1),
     _drift(step="fast"),
@@ -328,6 +344,16 @@ def _comparators(kind, **fields):
     _comparators("list", points=[[0.0, math.nan]] * 3),
     _comparators("list", points=[[0.0, 0.0]] * 2),
     _comparators("list", points=[[5.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    _lowerbound(),
+    _lowerbound(d="x"),
+    _lowerbound(d=0),
+    _lowerbound(d=1.5),
+    {"seed": -1},
+    {"delay": {"kind": "list", "values": 3}},
+    {"T": 5.7},
+    {"n": 1.5},
+    {"seed": 0.5},
+    {"repetitions": 1.5},
 ], ids=["negative-step", "text-step", "nan-step", "unknown-loss", "nan-gradient",
         "narrow-gradients", "short-gradients", "string-gradients", "text-gradients",
         "missing-budget", "negative-budget", "infinite-budget",
@@ -338,10 +364,26 @@ def _comparators(kind, **fields):
         "negative-alpha", "text-alpha", "nan-D", "infinite-D", "nan-G", "infinite-G",
         "number-delay", "text-environment", "list-comparators", "text-point",
         "strings-point", "nan-point", "short-point", "missing-points", "strings-points",
-        "nan-points", "short-points", "points-outside-box"])
+        "nan-points", "short-points", "points-outside-box", "lowerbound-no-d",
+        "lowerbound-text-d", "lowerbound-zero-d", "lowerbound-fractional-d", "negative-seed",
+        "number-delay-values", "fractional-T", "fractional-n", "fractional-seed",
+        "fractional-repetitions"])
 def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrides):
-    cfg = base_config(T=3, **overrides)
+    cfg = base_config(**{"T": 3, **overrides})
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_cli_lowerbound_rejects_a_bad_block_length(tmp_path, capsys):
+    cfg = base_config(T=3, **_lowerbound(d=0))
+    assert cli.main(["lowerbound", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", ["run", "lowerbound", "verify"])
+def test_cli_negative_seed_flag_exit_code(tmp_path, capsys, command):
+    cfg = base_config(T=3, **_lowerbound(d=1))
+    assert cli.main([command, "--config", write_config(tmp_path, cfg), "--seed", "-1"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
@@ -402,15 +444,15 @@ def test_cli_verify_green(capsys):
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli.harness, "verify_all",
+    monkeypatch.setattr(cli.invariants, "verify_all",
                         lambda seed=0: [{"name": "x", "ok": False, "detail": "boom"}])
     assert cli.main(["verify"]) == 4
     assert "FAIL" in capsys.readouterr().out
 
 
 def test_cli_verify_exits_4_under_corrupted_hedge(monkeypatch, capsys):
-    verify_all = harness.verify_all
-    monkeypatch.setattr(cli.harness, "verify_all",
+    verify_all = invariants.verify_all
+    monkeypatch.setattr(cli.invariants, "verify_all",
                         lambda seed=0: verify_all(seed=seed, corrupt_hedge=True))
     assert cli.main(["verify"]) == 4
     assert "[FAIL] hedge_weight_simplex" in capsys.readouterr().out

@@ -30,30 +30,13 @@ from delayed_oco import (
     uniform_schedule,
 )
 from delayed_oco import learners
+from delayed_oco.invariants import (consumption_log_permutation, projected_ogd, random_schedule,
+                                    zero_losses)
 
 
 def feedback(stamps, *grads):
     """Arguments of ``ingest`` after ``t``: timestamps and one gradient row each."""
     return list(stamps), np.array([np.atleast_1d(np.asarray(g, dtype=float)) for g in grads])
-
-
-def projected_ogd(box, eta, losses):
-    """Textbook projected OGD without delays: x_{t+1} = clip(x_t - eta * grad f_t(x_t))."""
-    x = np.zeros(box.dim)
-    xs = np.empty((len(losses), box.dim))
-    for t in range(1, len(losses) + 1):
-        xs[t - 1] = x
-        x = np.clip(x - eta * losses.gradient(t, x), -box.half_width, box.half_width)
-    return xs
-
-
-def random_schedule(rng, T_max=200, d_max=20):
-    T = int(rng.integers(1, T_max + 1))
-    return DelaySchedule(tuple(int(v) for v in rng.integers(1, d_max + 1, size=T)))
-
-
-def zero_losses(T, n=1):
-    return Linear(np.zeros((T, n)))
 
 
 # --- plain projected steps --------------------------------------------------
@@ -197,12 +180,9 @@ def test_dogd_reduces_to_ogd_without_delay():
 
 
 def test_dogd_consumption_log_is_permutation():
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        s = random_schedule(rng, T_max=60, d_max=10)
-        box = Box(1, 1.0)
-        trace = simulate(DelayedOGD(box, 0.1), zero_losses(s.horizon), s, box)
-        assert trace.c_log is not None
+    ok, detail = consumption_log_permutation(np.random.default_rng(21), runs=100, T_max=60,
+                                             d_max=10)
+    assert ok, detail
 
 
 def test_in_order_gives_identity_log():

@@ -5,7 +5,6 @@ import pytest
 
 from delayed_oco import (
     Box,
-    DelaySchedule,
     DelayedOGD,
     Linear,
     QuadraticTracking,
@@ -21,12 +20,12 @@ from delayed_oco import (
     joint_effect,
     make_lowerbound_instance,
     minimize_total_loss,
-    path_length,
     reorder_penalty,
     simulate,
     static_regret,
     trace_to_csv,
 )
+from delayed_oco.invariants import joint_effect_caps, random_schedule, zero_losses
 
 SQ2 = math.sqrt(2.0)
 
@@ -136,18 +135,8 @@ def test_joint_effect_requires_permutation():
 
 def test_joint_effect_capped_on_runs():
     # sqrt(2dTDP), 2dP and TD all cap the measured interaction term
-    rng = np.random.default_rng(43)
-    box = Box.from_diameter(2, 2.0)
-    for _ in range(100):
-        T = int(rng.integers(2, 50))
-        s = DelaySchedule(tuple(int(v) for v in rng.integers(1, 8, size=T)))
-        trace = simulate(DelayedOGD(box, 0.1), Linear(np.zeros((T, 2))), s, box)
-        us = np.stack([box.random_point(rng) for _ in range(T)])
-        je = joint_effect(trace.c_log, us)
-        P = path_length(us)
-        cap = min(math.sqrt(2 * s.max_delay * T * box.diameter * P),
-                  2 * s.max_delay * P, T * box.diameter)
-        assert je <= cap + 1e-9
+    ok, detail = joint_effect_caps(np.random.default_rng(43), runs=100, T_max=49, d_max=7)
+    assert ok, detail
 
 
 # --- bound evaluators ----------------------------------------------------------
@@ -249,9 +238,9 @@ def test_trace_backlog_matches_schedule_recomputation():
     rng = np.random.default_rng(44)
     box = Box(1, 1.0)
     for _ in range(50):
-        T = int(rng.integers(1, 60))
-        s = DelaySchedule(tuple(int(v) for v in rng.integers(1, 9, size=T)))
-        trace = simulate(DelayedOGD(box, 0.1), Linear(np.zeros((T, 1))), s, box)
+        s = random_schedule(rng, T_max=59, d_max=8)
+        T = s.horizon
+        trace = simulate(DelayedOGD(box, 0.1), zero_losses(T), s, box)
         rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
         arrival = [k + d - 1 for k, d in enumerate(s.delays, start=1)]
         for t, row in enumerate(rows, start=1):
