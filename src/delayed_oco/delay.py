@@ -32,6 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the arrival plan is built in int64: every arrival round t + d_t - 1 must fit
+MAX_ROUND = 2**63 - 1
+
 
 def _integer(v) -> int:
     """``v`` as an int; non-integral values (1.5, NaN, "2") are rejected, not truncated."""
@@ -67,6 +70,9 @@ class DelaySchedule:
             raise ValueError("schedule must cover at least one round")
         if any(v < 1 for v in d):
             raise ValueError("all delays must be >= 1")
+        if len(d) + max(d) - 1 > MAX_ROUND:
+            raise ValueError(f"delay {max(d)} too large: arrival rounds must stay "
+                             f"below 2^63 over {len(d)} rounds")
         object.__setattr__(self, "delays", d)
         arrival = np.arange(1, len(d) + 1, dtype=np.int64) + np.array(d, dtype=np.int64) - 1
         order = np.argsort(arrival, kind="stable")

@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -73,6 +74,13 @@ def normalize_config(config: dict) -> dict:
         raise ConfigError(f"bad scalar field: {exc}") from exc
     if cfg["T"] < 1 or cfg["n"] < 1 or not (0 < cfg["D"] < math.inf and 0 < cfg["G"] < math.inf):
         raise ConfigError("need T >= 1, n >= 1 and finite D > 0, G > 0")
+    try:
+        box = Box.from_diameter(cfg["n"], cfg["D"])
+    except ValueError as exc:
+        raise ConfigError(f"D = {cfg['D']!r} is too small for n = {cfg['n']}: {exc}") from None
+    if not math.isfinite(cfg["T"] * max(cfg["D"], box.diameter)):
+        raise ConfigError(f"T*D overflows for T = {cfg['T']}, D = {cfg['D']!r}: "
+                          "the comparator block length needs it finite")
     if cfg["repetitions"] < 1:
         raise ConfigError("repetitions must be >= 1")
     if cfg["seed"] < 0:
@@ -99,8 +107,8 @@ def normalize_config(config: dict) -> dict:
             delay["d"] = delay_mod._integer(delay.get("d"))
         except ValueError as exc:
             raise ConfigError(f"lowerbound block length d: {exc}") from exc
-        if delay["d"] < 1:
-            raise ConfigError(f"lowerbound block length d must be >= 1, got {delay['d']}")
+        if not 1 <= delay["d"] <= delay_mod.MAX_ROUND:
+            raise ConfigError(f"lowerbound block length d must lie in [1, 2^63), got {delay['d']}")
     return cfg
 
 
@@ -167,8 +175,14 @@ def _build_environment(cfg: dict, box: Box, run_seed: int):
         loss_kind = env.get("loss", "quadratic")
         if loss_kind not in ("quadratic", "linear"):
             raise ConfigError(f'drift loss must be "quadratic" or "linear", got {loss_kind!r}')
-        losses, targets = env_mod.make_drift_environment(
-            box, cfg["T"], step, loss_kind, env_seed, cfg["G"])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                losses, targets = env_mod.make_drift_environment(
+                    box, cfg["T"], step, loss_kind, env_seed, cfg["G"])
+        except ValueError as exc:  # the loss scale or gradients left the float range
+            raise ConfigError(f"drift losses for D = {cfg['D']!r}, G = {cfg['G']!r}: {exc}") \
+                from None
+        targets.setflags(write=False)
         fp = hashlib.sha256(targets.tobytes()).hexdigest()[:16]
         return losses, targets, None, fp
     if kind == "linear_list":
@@ -199,7 +213,7 @@ def _build_comparators(cfg: dict, box: Box, losses, targets, run_seed: int) -> n
     if kind == "targets":
         if targets is None:
             raise ConfigError('comparators "targets" need a drift environment')
-        return targets.copy()
+        return targets
     if kind == "best_fixed":
         x, _, _ = metrics_mod.minimize_total_loss(losses, box)
         return np.tile(x, (cfg["T"], 1))
@@ -223,28 +237,37 @@ def _build_comparators(cfg: dict, box: Box, losses, targets, run_seed: int) -> n
     raise ConfigError(f"unknown comparator kind: {kind!r}")
 
 
-def _build_learner(cfg: dict, box: Box, schedule: DelaySchedule):
+def _build_learner(cfg: dict, box: Box, sum_m: int):
     """Instantiate the configured learner; returns (learner, resolved params)."""
     spec = cfg["learner"]
     name = spec["name"]
     D, G, T = cfg["D"], cfg["G"], cfg["T"]
-    sum_m = schedule.sum_backlog
     if name in ("ogd", "dogd"):
         eta = spec.get("eta", "paper")
-        eta = learn_mod.corollary_lr(D, G, sum_m) if eta == "paper" \
-            else _positive_real(eta, "learner.eta")
+        eta = _positive_real(learn_mod.corollary_lr(D, G, sum_m), "the paper rate") \
+            if eta == "paper" else _positive_real(eta, "learner.eta")
         # "ogd" names the same learner: under unit delays DelayedOGD is plain OGD
         return (learn_mod.DelayedOGD(box, eta),
                 {"eta": eta, "eta_source": spec.get("eta", "paper")})
     if name == "mild":
         etas = spec.get("etas", "paper")
         alpha = spec.get("alpha", "paper")
-        etas = learn_mod.mild_lr_grid(D, G, sum_m, T) if etas == "paper" \
-            else _positive_reals(etas, "learner.etas")
-        alpha = learn_mod.hedge_alpha(D, G, sum_m) if alpha == "paper" \
-            else _positive_real(alpha, "learner.alpha")
+        etas = _positive_reals(learn_mod.mild_lr_grid(D, G, sum_m, T), "the paper rates") \
+            if etas == "paper" else _positive_reals(etas, "learner.etas")
+        alpha = _positive_real(learn_mod.hedge_alpha(D, G, sum_m), "the paper alpha") \
+            if alpha == "paper" else _positive_real(alpha, "learner.alpha")
         return (learn_mod.MildOGD(box, etas, alpha),
                 {"expert_rates": [float(e) for e in etas], "alpha": alpha})
+    # the paper rates leave the float range for D or G near its limits; an
+    # epoch v opens only once its budget 2^(v-1) is below sum_m and the epoch
+    # rates fall with v, so checking the first and the last epoch covers all
+    for v in (1, sum_m.bit_length()):
+        if name == "dogd_dt":
+            _positive_real(learn_mod.dogd_dt_lr(D, G, v), f"the paper epoch-{v} rate")
+        elif name == "mild_dt":
+            alpha_v, rates = learn_mod.mild_dt_params(D, G, T, v)
+            _positive_reals(rates, f"the paper epoch-{v} rates")
+            _positive_real(alpha_v, f"the paper epoch-{v} alpha")
     if name == "dogd_dt":
         return learn_mod.DogdDoublingTrick(box, D, G), {}
     if name == "mild_dt":
@@ -256,14 +279,15 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
              flush: bool = True, collect_weight_sums: bool = False):
     """Drive one learner through the delayed-feedback protocol.
 
-    Per round: play, suffer the loss ``losses.value(t, x)``, query the
-    gradient ``losses.gradient(t, x)`` at the played point (exactly once),
-    then, if the schedule's arrival plan delivers feedback this round, hand
-    the learner ``ingest(t, stamps, grads)``.  Queried gradients are kept in
-    one (T, n) array laid out in delivery order, so each round's arrivals
-    are a contiguous slice.  The learners step on bare clamps, so after the
-    last round the run checks once that every decision and gradient was
-    finite, and raises ValueError if not.  With ``flush`` the plan's rounds
+    Per round: play, query the gradient ``losses.gradient(t, x)`` at the
+    played point (exactly once), then, if the schedule's arrival plan
+    delivers feedback this round, hand the learner ``ingest(t, stamps,
+    grads)``.  The suffered losses are one ``losses.values(decisions)`` call
+    after the loop, bitwise equal to ``losses.value(t, x)`` round by round.
+    Queried gradients are kept in one (T, n) array laid out in delivery
+    order, so each round's arrivals are a contiguous slice.  The learners
+    step on bare clamps, so after the last round the run checks once that
+    every decision and gradient was finite, and raises ValueError if not.  With ``flush`` the plan's rounds
     past the horizon are delivered too (plays suppressed), which completes
     the consumption log for diagnostics; reported losses never include flush
     rounds.
@@ -275,13 +299,11 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
         slot[k - 1] = i
     grads = np.empty((T, box.dim))
     decisions = np.empty((T, box.dim))
-    loss_values = np.empty(T)
     weight_sums = np.empty(T) if collect_weight_sums else None
     j = 0  # next entry of the plan
     for t in range(1, T + 1):
         x = learner.play(t)
         decisions[t - 1] = x
-        loss_values[t - 1] = losses.value(t, x)
         grads[slot[t - 1]] = losses.gradient(t, x)
         if rounds[j] == t:  # j stays in range: timestamp T arrives at round T or later
             lo, hi = offsets[j], offsets[j + 1]
@@ -301,8 +323,8 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
     if c_log is not None:
         c_log = tuple(c_log) if sorted(c_log) == list(range(1, T + 1)) else None
     return RunTrace(
-        decisions=decisions, loss_values=loss_values, schedule=schedule, c_log=c_log,
-        dropped=getattr(learner, "dropped", 0), weight_sums=weight_sums,
+        decisions=decisions, loss_values=losses.values(decisions), schedule=schedule,
+        c_log=c_log, dropped=getattr(learner, "dropped", 0), weight_sums=weight_sums,
         epoch_starts=tuple(learner.epoch_starts) if hasattr(learner, "epoch_starts") else None,
     )
 
@@ -311,19 +333,44 @@ _STRICT_BOUND = {"ogd": "bound_cor1", "dogd": "bound_cor1", "mild": "bound_thm2"
                  "dogd_dt": "bound_thm4", "mild_dt": "bound_thm5"}
 
 
-def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dict]:
-    """Run one configured experiment; returns (trace, summary).
+# what a run reads besides its learner; every array in it is read-only
+_Inputs = namedtuple("_Inputs", "box losses env_fingerprint schedule comparators")
 
-    Deterministic given (config, seed): identical inputs give byte-identical
-    CSV/JSON renderings of the outputs.
+
+def _build_inputs(cfg: dict, run_seed: int, cache: dict | None = None,
+                  cell: dict | None = None) -> _Inputs:
+    """Environment, arrival plan and comparators of one normalized config and seed.
+
+    A sweep's cells differ in their grid values only, so it passes one
+    ``cache`` and the ``cell`` of ``cfg``: each input is kept under the run
+    seed and the grid values it reads, and built once per sweep.
     """
-    cfg = normalize_config(config)
-    run_seed = cfg["seed"] if seed is None else int(seed)
+    def shared(name: str, reads: tuple, build):
+        if cache is None:
+            return build()
+        key = (name, run_seed, *(cell.get(k) for k in reads))
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     box = Box.from_diameter(cfg["n"], cfg["D"])
-    losses, targets, instance, env_fp = _build_environment(cfg, box, run_seed)
-    schedule = _build_schedule(cfg, instance, run_seed)
-    comparators = _build_comparators(cfg, box, losses, targets, run_seed)
-    learner, resolved = _build_learner(cfg, box, schedule)
+    # a lowerbound instance owns its block schedule, so its environment reads d
+    env_reads = ("T", "d") if cfg["environment"].get("kind") == "lowerbound" else ("T",)
+    losses, targets, instance, env_fp = shared(
+        "environment", env_reads, lambda: _build_environment(cfg, box, run_seed))
+    schedule = shared("plan", ("T", "d"), lambda: _build_schedule(cfg, instance, run_seed))
+    comparators = shared("comparators", env_reads + ("P",),
+                         lambda: _build_comparators(cfg, box, losses, targets, run_seed))
+    comparators.setflags(write=False)
+    return _Inputs(box, losses, env_fp, schedule, comparators)
+
+
+def _run(cfg: dict, run_seed: int, inputs: _Inputs) -> tuple[RunTrace, dict]:
+    """Run the configured learner on prebuilt inputs; returns (trace, summary)."""
+    box, losses, schedule = inputs.box, inputs.losses, inputs.schedule
+    comparators = inputs.comparators
+    sum_m = schedule.sum_backlog
+    learner, resolved = _build_learner(cfg, box, sum_m)
 
     name = cfg["learner"]["name"]
     trace = simulate(learner, losses, schedule, box,
@@ -333,7 +380,6 @@ def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dic
     S = schedule.total_delay
     d_max = schedule.max_delay
     in_order = schedule.is_in_order()
-    sum_m = schedule.sum_backlog
     P_T = env_mod.path_length(comparators)
 
     summary: dict = {
@@ -343,7 +389,7 @@ def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dic
         "path_length": P_T,
         "regret_dynamic": metrics_mod.dynamic_regret(trace, losses, comparators),
         "dropped": trace.dropped,
-        "env_fingerprint": env_fp,
+        "env_fingerprint": inputs.env_fingerprint,
         "regret_static": metrics_mod.static_regret(trace, losses, box),
     }
     summary["joint_effect"] = (metrics_mod.joint_effect(trace.c_log, comparators)
@@ -377,6 +423,17 @@ def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dic
     trace.config = echo
     summary["config"] = echo
     return trace, summary
+
+
+def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dict]:
+    """Run one configured experiment; returns (trace, summary).
+
+    Deterministic given (config, seed): identical inputs give byte-identical
+    CSV/JSON renderings of the outputs.
+    """
+    cfg = normalize_config(config)
+    run_seed = cfg["seed"] if seed is None else int(seed)
+    return _run(cfg, run_seed, _build_inputs(cfg, run_seed))
 
 
 def run_many(config: dict) -> list[tuple[RunTrace, dict]]:
@@ -414,17 +471,23 @@ def sweep(config: dict, grid: dict) -> list[dict]:
     """Run the cartesian product of grid overrides.
 
     Rows come out in deterministic (grid key, value order, repetition) order
-    regardless of any execution order, one row per repetition per cell.
+    regardless of any execution order, one row per repetition per cell; each
+    is the summary ``run_many`` gives for its cell, less the config.
     """
     cfg = normalize_config(config)
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigError("sweep grid must be nonempty")
     keys = sorted(grid)
     rows = []
+    cache: dict = {}
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, combo))
         try:
-            for rep, (_, summary) in enumerate(run_many(_apply_cell(cfg, cell))):
+            cell_cfg = normalize_config(_apply_cell(cfg, cell))
+            for rep in range(cell_cfg["repetitions"]):
+                run_seed = cell_cfg["seed"] + rep
+                inputs = _build_inputs(cell_cfg, run_seed, cache, cell)
+                _, summary = _run(cell_cfg, run_seed, inputs)
                 row = {"cell": cell, "repetition": rep}
                 row.update({k: v for k, v in summary.items() if k != "config"})
                 rows.append(row)

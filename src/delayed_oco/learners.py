@@ -209,10 +209,16 @@ class MildOGD(OnlineLearner):
         self._expert_plays: dict[int, np.ndarray] = {}
 
     @property
-    def weights(self) -> np.ndarray:
-        # the update keeps log_w normalized; not re-normalizing here makes the
-        # weight-sum invariant an actual check of the update arithmetic
-        return np.exp(self.log_w)
+    def log_w(self) -> np.ndarray:
+        return self._log_w
+
+    @log_w.setter
+    def log_w(self, value: np.ndarray) -> None:
+        # weights follow every assignment, so one exp per update serves every
+        # play and weight-sum read; the update keeps log_w normalized, and not
+        # re-normalizing here makes the weight-sum invariant a real check of it
+        self._log_w = value
+        self.weights = np.exp(value)
 
     def play(self, t: int) -> np.ndarray:
         xs = self.pool.y  # each pool step rebinds y, so this stays round t's stack

@@ -6,8 +6,11 @@
 A family holds all T rounds as one (T, n) array.  ``value(t, x)`` and
 ``gradient(t, x)`` evaluate round t (1-based, as everywhere in the package)
 at one point; ``values(X)`` evaluates every round t at row t-1 of X in one
-batched call.  A family checks once, at construction, that its arrays and
-scale are finite, and never re-checks them per call.
+batched call.  ``values`` is row-exact: its stacked ``matmul`` takes the very
+product ``value`` takes, so row t-1 equals ``value(t, X[t-1])`` bitwise (an
+``einsum`` would round some rows differently).  A family checks once, at
+construction, that its arrays and scale are finite, and never re-checks them
+per call.
 
 ``len(f)`` is T and ``f[i]`` (0-based) is the one-round family of round i+1.
 """
@@ -53,9 +56,9 @@ class QuadraticTracking:
         return self.scale * (x - self.targets[t - 1])
 
     def values(self, X) -> np.ndarray:
-        """f_t at row t-1 of X, shape (..., T, n); leading axes broadcast."""
+        """f_t at row t-1 of X, shape (..., T, n); leading axes broadcast; row-exact."""
         d = X - self.targets
-        return 0.5 * self.scale * np.einsum("...j,...j->...", d, d)
+        return 0.5 * self.scale * (d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
 class Linear:
@@ -77,8 +80,11 @@ class Linear:
         return self.grads[t - 1]
 
     def values(self, X) -> np.ndarray:
-        """f_t at row t-1 of X, shape (..., T, n); leading axes broadcast."""
-        return np.einsum("...j,...j->...", X, self.grads)
+        """f_t at row t-1 of X, shape (..., T, n); leading axes broadcast; row-exact."""
+        X = np.asarray(X)
+        if X.shape[-1] == 1:  # np.dot of one-entry vectors is the bare product, zero's sign too
+            return self.grads[:, 0] * X[..., 0]
+        return (self.grads[:, None, :] @ X[..., :, None])[..., 0, 0]
 
 
 def quadratic_drift_scale(bound: float, box: Box, max_target_norm: float) -> float:

@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delayed_oco import (Box, DelayedOGD, QuadraticTracking, cli, constant_schedule, harness,
                          invariants)
@@ -184,6 +187,101 @@ def test_sweep_failure_identifies_cell():
         sweep(base_config(), {"T": [10, -5]})
 
 
+_LEARNER_NAMES = ["ogd", "dogd", "dogd_dt", "mild", "mild_dt"]
+_SWEEP_DELAYS = {"constant": {"kind": "constant", "value": 2},
+                 "uniform": {"kind": "uniform", "lo": 1, "hi": 4},
+                 "permuted": {"kind": "permuted"},
+                 "in_order_random": {"kind": "in_order_random", "d_max": 3},
+                 "blocks": {"kind": "blocks", "d": 3}}
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small config and grid: any learners, delay kind, environment, comparators
+    and repetitions, with T, d and P cells where the config allows them."""
+    delay = draw(st.sampled_from(sorted(_SWEEP_DELAYS)))
+    environment = draw(st.sampled_from(
+        ["quadratic", "linear"] + (["lowerbound"] if delay == "blocks" else [])))
+    cfg = {"T": draw(st.integers(3, 16)), "n": draw(st.integers(1, 3)),
+           "delay": _SWEEP_DELAYS[delay],
+           "environment": ({"kind": "lowerbound"} if environment == "lowerbound" else
+                           {"kind": "drift", "step": 0.1, "loss": environment}),
+           "comparators": draw(st.sampled_from([{"kind": "auto"},
+                                                {"kind": "piecewise", "path_budget": 1.5}])),
+           "seed": draw(st.integers(0, 50)), "repetitions": draw(st.integers(1, 3))}
+    grid = {"learner": draw(st.lists(st.sampled_from(_LEARNER_NAMES), min_size=1, max_size=5,
+                                     unique=True))}
+    small = st.lists(st.integers(1, 12), min_size=1, max_size=2, unique=True)
+    if draw(st.booleans()):
+        grid["T"] = draw(small)
+    if delay != "permuted" and draw(st.booleans()):
+        grid["d"] = draw(small)
+    if draw(st.booleans()):
+        grid["P"] = draw(st.lists(st.sampled_from([0.0, 1.0, 4.0]), min_size=1, max_size=2,
+                                  unique=True))
+    return cfg, grid
+
+
+def _every_feature(delay, environment, grid):
+    cfg = {"T": 12, "n": 2, "delay": _SWEEP_DELAYS[delay], "environment": environment,
+           "seed": 3, "repetitions": 2}
+    return cfg, {"learner": _LEARNER_NAMES, **grid}
+
+
+@settings(max_examples=25, deadline=None)
+@given(sweep_cases())
+@example(_every_feature("constant", {"kind": "drift", "loss": "quadratic"},
+                        {"T": [6, 12], "d": [1, 4]}))
+@example(_every_feature("uniform", {"kind": "drift", "loss": "linear"}, {"d": [2, 5], "P": [0, 3]}))
+@example(_every_feature("permuted", {"kind": "drift"}, {"T": [5, 9], "P": [2]}))
+@example(_every_feature("in_order_random", {"kind": "drift"}, {"d": [1, 3], "P": [1, 6]}))
+@example(_every_feature("blocks", {"kind": "lowerbound"}, {"T": [7, 12], "d": [1, 4]}))
+@example(_every_feature("blocks", {"kind": "lowerbound"}, {"P": [0, 5]}))
+def test_sweep_rows_equal_independent_runs(case):
+    # the shared input cache must not change a single byte of any row
+    cfg, grid = case
+    rows = sweep(cfg, grid)
+    keys = sorted(grid)
+    expected = []
+    for combo in itertools.product(*(grid[k] for k in keys)):
+        cell = dict(zip(keys, combo))
+        for rep, (_, summary) in enumerate(run_many(harness._apply_cell(cfg, cell))):
+            expected.append({"cell": cell, "repetition": rep,
+                             **{k: v for k, v in summary.items() if k != "config"}})
+    assert harness.to_json(rows) == harness.to_json(expected)
+
+
+@pytest.mark.parametrize("comparators", [{"kind": "targets"}, {"kind": "best_fixed"},
+                                         {"kind": "piecewise", "path_budget": 1.0}])
+def test_shared_inputs_cannot_be_written_through_a_trace_or_a_row(comparators):
+    cfg = harness.normalize_config(base_config(comparators=comparators))
+    fresh = harness._build_inputs(cfg, 7)
+    cache = {}
+    first = None
+    for name in ("dogd", "mild", "mild_dt"):
+        cell = {"learner": name}
+        cell_cfg = harness.normalize_config(harness._apply_cell(cfg, cell))
+        inputs = harness._build_inputs(cell_cfg, 7, cache, cell)
+        first = first or inputs
+        assert (inputs.losses, inputs.schedule, inputs.comparators) == \
+            (first.losses, first.schedule, first.comparators)
+        trace, _ = harness._run(cell_cfg, 7, inputs)
+        for a in (trace.decisions, trace.loss_values, trace.weight_sums):
+            if a is not None:
+                assert not np.shares_memory(a, inputs.comparators)
+                assert not np.shares_memory(a, inputs.losses.targets)
+        with pytest.raises(AttributeError):
+            trace.schedule.delays = (1,) * cfg["T"]
+    for shared in (first.comparators, first.losses.targets):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1.0
+    assert first.comparators.tobytes() == fresh.comparators.tobytes()
+    assert first.losses.targets.tobytes() == fresh.losses.targets.tobytes()
+    assert first.schedule == fresh.schedule
+    rows = sweep(cfg, {"learner": ["dogd", "mild"], "d": [1, 3]})
+    assert not any(isinstance(v, np.ndarray) for row in rows for v in row.values())
+
+
 @pytest.mark.parametrize("grid", [{"T": [10.5]}, {"d": [2.5]}])
 def test_sweep_rejects_fractional_cells(grid):
     with pytest.raises(harness.SweepError, match="not an integer"):
@@ -354,6 +452,20 @@ def _lowerbound(**delay):
     {"n": 1.5},
     {"seed": 0.5},
     {"repetitions": 1.5},
+    {"D": 1e308},  # T*D overflows the comparator block length
+    {"D": 5e-324},  # the box's half-width rounds to 0
+    {"D": 1e-320},  # the drift loss scale overflows
+    {"D": 1e-320, **_learner("mild"), **_lowerbound(d=1)},  # the Hedge alpha overflows
+    {"G": 1e308},  # the paper rate underflows to 0
+    {"G": 1e-320},  # the paper rate overflows
+    {"G": 1e308, **_drift(loss="linear")},  # the linear drift gradients overflow
+    {"G": 1e308, **_learner("mild")},
+    {"G": 1e308, **_learner("dogd_dt")},  # a later epoch's rate underflows to 0
+    {"G": 1e308, **_learner("mild_dt")},
+    {"delay": {"kind": "constant", "value": 10**30}},
+    {"delay": {"kind": "constant", "value": 2**63 - 2}},  # round 3 arrives at 2^63
+    {"delay": {"kind": "list", "values": [1, 1, 2**63 - 2]}},
+    _lowerbound(d=10**30),
 ], ids=["negative-step", "text-step", "nan-step", "unknown-loss", "nan-gradient",
         "narrow-gradients", "short-gradients", "string-gradients", "text-gradients",
         "missing-budget", "negative-budget", "infinite-budget",
@@ -367,7 +479,9 @@ def _lowerbound(**delay):
         "nan-points", "short-points", "points-outside-box", "lowerbound-no-d",
         "lowerbound-text-d", "lowerbound-zero-d", "lowerbound-fractional-d", "negative-seed",
         "number-delay-values", "fractional-T", "fractional-n", "fractional-seed",
-        "fractional-repetitions"])
+        "fractional-repetitions", "huge-D", "min-D", "tiny-D", "tiny-D-mild", "huge-G",
+        "tiny-G", "huge-G-linear", "huge-G-mild", "huge-G-dogd_dt", "huge-G-mild_dt",
+        "huge-delay", "arrival-past-2^63", "huge-listed-delay", "huge-lowerbound-d"])
 def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrides):
     cfg = base_config(**{"T": 3, **overrides})
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2

@@ -8,10 +8,17 @@ from hypothesis.extra.numpy import arrays
 
 from delayed_oco import (
     Box,
+    DelayedOGD,
     Linear,
     LowerBoundInstance,
+    MildOGD,
+    MildOgdDoublingTrick,
     QuadraticTracking,
+    make_drift_environment,
+    mild_lr_grid,
     quadratic_drift_scale,
+    simulate,
+    uniform_schedule,
 )
 
 
@@ -136,24 +143,31 @@ def family_and_points(draw):
     return QuadraticTracking(rows, draw(st.floats(0.1, 3.0))), X
 
 
-def term_scale(f, t, x):
-    """Sum of |terms| of f_t(x): the scale a sum's rounding error is relative to."""
-    if isinstance(f, Linear):
-        return float(np.abs(f.grads[t - 1] * x).sum())
-    return abs(f.value(t, x))  # the squared terms are all nonnegative
-
-
 @settings(max_examples=200, deadline=None)
 @given(family_and_points())
 def test_values_agree_with_value_round_by_round(case):
-    # a batched row reduction may round differently from one dot product, by
-    # at most 1e-12 of the terms' scale (of the value itself for quadratics)
+    # bitwise, the sign of a zero included: values takes value's own product per row
     f, X = case
     batch = f.values(X)
     assert batch.shape == (len(f),)
-    for t in range(1, len(f) + 1):
-        one = f.value(t, X[t - 1])
-        assert abs(batch[t - 1] - one) <= 1e-12 * term_scale(f, t, X[t - 1])
+    one = np.array([f.value(t, X[t - 1]) for t in range(1, len(f) + 1)])
+    assert batch.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+@pytest.mark.parametrize("loss", ["quadratic", "linear"])
+@pytest.mark.parametrize("learner", ["dogd", "mild", "mild_dt"])
+def test_trace_loss_column_is_value_round_by_round(n, loss, learner):
+    box = Box.from_diameter(n, 2.0)
+    losses, _ = make_drift_environment(box, 300, 0.05, loss, 5 + n, 1.0)
+    schedule = uniform_schedule(300, 1, 6, n)
+    rates = mild_lr_grid(2.0, 1.0, schedule.sum_backlog, 300)
+    make = {"dogd": lambda: DelayedOGD(box, 0.05),
+            "mild": lambda: MildOGD(box, rates, 0.5),
+            "mild_dt": lambda: MildOgdDoublingTrick(box, 2.0, 1.0, 300)}[learner]
+    trace = simulate(make(), losses, schedule, box)
+    one = np.array([losses.value(t, x) for t, x in enumerate(trace.decisions, start=1)])
+    assert trace.loss_values.tobytes() == one.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
