@@ -25,9 +25,12 @@ def _load_config(path: str | None) -> dict:
         raise harness.ConfigError("--config PATH is required for this subcommand")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise harness.ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise harness.ConfigError(f"config {path} must hold a JSON object")
+    return config
 
 
 def _emit(text: str, out_dir: str | None, filename: str) -> None:

@@ -300,6 +300,7 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
     grads = np.empty((T, box.dim))
     decisions = np.empty((T, box.dim))
     weight_sums = np.empty(T) if collect_weight_sums else None
+    weights = None  # the weights last summed; the learners rebind them on every update
     j = 0  # next entry of the plan
     for t in range(1, T + 1):
         x = learner.play(t)
@@ -310,7 +311,10 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
             learner.ingest(t, stamps[lo:hi], grads[lo:hi])
             j += 1
         if collect_weight_sums:
-            weight_sums[t - 1] = learner.weights.sum()
+            if learner.weights is not weights:
+                weights = learner.weights
+                weight_sum = weights.sum()
+            weight_sums[t - 1] = weight_sum
     if not (np.isfinite(decisions).all() and np.isfinite(grads).all()):
         raise ValueError("the run played a non-finite decision or queried a non-finite gradient")
     if flush:
@@ -475,6 +479,8 @@ def sweep(config: dict, grid: dict) -> list[dict]:
     is the summary ``run_many`` gives for its cell, less the config.
     """
     cfg = normalize_config(config)
+    if not isinstance(grid, dict) or not all(isinstance(v, (list, tuple)) for v in grid.values()):
+        raise ConfigError(f"sweep grid must map keys to lists of values, got {grid!r}")
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ConfigError("sweep grid must be nonempty")
     keys = sorted(grid)
@@ -544,12 +550,18 @@ def trace_to_csv(trace: RunTrace) -> str:
     """
     out = io.StringIO()
     out.write("t,x,loss,cum_loss,m_t,n_arrivals,arrived_timestamps\n")
-    backlog = trace.schedule.backlog()
+    schedule = trace.schedule
+    stamps, rounds, offsets = schedule.stamps, schedule.rounds, schedule.offsets
+    backlog = schedule.backlog()
     cum = 0.0
+    j = 0  # next entry of the plan; in range, as in ``simulate``
     for t in range(1, trace.horizon + 1):
         cum += float(trace.loss_values[t - 1])
         x = ";".join(repr(float(v)) for v in trace.decisions[t - 1])
-        F = trace.schedule.arrivals(t)
+        F = []
+        if rounds[j] == t:
+            F = stamps[offsets[j]:offsets[j + 1]]
+            j += 1
         out.write(f"{t},{x},{repr(float(trace.loss_values[t - 1]))},{repr(cum)},"
                   f"{int(backlog[t - 1])},{len(F)},{';'.join(map(str, F))}\n")
     return out.getvalue()

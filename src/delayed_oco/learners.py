@@ -189,9 +189,14 @@ class MildOGD(OnlineLearner):
 
     The pool is one ``DelayedOGD`` over an (N, n) iterate, so experts never
     query gradients of their own: one query per round serves the meta
-    decision and the whole pool.  Each round's meta and expert decisions are
-    retained until that round's feedback arrives (memory is bounded by the
-    maximum backlog).
+    decision and the whole pool.
+
+    The state (``pool.y`` and ``weights``) changes only when feedback
+    arrives, and every change rebinds the arrays instead of writing into
+    them, so ``play`` mixes again only when either is a new object.  Each
+    distinct mix is kept once, as the meta decision x and the spreads
+    xs - x; a round points to the spreads it played until its feedback
+    arrives, so memory is bounded by the maximum backlog.
     """
 
     def __init__(self, box: Box, expert_rates, alpha: float):
@@ -205,8 +210,10 @@ class MildOGD(OnlineLearner):
         self.expert_rates = rates
         self.pool = DelayedOGD(box, rates[:, None])
         self.log_w = np.log(init_weights(rates.size))
-        self._meta_plays: dict[int, np.ndarray] = {}
-        self._expert_plays: dict[int, np.ndarray] = {}
+        # the last mix: the pool.y and weights it read (held, so `is` stays
+        # sound), the meta decision x and the expert spreads xs - x
+        self._mix = (None, None, None, None)
+        self._spreads: dict[int, np.ndarray] = {}  # round -> the spreads it played
 
     @property
     def log_w(self) -> np.ndarray:
@@ -221,24 +228,30 @@ class MildOGD(OnlineLearner):
         self.weights = np.exp(value)
 
     def play(self, t: int) -> np.ndarray:
-        xs = self.pool.y  # each pool step rebinds y, so this stays round t's stack
-        # clip guards the one-ulp rounding a float convex combination can incur
-        h = self.box.half_width
-        x = (self.weights @ xs).clip(-h, h)
-        self._expert_plays[t] = xs
-        self._meta_plays[t] = x
-        return x.copy()
+        xs, w = self.pool.y, self.weights
+        if self._mix[0] is not xs or self._mix[1] is not w:
+            # clip guards the one-ulp rounding a float convex combination can incur
+            h = self.box.half_width
+            x = (w @ xs).clip(-h, h)
+            self._mix = (xs, w, x, xs - x)
+        self._spreads[t] = self._mix[3]
+        return self._mix[2].copy()
 
     def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
         if not stamps:
             return
-        # accumulate per arrival in timestamp order; a batched reduction would
-        # reorder the float sums and change the weights in the last bits
-        loss_sums = np.zeros(self.expert_rates.size)
-        for k, g in zip(stamps, grads):
-            if k not in self._expert_plays:
-                raise AssertionError(f"feedback for round {k} without a recorded play")
-            loss_sums += (self._expert_plays.pop(k) - self._meta_plays.pop(k)) @ g
+        try:
+            spreads = [self._spreads.pop(k) for k in stamps]
+        except KeyError as exc:
+            raise AssertionError(f"feedback for round {exc.args[0]} without a recorded play") \
+                from None
+        if len(spreads) == 1:
+            loss_sums = spreads[0] @ grads[0]
+        else:
+            # a running sum in timestamp order gives the per-arrival float sums;
+            # np.sum would add a single expert's column pairwise
+            products = np.matmul(np.stack(spreads), grads[:, :, None])[:, :, 0]
+            loss_sums = np.add.accumulate(products, axis=0)[-1]
         self.log_w = delayed_hedge_update(self.log_w, self.alpha, loss_sums)
         self.pool.ingest(t, stamps, grads)
 

@@ -79,6 +79,18 @@ def test_run_hand_simulation_trace():
     assert summary["joint_effect"] == 0.0
 
 
+def test_csv_arrival_columns_are_each_rounds_arrivals():
+    # trace_to_csv walks the plan once; schedule.arrivals looks each round up
+    rng = np.random.default_rng(31)
+    box = Box(1, 1.0)
+    for _ in range(30):
+        s = invariants.random_schedule(rng, T_max=40, d_max=8)
+        trace = simulate(DelayedOGD(box, 0.1), invariants.zero_losses(s.horizon), s, box)
+        rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
+        assert [(int(r[5]), r[6]) for r in rows] == \
+            [(len(F), ";".join(map(str, F))) for F in map(s.arrivals, range(1, s.horizon + 1))]
+
+
 def test_run_reduction_dogd_equals_ogd():
     cfg = base_config(delay={"kind": "constant", "value": 1})
     tr_d, _ = run_experiment({**cfg, "learner": {"name": "dogd", "eta": 0.3}})
@@ -531,6 +543,17 @@ def test_cli_sweep(tmp_path):
 def test_cli_sweep_without_grid_errors(tmp_path):
     path = write_config(tmp_path, base_config())
     assert cli.main(["sweep", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("command, config", [
+    (["run", "--seed", "3"], []),
+    (["sweep"], []),
+    (["sweep"], {**base_config(T=3), "sweep": [1, 2]}),
+    (["sweep"], {**base_config(T=3), "sweep": {"d": 5}}),
+], ids=["run-seeded-list", "sweep-list", "sweep-list-grid", "sweep-scalar-values"])
+def test_cli_config_error_exit_code_on_malformed_shape(tmp_path, capsys, command, config):
+    assert cli.main([*command, "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cli_lowerbound(tmp_path, capsys):

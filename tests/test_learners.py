@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -25,7 +25,9 @@ from delayed_oco import (
     init_weights,
     make_drift_environment,
     mild_dt_params,
+    block_schedule,
     mild_lr_grid,
+    permuted_schedule,
     simulate,
     uniform_schedule,
 )
@@ -305,6 +307,26 @@ def test_meta_play_matches_box_project_bitwise(n, N, h, data):
     assert pool.play(1).tobytes() == box.project(pool.weights @ pool.pool.y).tobytes()
 
 
+def test_play_mixes_again_after_log_w_or_the_pool_iterate_is_rebound():
+    # the mix is cached on the identity of pool.y and weights: rebinding log_w
+    # the way corrupt_hedge does, or pool.y the way mixed_play does, must show
+    box = Box(2, 1.0)
+    mild = MildOGD(box, [0.1, 0.4, 1.6], alpha=1.0)
+    mild.pool.y = np.array([[0.6, -0.6], [-0.2, 0.4], [0.1, 0.9]])
+    first = mild.play(1)
+    first[:] = 9.0  # a caller writing into a play must not reach the cache
+    before = mild.play(2)
+    assert before.tobytes() == box.project(mild.weights @ mild.pool.y).tobytes()
+    mild.log_w = mild.log_w + 0.05
+    shifted = mild.play(3)
+    assert not np.array_equal(shifted, before)
+    assert shifted.tobytes() == box.project(mild.weights @ mild.pool.y).tobytes()
+    mild.pool.y = mild.pool.y[::-1].copy()
+    flipped = mild.play(4)
+    assert not np.array_equal(flipped, shifted)
+    assert flipped.tobytes() == box.project(mild.weights @ mild.pool.y).tobytes()
+
+
 def test_hedge_update_example():
     log_w = np.log([0.5, 0.5])
     new = np.exp(delayed_hedge_update(log_w, 1.0, np.array([0.0, math.log(2.0)])))
@@ -537,3 +559,83 @@ def test_mild_dt_rates_scale_with_epoch():
     simulate(learner, losses, s, box)
     after = learner.inner.expert_rates
     assert np.allclose(np.array(base) / np.array(after), math.sqrt(2.0))
+
+
+# --- the cached Mild-OGD against the per-round, per-arrival reference ---------
+
+class ReferenceMild(MildOGD):
+    """Mild-OGD without the cache: a fresh mix every round and one surrogate
+    product per arrival, added onto zeros in timestamp order."""
+
+    def __init__(self, box, expert_rates, alpha):
+        super().__init__(box, expert_rates, alpha)
+        self.meta_plays, self.expert_plays = {}, {}
+
+    def play(self, t):
+        xs = self.pool.y
+        h = self.box.half_width
+        x = (self.weights @ xs).clip(-h, h)
+        self.expert_plays[t], self.meta_plays[t] = xs, x
+        return x.copy()
+
+    def ingest(self, t, stamps, grads):
+        if not stamps:
+            return
+        loss_sums = np.zeros(self.expert_rates.size)
+        for k, g in zip(stamps, grads):
+            loss_sums += (self.expert_plays.pop(k) - self.meta_plays.pop(k)) @ g
+        self.log_w = delayed_hedge_update(self.log_w, self.alpha, loss_sums)
+        self.pool.ingest(t, stamps, grads)
+
+
+class ReferenceMildDT(MildOgdDoublingTrick):
+    def _rebuild(self):
+        alpha_v, rates = mild_dt_params(self.D, self.G, self.T, self.ctrl.v)
+        self.inner = ReferenceMild(self.box, rates, alpha_v)
+
+
+def mild_history(learner, losses, schedule):
+    """Per round: the decision, and the weights and log-weights after the round's ingest."""
+    grads = np.empty((schedule.horizon, learner.box.dim))
+    history = []
+    j = 0
+    for t in range(1, schedule.horizon + 1):
+        x = learner.play(t)
+        grads[t - 1] = losses.gradient(t, x)
+        if schedule.rounds[j] == t:
+            stamps = schedule.stamps[schedule.offsets[j]:schedule.offsets[j + 1]]
+            learner.ingest(t, stamps, grads[np.asarray(stamps) - 1])
+            j += 1
+        log_w = getattr(learner, "inner", learner).log_w
+        history.append((t, x.tobytes(), learner.weights.tobytes(), log_w.tobytes()))
+    return history
+
+
+_MILD_DELAYS = {
+    "constant": lambda T, d, seed: constant_schedule(T, d),
+    "uniform": lambda T, d, seed: uniform_schedule(T, 1, d, seed),
+    "permuted": lambda T, d, seed: permuted_schedule(T, seed),
+    "blocks": lambda T, d, seed: block_schedule(T, d),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), kind=st.sampled_from(sorted(_MILD_DELAYS)), T=st.integers(1, 260),
+       d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       loss=st.sampled_from(["quadratic", "linear"]),
+       rates=st.none() | st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8))
+@example(n=1, kind="blocks", T=256, d=64, seed=1, loss="linear", rates=None)
+@example(n=3, kind="blocks", T=200, d=64, seed=2, loss="quadratic", rates=[0.5])
+@example(n=5, kind="permuted", T=260, d=1, seed=3, loss="quadratic", rates=None)
+def test_cached_mild_matches_the_per_round_reference_bitwise(n, kind, T, d, seed, loss, rates):
+    box, G = Box.from_diameter(n, 2.0), 1.0
+    losses, _ = make_drift_environment(box, T, 0.1, loss, seed, G)
+    schedule = _MILD_DELAYS[kind](T, d, seed)
+    sum_m = schedule.sum_backlog
+    if rates is None:
+        rates = mild_lr_grid(box.diameter, G, sum_m, T)
+    alpha = hedge_alpha(box.diameter, G, sum_m)
+    assert mild_history(MildOGD(box, rates, alpha), losses, schedule) == \
+        mild_history(ReferenceMild(box, rates, alpha), losses, schedule)
+    assert mild_history(MildOgdDoublingTrick(box, box.diameter, G, T), losses, schedule) == \
+        mild_history(ReferenceMildDT(box, box.diameter, G, T), losses, schedule)
