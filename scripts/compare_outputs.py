@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Check that two source trees of delayed_oco give byte-identical outputs.
+
+    python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each tree (a directory holding the ``delayed_oco`` package, such as a
+checkout's ``src``) runs ``comparison_set()`` in one subprocess, which hashes
+each run's decision bytes and the ``trace.csv`` and ``summary.json`` texts
+``delayed-oco run`` would write (a refused run records its config error).
+The script prints, per output, how many runs are byte-identical, names the
+first that differ, and exits 1 on any difference.
+"""
+
+import hashlib
+import itertools
+import json
+import os
+import subprocess
+import sys
+
+T = 300
+DELAYS = {"constant": {"value": 3}, "uniform": {"lo": 1, "hi": 12}, "blocks": {"d": 16},
+          "permuted": {}, "in_order_random": {"d_max": 8},
+          "list": {"values": [1 + (7 * t) % 11 for t in range(T)]}}
+OUTPUTS = ("decisions", "trace.csv", "summary.json")
+
+
+def comparison_set():
+    """Five learners x six delay kinds x quadratic/linear drift at step 0.02
+    and 1 x n in {1, 3, 10} x seeds 0-1 at T = 300, lowerbound runs, one
+    ``linear_list`` run, and the benchmark's ``cli_run`` config at seeds 0-2."""
+    base = {"T": T, "D": 2.0, "G": 1.0}
+    for learner, (kind, spec), loss, step, n, seed in itertools.product(
+            ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), DELAYS.items(),
+            ("quadratic", "linear"), (0.02, 1.0), (1, 3, 10), (0, 1)):
+        yield (f"{learner}/{kind}/{loss}-{step}/n{n}/s{seed}",
+               {**base, "n": n, "seed": seed, "learner": {"name": learner},
+                "delay": {"kind": kind, **spec},
+                "environment": {"kind": "drift", "step": step, "loss": loss}})
+    for learner, d, n in itertools.product(("dogd", "mild", "mild_dt"), (1, 8), (1, 3)):
+        yield (f"lowerbound/{learner}/d{d}/n{n}",
+               {**base, "n": n, "seed": 5, "learner": {"name": learner},
+                "delay": {"kind": "blocks", "d": d}, "environment": {"kind": "lowerbound"}})
+    gradients = [[0.6, 0.8], [-1.0, 0.0], [0.0, -0.0], [0.5, 0.5]]
+    yield ("linear_list", {**base, "T": 4, "n": 2, "seed": 0, "learner": {"name": "dogd"},
+                           "delay": {"kind": "permuted"},
+                           "environment": {"kind": "linear_list", "gradients": gradients}})
+    for seed in range(3):
+        yield (f"cli_run/s{seed}",
+               {"T": 2000, "n": 10, "D": 2.0, "G": 1.0, "seed": seed,
+                "learner": {"name": "dogd_dt"}, "delay": {"kind": "permuted"},
+                "environment": {"kind": "drift", "step": 0.02, "loss": "linear"},
+                "comparators": {"kind": "piecewise", "path_budget": 4}})
+
+
+def worker() -> None:
+    from delayed_oco import harness
+
+    def digest(data):
+        return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+    result = {}
+    for name, cfg in comparison_set():
+        try:
+            (trace, summary), = harness.run_many(cfg)
+        except harness.ConfigError as exc:
+            result[name] = [f"config error: {exc}"] * len(OUTPUTS)
+            continue
+        result[name] = [digest(trace.decisions.tobytes()), digest(harness.trace_to_csv(trace)),
+                        digest(harness.to_json({"runs": [summary]}))]
+    json.dump(result, sys.stdout)
+
+
+def main(parent: str, change: str) -> int:
+    procs = [subprocess.Popen([sys.executable, __file__, "--worker"], stdout=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+             for src in (parent, change)]
+    outs = [p.communicate()[0] for p in procs]
+    if any(p.returncode for p in procs):
+        sys.exit("a worker failed")
+    old, new = map(json.loads, outs)
+    differ = False
+    for i, what in enumerate(OUTPUTS):
+        diff = [name for name in old if old[name][i] != new[name][i]]
+        print(f"{what}: {len(old) - len(diff)}/{len(old)} runs byte-identical")
+        for name in diff[:5]:
+            print(f"  differs: {name}")
+        differ |= bool(diff)
+    return int(differ)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--worker"]:
+        worker()
+    elif len(sys.argv) == 3:
+        sys.exit(main(*sys.argv[1:]))
+    else:
+        sys.exit(__doc__)

@@ -186,8 +186,8 @@ def permuted_schedule(T: int, seed: int) -> DelaySchedule:
     """
     rng = np.random.default_rng(seed)
     slots = rng.permutation(T) + 1
-    return DelaySchedule(tuple(int(max(p, t) - t + 1)
-                               for t, p in enumerate(slots, start=1)))
+    t = np.arange(1, T + 1)
+    return DelaySchedule((np.maximum(slots, t) - t + 1).tolist())
 
 
 def in_order_random_schedule(T: int, d_max: int, seed: int) -> DelaySchedule:

@@ -6,7 +6,7 @@ feasible sequence, and one trace can be scored against several of them.
 
 Every environment builds one loss family (``QuadraticTracking`` or
 ``Linear``) over all T rounds with array operations; only the random walk
-of the drift targets is stepped round by round, on moves drawn in one call.
+of the drift targets is stepped round by round, on moves scaled in one batch.
 
 The adversarial instance couples block-end delays with random-sign linear
 losses over a cube.  Within a block every round shares one loss
@@ -29,6 +29,12 @@ import numpy as np
 from .delay import DelaySchedule, block_schedule
 from .geometry import Box, as_decision
 from .losses import Linear, QuadraticTracking, quadratic_drift_scale
+
+
+def row_norms(M: np.ndarray) -> np.ndarray:
+    """Row norms of a (T, n) array, bitwise the per-row ``sqrt(row.dot(row))``
+    (``einsum`` or ``sum`` would round some rows differently)."""
+    return np.sqrt(np.matmul(M[:, None, :], M[:, :, None])[:, 0, 0])
 
 
 def path_length(points) -> float:
@@ -99,24 +105,22 @@ def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed: 
     rng = np.random.default_rng(seed)
     # one draw for all rounds gives the same stream as one draw per round
     moves = rng.uniform(-1.0, 1.0, size=(T, box.dim))
+    norms = row_norms(moves)
+    away = norms > 0
+    np.multiply(moves, (step / np.where(away, norms, 1.0))[:, None], out=moves,
+                where=away[:, None])
     h = box.half_width
     targets = np.empty((T, box.dim))
     theta = box.origin()
     for t in range(T):
         targets[t] = theta
-        move = moves[t]
-        # exactly np.linalg.norm of a 1-d float vector, without its dispatch
-        norm = math.sqrt(move.dot(move))
-        if norm > 0:
-            move *= step / norm
-        theta = (theta + move).clip(-h, h)
+        theta = (theta + moves[t]).clip(-h, h)
 
     if loss_kind == "quadratic":
         scale = quadratic_drift_scale(grad_bound, box,
                                       float(np.linalg.norm(targets, axis=1).max()))
         return QuadraticTracking(targets, scale), targets
-    # one norm per row: a batched row reduction would round some rows differently
-    norms = np.array([math.sqrt(row.dot(row)) for row in targets])
+    norms = row_norms(targets)
     away = norms > 1e-12
     grads = np.zeros((T, box.dim))
     grads[away] = (-grad_bound / norms[away])[:, None] * targets[away]

@@ -189,6 +189,11 @@ def _build_environment(cfg: dict, box: Box, run_seed: int):
         if "gradients" not in env:
             raise ConfigError("linear_list needs a gradients array")
         grads = _finite_array(env["gradients"], (cfg["T"], cfg["n"]), "linear_list gradients")
+        with np.errstate(over="ignore"):  # an overflowing row reads inf
+            worst = float(env_mod.row_norms(grads).max())
+        if worst > cfg["G"] * (1 + 1e-12):  # every bound assumes ||g_t|| <= G, up to rounding
+            raise ConfigError(f"linear_list gradients need norms <= G = {cfg['G']!r}, "
+                              f"got {worst!r}")
         fp = hashlib.sha256(grads.tobytes()).hexdigest()[:16]
         return Linear(grads), None, None, fp
     raise ConfigError(f"unknown environment kind: {kind!r}")
@@ -547,23 +552,34 @@ def trace_to_csv(trace: RunTrace) -> str:
     The m_t and arrival columns come from the run's schedule.  Vector fields
     are semicolon-joined; floats use shortest-roundtrip repr so identical
     runs render byte-identically.
+
+    A decision changes only when feedback moves the learner, so each run of
+    equal rows is formatted once; rows are compared on their bits, as ``==``
+    would merge -0.0 into 0.0.  cum_loss starts from 0.0, so a first loss of
+    -0.0 prints 0.0 + -0.0 = 0.0.  Columns are read lazily to keep memory flat.
     """
-    out = io.StringIO()
-    out.write("t,x,loss,cum_loss,m_t,n_arrivals,arrived_timestamps\n")
+    bits = trace.decisions.view(np.uint64)
+    fresh = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
     schedule = trace.schedule
     stamps, rounds, offsets = schedule.stamps, schedule.rounds, schedule.offsets
-    backlog = schedule.backlog()
-    cum = 0.0
-    j = 0  # next entry of the plan; in range, as in ``simulate``
-    for t in range(1, trace.horizon + 1):
-        cum += float(trace.loss_values[t - 1])
-        x = ";".join(repr(float(v)) for v in trace.decisions[t - 1])
-        F = []
-        if rounds[j] == t:
-            F = stamps[offsets[j]:offsets[j + 1]]
-            j += 1
-        out.write(f"{t},{x},{repr(float(trace.loss_values[t - 1]))},{repr(cum)},"
-                  f"{int(backlog[t - 1])},{len(F)},{';'.join(map(str, F))}\n")
+
+    def lines():
+        yield "t,x,loss,cum_loss,m_t,n_arrivals,arrived_timestamps\n"
+        cum = 0.0
+        j = 0  # next entry of the plan; in range, as in ``simulate``
+        for t, new, l, m in zip(range(1, len(fresh) + 1), fresh,
+                                map(float, trace.loss_values), map(int, schedule.backlog())):
+            cum += l
+            if new:
+                x = repr(trace.decisions[t - 1].tolist())[1:-1].replace(", ", ";")
+            F = ()
+            if rounds[j] == t:
+                F = stamps[offsets[j]:offsets[j + 1]]
+                j += 1
+            yield f"{t},{x},{l!r},{cum!r},{m},{len(F)},{';'.join(map(str, F))}\n"
+
+    out = io.StringIO()
+    out.writelines(lines())
     return out.getvalue()
 
 

@@ -88,7 +88,7 @@ class DelayedOGD(OnlineLearner):
     def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
         if len(stamps) != len(grads):
             raise ValueError("one gradient per timestamp is required")
-        if any(a >= b for a, b in zip(stamps, stamps[1:])):
+        if len(stamps) > 1 and any(a >= b for a, b in zip(stamps, stamps[1:])):
             raise ValueError("feedback must be sorted ascending by timestamp")
         h = self.box.half_width
         for g in grads:

@@ -129,6 +129,16 @@ def test_permuted_schedule_valid():
         assert all(v >= 1 for v in s.delays)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 17, 500])
+def test_permuted_schedule_matches_the_per_round_formula(T):
+    for seed in range(5):
+        slots = np.random.default_rng(seed).permutation(T) + 1
+        expected = tuple(int(max(p, t) - t + 1) for t, p in enumerate(slots, start=1))
+        delays = permuted_schedule(T, seed).delays
+        assert delays == expected
+        assert all(type(d) is int for d in delays)
+
+
 def test_make_schedule_dispatch():
     assert make_schedule({"kind": "constant", "value": 2}, 3, 0).to_list() == [2, 2, 2]
     assert make_schedule({"kind": "blocks", "d": 3}, 10, 0).to_list() == \

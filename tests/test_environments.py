@@ -102,6 +102,49 @@ def test_drift_deterministic_given_seed():
     assert np.array_equal(l1.grads, l2.grads)
 
 
+def _per_round_drift_walk(box, T, step, loss_kind, seed, grad_bound):
+    """The drift build with one norm, one scaling and one clamp per round."""
+    moves = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(T, box.dim))
+    targets = np.empty((T, box.dim))
+    theta = box.origin()
+    for t in range(T):
+        targets[t] = theta
+        move = moves[t]
+        norm = math.sqrt(move.dot(move))
+        if norm > 0:
+            move *= step / norm
+        theta = (theta + move).clip(-box.half_width, box.half_width)
+    if loss_kind == "quadratic":
+        bound = 2.0 * box.half_width * math.sqrt(box.dim) \
+            + float(np.linalg.norm(targets, axis=1).max())
+        return targets, np.array(grad_bound / bound)
+    norms = np.array([math.sqrt(row.dot(row)) for row in targets])
+    grads = np.zeros((T, box.dim))
+    away = norms > 1e-12
+    grads[away] = (-grad_bound / norms[away])[:, None] * targets[away]
+    return targets, grads
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 300), n=st.integers(1, 10),
+       step=st.sampled_from([0.0, 1e-300, 0.02, 1.0, 1e300]),
+       loss_kind=st.sampled_from(["quadratic", "linear"]), seed=st.integers(0, 2**32 - 1),
+       diameter=st.sampled_from([0.5, 2.0, 7.0]), grad_bound=st.sampled_from([1.0, 1.7]))
+def test_drift_environment_matches_the_per_round_walk(T, n, step, loss_kind, seed, diameter,
+                                                      grad_bound):
+    box = Box.from_diameter(n, diameter)
+    with np.errstate(all="ignore"):
+        losses, targets = make_drift_environment(box, T, step, loss_kind, seed, grad_bound)
+        ref_targets, ref_losses = _per_round_drift_walk(box, T, step, loss_kind, seed,
+                                                        grad_bound)
+    assert targets.tobytes() == ref_targets.tobytes()
+    if loss_kind == "quadratic":
+        assert losses.targets.tobytes() == ref_targets.tobytes()
+        assert np.array(losses.scale).tobytes() == ref_losses.tobytes()
+    else:
+        assert losses.grads.tobytes() == ref_losses.tobytes()
+
+
 def test_drift_losses_respect_gradient_bound():
     box = Box.from_diameter(4, 3.0)
     linear, _ = make_drift_environment(box, 40, 0.2, "linear", 3, 1.7)

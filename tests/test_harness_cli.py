@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delayed_oco import (Box, DelayedOGD, QuadraticTracking, cli, constant_schedule, harness,
-                         invariants)
+from delayed_oco import (Box, DelayedOGD, DelaySchedule, QuadraticTracking, cli,
+                         constant_schedule, harness, invariants)
 from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many,
                                  simulate, sweep, trace_to_csv)
 from delayed_oco.learners import OnlineLearner
+from delayed_oco.metrics import RunTrace
 
 
 def base_config(**overrides):
@@ -89,6 +91,82 @@ def test_csv_arrival_columns_are_each_rounds_arrivals():
         rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
         assert [(int(r[5]), r[6]) for r in rows] == \
             [(len(F), ";".join(map(str, F))) for F in map(s.arrivals, range(1, s.horizon + 1))]
+
+
+def reference_trace_to_csv(trace):
+    """The per-round renderer: every decision formatted float by float."""
+    out = io.StringIO()
+    out.write("t,x,loss,cum_loss,m_t,n_arrivals,arrived_timestamps\n")
+    schedule = trace.schedule
+    stamps, rounds, offsets = schedule.stamps, schedule.rounds, schedule.offsets
+    backlog = schedule.backlog()
+    cum = 0.0
+    j = 0
+    for t in range(1, trace.horizon + 1):
+        cum += float(trace.loss_values[t - 1])
+        x = ";".join(repr(float(v)) for v in trace.decisions[t - 1])
+        F = []
+        if rounds[j] == t:
+            F = stamps[offsets[j]:offsets[j + 1]]
+            j += 1
+        out.write(f"{t},{x},{repr(float(trace.loss_values[t - 1]))},{repr(cum)},"
+                  f"{int(backlog[t - 1])},{len(F)},{';'.join(map(str, F))}\n")
+    return out.getvalue()
+
+
+def _trace(rows, loss, delays):
+    return RunTrace(decisions=np.array(rows, dtype=np.float64),
+                    loss_values=np.array(loss, dtype=np.float64),
+                    schedule=DelaySchedule(tuple(delays)))
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -1 / 3, 5e-324, -2.5e-300, 1e16])
+
+
+@st.composite
+def _renderable_traces(draw):
+    """Decision rows that repeat, change only the sign of a zero, or change;
+    any losses, a first loss of -0.0 often; delays reaching past the horizon."""
+    T, n = draw(st.integers(1, 30)), draw(st.integers(1, 10))
+    row = st.lists(_ENTRIES, min_size=n, max_size=n)
+    rows = [draw(row)]
+    for _ in range(T - 1):
+        how = draw(st.sampled_from(["repeat", "flip zero signs", "new"]))
+        if how == "new":
+            rows.append(draw(row))
+        else:
+            rows.append([-v if how != "repeat" and v == 0 else v for v in rows[-1]])
+    loss = draw(st.lists(st.floats(allow_nan=False) | _ENTRIES, min_size=T, max_size=T))
+    if draw(st.booleans()):
+        loss[0] = -0.0
+    return _trace(rows, loss, draw(st.lists(st.integers(1, T + 5), min_size=T, max_size=T)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=_renderable_traces())
+@example(trace=_trace([[-0.0]], [-0.0], [3]))  # T = 1, arrival in the flush window
+@example(trace=_trace([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
+                      [-0.0, 0.0, -0.0, 1.5, -0.0], [6, 1, 2, 1, 1]))
+def test_trace_to_csv_matches_the_per_round_reference(trace):
+    assert trace_to_csv(trace) == reference_trace_to_csv(trace)
+
+
+@pytest.mark.parametrize("learner", ["ogd", "dogd", "mild", "dogd_dt", "mild_dt"])
+def test_trace_to_csv_matches_the_per_round_reference_on_real_runs(learner):
+    trace, _ = run_experiment(base_config(
+        T=300, n=3, learner={"name": learner}, delay={"kind": "permuted"},
+        environment={"kind": "drift", "step": 1.0, "loss": "linear"}))
+    repeated = np.all(trace.decisions[1:] == trace.decisions[:-1], axis=1)
+    assert repeated.any() and not repeated.all()
+    assert trace_to_csv(trace) == reference_trace_to_csv(trace)
+
+
+def test_linear_list_admits_unit_rows_that_round_above_G():
+    # the computed norms are 1.0, 1.0 and 1.0000000000000002
+    gradients = [[0.6, 0.8], [1 / math.sqrt(2), 1 / math.sqrt(2)],
+                 [-0.9956015322215984, -0.093688788219327]]
+    _, summary = run_experiment(base_config(T=3, **_gradients(gradients)))
+    assert math.isfinite(summary["regret_dynamic"])
 
 
 def test_run_reduction_dogd_equals_ogd():
@@ -478,6 +556,8 @@ def _lowerbound(**delay):
     {"delay": {"kind": "constant", "value": 2**63 - 2}},  # round 3 arrives at 2^63
     {"delay": {"kind": "list", "values": [1, 1, 2**63 - 2]}},
     _lowerbound(d=10**30),
+    _gradients([[1e308, 1e308]] * 3),  # the norms overflow to inf
+    _gradients([[0.0, 1.0], [2.0, 0.0], [0.0, 1.0]]),  # a gradient of norm 2 G
 ], ids=["negative-step", "text-step", "nan-step", "unknown-loss", "nan-gradient",
         "narrow-gradients", "short-gradients", "string-gradients", "text-gradients",
         "missing-budget", "negative-budget", "infinite-budget",
@@ -493,7 +573,8 @@ def _lowerbound(**delay):
         "number-delay-values", "fractional-T", "fractional-n", "fractional-seed",
         "fractional-repetitions", "huge-D", "min-D", "tiny-D", "tiny-D-mild", "huge-G",
         "tiny-G", "huge-G-linear", "huge-G-mild", "huge-G-dogd_dt", "huge-G-mild_dt",
-        "huge-delay", "arrival-past-2^63", "huge-listed-delay", "huge-lowerbound-d"])
+        "huge-delay", "arrival-past-2^63", "huge-listed-delay", "huge-lowerbound-d",
+        "overflowing-gradients", "gradients-above-G"])
 def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrides):
     cfg = base_config(**{"T": 3, **overrides})
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
