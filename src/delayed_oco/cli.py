@@ -58,15 +58,9 @@ def _cmd_run(args) -> int:
     summaries = [summary for _, summary in results]
     violations = [s for s in summaries
                   if s.get("bound_check") and not s["bound_check"]["ok"]]
-    if args.format == "csv":
-        for i, (trace, _) in enumerate(results):
-            name = "trace.csv" if len(results) == 1 else f"trace_rep{i:03d}.csv"
-            _emit(harness.trace_to_csv(trace), args.out, name)
-    else:
-        _emit(harness.to_json({"runs": summaries}), args.out, "summary.json")
-    if args.out is not None:
-        # a directory sink always gets both renderings
-        if args.format == "csv":
+    # a directory sink always gets both renderings; stdout gets the requested one
+    for fmt in ("csv", "json") if args.out is not None else (args.format,):
+        if fmt == "json":
             _emit(harness.to_json({"runs": summaries}), args.out, "summary.json")
         else:
             for i, (trace, _) in enumerate(results):

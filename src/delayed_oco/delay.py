@@ -38,6 +38,8 @@ MAX_ROUND = 2**63 - 1
 
 def _integer(v) -> int:
     """``v`` as an int; non-integral values (1.5, NaN, "2") are rejected, not truncated."""
+    if isinstance(v, bool):
+        raise ValueError(f"{v!r} is a bool, not an integer")
     try:
         d = int(v)
     except (TypeError, ValueError, OverflowError) as exc:

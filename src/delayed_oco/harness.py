@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import os
 from collections import namedtuple
 
 import numpy as np
@@ -37,108 +38,33 @@ class SweepError(RuntimeError):
     """A sweep cell failed; the message identifies the cell."""
 
 
-_LEARNERS = ("ogd", "dogd", "dogd_dt", "mild", "mild_dt")
-_TOP_KEYS = {"T", "n", "D", "G", "learner", "delay", "environment",
-             "comparators", "seed", "repetitions"}
-
 _DEFAULTS = {
-    "n": 1,
-    "D": 2.0,
-    "G": 1.0,
+    "n": 1, "D": 2.0, "G": 1.0, "seed": 0, "repetitions": 1,
     "learner": {"name": "dogd", "eta": "paper"},
     "delay": {"kind": "constant", "value": 1},
     "environment": {"kind": "drift", "step": 0.01, "loss": "quadratic"},
     "comparators": {"kind": "auto"},
-    "seed": 0,
-    "repetitions": 1,
 }
 
 
-def normalize_config(config: dict) -> dict:
-    """Fill defaults and validate; raises ConfigError on anything off."""
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(config) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = copy.deepcopy(_DEFAULTS)
-    cfg.update(copy.deepcopy(config))
-    if "T" not in cfg:
-        raise ConfigError("config must set the horizon T")
+def _real(value, what: str, positive: bool = True) -> float:
+    """A finite float > 0, or >= 0 unless ``positive``; bools are refused."""
     try:
-        for key in ("T", "n", "seed", "repetitions"):
-            cfg[key] = delay_mod._integer(cfg[key])
-        cfg["D"] = float(cfg["D"])
-        cfg["G"] = float(cfg["G"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scalar field: {exc}") from exc
-    if cfg["T"] < 1 or cfg["n"] < 1 or not (0 < cfg["D"] < math.inf and 0 < cfg["G"] < math.inf):
-        raise ConfigError("need T >= 1, n >= 1 and finite D > 0, G > 0")
-    try:
-        box = Box.from_diameter(cfg["n"], cfg["D"])
-    except ValueError as exc:
-        raise ConfigError(f"D = {cfg['D']!r} is too small for n = {cfg['n']}: {exc}") from None
-    if not math.isfinite(cfg["T"] * max(cfg["D"], box.diameter)):
-        raise ConfigError(f"T*D overflows for T = {cfg['T']}, D = {cfg['D']!r}: "
-                          "the comparator block length needs it finite")
-    if cfg["repetitions"] < 1:
-        raise ConfigError("repetitions must be >= 1")
-    if cfg["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
-    for section in ("delay", "environment", "comparators"):
-        if not isinstance(cfg[section], dict):
-            raise ConfigError(f"{section} must be a JSON object, got {cfg[section]!r}")
-
-    learner = cfg["learner"]
-    if not isinstance(learner, dict) or learner.get("name") not in _LEARNERS:
-        raise ConfigError(f"learner.name must be one of {_LEARNERS}")
-    if learner["name"].endswith("_dt"):
-        banned = {"eta", "alpha", "etas"} & set(learner)
-        if banned:
-            raise ConfigError(
-                f"doubling-trick learners derive rates per epoch; remove {sorted(banned)}")
-
-    if cfg["environment"].get("kind") == "lowerbound":
-        delay = cfg["delay"]
-        if delay.get("kind") != "blocks":
-            raise ConfigError('environment "lowerbound" requires delay {"kind": "blocks", '
-                              '"d": ...} (the instance owns its block schedule)')
-        try:
-            delay["d"] = delay_mod._integer(delay.get("d"))
-        except ValueError as exc:
-            raise ConfigError(f"lowerbound block length d: {exc}") from exc
-        if not 1 <= delay["d"] <= delay_mod.MAX_ROUND:
-            raise ConfigError(f"lowerbound block length d must lie in [1, 2^63), got {delay['d']}")
-    return cfg
-
-
-def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-
-
-def _nonnegative_real(value, what: str) -> float:
-    v = _number(value, what)
-    if not (math.isfinite(v) and v >= 0):
-        raise ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if isinstance(value, bool) or not (math.isfinite(v) and (v > 0 or v == 0 and not positive)):
+        raise ConfigError(f"{what} must be a finite number {'>' if positive else '>='} 0, "
+                          f"got {value!r}")
     return v
 
 
-def _positive_real(value, what: str) -> float:
-    v = _number(value, what)
-    if not (math.isfinite(v) and v > 0):
-        raise ConfigError(f"{what} must be a finite number > 0, got {value!r}")
-    return v
-
-
-def _positive_reals(value, what: str) -> np.ndarray:
+def _reals(value, what: str) -> np.ndarray:
     """A nonempty flat list of finite numbers > 0, as a float64 array."""
     try:
         a = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a list of numbers, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        a = np.empty(0)
     if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0)):
         raise ConfigError(f"{what} must be a nonempty flat list of finite numbers > 0, "
                           f"got {value!r}")
@@ -149,11 +75,124 @@ def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     """``value`` as a float64 array of ``shape`` holding finite numbers only."""
     try:
         a = np.asarray(value)
-    except ValueError as exc:  # ragged rows
-        raise ConfigError(f"{what} is not an array: {exc}") from None
+    except ValueError:  # ragged rows
+        a = np.empty(0)
     if a.dtype.kind not in "iuf" or a.shape != shape or not np.all(np.isfinite(a)):
         raise ConfigError(f"{what} must be finite numbers of shape {shape}")
     return a.astype(np.float64)
+
+
+def _check(test, *words, **kw):
+    """A ``_SPEC`` check: the value is one of ``words`` or passes ``test``."""
+    def check(v, cfg, what):
+        if v not in words:
+            if test is None:
+                raise ConfigError(f"{what} must be one of {list(words)}, got {v!r}")
+            test(v, what, **kw)
+    return check
+
+
+def _point(v, cfg, what):
+    return v == "origin" or _finite_array(v, (cfg["n"],), what)
+
+
+def _points(v, cfg, what):
+    pts = _finite_array(v, (cfg["T"], cfg["n"]), what)
+    if not np.all(np.abs(pts) <= Box.from_diameter(cfg["n"], cfg["D"]).half_width):
+        raise ConfigError(f"{what} must lie in the feasible box")
+
+
+def _gradients(v, cfg, what):
+    grads = _finite_array(v, (cfg["T"], cfg["n"]), what)
+    with np.errstate(over="ignore"):  # an overflowing row reads inf
+        worst = float(env_mod.row_norms(grads).max())
+    if worst > cfg["G"] * (1 + 1e-12):  # every bound assumes ||g_t|| <= G, up to rounding
+        raise ConfigError(f"{what} need norms <= G = {cfg['G']!r}, got {worst!r}")
+
+
+_RATE, _LENGTH, _ECHOED = _check(_real, "paper"), _check(_real, positive=False), _check(_reals)
+# section: (tag key, {kind: ({required field: check}, {optional field: check})}); no tag
+# reads "auto".  check(value, cfg, what) writes nothing back, so runs echo sections as
+# given.  delay.make_schedule checks delays.  Runs echo expert_rates and resolved_values.
+_SPEC = {
+    "learner": ("name", {
+        "ogd": ({}, {"eta": _RATE}), "dogd": ({}, {"eta": _RATE}),
+        "mild": ({}, {"etas": _check(_reals, "paper"), "alpha": _RATE, "expert_rates": _ECHOED}),
+        "dogd_dt": ({}, {}), "mild_dt": ({}, {})}),
+    "delay": ("kind", {
+        kind: (dict.fromkeys(required), {"resolved_values": _ECHOED}) for kind, required in {
+            "constant": ["value"], "uniform": ["lo", "hi"], "blocks": ["d"], "permuted": [],
+            "in_order_random": ["d_max"], "list": ["values"]}.items()}),
+    "environment": ("kind", {
+        "drift": ({}, {"step": _LENGTH, "loss": _check(None, "quadratic", "linear")}),
+        "lowerbound": ({}, {}), "linear_list": ({"gradients": _gradients}, {})}),
+    "comparators": ("kind", {
+        "auto": ({}, {}), "targets": ({}, {}), "best_fixed": ({}, {}),
+        "constant": ({}, {"point": _point}), "piecewise": ({"path_budget": _LENGTH}, {}),
+        "list": ({"points": _points}, {})}),
+}
+
+
+def normalize_config(config: dict) -> dict:
+    """Fill defaults and validate against ``_SPEC``; raises ConfigError on anything off."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(config) - {"T", *_DEFAULTS}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    cfg = copy.deepcopy(_DEFAULTS)
+    cfg.update(copy.deepcopy(config))
+    if "T" not in cfg:
+        raise ConfigError("config must set the horizon T")
+    try:
+        for key in ("T", "n", "seed", "repetitions"):
+            cfg[key] = delay_mod._integer(cfg[key])
+    except ValueError as exc:
+        raise ConfigError(f"bad scalar field: {exc}") from exc
+    cfg["D"], cfg["G"] = _real(cfg["D"], "D"), _real(cfg["G"], "G")
+    if min(cfg["T"], cfg["n"], cfg["repetitions"]) < 1 or cfg["seed"] < 0:
+        raise ConfigError("need T, n and repetitions >= 1 and seed >= 0")
+    try:
+        box = Box.from_diameter(cfg["n"], cfg["D"])
+    except ValueError as exc:
+        raise ConfigError(f"D = {cfg['D']!r} is too small for n = {cfg['n']}: {exc}") from None
+    if not math.isfinite(cfg["T"] * max(cfg["D"], box.diameter)):
+        raise ConfigError(f"T*D overflows for T = {cfg['T']}, D = {cfg['D']!r}: "
+                          "the comparator block length needs it finite")
+
+    for section, (tag, kinds) in _SPEC.items():
+        spec = cfg[section]
+        kind = spec.get(tag, "auto") if isinstance(spec, dict) else None
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{section} must be a JSON object with {tag!r} one of "
+                              f"{list(kinds)}, got {spec!r}")
+        required, optional = kinds[kind]
+        fields = {**required, **optional}
+        if set(spec) - {tag, *fields} or set(required) - set(spec):
+            raise ConfigError(f"{section} {kind!r} takes {list(fields)}, "
+                              f"{list(required)} required; got {sorted(spec)}")
+        for field, check in fields.items():
+            if check and field in spec:
+                check(spec[field], cfg, f"{section}.{field}")
+    if cfg["comparators"].get("kind") == "targets" and cfg["environment"]["kind"] != "drift":
+        raise ConfigError('comparators "targets" need a drift environment')
+    if cfg["environment"]["kind"] == "lowerbound":
+        delay = cfg["delay"]
+        if delay["kind"] != "blocks":
+            raise ConfigError('environment "lowerbound" requires delay {"kind": "blocks", '
+                              '"d": ...} (the instance owns its block schedule)')
+        try:
+            delay["d"] = delay_mod._integer(delay["d"])
+        except ValueError as exc:
+            raise ConfigError(f"lowerbound block length d: {exc}") from exc
+        if not 1 <= delay["d"] <= delay_mod.MAX_ROUND:
+            raise ConfigError(f"lowerbound block length d must lie in [1, 2^63), got {delay['d']}")
+    N = learn_mod.expert_count(cfg["T"]) if cfg["learner"]["name"].startswith("mild") else 0
+    need = 8 * cfg["T"] * cfg["n"] * (N + 4)  # T*n floats in four arrays, and in N experts
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"T = {cfg['T']}, n = {cfg['n']} need about {need / 2**30:.3g} GiB, "
+                          "more than physical memory")
+    return cfg
 
 
 def _child_seeds(seed: int, k: int) -> list[int]:
@@ -164,39 +203,25 @@ def _build_environment(cfg: dict, box: Box, run_seed: int):
     """Return (losses, drift_targets_or_None, instance_or_None, fingerprint)."""
     sched_seed, env_seed, _ = _child_seeds(run_seed, 3)
     env = cfg["environment"]
-    kind = env.get("kind")
-    if kind == "lowerbound":
+    if env["kind"] == "lowerbound":
         inst = env_mod.make_lowerbound_instance(
             cfg["T"], cfg["delay"]["d"], cfg["D"], cfg["G"], cfg["n"], env_seed)
         fp = hashlib.sha256(inst.signs.tobytes()).hexdigest()[:16]
         return inst.losses(), None, inst, fp
-    if kind == "drift":
-        step = _nonnegative_real(env.get("step", 0.01), "drift step")
-        loss_kind = env.get("loss", "quadratic")
-        if loss_kind not in ("quadratic", "linear"):
-            raise ConfigError(f'drift loss must be "quadratic" or "linear", got {loss_kind!r}')
+    if env["kind"] == "drift":
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 losses, targets = env_mod.make_drift_environment(
-                    box, cfg["T"], step, loss_kind, env_seed, cfg["G"])
+                    box, cfg["T"], float(env.get("step", 0.01)), env.get("loss", "quadratic"),
+                    env_seed, cfg["G"])
         except ValueError as exc:  # the loss scale or gradients left the float range
             raise ConfigError(f"drift losses for D = {cfg['D']!r}, G = {cfg['G']!r}: {exc}") \
                 from None
         targets.setflags(write=False)
         fp = hashlib.sha256(targets.tobytes()).hexdigest()[:16]
         return losses, targets, None, fp
-    if kind == "linear_list":
-        if "gradients" not in env:
-            raise ConfigError("linear_list needs a gradients array")
-        grads = _finite_array(env["gradients"], (cfg["T"], cfg["n"]), "linear_list gradients")
-        with np.errstate(over="ignore"):  # an overflowing row reads inf
-            worst = float(env_mod.row_norms(grads).max())
-        if worst > cfg["G"] * (1 + 1e-12):  # every bound assumes ||g_t|| <= G, up to rounding
-            raise ConfigError(f"linear_list gradients need norms <= G = {cfg['G']!r}, "
-                              f"got {worst!r}")
-        fp = hashlib.sha256(grads.tobytes()).hexdigest()[:16]
-        return Linear(grads), None, None, fp
-    raise ConfigError(f"unknown environment kind: {kind!r}")
+    grads = np.asarray(env["gradients"], dtype=np.float64)  # linear_list
+    return Linear(grads), None, None, hashlib.sha256(grads.tobytes()).hexdigest()[:16]
 
 
 def _build_schedule(cfg: dict, instance, run_seed: int) -> DelaySchedule:
@@ -205,7 +230,7 @@ def _build_schedule(cfg: dict, instance, run_seed: int) -> DelaySchedule:
     sched_seed, _, _ = _child_seeds(run_seed, 3)
     try:
         return delay_mod.make_schedule(cfg["delay"], cfg["T"], sched_seed)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad delay spec: {exc}") from exc
 
 
@@ -213,33 +238,18 @@ def _build_comparators(cfg: dict, box: Box, losses, targets, run_seed: int) -> n
     _, _, comp_seed = _child_seeds(run_seed, 3)
     spec = cfg["comparators"]
     kind = spec.get("kind", "auto")
-    if kind == "auto":
-        kind = "targets" if targets is not None else "best_fixed"
-    if kind == "targets":
-        if targets is None:
-            raise ConfigError('comparators "targets" need a drift environment')
+    if kind in ("auto", "targets") and targets is not None:
         return targets
-    if kind == "best_fixed":
+    if kind in ("auto", "best_fixed"):
         x, _, _ = metrics_mod.minimize_total_loss(losses, box)
         return np.tile(x, (cfg["T"], 1))
     if kind == "constant":
         point = spec.get("point", "origin")
-        u = box.origin() if point == "origin" else \
-            box.project(_finite_array(point, (box.dim,), "constant comparator point"))
-        return np.tile(u, (cfg["T"], 1))
+        return np.tile(box.origin() if point == "origin" else box.project(point), (cfg["T"], 1))
     if kind == "piecewise":
-        if "path_budget" not in spec:
-            raise ConfigError('piecewise comparators need a "path_budget"')
         return env_mod.make_path_budget_comparators(
-            box, cfg["T"], _nonnegative_real(spec["path_budget"], "path_budget"), comp_seed)
-    if kind == "list":
-        if "points" not in spec:
-            raise ConfigError('list comparators need "points"')
-        pts = _finite_array(spec["points"], (cfg["T"], box.dim), "comparator list points")
-        if not all(box.contains(p) for p in pts):
-            raise ConfigError("comparator list points must lie in the feasible box")
-        return pts
-    raise ConfigError(f"unknown comparator kind: {kind!r}")
+            box, cfg["T"], float(spec["path_budget"]), comp_seed)
+    return np.asarray(spec["points"], dtype=np.float64)  # list
 
 
 def _build_learner(cfg: dict, box: Box, sum_m: int):
@@ -248,40 +258,35 @@ def _build_learner(cfg: dict, box: Box, sum_m: int):
     name = spec["name"]
     D, G, T = cfg["D"], cfg["G"], cfg["T"]
     if name in ("ogd", "dogd"):
-        eta = spec.get("eta", "paper")
-        eta = _positive_real(learn_mod.corollary_lr(D, G, sum_m), "the paper rate") \
-            if eta == "paper" else _positive_real(eta, "learner.eta")
+        source = spec.get("eta", "paper")
+        eta = _real(learn_mod.corollary_lr(D, G, sum_m), "the paper rate") \
+            if source == "paper" else float(source)
         # "ogd" names the same learner: under unit delays DelayedOGD is plain OGD
-        return (learn_mod.DelayedOGD(box, eta),
-                {"eta": eta, "eta_source": spec.get("eta", "paper")})
+        return learn_mod.DelayedOGD(box, eta), {"eta": eta, "eta_source": source}
     if name == "mild":
-        etas = spec.get("etas", "paper")
-        alpha = spec.get("alpha", "paper")
-        etas = _positive_reals(learn_mod.mild_lr_grid(D, G, sum_m, T), "the paper rates") \
-            if etas == "paper" else _positive_reals(etas, "learner.etas")
-        alpha = _positive_real(learn_mod.hedge_alpha(D, G, sum_m), "the paper alpha") \
-            if alpha == "paper" else _positive_real(alpha, "learner.alpha")
+        etas, alpha = spec.get("etas", "paper"), spec.get("alpha", "paper")
+        etas = _reals(learn_mod.mild_lr_grid(D, G, sum_m, T), "the paper rates") \
+            if etas == "paper" else np.asarray(etas, dtype=np.float64)
+        alpha = _real(learn_mod.hedge_alpha(D, G, sum_m), "the paper alpha") \
+            if alpha == "paper" else float(alpha)
         return (learn_mod.MildOGD(box, etas, alpha),
-                {"expert_rates": [float(e) for e in etas], "alpha": alpha})
+                {"expert_rates": etas.tolist(), "alpha": alpha})
     # the paper rates leave the float range for D or G near its limits; an
     # epoch v opens only once its budget 2^(v-1) is below sum_m and the epoch
     # rates fall with v, so checking the first and the last epoch covers all
     for v in (1, sum_m.bit_length()):
         if name == "dogd_dt":
-            _positive_real(learn_mod.dogd_dt_lr(D, G, v), f"the paper epoch-{v} rate")
+            _real(learn_mod.dogd_dt_lr(D, G, v), f"the paper epoch-{v} rate")
         elif name == "mild_dt":
             alpha_v, rates = learn_mod.mild_dt_params(D, G, T, v)
-            _positive_reals(rates, f"the paper epoch-{v} rates")
-            _positive_real(alpha_v, f"the paper epoch-{v} alpha")
+            _reals(rates, f"the paper epoch-{v} rates")
+            _real(alpha_v, f"the paper epoch-{v} alpha")
     if name == "dogd_dt":
         return learn_mod.DogdDoublingTrick(box, D, G), {}
-    if name == "mild_dt":
-        return learn_mod.MildOgdDoublingTrick(box, D, G, T), {}
-    raise ConfigError(f"unknown learner: {name!r}")
+    return learn_mod.MildOgdDoublingTrick(box, D, G, T), {}
 
 
-def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedule, box: Box,
-             flush: bool = True, collect_weight_sums: bool = False):
+def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedule, box: Box):
     """Drive one learner through the delayed-feedback protocol.
 
     Per round: play, query the gradient ``losses.gradient(t, x)`` at the
@@ -292,10 +297,10 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
     Queried gradients are kept in one (T, n) array laid out in delivery
     order, so each round's arrivals are a contiguous slice.  The learners
     step on bare clamps, so after the last round the run checks once that
-    every decision and gradient was finite, and raises ValueError if not.  With ``flush`` the plan's rounds
-    past the horizon are delivered too (plays suppressed), which completes
-    the consumption log for diagnostics; reported losses never include flush
-    rounds.
+    every decision and gradient was finite, and raises ValueError if not.
+    The plan's rounds past the horizon are delivered too (plays suppressed),
+    completing the consumption log; reported losses never include them.  A
+    learner with ``weights`` has their sum recorded after every round.
     """
     T = schedule.horizon
     stamps, rounds, offsets = schedule.stamps, schedule.rounds, schedule.offsets
@@ -304,7 +309,7 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
         slot[k - 1] = i
     grads = np.empty((T, box.dim))
     decisions = np.empty((T, box.dim))
-    weight_sums = np.empty(T) if collect_weight_sums else None
+    weight_sums = np.empty(T) if hasattr(learner, "weights") else None
     weights = None  # the weights last summed; the learners rebind them on every update
     j = 0  # next entry of the plan
     for t in range(1, T + 1):
@@ -315,19 +320,18 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
             lo, hi = offsets[j], offsets[j + 1]
             learner.ingest(t, stamps[lo:hi], grads[lo:hi])
             j += 1
-        if collect_weight_sums:
+        if weight_sums is not None:
             if learner.weights is not weights:
                 weights = learner.weights
                 weight_sum = weights.sum()
             weight_sums[t - 1] = weight_sum
     if not (np.isfinite(decisions).all() and np.isfinite(grads).all()):
         raise ValueError("the run played a non-finite decision or queried a non-finite gradient")
-    if flush:
-        for j in range(j, len(rounds)):
-            lo, hi = offsets[j], offsets[j + 1]
-            learner.ingest(rounds[j], stamps[lo:hi], grads[lo:hi])
-        if sorted(stamps) != list(range(1, T + 1)):
-            raise AssertionError("the arrival plan did not deliver each timestamp exactly once")
+    for j in range(j, len(rounds)):
+        lo, hi = offsets[j], offsets[j + 1]
+        learner.ingest(rounds[j], stamps[lo:hi], grads[lo:hi])
+    if sorted(stamps) != list(range(1, T + 1)):
+        raise AssertionError("the arrival plan did not deliver each timestamp exactly once")
     c_log = getattr(learner, "c_log", None)
     if c_log is not None:
         c_log = tuple(c_log) if sorted(c_log) == list(range(1, T + 1)) else None
@@ -382,8 +386,7 @@ def _run(cfg: dict, run_seed: int, inputs: _Inputs) -> tuple[RunTrace, dict]:
     learner, resolved = _build_learner(cfg, box, sum_m)
 
     name = cfg["learner"]["name"]
-    trace = simulate(learner, losses, schedule, box,
-                     collect_weight_sums=name in ("mild", "mild_dt"))
+    trace = simulate(learner, losses, schedule, box)
 
     D, G, T = cfg["D"], cfg["G"], cfg["T"]
     S = schedule.total_delay
@@ -484,10 +487,9 @@ def sweep(config: dict, grid: dict) -> list[dict]:
     is the summary ``run_many`` gives for its cell, less the config.
     """
     cfg = normalize_config(config)
-    if not isinstance(grid, dict) or not all(isinstance(v, (list, tuple)) for v in grid.values()):
-        raise ConfigError(f"sweep grid must map keys to lists of values, got {grid!r}")
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise ConfigError("sweep grid must be nonempty")
+    if not (isinstance(grid, dict) and grid
+            and all(isinstance(v, (list, tuple)) and v for v in grid.values())):
+        raise ConfigError(f"sweep grid must map keys to nonempty lists of values, got {grid!r}")
     keys = sorted(grid)
     rows = []
     cache: dict = {}
@@ -521,7 +523,7 @@ def lowerbound_report(T: int, d: int, D: float, G: float, n: int,
         raise ConfigError("trials must be >= 1")
     config = {
         "T": T, "n": n, "D": D, "G": G,
-        "learner": learner_spec or {"name": "dogd", "eta": "paper"},
+        "learner": learner_spec or _DEFAULTS["learner"],
         "delay": {"kind": "blocks", "d": d},
         "environment": {"kind": "lowerbound"},
         "comparators": {"kind": "best_fixed"},
@@ -583,19 +585,6 @@ def trace_to_csv(trace: RunTrace) -> str:
     return out.getvalue()
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
-
-
 def to_json(payload) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    # NumPy scalars and arrays render as their Python values; NumPy floats are floats already
+    return json.dumps(payload, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"

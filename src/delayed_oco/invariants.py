@@ -163,7 +163,7 @@ def _mild_run(rng, T: int, corrupt: bool = False):
             ingest(t, stamps, grads)
             mild.log_w = mild.log_w + 0.05
         mild.ingest = corrupted_ingest
-    return simulate(mild, losses, schedule, box, collect_weight_sums=True), losses.queries
+    return simulate(mild, losses, schedule, box), losses.queries
 
 
 def hedge_weight_simplex(rng, T: int, corrupt: bool = False):

@@ -1,7 +1,11 @@
+import contextlib
+import copy
 import io
 import itertools
 import json
 import math
+import pathlib
+import tempfile
 import time
 
 import numpy as np
@@ -558,6 +562,16 @@ def _lowerbound(**delay):
     _lowerbound(d=10**30),
     _gradients([[1e308, 1e308]] * 3),  # the norms overflow to inf
     _gradients([[0.0, 1.0], [2.0, 0.0], [0.0, 1.0]]),  # a gradient of norm 2 G
+    _learner("mild", eta=0.5),  # mild takes etas and alpha, not eta
+    {"delay": {"kind": "constant", "value": 3, "extra": 1}},
+    _comparators("auto", extra=1),
+    _drift(stpe=0.1),
+    {"T": True},
+    {"D": True},
+    _learner("dogd", eta=True),
+    {"delay": {"kind": "constant", "value": True}},
+    {"T": 10**12},  # 8 T n (N + 4) bytes exceed physical memory
+    {"T": 10**12, **_lowerbound(d=1)},
 ], ids=["negative-step", "text-step", "nan-step", "unknown-loss", "nan-gradient",
         "narrow-gradients", "short-gradients", "string-gradients", "text-gradients",
         "missing-budget", "negative-budget", "infinite-budget",
@@ -574,11 +588,147 @@ def _lowerbound(**delay):
         "fractional-repetitions", "huge-D", "min-D", "tiny-D", "tiny-D-mild", "huge-G",
         "tiny-G", "huge-G-linear", "huge-G-mild", "huge-G-dogd_dt", "huge-G-mild_dt",
         "huge-delay", "arrival-past-2^63", "huge-listed-delay", "huge-lowerbound-d",
-        "overflowing-gradients", "gradients-above-G"])
+        "overflowing-gradients", "gradients-above-G", "mild-eta", "delay-extra",
+        "auto-comparators-extra", "drift-stpe", "bool-T", "bool-D", "bool-eta",
+        "bool-delay-value", "memory-drift", "memory-lowerbound"])
 def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrides):
     cfg = base_config(**{"T": 3, **overrides})
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("learner", _LEARNER_NAMES)
+@pytest.mark.parametrize("setting", [{"delay": {"kind": "permuted"}}, _lowerbound(d=4)],
+                         ids=["drift-permuted", "lowerbound"])
+def test_echoed_config_replays_bitwise(learner, setting):
+    trace, summary = run_experiment(base_config(learner={"name": learner}, **setting))
+    echo = json.loads(harness.to_json(summary))["config"]
+    replay, _ = run_experiment(echo)
+    assert replay.decisions.tobytes() == trace.decisions.tobytes()
+
+
+_RATE = st.just("paper") | st.floats(0.01, 2.0)
+_POSITIVES = st.lists(st.floats(0.01, 2.0), min_size=1, max_size=4)
+
+
+def _rows(T, n):
+    return st.lists(st.lists(st.floats(-0.3, 0.3), min_size=n, max_size=n), min_size=T,
+                    max_size=T)
+
+
+def _delays(T, n):
+    return st.lists(st.integers(1, 5), min_size=T, max_size=T)
+
+
+# one strategy per (section, kind, field) of harness._SPEC, given T and n; every value
+# is valid for D = 2 and G = 1 (the defaults) and n <= 3
+_FIELD_VALUES = {
+    ("learner", "ogd", "eta"): lambda T, n: _RATE,
+    ("learner", "dogd", "eta"): lambda T, n: _RATE,
+    ("learner", "mild", "etas"): lambda T, n: st.just("paper") | _POSITIVES,
+    ("learner", "mild", "alpha"): lambda T, n: _RATE,
+    ("learner", "mild", "expert_rates"): lambda T, n: _POSITIVES,
+    ("delay", "constant", "value"): lambda T, n: st.integers(1, 5),
+    ("delay", "uniform", "lo"): lambda T, n: st.integers(1, 2),
+    ("delay", "uniform", "hi"): lambda T, n: st.integers(2, 5),
+    ("delay", "blocks", "d"): lambda T, n: st.integers(1, 5),
+    ("delay", "in_order_random", "d_max"): lambda T, n: st.integers(1, 5),
+    ("delay", "list", "values"): _delays,
+    **{("delay", kind, "resolved_values"): _delays
+       for kind in ("constant", "uniform", "blocks", "permuted", "in_order_random", "list")},
+    ("environment", "drift", "step"): lambda T, n: st.floats(0.0, 0.5),
+    ("environment", "drift", "loss"): lambda T, n: st.sampled_from(["quadratic", "linear"]),
+    ("environment", "linear_list", "gradients"): _rows,
+    ("comparators", "constant", "point"):
+        lambda T, n: st.just("origin") | st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+    ("comparators", "piecewise", "path_budget"): lambda T, n: st.floats(0.0, 3.0),
+    ("comparators", "list", "points"): _rows,
+}
+
+
+def _spec_fields(section, kind):
+    """The required and the optional field names of one kind in harness._SPEC."""
+    required, optional = harness._SPEC[section][1][kind]
+    return list(required), list(optional)
+
+
+def _spec_kinds():
+    return [(section, kind) for section, (_, kinds) in harness._SPEC.items() for kind in kinds]
+
+
+def test_spec_strategies_cover_every_field():
+    assert set(_FIELD_VALUES) == {(section, kind, field) for section, kind in _spec_kinds()
+                                  for fields in _spec_fields(section, kind) for field in fields}
+
+
+@st.composite
+def spec_cases(draw):
+    """A valid config drawn from harness._SPEC with one (section, kind) pinned, and
+    one mutation of that section: a dropped required field, an unknown field, or a
+    field set to a bool, NaN, text or a negative number."""
+    T, n = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    kinds = {section: list(k) for section, (_, k) in harness._SPEC.items()}
+    pinned = draw(st.sampled_from(_spec_kinds()))
+
+    def pick(section, allowed):
+        return pinned[1] if pinned[0] == section else draw(st.sampled_from(allowed))
+
+    # the cross-section rules: lowerbound owns blocks delays, targets need drift
+    env = pick("environment", [
+        k for k in kinds["environment"]
+        if (k != "lowerbound" or pinned[0] != "delay" or pinned[1] == "blocks")
+        and (k == "drift" or pinned != ("comparators", "targets"))])
+    chosen = {"environment": env, "learner": pick("learner", kinds["learner"]),
+              "delay": pick("delay", ["blocks"] if env == "lowerbound" else kinds["delay"]),
+              "comparators": pick("comparators", [k for k in kinds["comparators"]
+                                                  if k != "targets" or env == "drift"])}
+    cfg = {"T": T, "n": n, "seed": draw(st.integers(0, 50))}
+    for section, kind in chosen.items():
+        required, optional = _spec_fields(section, kind)
+        body = {harness._SPEC[section][0]: kind}
+        for field in required + [f for f in optional if draw(st.booleans())]:
+            body[field] = draw(_FIELD_VALUES[section, kind, field](T, n))
+        cfg[section] = body
+    required, optional = _spec_fields(*pinned)
+    mutations = [("drop", f, None) for f in required] + [("set", "extra", 1)] + [
+        ("set", f, v) for f in required + optional for v in (True, math.nan, "fast", -1)]
+    return cfg, pinned[0], draw(st.sampled_from(mutations))
+
+
+def _cli_run(cfg, out):
+    """Exit code, stderr and output bytes of ``delayed-oco run --strict`` on ``cfg``."""
+    path = pathlib.Path(out) / "config.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", "--config", str(path), "--out", out, "--strict"])
+    files = {name: (pathlib.Path(out) / name).read_bytes() for name in ("summary.json", "trace.csv")
+             if (pathlib.Path(out) / name).exists()}
+    return code, err.getvalue(), files
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec_cases())
+def test_spec_configs_run_deterministically_and_each_mutation_exits_2(case):
+    cfg, section, (how, field, value) = case
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        first = _cli_run(cfg, a)
+        assert first[0] in (0, 3) and len(first[2]) == 2
+        assert _cli_run(cfg, b) == first
+        mutated = copy.deepcopy(cfg)
+        if how == "drop":
+            del mutated[section][field]
+        else:
+            mutated[section][field] = value
+        code, err, _ = _cli_run(mutated, a)
+    assert code == 2 and err.startswith("config error:") and "Traceback" not in err
+
+
+def test_readme_names_every_kind_and_field_of_the_spec():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    required, optional = zip(*(_spec_fields(*pair) for pair in _spec_kinds()))
+    names = {kind for _, kind in _spec_kinds()}.union(*required, *optional)
+    assert sorted(name for name in names if f"`{name}`" not in readme) == []
 
 
 def test_cli_lowerbound_rejects_a_bad_block_length(tmp_path, capsys):

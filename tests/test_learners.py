@@ -422,7 +422,7 @@ def test_pool_weight_sums_near_one_every_round():
     sched = uniform_schedule(T, 1, 9, 13)
     pool = MildOGD(box, mild_lr_grid(2.0, 1.0, sched.sum_backlog, T),
                    hedge_alpha(2.0, 1.0, sched.sum_backlog))
-    trace = simulate(pool, losses, sched, box, collect_weight_sums=True)
+    trace = simulate(pool, losses, sched, box)
     assert float(np.abs(trace.weight_sums - 1.0).max()) <= 1e-9
 
 
@@ -545,7 +545,7 @@ def test_mild_dt_reinitializes_weights_on_restart():
     losses, _ = make_drift_environment(box, T, 0.3, "linear", 14, 1.0)
     sched = uniform_schedule(T, 1, 6, 15)
     learner = MildOgdDoublingTrick(box, 2.0, 1.0, T)
-    trace = simulate(learner, losses, sched, box, collect_weight_sums=True)
+    trace = simulate(learner, losses, sched, box)
     assert len(learner.epoch_starts) > 1
     assert float(np.abs(trace.weight_sums - 1.0).max()) <= 1e-9
 
