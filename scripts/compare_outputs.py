@@ -28,7 +28,9 @@ OUTPUTS = ("decisions", "trace.csv", "summary.json")
 def comparison_set():
     """Five learners x six delay kinds x quadratic/linear drift at step 0.02
     and 1 x n in {1, 3, 10} x seeds 0-1 at T = 300, lowerbound runs, one
-    ``linear_list`` run, and the benchmark's ``cli_run`` config at seeds 0-2."""
+    ``linear_list`` run, the benchmark's ``cli_run`` config at seeds 0-2, and
+    five learners at D = 3 and G in {1.5, 0.3}, which are not powers of two, so
+    that a change in how a rate formula rounds shows."""
     base = {"T": T, "D": 2.0, "G": 1.0}
     for learner, (kind, spec), loss, step, n, seed in itertools.product(
             ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), DELAYS.items(),
@@ -51,6 +53,13 @@ def comparison_set():
                 "learner": {"name": "dogd_dt"}, "delay": {"kind": "permuted"},
                 "environment": {"kind": "drift", "step": 0.02, "loss": "linear"},
                 "comparators": {"kind": "piecewise", "path_budget": 4}})
+    for learner, G, kind, n, seed in itertools.product(
+            ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), (1.5, 0.3), ("uniform", "permuted"),
+            (1, 3), (0, 1)):
+        yield (f"{learner}/D3-G{G}/{kind}/n{n}/s{seed}",
+               {**base, "D": 3.0, "G": G, "n": n, "seed": seed, "learner": {"name": learner},
+                "delay": {"kind": kind, **DELAYS[kind]},
+                "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}})
 
 
 def worker() -> None:

@@ -26,14 +26,11 @@ from .learners import (
     EpochController,
     MildOGD,
     MildOgdDoublingTrick,
-    OnlineLearner,
     corollary_lr,
     delayed_hedge_update,
-    dogd_dt_lr,
     expert_count,
     hedge_alpha,
     init_weights,
-    mild_dt_params,
     mild_lr_grid,
 )
 from .environments import (

@@ -59,10 +59,22 @@ def _real(value, what: str, positive: bool = True) -> float:
     return v
 
 
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is a bool or a list holding one; ``np.asarray`` reads it as 0 or 1."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, tuple)):
+            stack.extend(v)
+        elif isinstance(v, (bool, np.bool_)):
+            return True
+    return False
+
+
 def _reals(value, what: str) -> np.ndarray:
-    """A nonempty flat list of finite numbers > 0, as a float64 array."""
+    """A nonempty flat list of finite numbers > 0, as a float64 array; bools are refused."""
     try:
-        a = np.asarray(value, dtype=np.float64)
+        a = np.empty(0) if _holds_bool(value) else np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         a = np.empty(0)
     if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0)):
@@ -72,9 +84,9 @@ def _reals(value, what: str) -> np.ndarray:
 
 
 def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """``value`` as a float64 array of ``shape`` holding finite numbers only."""
+    """``value`` as a float64 array of ``shape`` holding finite numbers only, no bools."""
     try:
-        a = np.asarray(value)
+        a = np.empty(0) if _holds_bool(value) else np.asarray(value)
     except ValueError:  # ragged rows
         a = np.empty(0)
     if a.dtype.kind not in "iuf" or a.shape != shape or not np.all(np.isfinite(a)):
@@ -200,14 +212,14 @@ def _child_seeds(seed: int, k: int) -> list[int]:
 
 
 def _build_environment(cfg: dict, box: Box, run_seed: int):
-    """Return (losses, drift_targets_or_None, instance_or_None, fingerprint)."""
-    sched_seed, env_seed, _ = _child_seeds(run_seed, 3)
+    """Return (losses, drift_targets_or_None, fingerprint)."""
+    _, env_seed, _ = _child_seeds(run_seed, 3)
     env = cfg["environment"]
     if env["kind"] == "lowerbound":
         inst = env_mod.make_lowerbound_instance(
             cfg["T"], cfg["delay"]["d"], cfg["D"], cfg["G"], cfg["n"], env_seed)
         fp = hashlib.sha256(inst.signs.tobytes()).hexdigest()[:16]
-        return inst.losses(), None, inst, fp
+        return inst.losses(), None, fp
     if env["kind"] == "drift":
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -219,14 +231,12 @@ def _build_environment(cfg: dict, box: Box, run_seed: int):
                 from None
         targets.setflags(write=False)
         fp = hashlib.sha256(targets.tobytes()).hexdigest()[:16]
-        return losses, targets, None, fp
+        return losses, targets, fp
     grads = np.asarray(env["gradients"], dtype=np.float64)  # linear_list
-    return Linear(grads), None, None, hashlib.sha256(grads.tobytes()).hexdigest()[:16]
+    return Linear(grads), None, hashlib.sha256(grads.tobytes()).hexdigest()[:16]
 
 
-def _build_schedule(cfg: dict, instance, run_seed: int) -> DelaySchedule:
-    if instance is not None:
-        return instance.schedule
+def _build_schedule(cfg: dict, run_seed: int) -> DelaySchedule:
     sched_seed, _, _ = _child_seeds(run_seed, 3)
     try:
         return delay_mod.make_schedule(cfg["delay"], cfg["T"], sched_seed)
@@ -257,33 +267,29 @@ def _build_learner(cfg: dict, box: Box, sum_m: int):
     spec = cfg["learner"]
     name = spec["name"]
     D, G, T = cfg["D"], cfg["G"], cfg["T"]
-    if name in ("ogd", "dogd"):
-        source = spec.get("eta", "paper")
-        eta = _real(learn_mod.corollary_lr(D, G, sum_m), "the paper rate") \
-            if source == "paper" else float(source)
-        # "ogd" names the same learner: under unit delays DelayedOGD is plain OGD
-        return learn_mod.DelayedOGD(box, eta), {"eta": eta, "eta_source": source}
-    if name == "mild":
-        etas, alpha = spec.get("etas", "paper"), spec.get("alpha", "paper")
-        etas = _reals(learn_mod.mild_lr_grid(D, G, sum_m, T), "the paper rates") \
-            if etas == "paper" else np.asarray(etas, dtype=np.float64)
-        alpha = _real(learn_mod.hedge_alpha(D, G, sum_m), "the paper alpha") \
-            if alpha == "paper" else float(alpha)
-        return (learn_mod.MildOGD(box, etas, alpha),
-                {"expert_rates": etas.tolist(), "alpha": alpha})
-    # the paper rates leave the float range for D or G near its limits; an
-    # epoch v opens only once its budget 2^(v-1) is below sum_m and the epoch
-    # rates fall with v, so checking the first and the last epoch covers all
-    for v in (1, sum_m.bit_length()):
+    try:  # the learners refuse the rates the paper formulas give near the float limits
+        if name in ("ogd", "dogd"):
+            source = spec.get("eta", "paper")
+            eta = learn_mod.corollary_lr(D, G, sum_m) if source == "paper" else float(source)
+            # "ogd" names the same learner: under unit delays DelayedOGD is plain OGD
+            return learn_mod.DelayedOGD(box, eta), {"eta": eta, "eta_source": source}
+        if name == "mild":
+            etas, alpha = spec.get("etas", "paper"), spec.get("alpha", "paper")
+            etas = np.asarray(learn_mod.mild_lr_grid(D, G, sum_m, T) if etas == "paper"
+                              else etas, dtype=np.float64)
+            alpha = learn_mod.hedge_alpha(D, G, sum_m) if alpha == "paper" else float(alpha)
+            return (learn_mod.MildOGD(box, etas, alpha),
+                    {"expert_rates": etas.tolist(), "alpha": alpha})
         if name == "dogd_dt":
-            _real(learn_mod.dogd_dt_lr(D, G, v), f"the paper epoch-{v} rate")
-        elif name == "mild_dt":
-            alpha_v, rates = learn_mod.mild_dt_params(D, G, T, v)
-            _reals(rates, f"the paper epoch-{v} rates")
-            _real(alpha_v, f"the paper epoch-{v} alpha")
-    if name == "dogd_dt":
-        return learn_mod.DogdDoublingTrick(box, D, G), {}
-    return learn_mod.MildOgdDoublingTrick(box, D, G, T), {}
+            learner = learn_mod.DogdDoublingTrick(box, D, G)
+        else:
+            learner = learn_mod.MildOgdDoublingTrick(box, D, G, T)
+        # the constructor built epoch 1; an epoch v opens only once its budget
+        # 2^(v-1) is below sum_m and the rates fall with v, so the last is the other end
+        learner.make(2 ** sum_m.bit_length())
+        return learner, {}
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"the {name} rates for D = {D!r}, G = {G!r}: {exc}") from None
 
 
 def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedule, box: Box):
@@ -367,11 +373,11 @@ def _build_inputs(cfg: dict, run_seed: int, cache: dict | None = None,
         return cache[key]
 
     box = Box.from_diameter(cfg["n"], cfg["D"])
-    # a lowerbound instance owns its block schedule, so its environment reads d
+    # a lowerbound environment draws one sign vector per block of d rounds, so it reads d
     env_reads = ("T", "d") if cfg["environment"].get("kind") == "lowerbound" else ("T",)
-    losses, targets, instance, env_fp = shared(
+    losses, targets, env_fp = shared(
         "environment", env_reads, lambda: _build_environment(cfg, box, run_seed))
-    schedule = shared("plan", ("T", "d"), lambda: _build_schedule(cfg, instance, run_seed))
+    schedule = shared("plan", ("T", "d"), lambda: _build_schedule(cfg, run_seed))
     comparators = shared("comparators", env_reads + ("P",),
                          lambda: _build_comparators(cfg, box, losses, targets, run_seed))
     comparators.setflags(write=False)

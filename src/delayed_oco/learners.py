@@ -20,10 +20,12 @@ Four algorithms are provided:
   so the whole ensemble costs exactly one gradient query per round.
 * ``DogdDoublingTrick`` / ``MildOgdDoublingTrick`` - restart-based variants
   that track the backlog statistic online and need no horizon quantities.
+  Epoch v runs a fresh ``DelayedOGD`` / ``MildOGD`` tuned by the fixed-horizon
+  formulas with the budget 2^v in place of the backlog sum.
 
 Rate helpers (``corollary_lr``, ``mild_lr_grid``, ``hedge_alpha``,
-``init_weights``, ``dogd_dt_lr``, ``mild_dt_params``) compute the
-formula-derived parameters each algorithm's guarantee asks for.
+``init_weights``) compute the formula-derived parameters each algorithm's
+guarantee asks for; the learners refuse rates that are not positive and finite.
 """
 
 from __future__ import annotations
@@ -36,25 +38,14 @@ import numpy as np
 from .geometry import Box
 
 
-class OnlineLearner:
-    """Uniform protocol: play a decision, then ingest whatever feedback arrived."""
-
-    def play(self, t: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
-        raise NotImplementedError
-
-
-class DelayedOGD(OnlineLearner):
+class DelayedOGD:
     """Delayed projected gradient descent.
 
     Keeps a single iterate y and performs one projected step per delivered
     gradient, traversing each round's arrivals in ascending timestamp order
     (the ascending order is load-bearing: it is what makes the consumption
     order equal the query order whenever delays preserve arrival order).
-    ``tau`` counts generated decisions; ``c_log[i]`` is the timestamp of the
-    (i+1)-th consumed gradient.
+    ``c_log[i]`` is the timestamp of the (i+1)-th consumed gradient.
 
     ``eta`` is a positive finite scalar or an (N, 1) column of such rates.
     With a column, y is an (N, n) stack whose row i steps at rate ``eta[i]``
@@ -79,7 +70,6 @@ class DelayedOGD(OnlineLearner):
         else:
             self.eta = rates
             self.y = np.zeros((rates.shape[0], box.dim))
-        self.tau = 1
         self.c_log: list[int] = []
 
     def play(self, t: int) -> np.ndarray:
@@ -93,7 +83,6 @@ class DelayedOGD(OnlineLearner):
         h = self.box.half_width
         for g in grads:
             self.y = (self.y - self.eta * g).clip(-h, h)
-        self.tau += len(stamps)
         self.c_log.extend(stamps)
 
 
@@ -139,27 +128,6 @@ def init_weights(N: int) -> np.ndarray:
     return (N + 1) / (i * (i + 1) * N)
 
 
-def dogd_dt_lr(D: float, G: float, v: int) -> float:
-    """Epoch-v restart rate eta_v = D / (G * 2^(v/2))."""
-    if v < 1:
-        raise ValueError("epoch index starts at 1")
-    return D / (G * 2.0 ** (v / 2.0))
-
-
-def mild_dt_params(D: float, G: float, T: int, v: int) -> tuple[float, np.ndarray]:
-    """Epoch-v aggregation parameters for the restarting expert pool.
-
-    Returns (alpha_v, rate grid), where alpha_v = 1/(G*D*2^(v/2)) and the
-    grid holds the constants eta_i = D*2^(i-1)/G scaled by 2^(-v/2), i.e.
-    the epoch estimate 2^v replaces the backlog sum in the fixed-horizon
-    formulas.
-    """
-    if v < 1:
-        raise ValueError("epoch index starts at 1")
-    consts = (D / G) * np.exp2(np.arange(expert_count(T)))
-    return 1.0 / (G * D * 2.0 ** (v / 2.0)), consts / 2.0 ** (v / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # Expert aggregation.
 # ---------------------------------------------------------------------------
@@ -177,7 +145,7 @@ def delayed_hedge_update(log_weights: np.ndarray, alpha: float,
     return lw - math.log(np.exp(lw).sum())
 
 
-class MildOGD(OnlineLearner):
+class MildOGD:
     """Delay-aware Hedge over a pool of delayed descents on surrogate losses.
 
     Round protocol (order matters):
@@ -201,14 +169,12 @@ class MildOGD(OnlineLearner):
 
     def __init__(self, box: Box, expert_rates, alpha: float):
         rates = np.sort(np.asarray(expert_rates, dtype=np.float64))
-        if rates.ndim != 1 or rates.size < 1 or not np.all(np.isfinite(rates) & (rates > 0)):
-            raise ValueError("expert rates must be positive and finite")
         if not (math.isfinite(alpha) and alpha > 0):
             raise ValueError("alpha must be positive and finite")
         self.box = box
         self.alpha = alpha
         self.expert_rates = rates
-        self.pool = DelayedOGD(box, rates[:, None])
+        self.pool = DelayedOGD(box, rates[:, None])  # which checks the rates
         self.log_w = np.log(init_weights(rates.size))
         # the last mix: the pool.y and weights it read (held, so `is` stays
         # sound), the meta decision x and the expert spreads xs - x
@@ -302,25 +268,20 @@ class EpochController:
         """Record epoch-local arrivals delivered at the end of the current round."""
         self._arrived += count
 
-    @property
-    def budget_used(self) -> int:
-        return self._B
 
+class _RestartingLearner:
+    """Epoch bookkeeping + stale-feedback dropping; epoch v runs a fresh ``make(2^v)``,
+    where ``make(beta)`` builds the learner tuned for the backlog sum beta."""
 
-class _RestartingLearner(OnlineLearner):
-    """Shared plumbing: epoch bookkeeping + stale-feedback dropping."""
-
-    def __init__(self):
+    def __init__(self, make):
+        self.make = make
         self.ctrl = EpochController()
         self.dropped = 0
-        self.inner: OnlineLearner = None  # set by subclass
-
-    def _rebuild(self) -> None:
-        raise NotImplementedError
+        self.inner = make(2 ** self.ctrl.v)
 
     def play(self, t: int) -> np.ndarray:
         if self.ctrl.begin_round(t):
-            self._rebuild()
+            self.inner = self.make(2 ** self.ctrl.v)
         return self.inner.play(t)
 
     def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
@@ -337,7 +298,7 @@ class _RestartingLearner(OnlineLearner):
 
 
 class DogdDoublingTrick(_RestartingLearner):
-    """DelayedOGD with restarts: epoch v runs a fresh instance at rate eta_v.
+    """DelayedOGD with restarts: epoch v runs a fresh instance at corollary_lr(D, G, 2^v).
 
     Gradients queried before the current epoch are discarded on arrival
     (counted in ``dropped``), so each instance sees exactly the feedback the
@@ -345,14 +306,7 @@ class DogdDoublingTrick(_RestartingLearner):
     """
 
     def __init__(self, box: Box, D: float, G: float):
-        super().__init__()
-        self.box = box
-        self.D = D
-        self.G = G
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        self.inner = DelayedOGD(self.box, dogd_dt_lr(self.D, self.G, self.ctrl.v))
+        super().__init__(lambda beta: DelayedOGD(box, corollary_lr(D, G, beta)))
 
 
 class MildOgdDoublingTrick(_RestartingLearner):
@@ -367,16 +321,8 @@ class MildOgdDoublingTrick(_RestartingLearner):
     """
 
     def __init__(self, box: Box, D: float, G: float, T: int):
-        super().__init__()
-        self.box = box
-        self.D = D
-        self.G = G
-        self.T = T
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        alpha_v, rates = mild_dt_params(self.D, self.G, self.T, self.ctrl.v)
-        self.inner = MildOGD(self.box, rates, alpha_v)
+        super().__init__(lambda beta: MildOGD(box, mild_lr_grid(D, G, beta, T),
+                                              hedge_alpha(D, G, beta)))
 
     @property
     def weights(self) -> np.ndarray:

@@ -17,7 +17,6 @@ from delayed_oco import (Box, DelayedOGD, DelaySchedule, QuadraticTracking, cli,
                          constant_schedule, harness, invariants)
 from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many,
                                  simulate, sweep, trace_to_csv)
-from delayed_oco.learners import OnlineLearner
 from delayed_oco.metrics import RunTrace
 
 
@@ -200,7 +199,7 @@ def test_simulate_rejects_a_gradient_that_overflows():
 
 
 def test_simulate_rejects_a_non_finite_play():
-    class PlaysNaN(OnlineLearner):
+    class PlaysNaN:
         def play(self, t):
             return np.full(2, np.nan)
 
@@ -572,6 +571,13 @@ def _lowerbound(**delay):
     {"delay": {"kind": "constant", "value": True}},
     {"T": 10**12},  # 8 T n (N + 4) bytes exceed physical memory
     {"T": 10**12, **_lowerbound(d=1)},
+    {"D": 1e-200, "G": 1e-200, **_learner("mild")},  # G*D*sqrt(sum_m) underflows to 0
+    {"D": 1e-200, "G": 1e-200, **_learner("mild_dt")},
+    _learner("mild", etas=[True, 0.5]),  # np.asarray would read the bool as 1.0
+    _learner("mild", expert_rates=[0.5, True]),
+    _comparators("constant", point=[True, 0.0]),
+    _comparators("list", points=[[0.0, 0.0], [False, 0.0], [0.0, 0.0]]),
+    _gradients([[0.0, 1.0], [True, 0.0], [0.0, 1.0]]),
 ], ids=["negative-step", "text-step", "nan-step", "unknown-loss", "nan-gradient",
         "narrow-gradients", "short-gradients", "string-gradients", "text-gradients",
         "missing-budget", "negative-budget", "infinite-budget",
@@ -590,7 +596,9 @@ def _lowerbound(**delay):
         "huge-delay", "arrival-past-2^63", "huge-listed-delay", "huge-lowerbound-d",
         "overflowing-gradients", "gradients-above-G", "mild-eta", "delay-extra",
         "auto-comparators-extra", "drift-stpe", "bool-T", "bool-D", "bool-eta",
-        "bool-delay-value", "memory-drift", "memory-lowerbound"])
+        "bool-delay-value", "memory-drift", "memory-lowerbound", "tiny-DG-mild",
+        "tiny-DG-mild_dt", "bool-in-etas", "bool-in-expert_rates", "bool-in-point",
+        "bool-in-points", "bool-in-gradients"])
 def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrides):
     cfg = base_config(**{"T": 3, **overrides})
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2

@@ -19,12 +19,10 @@ from delayed_oco import (
     constant_schedule,
     corollary_lr,
     delayed_hedge_update,
-    dogd_dt_lr,
     expert_count,
     hedge_alpha,
     init_weights,
     make_drift_environment,
-    mild_dt_params,
     block_schedule,
     mild_lr_grid,
     permuted_schedule,
@@ -76,7 +74,7 @@ def test_rate_column_steps_each_row_like_a_scalar_rate():
     for i, single in enumerate(singles):
         single.ingest(2, stamps, grads)
         assert np.array_equal(pool.play(3)[i], single.play(3))
-    assert pool.c_log == [1, 2] and pool.tau == 3
+    assert pool.c_log == [1, 2]
 
 
 def test_invalid_rates_rejected():
@@ -157,7 +155,7 @@ def test_dogd_empty_ingest_is_noop():
     before = learner.play(1)
     learner.ingest(1, *feedback([]))
     assert np.array_equal(learner.play(2), before)
-    assert learner.tau == 1
+    assert learner.c_log == []
 
 
 def test_dogd_rejects_unsorted_items():
@@ -237,19 +235,6 @@ def test_init_weights_values():
     assert init_weights(3).sum() == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(init_weights(1), [1.0])
     assert np.allclose(init_weights(2), [3 / 4, 1 / 4])
-
-
-def test_dogd_dt_lr_values():
-    assert dogd_dt_lr(1.0, 1.0, 2) == pytest.approx(0.5)
-    assert dogd_dt_lr(math.sqrt(2.0), 1.0, 1) == pytest.approx(1.0)
-    assert dogd_dt_lr(1.0, 1.0, 5) == pytest.approx(2.0 * dogd_dt_lr(1.0, 1.0, 7))
-
-
-def test_mild_dt_params_values():
-    alpha, grid = mild_dt_params(1.0, 1.0, 15, 2)
-    assert alpha == pytest.approx(0.5)
-    assert len(grid) == 3
-    assert grid[0] == pytest.approx(0.5)  # eta_1 = D/G scaled by 2^{-v/2}
 
 
 def test_hedge_alpha():
@@ -487,7 +472,8 @@ def test_epoch_controller_ties_continue():
     ctrl.begin_round(1)   # B = 1
     ctrl.note_arrivals(1)
     assert ctrl.begin_round(2) is False  # B = 1 + 1 = 2 == 2^1
-    assert ctrl.budget_used == 2
+    ctrl.note_arrivals(1)
+    assert ctrl.begin_round(3) is True  # B = 2 + (3 - 2) = 3 > 2: B was 2, not less
 
 
 def brute_force_epoch_starts(schedule):
@@ -536,7 +522,34 @@ def test_restart_resets_rate_and_iterate():
     s = DelaySchedule((2, 1))
     losses = Linear(np.ones((2, 1)))
     simulate(learner, losses, s, box)
-    assert learner.inner.eta == pytest.approx(dogd_dt_lr(2.0, 1.0, 2))
+    assert learner.inner.eta == corollary_lr(2.0, 1.0, 2**2)
+
+
+def epoch_learners(learner, losses, schedule, box):
+    """Run a restarting learner; returns the inner learner of each epoch, in order."""
+    inners, make = [learner.inner], learner.make
+    learner.make = lambda beta: inners.append(make(beta)) or inners[-1]
+    simulate(learner, losses, schedule, box)
+    return inners
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.floats(0.01, 100.0), G=st.floats(0.01, 100.0), T=st.integers(1, 300),
+       d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(D=3.0, G=0.3, T=300, d=12, seed=0)
+@example(D=3.0, G=1.5, T=300, d=1, seed=1)
+def test_epoch_v_runs_the_fixed_horizon_rates_at_budget_2_to_the_v(D, G, T, d, seed):
+    box = Box(1, 1.0)
+    schedule, losses = uniform_schedule(T, 1, d, seed), zero_losses(T)
+    dogd = DogdDoublingTrick(box, D, G)
+    for v, inner in enumerate(epoch_learners(dogd, losses, schedule, box), 1):
+        assert inner.eta == corollary_lr(D, G, 2**v)
+    mild = MildOgdDoublingTrick(box, D, G, T)
+    inners = epoch_learners(mild, losses, schedule, box)
+    assert len(inners) == len(mild.epoch_starts) == len(dogd.epoch_starts)
+    for v, inner in enumerate(inners, 1):
+        assert inner.expert_rates.tobytes() == mild_lr_grid(D, G, 2**v, T).tobytes()
+        assert inner.alpha == hedge_alpha(D, G, 2**v)
 
 
 def test_mild_dt_reinitializes_weights_on_restart():
@@ -589,14 +602,16 @@ class ReferenceMild(MildOGD):
 
 
 class ReferenceMildDT(MildOgdDoublingTrick):
-    def _rebuild(self):
-        alpha_v, rates = mild_dt_params(self.D, self.G, self.T, self.ctrl.v)
-        self.inner = ReferenceMild(self.box, rates, alpha_v)
+    """The restarting pool over ReferenceMild epochs."""
+
+    def __init__(self, box, D, G, T):
+        learners._RestartingLearner.__init__(self, lambda beta: ReferenceMild(
+            box, mild_lr_grid(D, G, beta, T), hedge_alpha(D, G, beta)))
 
 
 def mild_history(learner, losses, schedule):
     """Per round: the decision, and the weights and log-weights after the round's ingest."""
-    grads = np.empty((schedule.horizon, learner.box.dim))
+    grads = np.empty((schedule.horizon, getattr(learner, "inner", learner).box.dim))
     history = []
     j = 0
     for t in range(1, schedule.horizon + 1):
