@@ -237,6 +237,21 @@ def test_init_weights_values():
     assert np.allclose(init_weights(2), [3 / 4, 1 / 4])
 
 
+def test_dogd_dt_lr_values():
+    def epoch_lr(D, G, v):
+        return DogdDoublingTrick(Box(1, 1.0), D, G).make(2**v).eta
+    assert epoch_lr(1.0, 1.0, 2) == pytest.approx(0.5)
+    assert epoch_lr(math.sqrt(2.0), 1.0, 1) == pytest.approx(1.0)
+    assert epoch_lr(1.0, 1.0, 5) == pytest.approx(2.0 * epoch_lr(1.0, 1.0, 7))
+
+
+def test_mild_dt_params_values():
+    inner = MildOgdDoublingTrick(Box(1, 1.0), 1.0, 1.0, 15).make(2**2)
+    assert inner.alpha == pytest.approx(0.5)
+    assert len(inner.expert_rates) == 3
+    assert inner.expert_rates[0] == pytest.approx(0.5)  # eta_1 = D/G scaled by 2^{-v/2}
+
+
 def test_hedge_alpha():
     assert hedge_alpha(2.0, 1.0, 4.0) == pytest.approx(0.25)
 
