@@ -1,10 +1,12 @@
-"""Running without the horizon: restarts driven by the backlog statistic.
+"""Running without the backlog sum: restarts driven by the backlog statistic.
 
 The tuned learning rates need sum_t m_t, which is only known once the whole
 delay schedule has played out.  The restart-based variants instead estimate
 that sum as 2^v, watch the epoch-local backlog accumulator B online, and open
 a fresh epoch (new instance, halved-scale rate) the moment B would exceed the
-estimate.  Every quantity involved is observable at the time it is needed.
+estimate.  Every quantity involved is observable at the time it is needed,
+except the horizon T that ``MildOgdDoublingTrick`` reads to size its expert
+grid.
 """
 
 from delayed_oco import (

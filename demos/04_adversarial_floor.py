@@ -12,15 +12,18 @@ Averaged over sign draws, any learner's static regret must sit above
 This script measures that for the tuned delayed-descent learner.
 """
 
-from delayed_oco import best_fixed_decision, bound_lemma3, make_lowerbound_instance
+from delayed_oco import Box, block_schedule, bound_lemma3, make_lowerbound_instance
+from delayed_oco.environments import block_bounds
 from delayed_oco.harness import lowerbound_report
+from delayed_oco.metrics import minimize_total_loss
 
-inst = make_lowerbound_instance(T=24, d=6, D=2.0, G=1.0, n=1, seed=0)
+T, d, D = 24, 6, 2.0
+signs, losses = make_lowerbound_instance(T=T, d=d, D=D, G=1.0, n=1, seed=0)
 print("a small instance, spelled out:")
-print(f"  blocks: {inst.blocks}")
-print(f"  delays: {inst.schedule.to_list()}")
-print(f"  per-block signs: {inst.signs.ravel().astype(int)}")
-x_star, total = best_fixed_decision(inst)
+print(f"  blocks: {block_bounds(T, d)}")
+print(f"  delays: {block_schedule(T, d).to_list()}")
+print(f"  per-block signs: {signs.ravel().astype(int)}")
+x_star, total, _ = minimize_total_loss(losses, Box.from_diameter(1, D))
 print(f"  best fixed decision {x_star} with total loss {total:.1f}")
 
 print("\nnow at measurement scale (T=1000, 200 sign draws):")

@@ -7,8 +7,10 @@ Each tree (a directory holding the ``delayed_oco`` package, such as a
 checkout's ``src``) runs ``comparison_set()`` in one subprocess, which hashes
 each run's decision bytes and the ``trace.csv`` and ``summary.json`` texts
 ``delayed-oco run`` would write (a refused run records its config error).
-The script prints, per output, how many runs are byte-identical, names the
-first that differ, and exits 1 on any difference.
+It also hashes the ``to_json`` text of each ``lowerbound_report`` in
+``report_set()``, the averaged static-regret path that single runs do not
+reach.  The script prints, per output, how many runs (and reports) are
+byte-identical, names the first that differ, and exits 1 on any difference.
 """
 
 import hashlib
@@ -62,6 +64,15 @@ def comparison_set():
                 "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}})
 
 
+def report_set():
+    """``lowerbound_report`` for dogd, mild and mild_dt x d in {1, 8} x n in {1, 3},
+    at T = 256 with 5 trials each."""
+    for learner, d, n in itertools.product(("dogd", "mild", "mild_dt"), (1, 8), (1, 3)):
+        yield (f"lowerbound_report/{learner}/d{d}/n{n}",
+               {"T": 256, "d": d, "D": 2.0, "G": 1.0, "n": n, "learner_spec": {"name": learner},
+                "trials": 5, "base_seed": 3})
+
+
 def worker() -> None:
     from delayed_oco import harness
 
@@ -77,7 +88,9 @@ def worker() -> None:
             continue
         result[name] = [digest(trace.decisions.tobytes()), digest(harness.trace_to_csv(trace)),
                         digest(harness.to_json({"runs": [summary]}))]
-    json.dump(result, sys.stdout)
+    reports = {name: digest(harness.to_json(harness.lowerbound_report(**kw)))
+               for name, kw in report_set()}
+    json.dump({"runs": result, "reports": reports}, sys.stdout)
 
 
 def main(parent: str, change: str) -> int:
@@ -88,10 +101,13 @@ def main(parent: str, change: str) -> int:
     if any(p.returncode for p in procs):
         sys.exit("a worker failed")
     old, new = map(json.loads, outs)
+    tables = [(what, "runs", {k: v[i] for k, v in old["runs"].items()},
+               {k: v[i] for k, v in new["runs"].items()}) for i, what in enumerate(OUTPUTS)]
+    tables.append(("lowerbound_report", "reports", old["reports"], new["reports"]))
     differ = False
-    for i, what in enumerate(OUTPUTS):
-        diff = [name for name in old if old[name][i] != new[name][i]]
-        print(f"{what}: {len(old) - len(diff)}/{len(old)} runs byte-identical")
+    for what, unit, before, after in tables:
+        diff = [name for name in before if before[name] != after[name]]
+        print(f"{what}: {len(before) - len(diff)}/{len(before)} {unit} byte-identical")
         for name in diff[:5]:
             print(f"  differs: {name}")
         differ |= bool(diff)

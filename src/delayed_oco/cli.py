@@ -26,7 +26,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # too deep to parse
         raise harness.ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise harness.ConfigError(f"config {path} must hold a JSON object")
@@ -146,17 +146,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="delayed-oco",
         description="Run online-learning experiments under delayed gradient feedback.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_trials in (("run", _cmd_run, False),
-                                   ("sweep", _cmd_sweep, False),
-                                   ("lowerbound", _cmd_lowerbound, True),
-                                   ("verify", _cmd_verify, False)):
+    for name, fn in (("run", _cmd_run), ("sweep", _cmd_sweep),
+                     ("lowerbound", _cmd_lowerbound), ("verify", _cmd_verify)):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
-        p.add_argument("--trials", type=int, default=200 if needs_trials else 1,
-                       help="independent adversarial draws (lowerbound)")
-        p.add_argument("--strict", action="store_true",
-                       help="fail (exit 3) if a measured regret exceeds its bound")
+        if name == "lowerbound":
+            p.add_argument("--trials", type=int, default=200,
+                           help="independent adversarial draws")
+        if name in ("run", "sweep"):
+            p.add_argument("--strict", action="store_true",
+                           help="fail (exit 3) if a measured regret exceeds its bound")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.set_defaults(fn=fn)

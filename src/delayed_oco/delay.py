@@ -27,7 +27,6 @@ sum_t m_t <= S <= d_max * T where S is the sum of all delays.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,23 +100,6 @@ class DelaySchedule:
         """Round at whose end the gradient queried at round t is delivered."""
         return t + self.delays[t - 1] - 1
 
-    def arrivals(self, t: int) -> list[int]:
-        """F_t, ascending; empty for rounds that receive no feedback."""
-        j = bisect_left(self.rounds, t)
-        if j == len(self.rounds) or self.rounds[j] != t:
-            return []
-        return self.stamps[self.offsets[j]:self.offsets[j + 1]]
-
-    def feedback_sets(self) -> list[list[int]]:
-        """F_1 .. F_{T+d_max-1}, each sorted ascending.
-
-        Every timestamp in [1, T] appears in exactly one set.
-        """
-        sets: list[list[int]] = [[] for _ in range(self.horizon + self.max_delay - 1)]
-        for j, r in enumerate(self.rounds):
-            sets[r - 1] = self.stamps[self.offsets[j]:self.offsets[j + 1]]
-        return sets
-
     def is_in_order(self) -> bool:
         """True iff arrival rounds are nondecreasing in the query round.
 
@@ -137,13 +119,6 @@ class DelaySchedule:
     @property
     def sum_backlog(self) -> int:
         return int(self.backlog().sum())
-
-    def epoch_feedback_set(self, epoch_start: int, t: int) -> list[int]:
-        """F_t restricted to timestamps >= epoch_start (stale feedback dropped)."""
-        if epoch_start > t:
-            raise ValueError("epoch_start must be <= t")
-        F = self.arrivals(t)
-        return F[bisect_left(F, epoch_start):]
 
     def to_list(self) -> list[int]:
         return list(self.delays)

@@ -12,21 +12,18 @@ The adversarial instance couples block-end delays with random-sign linear
 losses over a cube.  Within a block every round shares one loss
 h_z(x) = (G/sqrt(n)) * <w_z, x> whose signs w_z are drawn Rademacher, and all
 of the block's gradients arrive only at the block's last round, so no decision
-inside block z can depend on w_z.  The best fixed decision in hindsight has
-the closed form  x*_i = -h * sign(sum_z w_{z,i} * |T_z|)  with total loss
--h*(G/sqrt(n)) * sum_i |sum_z w_{z,i} * |T_z||  (a linear objective is
-minimized at a vertex of the cube).  Its losses are the ``Linear`` family
-with rows (G/sqrt(n)) * w_z, so every gradient has norm exactly G.
+inside block z can depend on w_z.  Its losses are the ``Linear`` family
+with rows (G/sqrt(n)) * w_z, so every gradient has norm exactly G, and the
+best fixed decision in hindsight is the one every ``Linear`` sum has, in
+``metrics.minimize_total_loss``: the cube vertex x*_i = -h * sign(sum_t g_{t,i}).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import DelaySchedule, block_schedule
 from .geometry import Box, as_decision
 from .losses import Linear, QuadraticTracking, quadratic_drift_scale
 
@@ -127,92 +124,20 @@ def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed: 
     return Linear(grads), targets
 
 
-@dataclass(frozen=True)
-class LowerBoundInstance:
-    """Adversarial block-delay instance over the cube [-D/(2 sqrt n), ...]^n.
-
-    ``signs[z-1]`` is the Rademacher vector of block z; block z covers rounds
-    {(z-1)d+1, ..., min(zd, T)} and all its gradients arrive at the block's
-    last round.
-    """
-
-    T: int
-    d: int
-    D: float
-    G: float
-    n: int
-    seed: int
-    signs: np.ndarray  # (Z, n), entries +-1
-
-    def __post_init__(self):
-        if min(self.T, self.d, self.n) < 1 or min(self.D, self.G) <= 0:
-            raise ValueError("T, d, n must be >= 1 and D, G positive")
-        Z = math.ceil(self.T / self.d)
-        s = np.asarray(self.signs, dtype=np.float64)
-        if s.shape != (Z, self.n) or not np.all(np.abs(s) == 1.0):
-            raise ValueError(f"signs must be a ({Z}, {self.n}) +-1 matrix")
-        object.__setattr__(self, "signs", s)
-
-    @property
-    def num_blocks(self) -> int:
-        return math.ceil(self.T / self.d)
-
-    @property
-    def box(self) -> Box:
-        return Box.from_diameter(self.n, self.D)
-
-    @property
-    def blocks(self) -> list[tuple[int, int]]:
-        return block_bounds(self.T, self.d)
-
-    @property
-    def block_sizes(self) -> np.ndarray:
-        return np.array([end - start + 1 for start, end in self.blocks])
-
-    @property
-    def schedule(self) -> DelaySchedule:
-        return block_schedule(self.T, self.d)
-
-    def losses(self) -> Linear:
-        """f_t(x) = (G/sqrt(n)) * <w_z, x> for the block z that contains round t."""
-        block = np.arange(self.T) // self.d
-        return Linear((self.G / math.sqrt(self.n)) * self.signs[block])
-
-    def to_dict(self) -> dict:
-        return {"T": self.T, "d": self.d, "D": self.D, "G": self.G, "n": self.n,
-                "seed": self.seed, "signs": self.signs.astype(int).tolist(),
-                "delays": self.schedule.to_list()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LowerBoundInstance":
-        return cls(T=data["T"], d=data["d"], D=data["D"], G=data["G"],
-                   n=data["n"], seed=data["seed"],
-                   signs=np.asarray(data["signs"], dtype=np.float64))
-
-
 def make_lowerbound_instance(T: int, d: int, D: float, G: float, n: int,
-                             seed: int) -> LowerBoundInstance:
-    """Draw the per-block sign vectors and assemble the instance.
+                             seed: int) -> tuple[np.ndarray, Linear]:
+    """The adversarial instance's sign matrix and losses: ``(signs, Linear)``.
 
-    Signs come from one bulk draw of a counter-based bit generator keyed on
-    the seed, laid out as a (blocks, coordinates) matrix, so the instance is
-    reproducible regardless of any later iteration order.
+    ``signs[z-1]`` is the Rademacher vector of block z, the z-th entry of
+    ``block_bounds(T, d)``, and every round of block z has the loss
+    (G/sqrt(n)) * <signs[z-1], x>.  Signs come from one bulk draw of a
+    counter-based bit generator keyed on the seed, laid out as a (blocks,
+    coordinates) matrix, so the instance is reproducible regardless of any
+    later iteration order.  The delays are ``block_schedule(T, d)`` and the
+    feasible set is ``Box.from_diameter(n, D)``.
     """
-    Z = math.ceil(T / d)
+    if min(T, d, n) < 1 or min(D, G) <= 0:
+        raise ValueError("T, d, n must be >= 1 and D, G positive")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    signs = 2.0 * rng.integers(0, 2, size=(Z, n)) - 1.0
-    return LowerBoundInstance(T=T, d=d, D=D, G=G, n=n, seed=seed, signs=signs)
-
-
-def best_fixed_decision(inst: LowerBoundInstance) -> tuple[np.ndarray, float]:
-    """Minimizer of the instance's total loss over the cube, with its value.
-
-    The total is linear with coordinate weights (G/sqrt(n)) * sum_z w_{z,i}|T_z|,
-    so the optimum sits at a vertex: x*_i = -h * sign(weight_i), ties broken
-    toward +h (any vertex on a tie face is optimal).
-    """
-    h = inst.box.half_width
-    weighted = inst.block_sizes @ inst.signs  # (n,) = sum_z |T_z| * w_z
-    x = np.where(weighted > 0, -h, h)
-    total = -(h * inst.G / math.sqrt(inst.n)) * float(np.abs(weighted).sum())
-    return x, total
+    signs = 2.0 * rng.integers(0, 2, size=(math.ceil(T / d), n)) - 1.0
+    return signs, Linear((G / math.sqrt(n)) * signs[np.arange(T) // d])

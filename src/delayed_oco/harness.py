@@ -71,6 +71,22 @@ def _holds_bool(value) -> bool:
     return False
 
 
+_MAX_DEPTH = 32  # a valid config nests containers 4 deep (the rows of environment.gradients)
+
+
+def _nests_too_deep(value) -> bool:
+    """Whether lists or objects nest more than ``_MAX_DEPTH`` deep in ``value``; iterative,
+    so nesting that would exhaust the recursion limit (``copy.deepcopy``'s) is measured too."""
+    stack = [(value, 0)]
+    while stack:
+        v, depth = stack.pop()
+        if depth == _MAX_DEPTH:
+            return True
+        stack.extend((c, depth + 1) for c in (v.values() if isinstance(v, dict) else v)
+                     if isinstance(c, (dict, list, tuple)))
+    return False
+
+
 def _reals(value, what: str) -> np.ndarray:
     """A nonempty flat list of finite numbers > 0, as a float64 array; bools are refused."""
     try:
@@ -152,6 +168,8 @@ def normalize_config(config: dict) -> dict:
     unknown = set(config) - {"T", *_DEFAULTS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if _nests_too_deep(config):
+        raise ConfigError(f"config nests lists or objects more than {_MAX_DEPTH} levels deep")
     cfg = copy.deepcopy(_DEFAULTS)
     cfg.update(copy.deepcopy(config))
     if "T" not in cfg:
@@ -216,10 +234,9 @@ def _build_environment(cfg: dict, box: Box, run_seed: int):
     _, env_seed, _ = _child_seeds(run_seed, 3)
     env = cfg["environment"]
     if env["kind"] == "lowerbound":
-        inst = env_mod.make_lowerbound_instance(
+        signs, losses = env_mod.make_lowerbound_instance(
             cfg["T"], cfg["delay"]["d"], cfg["D"], cfg["G"], cfg["n"], env_seed)
-        fp = hashlib.sha256(inst.signs.tobytes()).hexdigest()[:16]
-        return inst.losses(), None, fp
+        return losses, None, hashlib.sha256(signs.tobytes()).hexdigest()[:16]
     if env["kind"] == "drift":
         try:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -4,8 +4,8 @@ Each check takes a NumPy ``Generator`` and its sizes, draws its instances from
 it in a fixed order and returns ``(ok, detail)``.  Acceptance criteria 1-3
 and 9 call the checks at full size from their own seeds; ``verify_all`` runs
 all twelve in order on one generator at desk scale.  The module is also the
-one home of the tests' reference helpers ``random_schedule``, ``zero_losses``
-and ``projected_ogd``.
+one home of the tests' reference helpers ``random_schedule``, ``arrivals_at``,
+``zero_losses`` and ``projected_ogd``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from .delay import DelaySchedule, constant_schedule, in_order_random_schedule, uniform_schedule
-from .environments import (best_fixed_decision, make_drift_environment, make_lowerbound_instance,
+from .delay import (DelaySchedule, block_schedule, constant_schedule, in_order_random_schedule,
+                    uniform_schedule)
+from .environments import (block_bounds, make_drift_environment, make_lowerbound_instance,
                            path_length)
 from .geometry import Box
 from .harness import run_experiment, simulate
@@ -44,8 +45,13 @@ def projected_ogd(box: Box, eta: float, losses: QuadraticTracking | Linear) -> n
     return xs
 
 
+def arrivals_at(schedule: DelaySchedule, t: int) -> list[int]:
+    """F_t from its definition {k in [T] : k + d_k - 1 = t}, ascending, in O(T)."""
+    return [k for k, d in enumerate(schedule.delays, 1) if k + d - 1 == t]
+
+
 def delay_partition_backlog(rng, runs: int, T_max: int, d_max: int):
-    """Backlog identities, arrival partition and in-order delivery on random schedules."""
+    """Backlog identities, and the arrival plan against F_t from its definition."""
     for i in range(runs):
         s = random_schedule(rng, T_max, d_max)
         m, order = s.backlog(), list(range(1, s.horizon + 1))
@@ -54,11 +60,16 @@ def delay_partition_backlog(rng, runs: int, T_max: int, d_max: int):
         live = [1 + sum(1 for k in range(1, t) if s.arrival_round(k) >= t) for t in order]
         if not np.array_equal(m, live):
             return False, f"schedule #{i}: backlog != live outstanding count"
-        delivered = [k for F in s.feedback_sets() for k in F]
-        if sorted(delivered) != order or (s.is_in_order() and delivered != order):
-            return False, f"schedule #{i}: arrivals are not a partition in delivery order"
-    return True, f"sum(m) <= S <= d*T, m_t-1 = outstanding count, arrivals partition 1..T " \
-                 f"(in order when in order) on {runs} schedules"
+        plan = dict(zip(s.rounds, (s.stamps[a:b] for a, b in zip(s.offsets, s.offsets[1:]))))
+        window = range(1, s.horizon + s.max_delay)
+        if s.rounds != sorted(plan) or not set(plan) <= set(window) or \
+                any(plan.get(t, []) != arrivals_at(s, t) for t in window):
+            return False, f"schedule #{i}: the arrival plan is not F_1, ..., F_(T+d-1)"
+        in_order = all(s.arrival_round(k) <= s.arrival_round(k + 1) for k in order[:-1])
+        if s.is_in_order() != in_order:
+            return False, f"schedule #{i}: is_in_order disagrees with the arrival rounds"
+    return True, f"sum(m) <= S <= d*T, m_t-1 = outstanding count, plan = F_t by definition, " \
+                 f"in-order test exact on {runs} schedules"
 
 
 def projection_optimal_idempotent(rng, runs: int):
@@ -206,23 +217,23 @@ def joint_effect_caps(rng, runs: int, T_max: int, d_max: int):
 
 
 def adversarial_instance_oracles(rng, runs: int, T_max: int, d_max: int):
-    """The lower-bound vertex oracle is exact and gradients arrive at block ends."""
+    """The closed-form optimum is the best cube vertex and gradients arrive at block ends."""
     for i in range(runs):
         n = int(rng.integers(1, 11))
-        inst = make_lowerbound_instance(int(rng.integers(4, T_max + 1)),
-                                        int(rng.integers(1, d_max + 1)),
-                                        2.0, 1.0, n, seed=int(rng.integers(1 << 30)))
-        x, total = best_fixed_decision(inst)
-        losses, schedule = inst.losses(), inst.schedule
-        vertices = np.stack(list(inst.box.vertices()))
+        T, d = int(rng.integers(4, T_max + 1)), int(rng.integers(1, d_max + 1))
+        _, losses = make_lowerbound_instance(T, d, 2.0, 1.0, n, seed=int(rng.integers(1 << 30)))
+        box = Box.from_diameter(n, 2.0)
+        x, total, _ = minimize_total_loss(losses, box)
+        vertices = np.stack(list(box.vertices()))
         best = float(losses.values(vertices[:, None, :]).sum(axis=1).min())
-        at_x = float(losses.values(np.broadcast_to(x, (inst.T, n))).sum())
+        at_x = float(losses.values(np.broadcast_to(x, (T, n))).sum())
         if abs(total - best) > 1e-9 * max(1.0, abs(best)) or abs(at_x - total) > 1e-9:
             return False, f"vertex oracle mismatch on instance #{i}"
+        schedule = block_schedule(T, d)
         if any(schedule.arrival_round(t) != end
-               for start, end in inst.blocks for t in range(start, end + 1)):
+               for start, end in block_bounds(T, d) for t in range(start, end + 1)):
             return False, f"instance #{i}: a gradient arrives before its block's end"
-    return True, f"vertex oracle exact and block-end arrivals on {runs} instances"
+    return True, f"closed form = best vertex and block-end arrivals on {runs} instances"
 
 
 def static_regret_closed_vs_grid(rng, T: int):

@@ -19,9 +19,11 @@ Four algorithms are provided:
   linearized surrogate losses. The pool reuses the meta decision's gradient,
   so the whole ensemble costs exactly one gradient query per round.
 * ``DogdDoublingTrick`` / ``MildOgdDoublingTrick`` - restart-based variants
-  that track the backlog statistic online and need no horizon quantities.
-  Epoch v runs a fresh ``DelayedOGD`` / ``MildOGD`` tuned by the fixed-horizon
-  formulas with the budget 2^v in place of the backlog sum.
+  that track the backlog statistic online instead of needing the backlog sum
+  in advance.  Epoch v runs a fresh ``DelayedOGD`` / ``MildOGD`` tuned by the
+  fixed-horizon formulas with the budget 2^v in place of the backlog sum.
+  ``MildOgdDoublingTrick`` still reads the horizon T: it sizes the expert
+  grid, N = ceil(log2(T+1)/2) + 1 rates (``expert_count``).
 
 Rate helpers (``corollary_lr``, ``mild_lr_grid``, ``hedge_alpha``,
 ``init_weights``) compute the formula-derived parameters each algorithm's

@@ -40,11 +40,11 @@ class RunTrace:
     """Per-round record of one learner run plus the schedule it ran on.
 
     ``decisions`` has exactly T rows; the arrivals and the backlog m_t of
-    each round are the schedule's (``schedule.arrivals(t)``,
-    ``schedule.backlog()``); ``c_log`` is the consumption order including
-    the flush window, or None when it is incomplete (e.g. restart-based
-    learners drop stale feedback, so their log never covers all T
-    timestamps).
+    each round are the schedule's (its arrival plan ``stamps``, ``rounds``
+    and ``offsets``, and ``schedule.backlog()``); ``c_log`` is the
+    consumption order including the flush window, or None when it is
+    incomplete (e.g. restart-based learners drop stale feedback, so their
+    log never covers all T timestamps).
     """
 
     decisions: np.ndarray

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayed_oco import (
+from delayed_oco import DelayedOGD, DogdDoublingTrick, simulate
+from delayed_oco.delay import (
     DelaySchedule,
     block_schedule,
     constant_schedule,
@@ -12,24 +13,37 @@ from delayed_oco import (
     permuted_schedule,
     uniform_schedule,
 )
-from delayed_oco.invariants import delay_partition_backlog, random_schedule
+from delayed_oco.geometry import Box
+from delayed_oco.invariants import (arrivals_at, delay_partition_backlog, random_schedule,
+                                    zero_losses)
+
+
+def plan_sets(s):
+    """The arrival plan as {round: stamps}, one entry per round that receives feedback."""
+    return dict(zip(s.rounds, (s.stamps[a:b] for a, b in zip(s.offsets, s.offsets[1:]))))
+
+
+def delivered(s):
+    """F_1, ..., F_{T+d_max-1} as the plan delivers them."""
+    plan = plan_sets(s)
+    return [plan.get(t, []) for t in range(1, s.horizon + s.max_delay)]
 
 
 # --- arrival sets ---------------------------------------------------------
 
 def test_feedback_sets_example():
-    sets = DelaySchedule((1, 2, 1)).feedback_sets()
-    assert sets[0] == [1] and sets[1] == [] and sets[2] == [2, 3]
+    s = DelaySchedule((1, 2, 1))
+    assert delivered(s) == [arrivals_at(s, t) for t in range(1, 5)] == [[1], [], [2, 3], []]
 
 
 def test_feedback_sets_no_delay():
-    sets = DelaySchedule((1, 1, 1)).feedback_sets()
-    assert sets == [[1], [2], [3]]
+    s = DelaySchedule((1, 1, 1))
+    assert delivered(s) == [arrivals_at(s, t) for t in (1, 2, 3)] == [[1], [2], [3]]
 
 
 def test_feedback_sets_out_of_order():
-    sets = DelaySchedule((3, 1, 1)).feedback_sets()
-    assert sets[0] == [] and sets[1] == [2] and sets[2] == [1, 3]
+    s = DelaySchedule((3, 1, 1))
+    assert delivered(s) == [arrivals_at(s, t) for t in range(1, 6)] == [[], [2], [1, 3], [], []]
 
 
 def test_partition_property():
@@ -38,11 +52,14 @@ def test_partition_property():
 
 
 def test_in_order_delivery_is_identity():
-    rng = np.random.default_rng(11)
+    rng, box = np.random.default_rng(11), Box(1, 1.0)
     for seed in range(100):
         s = in_order_random_schedule(int(rng.integers(1, 100)), int(rng.integers(1, 10)), seed)
         assert s.is_in_order()
-        assert [k for F in s.feedback_sets() for k in F] == list(range(1, s.horizon + 1))
+        by_definition = [k for t in range(1, s.horizon + s.max_delay) for k in arrivals_at(s, t)]
+        assert s.stamps == by_definition == list(range(1, s.horizon + 1))
+        c_log = simulate(DelayedOGD(box, 0.1), zero_losses(s.horizon), s, box).c_log
+        assert c_log == tuple(by_definition)
 
 
 # --- in-order predicate ---------------------------------------------------
@@ -76,21 +93,30 @@ def test_backlog_sum_bounds():
 # --- epoch-restricted sets --------------------------------------------------
 
 def test_epoch_feedback_set_drops_stale():
-    s = DelaySchedule((3, 1, 1))
-    assert s.epoch_feedback_set(2, 3) == [3]  # timestamp 1 excluded
+    # delays (3, 1, 1) open epoch 2 at round 2; round 3 delivers F_3 = {1, 3}
+    # and the restarted learner keeps only the timestamps >= 2
+    s, box = DelaySchedule((3, 1, 1)), Box(1, 1.0)
+    learner = DogdDoublingTrick(box, 2.0, 1.0)
+    simulate(learner, zero_losses(3), s, box)
+    assert learner.epoch_starts == [1, 2]
+    assert plan_sets(s)[3] == arrivals_at(s, 3) == [1, 3]
+    assert learner.inner.c_log == [k for t in (2, 3) for k in arrivals_at(s, t) if k >= 2]
+    assert learner.dropped == 1
 
 
 def test_epoch_feedback_set_full_from_start():
     rng = np.random.default_rng(14)
     for _ in range(50):
         s = random_schedule(rng, T_max=40, d_max=6)
-        sets = s.feedback_sets()
+        plan = plan_sets(s)
         for t in range(1, s.horizon + 1):
-            assert s.epoch_feedback_set(1, t) == sets[t - 1]
+            assert plan.get(t, []) == arrivals_at(s, t)
 
 
 def test_epoch_feedback_set_pending_item():
-    assert DelaySchedule((2, 2)).epoch_feedback_set(2, 2) == []  # arrives at 3
+    s = DelaySchedule((2, 2))  # timestamp 2 is still pending at round 2: it arrives at 3
+    assert plan_sets(s) == {2: [1], 3: [2]}
+    assert arrivals_at(s, 2) == [1] and arrivals_at(s, 3) == [2]
 
 
 # --- generators -------------------------------------------------------------
@@ -177,25 +203,26 @@ def test_plan_example():
     assert s.stamps == [2, 1, 3]
     assert s.rounds == [2, 3]  # only rounds that receive feedback
     assert s.offsets == [0, 1, 3]
-    assert [s.arrivals(t) for t in range(1, 5)] == [[], [2], [1, 3], []]
+    assert [plan_sets(s).get(t, []) for t in range(1, 5)] == \
+        [arrivals_at(s, t) for t in range(1, 5)] == [[], [2], [1, 3], []]
 
 
 def test_plan_delivers_each_timestamp_once_sorted():
     rng = np.random.default_rng(15)
     s = random_schedule(rng, T_max=50, d_max=8)
     seen = []
-    for r in range(1, s.horizon + s.max_delay):
-        stamps = s.arrivals(r)
+    for stamps in delivered(s):
         assert stamps == sorted(stamps)
-        assert all(s.arrival_round(k) == r for k in stamps)
         seen += stamps
     assert sorted(seen) == list(range(1, s.horizon + 1))
+    assert delivered(s) == [arrivals_at(s, t) for t in range(1, s.horizon + s.max_delay)]
 
 
 def test_arrivals_outside_the_window_are_empty():
     s = DelaySchedule((1, 1))
-    assert s.arrivals(0) == [] and s.arrivals(3) == []
-    assert s.arrivals(1) == [1] and s.arrivals(2) == [2]
+    assert plan_sets(s) == {1: [1], 2: [2]}
+    assert arrivals_at(s, 0) == [] and arrivals_at(s, 3) == []
+    assert arrivals_at(s, 1) == [1] and arrivals_at(s, 2) == [2]
 
 
 def test_plan_memory_does_not_grow_with_the_delay():
@@ -203,7 +230,7 @@ def test_plan_memory_does_not_grow_with_the_delay():
     assert s.rounds == list(range(10**9, 10**9 + 10))
     assert len(s.stamps) == 10 and len(s.offsets) == 11
     assert s.sum_backlog == 55
-    assert s.epoch_feedback_set(3, 10**9 + 4) == [5]
+    assert plan_sets(s)[10**9 + 4] == arrivals_at(s, 10**9 + 4) == [5]
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,14 +239,14 @@ def test_plan_properties(delays):
     s = DelaySchedule(tuple(delays))
     T = s.horizon
     arrival = [k + d - 1 for k, d in enumerate(delays, start=1)]
-    # arrivals partition 1..T, each set ascending, each timestamp at its arrival round
+    # the plan delivers F_t = {k : k + d_k - 1 = t} at every round of the window,
+    # ascending, and nothing outside it
     window = range(1, T + max(delays))
-    flat = []
+    plan = plan_sets(s)
+    assert s.rounds == sorted(plan) and set(plan) <= set(window)
     for t in window:
-        F = s.arrivals(t)
-        assert F == sorted(F) and all(arrival[k - 1] == t for k in F)
-        flat += F
-    assert sorted(flat) == list(range(1, T + 1))
+        assert plan.get(t, []) == arrivals_at(s, t) == [k for k in range(1, T + 1)
+                                                        if arrival[k - 1] == t]
     # backlog: one plus the number of earlier gradients still in flight
     live = [1 + sum(1 for k in range(1, t) if arrival[k - 1] >= t) for t in range(1, T + 1)]
     assert list(s.backlog()) == live

@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 from delayed_oco import (
     Box,
-    LowerBoundInstance,
-    best_fixed_decision,
-    block_bounds,
-    comparator_block_length,
+    block_schedule,
     make_drift_environment,
     make_lowerbound_instance,
-    make_path_budget_comparators,
-    make_piecewise_comparators,
     path_length,
 )
+from delayed_oco.environments import (
+    block_bounds,
+    comparator_block_length,
+    make_path_budget_comparators,
+    make_piecewise_comparators,
+)
+from delayed_oco.harness import run_experiment
+from delayed_oco.metrics import minimize_total_loss
 
 
 # --- path length ------------------------------------------------------------
@@ -205,69 +208,80 @@ def test_drift_walk_matches_per_round_reference_bitwise(n, T, step, h, seed, gra
 # --- adversarial instance ---------------------------------------------------------
 
 def test_instance_blocks_and_schedule():
-    inst = make_lowerbound_instance(10, 3, 2.0, 1.0, 1, seed=0)
-    assert inst.num_blocks == 4
-    assert inst.schedule.to_list() == [3, 2, 1, 3, 2, 1, 3, 2, 1, 1]
+    signs, losses = make_lowerbound_instance(10, 3, 2.0, 1.0, 1, seed=0)
+    assert signs.shape == (len(block_bounds(10, 3)), 1) == (4, 1) and len(losses) == 10
+    trace, _ = run_experiment({"T": 10, "delay": {"kind": "blocks", "d": 3},
+                               "environment": {"kind": "lowerbound"}})
+    assert trace.schedule.to_list() == block_schedule(10, 3).to_list() == \
+        [3, 2, 1, 3, 2, 1, 3, 2, 1, 1]
 
 
 def test_instance_unit_blocks():
-    inst = make_lowerbound_instance(6, 1, 2.0, 1.0, 1, seed=0)
-    assert inst.schedule.to_list() == [1] * 6
+    signs, losses = make_lowerbound_instance(6, 1, 2.0, 1.0, 1, seed=0)
+    assert np.array_equal(losses.grads, signs)  # one block, one sign per round
+    assert block_schedule(6, 1).to_list() == [1] * 6
 
 
 def test_instance_gradient_norm_exact():
-    inst = make_lowerbound_instance(12, 4, 2.0, 1.0, 1, seed=1)
-    box = inst.box
-    losses = inst.losses()
+    _, losses = make_lowerbound_instance(12, 4, 2.0, 1.0, 1, seed=1)
+    box = Box.from_diameter(1, 2.0)
     assert np.allclose(np.linalg.norm(losses.grads, axis=1), 1.0)
-    for t in range(1, inst.T + 1):
+    for t in range(1, 13):
         assert abs(losses.gradient(t, box.origin())[0]) == pytest.approx(1.0)
 
 
 def test_instance_same_loss_within_block():
-    inst = make_lowerbound_instance(10, 3, 2.0, 1.0, 2, seed=2)
-    losses = inst.losses()
-    for start, end in inst.blocks:
+    signs, losses = make_lowerbound_instance(10, 3, 2.0, 1.0, 2, seed=2)
+    for z, (start, end) in enumerate(block_bounds(10, 3)):
         for t in range(start, end + 1):
-            assert np.array_equal(losses.grads[t - 1], losses.grads[start - 1])
+            assert np.array_equal(losses.grads[t - 1], signs[z] / math.sqrt(2))
 
 
 def test_instance_gradients_arrive_at_block_end():
-    inst = make_lowerbound_instance(23, 5, 2.0, 1.0, 1, seed=3)
-    for start, end in inst.blocks:
+    schedule = block_schedule(23, 5)
+    for start, end in block_bounds(23, 5):
         for t in range(start, end + 1):
-            assert inst.schedule.arrival_round(t) == end
+            assert schedule.arrival_round(t) == end
 
 
-def test_instance_deterministic_and_serializable():
-    a = make_lowerbound_instance(20, 4, 2.0, 1.5, 3, seed=9)
-    b = make_lowerbound_instance(20, 4, 2.0, 1.5, 3, seed=9)
-    assert np.array_equal(a.signs, b.signs)
-    c = LowerBoundInstance.from_dict(a.to_dict())
-    assert np.array_equal(a.signs, c.signs) and c.schedule.to_list() == a.schedule.to_list()
+def test_instance_deterministic_with_unit_signs():
+    a_signs, a_losses = make_lowerbound_instance(20, 4, 2.0, 1.5, 3, seed=9)
+    b_signs, b_losses = make_lowerbound_instance(20, 4, 2.0, 1.5, 3, seed=9)
+    assert a_signs.tobytes() == b_signs.tobytes()
+    assert a_losses.grads.tobytes() == b_losses.grads.tobytes()
+    assert set(np.unique(a_signs)) == {-1.0, 1.0}
+    assert not np.array_equal(a_signs, make_lowerbound_instance(20, 4, 2.0, 1.5, 3, seed=10)[0])
 
 
 def test_instance_feasible_set_diameter():
-    inst = make_lowerbound_instance(10, 2, 3.0, 1.0, 4, seed=5)
-    assert inst.box.diameter == pytest.approx(3.0)
-    assert inst.box.half_width == pytest.approx(3.0 / (2.0 * math.sqrt(4)))
+    box = Box.from_diameter(4, 3.0)  # the cube a lowerbound run with n = 4, D = 3 plays on
+    assert box.diameter == pytest.approx(3.0)
+    assert box.half_width == pytest.approx(3.0 / (2.0 * math.sqrt(4)))
+
+
+def test_instance_refuses_bad_sizes():
+    for args in ((0, 1, 2.0, 1.0, 1), (4, 0, 2.0, 1.0, 1), (4, 1, 2.0, 1.0, 0),
+                 (4, 1, 0.0, 1.0, 1), (4, 1, 2.0, -1.0, 1)):
+        with pytest.raises(ValueError):
+            make_lowerbound_instance(*args, seed=0)
 
 
 # --- best fixed decision ------------------------------------------------------------
 
 def test_best_fixed_tie_cancellation():
-    inst = LowerBoundInstance(T=4, d=2, D=2.0, G=1.0, n=1, seed=0,
-                              signs=np.array([[1.0], [-1.0]]))
-    x, total = best_fixed_decision(inst)
+    signs, losses = make_lowerbound_instance(4, 2, 2.0, 1.0, 1, seed=9)
+    assert signs.ravel().tolist() == [1.0, -1.0]  # the two blocks cancel exactly
+    box = Box.from_diameter(1, 2.0)
+    x, total, _ = minimize_total_loss(losses, box)
     assert total == 0.0
-    assert x[0] == inst.box.half_width  # tie breaks toward +h
+    assert x[0] == box.half_width  # tie breaks toward +h
 
 
 def test_best_fixed_single_block():
     T = 7
-    inst = LowerBoundInstance(T=T, d=T, D=2.0, G=1.0, n=1, seed=0,
-                              signs=np.array([[1.0]]))
-    x, total = best_fixed_decision(inst)
+    signs, losses = make_lowerbound_instance(T, T, 2.0, 1.0, 1, seed=3)
+    assert signs.ravel().tolist() == [1.0]
+    x, total, _ = minimize_total_loss(losses, Box.from_diameter(1, 2.0))
     assert x[0] == pytest.approx(-1.0)
     assert total == pytest.approx(-T)
 
@@ -275,13 +289,12 @@ def test_best_fixed_single_block():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
 def test_best_fixed_matches_vertex_enumeration(n):
     rng = np.random.default_rng(30 + n)
+    box = Box.from_diameter(n, 2.0)
     for _ in range(5):
-        inst = make_lowerbound_instance(int(rng.integers(4, 40)), int(rng.integers(1, 6)),
-                                        2.0, 1.0, n, seed=int(rng.integers(1 << 30)))
-        x, total = best_fixed_decision(inst)
-        losses = inst.losses()
-        T = len(losses)
-        brute = min(sum(losses.value(t, v) for t in range(1, T + 1))
-                    for v in inst.box.vertices())
+        T = int(rng.integers(4, 40))
+        _, losses = make_lowerbound_instance(T, int(rng.integers(1, 6)), 2.0, 1.0, n,
+                                             seed=int(rng.integers(1 << 30)))
+        x, total, _ = minimize_total_loss(losses, box)
+        brute = min(sum(losses.value(t, v) for t in range(1, T + 1)) for v in box.vertices())
         assert total == pytest.approx(brute, abs=1e-9)
         assert sum(losses.value(t, x) for t in range(1, T + 1)) == pytest.approx(total, abs=1e-9)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from delayed_oco import Box, as_decision
+from delayed_oco import Box
+from delayed_oco.geometry import as_decision
 
 
 def test_project_clamps_outside_point():

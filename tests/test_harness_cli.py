@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import tempfile
 import time
 
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delayed_oco import (Box, DelayedOGD, DelaySchedule, QuadraticTracking, cli,
-                         constant_schedule, harness, invariants)
+from delayed_oco import (Box, DelayedOGD, DelaySchedule, cli, constant_schedule, harness,
+                         invariants)
 from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many,
                                  simulate, sweep, trace_to_csv)
+from delayed_oco.losses import QuadraticTracking
 from delayed_oco.metrics import RunTrace
 
 
@@ -75,7 +77,7 @@ def test_run_hand_simulation_trace():
     trace, summary = run_experiment(cfg)
     assert list(trace.decisions.ravel()) == [0.0, 0.0, 0.0]
     assert list(trace.schedule.backlog()) == [1, 2, 1]
-    assert [trace.schedule.arrivals(t) for t in (1, 2, 3)] == [[], [1, 2], [3]]
+    assert [invariants.arrivals_at(trace.schedule, t) for t in (1, 2, 3)] == [[], [1, 2], [3]]
     rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
     assert [(r[4], r[5], r[6]) for r in rows] == [("1", "0", ""), ("2", "2", "1;2"),
                                                   ("1", "1", "3")]
@@ -85,7 +87,7 @@ def test_run_hand_simulation_trace():
 
 
 def test_csv_arrival_columns_are_each_rounds_arrivals():
-    # trace_to_csv walks the plan once; schedule.arrivals looks each round up
+    # trace_to_csv walks the plan once; arrivals_at takes each F_t from its definition
     rng = np.random.default_rng(31)
     box = Box(1, 1.0)
     for _ in range(30):
@@ -93,7 +95,8 @@ def test_csv_arrival_columns_are_each_rounds_arrivals():
         trace = simulate(DelayedOGD(box, 0.1), invariants.zero_losses(s.horizon), s, box)
         rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
         assert [(int(r[5]), r[6]) for r in rows] == \
-            [(len(F), ";".join(map(str, F))) for F in map(s.arrivals, range(1, s.horizon + 1))]
+            [(len(F), ";".join(map(str, F)))
+             for F in (invariants.arrivals_at(s, t) for t in range(1, s.horizon + 1))]
 
 
 def reference_trace_to_csv(trace):
@@ -418,9 +421,16 @@ def test_verify_catches_corrupted_normalization():
 
 # --- CLI surface ------------------------------------------------------------------
 
+def nested(levels):
+    """A placeholder that ``write_config`` writes as 0.5 inside ``levels`` nested lists;
+    ``json.dumps`` itself recurses too deep for 100,000 levels."""
+    return f"<0.5 in {levels} lists>"
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(cfg))
+    path.write_text(re.sub(r'"<0\.5 in (\d+) lists>"',
+                           lambda m: "[" * int(m[1]) + "0.5" + "]" * int(m[1]), json.dumps(cfg)))
     return str(path)
 
 
@@ -578,6 +588,8 @@ def _lowerbound(**delay):
     _comparators("constant", point=[True, 0.0]),
     _comparators("list", points=[[0.0, 0.0], [False, 0.0], [0.0, 0.0]]),
     _gradients([[0.0, 1.0], [True, 0.0], [0.0, 1.0]]),
+    _learner("mild", etas=nested(900)),  # copy.deepcopy would exhaust the recursion limit
+    _learner("mild", etas=nested(100_000)),  # json.load would exhaust it
 ], ids=["negative-step", "text-step", "nan-step", "unknown-loss", "nan-gradient",
         "narrow-gradients", "short-gradients", "string-gradients", "text-gradients",
         "missing-budget", "negative-budget", "infinite-budget",
@@ -598,7 +610,7 @@ def _lowerbound(**delay):
         "auto-comparators-extra", "drift-stpe", "bool-T", "bool-D", "bool-eta",
         "bool-delay-value", "memory-drift", "memory-lowerbound", "tiny-DG-mild",
         "tiny-DG-mild_dt", "bool-in-etas", "bool-in-expert_rates", "bool-in-point",
-        "bool-in-points", "bool-in-gradients"])
+        "bool-in-points", "bool-in-gradients", "nested-900", "nested-100000"])
 def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrides):
     cfg = base_config(**{"T": 3, **overrides})
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
@@ -750,6 +762,19 @@ def test_cli_negative_seed_flag_exit_code(tmp_path, capsys, command):
     cfg = base_config(T=3, **_lowerbound(d=1))
     assert cli.main([command, "--config", write_config(tmp_path, cfg), "--seed", "-1"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [["run", "--trials", "3"], ["sweep", "--trials", "3"],
+                                  ["verify", "--trials", "3"], ["lowerbound", "--strict"],
+                                  ["verify", "--strict"]],
+                         ids=["run-trials", "sweep-trials", "verify-trials", "lowerbound-strict",
+                              "verify-strict"])
+def test_cli_flag_a_subcommand_does_not_read_exits_2(tmp_path, capsys, argv):
+    cfg = base_config(T=3, **_lowerbound(d=1))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*argv, "--config", write_config(tmp_path, cfg)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
 
 
 def test_cli_fractional_delays_exit_code(tmp_path, capsys):

@@ -11,27 +11,23 @@ from delayed_oco import (
     DelaySchedule,
     DelayedOGD,
     DogdDoublingTrick,
-    EpochController,
-    Linear,
     MildOGD,
     MildOgdDoublingTrick,
-    QuadraticTracking,
+    block_schedule,
     constant_schedule,
     corollary_lr,
-    delayed_hedge_update,
-    expert_count,
     hedge_alpha,
-    init_weights,
     make_drift_environment,
-    block_schedule,
     mild_lr_grid,
-    permuted_schedule,
     simulate,
     uniform_schedule,
 )
+from delayed_oco.delay import permuted_schedule
+from delayed_oco.learners import EpochController, delayed_hedge_update, expert_count, init_weights
+from delayed_oco.losses import Linear, QuadraticTracking
 from delayed_oco import learners
-from delayed_oco.invariants import (consumption_log_permutation, projected_ogd, random_schedule,
-                                    zero_losses)
+from delayed_oco.invariants import (arrivals_at, consumption_log_permutation, projected_ogd,
+                                    random_schedule, zero_losses)
 
 
 def feedback(stamps, *grads):
@@ -499,8 +495,7 @@ def brute_force_epoch_starts(schedule):
     for t in range(1, T + 1):
         B = 0
         for j in range(s_v, t + 1):
-            arrived = sum(len(schedule.epoch_feedback_set(s_v, i))
-                          for i in range(s_v, j))
+            arrived = sum(1 for i in range(s_v, j) for k in arrivals_at(schedule, i) if k >= s_v)
             B += (j + 1 - s_v) - arrived
         if B > 2 ** v:
             v += 1

@@ -9,17 +9,14 @@ from hypothesis.extra.numpy import arrays
 from delayed_oco import (
     Box,
     DelayedOGD,
-    Linear,
-    LowerBoundInstance,
     MildOGD,
     MildOgdDoublingTrick,
-    QuadraticTracking,
     make_drift_environment,
     mild_lr_grid,
-    quadratic_drift_scale,
     simulate,
     uniform_schedule,
 )
+from delayed_oco.losses import Linear, QuadraticTracking, quadratic_drift_scale
 
 
 def finite_difference(loss, x, h=1e-6):
@@ -93,13 +90,6 @@ def test_quadratic_drift_scale_guarantees_bound():
     scale = quadratic_drift_scale(1.0, box, np.linalg.norm(targets, axis=1).max())
     worst = box.half_width + np.abs(targets)
     assert np.all(scale * np.linalg.norm(worst, axis=1) <= 1.0)
-
-
-def test_signs_validated():
-    # the sign-linear losses come from the instance, which checks its signs
-    with pytest.raises(ValueError):
-        LowerBoundInstance(T=4, d=2, D=2.0, G=1.0, n=2, seed=0,
-                           signs=np.array([[1.0, 0.5], [1.0, -1.0]]))
 
 
 def test_dimension_mismatch_raises():

@@ -6,24 +6,24 @@ import pytest
 from delayed_oco import (
     Box,
     DelayedOGD,
-    Linear,
-    QuadraticTracking,
-    bound_cor1,
     bound_lemma3,
+    bound_thm2,
+    dynamic_regret,
+    make_lowerbound_instance,
+    simulate,
+)
+from delayed_oco.harness import trace_to_csv
+from delayed_oco.losses import Linear, QuadraticTracking
+from delayed_oco.metrics import (
+    bound_cor1,
     bound_lower,
     bound_thm1,
-    bound_thm2,
     bound_thm4,
     bound_thm5,
-    best_fixed_decision,
-    dynamic_regret,
     joint_effect,
-    make_lowerbound_instance,
     minimize_total_loss,
     reorder_penalty,
-    simulate,
     static_regret,
-    trace_to_csv,
 )
 from delayed_oco.invariants import joint_effect_caps, random_schedule, zero_losses
 
@@ -73,12 +73,12 @@ def test_static_regret_linear_closed_form():
 
 
 def test_static_regret_adversarial_instance_matches_vertex_oracle():
-    inst = make_lowerbound_instance(30, 5, 2.0, 1.0, 3, seed=8)
-    losses = inst.losses()
+    _, losses = make_lowerbound_instance(30, 5, 2.0, 1.0, 3, seed=8)
+    box = Box.from_diameter(3, 2.0)
     xs = np.zeros((30, 3))
-    _, best = best_fixed_decision(inst)
+    best = min(sum(losses.value(t, v) for t in range(1, 31)) for v in box.vertices())
     played = sum(losses.value(t, x) for t, x in enumerate(xs, start=1))
-    assert static_regret(xs, losses, inst.box) == pytest.approx(played - best)
+    assert static_regret(xs, losses, box) == pytest.approx(played - best)
 
 
 def test_quadratic_hindsight_optimum_is_projected_mean():
