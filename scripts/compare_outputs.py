@@ -9,8 +9,11 @@ each run's decision bytes and the ``trace.csv`` and ``summary.json`` texts
 ``delayed-oco run`` would write (a refused run records its config error).
 It also hashes the ``to_json`` text of each ``lowerbound_report`` in
 ``report_set()``, the averaged static-regret path that single runs do not
-reach.  The script prints, per output, how many runs (and reports) are
-byte-identical, names the first that differ, and exits 1 on any difference.
+reach, the ``sweep.json`` text of each sweep in ``sweep_set()`` and the
+outputs of every repetition of each ``run_many`` config in ``many_set()``,
+whose runs step in lockstep.  The script prints, per output, how many runs
+(and reports, sweeps, repetitions) are byte-identical, names the first that
+differ, and exits 1 on any difference.
 """
 
 import hashlib
@@ -73,6 +76,38 @@ def report_set():
                 "trials": 5, "base_seed": 3})
 
 
+def sweep_set():
+    """The benchmark's drift sweep grid (4 learners x d in {1, 20}, T = 2000, n = 5) at
+    seeds 0-2, and ragged grids at T = 300, n = 3, 3 repetitions: 4 learners x uniform
+    delays with d in {1, 5, 20}, and 4 learners x permuted delays (which take no d)."""
+    learners = ["dogd", "mild", "dogd_dt", "mild_dt"]
+    for seed in range(3):
+        yield (f"sweep/drift_sweep/s{seed}",
+               {"T": 2000, "n": 5, "D": 2.0, "G": 1.0, "seed": seed,
+                "learner": {"name": "dogd"}, "delay": {"kind": "constant", "value": 1},
+                "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"},
+                "comparators": {"kind": "targets"}},
+               {"learner": learners, "d": [1, 20]})
+    for kind, grid in (("uniform", {"learner": learners, "d": [1, 5, 20]}),
+                       ("permuted", {"learner": learners})):
+        yield (f"sweep/{kind}/r3",
+               {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4, "repetitions": 3,
+                "delay": {"kind": kind, **DELAYS[kind]},
+                "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}}, grid)
+
+
+def many_set():
+    """``run_many`` at 4 repetitions: five learners x uniform, permuted and blocks delays
+    x quadratic and linear drift, n = 3, T = 300."""
+    for learner, kind, loss in itertools.product(("ogd", "dogd", "mild", "dogd_dt", "mild_dt"),
+                                                 ("uniform", "permuted", "blocks"),
+                                                 ("quadratic", "linear")):
+        yield (f"many/{learner}/{kind}/{loss}",
+               {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 2, "repetitions": 4,
+                "learner": {"name": learner}, "delay": {"kind": kind, **DELAYS[kind]},
+                "environment": {"kind": "drift", "step": 0.02, "loss": loss}})
+
+
 def worker() -> None:
     from delayed_oco import harness
 
@@ -90,7 +125,14 @@ def worker() -> None:
                         digest(harness.to_json({"runs": [summary]}))]
     reports = {name: digest(harness.to_json(harness.lowerbound_report(**kw)))
                for name, kw in report_set()}
-    json.dump({"runs": result, "reports": reports}, sys.stdout)
+    sweeps = {name: digest(harness.to_json({"grid": grid, "rows": harness.sweep(cfg, grid)}))
+              for name, cfg, grid in sweep_set()}
+    many = {f"{name}/rep{i}": digest(trace.decisions.tobytes() + b"\0" +
+                                     harness.trace_to_csv(trace).encode() + b"\0" +
+                                     harness.to_json({"runs": [summary]}).encode())
+            for name, cfg in many_set()
+            for i, (trace, summary) in enumerate(harness.run_many(cfg))}
+    json.dump({"runs": result, "reports": reports, "sweeps": sweeps, "many": many}, sys.stdout)
 
 
 def main(parent: str, change: str) -> int:
@@ -104,6 +146,8 @@ def main(parent: str, change: str) -> int:
     tables = [(what, "runs", {k: v[i] for k, v in old["runs"].items()},
                {k: v[i] for k, v in new["runs"].items()}) for i, what in enumerate(OUTPUTS)]
     tables.append(("lowerbound_report", "reports", old["reports"], new["reports"]))
+    tables.append(("sweep.json", "sweeps", old["sweeps"], new["sweeps"]))
+    tables.append(("run_many outputs", "repetitions", old["many"], new["many"]))
     differ = False
     for what, unit, before, after in tables:
         diff = [name for name in before if before[name] != after[name]]

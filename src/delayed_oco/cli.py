@@ -12,7 +12,7 @@ import json
 import pathlib
 import sys
 
-from . import harness, invariants
+from . import harness
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,15 +125,19 @@ def _cmd_verify(args) -> int:
     seed = 0 if args.seed is None else args.seed
     if seed < 0:
         raise harness.ConfigError(f"seed must be >= 0, got {seed}")
+    from . import invariants  # only verify reads it: the other commands skip compiling it
+
     checks = invariants.verify_all(seed=seed)
     if args.format == "json":
         _emit(harness.to_json({"checks": checks}), args.out, "verify.json")
+    # with the JSON document on standard output, the status lines go to standard error
+    lines = sys.stderr if args.format == "json" and args.out is None else sys.stdout
     for check in checks:
         status = "ok" if check["ok"] else "FAIL"
         line = f"[{status}] {check['name']}"
         if check["detail"] and not check["ok"]:
             line += f": {check['detail']}"
-        print(line)
+        print(line, file=lines)
     failed = [c for c in checks if not c["ok"]]
     if failed:
         print(f"{len(failed)} invariant(s) failed", file=sys.stderr)

@@ -124,6 +124,47 @@ class DelaySchedule:
         return list(self.delays)
 
 
+def merge_plans(schedules: list) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """One arrival plan for R runs of one horizon T, each on its own schedule.
+
+    Returns (rounds, offsets, stamps, slots): round ``rounds[j]`` delivers the
+    block ``stamps[offsets[j]:offsets[j + 1]]``, K rows by R, whose column r
+    holds run r's arrivals in ascending order, padded below with 0.  Run r's
+    timestamp k sits at row ``slots[k - 1, r] // R`` of the blocks, so the
+    gradient it queries can be written there.  One run gets its own plan.
+    Each plan is checked here, once: every timestamp is delivered exactly
+    once, never before its round, in ascending order within a round.
+    """
+    T, R = schedules[0].horizon, len(schedules)
+    plans = []
+    for s in schedules:
+        stamps, rounds = np.array(s.stamps, dtype=np.int64), np.array(s.rounds, dtype=np.int64)
+        counts = np.diff(s.offsets)
+        at = np.repeat(rounds, counts)  # the round each timestamp arrives at
+        pos = np.arange(T) - np.repeat(np.cumsum(counts) - counts, counts)  # its place there
+        if s.horizon != T or s.offsets[0] != 0 or counts.min() < 1 or np.any(np.diff(rounds) < 1) \
+                or not np.array_equal(np.sort(stamps), np.arange(1, T + 1)) or np.any(at < stamps) \
+                or np.any((pos[1:] > 0) & (stamps[1:] <= stamps[:-1])):
+            raise ValueError("an arrival plan must deliver each timestamp exactly once, no "
+                             "earlier than its round, in ascending order within a round")
+        plans.append((stamps, rounds, counts, at, pos))
+    if R == 1:  # one run's plan is its schedule's own: its lists, its delivery order
+        slots = np.empty((T, 1), dtype=np.int64)
+        slots[stamps - 1, 0] = np.arange(T)
+        return s.rounds, s.offsets, stamps[:, None], slots
+    merged = np.sort(np.concatenate([rounds for _, rounds, _, _, _ in plans]))
+    merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]  # np.unique loads numpy.ma
+    width = np.zeros(merged.size, dtype=np.int64)  # the largest arrival count of each round
+    for _, rounds, counts, _, _ in plans:
+        np.maximum.at(width, np.searchsorted(merged, rounds), counts)
+    offsets = np.concatenate(([0], np.cumsum(width)))
+    stamps, slots = np.zeros((offsets[-1], R), dtype=np.int64), np.empty((T, R), dtype=np.int64)
+    for r, (run_stamps, _, _, at, pos) in enumerate(plans):
+        row = offsets[np.searchsorted(merged, at)] + pos
+        stamps[row, r], slots[run_stamps - 1, r] = run_stamps, row * R + r
+    return merged.tolist(), offsets.tolist(), stamps, slots
+
+
 # ---------------------------------------------------------------------------
 # Schedule generators.  All are deterministic given their seed.
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ from .losses import Linear, QuadraticTracking, quadratic_drift_scale
 
 
 def row_norms(M: np.ndarray) -> np.ndarray:
-    """Row norms of a (T, n) array, bitwise the per-row ``sqrt(row.dot(row))``
+    """Row norms of a (..., n) array, bitwise the per-row ``sqrt(row.dot(row))``
     (``einsum`` or ``sum`` would round some rows differently)."""
-    return np.sqrt(np.matmul(M[:, None, :], M[:, :, None])[:, 0, 0])
+    return np.sqrt(np.matmul(M[..., None, :], M[..., :, None])[..., 0, 0])
 
 
 def path_length(points) -> float:
@@ -80,14 +80,16 @@ def make_path_budget_comparators(box: Box, T: int, P: float, seed: int) -> np.nd
     return make_piecewise_comparators(box, T, L, anchors)
 
 
-def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed: int,
+def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed,
                            grad_bound: float) -> tuple[QuadraticTracking | Linear, np.ndarray]:
     """Non-stationary testbed: losses track a projected random walk.
 
     The target theta_t moves by at most ``step`` per round (projection is
     1-Lipschitz, so clamping cannot enlarge a move), and the comparator
     sequence is the target path itself, giving path length <= (T-1)*step.
-    Returns the loss family and the (T, n) targets.
+    Returns the loss family and the (T, n) targets.  Given a list of seeds,
+    the walks step together and a list of (family, targets) comes back, each
+    bitwise what its seed gives alone.
 
     loss_kind "quadratic": f_t(x) = (s/2)*||x - theta_t||^2 with s chosen so
     gradients stay below ``grad_bound`` over the box with no clipping.
@@ -99,29 +101,34 @@ def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed: 
         raise ValueError("step must be a finite number >= 0")
     if loss_kind not in ("quadratic", "linear"):
         raise ValueError(f"unknown drift loss kind: {loss_kind!r}")
-    rng = np.random.default_rng(seed)
+    seeds = seed if isinstance(seed, list) else [seed]
     # one draw for all rounds gives the same stream as one draw per round
-    moves = rng.uniform(-1.0, 1.0, size=(T, box.dim))
+    draws = [np.random.default_rng(s).uniform(-1.0, 1.0, size=(T, box.dim)) for s in seeds]
+    moves = draws[0][:, None] if len(draws) == 1 else np.stack(draws, axis=1)
     norms = row_norms(moves)
     away = norms > 0
-    np.multiply(moves, (step / np.where(away, norms, 1.0))[:, None], out=moves,
-                where=away[:, None])
+    np.multiply(moves, (step / np.where(away, norms, 1.0))[..., None], out=moves,
+                where=away[..., None])
     h = box.half_width
-    targets = np.empty((T, box.dim))
-    theta = box.origin()
+    walks = np.empty_like(moves)
+    theta = np.zeros((len(seeds), box.dim))
     for t in range(T):
-        targets[t] = theta
+        walks[t] = theta
         theta = (theta + moves[t]).clip(-h, h)
 
-    if loss_kind == "quadratic":
-        scale = quadratic_drift_scale(grad_bound, box,
-                                      float(np.linalg.norm(targets, axis=1).max()))
-        return QuadraticTracking(targets, scale), targets
-    norms = row_norms(targets)
-    away = norms > 1e-12
-    grads = np.zeros((T, box.dim))
-    grads[away] = (-grad_bound / norms[away])[:, None] * targets[away]
-    return Linear(grads), targets
+    built = []
+    for targets in (np.ascontiguousarray(walks[:, r]) for r in range(len(seeds))):
+        if loss_kind == "quadratic":
+            scale = quadratic_drift_scale(grad_bound, box,
+                                          float(np.linalg.norm(targets, axis=1).max()))
+            built.append((QuadraticTracking(targets, scale), targets))
+            continue
+        norms = row_norms(targets)
+        away = norms > 1e-12
+        grads = np.zeros((T, box.dim))
+        grads[away] = (-grad_bound / norms[away])[:, None] * targets[away]
+        built.append((Linear(grads), targets))
+    return built if isinstance(seed, list) else built[0]
 
 
 def make_lowerbound_instance(T: int, d: int, D: float, G: float, n: int,

@@ -23,6 +23,7 @@ import numpy as np
 from . import delay as delay_mod
 from . import environments as env_mod
 from . import learners as learn_mod
+from . import losses as losses_mod
 from . import metrics as metrics_mod
 from .delay import DelaySchedule
 from .geometry import Box
@@ -217,40 +218,51 @@ def normalize_config(config: dict) -> dict:
             raise ConfigError(f"lowerbound block length d: {exc}") from exc
         if not 1 <= delay["d"] <= delay_mod.MAX_ROUND:
             raise ConfigError(f"lowerbound block length d must lie in [1, 2^63), got {delay['d']}")
-    N = learn_mod.expert_count(cfg["T"]) if cfg["learner"]["name"].startswith("mild") else 0
-    need = 8 * cfg["T"] * cfg["n"] * (N + 4)  # T*n floats in four arrays, and in N experts
-    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+    need = _run_bytes(cfg)
+    if need > _physical_memory():
         raise ConfigError(f"T = {cfg['T']}, n = {cfg['n']} need about {need / 2**30:.3g} GiB, "
                           "more than physical memory")
     return cfg
+
+
+def _run_bytes(cfg: dict) -> int:
+    """Memory one run holds: T*n floats in four arrays, and in N experts."""
+    N = learn_mod.expert_count(cfg["T"]) if cfg["learner"]["name"].startswith("mild") else 0
+    return 8 * cfg["T"] * cfg["n"] * (N + 4)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _child_seeds(seed: int, k: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(k, dtype=np.uint64)]
 
 
-def _build_environment(cfg: dict, box: Box, run_seed: int):
-    """Return (losses, drift_targets_or_None, fingerprint)."""
-    _, env_seed, _ = _child_seeds(run_seed, 3)
+def _build_environments(cfg: dict, box: Box, seeds: list[int]) -> list[tuple]:
+    """(losses, drift targets or None, fingerprint) at each run seed; drift walks step together."""
+    env_seeds = [_child_seeds(s, 3)[1] for s in seeds]
     env = cfg["environment"]
     if env["kind"] == "lowerbound":
-        signs, losses = env_mod.make_lowerbound_instance(
-            cfg["T"], cfg["delay"]["d"], cfg["D"], cfg["G"], cfg["n"], env_seed)
-        return losses, None, hashlib.sha256(signs.tobytes()).hexdigest()[:16]
+        built = [env_mod.make_lowerbound_instance(cfg["T"], cfg["delay"]["d"], cfg["D"], cfg["G"],
+                                                  cfg["n"], s) for s in env_seeds]
+        return [(losses, None, hashlib.sha256(signs.tobytes()).hexdigest()[:16])
+                for signs, losses in built]
     if env["kind"] == "drift":
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                losses, targets = env_mod.make_drift_environment(
+                built = env_mod.make_drift_environment(
                     box, cfg["T"], float(env.get("step", 0.01)), env.get("loss", "quadratic"),
-                    env_seed, cfg["G"])
+                    env_seeds, cfg["G"])
         except ValueError as exc:  # the loss scale or gradients left the float range
             raise ConfigError(f"drift losses for D = {cfg['D']!r}, G = {cfg['G']!r}: {exc}") \
                 from None
-        targets.setflags(write=False)
-        fp = hashlib.sha256(targets.tobytes()).hexdigest()[:16]
-        return losses, targets, fp
+        for _, targets in built:
+            targets.setflags(write=False)
+        return [(losses, targets, hashlib.sha256(targets.tobytes()).hexdigest()[:16])
+                for losses, targets in built]
     grads = np.asarray(env["gradients"], dtype=np.float64)  # linear_list
-    return Linear(grads), None, hashlib.sha256(grads.tobytes()).hexdigest()[:16]
+    return [(Linear(grads), None, hashlib.sha256(grads.tobytes()).hexdigest()[:16])] * len(seeds)
 
 
 def _build_schedule(cfg: dict, run_seed: int) -> DelaySchedule:
@@ -279,66 +291,83 @@ def _build_comparators(cfg: dict, box: Box, losses, targets, run_seed: int) -> n
     return np.asarray(spec["points"], dtype=np.float64)  # list
 
 
-def _build_learner(cfg: dict, box: Box, sum_m: int):
-    """Instantiate the configured learner; returns (learner, resolved params)."""
+def _build_learner(cfg: dict, box: Box, sums: list[int]):
+    """The configured learner for runs whose backlog sums are ``sums``; returns (learner,
+    resolved params per run).  One run has no run axis; more get one, row r tuned to sums[r]."""
     spec = cfg["learner"]
     name = spec["name"]
     D, G, T = cfg["D"], cfg["G"], cfg["T"]
+    runs = len(sums) if len(sums) > 1 else None
     try:  # the learners refuse the rates the paper formulas give near the float limits
         if name in ("ogd", "dogd"):
             source = spec.get("eta", "paper")
-            eta = learn_mod.corollary_lr(D, G, sum_m) if source == "paper" else float(source)
+            etas = [learn_mod.corollary_lr(D, G, s) if source == "paper" else float(source)
+                    for s in sums]
             # "ogd" names the same learner: under unit delays DelayedOGD is plain OGD
-            return learn_mod.DelayedOGD(box, eta), {"eta": eta, "eta_source": source}
+            return (learn_mod.DelayedOGD(box, np.array(etas)[:, None] if runs else etas[0]),
+                    [{"eta": eta, "eta_source": source} for eta in etas])
         if name == "mild":
             etas, alpha = spec.get("etas", "paper"), spec.get("alpha", "paper")
-            etas = np.asarray(learn_mod.mild_lr_grid(D, G, sum_m, T) if etas == "paper"
-                              else etas, dtype=np.float64)
-            alpha = learn_mod.hedge_alpha(D, G, sum_m) if alpha == "paper" else float(alpha)
-            return (learn_mod.MildOGD(box, etas, alpha),
-                    {"expert_rates": etas.tolist(), "alpha": alpha})
+            grids = [np.asarray(learn_mod.mild_lr_grid(D, G, s, T) if etas == "paper" else etas,
+                                dtype=np.float64) for s in sums]
+            alphas = [learn_mod.hedge_alpha(D, G, s) if alpha == "paper" else float(alpha)
+                      for s in sums]
+            learner = learn_mod.MildOGD(box, *((np.array(grids), np.array(alphas)) if runs
+                                               else (grids[0], alphas[0])))
+            return learner, [{"expert_rates": g.tolist(), "alpha": a}
+                             for g, a in zip(grids, alphas)]
         if name == "dogd_dt":
-            learner = learn_mod.DogdDoublingTrick(box, D, G)
+            learner = learn_mod.DogdDoublingTrick(box, D, G, runs)
         else:
-            learner = learn_mod.MildOgdDoublingTrick(box, D, G, T)
+            learner = learn_mod.MildOgdDoublingTrick(box, D, G, T, runs)
         # the constructor built epoch 1; an epoch v opens only once its budget
         # 2^(v-1) is below sum_m and the rates fall with v, so the last is the other end
-        learner.make(2 ** sum_m.bit_length())
-        return learner, {}
+        for s in sums:
+            learner.make(2 ** s.bit_length())
+        return learner, [{} for _ in sums]
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"the {name} rates for D = {D!r}, G = {G!r}: {exc}") from None
 
 
-def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedule, box: Box):
-    """Drive one learner through the delayed-feedback protocol.
+def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) -> RunTrace:
+    """Drive a learner through the delayed-feedback protocol: the one round loop.
 
     Per round: play, query the gradient ``losses.gradient(t, x)`` at the
-    played point (exactly once), then, if the schedule's arrival plan
-    delivers feedback this round, hand the learner ``ingest(t, stamps,
-    grads)``.  The suffered losses are one ``losses.values(decisions)`` call
-    after the loop, bitwise equal to ``losses.value(t, x)`` round by round.
-    Queried gradients are kept in one (T, n) array laid out in delivery
-    order, so each round's arrivals are a contiguous slice.  The learners
-    step on bare clamps, so after the last round the run checks once that
-    every decision and gradient was finite, and raises ValueError if not.
-    The plan's rounds past the horizon are delivered too (plays suppressed),
-    completing the consumption log; reported losses never include them.  A
-    learner with ``weights`` has their sum recorded after every round.
+    played point (exactly once), then, if the arrival plan delivers feedback
+    this round, hand the learner ``ingest(t, stamps, grads)``.  ``schedule``
+    is one ``DelaySchedule``, or a list of R for a learner with a run axis
+    and losses laid out by ``losses.stack``: the runs then step together,
+    each on its own plan, merged (and checked) once by ``delay.merge_plans``.
+    Queried gradients are written where the plan delivers them, so each
+    round's arrivals are one slice.  The suffered losses are one
+    ``losses.values(decisions)`` call after the loop, bitwise equal to
+    ``losses.value(t, x)`` round by round.  The learners step on bare
+    clamps, so after the last round the run checks once that every decision
+    and gradient was finite, and raises ValueError if not.  The plan's
+    rounds past the horizon are delivered too (plays suppressed), completing
+    the consumption log; reported losses never include them.  A learner with
+    ``weights`` has their sum recorded after every round.  R runs give one
+    trace with decisions (T, R, n), which ``RunTrace.runs()`` splits.
     """
-    T = schedule.horizon
-    stamps, rounds, offsets = schedule.stamps, schedule.rounds, schedule.offsets
-    slot = [0] * T  # slot[k-1]: row of timestamp k in delivery order
-    for i, k in enumerate(stamps):
-        slot[k - 1] = i
-    grads = np.empty((T, box.dim))
-    decisions = np.empty((T, box.dim))
-    weight_sums = np.empty(T) if hasattr(learner, "weights") else None
+    runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
+    lead = () if runs is None else (runs,)
+    rounds, offsets, stamps, slots = delay_mod.merge_plans([schedule] if runs is None else schedule)
+    T = len(slots)
+    grads = np.zeros((len(stamps), *lead, box.dim))  # in delivery order; padding stays 0
+    if runs is None:  # the merged plan is the schedule's own
+        stamps, slots, write = schedule.stamps, slots[:, 0].tolist(), grads
+    else:  # blocks as rows of R timestamps; a round's gradients scatter entry by entry
+        # (far cheaper than row by row), so slots holds each entry's flat index
+        stamps, write = stamps.tolist(), grads.reshape(-1)
+        slots = slots[:, :, None] * box.dim + np.arange(box.dim)
+    decisions = np.empty((T, *lead, box.dim))
+    weight_sums = np.empty((T, *lead)) if hasattr(learner, "weights") else None
     weights = None  # the weights last summed; the learners rebind them on every update
     j = 0  # next entry of the plan
     for t in range(1, T + 1):
         x = learner.play(t)
         decisions[t - 1] = x
-        grads[slot[t - 1]] = losses.gradient(t, x)
+        write[slots[t - 1]] = losses.gradient(t, x)
         if rounds[j] == t:  # j stays in range: timestamp T arrives at round T or later
             lo, hi = offsets[j], offsets[j + 1]
             learner.ingest(t, stamps[lo:hi], grads[lo:hi])
@@ -346,23 +375,25 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule: DelaySchedul
         if weight_sums is not None:
             if learner.weights is not weights:
                 weights = learner.weights
-                weight_sum = weights.sum()
+                weight_sum = weights.sum(axis=-1)
             weight_sums[t - 1] = weight_sum
     if not (np.isfinite(decisions).all() and np.isfinite(grads).all()):
         raise ValueError("the run played a non-finite decision or queried a non-finite gradient")
     for j in range(j, len(rounds)):
         lo, hi = offsets[j], offsets[j + 1]
         learner.ingest(rounds[j], stamps[lo:hi], grads[lo:hi])
-    if sorted(stamps) != list(range(1, T + 1)):
-        raise AssertionError("the arrival plan did not deliver each timestamp exactly once")
-    c_log = getattr(learner, "c_log", None)
-    if c_log is not None:
-        c_log = tuple(c_log) if sorted(c_log) == list(range(1, T + 1)) else None
-    return RunTrace(
-        decisions=decisions, loss_values=losses.values(decisions), schedule=schedule,
-        c_log=c_log, dropped=getattr(learner, "dropped", 0), weight_sums=weight_sums,
-        epoch_starts=tuple(learner.epoch_starts) if hasattr(learner, "epoch_starts") else None,
-    )
+    logs = getattr(learner, "c_log", None)
+    if logs is not None:  # a run's log is its block column, less the padding
+        logs = [logs] if runs is None else [[k for k in column if k] for column in zip(*logs)]
+        logs = [tuple(log) if sorted(log) == list(range(1, T + 1)) else None for log in logs]
+    starts = getattr(learner, "epoch_starts", None)
+    if starts is not None:
+        starts = [tuple(s) for s in ([starts] if runs is None else starts)]
+    dropped = np.broadcast_to(getattr(learner, "dropped", 0), runs or 1).tolist()
+    per_run = (lambda v: v) if runs else (lambda v: None if v is None else v[0])
+    return RunTrace(decisions=decisions, loss_values=losses.values(decisions), schedule=schedule,
+                    c_log=per_run(logs), dropped=per_run(dropped), weight_sums=weight_sums,
+                    epoch_starts=per_run(starts))
 
 
 _STRICT_BOUND = {"ogd": "bound_cor1", "dogd": "bound_cor1", "mild": "bound_thm2",
@@ -373,44 +404,59 @@ _STRICT_BOUND = {"ogd": "bound_cor1", "dogd": "bound_cor1", "mild": "bound_thm2"
 _Inputs = namedtuple("_Inputs", "box losses env_fingerprint schedule comparators")
 
 
-def _build_inputs(cfg: dict, run_seed: int, cache: dict | None = None,
-                  cell: dict | None = None) -> _Inputs:
-    """Environment, arrival plan and comparators of one normalized config and seed.
+def _build_inputs(cfg: dict, seeds: list[int], cache: dict | None = None,
+                  cell: dict | None = None) -> list[_Inputs]:
+    """Environment, arrival plan and comparators of one normalized config at each seed.
 
     A sweep's cells differ in their grid values only, so it passes one
     ``cache`` and the ``cell`` of ``cfg``: each input is kept under the run
     seed and the grid values it reads, and built once per sweep.
     """
-    def shared(name: str, reads: tuple, build):
-        if cache is None:
-            return build()
-        key = (name, run_seed, *(cell.get(k) for k in reads))
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
-
-    box = Box.from_diameter(cfg["n"], cfg["D"])
+    cache, box = {} if cache is None else cache, Box.from_diameter(cfg["n"], cfg["D"])
     # a lowerbound environment draws one sign vector per block of d rounds, so it reads d
     env_reads = ("T", "d") if cfg["environment"].get("kind") == "lowerbound" else ("T",)
-    losses, targets, env_fp = shared(
-        "environment", env_reads, lambda: _build_environment(cfg, box, run_seed))
-    schedule = shared("plan", ("T", "d"), lambda: _build_schedule(cfg, run_seed))
-    comparators = shared("comparators", env_reads + ("P",),
-                         lambda: _build_comparators(cfg, box, losses, targets, run_seed))
-    comparators.setflags(write=False)
-    return _Inputs(box, losses, env_fp, schedule, comparators)
+
+    def key(name: str, seed: int, reads: tuple = env_reads) -> tuple:
+        return (name, seed, *((cell or {}).get(k) for k in reads))
+
+    todo = [s for s in seeds if key("environment", s) not in cache]  # their walks step together
+    cache.update(zip([key("environment", s) for s in todo],
+                     _build_environments(cfg, box, todo) if todo else ()))
+    out = []
+    for s in seeds:
+        losses, targets, env_fp = cache[key("environment", s)]
+        plan, comparators = key("plan", s, ("T", "d")), key("comparators", s, env_reads + ("P",))
+        if plan not in cache:
+            cache[plan] = _build_schedule(cfg, s)
+        if comparators not in cache:
+            cache[comparators] = _build_comparators(cfg, box, losses, targets, s)
+            cache[comparators].setflags(write=False)
+        out.append(_Inputs(box, losses, env_fp, cache[plan], cache[comparators]))
+    return out
 
 
-def _run(cfg: dict, run_seed: int, inputs: _Inputs) -> tuple[RunTrace, dict]:
-    """Run the configured learner on prebuilt inputs; returns (trace, summary)."""
+def _run(rows: list[tuple[dict, int, _Inputs]]) -> list[tuple[RunTrace, dict]]:
+    """Runs of normalized configs on prebuilt inputs, in lockstep through one ``simulate``;
+    the rows share the learner spec, T, n, D, G and loss kind.  Returns (trace, summary)s."""
+    cfg, _, first = rows[0]
+    schedules = [inputs.schedule for _, _, inputs in rows]
+    sums = [schedule.sum_backlog for schedule in schedules]
+    learner, resolved = _build_learner(cfg, first.box, sums)
+    if len(rows) == 1:
+        trace = simulate(learner, first.losses, first.schedule, first.box)
+    else:
+        losses = losses_mod.stack([inputs.losses for _, _, inputs in rows])
+        trace = simulate(learner, losses, schedules, first.box)
+    return [_summarize(*row, trace, params, sum_m)
+            for row, trace, params, sum_m in zip(rows, trace.runs(), resolved, sums)]
+
+
+def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resolved: dict,
+               sum_m: int) -> tuple[RunTrace, dict]:
+    """A run's summary: regrets, bounds and the echoed config."""
     box, losses, schedule = inputs.box, inputs.losses, inputs.schedule
     comparators = inputs.comparators
-    sum_m = schedule.sum_backlog
-    learner, resolved = _build_learner(cfg, box, sum_m)
-
     name = cfg["learner"]["name"]
-    trace = simulate(learner, losses, schedule, box)
-
     D, G, T = cfg["D"], cfg["G"], cfg["T"]
     S = schedule.total_delay
     d_max = schedule.max_delay
@@ -432,10 +478,8 @@ def _run(cfg: dict, run_seed: int, inputs: _Inputs) -> tuple[RunTrace, dict]:
     summary["bound_thm1"] = (
         metrics_mod.bound_thm1(D, G, resolved["eta"], sum_m, P_T, summary["joint_effect"])
         if name == "dogd" and summary["joint_effect"] is not None else None)
-    summary["bound_cor1"] = metrics_mod.bound_cor1(D, G, S, P_T, in_order, d_max, T)
-    summary["bound_thm2"] = metrics_mod.bound_thm2(D, G, S, P_T, in_order, d_max, T)
-    summary["bound_thm4"] = metrics_mod.bound_thm4(D, G, S, P_T, in_order, d_max, T)
-    summary["bound_thm5"] = metrics_mod.bound_thm5(D, G, S, P_T, in_order, d_max, T)
+    for bound in ("bound_cor1", "bound_thm2", "bound_thm4", "bound_thm5"):
+        summary[bound] = getattr(metrics_mod, bound)(D, G, S, P_T, in_order, d_max, T)
     summary["bound_lower"] = metrics_mod.bound_lower(T, d_max, D, G, min(P_T, T * D))
     summary["bound_lemma3"] = metrics_mod.bound_lemma3(T, d_max, D, G)
     if trace.weight_sums is not None:
@@ -460,6 +504,12 @@ def _run(cfg: dict, run_seed: int, inputs: _Inputs) -> tuple[RunTrace, dict]:
     return trace, summary
 
 
+def _batches(rows: list, cfg: dict) -> list[list]:
+    """``rows`` cut into lockstep batches that fit in physical memory all at once."""
+    fit = max(1, _physical_memory() // _run_bytes(cfg))
+    return [rows[i:i + fit] for i in range(0, len(rows), fit)]
+
+
 def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dict]:
     """Run one configured experiment; returns (trace, summary).
 
@@ -468,14 +518,16 @@ def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dic
     """
     cfg = normalize_config(config)
     run_seed = cfg["seed"] if seed is None else int(seed)
-    return _run(cfg, run_seed, _build_inputs(cfg, run_seed))
+    return _run([(cfg, run_seed, *_build_inputs(cfg, [run_seed]))])[0]
 
 
 def run_many(config: dict) -> list[tuple[RunTrace, dict]]:
-    """One run per repetition, seeded base_seed + index."""
+    """One run per repetition, seeded base_seed + index, all in lockstep (in as many
+    batches as physical memory needs); each is bitwise what ``run_experiment`` gives."""
     cfg = normalize_config(config)
-    return [run_experiment(cfg, seed=cfg["seed"] + rep)
-            for rep in range(cfg["repetitions"])]
+    seeds = [cfg["seed"] + rep for rep in range(cfg["repetitions"])]
+    return [result for batch in _batches(seeds, cfg)
+            for result in _run(list(zip([cfg] * len(batch), batch, _build_inputs(cfg, batch))))]
 
 
 _SWEEP_KEYS = ("learner", "T", "d", "P")
@@ -507,29 +559,43 @@ def sweep(config: dict, grid: dict) -> list[dict]:
 
     Rows come out in deterministic (grid key, value order, repetition) order
     regardless of any execution order, one row per repetition per cell; each
-    is the summary ``run_many`` gives for its cell, less the config.
+    is the summary ``run_many`` gives for its cell, less the config.  The
+    runs of all cells that share a learner and T step in lockstep.
     """
     cfg = normalize_config(config)
     if not (isinstance(grid, dict) and grid
             and all(isinstance(v, (list, tuple)) and v for v in grid.values())):
         raise ConfigError(f"sweep grid must map keys to nonempty lists of values, got {grid!r}")
     keys = sorted(grid)
-    rows = []
     cache: dict = {}
+    runs, groups = [], {}  # runs: (cell, repetition, (cfg, seed, inputs)); groups of their indices
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, combo))
         try:
             cell_cfg = normalize_config(_apply_cell(cfg, cell))
-            for rep in range(cell_cfg["repetitions"]):
-                run_seed = cell_cfg["seed"] + rep
-                inputs = _build_inputs(cell_cfg, run_seed, cache, cell)
-                _, summary = _run(cell_cfg, run_seed, inputs)
-                row = {"cell": cell, "repetition": rep}
-                row.update({k: v for k, v in summary.items() if k != "config"})
-                rows.append(row)
+            seeds = [cell_cfg["seed"] + rep for rep in range(cell_cfg["repetitions"])]
+            for rep, (seed, inputs) in enumerate(zip(seeds, _build_inputs(cell_cfg, seeds,
+                                                                          cache, cell))):
+                key = (repr(cell_cfg["learner"]), cell_cfg["T"], type(inputs.losses))
+                groups.setdefault(key, []).append(len(runs))
+                runs.append((cell, rep, (cell_cfg, seed, inputs)))
         except Exception as exc:
             raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
-    return rows
+    summaries = {}
+    for batch in (b for group in groups.values() for b in _batches(group, runs[group[0]][2][0])):
+        try:
+            results = _run([runs[i][2] for i in batch])
+        except Exception:  # rerun one run at a time, to name the failing cell
+            results = []
+            for i in batch:
+                try:
+                    results += _run([runs[i][2]])
+                except Exception as exc:
+                    raise SweepError(f"sweep cell {runs[i][0]} failed: {exc}") from exc
+        summaries.update(zip(batch, (summary for _, summary in results)))
+    return [{"cell": cell, "repetition": rep,
+             **{k: v for k, v in summaries[i].items() if k != "config"}}
+            for i, (cell, rep, _) in enumerate(runs)]
 
 
 def lowerbound_report(T: int, d: int, D: float, G: float, n: int,

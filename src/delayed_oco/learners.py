@@ -8,12 +8,18 @@ All learners share one protocol so the harness can drive them identically:
                                   round t: ``grads[i]`` was queried at round
                                   ``stamps[i]``, and ``stamps`` is ascending
 
+A learner whose parameters carry a leading run axis runs R independent runs in
+lockstep: ``play`` returns an (R, n) stack, and ``ingest`` takes K rows of R
+timestamps with (K, R, n) gradients, column r holding run r's arrivals in
+ascending order, padded below with timestamp 0 and a zero gradient (a zero
+step leaves an iterate in the box as it is).  One run has no run axis.
+
 Four algorithms are provided:
 
 * ``DelayedOGD``             - one projected step per delivered gradient, in
   ascending timestamp order; under unit delays this is textbook projected
-  online gradient descent.  Given an (N, 1) column of rates it runs N
-  iterates in lockstep on the same gradients.
+  online gradient descent.  Rate columns (..., 1) step a stack of iterates:
+  N experts on one gradient, R runs, or R runs of N experts.
 * ``MildOGD``                - one such N-rate DelayedOGD pool with
   geometrically spaced learning rates, combined by a delay-aware Hedge over
   linearized surrogate losses. The pool reuses the meta decision's gradient,
@@ -47,11 +53,13 @@ class DelayedOGD:
     gradient, traversing each round's arrivals in ascending timestamp order
     (the ascending order is load-bearing: it is what makes the consumption
     order equal the query order whenever delays preserve arrival order).
-    ``c_log[i]`` is the timestamp of the (i+1)-th consumed gradient.
+    ``c_log[i]`` is the timestamp of the (i+1)-th consumed gradient (with a run
+    axis, a row of R timestamps per step).
 
-    ``eta`` is a positive finite scalar or an (N, 1) column of such rates.
-    With a column, y is an (N, n) stack whose row i steps at rate ``eta[i]``
-    on the same gradients, and each step projects the whole stack at once.
+    ``eta`` is a positive finite scalar or a (..., 1) column of such rates:
+    y is then a (..., n) stack whose rows step at their own rates, projected
+    at once.  A column is kept spread to y's shape (a same-shape product is
+    far cheaper than a broadcast one on tiny arrays).
 
     A step projects by a bare clamp, without ``Box.project``'s checks: the
     rates are checked here, and ``simulate`` checks once per run that every
@@ -61,31 +69,33 @@ class DelayedOGD:
 
     def __init__(self, box: Box, eta):
         rates = np.asarray(eta, dtype=np.float64)
-        if rates.ndim != 0 and (rates.ndim != 2 or rates.shape[1] != 1 or rates.size < 1):
-            raise ValueError("learning rate must be a scalar or an (N, 1) column")
+        if rates.ndim == 1 or rates.ndim > 3 or rates.ndim and rates.shape[-1] != 1 \
+                or rates.size < 1:
+            raise ValueError("learning rate must be a scalar or a (..., 1) column")
         if not np.all(np.isfinite(rates) & (rates > 0)):
             raise ValueError("learning rate must be positive and finite")
         self.box = box
-        if rates.ndim == 0:
-            self.eta = float(eta)
-            self.y = box.origin()
-        else:
-            self.eta = rates
-            self.y = np.zeros((rates.shape[0], box.dim))
-        self.c_log: list[int] = []
+        self.y = np.zeros(rates.shape[:-1] + (box.dim,)) if rates.ndim else box.origin()
+        self.eta = rates * np.ones_like(self.y) if rates.ndim else float(eta)
+        self.c_log: list = []
 
     def play(self, t: int) -> np.ndarray:
         return self.y.copy()
 
-    def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
-        if len(stamps) != len(grads):
-            raise ValueError("one gradient per timestamp is required")
-        if len(stamps) > 1 and any(a >= b for a, b in zip(stamps, stamps[1:])):
-            raise ValueError("feedback must be sorted ascending by timestamp")
+    def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
         h = self.box.half_width
         for g in grads:
             self.y = (self.y - self.eta * g).clip(-h, h)
         self.c_log.extend(stamps)
+
+    def tiled(self, runs: int) -> "DelayedOGD":
+        """``runs`` fresh copies of this one-run learner, as one learner."""
+        return DelayedOGD(self.box, np.full((runs, 1), self.eta))
+
+    def set_row(self, r: int, other: "DelayedOGD") -> None:
+        """Run r becomes the one-run learner ``other``; arrays are rebound, never written."""
+        self.eta, self.y = self.eta.copy(), self.y.copy()
+        self.eta[r], self.y[r] = other.eta, other.y
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +144,20 @@ def init_weights(N: int) -> np.ndarray:
 # Expert aggregation.
 # ---------------------------------------------------------------------------
 
-def delayed_hedge_update(log_weights: np.ndarray, alpha: float,
-                         arrived_loss_sums: np.ndarray) -> np.ndarray:
+def delayed_hedge_update(log_w: np.ndarray, alpha, arrived_loss_sums: np.ndarray) -> np.ndarray:
     """Exponential-weights update on whatever expert losses arrived this round.
 
     Works in log space (subtract the max before normalizing) because the
     ratio form overflows once alpha * cumulative-loss grows large; the
     mathematics is identical.  An all-zero arrival leaves weights unchanged.
+    Rows of a run axis normalize by ``math.log`` each (``np.log`` rounds differently).
     """
-    lw = log_weights - alpha * np.asarray(arrived_loss_sums, dtype=np.float64)
-    lw -= lw.max()
-    return lw - math.log(np.exp(lw).sum())
+    lw = log_w - alpha * np.asarray(arrived_loss_sums, dtype=np.float64)
+    if lw.ndim == 1:
+        lw -= lw.max()
+        return lw - math.log(np.exp(lw).sum())
+    lw -= np.maximum.reduce(lw, axis=-1, keepdims=True)
+    return lw - np.array([[math.log(s)] for s in np.add.reduce(np.exp(lw), axis=-1).tolist()])
 
 
 class MildOGD:
@@ -159,7 +172,9 @@ class MildOGD:
 
     The pool is one ``DelayedOGD`` over an (N, n) iterate, so experts never
     query gradients of their own: one query per round serves the meta
-    decision and the whole pool.
+    decision and the whole pool.  (R, N) ``expert_rates`` with R alphas are R
+    runs: an (R, N, n) pool and (R, N) ``log_w``; a run without feedback keeps
+    its weights bitwise.
 
     The state (``pool.y`` and ``weights``) changes only when feedback
     arrives, and every change rebinds the arrays instead of writing into
@@ -169,19 +184,24 @@ class MildOGD:
     arrives, so memory is bounded by the maximum backlog.
     """
 
-    def __init__(self, box: Box, expert_rates, alpha: float):
+    def __init__(self, box: Box, expert_rates, alpha):
         rates = np.sort(np.asarray(expert_rates, dtype=np.float64))
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise ValueError("alpha must be positive and finite")
+        alphas = np.asarray(alpha, dtype=np.float64)
+        if alphas.ndim > 1 or rates.shape[:-1] != alphas.shape or \
+                not np.all(np.isfinite(alphas) & (alphas > 0)):
+            raise ValueError("alpha must be positive and finite, one per run")
         self.box = box
-        self.alpha = alpha
+        self.runs = alphas.size if alphas.ndim else None
+        self.alpha = alphas[:, None] * np.ones_like(rates) if alphas.ndim else float(alpha)
         self.expert_rates = rates
-        self.pool = DelayedOGD(box, rates[:, None])  # which checks the rates
-        self.log_w = np.log(init_weights(rates.size))
+        self.pool = DelayedOGD(box, rates[..., None])  # which checks the rates
+        self.log_w = np.log(init_weights(rates.shape[-1])) + np.zeros(rates.shape)
         # the last mix: the pool.y and weights it read (held, so `is` stays
-        # sound), the meta decision x and the expert spreads xs - x
+        # sound), the meta decision x and the expert spreads xs - x (per run)
         self._mix = (None, None, None, None)
-        self._spreads: dict[int, np.ndarray] = {}  # round -> the spreads it played
+        # round -> the spreads it played; with a run axis one such dict per run
+        self._spreads = {} if self.runs is None else [{} for _ in range(self.runs)]
+        self._no_spread = np.zeros((rates.shape[-1], box.dim))  # a padded slot's
 
     @property
     def log_w(self) -> np.ndarray:
@@ -200,31 +220,65 @@ class MildOGD:
         if self._mix[0] is not xs or self._mix[1] is not w:
             # clip guards the one-ulp rounding a float convex combination can incur
             h = self.box.half_width
-            x = (w @ xs).clip(-h, h)
-            self._mix = (xs, w, x, xs - x)
-        self._spreads[t] = self._mix[3]
+            if self.runs is None:
+                x = (w @ xs).clip(-h, h)
+                self._mix = (xs, w, x, xs - x)
+            else:
+                x = (w[:, None, :] @ xs).clip(-h, h)
+                self._mix = (xs, w, x[:, 0], list(xs - x))
+        if self.runs is None:
+            self._spreads[t] = self._mix[3]
+        else:
+            for spreads, s in zip(self._spreads, self._mix[3]):
+                spreads[t] = s
         return self._mix[2].copy()
 
-    def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
-        if not stamps:
+    def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
+        if not len(stamps):
             return
         try:
-            spreads = [self._spreads.pop(k) for k in stamps]
+            if self.runs is None:
+                spreads = [self._spreads.pop(k) for k in stamps]
+            else:
+                spreads = [run.pop(k) if k else self._no_spread
+                           for row in stamps for run, k in zip(self._spreads, row)]
         except KeyError as exc:
             raise AssertionError(f"feedback for round {exc.args[0]} without a recorded play") \
                 from None
-        if len(spreads) == 1:
-            loss_sums = spreads[0] @ grads[0]
+        if len(grads) == 1:  # one arrival per run: one (N, n) @ (n,) product each
+            loss_sums = spreads[0] @ grads[0] if self.runs is None else \
+                (np.array(spreads) @ grads[0][..., None])[..., 0]
         else:
             # a running sum in timestamp order gives the per-arrival float sums;
             # np.sum would add a single expert's column pairwise
-            products = np.matmul(np.stack(spreads), grads[:, :, None])[:, :, 0]
-            loss_sums = np.add.accumulate(products, axis=0)[-1]
-        self.log_w = delayed_hedge_update(self.log_w, self.alpha, loss_sums)
-        self.pool.ingest(t, stamps, grads)
+            spreads = np.array(spreads).reshape(grads.shape[:-1] + self._no_spread.shape)
+            loss_sums = np.add.accumulate((spreads @ grads[..., None])[..., 0], axis=0)[-1]
+        log_w = delayed_hedge_update(self.log_w, self.alpha, loss_sums)
+        if self.runs is None:
+            self.log_w = log_w
+            self.pool.ingest(t, stamps, grads)
+            return
+        if 0 in stamps[0]:  # a run without feedback keeps its weights
+            fed = np.array([any(col) for col in zip(*stamps)])
+            log_w = np.where(fed[:, None], log_w, self.log_w)
+        self.log_w = log_w
+        self.pool.ingest(t, stamps, grads[:, :, None, :])
+
+    def tiled(self, runs: int) -> "MildOGD":
+        """``runs`` fresh copies of this one-run learner, as one learner."""
+        return MildOGD(self.box, np.tile(self.expert_rates, (runs, 1)), np.full(runs, self.alpha))
+
+    def set_row(self, r: int, other: "MildOGD") -> None:
+        """Run r becomes the one-run learner ``other``; arrays are rebound, never written."""
+        self.pool.set_row(r, other.pool)
+        self.alpha, self.expert_rates, log_w = \
+            self.alpha.copy(), self.expert_rates.copy(), self.log_w.copy()
+        self.alpha[r], self.expert_rates[r], log_w[r] = other.alpha, other.expert_rates, other.log_w
+        self.log_w = log_w
+        self._spreads[r] = {}
 
     @property
-    def c_log(self) -> list[int]:
+    def c_log(self) -> list:
         return self.pool.c_log
 
 
@@ -273,30 +327,54 @@ class EpochController:
 
 class _RestartingLearner:
     """Epoch bookkeeping + stale-feedback dropping; epoch v runs a fresh ``make(2^v)``,
-    where ``make(beta)`` builds the learner tuned for the backlog sum beta."""
+    where ``make(beta)`` builds the one-run learner tuned for the backlog sum beta.
+    With ``runs`` each run has its own controller, restarts its own row of the
+    shared inner learner and counts its own ``dropped``."""
 
-    def __init__(self, make):
+    def __init__(self, make, runs: int | None = None):
         self.make = make
-        self.ctrl = EpochController()
-        self.dropped = 0
-        self.inner = make(2 ** self.ctrl.v)
+        self.runs = runs
+        self.ctrls = [EpochController() for _ in range(runs or 1)]
+        self.dropped = 0 if runs is None else np.zeros(runs, dtype=np.int64)
+        self.inner = make(2) if runs is None else make(2).tiled(runs)
 
     def play(self, t: int) -> np.ndarray:
-        if self.ctrl.begin_round(t):
-            self.inner = self.make(2 ** self.ctrl.v)
+        if self.runs is None:
+            if self.ctrls[0].begin_round(t):
+                self.inner = self.make(2 ** self.ctrls[0].v)
+        else:
+            for r, ctrl in enumerate(self.ctrls):
+                if ctrl.begin_round(t):
+                    self.inner.set_row(r, self.make(2 ** ctrl.v))
         return self.inner.play(t)
 
-    def ingest(self, t: int, stamps: list[int], grads: np.ndarray) -> None:
-        # stamps ascend, so the stale ones (queried before the epoch) are a prefix
-        stale = bisect_left(stamps, self.ctrl.epoch_start)
-        self.dropped += stale
-        self.ctrl.note_arrivals(len(stamps) - stale)
-        if stale < len(stamps):
-            self.inner.ingest(t, stamps[stale:], grads[stale:])
+    def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
+        if self.runs is None:
+            # stamps ascend, so the stale ones (queried before the epoch) are a prefix
+            ctrl = self.ctrls[0]
+            stale = bisect_left(stamps, ctrl.epoch_start)
+            self.dropped += stale
+            ctrl.note_arrivals(len(stamps) - stale)
+            if stale < len(stamps):
+                self.inner.ingest(t, stamps[stale:], grads[stale:])
+            return
+        starts = [ctrl.epoch_start for ctrl in self.ctrls]
+        # a run's column ascends above its padding, so its first stamp is its oldest
+        if any(0 < k < start for k, start in zip(stamps[0], starts)):
+            block = np.array(stamps)  # a dropped item becomes padding: stamp 0, a zero step
+            stale = (block > 0) & (block < starts)
+            self.dropped = self.dropped + stale.sum(axis=0)
+            stamps, grads = np.where(stale, 0, block).tolist(), np.where(stale[..., None], 0, grads)
+        counts = [len(column) - column.count(0) for column in zip(*stamps)]
+        for ctrl, count in zip(self.ctrls, counts):
+            ctrl.note_arrivals(count)
+        if any(counts):
+            self.inner.ingest(t, stamps, grads)
 
     @property
-    def epoch_starts(self) -> list[int]:
-        return list(self.ctrl.epoch_starts)
+    def epoch_starts(self) -> list:
+        starts = [list(ctrl.epoch_starts) for ctrl in self.ctrls]
+        return starts[0] if self.runs is None else starts
 
 
 class DogdDoublingTrick(_RestartingLearner):
@@ -307,8 +385,8 @@ class DogdDoublingTrick(_RestartingLearner):
     epoch-local backlog statistic accounts for.
     """
 
-    def __init__(self, box: Box, D: float, G: float):
-        super().__init__(lambda beta: DelayedOGD(box, corollary_lr(D, G, beta)))
+    def __init__(self, box: Box, D: float, G: float, runs: int | None = None):
+        super().__init__(lambda beta: DelayedOGD(box, corollary_lr(D, G, beta)), runs)
 
 
 class MildOgdDoublingTrick(_RestartingLearner):
@@ -322,9 +400,9 @@ class MildOgdDoublingTrick(_RestartingLearner):
     between meta and experts impossible.
     """
 
-    def __init__(self, box: Box, D: float, G: float, T: int):
+    def __init__(self, box: Box, D: float, G: float, T: int, runs: int | None = None):
         super().__init__(lambda beta: MildOGD(box, mild_lr_grid(D, G, beta, T),
-                                              hedge_alpha(D, G, beta)))
+                                              hedge_alpha(D, G, beta)), runs)
 
     @property
     def weights(self) -> np.ndarray:

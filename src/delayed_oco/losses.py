@@ -12,6 +12,11 @@ product ``value`` takes, so row t-1 equals ``value(t, X[t-1])`` bitwise (an
 construction, that its arrays and scale are finite, and never re-checks them
 per call.
 
+``stack`` lays R families of one kind out as one family over (T, R, n)
+arrays (and an (R, n) block of quadratic scales): ``gradient(t, X)`` then
+takes the (R, n) stack of the R runs' decisions, and ``values`` a (T, R, n)
+stack of decisions, each run bitwise as its own family would give it.
+
 ``len(f)`` is T and ``f[i]`` (0-based) is the one-round family of round i+1.
 """
 
@@ -36,10 +41,10 @@ def _frozen(a) -> np.ndarray:
 class QuadraticTracking:
     """f_t(x) = (scale/2) * ||x - targets[t-1]||_2^2, minimized at the round's target."""
 
-    def __init__(self, targets, scale: float):
+    def __init__(self, targets, scale):
         self.targets = _frozen(targets)
-        self.scale = float(scale)
-        if not math.isfinite(self.scale):
+        self.scale = _frozen(scale) if np.ndim(scale) else float(scale)
+        if not np.isfinite(self.scale).all():
             raise ValueError("scale must be finite")
 
     def __len__(self) -> int:
@@ -58,7 +63,8 @@ class QuadraticTracking:
     def values(self, X) -> np.ndarray:
         """f_t at row t-1 of X, shape (..., T, n); leading axes broadcast; row-exact."""
         d = X - self.targets
-        return 0.5 * self.scale * (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+        scale = self.scale[:, :1] if np.ndim(self.scale) else self.scale  # a stacked one's column
+        return (0.5 * scale * (d[..., None, :] @ d[..., :, None])[..., 0])[..., 0]
 
 
 class Linear:
@@ -83,8 +89,18 @@ class Linear:
         """f_t at row t-1 of X, shape (..., T, n); leading axes broadcast; row-exact."""
         X = np.asarray(X)
         if X.shape[-1] == 1:  # np.dot of one-entry vectors is the bare product, zero's sign too
-            return self.grads[:, 0] * X[..., 0]
-        return (self.grads[:, None, :] @ X[..., :, None])[..., 0, 0]
+            return self.grads[..., 0] * X[..., 0]
+        return (self.grads[..., None, :] @ X[..., :, None])[..., 0, 0]
+
+
+def stack(families: list) -> QuadraticTracking | Linear:
+    """R families of one kind and horizon as one family over (T, R, n) arrays."""
+    if isinstance(families[0], Linear):
+        return Linear(np.stack([f.grads for f in families], axis=1))
+    targets = np.stack([f.targets for f in families], axis=1)
+    # each run's scale spread over its n coordinates, as a same-shape product is cheap
+    return QuadraticTracking(targets, np.array([[f.scale] for f in families])
+                             * np.ones(targets.shape[1:]))
 
 
 def quadratic_drift_scale(bound: float, box: Box, max_target_norm: float) -> float:

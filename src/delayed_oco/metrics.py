@@ -45,20 +45,35 @@ class RunTrace:
     consumption order including the flush window, or None when it is
     incomplete (e.g. restart-based learners drop stale feedback, so their
     log never covers all T timestamps).
+
+    ``simulate`` over R runs in lockstep returns one trace with a run axis:
+    decisions (T, R, n), loss values and weight sums (T, R), a list of R
+    schedules and a list per run of the other fields; ``runs()`` splits it.
     """
 
     decisions: np.ndarray
     loss_values: np.ndarray
-    schedule: DelaySchedule
-    c_log: tuple | None = None
-    dropped: int = 0
+    schedule: DelaySchedule | list
+    c_log: tuple | list | None = None
+    dropped: int | list = 0
     weight_sums: np.ndarray | None = None
-    epoch_starts: tuple | None = None
+    epoch_starts: tuple | list | None = None
     config: dict = field(default_factory=dict)
 
     @property
     def horizon(self) -> int:
         return self.decisions.shape[0]
+
+    def runs(self) -> list["RunTrace"]:
+        """Each run's own trace (views into this one), bitwise what it would record alone."""
+        if isinstance(self.schedule, DelaySchedule):
+            return [self]
+        logs, sums, starts = self.c_log, self.weight_sums, self.epoch_starts
+        return [RunTrace(self.decisions[:, r], self.loss_values[:, r], schedule,
+                         None if logs is None else logs[r], self.dropped[r],
+                         None if sums is None else sums[:, r],
+                         None if starts is None else starts[r])
+                for r, schedule in enumerate(self.schedule)]
 
 
 def _decisions_of(trace_or_array) -> np.ndarray:

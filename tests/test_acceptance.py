@@ -6,7 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 import numpy as np
 
 from delayed_oco import invariants
-from delayed_oco.harness import lowerbound_report, run_experiment
+from delayed_oco.harness import lowerbound_report, run_experiment, run_many
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -14,18 +14,25 @@ def report(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
-DRIFT_SWEEP = [(n, d, seed) for n in (1, 5) for d in (1, 5, 20) for seed in range(20)]
-
-
-def drift_config(learner: str, n: int, d: int, seed: int, T: int = 2000) -> dict:
+def drift_config(learner: str, n: int, d: int, seed: int, T: int = 2000,
+                 repetitions: int = 1) -> dict:
     return {
         "T": T, "n": n, "D": 2.0, "G": 1.0,
         "learner": {"name": learner},
         "delay": {"kind": "constant", "value": d},
         "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"},
         "comparators": {"kind": "targets"},
-        "seed": seed,
+        "seed": seed, "repetitions": repetitions,
     }
+
+
+def drift_sweep(learner: str):
+    """(n, d, seed, summary) for n in {1, 5}, d in {1, 5, 20} and seeds 0-19: each
+    (n, d) cell is one ``run_many`` call whose 20 repetitions step in lockstep."""
+    for n in (1, 5):
+        for d in (1, 5, 20):
+            for _, summary in run_many(drift_config(learner, n, d, 0, repetitions=20)):
+                yield n, d, summary["seed"], summary
 
 
 # Criteria 1-3 and 9 run the invariants ``delayed-oco verify`` runs, at full size.
@@ -48,8 +55,7 @@ def test_criterion_3_backlog_identities():
 def test_criterion_4_bound_cor1_domination():
     ok, detail = True, ""
     worst = 0.0
-    for n, d, seed in DRIFT_SWEEP:
-        _, summary = run_experiment(drift_config("dogd", n, d, seed))
+    for n, d, seed, summary in drift_sweep("dogd"):
         ratio = summary["regret_dynamic"] / summary["bound_cor1"]
         worst = max(worst, ratio)
         if summary["regret_dynamic"] > summary["bound_cor1"]:
@@ -62,8 +68,7 @@ def test_criterion_4_bound_cor1_domination():
 def test_criterion_5_bound_thm2_domination():
     ok, detail = True, ""
     worst = 0.0
-    for n, d, seed in DRIFT_SWEEP:
-        _, summary = run_experiment(drift_config("mild", n, d, seed))
+    for n, d, seed, summary in drift_sweep("mild"):
         worst = max(worst, summary["regret_dynamic"] / summary["bound_thm2"])
         if summary["regret_dynamic"] > summary["bound_thm2"]:
             ok, detail = False, f"bound violated at n={n} d={d} seed={seed}"
@@ -87,8 +92,7 @@ def test_criterion_6_doubling_trick():
             ok, detail = False, f"{learner}: unit-delay epochs {summary['epoch_starts'][:6]}..."
     if ok:
         for learner, bound_key in (("dogd_dt", "bound_thm4"), ("mild_dt", "bound_thm5")):
-            for n, d, seed in DRIFT_SWEEP:
-                _, summary = run_experiment(drift_config(learner, n, d, seed))
+            for n, d, seed, summary in drift_sweep(learner):
                 if summary["regret_dynamic"] > summary[bound_key]:
                     ok, detail = False, \
                         f"{learner} exceeded {bound_key} at n={n} d={d} seed={seed}"
@@ -114,18 +118,15 @@ def test_criterion_8_scaling_shape():
     delays = [1, 4, 16, 64]
     means = []
     for d in delays:
-        regrets = []
-        for seed in range(20):
-            config = {
-                "T": 4096, "n": 1, "D": 2.0, "G": 1.0,
-                "learner": {"name": "mild"},
-                "delay": {"kind": "blocks", "d": d},
-                "environment": {"kind": "lowerbound"},
-                "comparators": {"kind": "best_fixed"},
-                "seed": seed,
-            }
-            _, summary = run_experiment(config)
-            regrets.append(summary["regret_dynamic"])
+        config = {
+            "T": 4096, "n": 1, "D": 2.0, "G": 1.0,
+            "learner": {"name": "mild"},
+            "delay": {"kind": "blocks", "d": d},
+            "environment": {"kind": "lowerbound"},
+            "comparators": {"kind": "best_fixed"},
+            "seed": 0, "repetitions": 20,
+        }
+        regrets = [summary["regret_dynamic"] for _, summary in run_many(config)]
         means.append(float(np.mean(regrets)))
     slope = float(np.polyfit(np.log(delays), np.log(means), 1)[0])
     ok = 0.3 <= slope <= 0.7

@@ -351,17 +351,17 @@ def test_sweep_rows_equal_independent_runs(case):
                                          {"kind": "piecewise", "path_budget": 1.0}])
 def test_shared_inputs_cannot_be_written_through_a_trace_or_a_row(comparators):
     cfg = harness.normalize_config(base_config(comparators=comparators))
-    fresh = harness._build_inputs(cfg, 7)
+    fresh, = harness._build_inputs(cfg, [7])
     cache = {}
     first = None
     for name in ("dogd", "mild", "mild_dt"):
         cell = {"learner": name}
         cell_cfg = harness.normalize_config(harness._apply_cell(cfg, cell))
-        inputs = harness._build_inputs(cell_cfg, 7, cache, cell)
+        inputs, = harness._build_inputs(cell_cfg, [7], cache, cell)
         first = first or inputs
         assert (inputs.losses, inputs.schedule, inputs.comparators) == \
             (first.losses, first.schedule, first.comparators)
-        trace, _ = harness._run(cell_cfg, 7, inputs)
+        (trace, _), = harness._run([(cell_cfg, 7, inputs)])
         for a in (trace.decisions, trace.loss_values, trace.weight_sums):
             if a is not None:
                 assert not np.shares_memory(a, inputs.comparators)
@@ -376,6 +376,98 @@ def test_shared_inputs_cannot_be_written_through_a_trace_or_a_row(comparators):
     assert first.schedule == fresh.schedule
     rows = sweep(cfg, {"learner": ["dogd", "mild"], "d": [1, 3]})
     assert not any(isinstance(v, np.ndarray) for row in rows for v in row.values())
+
+
+# --- lockstep batches -------------------------------------------------------------
+
+_BATCH_DELAYS = {"constant": {"value": 3}, "uniform": {"lo": 1, "hi": 8}, "permuted": {},
+                 "in_order_random": {"d_max": 6}, "blocks": {"d": 4}, "list": None}
+
+
+@st.composite
+def batch_cases(draw):
+    """A config with up to 3 repetitions and a grid whose cells step in lockstep: ragged
+    plans (seeded delays, and d cells), restarts, n from 1 to 5 and every environment."""
+    kind = draw(st.sampled_from(sorted(_BATCH_DELAYS)))
+    T = draw(st.integers(2, 40))
+    values = st.lists(st.integers(1, 9), min_size=T, max_size=T)
+    delay = {"kind": kind, **({"values": draw(values)} if kind == "list" else _BATCH_DELAYS[kind])}
+    environment = draw(st.sampled_from(
+        ["quadratic", "linear"] + (["lowerbound"] if kind == "blocks" else [])))
+    cfg = {"T": T, "n": draw(st.integers(1, 5)), "delay": delay,
+           "environment": ({"kind": "lowerbound"} if environment == "lowerbound" else
+                           {"kind": "drift", "step": 0.2, "loss": environment}),
+           "seed": draw(st.integers(0, 50)), "repetitions": draw(st.integers(1, 3))}
+    grid = {"learner": draw(st.lists(st.sampled_from(_LEARNER_NAMES), min_size=1, max_size=5,
+                                     unique=True))}
+    if kind not in ("permuted", "list") and draw(st.booleans()):
+        grid["d"] = draw(st.lists(st.integers(1, 12), min_size=2, max_size=3, unique=True))
+    return cfg, grid
+
+
+_DRIFT_SWEEP = ({"T": 2000, "n": 5, "D": 2.0, "G": 1.0, "delay": {"kind": "constant", "value": 1},
+                 "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"},
+                 "comparators": {"kind": "targets"}, "seed": 0},
+                {"learner": ["dogd", "mild", "dogd_dt", "mild_dt"], "d": [1, 20]})
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch_cases())
+@example(_DRIFT_SWEEP)
+def test_lockstep_batches_render_as_runs_one_at_a_time(case):
+    # sweep rows, run_many summaries and traces are byte for byte what each run
+    # gives through run_experiment alone, one run with no run axis
+    cfg, grid = case
+    keys = sorted(grid)
+    expected, cells = [], [dict(zip(keys, combo))
+                           for combo in itertools.product(*(grid[k] for k in keys))]
+    for cell in cells:
+        cell_cfg = harness._apply_cell(cfg, cell)
+        alone = [run_experiment(cell_cfg, seed=cfg["seed"] + rep)
+                 for rep in range(cfg.get("repetitions", 1))]
+        for rep, ((trace, summary), (one_trace, one_summary)) in \
+                enumerate(zip(run_many(cell_cfg), alone, strict=True)):
+            assert trace.decisions.tobytes() == one_trace.decisions.tobytes()
+            assert trace_to_csv(trace) == trace_to_csv(one_trace)
+            assert harness.to_json(summary) == harness.to_json(one_summary)
+            expected.append({"cell": cell, "repetition": rep,
+                             **{k: v for k, v in one_summary.items() if k != "config"}})
+    assert harness.to_json(sweep(cfg, grid)) == harness.to_json(expected)
+
+
+@pytest.mark.parametrize("learner", ["dogd_dt", "mild_dt"])
+def test_lockstep_runs_restart_and_drop_stale_feedback_each_on_its_own_plan(learner):
+    cfg = {"T": 40, "n": 2, "learner": {"name": learner}, "seed": 1, "repetitions": 3,
+           "delay": {"kind": "uniform", "lo": 1, "hi": 9}}
+    summaries = [summary for _, summary in run_many(cfg)]
+    assert len({tuple(s["epoch_starts"]) for s in summaries}) == 3
+    assert len({s["dropped"] for s in summaries}) > 1
+    assert harness.to_json(summaries) == \
+        harness.to_json([run_experiment(cfg, seed=1 + rep)[1] for rep in range(3)])
+
+
+def test_a_batch_that_fits_per_run_but_not_at_once_is_split(monkeypatch):
+    cfg = base_config(T=30, repetitions=5, learner={"name": "mild"},
+                      delay={"kind": "uniform", "lo": 1, "hi": 6})
+    need = harness._run_bytes(harness.normalize_config(cfg))
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * need + need // 2)
+    sizes, simulate_ = [], harness.simulate
+
+    def recording(learner, losses, schedule, box):
+        sizes.append(1 if isinstance(schedule, DelaySchedule) else len(schedule))
+        return simulate_(learner, losses, schedule, box)
+
+    monkeypatch.setattr(harness, "simulate", recording)
+    results = run_many(cfg)
+    assert sizes == [2, 2, 1]
+    for rep, (_, summary) in enumerate(results):
+        assert harness.to_json(summary) == harness.to_json(run_experiment(cfg, seed=7 + rep)[1])
+    sizes.clear()
+    sweep(cfg, {"learner": ["mild"], "d": [2, 4]})  # 10 runs of one learner and T
+    assert sizes == [2, 2, 2, 2, 2]
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match="physical memory"):
+        run_many(cfg)
 
 
 @pytest.mark.parametrize("grid", [{"T": [10.5]}, {"d": [2.5]}])
@@ -839,21 +931,42 @@ def test_cli_lowerbound(tmp_path, capsys):
 
 
 def test_cli_verify_green(capsys):
+    # the default JSON goes to stdout alone; the status lines go to stderr
     assert cli.main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "[ok]" in out and "FAIL" not in out
+    captured = capsys.readouterr()
+    assert "[ok]" in captured.err and "FAIL" not in captured.err
+    assert [c["name"] for c in json.loads(captured.out)["checks"]] == \
+        [c["name"] for c in invariants.verify_all(seed=0)]
+
+
+def test_cli_verify_stdout_parses_as_json(monkeypatch, tmp_path, capsys):
+    checks = [{"name": "a", "ok": True, "detail": "fine"}, {"name": "b", "ok": True, "detail": ""}]
+    monkeypatch.setattr(invariants, "verify_all", lambda seed=0: checks)
+    assert cli.main(["verify", "--seed", "3"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"checks": checks}
+    assert captured.err == "[ok] a\n[ok] b\n"
+    # csv format and a directory sink leave stdout to the status lines
+    for argv in (["--format", "csv"], ["--out", str(tmp_path)]):
+        assert cli.main(["verify", *argv]) == 0
+        assert capsys.readouterr().out == "[ok] a\n[ok] b\n"
+    assert json.loads((tmp_path / "verify.json").read_text()) == {"checks": checks}
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli.invariants, "verify_all",
+    monkeypatch.setattr(invariants, "verify_all",
                         lambda seed=0: [{"name": "x", "ok": False, "detail": "boom"}])
     assert cli.main(["verify"]) == 4
-    assert "FAIL" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.err and json.loads(captured.out)["checks"][0]["ok"] is False
 
 
 def test_cli_verify_exits_4_under_corrupted_hedge(monkeypatch, capsys):
     verify_all = invariants.verify_all
-    monkeypatch.setattr(cli.invariants, "verify_all",
+    monkeypatch.setattr(invariants, "verify_all",
                         lambda seed=0: verify_all(seed=seed, corrupt_hedge=True))
     assert cli.main(["verify"]) == 4
-    assert "[FAIL] hedge_weight_simplex" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "[FAIL] hedge_weight_simplex" in captured.err
+    assert not {c["name"]: c["ok"] for c in json.loads(captured.out)["checks"]}[
+        "hedge_weight_simplex"]

@@ -155,11 +155,17 @@ def test_dogd_empty_ingest_is_noop():
 
 
 def test_dogd_rejects_unsorted_items():
-    learner = DelayedOGD(Box(1, 1.0), 0.5)
-    with pytest.raises(ValueError):
-        learner.ingest(1, *feedback([2, 1], 1.0, 1.0))
-    with pytest.raises(ValueError):
-        learner.ingest(1, *feedback([1, 1], 1.0, 1.0))
+    # simulate checks each arrival plan once, where it merges them: a round's
+    # timestamps out of order, or one timestamp twice, never reach a learner
+    box = Box(1, 1.0)
+    for stamps in ([2, 1], [1, 1]):
+        bad = DelaySchedule((2, 1))  # both arrive at round 2, as [1, 2]
+        object.__setattr__(bad, "stamps", stamps)
+        with pytest.raises(ValueError):
+            simulate(DelayedOGD(box, 0.5), zero_losses(2), bad, box)
+        with pytest.raises(ValueError):  # one malformed run spoils the batch
+            simulate(DelayedOGD(box, np.full((2, 1), 0.5)), Linear(np.zeros((2, 2, 1))),
+                     [DelaySchedule((2, 1)), bad], box)
 
 
 def test_dogd_reduces_to_ogd_without_delay():
@@ -445,6 +451,32 @@ def test_pool_surrogate_losses_bounded_by_GD(monkeypatch):
             simulate(pool, losses, sched, box)
             assert len(seen) == T
             assert max(np.abs(s).max() for s in seen) <= G * box.diameter + 1e-9
+
+
+def test_lockstep_pool_steps_each_run_as_alone_and_keeps_unfed_weights_bitwise():
+    # run 0 gets feedback every round, run 1 every fifth: run 1 keeps its weights
+    # bitwise on the other rounds (renormalizing them would round some differently),
+    # and each run matches a one-run pool fed the same gradients
+    box, rng = Box(2, 1.0), np.random.default_rng(3)
+    rates, alphas = np.array([[0.1, 0.4, 1.6], [0.2, 0.5, 3.0]]), np.array([0.7, 1.3])
+    pool = MildOGD(box, rates, alphas)
+    alone = [MildOGD(box, rates[r], alphas[r]) for r in range(2)]
+    for t in range(1, 400):
+        xs, x_alone = pool.play(t), [a.play(t) for a in alone]
+        assert all(xs[r].tobytes() == x_alone[r].tobytes() for r in range(2))
+        fed = t % 5 == 0
+        grads = rng.uniform(-1, 1, (1, 2, 2))
+        if not fed:  # a padded slot: timestamp 0 and a +0.0 gradient, as simulate pads
+            grads[0, 1] = 0.0
+        stamps = [[t, t if fed else 0]]
+        before = pool.log_w[1].tobytes()
+        pool.ingest(t, stamps, grads)
+        alone[0].ingest(t, *feedback([t], grads[0, 0]))
+        if fed:
+            alone[1].ingest(t, *feedback([t], grads[0, 1]))
+        else:
+            assert pool.log_w[1].tobytes() == before
+        assert pool.log_w.tobytes() == np.stack([a.log_w for a in alone]).tobytes()
 
 
 # --- doubling trick -----------------------------------------------------------
