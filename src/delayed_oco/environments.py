@@ -80,16 +80,14 @@ def make_path_budget_comparators(box: Box, T: int, P: float, seed: int) -> np.nd
     return make_piecewise_comparators(box, T, L, anchors)
 
 
-def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed,
+def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed: int,
                            grad_bound: float) -> tuple[QuadraticTracking | Linear, np.ndarray]:
     """Non-stationary testbed: losses track a projected random walk.
 
     The target theta_t moves by at most ``step`` per round (projection is
     1-Lipschitz, so clamping cannot enlarge a move), and the comparator
     sequence is the target path itself, giving path length <= (T-1)*step.
-    Returns the loss family and the (T, n) targets.  Given a list of seeds,
-    the walks step together and a list of (family, targets) comes back, each
-    bitwise what its seed gives alone.
+    Returns the loss family and the (T, n) targets.
 
     loss_kind "quadratic": f_t(x) = (s/2)*||x - theta_t||^2 with s chosen so
     gradients stay below ``grad_bound`` over the box with no clipping.
@@ -97,11 +95,17 @@ def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed,
     i.e. a unit gradient of norm ``grad_bound`` pulling toward the target side
     (the zero gradient while theta_t sits at the origin).
     """
+    return _drift_environments(box, T, step, loss_kind, [seed], grad_bound)[0]
+
+
+def _drift_environments(box: Box, T: int, step: float, loss_kind: str, seeds: list[int],
+                        grad_bound: float) -> list[tuple[QuadraticTracking | Linear, np.ndarray]]:
+    """``make_drift_environment`` at each of ``seeds``, the walks stepping together;
+    each (family, targets) is bitwise what its seed gives alone."""
     if not (math.isfinite(step) and step >= 0):
         raise ValueError("step must be a finite number >= 0")
     if loss_kind not in ("quadratic", "linear"):
         raise ValueError(f"unknown drift loss kind: {loss_kind!r}")
-    seeds = seed if isinstance(seed, list) else [seed]
     # one draw for all rounds gives the same stream as one draw per round
     draws = [np.random.default_rng(s).uniform(-1.0, 1.0, size=(T, box.dim)) for s in seeds]
     moves = draws[0][:, None] if len(draws) == 1 else np.stack(draws, axis=1)
@@ -128,7 +132,7 @@ def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed,
         grads = np.zeros((T, box.dim))
         grads[away] = (-grad_bound / norms[away])[:, None] * targets[away]
         built.append((Linear(grads), targets))
-    return built if isinstance(seed, list) else built[0]
+    return built
 
 
 def make_lowerbound_instance(T: int, d: int, D: float, G: float, n: int,

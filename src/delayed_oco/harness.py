@@ -251,7 +251,7 @@ def _build_environments(cfg: dict, box: Box, seeds: list[int]) -> list[tuple]:
     if env["kind"] == "drift":
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                built = env_mod.make_drift_environment(
+                built = env_mod._drift_environments(
                     box, cfg["T"], float(env.get("step", 0.01)), env.get("loss", "quadratic"),
                     env_seeds, cfg["G"])
         except ValueError as exc:  # the loss scale or gradients left the float range
@@ -504,9 +504,32 @@ def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resol
     return trace, summary
 
 
+def _batch_bytes(cfg: dict, runs: int, rows: int | None = None) -> int:
+    """Memory a lockstep batch of ``runs`` runs of ``cfg`` holds, its merged plan having
+    ``rows`` rows; by default the most a plan has, R*T.
+
+    Each run holds its own arrays (``_run_bytes``), a stacked copy of its loss
+    arrays and the int64 slots its gradients scatter to (T*n of each), and its
+    consumption log with the lists that check it (under 64 bytes a round).
+    The batch holds the padded gradient rows of the merged arrival plan (n
+    floats per run and row) and its timestamp block, an int64 array and the
+    Python lists made of it (under 64 bytes an entry); a plan has at most R*T
+    rows, one per arrival, when no two runs deliver at the same round.
+    Measured with tracemalloc on batches of 4 runs (T = 20000, n from 1 to 5,
+    constant, uniform, permuted and mixed-d block delays), a batch allocates
+    0.4 to 0.85 of this at the plan's own rows.
+    """
+    T, n = cfg["T"], cfg["n"]
+    rows = runs * T if rows is None else rows
+    return runs * (_run_bytes(cfg) + 16 * T * n + 64 * T) + rows * runs * (8 * n + 64)
+
+
 def _batches(rows: list, cfg: dict) -> list[list]:
-    """``rows`` cut into lockstep batches that fit in physical memory all at once."""
-    fit = max(1, _physical_memory() // _run_bytes(cfg))
+    """``rows`` cut into lockstep batches, in order, of as many runs of ``cfg`` as keep
+    ``_batch_bytes`` within half of physical memory; a run alone always makes a batch."""
+    fit, cap = 1, _physical_memory() // 2
+    while fit < len(rows) and _batch_bytes(cfg, fit + 1) <= cap:
+        fit += 1
     return [rows[i:i + fit] for i in range(0, len(rows), fit)]
 
 
@@ -586,12 +609,12 @@ def sweep(config: dict, grid: dict) -> list[dict]:
         try:
             results = _run([runs[i][2] for i in batch])
         except Exception:  # rerun one run at a time, to name the failing cell
-            results = []
             for i in batch:
                 try:
-                    results += _run([runs[i][2]])
+                    _run([runs[i][2]])
                 except Exception as exc:
                     raise SweepError(f"sweep cell {runs[i][0]} failed: {exc}") from exc
+            raise  # no run fails alone: the fault is the batch's own
         summaries.update(zip(batch, (summary for _, summary in results)))
     return [{"cell": cell, "repetition": rep,
              **{k: v for k, v in summaries[i].items() if k != "config"}}

@@ -8,6 +8,7 @@ import pathlib
 import re
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from delayed_oco import (Box, DelayedOGD, DelaySchedule, cli, constant_schedule, harness,
                          invariants)
+from delayed_oco.delay import merge_plans
 from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many,
                                  simulate, sweep, trace_to_csv)
 from delayed_oco.losses import QuadraticTracking
@@ -446,11 +448,15 @@ def test_lockstep_runs_restart_and_drop_stale_feedback_each_on_its_own_plan(lear
         harness.to_json([run_experiment(cfg, seed=1 + rep)[1] for rep in range(3)])
 
 
-def test_a_batch_that_fits_per_run_but_not_at_once_is_split(monkeypatch):
+def test_a_batch_is_cut_on_what_it_allocates_not_on_runs_times_one_run(monkeypatch):
     cfg = base_config(T=30, repetitions=5, learner={"name": "mild"},
-                      delay={"kind": "uniform", "lo": 1, "hi": 6})
-    need = harness._run_bytes(harness.normalize_config(cfg))
-    monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * need + need // 2)
+                      delay={"kind": "constant", "value": 1})
+    norm = harness.normalize_config(cfg)
+    # two runs' batch fills half of memory and three overfill it, though memory
+    # holds five runs by the one-run estimate
+    memory = 2 * harness._batch_bytes(norm, 2) + 1
+    assert memory // harness._run_bytes(norm) >= 5
+    monkeypatch.setattr(harness, "_physical_memory", lambda: memory)
     sizes, simulate_ = [], harness.simulate
 
     def recording(learner, losses, schedule, box):
@@ -463,11 +469,39 @@ def test_a_batch_that_fits_per_run_but_not_at_once_is_split(monkeypatch):
     for rep, (_, summary) in enumerate(results):
         assert harness.to_json(summary) == harness.to_json(run_experiment(cfg, seed=7 + rep)[1])
     sizes.clear()
-    sweep(cfg, {"learner": ["mild"], "d": [2, 4]})  # 10 runs of one learner and T
+    sweep(cfg, {"learner": ["mild"], "P": [1.0, 2.0]})  # 10 runs of one learner and T
     assert sizes == [2, 2, 2, 2, 2]
-    monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: harness._run_bytes(norm) - 1)
     with pytest.raises(ConfigError, match="physical memory"):
         run_many(cfg)
+
+
+def test_sweep_raises_a_fault_of_the_batch_path_that_no_run_has_alone(monkeypatch):
+    def broken(families):
+        raise RuntimeError("a fault of the batch path")
+
+    monkeypatch.setattr(harness.losses_mod, "stack", broken)  # runs alone never stack
+    with pytest.raises(RuntimeError, match="batch path"):
+        sweep(base_config(), {"d": [1, 2]})
+
+
+@pytest.mark.parametrize("learner,n", [("dogd_dt", 1), ("mild", 3)])
+def test_a_ragged_batch_allocates_less_than_its_estimate(learner, n):
+    rows = []
+    for seed, d in enumerate((1, 40, 400)):
+        cfg = harness.normalize_config(base_config(
+            T=3000, n=n, learner={"name": learner}, delay={"kind": "blocks", "d": d}))
+        rows.append((cfg, seed, *harness._build_inputs(cfg, [seed])))
+    plan_rows = len(merge_plans([inputs.schedule for _, _, inputs in rows])[2])
+    assert 3000 < plan_rows <= 3 * 3000  # the blocks of the three plans do not line up
+    harness._run(rows)  # first calls may import or cache
+    tracemalloc.start()
+    try:
+        harness._run(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= harness._batch_bytes(rows[0][0], 3, plan_rows)
 
 
 @pytest.mark.parametrize("grid", [{"T": [10.5]}, {"d": [2.5]}])
