@@ -98,7 +98,9 @@ def sweep_set():
 
 def many_set():
     """``run_many`` at 4 repetitions: five learners x uniform, permuted and blocks delays
-    x quadratic and linear drift, n = 3, T = 300."""
+    x quadratic and linear drift, n = 3, T = 300; and walks that hug the walls, whose
+    four runs' drift targets step together: drift steps 0.32 and 1.0 x n in {1, 3, 10}
+    x quadratic and linear drift, for dogd and mild with permuted delays."""
     for learner, kind, loss in itertools.product(("ogd", "dogd", "mild", "dogd_dt", "mild_dt"),
                                                  ("uniform", "permuted", "blocks"),
                                                  ("quadratic", "linear")):
@@ -106,6 +108,12 @@ def many_set():
                {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 2, "repetitions": 4,
                 "learner": {"name": learner}, "delay": {"kind": kind, **DELAYS[kind]},
                 "environment": {"kind": "drift", "step": 0.02, "loss": loss}})
+    for learner, step, n, loss in itertools.product(("dogd", "mild"), (0.32, 1.0), (1, 3, 10),
+                                                    ("quadratic", "linear")):
+        yield (f"many/walls/{learner}/step{step}/n{n}/{loss}",
+               {"T": T, "n": n, "D": 2.0, "G": 1.0, "seed": 5, "repetitions": 4,
+                "learner": {"name": learner}, "delay": {"kind": "permuted"},
+                "environment": {"kind": "drift", "step": step, "loss": loss}})
 
 
 def worker() -> None:

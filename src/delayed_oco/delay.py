@@ -37,7 +37,7 @@ MAX_ROUND = 2**63 - 1
 
 def _integer(v) -> int:
     """``v`` as an int; non-integral values (1.5, NaN, "2") are rejected, not truncated."""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         raise ValueError(f"{v!r} is a bool, not an integer")
     try:
         d = int(v)
@@ -66,7 +66,8 @@ class DelaySchedule:
     offsets: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = tuple(_integer(v) for v in self.delays)
+        # type(True) is bool, not int: bools still reach _integer, which refuses them
+        d = tuple(v if type(v) is int else _integer(v) for v in self.delays)
         if len(d) == 0:
             raise ValueError("schedule must cover at least one round")
         if any(v < 1 for v in d):
@@ -177,7 +178,7 @@ def uniform_schedule(T: int, lo: int, hi: int, seed: int) -> DelaySchedule:
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi")
     rng = np.random.default_rng(seed)
-    return DelaySchedule(tuple(rng.integers(lo, hi + 1, size=T)))
+    return DelaySchedule(tuple(rng.integers(lo, hi + 1, size=T).tolist()))
 
 
 def block_schedule(T: int, d: int) -> DelaySchedule:
@@ -189,11 +190,8 @@ def block_schedule(T: int, d: int) -> DelaySchedule:
     """
     if d < 1:
         raise ValueError("block length must be >= 1")
-    delays = []
-    for t in range(1, T + 1):
-        z = (t - 1) // d + 1
-        delays.append(min(z * d, T) - t + 1)
-    return DelaySchedule(tuple(delays))
+    d, t = min(d, T), np.arange(1, T + 1)  # a block of d >= T rounds ends at T; d fits int64
+    return DelaySchedule(tuple((np.minimum(((t - 1) // d + 1) * d, T) - t + 1).tolist()))
 
 
 def permuted_schedule(T: int, seed: int) -> DelaySchedule:

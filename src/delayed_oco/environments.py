@@ -5,8 +5,8 @@ something inferred from the losses: dynamic regret is defined against any
 feasible sequence, and one trace can be scored against several of them.
 
 Every environment builds one loss family (``QuadraticTracking`` or
-``Linear``) over all T rounds with array operations; only the random walk
-of the drift targets is stepped round by round, on moves scaled in one batch.
+``Linear``) over all T rounds with array operations; the drift targets'
+random walk is summed in clamp-free stretches, on moves scaled in one batch.
 
 The adversarial instance couples block-end delays with random-sign linear
 losses over a cube.  Within a block every round shares one loss
@@ -101,7 +101,14 @@ def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed: 
 def _drift_environments(box: Box, T: int, step: float, loss_kind: str, seeds: list[int],
                         grad_bound: float) -> list[tuple[QuadraticTracking | Linear, np.ndarray]]:
     """``make_drift_environment`` at each of ``seeds``, the walks stepping together;
-    each (family, targets) is bitwise what its seed gives alone."""
+    each (family, targets) is bitwise what its seed gives alone.
+
+    A clamp leaves a point inside the box as it is, so theta plus a running sum of
+    the next moves is the walk bitwise up to the first row in which a coordinate of
+    some run leaves the box: a stretch commits those rows, clamps that one and
+    restarts there.  Near a wall, where a stretch ending within 8 rows costs more
+    than it commits, the walk steps round by round, twice as long each time.
+    """
     if not (math.isfinite(step) and step >= 0):
         raise ValueError("step must be a finite number >= 0")
     if loss_kind not in ("quadratic", "linear"):
@@ -114,14 +121,29 @@ def _drift_environments(box: Box, T: int, step: float, loss_kind: str, seeds: li
     np.multiply(moves, (step / np.where(away, norms, 1.0))[..., None], out=moves,
                 where=away[..., None])
     h = box.half_width
-    walks = np.empty_like(moves)
-    theta = np.zeros((len(seeds), box.dim))
-    for t in range(T):
+    walks = np.zeros((T + 1, len(seeds), box.dim))  # row t is theta_t; row T is scratch
+    t, size, plain = 0, 32, 1
+    while t < T:
+        run = walks[t:t + size + 1]
+        run[1:] = moves[t:t + size]
+        with np.errstate(over="ignore"):  # a row that overflows leaves the box
+            np.add.accumulate(run, axis=0, out=run)
+        out = np.flatnonzero(np.abs(run[1:]) > h)
+        m = len(run) - 1 if out.size == 0 else int(out[0]) // run[0].size + 1
+        t, size = t + m, max(32, 2 * m)
+        np.clip(walks[t], -h, h, out=walks[t])
+        if m > 8:
+            plain = 1
+            continue
+        theta, stop = walks[t].copy(), min(t + plain, T)
+        for s in range(t, stop):
+            walks[s] = theta
+            theta = (theta + moves[s]).clip(-h, h)
+        t, plain = stop, 2 * plain
         walks[t] = theta
-        theta = (theta + moves[t]).clip(-h, h)
 
     built = []
-    for targets in (np.ascontiguousarray(walks[:, r]) for r in range(len(seeds))):
+    for targets in (np.ascontiguousarray(walks[:T, r]) for r in range(len(seeds))):
         if loss_kind == "quadratic":
             scale = quadratic_drift_scale(grad_bound, box,
                                           float(np.linalg.norm(targets, axis=1).max()))

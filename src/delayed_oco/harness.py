@@ -9,9 +9,9 @@ from a single seed; repetitions use ``seed + repetition_index``.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -226,9 +226,11 @@ def normalize_config(config: dict) -> dict:
 
 
 def _run_bytes(cfg: dict) -> int:
-    """Memory one run holds: T*n floats in four arrays, and in N experts."""
+    """Memory one run holds: T*n floats in five arrays (targets, decisions, gradients, loss
+    temporaries) and in N experts, and 320 bytes a round for the delays, the plan's lists
+    and the consumption log (tracemalloc: 150 to 260 at T = 20000, n <= 20)."""
     N = learn_mod.expert_count(cfg["T"]) if cfg["learner"]["name"].startswith("mild") else 0
-    return 8 * cfg["T"] * cfg["n"] * (N + 4)
+    return 8 * cfg["T"] * cfg["n"] * (N + 5) + 320 * cfg["T"]
 
 
 def _physical_memory() -> int:
@@ -508,20 +510,19 @@ def _batch_bytes(cfg: dict, runs: int, rows: int | None = None) -> int:
     """Memory a lockstep batch of ``runs`` runs of ``cfg`` holds, its merged plan having
     ``rows`` rows; by default the most a plan has, R*T.
 
-    Each run holds its own arrays (``_run_bytes``), a stacked copy of its loss
-    arrays and the int64 slots its gradients scatter to (T*n of each), and its
-    consumption log with the lists that check it (under 64 bytes a round).
+    Each run holds what it holds alone (``_run_bytes``), a stacked copy of its loss
+    arrays and the int64 slots its gradients scatter to (T*n of each).
     The batch holds the padded gradient rows of the merged arrival plan (n
     floats per run and row) and its timestamp block, an int64 array and the
     Python lists made of it (under 64 bytes an entry); a plan has at most R*T
     rows, one per arrival, when no two runs deliver at the same round.
     Measured with tracemalloc on batches of 4 runs (T = 20000, n from 1 to 5,
     constant, uniform, permuted and mixed-d block delays), a batch allocates
-    0.4 to 0.85 of this at the plan's own rows.
+    0.3 to 0.5 of this at the plan's own rows.
     """
     T, n = cfg["T"], cfg["n"]
     rows = runs * T if rows is None else rows
-    return runs * (_run_bytes(cfg) + 16 * T * n + 64 * T) + rows * runs * (8 * n + 64)
+    return runs * (_run_bytes(cfg) + 16 * T * n) + rows * runs * (8 * n + 64)
 
 
 def _batches(rows: list, cfg: dict) -> list[list]:
@@ -660,6 +661,19 @@ def lowerbound_report(T: int, d: int, D: float, G: float, n: int,
 # Output rendering.
 # ---------------------------------------------------------------------------
 
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """Each float's ``repr``, as an object array; each distinct bit pattern is formatted once."""
+    keys = values.view(np.uint64)
+    order = np.argsort(keys)  # a sort, as np.unique loads numpy.ma
+    first = np.r_[True, keys[order[1:]] != keys[order[:-1]]]
+    at = np.empty_like(order)
+    at[order] = np.cumsum(first) - 1  # each value's place among the distinct ones
+    return np.array(repr(values[order[first]].tolist())[1:-1].split(", "), dtype=object)[at]
+
+
+_CSV_CELLS = 2**11  # floats formatted at once, so rendering holds a bounded part as text
+
+
 def trace_to_csv(trace: RunTrace) -> str:
     """One row per round: t, x, loss, cum_loss, m_t, n_arrivals, arrived_timestamps.
 
@@ -667,34 +681,40 @@ def trace_to_csv(trace: RunTrace) -> str:
     are semicolon-joined; floats use shortest-roundtrip repr so identical
     runs render byte-identically.
 
-    A decision changes only when feedback moves the learner, so each run of
-    equal rows is formatted once; rows are compared on their bits, as ``==``
-    would merge -0.0 into 0.0.  cum_loss starts from 0.0, so a first loss of
-    -0.0 prints 0.0 + -0.0 = 0.0.  Columns are read lazily to keep memory flat.
+    Blocks of rows are built column by column and joined.  A decision changes
+    only when feedback moves the learner, so a block formats only its first
+    row and the rows that differ from the one before, and ``_float_text``
+    formats each distinct float of those rows and of the loss and cum_loss
+    columns once; rows and floats are compared on their bits, as ``==`` would
+    merge -0.0 into 0.0.  cum_loss is the running sum from 0.0, so a first
+    loss of -0.0 prints 0.0 + -0.0 = 0.0.
     """
-    bits = trace.decisions.view(np.uint64)
+    decisions, schedule = trace.decisions, trace.schedule
+    T, n = decisions.shape
+    bits = decisions.view(np.uint64)
     fresh = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
-    schedule = trace.schedule
-    stamps, rounds, offsets = schedule.stamps, schedule.rounds, schedule.offsets
-
-    def lines():
-        yield "t,x,loss,cum_loss,m_t,n_arrivals,arrived_timestamps\n"
-        cum = 0.0
-        j = 0  # next entry of the plan; in range, as in ``simulate``
-        for t, new, l, m in zip(range(1, len(fresh) + 1), fresh,
-                                map(float, trace.loss_values), map(int, schedule.backlog())):
-            cum += l
-            if new:
-                x = repr(trace.decisions[t - 1].tolist())[1:-1].replace(", ", ";")
-            F = ()
-            if rounds[j] == t:
-                F = stamps[offsets[j]:offsets[j + 1]]
-                j += 1
-            yield f"{t},{x},{l!r},{cum!r},{m},{len(F)},{';'.join(map(str, F))}\n"
-
-    out = io.StringIO()
-    out.writelines(lines())
-    return out.getvalue()
+    size = max(1, _CSV_CELLS // (n + 2))  # rows to a block
+    fresh[::size] = True
+    rounds, offsets, stamps, backlog = schedule.rounds, schedule.offsets, schedule.stamps, \
+        schedule.backlog()
+    out, cum, j = ["t,x,loss,cum_loss,m_t,n_arrivals,arrived_timestamps"], 0.0, 0
+    for lo in range(0, T, size):
+        hi = min(lo + size, T)
+        new, losses = fresh[lo:hi], trace.loss_values[lo:hi].tolist()
+        sums = list(itertools.accumulate(losses, initial=cum))[1:]
+        cells = _float_text(np.concatenate((decisions[lo:hi][new].ravel(), losses, sums)))
+        k, cum = cells.size - 2 * (hi - lo), sums[-1]
+        xs = np.array(list(map(";".join, cells[:k].reshape(-1, n).tolist())), dtype=object)
+        counts, arrived = ["0"] * (hi - lo), [""] * (hi - lo)
+        stop = bisect.bisect_right(rounds, hi, j)  # the plan's rounds in this block
+        for t, a, b in zip(rounds[j:stop], offsets[j:stop], offsets[j + 1:stop + 1]):
+            counts[t - 1 - lo], arrived[t - 1 - lo] = str(b - a), ";".join(map(str, stamps[a:b]))
+        j = stop
+        out.append("\n".join(map(",".join, zip(
+            map(str, range(lo + 1, hi + 1)), xs[np.cumsum(new) - 1].tolist(),
+            cells[k:k + hi - lo].tolist(), cells[k + hi - lo:].tolist(),
+            map(str, backlog[lo:hi].tolist()), counts, arrived))))
+    return "\n".join(out + [""])  # with the final newline, the text is built once
 
 
 def to_json(payload) -> str:

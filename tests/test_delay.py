@@ -165,6 +165,19 @@ def test_permuted_schedule_matches_the_per_round_formula(T):
         assert all(type(d) is int for d in delays)
 
 
+@pytest.mark.parametrize("T", [1, 2, 3, 17, 500])
+def test_generators_match_the_per_round_formulas(T):
+    for d in (1, 2, 7, T, T + 5, 10**30):
+        expected = tuple(min(((t - 1) // d + 1) * d, T) - t + 1 for t in range(1, T + 1))
+        assert block_schedule(T, d).delays == expected
+    for seed in range(3):
+        draws = np.random.default_rng(seed).integers(2, 10, size=T)
+        assert uniform_schedule(T, 2, 9, seed).delays == tuple(int(v) for v in draws)
+    assert constant_schedule(T, 4).delays == (4,) * T
+    for s in (block_schedule(T, 3), uniform_schedule(T, 1, 5, 0), constant_schedule(T, 2)):
+        assert all(type(d) is int for d in s.delays)
+
+
 def test_make_schedule_dispatch():
     assert make_schedule({"kind": "constant", "value": 2}, 3, 0).to_list() == [2, 2, 2]
     assert make_schedule({"kind": "blocks", "d": 3}, 10, 0).to_list() == \
@@ -192,6 +205,9 @@ def test_fractional_delays_rejected():
         make_schedule({"kind": "constant", "value": 2.5}, 3, 0)
     with pytest.raises(ValueError):
         DelaySchedule((1, float("nan")))
+    for bad in ("2", True, False, np.bool_(True)):
+        with pytest.raises(ValueError):
+            DelaySchedule((1, bad))
     assert DelaySchedule((2.0, 1)).delays == (2, 1)
     assert make_schedule({"kind": "list", "values": [2.0, 1.0, 1]}, 3, 0).to_list() == [2, 1, 1]
 

@@ -13,6 +13,7 @@ from delayed_oco import (
     path_length,
 )
 from delayed_oco.environments import (
+    _drift_environments,
     block_bounds,
     comparator_block_length,
     make_path_budget_comparators,
@@ -128,24 +129,28 @@ def _per_round_drift_walk(box, T, step, loss_kind, seed, grad_bound):
     return targets, grads
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(T=st.integers(1, 300), n=st.integers(1, 10),
-       step=st.sampled_from([0.0, 1e-300, 0.02, 1.0, 1e300]),
-       loss_kind=st.sampled_from(["quadratic", "linear"]), seed=st.integers(0, 2**32 - 1),
+       step=st.sampled_from([0.0, 1e-300, 1e-9, 0.02, 0.32, 1.0, 5.0, 1e300]),
+       loss_kind=st.sampled_from(["quadratic", "linear"]),
+       seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
        diameter=st.sampled_from([0.5, 2.0, 7.0]), grad_bound=st.sampled_from([1.0, 1.7]))
-def test_drift_environment_matches_the_per_round_walk(T, n, step, loss_kind, seed, diameter,
+def test_drift_environment_matches_the_per_round_walk(T, n, step, loss_kind, seeds, diameter,
                                                       grad_bound):
+    # steps of 0.32 and more keep the walks at the walls, where stretches end within a
+    # few rows and the walk steps round by round; the walks of several seeds step
+    # together, and a clamp in any of them ends a stretch
     box = Box.from_diameter(n, diameter)
     with np.errstate(all="ignore"):
-        losses, targets = make_drift_environment(box, T, step, loss_kind, seed, grad_bound)
-        ref_targets, ref_losses = _per_round_drift_walk(box, T, step, loss_kind, seed,
-                                                        grad_bound)
-    assert targets.tobytes() == ref_targets.tobytes()
-    if loss_kind == "quadratic":
-        assert losses.targets.tobytes() == ref_targets.tobytes()
-        assert np.array(losses.scale).tobytes() == ref_losses.tobytes()
-    else:
-        assert losses.grads.tobytes() == ref_losses.tobytes()
+        built = _drift_environments(box, T, step, loss_kind, seeds, grad_bound)
+        refs = [_per_round_drift_walk(box, T, step, loss_kind, s, grad_bound) for s in seeds]
+    for (losses, targets), (ref_targets, ref_losses) in zip(built, refs):
+        assert targets.tobytes() == ref_targets.tobytes()
+        if loss_kind == "quadratic":
+            assert losses.targets.tobytes() == ref_targets.tobytes()
+            assert np.array(losses.scale).tobytes() == ref_losses.tobytes()
+        else:
+            assert losses.grads.tobytes() == ref_losses.tobytes()
 
 
 def test_drift_losses_respect_gradient_bound():

@@ -155,18 +155,24 @@ def _renderable_traces(draw):
 @example(trace=_trace([[-0.0]], [-0.0], [3]))  # T = 1, arrival in the flush window
 @example(trace=_trace([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0]],
                       [-0.0, 0.0, -0.0, 1.5, -0.0], [6, 1, 2, 1, 1]))
+# 0.5 in the decision, loss and cum_loss columns, -0.0 and 0.0 in one column: each
+# distinct float is formatted once, and floats are told apart by their bits
+@example(trace=_trace([[0.5, -0.0], [0.0, 0.5], [0.5, 0.0]], [0.5, -0.0, 0.0], [1, 2, 1]))
 def test_trace_to_csv_matches_the_per_round_reference(trace):
     assert trace_to_csv(trace) == reference_trace_to_csv(trace)
 
 
 @pytest.mark.parametrize("learner", ["ogd", "dogd", "mild", "dogd_dt", "mild_dt"])
-def test_trace_to_csv_matches_the_per_round_reference_on_real_runs(learner):
+def test_trace_to_csv_matches_the_per_round_reference_on_real_runs(learner, monkeypatch):
     trace, _ = run_experiment(base_config(
         T=300, n=3, learner={"name": learner}, delay={"kind": "permuted"},
         environment={"kind": "drift", "step": 1.0, "loss": "linear"}))
     repeated = np.all(trace.decisions[1:] == trace.decisions[:-1], axis=1)
     assert repeated.any() and not repeated.all()
     assert trace_to_csv(trace) == reference_trace_to_csv(trace)
+    for cells in (37, 1):  # blocks of 7 rows and of 1 row, some opening on a repeated row
+        monkeypatch.setattr(harness, "_CSV_CELLS", cells)
+        assert trace_to_csv(trace) == reference_trace_to_csv(trace)
 
 
 def test_linear_list_admits_unit_rows_that_round_above_G():
@@ -504,6 +510,22 @@ def test_a_ragged_batch_allocates_less_than_its_estimate(learner, n):
     assert peak <= harness._batch_bytes(rows[0][0], 3, plan_rows)
 
 
+@pytest.mark.parametrize("n,delay", [(1, {"kind": "blocks", "d": 16}),
+                                     (5, {"kind": "constant", "value": 3})])
+def test_one_run_allocates_less_than_its_estimate(n, delay):
+    # the delays, the plan's lists and the consumption log cost the same bytes a round
+    # whatever n is, so at n = 1 they outweigh the T*n arrays
+    run_experiment(base_config(T=50, n=n, delay=delay))  # first calls may import or cache
+    cfg = base_config(T=20000, n=n, delay=delay)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= harness._run_bytes(harness.normalize_config(cfg))
+
+
 @pytest.mark.parametrize("grid", [{"T": [10.5]}, {"d": [2.5]}])
 def test_sweep_rejects_fractional_cells(grid):
     with pytest.raises(harness.SweepError, match="not an integer"):
@@ -705,7 +727,7 @@ def _lowerbound(**delay):
     {"D": True},
     _learner("dogd", eta=True),
     {"delay": {"kind": "constant", "value": True}},
-    {"T": 10**12},  # 8 T n (N + 4) bytes exceed physical memory
+    {"T": 10**12},  # 8 T n (N + 5) + 320 T bytes exceed physical memory
     {"T": 10**12, **_lowerbound(d=1)},
     {"D": 1e-200, "G": 1e-200, **_learner("mild")},  # G*D*sqrt(sum_m) underflows to 0
     {"D": 1e-200, "G": 1e-200, **_learner("mild_dt")},
