@@ -69,11 +69,17 @@ def comparison_set():
 
 def report_set():
     """``lowerbound_report`` for dogd, mild and mild_dt x d in {1, 8} x n in {1, 3},
-    at T = 256 with 5 trials each."""
+    at T = 256 with 5 trials each; and the benchmark's ``lowerbound_mild`` configs,
+    mild and mild_dt x d in {1, 64} at T = 4096, n = 1, 1 trial, base seeds 0-2,
+    which reach N = 8 experts (NumPy's 8-lane pairwise sum) and 64-gradient bursts."""
     for learner, d, n in itertools.product(("dogd", "mild", "mild_dt"), (1, 8), (1, 3)):
         yield (f"lowerbound_report/{learner}/d{d}/n{n}",
                {"T": 256, "d": d, "D": 2.0, "G": 1.0, "n": n, "learner_spec": {"name": learner},
                 "trials": 5, "base_seed": 3})
+    for learner, d, seed in itertools.product(("mild", "mild_dt"), (1, 64), range(3)):
+        yield (f"lowerbound_mild/{learner}/d{d}/s{seed}",
+               {"T": 4096, "d": d, "D": 2.0, "G": 1.0, "n": 1, "learner_spec": {"name": learner},
+                "trials": 1, "base_seed": seed})
 
 
 def sweep_set():

@@ -227,10 +227,13 @@ def normalize_config(config: dict) -> dict:
 
 def _run_bytes(cfg: dict) -> int:
     """Memory one run holds: T*n floats in five arrays (targets, decisions, gradients, loss
-    temporaries) and in N experts, and 320 bytes a round for the delays, the plan's lists
-    and the consumption log (tracemalloc: 150 to 260 at T = 20000, n <= 20)."""
-    N = learn_mod.expert_count(cfg["T"]) if cfg["learner"]["name"].startswith("mild") else 0
-    return 8 * cfg["T"] * cfg["n"] * (N + 5) + 320 * cfg["T"]
+    temporaries) and in N experts, T*N floats of weight history, and 320 bytes a round for
+    the delays, the plan's lists and the consumption log (tracemalloc: 150 to 260 at
+    T = 20000, n <= 20).  N is the configured rate list's length, or ``expert_count(T)``."""
+    etas = cfg["learner"].get("etas", "paper")
+    N = (learn_mod.expert_count(cfg["T"]) if etas == "paper" else len(etas)) \
+        if cfg["learner"]["name"].startswith("mild") else 0
+    return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + 320 * cfg["T"]
 
 
 def _physical_memory() -> int:
@@ -348,8 +351,10 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     and gradient was finite, and raises ValueError if not.  The plan's
     rounds past the horizon are delivered too (plays suppressed), completing
     the consumption log; reported losses never include them.  A learner with
-    ``weights`` has their sum recorded after every round.  R runs give one
-    trace with decisions (T, R, n), which ``RunTrace.runs()`` splits.
+    ``weights`` has them written to a (T, [R,] N) history after every round,
+    and ``weight_sums`` is that history summed over N after the loop, bitwise
+    the per-round sums.  R runs give one trace with decisions (T, R, n),
+    which ``RunTrace.runs()`` splits.
     """
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
     lead = () if runs is None else (runs,)
@@ -363,8 +368,7 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
         stamps, write = stamps.tolist(), grads.reshape(-1)
         slots = slots[:, :, None] * box.dim + np.arange(box.dim)
     decisions = np.empty((T, *lead, box.dim))
-    weight_sums = np.empty((T, *lead)) if hasattr(learner, "weights") else None
-    weights = None  # the weights last summed; the learners rebind them on every update
+    weights = np.empty((T, *learner.weights.shape)) if hasattr(learner, "weights") else None
     j = 0  # next entry of the plan
     for t in range(1, T + 1):
         x = learner.play(t)
@@ -374,11 +378,8 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
             lo, hi = offsets[j], offsets[j + 1]
             learner.ingest(t, stamps[lo:hi], grads[lo:hi])
             j += 1
-        if weight_sums is not None:
-            if learner.weights is not weights:
-                weights = learner.weights
-                weight_sum = weights.sum(axis=-1)
-            weight_sums[t - 1] = weight_sum
+        if weights is not None:
+            weights[t - 1] = learner.weights
     if not (np.isfinite(decisions).all() and np.isfinite(grads).all()):
         raise ValueError("the run played a non-finite decision or queried a non-finite gradient")
     for j in range(j, len(rounds)):
@@ -394,7 +395,8 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     dropped = np.broadcast_to(getattr(learner, "dropped", 0), runs or 1).tolist()
     per_run = (lambda v: v) if runs else (lambda v: None if v is None else v[0])
     return RunTrace(decisions=decisions, loss_values=losses.values(decisions), schedule=schedule,
-                    c_log=per_run(logs), dropped=per_run(dropped), weight_sums=weight_sums,
+                    c_log=per_run(logs), dropped=per_run(dropped), weights=weights,
+                    weight_sums=None if weights is None else weights.sum(axis=-1),
                     epoch_starts=per_run(starts))
 
 

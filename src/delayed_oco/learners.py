@@ -63,8 +63,13 @@ class DelayedOGD:
 
     A step projects by a bare clamp, without ``Box.project``'s checks: the
     rates are checked here, and ``simulate`` checks once per run that every
-    gradient it handed out was finite.  A finite step that overflows to
-    +-inf clamps to the face it points at, which is its exact projection.
+    gradient it handed out was finite.  The clamp is ``np.minimum`` and
+    ``np.maximum`` against bound arrays of y's shape, built here (far cheaper
+    than ``clip`` with float bounds, and bitwise the same, for +-0.0, +-inf
+    and NaN too).  A finite step that overflows to +-inf clamps to the face
+    it points at, which is its exact projection.  One product forms all the
+    steps of a burst of K gradients; a gradient row that lacks y's leading
+    axis (one gradient for N experts) steps every row.
     """
 
     def __init__(self, box: Box, eta):
@@ -77,15 +82,18 @@ class DelayedOGD:
         self.box = box
         self.y = np.zeros(rates.shape[:-1] + (box.dim,)) if rates.ndim else box.origin()
         self.eta = rates * np.ones_like(self.y) if rates.ndim else float(eta)
+        h = box.half_width
+        self._lo, self._hi = np.full_like(self.y, -h), np.full_like(self.y, h)
         self.c_log: list = []
 
     def play(self, t: int) -> np.ndarray:
         return self.y.copy()
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
-        h = self.box.half_width
-        for g in grads:
-            self.y = (self.y - self.eta * g).clip(-h, h)
+        y, lo, hi = self.y, self._lo, self._hi
+        for step in self.eta * (grads if grads.ndim > y.ndim else grads[:, None]):
+            y = np.minimum(np.maximum(y - step, lo), hi)
+        self.y = y
         self.c_log.extend(stamps)
 
     def tiled(self, runs: int) -> "DelayedOGD":
@@ -150,12 +158,15 @@ def delayed_hedge_update(log_w: np.ndarray, alpha, arrived_loss_sums: np.ndarray
     Works in log space (subtract the max before normalizing) because the
     ratio form overflows once alpha * cumulative-loss grows large; the
     mathematics is identical.  An all-zero arrival leaves weights unchanged.
+    ``arrived_loss_sums`` is a float64 array of ``log_w``'s shape.  One run
+    takes its max on a list and its sum by ``np.add.reduce`` (the pairwise sum
+    of ``ndarray.sum``), which skip the method wrappers' per-call cost.
     Rows of a run axis normalize by ``math.log`` each (``np.log`` rounds differently).
     """
-    lw = log_w - alpha * np.asarray(arrived_loss_sums, dtype=np.float64)
+    lw = log_w - alpha * arrived_loss_sums
     if lw.ndim == 1:
-        lw -= lw.max()
-        return lw - math.log(np.exp(lw).sum())
+        lw -= max(lw.tolist())
+        return lw - math.log(np.add.reduce(np.exp(lw)))
     lw -= np.maximum.reduce(lw, axis=-1, keepdims=True)
     return lw - np.array([[math.log(s)] for s in np.add.reduce(np.exp(lw), axis=-1).tolist()])
 
@@ -174,7 +185,8 @@ class MildOGD:
     query gradients of their own: one query per round serves the meta
     decision and the whole pool.  (R, N) ``expert_rates`` with R alphas are R
     runs: an (R, N, n) pool and (R, N) ``log_w``; a run without feedback keeps
-    its weights bitwise.
+    its weights bitwise.  ``play`` clamps the mix into the box against bound
+    arrays of its shape, built here, as the pool clamps its steps.
 
     The state (``pool.y`` and ``weights``) changes only when feedback
     arrives, and every change rebinds the arrays instead of writing into
@@ -202,6 +214,9 @@ class MildOGD:
         # round -> the spreads it played; with a run axis one such dict per run
         self._spreads = {} if self.runs is None else [{} for _ in range(self.runs)]
         self._no_spread = np.zeros((rates.shape[-1], box.dim))  # a padded slot's
+        # clamp bounds of the mix's shape, (n,) or (R, 1, n), as DelayedOGD's
+        mix = (box.dim,) if self.runs is None else (self.runs, 1, box.dim)
+        self._lo, self._hi = np.full(mix, -box.half_width), np.full(mix, box.half_width)
 
     @property
     def log_w(self) -> np.ndarray:
@@ -218,13 +233,12 @@ class MildOGD:
     def play(self, t: int) -> np.ndarray:
         xs, w = self.pool.y, self.weights
         if self._mix[0] is not xs or self._mix[1] is not w:
-            # clip guards the one-ulp rounding a float convex combination can incur
-            h = self.box.half_width
+            # the clamp guards the one-ulp rounding a float convex combination can incur
             if self.runs is None:
-                x = (w @ xs).clip(-h, h)
+                x = np.minimum(np.maximum(w @ xs, self._lo), self._hi)
                 self._mix = (xs, w, x, xs - x)
             else:
-                x = (w[:, None, :] @ xs).clip(-h, h)
+                x = np.minimum(np.maximum(w[:, None, :] @ xs, self._lo), self._hi)
                 self._mix = (xs, w, x[:, 0], list(xs - x))
         if self.runs is None:
             self._spreads[t] = self._mix[3]

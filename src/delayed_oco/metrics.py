@@ -46,8 +46,10 @@ class RunTrace:
     incomplete (e.g. restart-based learners drop stale feedback, so their
     log never covers all T timestamps).
 
-    ``simulate`` over R runs in lockstep returns one trace with a run axis:
-    decisions (T, R, n), loss values and weight sums (T, R), a list of R
+    ``weights`` is a weighted learner's (T, N) history, the weights after
+    each round, and ``weight_sums`` its sums over N.  ``simulate`` over R runs
+    in lockstep returns one trace with a run axis: decisions (T, R, n),
+    weights (T, R, N), loss values and weight sums (T, R), a list of R
     schedules and a list per run of the other fields; ``runs()`` splits it.
     """
 
@@ -59,6 +61,7 @@ class RunTrace:
     weight_sums: np.ndarray | None = None
     epoch_starts: tuple | list | None = None
     config: dict = field(default_factory=dict)
+    weights: np.ndarray | None = None
 
     @property
     def horizon(self) -> int:
@@ -68,11 +71,12 @@ class RunTrace:
         """Each run's own trace (views into this one), bitwise what it would record alone."""
         if isinstance(self.schedule, DelaySchedule):
             return [self]
-        logs, sums, starts = self.c_log, self.weight_sums, self.epoch_starts
+        logs, sums, starts, weights = self.c_log, self.weight_sums, self.epoch_starts, self.weights
         return [RunTrace(self.decisions[:, r], self.loss_values[:, r], schedule,
                          None if logs is None else logs[r], self.dropped[r],
                          None if sums is None else sums[:, r],
-                         None if starts is None else starts[r])
+                         None if starts is None else starts[r],
+                         weights=None if weights is None else weights[:, r])
                 for r, schedule in enumerate(self.schedule)]
 
 

@@ -510,13 +510,18 @@ def test_a_ragged_batch_allocates_less_than_its_estimate(learner, n):
     assert peak <= harness._batch_bytes(rows[0][0], 3, plan_rows)
 
 
-@pytest.mark.parametrize("n,delay", [(1, {"kind": "blocks", "d": 16}),
-                                     (5, {"kind": "constant", "value": 3})])
-def test_one_run_allocates_less_than_its_estimate(n, delay):
+@pytest.mark.parametrize("n,delay,learner", [
+    (1, {"kind": "blocks", "d": 16}, {"name": "dogd"}),
+    (5, {"kind": "constant", "value": 3}, {"name": "dogd"}),
+    (1, {"kind": "permuted"}, {"name": "mild"}),
+    (1, {"kind": "permuted"}, {"name": "mild", "etas": [0.01 * 1.1**i for i in range(40)]})],
+    ids=["1-delay0", "5-delay1", "mild-1-permuted", "mild-40-rates"])
+def test_one_run_allocates_less_than_its_estimate(n, delay, learner):
     # the delays, the plan's lists and the consumption log cost the same bytes a round
-    # whatever n is, so at n = 1 they outweigh the T*n arrays
-    run_experiment(base_config(T=50, n=n, delay=delay))  # first calls may import or cache
-    cfg = base_config(T=20000, n=n, delay=delay)
+    # whatever n is, so at n = 1 they outweigh the T*n arrays; mild adds its T*N weights,
+    # N being the length of its rate list when the config gives one
+    run_experiment(base_config(T=50, n=n, delay=delay, learner=learner))  # warm up
+    cfg = base_config(T=20000, n=n, delay=delay, learner=learner)
     tracemalloc.start()
     try:
         run_experiment(cfg)

@@ -24,7 +24,7 @@ from delayed_oco import (
 )
 from delayed_oco.delay import permuted_schedule
 from delayed_oco.learners import EpochController, delayed_hedge_update, expert_count, init_weights
-from delayed_oco.losses import Linear, QuadraticTracking
+from delayed_oco.losses import Linear, QuadraticTracking, stack
 from delayed_oco import learners
 from delayed_oco.invariants import (arrivals_at, consumption_log_permutation, projected_ogd,
                                     random_schedule, zero_losses)
@@ -119,6 +119,39 @@ def test_bare_clamp_steps_match_box_project_bitwise(case):
         stamps = schedule.stamps[schedule.offsets[j]:schedule.offsets[j + 1]]
         learner.ingest(r, stamps, grads[np.asarray(stamps) - 1])
         assert learner.play(r + 1).tobytes() == reference[j].tobytes()
+
+
+@st.composite
+def bursts(draw):
+    """A box, a scalar rate or an (N, 1), (R, 1) or (R, N, 1) rate column, an iterate in
+    the box (walls and +-0.0 included) and 1-64 gradients laid out as ``ingest`` takes them."""
+    n, N, R = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    h = draw(st.floats(0.05, 5.0))
+    rate_shape, row = draw(st.sampled_from([((), (n,)), ((N, 1), (n,)), ((R, 1), (R, n)),
+                                            ((R, N, 1), (R, 1, n))]))
+    rates = st.floats(1e-3, 1e308)  # past about 1e305 a step overflows to +-inf
+    eta = draw(arrays(np.float64, rate_shape, elements=rates)) if rate_shape else draw(rates)
+    y = draw(arrays(np.float64, rate_shape[:-1] + (n,),
+                    elements=st.sampled_from([-h, h, 0.0, -0.0]) | st.floats(-h, h)))
+    grads = draw(arrays(np.float64, (draw(st.integers(1, 64)), *row),
+                        elements=st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)))
+    return Box(n, h), eta, y, grads
+
+
+@settings(max_examples=200, deadline=None)
+@given(bursts())
+@example((Box(1, 1.0), np.array([[1e308], [0.5]]), np.array([[1.0], [-1.0]]),
+          np.array([[1e3], [-0.0], [-1e3], [0.0]])))
+def test_a_burst_steps_like_a_per_gradient_clip_loop_bitwise(case):
+    box, eta, y, grads = case
+    learner = DelayedOGD(box, eta)
+    learner.y = y
+    h, expected = box.half_width, y
+    with np.errstate(over="ignore"):
+        for g in grads:
+            expected = np.clip(expected - eta * g, -h, h)
+        learner.ingest(1, list(range(1, len(grads) + 1)), grads)
+    assert learner.play(2).tobytes() == expected.tobytes()
 
 
 # --- delayed descent ---------------------------------------------------------
@@ -619,8 +652,9 @@ def test_mild_dt_rates_scale_with_epoch():
 # --- the cached Mild-OGD against the per-round, per-arrival reference ---------
 
 class ReferenceMild(MildOGD):
-    """Mild-OGD without the cache: a fresh mix every round and one surrogate
-    product per arrival, added onto zeros in timestamp order."""
+    """Mild-OGD without the cache: a fresh mix every round, one surrogate
+    product per arrival, added onto zeros in timestamp order, and its own pool
+    step, one ``np.clip`` per gradient."""
 
     def __init__(self, box, expert_rates, alpha):
         super().__init__(box, expert_rates, alpha)
@@ -640,7 +674,10 @@ class ReferenceMild(MildOGD):
         for k, g in zip(stamps, grads):
             loss_sums += (self.expert_plays.pop(k) - self.meta_plays.pop(k)) @ g
         self.log_w = delayed_hedge_update(self.log_w, self.alpha, loss_sums)
-        self.pool.ingest(t, stamps, grads)
+        h, y = self.box.half_width, self.pool.y
+        for g in grads:
+            y = np.clip(y - self.expert_rates[:, None] * g, -h, h)
+        self.pool.y = y
 
 
 class ReferenceMildDT(MildOgdDoublingTrick):
@@ -666,6 +703,27 @@ def mild_history(learner, losses, schedule):
         log_w = getattr(learner, "inner", learner).log_w
         history.append((t, x.tobytes(), learner.weights.tobytes(), log_w.tobytes()))
     return history
+
+
+def test_weight_sums_are_the_sums_of_the_recorded_weight_rows_bitwise():
+    # simulate keeps a (T, [R,] N) weight history and sums it once after the loop; that
+    # must equal the per-round sums of the weights each run held, alone and in a batch,
+    # with N = 8 and more (NumPy's 8-lane pairwise sum) too
+    box, T, alphas = Box(2, 1.0), 150, [0.7, 1.3, 2.0]
+    schedules = [uniform_schedule(T, 1, 9, s) for s in range(3)]
+    families = [make_drift_environment(box, T, 0.2, "linear", 20 + s, 1.0)[0] for s in range(3)]
+    for N in (1, 5, 8, 9, 17):
+        rates = 0.05 * np.exp2(np.arange(N))
+        batch = simulate(MildOGD(box, np.tile(rates, (3, 1)), np.array(alphas)),
+                         stack(families), schedules, box)
+        for r, run in enumerate(batch.runs()):
+            rows = [np.frombuffer(w) for _, _, w, _ in
+                    mild_history(MildOGD(box, rates, alphas[r]), families[r], schedules[r])]
+            sums = np.array([row.sum() for row in rows]).tobytes()
+            alone = simulate(MildOGD(box, rates, alphas[r]), families[r], schedules[r], box)
+            for trace in (alone, run):
+                assert trace.weights.tobytes() == b"".join(row.tobytes() for row in rows)
+                assert trace.weight_sums.tobytes() == sums
 
 
 _MILD_DELAYS = {
