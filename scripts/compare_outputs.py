@@ -5,15 +5,17 @@
 
 Each tree (a directory holding the ``delayed_oco`` package, such as a
 checkout's ``src``) runs ``comparison_set()`` in one subprocess, which hashes
-each run's decision bytes and the ``trace.csv`` and ``summary.json`` texts
-``delayed-oco run`` would write (a refused run records its config error).
+each run's decision bytes, the ``trace.csv`` and ``summary.json`` texts
+``delayed-oco run`` would write (a refused run records its config error), and
+the trace's consumption log ``c_log`` and weight sums ``weight_sums``.
 It also hashes the ``to_json`` text of each ``lowerbound_report`` in
 ``report_set()``, the averaged static-regret path that single runs do not
-reach, the ``sweep.json`` text of each sweep in ``sweep_set()`` and the
-outputs of every repetition of each ``run_many`` config in ``many_set()``,
-whose runs step in lockstep.  The script prints, per output, how many runs
-(and reports, sweeps, repetitions) are byte-identical, names the first that
-differ, and exits 1 on any difference.
+reach, the ``sweep.json`` text of each sweep in ``sweep_set()`` and, apart,
+the outputs, the log and the weight sums of every repetition of each
+``run_many`` config in ``many_set()``, whose runs step in lockstep.  The
+script prints, per output, how many runs (and reports, sweeps, repetitions)
+are byte-identical, names the first that differ, and exits 1 on any
+difference.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ T = 300
 DELAYS = {"constant": {"value": 3}, "uniform": {"lo": 1, "hi": 12}, "blocks": {"d": 16},
           "permuted": {}, "in_order_random": {"d_max": 8},
           "list": {"values": [1 + (7 * t) % 11 for t in range(T)]}}
-OUTPUTS = ("decisions", "trace.csv", "summary.json")
+OUTPUTS = ("decisions", "trace.csv", "summary.json", "c_log", "weight_sums")
 
 
 def comparison_set():
@@ -128,6 +130,10 @@ def worker() -> None:
     def digest(data):
         return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
+    def derived(trace):  # the values a trace derives rather than records
+        sums = trace.weight_sums
+        return [digest(repr(trace.c_log)), digest(b"None" if sums is None else sums.tobytes())]
+
     result = {}
     for name, cfg in comparison_set():
         try:
@@ -136,14 +142,15 @@ def worker() -> None:
             result[name] = [f"config error: {exc}"] * len(OUTPUTS)
             continue
         result[name] = [digest(trace.decisions.tobytes()), digest(harness.trace_to_csv(trace)),
-                        digest(harness.to_json({"runs": [summary]}))]
+                        digest(harness.to_json({"runs": [summary]})), *derived(trace)]
     reports = {name: digest(harness.to_json(harness.lowerbound_report(**kw)))
                for name, kw in report_set()}
     sweeps = {name: digest(harness.to_json({"grid": grid, "rows": harness.sweep(cfg, grid)}))
               for name, cfg, grid in sweep_set()}
-    many = {f"{name}/rep{i}": digest(trace.decisions.tobytes() + b"\0" +
-                                     harness.trace_to_csv(trace).encode() + b"\0" +
-                                     harness.to_json({"runs": [summary]}).encode())
+    many = {f"{name}/rep{i}": [digest(trace.decisions.tobytes() + b"\0" +
+                                      harness.trace_to_csv(trace).encode() + b"\0" +
+                                      harness.to_json({"runs": [summary]}).encode()),
+                               *derived(trace)]
             for name, cfg in many_set()
             for i, (trace, summary) in enumerate(harness.run_many(cfg))}
     json.dump({"runs": result, "reports": reports, "sweeps": sweeps, "many": many}, sys.stdout)
@@ -161,7 +168,9 @@ def main(parent: str, change: str) -> int:
                {k: v[i] for k, v in new["runs"].items()}) for i, what in enumerate(OUTPUTS)]
     tables.append(("lowerbound_report", "reports", old["reports"], new["reports"]))
     tables.append(("sweep.json", "sweeps", old["sweeps"], new["sweeps"]))
-    tables.append(("run_many outputs", "repetitions", old["many"], new["many"]))
+    tables += [(f"run_many {what}", "repetitions", {k: v[i] for k, v in old["many"].items()},
+                {k: v[i] for k, v in new["many"].items()})
+               for i, what in enumerate(("outputs", "c_log", "weight_sums"))]
     differ = False
     for what, unit, before, after in tables:
         diff = [name for name in before if before[name] != after[name]]

@@ -218,21 +218,28 @@ def normalize_config(config: dict) -> dict:
             raise ConfigError(f"lowerbound block length d: {exc}") from exc
         if not 1 <= delay["d"] <= delay_mod.MAX_ROUND:
             raise ConfigError(f"lowerbound block length d must lie in [1, 2^63), got {delay['d']}")
-    need = _run_bytes(cfg)
-    if need > _physical_memory():
-        raise ConfigError(f"T = {cfg['T']}, n = {cfg['n']} need about {need / 2**30:.3g} GiB, "
-                          "more than physical memory")
+    # a lockstep batch takes up to half of memory (_batches), the kept repetitions the rest
+    need, kept = _run_bytes(cfg), cfg["repetitions"] * _run_bytes(cfg, kept=True)
+    if need > _physical_memory() or kept > _physical_memory() // 2:
+        raise ConfigError(f"T = {cfg['T']}, n = {cfg['n']} need about {need / 2**30:.3g} GiB a "
+                          f"run and {kept / 2**30:.3g} GiB for {cfg['repetitions']} repetitions, "
+                          "more than physical memory holds")
     return cfg
 
 
-def _run_bytes(cfg: dict) -> int:
+def _run_bytes(cfg: dict, kept: bool = False) -> int:
     """Memory one run holds: T*n floats in five arrays (targets, decisions, gradients, loss
     temporaries) and in N experts, T*N floats of weight history, and 320 bytes a round for
-    the delays, the plan's lists and the consumption log (tracemalloc: 150 to 260 at
-    T = 20000, n <= 20).  N is the configured rate list's length, or ``expert_count(T)``."""
+    the delays and the plan's lists (tracemalloc: 150 to 260 at T = 20000, n <= 20).  N is
+    the configured rate list's length, or ``expert_count(T)``.  With ``kept``, what a finished
+    repetition keeps until ``run_many`` returns: T*(n + N) floats of trace and 160 bytes a
+    round for its schedule and summary (tracemalloc: 136 to 355 bytes a round at T = 4000
+    and 20000, n from 1 to 20, each learner)."""
     etas = cfg["learner"].get("etas", "paper")
     N = (learn_mod.expert_count(cfg["T"]) if etas == "paper" else len(etas)) \
         if cfg["learner"]["name"].startswith("mild") else 0
+    if kept:
+        return 8 * cfg["T"] * (cfg["n"] + N) + 160 * cfg["T"]
     return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + 320 * cfg["T"]
 
 
@@ -349,12 +356,11 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     ``losses.value(t, x)`` round by round.  The learners step on bare
     clamps, so after the last round the run checks once that every decision
     and gradient was finite, and raises ValueError if not.  The plan's
-    rounds past the horizon are delivered too (plays suppressed), completing
-    the consumption log; reported losses never include them.  A learner with
-    ``weights`` has them written to a (T, [R,] N) history after every round,
-    and ``weight_sums`` is that history summed over N after the loop, bitwise
-    the per-round sums.  R runs give one trace with decisions (T, R, n),
-    which ``RunTrace.runs()`` splits.
+    rounds past the horizon are delivered too (plays suppressed), so every
+    timestamp is handed over in the plan's order, ``RunTrace.c_log``;
+    reported losses never include them.  A learner with ``weights`` has them
+    written to a (T, [R,] N) history after every round.  R runs give one
+    trace with decisions (T, R, n), which ``RunTrace.runs()`` splits.
     """
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
     lead = () if runs is None else (runs,)
@@ -385,19 +391,13 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     for j in range(j, len(rounds)):
         lo, hi = offsets[j], offsets[j + 1]
         learner.ingest(rounds[j], stamps[lo:hi], grads[lo:hi])
-    logs = getattr(learner, "c_log", None)
-    if logs is not None:  # a run's log is its block column, less the padding
-        logs = [logs] if runs is None else [[k for k in column if k] for column in zip(*logs)]
-        logs = [tuple(log) if sorted(log) == list(range(1, T + 1)) else None for log in logs]
     starts = getattr(learner, "epoch_starts", None)
     if starts is not None:
         starts = [tuple(s) for s in ([starts] if runs is None else starts)]
     dropped = np.broadcast_to(getattr(learner, "dropped", 0), runs or 1).tolist()
     per_run = (lambda v: v) if runs else (lambda v: None if v is None else v[0])
     return RunTrace(decisions=decisions, loss_values=losses.values(decisions), schedule=schedule,
-                    c_log=per_run(logs), dropped=per_run(dropped), weights=weights,
-                    weight_sums=None if weights is None else weights.sum(axis=-1),
-                    epoch_starts=per_run(starts))
+                    dropped=per_run(dropped), epoch_starts=per_run(starts), weights=weights)
 
 
 _STRICT_BOUND = {"ogd": "bound_cor1", "dogd": "bound_cor1", "mild": "bound_thm2",
@@ -479,9 +479,9 @@ def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resol
     }
     summary["joint_effect"] = (metrics_mod.joint_effect(trace.c_log, comparators)
                                if trace.c_log is not None else None)
-    summary["bound_thm1"] = (
+    summary["bound_thm1"] = (  # the fixed-rate learner's, "ogd" or "dogd"
         metrics_mod.bound_thm1(D, G, resolved["eta"], sum_m, P_T, summary["joint_effect"])
-        if name == "dogd" and summary["joint_effect"] is not None else None)
+        if "eta" in resolved and summary["joint_effect"] is not None else None)
     for bound in ("bound_cor1", "bound_thm2", "bound_thm4", "bound_thm5"):
         summary[bound] = getattr(metrics_mod, bound)(D, G, S, P_T, in_order, d_max, T)
     summary["bound_lower"] = metrics_mod.bound_lower(T, d_max, D, G, min(P_T, T * D))
@@ -503,7 +503,6 @@ def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resol
     echo["seed"] = run_seed
     echo["learner"].update({k: v for k, v in resolved.items() if k != "eta_source"})
     echo["delay"]["resolved_values"] = schedule.to_list()
-    trace.config = echo
     summary["config"] = echo
     return trace, summary
 

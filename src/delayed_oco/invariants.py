@@ -121,8 +121,9 @@ def consumption_log_permutation(rng, runs: int, T_max: int, d_max: int):
     box = Box(1, 1.0)
     for i in range(runs):
         s = random_schedule(rng, T_max, d_max)
-        if simulate(DelayedOGD(box, 0.1), zero_losses(s.horizon), s, box).c_log is None:
-            return False, f"random schedule #{i}: consumption log incomplete"
+        c_log = simulate(DelayedOGD(box, 0.1), zero_losses(s.horizon), s, box).c_log
+        if sorted(c_log) != list(range(1, s.horizon + 1)):
+            return False, f"random schedule #{i}: consumption log is not a permutation"
     for i in range(runs):
         T = int(rng.integers(1, T_max + 1))
         s = in_order_random_schedule(T, int(rng.integers(1, d_max + 1)), seed=2000 + i)

@@ -8,11 +8,14 @@ All learners share one protocol so the harness can drive them identically:
                                   round t: ``grads[i]`` was queried at round
                                   ``stamps[i]``, and ``stamps`` is ascending
 
-A learner whose parameters carry a leading run axis runs R independent runs in
-lockstep: ``play`` returns an (R, n) stack, and ``ingest`` takes K rows of R
-timestamps with (K, R, n) gradients, column r holding run r's arrivals in
-ascending order, padded below with timestamp 0 and a zero gradient (a zero
-step leaves an iterate in the box as it is).  One run has no run axis.
+A learner keeps only the state its algorithm needs, no record of what it was
+handed: the order it consumed timestamps in is the arrival plan's, which the
+run's trace reports.  A learner whose parameters carry a leading run axis
+runs R independent runs in lockstep: ``play`` returns an (R, n) stack, and
+``ingest`` takes K rows of R timestamps with (K, R, n) gradients, column r
+holding run r's arrivals in ascending order, padded below with timestamp 0
+and a zero gradient (a zero step leaves an iterate in the box as it is).  One
+run has no run axis.
 
 Four algorithms are provided:
 
@@ -52,9 +55,8 @@ class DelayedOGD:
     Keeps a single iterate y and performs one projected step per delivered
     gradient, traversing each round's arrivals in ascending timestamp order
     (the ascending order is load-bearing: it is what makes the consumption
-    order equal the query order whenever delays preserve arrival order).
-    ``c_log[i]`` is the timestamp of the (i+1)-th consumed gradient (with a run
-    axis, a row of R timestamps per step).
+    order equal the query order whenever delays preserve arrival order), so
+    the order it consumes timestamps in is the arrival plan's.
 
     ``eta`` is a positive finite scalar or a (..., 1) column of such rates:
     y is then a (..., n) stack whose rows step at their own rates, projected
@@ -84,7 +86,6 @@ class DelayedOGD:
         self.eta = rates * np.ones_like(self.y) if rates.ndim else float(eta)
         h = box.half_width
         self._lo, self._hi = np.full_like(self.y, -h), np.full_like(self.y, h)
-        self.c_log: list = []
 
     def play(self, t: int) -> np.ndarray:
         return self.y.copy()
@@ -94,15 +95,13 @@ class DelayedOGD:
         for step in self.eta * (grads if grads.ndim > y.ndim else grads[:, None]):
             y = np.minimum(np.maximum(y - step, lo), hi)
         self.y = y
-        self.c_log.extend(stamps)
 
     def tiled(self, runs: int) -> "DelayedOGD":
         """``runs`` fresh copies of this one-run learner, as one learner."""
         return DelayedOGD(self.box, np.full((runs, 1), self.eta))
 
     def set_row(self, r: int, other: "DelayedOGD") -> None:
-        """Run r becomes the one-run learner ``other``; arrays are rebound, never written."""
-        self.eta, self.y = self.eta.copy(), self.y.copy()
+        """Run r becomes the one-run learner ``other``."""
         self.eta[r], self.y[r] = other.eta, other.y
 
 
@@ -188,12 +187,12 @@ class MildOGD:
     its weights bitwise.  ``play`` clamps the mix into the box against bound
     arrays of its shape, built here, as the pool clamps its steps.
 
-    The state (``pool.y`` and ``weights``) changes only when feedback
-    arrives, and every change rebinds the arrays instead of writing into
-    them, so ``play`` mixes again only when either is a new object.  Each
-    distinct mix is kept once, as the meta decision x and the spreads
-    xs - x; a round points to the spreads it played until its feedback
-    arrives, so memory is bounded by the maximum backlog.
+    The state (``pool.y`` and ``weights``) changes only in ``ingest`` and
+    ``set_row``, and each assigns ``log_w``, which drops the cached mix, so
+    ``play`` mixes again only after feedback or a restart.  Each distinct
+    mix is kept once, as the meta decision x and the spreads xs - x; a round
+    points to the spreads it played until its feedback arrives, so memory is
+    bounded by the maximum backlog.
     """
 
     def __init__(self, box: Box, expert_rates, alpha):
@@ -208,9 +207,6 @@ class MildOGD:
         self.expert_rates = rates
         self.pool = DelayedOGD(box, rates[..., None])  # which checks the rates
         self.log_w = np.log(init_weights(rates.shape[-1])) + np.zeros(rates.shape)
-        # the last mix: the pool.y and weights it read (held, so `is` stays
-        # sound), the meta decision x and the expert spreads xs - x (per run)
-        self._mix = (None, None, None, None)
         # round -> the spreads it played; with a run axis one such dict per run
         self._spreads = {} if self.runs is None else [{} for _ in range(self.runs)]
         self._no_spread = np.zeros((rates.shape[-1], box.dim))  # a padded slot's
@@ -229,23 +225,24 @@ class MildOGD:
         # re-normalizing here makes the weight-sum invariant a real check of it
         self._log_w = value
         self.weights = np.exp(value)
+        self._mix = None  # or the meta decision x and the expert spreads xs - x (per run)
 
     def play(self, t: int) -> np.ndarray:
-        xs, w = self.pool.y, self.weights
-        if self._mix[0] is not xs or self._mix[1] is not w:
+        if self._mix is None:
+            xs, w = self.pool.y, self.weights
             # the clamp guards the one-ulp rounding a float convex combination can incur
             if self.runs is None:
                 x = np.minimum(np.maximum(w @ xs, self._lo), self._hi)
-                self._mix = (xs, w, x, xs - x)
+                self._mix = (x, xs - x)
             else:
                 x = np.minimum(np.maximum(w[:, None, :] @ xs, self._lo), self._hi)
-                self._mix = (xs, w, x[:, 0], list(xs - x))
+                self._mix = (x[:, 0], list(xs - x))
         if self.runs is None:
-            self._spreads[t] = self._mix[3]
+            self._spreads[t] = self._mix[1]
         else:
-            for spreads, s in zip(self._spreads, self._mix[3]):
+            for spreads, s in zip(self._spreads, self._mix[1]):
                 spreads[t] = s
-        return self._mix[2].copy()
+        return self._mix[0].copy()
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
         if not len(stamps):
@@ -283,17 +280,12 @@ class MildOGD:
         return MildOGD(self.box, np.tile(self.expert_rates, (runs, 1)), np.full(runs, self.alpha))
 
     def set_row(self, r: int, other: "MildOGD") -> None:
-        """Run r becomes the one-run learner ``other``; arrays are rebound, never written."""
+        """Run r becomes the one-run learner ``other``."""
         self.pool.set_row(r, other.pool)
-        self.alpha, self.expert_rates, log_w = \
-            self.alpha.copy(), self.expert_rates.copy(), self.log_w.copy()
-        self.alpha[r], self.expert_rates[r], log_w[r] = other.alpha, other.expert_rates, other.log_w
-        self.log_w = log_w
+        self.alpha[r], self.expert_rates[r], self.log_w[r] = \
+            other.alpha, other.expert_rates, other.log_w
+        self.log_w = self.log_w  # the weights follow, and the mix is dropped
         self._spreads[r] = {}
-
-    @property
-    def c_log(self) -> list:
-        return self.pool.c_log
 
 
 # ---------------------------------------------------------------------------

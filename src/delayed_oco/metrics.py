@@ -22,7 +22,7 @@ reference that the closed forms are checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,42 +41,48 @@ class RunTrace:
 
     ``decisions`` has exactly T rows; the arrivals and the backlog m_t of
     each round are the schedule's (its arrival plan ``stamps``, ``rounds``
-    and ``offsets``, and ``schedule.backlog()``); ``c_log`` is the
-    consumption order including the flush window, or None when it is
-    incomplete (e.g. restart-based learners drop stale feedback, so their
-    log never covers all T timestamps).
-
-    ``weights`` is a weighted learner's (T, N) history, the weights after
-    each round, and ``weight_sums`` its sums over N.  ``simulate`` over R runs
-    in lockstep returns one trace with a run axis: decisions (T, R, n),
-    weights (T, R, N), loss values and weight sums (T, R), a list of R
-    schedules and a list per run of the other fields; ``runs()`` splits it.
+    and ``offsets``, and ``schedule.backlog()``).  ``epoch_starts`` is a
+    restarting learner's, and None for any other.  ``weights`` is a weighted
+    learner's (T, N) history, the weights after each round.  ``simulate``
+    over R runs in lockstep returns one trace with a run axis: decisions
+    (T, R, n), weights (T, R, N), loss values (T, R), a list of R schedules
+    and a list per run of the other fields; ``runs()`` splits it.
     """
 
     decisions: np.ndarray
     loss_values: np.ndarray
     schedule: DelaySchedule | list
-    c_log: tuple | list | None = None
     dropped: int | list = 0
-    weight_sums: np.ndarray | None = None
     epoch_starts: tuple | list | None = None
-    config: dict = field(default_factory=dict)
     weights: np.ndarray | None = None
 
     @property
     def horizon(self) -> int:
         return self.decisions.shape[0]
 
+    @property
+    def c_log(self) -> tuple | list | None:
+        """The consumption order, flush window included: the plan's delivery order
+        ``schedule.stamps``, which is the order ``simulate`` hands timestamps to
+        ``ingest``.  None for a restarting learner, which drops stale feedback, so
+        what it consumes never covers all T timestamps.  With a run axis, one per run."""
+        if not isinstance(self.schedule, DelaySchedule):
+            return [run.c_log for run in self.runs()]
+        return None if self.epoch_starts is not None else tuple(self.schedule.stamps)
+
+    @property
+    def weight_sums(self) -> np.ndarray | None:
+        """The weight history summed over N, (T,) or (T, R); None without weights."""
+        return None if self.weights is None else self.weights.sum(axis=-1)
+
     def runs(self) -> list["RunTrace"]:
         """Each run's own trace (views into this one), bitwise what it would record alone."""
         if isinstance(self.schedule, DelaySchedule):
             return [self]
-        logs, sums, starts, weights = self.c_log, self.weight_sums, self.epoch_starts, self.weights
-        return [RunTrace(self.decisions[:, r], self.loss_values[:, r], schedule,
-                         None if logs is None else logs[r], self.dropped[r],
-                         None if sums is None else sums[:, r],
+        starts, weights = self.epoch_starts, self.weights
+        return [RunTrace(self.decisions[:, r], self.loss_values[:, r], schedule, self.dropped[r],
                          None if starts is None else starts[r],
-                         weights=None if weights is None else weights[:, r])
+                         None if weights is None else weights[:, r])
                 for r, schedule in enumerate(self.schedule)]
 
 
@@ -141,8 +147,8 @@ def static_regret(trace, losses: QuadraticTracking | Linear, box: Box) -> float:
 def joint_effect(c_log, comparators) -> float:
     """sum_t ||u_t - u_{c_t}||_2, the delay/comparator interaction term.
 
-    Requires a complete consumption log (a permutation of 1..T, which the
-    post-horizon flush guarantees for the non-restarting learners).
+    Requires a complete consumption log, a permutation of 1..T, as a
+    non-restarting learner's ``RunTrace.c_log`` (the arrival plan's order) is.
     """
     us = np.asarray(comparators, dtype=np.float64)
     if us.ndim == 1:

@@ -97,10 +97,19 @@ def test_epoch_feedback_set_drops_stale():
     # and the restarted learner keeps only the timestamps >= 2
     s, box = DelaySchedule((3, 1, 1)), Box(1, 1.0)
     learner = DogdDoublingTrick(box, 2.0, 1.0)
+    seen, make = [], learner.make
+
+    def spied(beta):  # a restart's learner, recording the timestamps it is handed
+        inner = make(beta)
+        ingest = inner.ingest
+        inner.ingest = lambda t, stamps, grads: (seen.extend(stamps), ingest(t, stamps, grads))
+        return inner
+
+    learner.make = spied
     simulate(learner, zero_losses(3), s, box)
     assert learner.epoch_starts == [1, 2]
     assert plan_sets(s)[3] == arrivals_at(s, 3) == [1, 3]
-    assert learner.inner.c_log == [k for t in (2, 3) for k in arrivals_at(s, t) if k >= 2]
+    assert seen == [k for t in (2, 3) for k in arrivals_at(s, t) if k >= 2]
     assert learner.dropped == 1
 
 

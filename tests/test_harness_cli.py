@@ -251,6 +251,17 @@ def test_summary_reports_resolved_rate_and_bounds():
     assert summary["bound_check"] == {"bound": "bound_cor1", "ok": True}
 
 
+@pytest.mark.parametrize("delay", [{"kind": "constant", "value": 3}, {"kind": "permuted"}])
+def test_ogd_summary_is_the_dogd_summary_but_for_the_name(delay):
+    # "ogd" names the same fixed-rate DelayedOGD, so it reports bound_thm1 too
+    summaries = [run_experiment(base_config(learner={"name": name}, delay=delay))[1]
+                 for name in ("ogd", "dogd")]
+    assert summaries[0]["bound_thm1"] is not None
+    for summary in summaries:
+        summary["learner"] = summary["config"]["learner"]["name"] = None
+    assert harness.to_json(summaries[0]) == harness.to_json(summaries[1])
+
+
 def test_mild_summary_tracks_weight_sums():
     _, summary = run_experiment(base_config(learner={"name": "mild"}))
     assert summary["weight_sum_err"] <= 1e-9
@@ -529,6 +540,38 @@ def test_one_run_allocates_less_than_its_estimate(n, delay, learner):
     finally:
         tracemalloc.stop()
     assert peak <= harness._run_bytes(harness.normalize_config(cfg))
+
+
+@pytest.mark.parametrize("learner,n,delay", [
+    ("dogd", 1, {"kind": "permuted"}), ("mild", 1, {"kind": "permuted"}),
+    ("mild_dt", 20, {"kind": "constant", "value": 1})])
+def test_kept_repetitions_hold_less_than_their_estimate(learner, n, delay):
+    cfg = base_config(T=2000, n=n, delay=delay, learner={"name": learner}, repetitions=4)
+    run_many({**cfg, "T": 50})  # warm up
+    tracemalloc.start()
+    try:
+        results = run_many(cfg)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 4
+    assert kept <= 4 * harness._run_bytes(harness.normalize_config(cfg), kept=True)
+
+
+def test_repetitions_that_outgrow_memory_exit_2(tmp_path, monkeypatch):
+    # at T = 20000, n = 5 one run needs about 10 MB and a kept repetition about 4 MB, so
+    # 2,000 of them outgrow the half of 7.8 GiB that a lockstep batch leaves; never run
+    monkeypatch.setattr(harness, "_physical_memory", lambda: int(7.8 * 2**30))
+    monkeypatch.setattr(harness, "simulate", None)
+    cfg = base_config(T=20000, n=5, repetitions=2000)
+    harness.normalize_config({**cfg, "repetitions": 500})
+    with pytest.raises(ConfigError, match="2000 repetitions"):
+        harness.normalize_config(cfg)
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    lowerbound = {**cfg, "repetitions": 1, "delay": {"kind": "blocks", "d": 4},
+                  "environment": {"kind": "lowerbound"}}
+    assert cli.main(["lowerbound", "--config", write_config(tmp_path, lowerbound),
+                     "--trials", "2000"]) == 2
 
 
 @pytest.mark.parametrize("grid", [{"T": [10.5]}, {"d": [2.5]}])

@@ -70,7 +70,6 @@ def test_rate_column_steps_each_row_like_a_scalar_rate():
     for i, single in enumerate(singles):
         single.ingest(2, stamps, grads)
         assert np.array_equal(pool.play(3)[i], single.play(3))
-    assert pool.c_log == [1, 2]
 
 
 def test_invalid_rates_rejected():
@@ -184,7 +183,6 @@ def test_dogd_empty_ingest_is_noop():
     before = learner.play(1)
     learner.ingest(1, *feedback([]))
     assert np.array_equal(learner.play(2), before)
-    assert learner.c_log == []
 
 
 def test_dogd_rejects_unsorted_items():
@@ -228,6 +226,38 @@ def test_in_order_gives_identity_log():
         box = Box(1, 1.0)
         trace = simulate(DelayedOGD(box, 0.1), zero_losses(T), s, box)
         assert list(trace.c_log) == list(range(1, T + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=st.integers(1, 40), R=st.integers(1, 3),
+       name=st.sampled_from(["dogd", "mild", "dogd_dt", "mild_dt"]), data=st.data())
+def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
+    # the trace takes c_log from the plan; a spy on ingest sees what the learner was
+    # handed, each run's column of a lockstep block less its padding
+    box = Box(1, 1.0)
+    schedules = [DelaySchedule(tuple(data.draw(st.lists(st.integers(1, 12), min_size=T,
+                                                        max_size=T)))) for _ in range(R)]
+    runs = None if R == 1 else R
+    learner = {"dogd": lambda: DelayedOGD(box, 0.1), "mild": lambda: MildOGD(box, [0.1, 0.4], 1.0),
+               "dogd_dt": lambda: DogdDoublingTrick(box, 2.0, 1.0, runs),
+               "mild_dt": lambda: MildOgdDoublingTrick(box, 2.0, 1.0, T, runs)}[name]()
+    if runs and name in ("dogd", "mild"):
+        learner = learner.tiled(runs)
+    seen, ingest = [[] for _ in range(R)], learner.ingest
+
+    def spied(t, stamps, grads):
+        for row in ([[k] for k in stamps] if runs is None else stamps):
+            for log, k in zip(seen, row):
+                if k:
+                    log.append(k)
+        ingest(t, stamps, grads)
+
+    learner.ingest = spied
+    trace = simulate(learner, zero_losses(T) if runs is None else stack([zero_losses(T)] * R),
+                     schedules[0] if runs is None else schedules, box)
+    expected = [None] * R if name.endswith("_dt") else [tuple(log) for log in seen]
+    assert [run.c_log for run in trace.runs()] == expected
+    assert trace.c_log == (expected[0] if runs is None else expected)
 
 
 def test_every_play_feasible():
@@ -342,9 +372,9 @@ def test_meta_play_matches_box_project_bitwise(n, N, h, data):
     assert pool.play(1).tobytes() == box.project(pool.weights @ pool.pool.y).tobytes()
 
 
-def test_play_mixes_again_after_log_w_or_the_pool_iterate_is_rebound():
-    # the mix is cached on the identity of pool.y and weights: rebinding log_w
-    # the way corrupt_hedge does, or pool.y the way mixed_play does, must show
+def test_play_mixes_again_after_log_w_feedback_or_a_restart():
+    # the mix is cached until log_w is assigned: the assignment corrupt_hedge
+    # makes, an ingest and a restart's set_row (which writes its row in place) must show
     box = Box(2, 1.0)
     mild = MildOGD(box, [0.1, 0.4, 1.6], alpha=1.0)
     mild.pool.y = np.array([[0.6, -0.6], [-0.2, 0.4], [0.1, 0.9]])
@@ -356,10 +386,19 @@ def test_play_mixes_again_after_log_w_or_the_pool_iterate_is_rebound():
     shifted = mild.play(3)
     assert not np.array_equal(shifted, before)
     assert shifted.tobytes() == box.project(mild.weights @ mild.pool.y).tobytes()
-    mild.pool.y = mild.pool.y[::-1].copy()
-    flipped = mild.play(4)
-    assert not np.array_equal(flipped, shifted)
-    assert flipped.tobytes() == box.project(mild.weights @ mild.pool.y).tobytes()
+    mild.ingest(3, *feedback([1, 3], [1.0, -0.5], [0.2, 0.3]))
+    fed = mild.play(4)
+    assert not np.array_equal(fed, shifted)
+    assert fed.tobytes() == box.project(mild.weights @ mild.pool.y).tobytes()
+    runs = MildOGD(box, np.tile([0.1, 0.4, 1.6], (2, 1)), np.ones(2))
+    runs.play(1)
+    runs.ingest(1, [[1, 1]], np.array([[[1.0, -0.5], [0.2, 0.3]]]))
+    played = runs.play(2)
+    assert not np.array_equal(played[0], fed)
+    runs.set_row(0, mild)
+    restarted = runs.play(3)
+    assert restarted[0].tobytes() == fed.tobytes()
+    assert restarted[1].tobytes() == played[1].tobytes()
 
 
 def test_hedge_update_example():
