@@ -36,8 +36,10 @@ def comparison_set():
     """Five learners x six delay kinds x quadratic/linear drift at step 0.02
     and 1 x n in {1, 3, 10} x seeds 0-1 at T = 300, lowerbound runs, one
     ``linear_list`` run, the benchmark's ``cli_run`` config at seeds 0-2, and
-    five learners at D = 3 and G in {1.5, 0.3}, which are not powers of two, so
-    that a change in how a rate formula rounds shows."""
+    piecewise comparators at path budgets P in {0, 1, 4, 50, 1e6} (one block to one
+    block a round) x n in {1, 3} for dogd and mild, and five learners at D = 3 and
+    G in {1.5, 0.3}, which are not powers of two, so that a change in how a rate
+    formula rounds shows."""
     base = {"T": T, "D": 2.0, "G": 1.0}
     for learner, (kind, spec), loss, step, n, seed in itertools.product(
             ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), DELAYS.items(),
@@ -60,6 +62,12 @@ def comparison_set():
                 "learner": {"name": "dogd_dt"}, "delay": {"kind": "permuted"},
                 "environment": {"kind": "drift", "step": 0.02, "loss": "linear"},
                 "comparators": {"kind": "piecewise", "path_budget": 4}})
+    for P, n, learner in itertools.product((0, 1, 4, 50, 1e6), (1, 3), ("dogd", "mild")):
+        yield (f"piecewise/P{P}/n{n}/{learner}",
+               {**base, "n": n, "seed": 6, "learner": {"name": learner},
+                "delay": {"kind": "permuted"},
+                "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"},
+                "comparators": {"kind": "piecewise", "path_budget": P}})
     for learner, G, kind, n, seed in itertools.product(
             ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), (1.5, 0.3), ("uniform", "permuted"),
             (1, 3), (0, 1)):
@@ -87,7 +95,8 @@ def report_set():
 def sweep_set():
     """The benchmark's drift sweep grid (4 learners x d in {1, 20}, T = 2000, n = 5) at
     seeds 0-2, and ragged grids at T = 300, n = 3, 3 repetitions: 4 learners x uniform
-    delays with d in {1, 5, 20}, and 4 learners x permuted delays (which take no d)."""
+    delays with d in {1, 5, 20}, 4 learners x permuted delays (which take no d), and
+    dogd and mild x the piecewise comparators' path budget P in {0, 1, 4, 50, 1e6}."""
     learners = ["dogd", "mild", "dogd_dt", "mild_dt"]
     for seed in range(3):
         yield (f"sweep/drift_sweep/s{seed}",
@@ -102,6 +111,11 @@ def sweep_set():
                {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4, "repetitions": 3,
                 "delay": {"kind": kind, **DELAYS[kind]},
                 "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}}, grid)
+    yield ("sweep/P/r3",
+           {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4, "repetitions": 3,
+            "delay": {"kind": "uniform", **DELAYS["uniform"]},
+            "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}},
+           {"learner": ["dogd", "mild"], "P": [0, 1, 4, 50, 1e6]})
 
 
 def many_set():

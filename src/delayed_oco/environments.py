@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .geometry import Box, as_decision
+from .geometry import Box
 from .losses import Linear, QuadraticTracking, quadratic_drift_scale
 
 
@@ -57,27 +57,12 @@ def comparator_block_length(T: int, D: float, P: float) -> int:
     return math.ceil(T * D / max(P, D))
 
 
-def make_piecewise_comparators(box: Box, T: int, block_len: int, anchors) -> np.ndarray:
-    """Sequence constant on each length-``block_len`` block, one anchor per block."""
-    blocks = block_bounds(T, block_len)
-    anchors = [as_decision(a, box.dim) for a in anchors]
-    if len(anchors) != len(blocks):
-        raise ValueError(f"need {len(blocks)} anchors, got {len(anchors)}")
-    out = np.empty((T, box.dim))
-    for (start, end), a in zip(blocks, anchors):
-        if not box.contains(a):
-            raise ValueError("anchor outside the feasible set")
-        out[start - 1:end] = a
-    return out
-
-
 def make_path_budget_comparators(box: Box, T: int, P: float, seed: int) -> np.ndarray:
-    """Random piecewise-constant comparators with path length <= P."""
-    rng = np.random.default_rng(seed)
-    L = comparator_block_length(T, box.diameter, P)
-    n_blocks = len(block_bounds(T, L))
-    anchors = [box.random_point(rng) for _ in range(n_blocks)]
-    return make_piecewise_comparators(box, T, L, anchors)
+    """Random piecewise-constant comparators with path length <= P: one uniform
+    point of the box per block of ``comparator_block_length`` rounds."""
+    L, h = comparator_block_length(T, box.diameter, P), box.half_width
+    anchors = np.random.default_rng(seed).uniform(-h, h, (-(-T // L), box.dim))
+    return np.repeat(anchors, L, axis=0)[:T]
 
 
 def make_drift_environment(box: Box, T: int, step: float, loss_kind: str, seed: int,

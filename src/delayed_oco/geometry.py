@@ -67,10 +67,6 @@ class Box:
             raise ValueError("point has non-finite entries")
         return np.clip(p, -self.half_width, self.half_width)
 
-    def contains(self, p, tol: float = 0.0) -> bool:
-        p = as_decision(p, self.dim)
-        return bool(np.all(np.abs(p) <= self.half_width + tol))
-
     def origin(self) -> np.ndarray:
         return np.zeros(self.dim)
 

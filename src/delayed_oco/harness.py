@@ -539,11 +539,13 @@ def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dic
     """Run one configured experiment; returns (trace, summary).
 
     Deterministic given (config, seed): identical inputs give byte-identical
-    CSV/JSON renderings of the outputs.
+    CSV/JSON renderings of the outputs.  A ``seed`` replaces the config's own and is
+    checked like it.
     """
+    if seed is not None and isinstance(config, dict):
+        config = {**config, "seed": seed}
     cfg = normalize_config(config)
-    run_seed = cfg["seed"] if seed is None else int(seed)
-    return _run([(cfg, run_seed, *_build_inputs(cfg, [run_seed]))])[0]
+    return _run([(cfg, cfg["seed"], *_build_inputs(cfg, [cfg["seed"]]))])[0]
 
 
 def run_many(config: dict) -> list[tuple[RunTrace, dict]]:

@@ -31,8 +31,8 @@ def random_schedule(rng: np.random.Generator, T_max: int, d_max: int) -> DelaySc
     return DelaySchedule(tuple(int(v) for v in rng.integers(1, d_max + 1, size=T)))
 
 
-def zero_losses(T: int, n: int = 1) -> Linear:
-    return Linear(np.zeros((T, n)))
+def zero_losses(T: int) -> Linear:
+    return Linear(np.zeros((T, 1)))
 
 
 def projected_ogd(box: Box, eta: float, losses: QuadraticTracking | Linear) -> np.ndarray:
@@ -116,24 +116,38 @@ def ogd_dogd_reduction(rng, runs: int, T_max: int):
     return True, f"{runs} unit-delay configs: delayed and textbook descent bitwise identical"
 
 
+def _consumed(schedule: DelaySchedule) -> tuple[list[int], tuple]:
+    """(the stamps DOGD's ``ingest`` received over ``schedule``, in order, the trace's log)."""
+    box, received = Box(1, 1.0), []
+    learner = DelayedOGD(box, 0.1)
+    ingest = learner.ingest
+
+    def recording_ingest(t, stamps, grads):
+        received.extend(stamps)
+        ingest(t, stamps, grads)
+    learner.ingest = recording_ingest
+    return received, simulate(learner, zero_losses(schedule.horizon), schedule, box).c_log
+
+
 def consumption_log_permutation(rng, runs: int, T_max: int, d_max: int):
-    """Consumption logs are permutations; in order they are the identity with joint effect 0."""
-    box = Box(1, 1.0)
+    """Logs are what ``ingest`` received, permutations; in order the identity, joint effect 0."""
     for i in range(runs):
         s = random_schedule(rng, T_max, d_max)
-        c_log = simulate(DelayedOGD(box, 0.1), zero_losses(s.horizon), s, box).c_log
-        if sorted(c_log) != list(range(1, s.horizon + 1)):
+        received, c_log = _consumed(s)
+        if list(c_log) != received:
+            return False, f"random schedule #{i}: consumption log is not what ingest received"
+        if sorted(received) != list(range(1, s.horizon + 1)):
             return False, f"random schedule #{i}: consumption log is not a permutation"
     for i in range(runs):
         T = int(rng.integers(1, T_max + 1))
         s = in_order_random_schedule(T, int(rng.integers(1, d_max + 1)), seed=2000 + i)
-        c_log = simulate(DelayedOGD(box, 0.1), zero_losses(T), s, box).c_log
-        if c_log != tuple(range(1, T + 1)):
+        received, c_log = _consumed(s)
+        if list(c_log) != received or received != list(range(1, T + 1)):
             return False, f"in-order schedule #{i}: log is not the identity"
         if joint_effect(c_log, rng.uniform(-1, 1, size=(T, 1))) != 0.0:
             return False, f"in-order schedule #{i}: nonzero joint effect"
-    return True, f"{runs} random logs are permutations; {runs} in-order logs are the " \
-                 "identity with joint effect exactly 0"
+    return True, f"{runs} random logs are what ingest received, permutations; {runs} " \
+                 "in-order logs are the identity with joint effect exactly 0"
 
 
 def epoch_starts_closed_form(rng, T: int):
@@ -157,30 +171,19 @@ class _Counting(QuadraticTracking):
         return super().gradient(t, x)
 
 
-def _mild_run(rng, T: int, corrupt: bool = False):
-    """Mild-OGD on a drifting target under delays 1..6; returns (trace, gradient queries).
-
-    ``corrupt`` shifts the Hedge log-weights after every arrival without
-    renormalizing, which must trip the weight-simplex check.
-    """
+def _mild_run(rng, T: int):
+    """Mild-OGD on a drifting target under delays 1..6; returns (trace, gradient queries)."""
     box = Box(1, 1.0)
     schedule = uniform_schedule(T, 1, 6, int(rng.integers(1 << 30)))
     drift, _ = make_drift_environment(box, T, 0.05, "quadratic", int(rng.integers(1 << 30)), 1.0)
     losses, sum_m = _Counting(drift.targets, drift.scale), schedule.sum_backlog
     mild = MildOGD(box, mild_lr_grid(2.0, 1.0, sum_m, T), hedge_alpha(2.0, 1.0, sum_m))
-    if corrupt:
-        ingest = mild.ingest
-
-        def corrupted_ingest(t, stamps, grads):
-            ingest(t, stamps, grads)
-            mild.log_w = mild.log_w + 0.05
-        mild.ingest = corrupted_ingest
     return simulate(mild, losses, schedule, box), losses.queries
 
 
-def hedge_weight_simplex(rng, T: int, corrupt: bool = False):
+def hedge_weight_simplex(rng, T: int):
     """Mild-OGD's expert weights sum to 1 after every round."""
-    err = float(np.abs(_mild_run(rng, T, corrupt)[0].weight_sums - 1.0).max())
+    err = float(np.abs(_mild_run(rng, T)[0].weight_sums - 1.0).max())
     return err <= 1e-9, f"max |sum-1| = {err:.2e}"
 
 
@@ -208,11 +211,10 @@ def joint_effect_caps(rng, runs: int, T_max: int, d_max: int):
     for i in range(runs):
         s = random_schedule(rng, T_max, d_max)
         T, d = s.horizon, s.max_delay
-        trace = simulate(DelayedOGD(box, 0.1), zero_losses(T, 2), s, box)
         us = np.stack([box.random_point(rng) for _ in range(T)])
         P = path_length(us)
         cap = min(math.sqrt(2 * d * T * box.diameter * P), 2 * d * P, T * box.diameter)
-        if joint_effect(trace.c_log, us) > cap + 1e-9:
+        if joint_effect(s.stamps, us) > cap + 1e-9:  # the plan's order is DOGD's log
             return False, f"schedule #{i}: joint effect above its cap"
     return True, f"joint effect within its caps on {runs} schedules"
 
@@ -246,18 +248,14 @@ def static_regret_closed_vs_grid(rng, T: int):
         for losses, lipschitz in ((lin, float(np.linalg.norm(lin.grads, axis=1).sum())),
                                   (quad, T * quad.scale * box.diameter)):
             _, closed, _ = minimize_total_loss(losses, box)
-            _, grid, _ = minimize_total_loss(losses, box, grid_resolution=1e-3, method="grid")
+            _, grid, _ = minimize_total_loss(losses, box, method="grid")
             if not (closed - 1e-12 <= grid <= closed + lipschitz * math.sqrt(n) * 1e-3):
                 return False, f"grid/closed-form gap too large (n={n})"
     return True, f"closed forms within the 1e-3 grid's resolution (T={T}, n = 1, 2)"
 
 
-def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
-    """Run every check at desk scale on one generator; returns one record per check.
-
-    ``corrupt_hedge`` is a fault-injection hook that must trip
-    ``hedge_weight_simplex`` (it proves the check has teeth).
-    """
+def verify_all(seed: int = 0) -> list[dict]:
+    """Run every check at desk scale on one generator; returns one record per check."""
     rng = np.random.default_rng(seed)
     desk_scale = (
         (delay_partition_backlog, {"runs": 200, "T_max": 60, "d_max": 8}),
@@ -266,7 +264,7 @@ def verify_all(seed: int = 0, corrupt_hedge: bool = False) -> list[dict]:
         (ogd_dogd_reduction, {"runs": 5, "T_max": 40}),
         (consumption_log_permutation, {"runs": 100, "T_max": 60, "d_max": 8}),
         (epoch_starts_closed_form, {"T": 200}),
-        (hedge_weight_simplex, {"T": 120, "corrupt": corrupt_hedge}),
+        (hedge_weight_simplex, {"T": 120}),
         (single_gradient_query_per_round, {"T": 120}),
         (measured_regret_below_bounds, {"T": 300}),
         (joint_effect_caps, {"runs": 100, "T_max": 40, "d_max": 6}),

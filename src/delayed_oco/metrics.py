@@ -33,6 +33,7 @@ from .losses import Linear, QuadraticTracking
 
 # grid search: mesh points x rounds evaluated per batched call (bounds memory)
 _GRID_BATCH = 1 << 20
+_GRID_RESOLUTION = 1e-3  # spacing of the reference grid's mesh along each axis
 
 
 @dataclass
@@ -55,10 +56,6 @@ class RunTrace:
     dropped: int | list = 0
     epoch_starts: tuple | list | None = None
     weights: np.ndarray | None = None
-
-    @property
-    def horizon(self) -> int:
-        return self.decisions.shape[0]
 
     @property
     def c_log(self) -> tuple | list | None:
@@ -102,7 +99,6 @@ def dynamic_regret(trace, losses: QuadraticTracking | Linear, comparators) -> fl
 
 
 def minimize_total_loss(losses: QuadraticTracking | Linear, box: Box,
-                        grid_resolution: float = 1e-3,
                         method: str = "auto") -> tuple[np.ndarray, float, str]:
     """Hindsight optimum of sum_t f_t over the box: (minimizer, value, method).
 
@@ -125,14 +121,14 @@ def minimize_total_loss(losses: QuadraticTracking | Linear, box: Box,
     if box.dim > 2:
         raise ValueError("the grid search supports n <= 2 only")
     axes = [np.linspace(-box.half_width, box.half_width,
-                        max(2, int(round(2 * box.half_width / grid_resolution)) + 1))
+                        max(2, int(round(2 * box.half_width / _GRID_RESOLUTION)) + 1))
             for _ in range(box.dim)]
     mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     step = max(1, _GRID_BATCH // len(losses))
     totals = np.concatenate([losses.values(mesh[i:i + step, None, :]).sum(axis=1)
                              for i in range(0, mesh.shape[0], step)])
     best = int(np.argmin(totals))
-    return mesh[best], float(totals[best]), f"grid[{grid_resolution}]"
+    return mesh[best], float(totals[best]), f"grid[{_GRID_RESOLUTION}]"
 
 
 def static_regret(trace, losses: QuadraticTracking | Linear, box: Box) -> float:
@@ -145,14 +141,12 @@ def static_regret(trace, losses: QuadraticTracking | Linear, box: Box) -> float:
 
 
 def joint_effect(c_log, comparators) -> float:
-    """sum_t ||u_t - u_{c_t}||_2, the delay/comparator interaction term.
+    """sum_t ||u_t - u_{c_t}||_2 over (T, n) comparators, the delay/comparator interaction term.
 
     Requires a complete consumption log, a permutation of 1..T, as a
     non-restarting learner's ``RunTrace.c_log`` (the arrival plan's order) is.
     """
     us = np.asarray(comparators, dtype=np.float64)
-    if us.ndim == 1:
-        us = us[:, None]
     T = us.shape[0]
     if c_log is None or sorted(c_log) != list(range(1, T + 1)):
         raise ValueError("consumption log is not a permutation of 1..T "

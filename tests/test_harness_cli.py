@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delayed_oco import (Box, DelayedOGD, DelaySchedule, cli, constant_schedule, harness,
-                         invariants)
+from delayed_oco import (Box, DelayedOGD, DelaySchedule, MildOGD, cli, constant_schedule,
+                         harness, invariants)
 from delayed_oco.delay import merge_plans
 from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many,
                                  simulate, sweep, trace_to_csv)
@@ -65,6 +65,21 @@ def test_lowerbound_env_requires_block_delays():
         run_experiment(base_config(environment={"kind": "lowerbound"}))
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
+def test_seed_argument_is_checked_like_the_config_seed(seed):
+    with pytest.raises(ConfigError):
+        run_experiment(base_config(), seed=seed)
+    with pytest.raises(ConfigError):
+        run_experiment(base_config(seed=seed))
+
+
+def test_seed_argument_replaces_the_config_seed():
+    trace, summary = run_experiment(base_config(seed=-1), seed=3)
+    expected_trace, expected = run_experiment(base_config(seed=3))
+    assert trace_to_csv(trace) == trace_to_csv(expected_trace)
+    assert harness.to_json(summary) == harness.to_json(expected)
+
+
 # --- run ----------------------------------------------------------------------
 
 def test_run_hand_simulation_trace():
@@ -110,7 +125,7 @@ def reference_trace_to_csv(trace):
     backlog = schedule.backlog()
     cum = 0.0
     j = 0
-    for t in range(1, trace.horizon + 1):
+    for t in range(1, len(trace.decisions) + 1):
         cum += float(trace.loss_values[t - 1])
         x = ";".join(repr(float(v)) for v in trace.decisions[t - 1])
         F = []
@@ -609,8 +624,19 @@ def test_verify_all_green():
         "static_regret_closed_vs_grid"]
 
 
-def test_verify_catches_corrupted_normalization():
-    checks = invariants.verify_all(seed=0, corrupt_hedge=True)
+def inject_hedge_fault(monkeypatch):
+    """Shift Mild-OGD's Hedge log-weights after every ``ingest``, without renormalizing."""
+    ingest = MildOGD.ingest
+
+    def shifted_ingest(self, t, stamps, grads):
+        ingest(self, t, stamps, grads)
+        self.log_w = self.log_w + 0.05
+    monkeypatch.setattr(MildOGD, "ingest", shifted_ingest)
+
+
+def test_verify_catches_corrupted_normalization(monkeypatch):
+    inject_hedge_fault(monkeypatch)
+    checks = invariants.verify_all(seed=0)
     simplex = [c for c in checks if c["name"] == "hedge_weight_simplex"]
     assert simplex and not simplex[0]["ok"]
 
@@ -1066,9 +1092,7 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_cli_verify_exits_4_under_corrupted_hedge(monkeypatch, capsys):
-    verify_all = invariants.verify_all
-    monkeypatch.setattr(invariants, "verify_all",
-                        lambda seed=0: verify_all(seed=seed, corrupt_hedge=True))
+    inject_hedge_fault(monkeypatch)
     assert cli.main(["verify"]) == 4
     captured = capsys.readouterr()
     assert "[FAIL] hedge_weight_simplex" in captured.err

@@ -269,7 +269,7 @@ def test_every_play_feasible():
                     DogdDoublingTrick(box, 1.5, 2.0),
                     MildOgdDoublingTrick(box, 1.5, 2.0, 60)):
         trace = simulate(learner, losses, sched, box)
-        assert all(box.contains(x) for x in trace.decisions)
+        assert np.all(np.abs(trace.decisions) <= box.half_width)
 
 
 # --- formula-derived parameters ----------------------------------------------
@@ -373,8 +373,9 @@ def test_meta_play_matches_box_project_bitwise(n, N, h, data):
 
 
 def test_play_mixes_again_after_log_w_feedback_or_a_restart():
-    # the mix is cached until log_w is assigned: the assignment corrupt_hedge
-    # makes, an ingest and a restart's set_row (which writes its row in place) must show
+    # the mix is cached until log_w is assigned: an assignment from outside (the
+    # Hedge fault the tests inject makes one), an ingest and a restart's set_row
+    # (which writes its row in place) must show
     box = Box(2, 1.0)
     mild = MildOGD(box, [0.1, 0.4, 1.6], alpha=1.0)
     mild.pool.y = np.array([[0.6, -0.6], [-0.2, 0.4], [0.1, 0.9]])

@@ -12,7 +12,7 @@ from delayed_oco import (
     make_lowerbound_instance,
     simulate,
 )
-from delayed_oco.harness import trace_to_csv
+from delayed_oco.harness import run_experiment, trace_to_csv
 from delayed_oco.losses import Linear, QuadraticTracking
 from delayed_oco.metrics import (
     bound_cor1,
@@ -97,7 +97,7 @@ def test_closed_forms_match_grid():
     for losses, lipschitz in ((lin, np.linalg.norm(lin.grads, axis=1).sum()),
                               (quad, len(quad) * quad.scale * box.diameter)):
         _, closed, _ = minimize_total_loss(losses, box)
-        _, grid, flag = minimize_total_loss(losses, box, grid_resolution=1e-3, method="grid")
+        _, grid, flag = minimize_total_loss(losses, box, method="grid")
         assert flag.startswith("grid")
         assert grid >= closed - 1e-12          # the grid cannot beat the true optimum
         assert grid - closed <= lipschitz * 2e-3
@@ -137,6 +137,38 @@ def test_joint_effect_capped_on_runs():
     # sqrt(2dTDP), 2dP and TD all cap the measured interaction term
     ok, detail = joint_effect_caps(np.random.default_rng(43), runs=100, T_max=49, d_max=7)
     assert ok, detail
+
+
+@pytest.mark.parametrize("delay", [{"kind": "permuted"}, {"kind": "uniform", "lo": 1, "hi": 9}])
+@pytest.mark.parametrize("n", [1, 3])
+def test_joint_effect_and_bound_thm1_from_their_definitions(delay, n):
+    # out-of-order dogd runs against random comparators; everything below is recomputed
+    # from the delays alone, with Python loops: c_t orders timestamps by (k + d_k - 1, k)
+    rng = np.random.default_rng(45 + n)
+    T, D, G = 150, 2.0, 1.0
+    h = Box.from_diameter(n, D).half_width
+    for seed in range(3):
+        us = rng.uniform(-h, h, (T, n))
+        trace, summary = run_experiment({
+            "T": T, "n": n, "D": D, "G": G, "seed": seed, "learner": {"name": "dogd"},
+            "delay": delay, "environment": {"kind": "drift", "step": 0.05},
+            "comparators": {"kind": "list", "points": us.tolist()}})
+        d = trace.schedule.delays
+        arrival = [k + d[k - 1] - 1 for k in range(1, T + 1)]
+        c = sorted(range(1, T + 1), key=lambda k: (arrival[k - 1], k))
+        u = us.tolist()
+
+        def dist(a, b):
+            return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+        joint = sum(dist(u[t - 1], u[c[t - 1] - 1]) for t in range(1, T + 1))
+        P_T = sum(dist(u[t - 1], u[t - 2]) for t in range(2, T + 1))
+        sum_m = sum(1 + sum(1 for k in range(1, t) if arrival[k - 1] >= t)
+                    for t in range(1, T + 1))
+        eta = D / (G * math.sqrt(sum_m))
+        bound = (D * D + D * P_T) / eta + eta * G * G * sum_m + G * joint
+        assert not summary["in_order"] and joint > 0
+        assert summary["joint_effect"] == pytest.approx(joint, rel=1e-12)
+        assert summary["bound_thm1"] == pytest.approx(bound, rel=1e-12)
 
 
 # --- bound evaluators ----------------------------------------------------------
