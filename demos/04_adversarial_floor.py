@@ -23,7 +23,7 @@ print("a small instance, spelled out:")
 print(f"  blocks: {block_bounds(T, d)}")
 print(f"  delays: {block_schedule(T, d).to_list()}")
 print(f"  per-block signs: {signs.ravel().astype(int)}")
-x_star, total, _ = minimize_total_loss(losses, Box.from_diameter(1, D))
+x_star, total = minimize_total_loss(losses, Box.from_diameter(1, D))
 print(f"  best fixed decision {x_star} with total loss {total:.1f}")
 
 print("\nnow at measurement scale (T=1000, 200 sign draws):")

@@ -39,7 +39,8 @@ def comparison_set():
     piecewise comparators at path budgets P in {0, 1, 4, 50, 1e6} (one block to one
     block a round) x n in {1, 3} for dogd and mild, and five learners at D = 3 and
     G in {1.5, 0.3}, which are not powers of two, so that a change in how a rate
-    formula rounds shows."""
+    formula rounds shows; and in-order random delays at d_max in {1, 64, 2^40} x dogd and
+    mild x n in {1, 3}, the last past any horizon."""
     base = {"T": T, "D": 2.0, "G": 1.0}
     for learner, (kind, spec), loss, step, n, seed in itertools.product(
             ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), DELAYS.items(),
@@ -75,6 +76,11 @@ def comparison_set():
                {**base, "D": 3.0, "G": G, "n": n, "seed": seed, "learner": {"name": learner},
                 "delay": {"kind": kind, **DELAYS[kind]},
                 "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}})
+    for d_max, learner, n in itertools.product((1, 64, 2**40), ("dogd", "mild"), (1, 3)):
+        yield (f"in_order_random/d{d_max}/{learner}/n{n}",
+               {**base, "n": n, "seed": 7, "learner": {"name": learner},
+                "delay": {"kind": "in_order_random", "d_max": d_max},
+                "environment": {"kind": "drift", "step": 0.02, "loss": "linear"}})
 
 
 def report_set():
@@ -122,7 +128,9 @@ def many_set():
     """``run_many`` at 4 repetitions: five learners x uniform, permuted and blocks delays
     x quadratic and linear drift, n = 3, T = 300; and walks that hug the walls, whose
     four runs' drift targets step together: drift steps 0.32 and 1.0 x n in {1, 3, 10}
-    x quadratic and linear drift, for dogd and mild with permuted delays."""
+    x quadratic and linear drift, for dogd and mild with permuted delays; and dogd and
+    mild at T = 9000, 3 repetitions, whose strided loss columns outrun NumPy's
+    8192-element reduction buffer."""
     for learner, kind, loss in itertools.product(("ogd", "dogd", "mild", "dogd_dt", "mild_dt"),
                                                  ("uniform", "permuted", "blocks"),
                                                  ("quadratic", "linear")):
@@ -136,6 +144,11 @@ def many_set():
                {"T": T, "n": n, "D": 2.0, "G": 1.0, "seed": 5, "repetitions": 4,
                 "learner": {"name": learner}, "delay": {"kind": "permuted"},
                 "environment": {"kind": "drift", "step": step, "loss": loss}})
+    for learner in ("dogd", "mild"):
+        yield (f"many/T9000/{learner}",
+               {"T": 9000, "n": 3, "D": 2.0, "G": 1.0, "seed": 3, "repetitions": 3,
+                "learner": {"name": learner}, "delay": {"kind": "uniform", **DELAYS["uniform"]},
+                "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}})
 
 
 def worker() -> None:

@@ -207,16 +207,11 @@ def permuted_schedule(T: int, seed: int) -> DelaySchedule:
 
 
 def in_order_random_schedule(T: int, d_max: int, seed: int) -> DelaySchedule:
-    """Random schedule with nondecreasing arrivals and delays <= d_max."""
-    rng = np.random.default_rng(seed)
-    delays = []
-    prev_arrival = 1
-    for t in range(1, T + 1):
-        arrival = max(prev_arrival, t + int(rng.integers(1, d_max + 1)) - 1)
-        arrival = min(arrival, t + d_max - 1)
-        delays.append(arrival - t + 1)
-        prev_arrival = arrival
-    return DelaySchedule(tuple(delays))
+    """Random schedule with nondecreasing arrivals and delays <= d_max: round t arrives at
+    max_{k<=t} k + r_k - 1, r_k uniform on 1..d_max, in uint64 so that no arrival wraps."""
+    draws = np.random.default_rng(seed).integers(1, d_max + 1, size=T).astype(np.uint64)
+    t = np.arange(1, T + 1, dtype=np.uint64)
+    return DelaySchedule(tuple((np.maximum.accumulate(t + draws - 1) - t + 1).tolist()))
 
 
 def make_schedule(spec: dict, T: int, seed: int) -> DelaySchedule:

@@ -35,12 +35,10 @@ def row_norms(M: np.ndarray) -> np.ndarray:
 
 
 def path_length(points) -> float:
-    """Total movement sum_t ||u_t - u_{t-1}||_2 of a comparator sequence."""
+    """Total movement sum_t ||u_t - u_{t-1}||_2 of a (T, n) comparator sequence."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[0] == 0:
-        raise ValueError("comparator sequence must be nonempty")
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("comparators must be a nonempty (T, n) array")
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
 
 

@@ -175,11 +175,11 @@ def normalize_config(config: dict) -> dict:
     cfg.update(copy.deepcopy(config))
     if "T" not in cfg:
         raise ConfigError("config must set the horizon T")
-    try:
-        for key in ("T", "n", "seed", "repetitions"):
+    for key in ("T", "n", "seed", "repetitions"):
+        try:
             cfg[key] = delay_mod._integer(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad scalar field: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad scalar field {key}: {exc}") from exc
     cfg["D"], cfg["G"] = _real(cfg["D"], "D"), _real(cfg["G"], "G")
     if min(cfg["T"], cfg["n"], cfg["repetitions"]) < 1 or cfg["seed"] < 0:
         raise ConfigError("need T, n and repetitions >= 1 and seed >= 0")
@@ -252,12 +252,11 @@ def _child_seeds(seed: int, k: int) -> list[int]:
 
 
 def _build_environments(cfg: dict, box: Box, seeds: list[int]) -> list[tuple]:
-    """(losses, drift targets or None, fingerprint) at each run seed; drift walks step together."""
-    env_seeds = [_child_seeds(s, 3)[1] for s in seeds]
+    """(losses, drift targets or None, fingerprint) per environment seed; walks step together."""
     env = cfg["environment"]
     if env["kind"] == "lowerbound":
         built = [env_mod.make_lowerbound_instance(cfg["T"], cfg["delay"]["d"], cfg["D"], cfg["G"],
-                                                  cfg["n"], s) for s in env_seeds]
+                                                  cfg["n"], s) for s in seeds]
         return [(losses, None, hashlib.sha256(signs.tobytes()).hexdigest()[:16])
                 for signs, losses in built]
     if env["kind"] == "drift":
@@ -265,7 +264,7 @@ def _build_environments(cfg: dict, box: Box, seeds: list[int]) -> list[tuple]:
             with np.errstate(over="ignore", invalid="ignore"):
                 built = env_mod._drift_environments(
                     box, cfg["T"], float(env.get("step", 0.01)), env.get("loss", "quadratic"),
-                    env_seeds, cfg["G"])
+                    seeds, cfg["G"])
         except ValueError as exc:  # the loss scale or gradients left the float range
             raise ConfigError(f"drift losses for D = {cfg['D']!r}, G = {cfg['G']!r}: {exc}") \
                 from None
@@ -277,22 +276,20 @@ def _build_environments(cfg: dict, box: Box, seeds: list[int]) -> list[tuple]:
     return [(Linear(grads), None, hashlib.sha256(grads.tobytes()).hexdigest()[:16])] * len(seeds)
 
 
-def _build_schedule(cfg: dict, run_seed: int) -> DelaySchedule:
-    sched_seed, _, _ = _child_seeds(run_seed, 3)
+def _build_schedule(cfg: dict, sched_seed: int) -> DelaySchedule:
     try:
         return delay_mod.make_schedule(cfg["delay"], cfg["T"], sched_seed)
     except ValueError as exc:
         raise ConfigError(f"bad delay spec: {exc}") from exc
 
 
-def _build_comparators(cfg: dict, box: Box, losses, targets, run_seed: int) -> np.ndarray:
-    _, _, comp_seed = _child_seeds(run_seed, 3)
+def _build_comparators(cfg: dict, box: Box, losses, targets, comp_seed: int) -> np.ndarray:
     spec = cfg["comparators"]
     kind = spec.get("kind", "auto")
     if kind in ("auto", "targets") and targets is not None:
         return targets
     if kind in ("auto", "best_fixed"):
-        x, _, _ = metrics_mod.minimize_total_loss(losses, box)
+        x, _ = metrics_mod.minimize_total_loss(losses, box)
         return np.tile(x, (cfg["T"], 1))
     if kind == "constant":
         point = spec.get("point", "origin")
@@ -412,9 +409,10 @@ def _build_inputs(cfg: dict, seeds: list[int], cache: dict | None = None,
                   cell: dict | None = None) -> list[_Inputs]:
     """Environment, arrival plan and comparators of one normalized config at each seed.
 
-    A sweep's cells differ in their grid values only, so it passes one
-    ``cache`` and the ``cell`` of ``cfg``: each input is kept under the run
-    seed and the grid values it reads, and built once per sweep.
+    Each run seed splits once, into the plan's, the environment's and the comparators'
+    seeds.  A sweep's cells differ in their grid values only, so it passes one ``cache``
+    and the ``cell`` of ``cfg``: each input is kept under the run seed and the grid
+    values it reads, and built once per sweep.
     """
     cache, box = {} if cache is None else cache, Box.from_diameter(cfg["n"], cfg["D"])
     # a lowerbound environment draws one sign vector per block of d rounds, so it reads d
@@ -423,17 +421,19 @@ def _build_inputs(cfg: dict, seeds: list[int], cache: dict | None = None,
     def key(name: str, seed: int, reads: tuple = env_reads) -> tuple:
         return (name, seed, *((cell or {}).get(k) for k in reads))
 
+    children = {s: _child_seeds(s, 3) for s in seeds}  # (plan, environment, comparators)
     todo = [s for s in seeds if key("environment", s) not in cache]  # their walks step together
     cache.update(zip([key("environment", s) for s in todo],
-                     _build_environments(cfg, box, todo) if todo else ()))
+                     _build_environments(cfg, box, [children[s][1] for s in todo]) if todo
+                     else ()))
     out = []
     for s in seeds:
         losses, targets, env_fp = cache[key("environment", s)]
         plan, comparators = key("plan", s, ("T", "d")), key("comparators", s, env_reads + ("P",))
         if plan not in cache:
-            cache[plan] = _build_schedule(cfg, s)
+            cache[plan] = _build_schedule(cfg, children[s][0])
         if comparators not in cache:
-            cache[comparators] = _build_comparators(cfg, box, losses, targets, s)
+            cache[comparators] = _build_comparators(cfg, box, losses, targets, children[s][2])
             cache[comparators].setflags(write=False)
         out.append(_Inputs(box, losses, env_fp, cache[plan], cache[comparators]))
     return out

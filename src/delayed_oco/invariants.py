@@ -22,7 +22,7 @@ from .geometry import Box
 from .harness import run_experiment, simulate
 from .learners import DelayedOGD, DogdDoublingTrick, MildOGD, hedge_alpha, mild_lr_grid
 from .losses import Linear, QuadraticTracking
-from .metrics import joint_effect, minimize_total_loss
+from .metrics import grid_minimum, joint_effect, minimize_total_loss
 
 
 def random_schedule(rng: np.random.Generator, T_max: int, d_max: int) -> DelaySchedule:
@@ -226,7 +226,7 @@ def adversarial_instance_oracles(rng, runs: int, T_max: int, d_max: int):
         T, d = int(rng.integers(4, T_max + 1)), int(rng.integers(1, d_max + 1))
         _, losses = make_lowerbound_instance(T, d, 2.0, 1.0, n, seed=int(rng.integers(1 << 30)))
         box = Box.from_diameter(n, 2.0)
-        x, total, _ = minimize_total_loss(losses, box)
+        x, total = minimize_total_loss(losses, box)
         vertices = np.stack(list(box.vertices()))
         best = float(losses.values(vertices[:, None, :]).sum(axis=1).min())
         at_x = float(losses.values(np.broadcast_to(x, (T, n))).sum())
@@ -247,8 +247,8 @@ def static_regret_closed_vs_grid(rng, T: int):
         quad = QuadraticTracking(np.array([box.random_point(rng) for _ in range(T)]), 0.5)
         for losses, lipschitz in ((lin, float(np.linalg.norm(lin.grads, axis=1).sum())),
                                   (quad, T * quad.scale * box.diameter)):
-            _, closed, _ = minimize_total_loss(losses, box)
-            _, grid, _ = minimize_total_loss(losses, box, method="grid")
+            _, closed = minimize_total_loss(losses, box)
+            _, grid = grid_minimum(losses, box)
             if not (closed - 1e-12 <= grid <= closed + lipschitz * math.sqrt(n) * 1e-3):
                 return False, f"grid/closed-form gap too large (n={n})"
     return True, f"closed forms within the 1e-3 grid's resolution (T={T}, n = 1, 2)"

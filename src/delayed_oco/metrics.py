@@ -13,9 +13,10 @@ Throughout, the reorder penalty
 caps the joint effect of delays and moving comparators; the measured joint
 effect sum_t ||u_t - u_{c_t}|| can be far smaller, so both are reported.
 
-Regrets evaluate a loss family (``QuadraticTracking`` or ``Linear``) on all T
-rounds with one batched ``values`` call per sequence; the hindsight optimum
-has a closed form per family, and a dense grid (n <= 2) is kept as the
+Regrets sum the losses a trace recorded as played (``RunTrace.loss_values``)
+and score the comparators with one batched ``values`` call of the loss
+family (``QuadraticTracking`` or ``Linear``); the hindsight optimum has a
+closed form per family, and a dense grid (``grid_minimum``, n <= 2) is the
 reference that the closed forms are checked against.
 """
 
@@ -83,41 +84,33 @@ class RunTrace:
                 for r, schedule in enumerate(self.schedule)]
 
 
-def _decisions_of(trace_or_array) -> np.ndarray:
-    if isinstance(trace_or_array, RunTrace):
-        return trace_or_array.decisions
-    return np.asarray(trace_or_array, dtype=np.float64)
-
-
-def dynamic_regret(trace, losses: QuadraticTracking | Linear, comparators) -> float:
-    """sum_t f_t(x_t) - sum_t f_t(u_t) for an arbitrary comparator sequence."""
-    xs = _decisions_of(trace)
+def dynamic_regret(trace: RunTrace, losses: QuadraticTracking | Linear, comparators) -> float:
+    """sum_t f_t(x_t) - sum_t f_t(u_t) for any comparators; the played side is the
+    trace's recorded ``loss_values``, so ``trace`` must be a run on these ``losses``."""
     us = np.asarray(comparators, dtype=np.float64)
-    if not (len(losses) == xs.shape[0] == us.shape[0]):
-        raise ValueError("losses, decisions and comparators must share one horizon")
-    return float(losses.values(xs).sum() - losses.values(us).sum())
+    if not (len(losses) == len(trace.loss_values) == us.shape[0]):
+        raise ValueError("losses, trace and comparators must share one horizon")
+    return float(trace.loss_values.sum() - losses.values(us).sum())
 
 
-def minimize_total_loss(losses: QuadraticTracking | Linear, box: Box,
-                        method: str = "auto") -> tuple[np.ndarray, float, str]:
-    """Hindsight optimum of sum_t f_t over the box: (minimizer, value, method).
+def minimize_total_loss(losses: QuadraticTracking | Linear, box: Box) -> tuple[np.ndarray, float]:
+    """Hindsight optimum of sum_t f_t over the box, by its closed form: (minimizer, value).
 
-    Closed forms by family: a ``Linear`` sum is minimized at the vertex
-    x_i = -h*sign(sum_t g_{t,i}); a ``QuadraticTracking`` sum at the clamped
-    mean of the targets (coordinate-separable).  method="grid" searches a
-    dense grid instead (n <= 2 only), the reference for the closed forms.
+    A ``Linear`` sum is minimized at the vertex x_i = -h*sign(sum_t g_{t,i});
+    a ``QuadraticTracking`` sum at the clamped mean of the targets
+    (coordinate-separable).  ``grid_minimum`` is the reference they are checked against.
     """
-    if method not in ("auto", "grid"):
-        raise ValueError("method must be 'auto' or 'grid'")
-    if method == "auto":
-        if isinstance(losses, Linear):
-            g = losses.grads.sum(axis=0)
-            h = box.half_width
-            x = np.where(g > 0, -h, h)
-            return x, -h * float(np.abs(g).sum()), "closed_linear"
-        x = box.project(losses.targets.mean(axis=0))
-        total = losses.values(np.broadcast_to(x, losses.targets.shape)).sum()
-        return x, float(total), "closed_quadratic"
+    if isinstance(losses, Linear):
+        g = losses.grads.sum(axis=0)
+        h = box.half_width
+        return np.where(g > 0, -h, h), -h * float(np.abs(g).sum())
+    x = box.project(losses.targets.mean(axis=0))
+    return x, float(losses.values(np.broadcast_to(x, losses.targets.shape)).sum())
+
+
+def grid_minimum(losses: QuadraticTracking | Linear, box: Box) -> tuple[np.ndarray, float]:
+    """The least sum_t f_t on a mesh of spacing 1e-3 over the box (n <= 2 only):
+    (mesh point, value), the reference for ``minimize_total_loss``'s closed forms."""
     if box.dim > 2:
         raise ValueError("the grid search supports n <= 2 only")
     axes = [np.linspace(-box.half_width, box.half_width,
@@ -128,16 +121,15 @@ def minimize_total_loss(losses: QuadraticTracking | Linear, box: Box,
     totals = np.concatenate([losses.values(mesh[i:i + step, None, :]).sum(axis=1)
                              for i in range(0, mesh.shape[0], step)])
     best = int(np.argmin(totals))
-    return mesh[best], float(totals[best]), f"grid[{_GRID_RESOLUTION}]"
+    return mesh[best], float(totals[best])
 
 
-def static_regret(trace, losses: QuadraticTracking | Linear, box: Box) -> float:
-    """sum_t f_t(x_t) - min_{x in K} sum_t f_t(x)."""
-    xs = _decisions_of(trace)
-    if len(losses) != xs.shape[0]:
-        raise ValueError("losses and decisions must share one horizon")
-    _, best, _ = minimize_total_loss(losses, box)
-    return float(losses.values(xs).sum() - best)
+def static_regret(trace: RunTrace, losses: QuadraticTracking | Linear, box: Box) -> float:
+    """sum_t f_t(x_t) - min_{x in K} sum_t f_t(x), the played side read from the
+    trace's ``loss_values``; ``trace`` must be a run on these ``losses``."""
+    if len(losses) != len(trace.loss_values):
+        raise ValueError("losses and trace must share one horizon")
+    return float(trace.loss_values.sum() - minimize_total_loss(losses, box)[1])
 
 
 def joint_effect(c_log, comparators) -> float:

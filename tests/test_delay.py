@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,26 @@ def test_in_order_delivery_is_identity():
         assert s.stamps == by_definition == list(range(1, s.horizon + 1))
         c_log = simulate(DelayedOGD(box, 0.1), zero_losses(s.horizon), s, box).c_log
         assert c_log == tuple(by_definition)
+
+
+def in_order_by_definition(T, d_max, seed):
+    """Delays whose arrival rounds are the running max of t + r_t - 1, in Python ints."""
+    draws = np.random.default_rng(seed).integers(1, d_max + 1, size=T).tolist()
+    arrivals = itertools.accumulate((t + r - 1 for t, r in enumerate(draws, 1)), max)
+    return tuple(a - t + 1 for t, a in enumerate(arrivals, 1))
+
+
+@pytest.mark.parametrize("d_max", [1, 8, 64, 2**40, 2**63 - 64])
+def test_in_order_random_is_the_running_max_of_its_draws(d_max):
+    for seed in range(5):
+        s = in_order_random_schedule(40, d_max, seed)
+        assert s.delays == in_order_by_definition(40, d_max, seed)
+        assert s.is_in_order() and s.max_delay <= d_max
+
+
+def test_in_order_random_refuses_a_d_max_past_int64():
+    with pytest.raises(ValueError):
+        in_order_random_schedule(3, 10**30, 0)
 
 
 # --- in-order predicate ---------------------------------------------------
@@ -222,6 +244,15 @@ def test_fractional_delays_rejected():
 
 
 # --- arrival plan -------------------------------------------------------------
+
+@pytest.mark.parametrize("stamps", [[2, 1, 1], [3, 1, 2], [2, 3, 1]],
+                         ids=["repeated", "before-its-round", "descending"])
+def test_simulate_refuses_a_tampered_plan(stamps):
+    s, box = DelaySchedule((3, 1, 1)), Box(1, 1.0)  # plan: round 2 gets [2], round 3 [1, 3]
+    s.stamps[:] = stamps
+    with pytest.raises(ValueError, match="arrival plan must deliver"):
+        simulate(DelayedOGD(box, 0.1), zero_losses(3), s, box)
+
 
 def test_plan_example():
     s = DelaySchedule((3, 1, 1))

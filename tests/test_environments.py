@@ -29,7 +29,13 @@ def test_path_length_constant_sequence():
 
 
 def test_path_length_single_jump():
-    assert path_length(np.array([0.0, 0.0, 1.0, 1.0])) == pytest.approx(1.0)
+    assert path_length(np.array([[0.0], [0.0], [1.0], [1.0]])) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("points", [np.array([0.0, 1.0]), np.zeros((0, 2)), np.zeros((2, 2, 1))])
+def test_path_length_refuses_anything_but_a_nonempty_sequence_of_points(points):
+    with pytest.raises(ValueError, match=r"\(T, n\)"):
+        path_length(points)
 
 
 def test_path_length_alternating():
@@ -271,7 +277,7 @@ def test_best_fixed_tie_cancellation():
     signs, losses = make_lowerbound_instance(4, 2, 2.0, 1.0, 1, seed=9)
     assert signs.ravel().tolist() == [1.0, -1.0]  # the two blocks cancel exactly
     box = Box.from_diameter(1, 2.0)
-    x, total, _ = minimize_total_loss(losses, box)
+    x, total = minimize_total_loss(losses, box)
     assert total == 0.0
     assert x[0] == box.half_width  # tie breaks toward +h
 
@@ -280,7 +286,7 @@ def test_best_fixed_single_block():
     T = 7
     signs, losses = make_lowerbound_instance(T, T, 2.0, 1.0, 1, seed=3)
     assert signs.ravel().tolist() == [1.0]
-    x, total, _ = minimize_total_loss(losses, Box.from_diameter(1, 2.0))
+    x, total = minimize_total_loss(losses, Box.from_diameter(1, 2.0))
     assert x[0] == pytest.approx(-1.0)
     assert total == pytest.approx(-T)
 
@@ -293,7 +299,7 @@ def test_best_fixed_matches_vertex_enumeration(n):
         T = int(rng.integers(4, 40))
         _, losses = make_lowerbound_instance(T, int(rng.integers(1, 6)), 2.0, 1.0, n,
                                              seed=int(rng.integers(1 << 30)))
-        x, total, _ = minimize_total_loss(losses, box)
+        x, total = minimize_total_loss(losses, box)
         brute = min(sum(losses.value(t, v) for t in range(1, T + 1)) for v in box.vertices())
         assert total == pytest.approx(brute, abs=1e-9)
         assert sum(losses.value(t, x) for t in range(1, T + 1)) == pytest.approx(total, abs=1e-9)

@@ -80,6 +80,13 @@ def test_seed_argument_replaces_the_config_seed():
     assert harness.to_json(summary) == harness.to_json(expected)
 
 
+@pytest.mark.parametrize("key,value", [("T", 5.5), ("n", 1.5), ("seed", 2.5),
+                                       ("repetitions", "x")])
+def test_a_malformed_scalar_field_is_named(key, value):
+    with pytest.raises(ConfigError, match=rf"^bad scalar field {key}: {value!r} is not"):
+        run_experiment({"T": 5, key: value})
+
+
 # --- run ----------------------------------------------------------------------
 
 def test_run_hand_simulation_trace():

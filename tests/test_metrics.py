@@ -1,7 +1,11 @@
+import collections
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delayed_oco import (
     Box,
@@ -9,17 +13,21 @@ from delayed_oco import (
     bound_lemma3,
     bound_thm2,
     dynamic_regret,
+    harness,
     make_lowerbound_instance,
     simulate,
 )
-from delayed_oco.harness import run_experiment, trace_to_csv
+from delayed_oco.delay import constant_schedule
+from delayed_oco.harness import run_experiment, run_many, trace_to_csv
 from delayed_oco.losses import Linear, QuadraticTracking
 from delayed_oco.metrics import (
+    RunTrace,
     bound_cor1,
     bound_lower,
     bound_thm1,
     bound_thm4,
     bound_thm5,
+    grid_minimum,
     joint_effect,
     minimize_total_loss,
     reorder_penalty,
@@ -32,17 +40,22 @@ SQ2 = math.sqrt(2.0)
 
 # --- regrets -----------------------------------------------------------------
 
+def trace_of(xs, losses) -> RunTrace:
+    """A trace that played ``xs`` on ``losses``, its loss values as ``simulate`` records them."""
+    return RunTrace(xs, losses.values(xs), constant_schedule(len(xs), 1))
+
+
 def test_dynamic_regret_zero_when_matching_comparators():
     losses = Linear(np.tile([1.0, -1.0], (4, 1)))
     xs = np.tile([0.25, 0.5], (4, 1))
-    assert dynamic_regret(xs, losses, xs.copy()) == 0.0
+    assert dynamic_regret(trace_of(xs, losses), losses, xs.copy()) == 0.0
 
 
 def test_dynamic_regret_linear_example():
     losses = Linear(np.ones((5, 1)))
     xs = np.zeros((5, 1))
     us = -np.ones((5, 1))
-    assert dynamic_regret(xs, losses, us) == pytest.approx(5.0)
+    assert dynamic_regret(trace_of(xs, losses), losses, us) == pytest.approx(5.0)
 
 
 def test_dynamic_regret_constant_comparator_is_static_at_that_point():
@@ -53,23 +66,26 @@ def test_dynamic_regret_constant_comparator_is_static_at_that_point():
     us = np.tile(point, (6, 1))
     direct = sum(losses.value(t, x) for t, x in enumerate(xs, start=1)) \
         - sum(losses.value(t, point) for t in range(1, 7))
-    assert dynamic_regret(xs, losses, us) == pytest.approx(direct)
+    assert dynamic_regret(trace_of(xs, losses), losses, us) == pytest.approx(direct)
 
 
 def test_dynamic_regret_length_mismatch():
-    losses = Linear(np.ones((1, 1)))
+    trace = trace_of(np.zeros((2, 1)), Linear(np.ones((2, 1))))
     with pytest.raises(ValueError):
-        dynamic_regret(np.zeros((2, 1)), losses, np.zeros((2, 1)))
+        dynamic_regret(trace, Linear(np.ones((1, 1))), np.zeros((2, 1)))
+    with pytest.raises(ValueError):
+        static_regret(trace, Linear(np.ones((1, 1))), Box(1, 1.0))
 
 
 def test_static_regret_zero_losses():
     losses = Linear(np.zeros((3, 1)))
-    assert static_regret(np.zeros((3, 1)), losses, Box(1, 1.0)) == 0.0
+    assert static_regret(trace_of(np.zeros((3, 1)), losses), losses, Box(1, 1.0)) == 0.0
 
 
 def test_static_regret_linear_closed_form():
     losses = Linear(np.array([[1.0], [-1.0], [1.0]]))
-    assert static_regret(np.zeros((3, 1)), losses, Box(1, 1.0)) == pytest.approx(1.0)
+    assert static_regret(trace_of(np.zeros((3, 1)), losses), losses, Box(1, 1.0)) \
+        == pytest.approx(1.0)
 
 
 def test_static_regret_adversarial_instance_matches_vertex_oracle():
@@ -78,14 +94,13 @@ def test_static_regret_adversarial_instance_matches_vertex_oracle():
     xs = np.zeros((30, 3))
     best = min(sum(losses.value(t, v) for t in range(1, 31)) for v in box.vertices())
     played = sum(losses.value(t, x) for t, x in enumerate(xs, start=1))
-    assert static_regret(xs, losses, box) == pytest.approx(played - best)
+    assert static_regret(trace_of(xs, losses), losses, box) == pytest.approx(played - best)
 
 
 def test_quadratic_hindsight_optimum_is_projected_mean():
     box = Box(2, 0.25)
     losses = QuadraticTracking(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
-    x, _, method = minimize_total_loss(losses, box)
-    assert method == "closed_quadratic"
+    x, _ = minimize_total_loss(losses, box)
     assert np.allclose(x, [0.25, 0.25])  # mean (0.5, 0.5) clamped
 
 
@@ -96,9 +111,8 @@ def test_closed_forms_match_grid():
     quad = QuadraticTracking(np.array([box.random_point(rng) for t in range(7)]), 0.5)
     for losses, lipschitz in ((lin, np.linalg.norm(lin.grads, axis=1).sum()),
                               (quad, len(quad) * quad.scale * box.diameter)):
-        _, closed, _ = minimize_total_loss(losses, box)
-        _, grid, flag = minimize_total_loss(losses, box, method="grid")
-        assert flag.startswith("grid")
+        _, closed = minimize_total_loss(losses, box)
+        _, grid = grid_minimum(losses, box)
         assert grid >= closed - 1e-12          # the grid cannot beat the true optimum
         assert grid - closed <= lipschitz * 2e-3
 
@@ -107,7 +121,7 @@ def test_grid_above_two_dims_unsupported():
     box = Box(3, 1.0)
     for losses in (Linear(np.ones((2, 3))), QuadraticTracking(np.zeros((2, 3)), 1.0)):
         with pytest.raises(ValueError, match="n <= 2"):
-            minimize_total_loss(losses, box, method="grid")
+            grid_minimum(losses, box)
 
 
 # --- joint effect -----------------------------------------------------------
@@ -169,6 +183,95 @@ def test_joint_effect_and_bound_thm1_from_their_definitions(delay, n):
         assert not summary["in_order"] and joint > 0
         assert summary["joint_effect"] == pytest.approx(joint, rel=1e-12)
         assert summary["bound_thm1"] == pytest.approx(bound, rel=1e-12)
+
+
+_LEARNERS = ["ogd", "dogd", "mild", "dogd_dt", "mild_dt"]
+_DELAY_KINDS = ["constant", "uniform", "blocks", "permuted", "in_order_random", "list"]
+_COMPARATOR_KINDS = ["auto", "targets", "best_fixed", "constant", "piecewise", "list"]
+
+
+@st.composite
+def _reference_configs(draw, cover: int | None = None):
+    """A valid config of any learner, delay kind and comparator kind: n <= 3, T <= 300,
+    1-3 repetitions; long lists are drawn by NumPy from a drawn seed.  ``cover`` = i
+    fixes the learner, delay kind and comparator kind to the i-th of each (cycling)."""
+    T, n = draw(st.integers(1, 300)), draw(st.integers(1, 3))
+    D, G = draw(st.sampled_from([1.0, 2.0, 3.0])), draw(st.sampled_from([0.5, 1.0, 1.5]))
+    rng, h = np.random.default_rng(draw(st.integers(0, 2**32))), Box.from_diameter(n, D).half_width
+    if cover is None:
+        learner, kind = draw(st.sampled_from(_LEARNERS)), draw(st.sampled_from(_DELAY_KINDS))
+    else:
+        learner, kind = _LEARNERS[cover % 5], _DELAY_KINDS[cover]
+    lo = draw(st.integers(1, 6))
+    delay = {"kind": kind, **{
+        "constant": {"value": lo}, "uniform": {"lo": lo, "hi": lo + draw(st.integers(0, 8))},
+        "blocks": {"d": draw(st.integers(1, 40))}, "permuted": {},
+        "in_order_random": {"d_max": draw(st.integers(1, 12))},
+        "list": {"values": rng.integers(1, 13, T).tolist()}}[kind]}
+    environment = "drift" if cover == 1 else draw(st.sampled_from(
+        ["drift", "linear_list"] + (["lowerbound"] if kind == "blocks" else [])))
+    environment = {"kind": environment, **{
+        "drift": {"step": draw(st.sampled_from([0.0, 0.02, 0.3])),
+                  "loss": draw(st.sampled_from(["quadratic", "linear"]))},
+        "linear_list": {"gradients": (rng.uniform(-1, 1, (T, n)) * G / math.sqrt(n)).tolist()},
+        "lowerbound": {}}[environment]}
+    kinds = [k for k in _COMPARATOR_KINDS if k != "targets" or environment["kind"] == "drift"]
+    kind = _COMPARATOR_KINDS[cover] if cover is not None else draw(st.sampled_from(kinds))
+    comparators = {"kind": kind, **{
+        "constant": {"point": draw(st.sampled_from(["origin", rng.uniform(-2 * h, 2 * h, n)
+                                                                .tolist()]))},
+        "piecewise": {"path_budget": draw(st.sampled_from([0.0, 1.0, 4.0, 50.0]))},
+        "list": {"points": rng.uniform(-h, h, (T, n)).tolist()}}.get(kind, {})}
+    return {"T": T, "n": n, "D": D, "G": G, "seed": draw(st.integers(0, 10**6)),
+            "repetitions": draw(st.integers(1, 3)),
+            "learner": {"name": learner},
+            "delay": delay, "environment": environment, "comparators": comparators}
+
+
+def _near(value, reference, terms):
+    return abs(value - reference) <= 1e-12 * math.fsum(map(abs, terms))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("cover", [None, 0, 1, 2, 3, 4, 5])
+def test_run_summaries_match_a_reference_from_the_definitions(cover, data):
+    """S, d_max, in_order, sum_m, path_length and both regrets, recomputed with Python loops
+    from each run's delays, losses, comparators and decisions; the covering cases pin
+    each learner, delay kind and comparator kind in turn."""
+    config = data.draw(_reference_configs(cover))
+    cfg = harness.normalize_config(config)
+    seeds = [cfg["seed"] + rep for rep in range(cfg["repetitions"])]
+    T, n = cfg["T"], cfg["n"]
+    for inputs, (trace, summary) in zip(harness._build_inputs(cfg, seeds), run_many(config)):
+        losses, h = inputs.losses, inputs.box.half_width
+        d = inputs.schedule.delays
+        arrival = [k + d[k - 1] - 1 for k in range(1, T + 1)]
+        landed, sum_m, before = collections.Counter(arrival), 0, 0  # landed[i] = |F_i|
+        for t in range(1, T + 1):
+            sum_m += t - before  # m_t = t - sum_{i<t} |F_i|
+            before += landed[t]
+        assert (summary["S"], summary["d_max"], summary["sum_m"]) == (sum(d), max(d), sum_m)
+        assert summary["in_order"] == all(a <= b for a, b in zip(arrival, arrival[1:]))
+
+        u, x = inputs.comparators.tolist(), trace.decisions.tolist()
+        steps = [math.sqrt(sum((p - q) ** 2 for p, q in zip(u[t], u[t - 1])))
+                 for t in range(1, T)]
+        assert _near(summary["path_length"], math.fsum(steps), steps)
+        played = [losses.value(t, np.array(x[t - 1])) for t in range(1, T + 1)]
+        scored = [losses.value(t, np.array(u[t - 1])) for t in range(1, T + 1)]
+        assert _near(summary["regret_dynamic"], math.fsum(played) - math.fsum(scored),
+                     played + scored)
+        if isinstance(losses, Linear):
+            g = losses.grads.tolist()
+            best = min((math.fsum(sum(gi * vi for gi, vi in zip(row, v)) for row in g), v)
+                       for v in itertools.product((-h, h), repeat=n))[1]
+        else:
+            best = [min(h, max(-h, math.fsum(row[i] for row in losses.targets.tolist()) / T))
+                    for i in range(n)]
+        optimum = [losses.value(t, np.array(best)) for t in range(1, T + 1)]
+        assert _near(summary["regret_static"], math.fsum(played) - math.fsum(optimum),
+                     played + optimum)
 
 
 # --- bound evaluators ----------------------------------------------------------
