@@ -12,18 +12,24 @@ It also hashes the ``to_json`` text of each ``lowerbound_report`` in
 ``report_set()``, the averaged static-regret path that single runs do not
 reach, the ``sweep.json`` text of each sweep in ``sweep_set()`` and, apart,
 the outputs, the log and the weight sums of every repetition of each
-``run_many`` config in ``many_set()``, whose runs step in lockstep.  The
-script prints, per output, how many runs (and reports, sweeps, repetitions)
-are byte-identical, names the first that differ, and exits 1 on any
-difference.
+``run_many`` config in ``many_set()``, whose runs step in lockstep.  In
+lockstep batches of two runs, it hashes the sweep of ``batched_sweep_set()``
+and, for each ``delayed-oco run`` call of ``cli_set()``, its exit code, its
+standard output and every file it writes.  The script prints, per output,
+how many runs (and reports, sweeps, repetitions, calls) are byte-identical,
+names the first that differ, and exits 1 on any difference.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 T = 300
 DELAYS = {"constant": {"value": 3}, "uniform": {"lo": 1, "hi": 12}, "blocks": {"d": 16},
@@ -124,6 +130,30 @@ def sweep_set():
            {"learner": ["dogd", "mild"], "P": [0, 1, 4, 50, 1e6]})
 
 
+BASE = {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4,
+        "delay": {"kind": "uniform", **DELAYS["uniform"]},
+        "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}}
+
+
+def batched_sweep_set():
+    """A sweep with memory for lockstep batches of two mild_dt runs: dogd and mild_dt x
+    uniform delays with d in {1, 5, 20} at 3 repetitions, T = 300, n = 3; each learner's
+    nine runs span at least three batches."""
+    yield ("sweep/batches-of-two/r3", {**BASE, "learner": {"name": "mild_dt"}, "repetitions": 3},
+           {"learner": ["dogd", "mild_dt"], "d": [1, 5, 20]})
+
+
+def cli_set():
+    """``delayed-oco run`` in lockstep batches of two, for dogd and mild_dt at T = 300, n = 3:
+    ``--out`` at 1 and 4 repetitions, and ``--format json`` and ``--format csv`` to
+    standard output at 4 repetitions."""
+    for learner, (flags, reps) in itertools.product(
+            ("dogd", "mild_dt"), ((["--out"], 1), (["--out"], 4), (["--format", "json"], 4),
+                                  (["--format", "csv"], 4))):
+        yield (f"cli/run{''.join(flags)}/{learner}/r{reps}",
+               {**BASE, "learner": {"name": learner}, "repetitions": reps}, flags)
+
+
 def many_set():
     """``run_many`` at 4 repetitions: five learners x uniform, permuted and blocks delays
     x quadratic and linear drift, n = 3, T = 300; and walks that hug the walls, whose
@@ -180,7 +210,43 @@ def worker() -> None:
                                *derived(trace)]
             for name, cfg in many_set()
             for i, (trace, summary) in enumerate(harness.run_many(cfg))}
-    json.dump({"runs": result, "reports": reports, "sweeps": sweeps, "many": many}, sys.stdout)
+    for name, cfg, grid in batched_sweep_set():
+        with two_run_batches(harness, cfg):
+            sweeps[name] = digest(harness.to_json({"grid": grid,
+                                                   "rows": harness.sweep(cfg, grid)}))
+    clis = {}
+    for name, cfg, flags in cli_set():
+        with two_run_batches(harness, cfg):
+            clis[name] = cli_digest(cfg, flags)
+    json.dump({"runs": result, "reports": reports, "sweeps": sweeps, "many": many, "cli": clis},
+              sys.stdout)
+
+
+def two_run_batches(harness, cfg: dict):
+    """Physical memory read as twice the estimate of a lockstep batch of two runs of ``cfg``,
+    so that its runs go in batches of two."""
+    memory = 2 * harness._batch_bytes(harness.normalize_config(cfg), 2) + 1
+    return mock.patch.object(harness, "_physical_memory", lambda: memory)
+
+
+def cli_digest(cfg: dict, flags: list) -> str:
+    """The digest of a ``delayed-oco run`` call: its exit code, its standard output and the
+    name and text of each file it writes (a bare ``--out`` gets a fresh directory)."""
+    from delayed_oco import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        argv = ["run", "--config", config, *flags] + ([out] if flags == ["--out"] else [])
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        files = {}
+        for name in sorted(os.listdir(out)) if os.path.isdir(out) else ():
+            with open(os.path.join(out, name)) as fh:
+                files[name] = fh.read()
+    return hashlib.sha256(json.dumps([code, stdout.getvalue(), files]).encode()).hexdigest()
 
 
 def main(parent: str, change: str) -> int:
@@ -195,6 +261,7 @@ def main(parent: str, change: str) -> int:
                {k: v[i] for k, v in new["runs"].items()}) for i, what in enumerate(OUTPUTS)]
     tables.append(("lowerbound_report", "reports", old["reports"], new["reports"]))
     tables.append(("sweep.json", "sweeps", old["sweeps"], new["sweeps"]))
+    tables.append(("delayed-oco run files and stdout", "calls", old["cli"], new["cli"]))
     tables += [(f"run_many {what}", "repetitions", {k: v[i] for k, v in old["many"].items()},
                 {k: v[i] for k, v in new["many"].items()})
                for i, what in enumerate(("outputs", "c_log", "weight_sums"))]

@@ -33,13 +33,22 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _emit(text: str, out_dir: str | None, filename: str) -> None:
+def _emit(text, out_dir: str | None, filename: str) -> None:
+    """Write a string or strings to stdout, or to out_dir/filename: complete or not at all."""
+    pieces = [text] if isinstance(text, str) else text
     if out_dir is None:
-        sys.stdout.write(text)
-    else:
-        path = pathlib.Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text)
+        sys.stdout.writelines(pieces)
+        return
+    path = pathlib.Path(out_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    part = path / f"{filename}.part"
+    try:
+        with open(part, "w") as fh:
+            fh.writelines(pieces)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    part.replace(path / filename)
 
 
 def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
@@ -54,18 +63,24 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    results = harness.run_many(config)
-    summaries = [summary for _, summary in results]
-    violations = [s for s in summaries
-                  if s.get("bound_check") and not s["bound_check"]["ok"]]
+    results = harness.run_many(config)  # checks the config; the runs start as they are read
+    name = "trace.csv" if config.get("repetitions", 1) == 1 else "trace_rep{:03d}.csv"
     # a directory sink always gets both renderings; stdout gets the requested one
-    for fmt in ("csv", "json") if args.out is not None else (args.format,):
-        if fmt == "json":
-            _emit(harness.to_json({"runs": summaries}), args.out, "summary.json")
-        else:
-            for i, (trace, _) in enumerate(results):
-                name = "trace.csv" if len(results) == 1 else f"trace_rep{i:03d}.csv"
-                _emit(harness.trace_to_csv(trace), args.out, name)
+    formats = ("csv", "json") if args.out is not None else (args.format,)
+    violations = []
+
+    def summary_json():  # empty without "json"; each trace is written as its run arrives
+        for i, (trace, summary) in enumerate(results):
+            if "csv" in formats:
+                _emit(harness.trace_to_csv(trace), args.out, name.format(i))
+            if not violations and summary.get("bound_check") and not summary["bound_check"]["ok"]:
+                violations.append(summary)
+            if "json" in formats:  # to_json({"runs": ...}): json.dumps indents each level alike
+                yield (",\n    " if i else '{\n  "runs": [\n    ') + \
+                    harness.to_json(summary)[:-1].replace("\n", "\n    ")
+        yield "\n  ]\n}\n" if "json" in formats else ""
+
+    _emit(summary_json(), args.out, "summary.json")
     if args.strict and violations:
         s = violations[0]
         print(f"strict: measured regret {s['regret_dynamic']:.6g} exceeds "

@@ -175,8 +175,8 @@ def constant_schedule(T: int, d: int) -> DelaySchedule:
 
 
 def uniform_schedule(T: int, lo: int, hi: int, seed: int) -> DelaySchedule:
-    if not 1 <= lo <= hi:
-        raise ValueError("need 1 <= lo <= hi")
+    if not 1 <= lo <= hi <= MAX_ROUND:  # the int64 draw's exclusive end, hi + 1, is at most 2^63
+        raise ValueError(f"uniform delays need 1 <= lo <= hi < 2^63, got lo = {lo}, hi = {hi}")
     rng = np.random.default_rng(seed)
     return DelaySchedule(tuple(rng.integers(lo, hi + 1, size=T).tolist()))
 
@@ -209,6 +209,8 @@ def permuted_schedule(T: int, seed: int) -> DelaySchedule:
 def in_order_random_schedule(T: int, d_max: int, seed: int) -> DelaySchedule:
     """Random schedule with nondecreasing arrivals and delays <= d_max: round t arrives at
     max_{k<=t} k + r_k - 1, r_k uniform on 1..d_max, in uint64 so that no arrival wraps."""
+    if not 1 <= d_max <= MAX_ROUND:  # the int64 draw's exclusive end is at most 2^63
+        raise ValueError(f"in_order_random d_max must lie in [1, 2^63), got {d_max}")
     draws = np.random.default_rng(seed).integers(1, d_max + 1, size=T).astype(np.uint64)
     t = np.arange(1, T + 1, dtype=np.uint64)
     return DelaySchedule(tuple((np.maximum.accumulate(t + draws - 1) - t + 1).tolist()))

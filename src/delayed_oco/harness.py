@@ -17,6 +17,7 @@ import json
 import math
 import os
 from collections import namedtuple
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -218,29 +219,28 @@ def normalize_config(config: dict) -> dict:
             raise ConfigError(f"lowerbound block length d: {exc}") from exc
         if not 1 <= delay["d"] <= delay_mod.MAX_ROUND:
             raise ConfigError(f"lowerbound block length d must lie in [1, 2^63), got {delay['d']}")
-    # a lockstep batch takes up to half of memory (_batches), the kept repetitions the rest
-    need, kept = _run_bytes(cfg), cfg["repetitions"] * _run_bytes(cfg, kept=True)
-    if need > _physical_memory() or kept > _physical_memory() // 2:
+    need = _run_bytes(cfg)
+    if need > _physical_memory():
         raise ConfigError(f"T = {cfg['T']}, n = {cfg['n']} need about {need / 2**30:.3g} GiB a "
-                          f"run and {kept / 2**30:.3g} GiB for {cfg['repetitions']} repetitions, "
-                          "more than physical memory holds")
+                          "run, more than physical memory holds")
     return cfg
 
 
-def _run_bytes(cfg: dict, kept: bool = False) -> int:
+def _run_bytes(cfg: dict) -> int:
     """Memory one run holds: T*n floats in five arrays (targets, decisions, gradients, loss
-    temporaries) and in N experts, T*N floats of weight history, and 320 bytes a round for
-    the delays and the plan's lists (tracemalloc: 150 to 260 at T = 20000, n <= 20).  N is
-    the configured rate list's length, or ``expert_count(T)``.  With ``kept``, what a finished
-    repetition keeps until ``run_many`` returns: T*(n + N) floats of trace and 160 bytes a
-    round for its schedule and summary (tracemalloc: 136 to 355 bytes a round at T = 4000
-    and 20000, n from 1 to 20, each learner)."""
+    temporaries) and in N experts, T*N floats of weight history, 320 bytes a round for the
+    delays and the plan's lists (tracemalloc: 150 to 260 at T = 20000, n <= 20), and the
+    config's own lists, held twice (``normalize_config``'s copy and the summary's echo, whose
+    deep copy memoizes each row): 16 bytes an entry and 16*n + 256 a row of T rows of n
+    (tracemalloc: 16 and 16*n + 250).  N is the configured rate list's length, or
+    ``expert_count(T)``."""
     etas = cfg["learner"].get("etas", "paper")
     N = (learn_mod.expert_count(cfg["T"]) if etas == "paper" else len(etas)) \
         if cfg["learner"]["name"].startswith("mild") else 0
-    if kept:
-        return 8 * cfg["T"] * (cfg["n"] + N) + 160 * cfg["T"]
-    return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + 320 * cfg["T"]
+    lists = [v for section in _SPEC for v in cfg[section].values() if isinstance(v, (list, tuple))]
+    rows = sum(len(v) for v in lists if v and isinstance(v[0], (list, tuple)))
+    return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + 320 * cfg["T"] + \
+        16 * sum(map(len, lists)) + (16 * cfg["n"] + 256) * rows
 
 
 def _physical_memory() -> int:
@@ -405,37 +405,29 @@ _STRICT_BOUND = {"ogd": "bound_cor1", "dogd": "bound_cor1", "mild": "bound_thm2"
 _Inputs = namedtuple("_Inputs", "box losses env_fingerprint schedule comparators")
 
 
-def _build_inputs(cfg: dict, seeds: list[int], cache: dict | None = None,
-                  cell: dict | None = None) -> list[_Inputs]:
+def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None) -> list[_Inputs]:
     """Environment, arrival plan and comparators of one normalized config at each seed.
 
     Each run seed splits once, into the plan's, the environment's and the comparators'
-    seeds.  A sweep's cells differ in their grid values only, so it passes one ``cache``
-    and the ``cell`` of ``cfg``: each input is kept under the run seed and the grid
-    values it reads, and built once per sweep.
+    seeds.  A sweep's cells share their environment section, so it passes one ``walks``:
+    each environment is kept under its run seed, T and, for a lowerbound instance (one sign
+    vector per block), d, and built once per sweep.
     """
-    cache, box = {} if cache is None else cache, Box.from_diameter(cfg["n"], cfg["D"])
-    # a lowerbound environment draws one sign vector per block of d rounds, so it reads d
-    env_reads = ("T", "d") if cfg["environment"].get("kind") == "lowerbound" else ("T",)
-
-    def key(name: str, seed: int, reads: tuple = env_reads) -> tuple:
-        return (name, seed, *((cell or {}).get(k) for k in reads))
-
+    walks, box = {} if walks is None else walks, Box.from_diameter(cfg["n"], cfg["D"])
+    reads = (cfg["T"], cfg["delay"]["d"]) if cfg["environment"]["kind"] == "lowerbound" else \
+        (cfg["T"],)
     children = {s: _child_seeds(s, 3) for s in seeds}  # (plan, environment, comparators)
-    todo = [s for s in seeds if key("environment", s) not in cache]  # their walks step together
-    cache.update(zip([key("environment", s) for s in todo],
+    todo = [s for s in seeds if (s, *reads) not in walks]  # their walks step together
+    walks.update(zip([(s, *reads) for s in todo],
                      _build_environments(cfg, box, [children[s][1] for s in todo]) if todo
                      else ()))
     out = []
     for s in seeds:
-        losses, targets, env_fp = cache[key("environment", s)]
-        plan, comparators = key("plan", s, ("T", "d")), key("comparators", s, env_reads + ("P",))
-        if plan not in cache:
-            cache[plan] = _build_schedule(cfg, children[s][0])
-        if comparators not in cache:
-            cache[comparators] = _build_comparators(cfg, box, losses, targets, children[s][2])
-            cache[comparators].setflags(write=False)
-        out.append(_Inputs(box, losses, env_fp, cache[plan], cache[comparators]))
+        losses, targets, env_fp = walks[(s, *reads)]
+        comparators = _build_comparators(cfg, box, losses, targets, children[s][2])
+        comparators.setflags(write=False)
+        out.append(_Inputs(box, losses, env_fp, _build_schedule(cfg, children[s][0]),
+                           comparators))
     return out
 
 
@@ -548,13 +540,14 @@ def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dic
     return _run([(cfg, cfg["seed"], *_build_inputs(cfg, [cfg["seed"]]))])[0]
 
 
-def run_many(config: dict) -> list[tuple[RunTrace, dict]]:
-    """One run per repetition, seeded base_seed + index, all in lockstep (in as many
-    batches as physical memory needs); each is bitwise what ``run_experiment`` gives."""
+def run_many(config: dict) -> Iterator[tuple[RunTrace, dict]]:
+    """One run per repetition, seeded base_seed + index, in lockstep batches that each fit in
+    half of physical memory; each is bitwise what ``run_experiment`` gives.  The config is
+    checked at the call; each batch runs when the iterator reaches it, and only it is held."""
     cfg = normalize_config(config)
     seeds = [cfg["seed"] + rep for rep in range(cfg["repetitions"])]
-    return [result for batch in _batches(seeds, cfg)
-            for result in _run(list(zip([cfg] * len(batch), batch, _build_inputs(cfg, batch))))]
+    return (result for batch in _batches(seeds, cfg)
+            for result in _run(list(zip([cfg] * len(batch), batch, _build_inputs(cfg, batch)))))
 
 
 _SWEEP_KEYS = ("learner", "T", "d", "P")
@@ -587,42 +580,46 @@ def sweep(config: dict, grid: dict) -> list[dict]:
     Rows come out in deterministic (grid key, value order, repetition) order
     regardless of any execution order, one row per repetition per cell; each
     is the summary ``run_many`` gives for its cell, less the config.  The
-    runs of all cells that share a learner and T step in lockstep.
+    runs of all cells that share a learner and T step in lockstep.  A batch's
+    inputs are built when it runs; only the rows and the environments outlive it.
     """
     cfg = normalize_config(config)
     if not (isinstance(grid, dict) and grid
             and all(isinstance(v, (list, tuple)) and v for v in grid.values())):
         raise ConfigError(f"sweep grid must map keys to nonempty lists of values, got {grid!r}")
     keys = sorted(grid)
-    cache: dict = {}
-    runs, groups = [], {}  # runs: (cell, repetition, (cfg, seed, inputs)); groups of their indices
+    cells, groups = [], {}  # cells: (cell, its config); groups: (cell index, seed) per run
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, combo))
         try:
             cell_cfg = normalize_config(_apply_cell(cfg, cell))
-            seeds = [cell_cfg["seed"] + rep for rep in range(cell_cfg["repetitions"])]
-            for rep, (seed, inputs) in enumerate(zip(seeds, _build_inputs(cell_cfg, seeds,
-                                                                          cache, cell))):
-                key = (repr(cell_cfg["learner"]), cell_cfg["T"], type(inputs.losses))
-                groups.setdefault(key, []).append(len(runs))
-                runs.append((cell, rep, (cell_cfg, seed, inputs)))
         except Exception as exc:
             raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
-    summaries = {}
-    for batch in (b for group in groups.values() for b in _batches(group, runs[group[0]][2][0])):
-        try:
-            results = _run([runs[i][2] for i in batch])
+        groups.setdefault((repr(cell_cfg["learner"]), cell_cfg["T"]), []).extend(
+            (len(cells), cell_cfg["seed"] + rep) for rep in range(cell_cfg["repetitions"]))
+        cells.append((cell, cell_cfg))
+    walks, rows = {}, {}
+    for batch in (b for group in groups.values() for b in _batches(group, cells[group[0][0]][1])):
+        runs = []  # (cell config, seed, inputs) per run of the batch
+        for c, same in itertools.groupby(batch, lambda run: run[0]):
+            (cell, cell_cfg), seeds = cells[c], [seed for _, seed in same]
+            try:
+                runs += zip([cell_cfg] * len(seeds), seeds, _build_inputs(cell_cfg, seeds, walks))
+            except Exception as exc:
+                raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
+        try:  # the traces go at once
+            summaries = [summary for _, summary in _run(runs)]
         except Exception:  # rerun one run at a time, to name the failing cell
-            for i in batch:
+            for (c, _), run in zip(batch, runs):
                 try:
-                    _run([runs[i][2]])
+                    _run([run])
                 except Exception as exc:
-                    raise SweepError(f"sweep cell {runs[i][0]} failed: {exc}") from exc
+                    raise SweepError(f"sweep cell {cells[c][0]} failed: {exc}") from exc
             raise  # no run fails alone: the fault is the batch's own
-        summaries.update(zip(batch, (summary for _, summary in results)))
-    return [{"cell": cell, "repetition": rep,
-             **{k: v for k, v in summaries[i].items() if k != "config"}}
-            for i, (cell, rep, _) in enumerate(runs)]
+        for (c, seed), summary in zip(batch, summaries):
+            rows[c, seed] = {"cell": cells[c][0], "repetition": seed - cells[c][1]["seed"],
+                             **{k: v for k, v in summary.items() if k != "config"}}
+    return [rows[run] for run in sorted(rows)]
 
 
 def lowerbound_report(T: int, d: int, D: float, G: float, n: int,

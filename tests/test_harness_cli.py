@@ -87,6 +87,15 @@ def test_a_malformed_scalar_field_is_named(key, value):
         run_experiment({"T": 5, key: value})
 
 
+@pytest.mark.parametrize("delay,named", [
+    ({"kind": "in_order_random", "d_max": d_max}, rf"d_max must lie in \[1, 2\^63\), got {d_max}$")
+    for d_max in (0, -3, 10**30)] + [
+    ({"kind": "uniform", "lo": 1, "hi": 10**30}, rf"lo <= hi < 2\^63, got lo = 1, hi = {10**30}$")])
+def test_an_out_of_range_delay_bound_is_named(delay, named):
+    with pytest.raises(ConfigError, match=named):
+        run_experiment({"T": 5, "delay": delay})
+
+
 # --- run ----------------------------------------------------------------------
 
 def test_run_hand_simulation_trace():
@@ -253,7 +262,7 @@ def test_run_is_deterministic():
 
 
 def test_repetitions_produce_one_row_per_seed():
-    results = run_many(base_config(repetitions=5))
+    results = list(run_many(base_config(repetitions=5)))
     assert len(results) == 5
     seeds = [summary["seed"] for _, summary in results]
     assert seeds == [7, 8, 9, 10, 11]
@@ -393,15 +402,15 @@ def test_sweep_rows_equal_independent_runs(case):
 def test_shared_inputs_cannot_be_written_through_a_trace_or_a_row(comparators):
     cfg = harness.normalize_config(base_config(comparators=comparators))
     fresh, = harness._build_inputs(cfg, [7])
-    cache = {}
+    walks = {}
     first = None
     for name in ("dogd", "mild", "mild_dt"):
-        cell = {"learner": name}
-        cell_cfg = harness.normalize_config(harness._apply_cell(cfg, cell))
-        inputs, = harness._build_inputs(cell_cfg, [7], cache, cell)
+        cell_cfg = harness.normalize_config(harness._apply_cell(cfg, {"learner": name}))
+        inputs, = harness._build_inputs(cell_cfg, [7], walks)
         first = first or inputs
-        assert (inputs.losses, inputs.schedule, inputs.comparators) == \
-            (first.losses, first.schedule, first.comparators)
+        assert inputs.losses is first.losses  # the cells share one walk
+        assert inputs.schedule == first.schedule
+        assert inputs.comparators.tobytes() == first.comparators.tobytes()
         (trace, _), = harness._run([(cell_cfg, 7, inputs)])
         for a in (trace.decisions, trace.loss_values, trace.weight_sums):
             if a is not None:
@@ -503,7 +512,7 @@ def test_a_batch_is_cut_on_what_it_allocates_not_on_runs_times_one_run(monkeypat
         return simulate_(learner, losses, schedule, box)
 
     monkeypatch.setattr(harness, "simulate", recording)
-    results = run_many(cfg)
+    results = list(run_many(cfg))  # the batches run as the results are read
     assert sizes == [2, 2, 1]
     for rep, (_, summary) in enumerate(results):
         assert harness.to_json(summary) == harness.to_json(run_experiment(cfg, seed=7 + rep)[1])
@@ -543,18 +552,34 @@ def test_a_ragged_batch_allocates_less_than_its_estimate(learner, n):
     assert peak <= harness._batch_bytes(rows[0][0], 3, plan_rows)
 
 
-@pytest.mark.parametrize("n,delay,learner", [
-    (1, {"kind": "blocks", "d": 16}, {"name": "dogd"}),
-    (5, {"kind": "constant", "value": 3}, {"name": "dogd"}),
-    (1, {"kind": "permuted"}, {"name": "mild"}),
-    (1, {"kind": "permuted"}, {"name": "mild", "etas": [0.01 * 1.1**i for i in range(40)]})],
-    ids=["1-delay0", "5-delay1", "mild-1-permuted", "mild-40-rates"])
-def test_one_run_allocates_less_than_its_estimate(n, delay, learner):
+def listed(T: int, n: int) -> dict:
+    """The sections that carry lists of T entries: delays, gradients and comparators."""
+    rows = np.random.default_rng(0).uniform(-0.99, 0.99, (2, T, n)) / math.sqrt(n)
+    return {"delay": {"kind": "list", "values": [1 + (7 * t) % 11 for t in range(T)]},
+            "environment": {"kind": "linear_list", "gradients": rows[0].tolist()},  # norms < G
+            "comparators": {"kind": "list", "points": rows[1].tolist()}}  # inside the box
+
+
+@pytest.mark.parametrize("T,n,delay,learner", [
+    (20000, 1, {"kind": "blocks", "d": 16}, {"name": "dogd"}),
+    (20000, 5, {"kind": "constant", "value": 3}, {"name": "dogd"}),
+    (20000, 1, {"kind": "permuted"}, {"name": "mild"}),
+    (20000, 1, {"kind": "permuted"}, {"name": "mild", "etas": [0.01 * 1.1**i for i in range(40)]}),
+    (20000, 1, "listed", {"name": "dogd"}), (20000, 5, "listed", {"name": "dogd"}),
+    (5000, 20, "listed", {"name": "dogd"})],
+    ids=["1-delay0", "5-delay1", "mild-1-permuted", "mild-40-rates", "lists-1", "lists-5",
+         "lists-20"])
+def test_one_run_allocates_less_than_its_estimate(T, n, delay, learner):
     # the delays, the plan's lists and the consumption log cost the same bytes a round
     # whatever n is, so at n = 1 they outweigh the T*n arrays; mild adds its T*N weights,
-    # N being the length of its rate list when the config gives one
-    run_experiment(base_config(T=50, n=n, delay=delay, learner=learner))  # warm up
-    cfg = base_config(T=20000, n=n, delay=delay, learner=learner)
+    # N being the length of its rate list when the config gives one; a config's own lists
+    # are held twice, and a row of a nested list costs more than its entries
+    def config(T):
+        return base_config(T=T, n=n, learner=learner,
+                           **(listed(T, n) if delay == "listed" else {"delay": delay}))
+
+    run_experiment(config(50))  # warm up
+    cfg = config(T)
     tracemalloc.start()
     try:
         run_experiment(cfg)
@@ -564,36 +589,68 @@ def test_one_run_allocates_less_than_its_estimate(n, delay, learner):
     assert peak <= harness._run_bytes(harness.normalize_config(cfg))
 
 
-@pytest.mark.parametrize("learner,n,delay", [
-    ("dogd", 1, {"kind": "permuted"}), ("mild", 1, {"kind": "permuted"}),
-    ("mild_dt", 20, {"kind": "constant", "value": 1})])
-def test_kept_repetitions_hold_less_than_their_estimate(learner, n, delay):
-    cfg = base_config(T=2000, n=n, delay=delay, learner={"name": learner}, repetitions=4)
-    run_many({**cfg, "T": 50})  # warm up
+def two_run_batches(monkeypatch, cfg: dict) -> int:
+    """Cut the runs of ``cfg`` into lockstep batches of two; returns such a batch's estimate."""
+    batch = harness._batch_bytes(harness.normalize_config(cfg), 2)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * batch + 1)
+    return batch
+
+
+def traced_peak(call, cfg: dict):
+    """``call(cfg)``'s result, the bytes it still holds when it returns, and its peak."""
+    call({**cfg, "T": 50})  # warm up: first calls may import or cache
     tracemalloc.start()
     try:
-        results = run_many(cfg)
-        kept, _ = tracemalloc.get_traced_memory()
+        result = call(cfg)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(results) == 4
-    assert kept <= 4 * harness._run_bytes(harness.normalize_config(cfg), kept=True)
+    return result, held, peak
 
 
-def test_repetitions_that_outgrow_memory_exit_2(tmp_path, monkeypatch):
-    # at T = 20000, n = 5 one run needs about 10 MB and a kept repetition about 4 MB, so
-    # 2,000 of them outgrow the half of 7.8 GiB that a lockstep batch leaves; never run
-    monkeypatch.setattr(harness, "_physical_memory", lambda: int(7.8 * 2**30))
-    monkeypatch.setattr(harness, "simulate", None)
-    cfg = base_config(T=20000, n=5, repetitions=2000)
-    harness.normalize_config({**cfg, "repetitions": 500})
-    with pytest.raises(ConfigError, match="2000 repetitions"):
-        harness.normalize_config(cfg)
-    assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
-    lowerbound = {**cfg, "repetitions": 1, "delay": {"kind": "blocks", "d": 4},
-                  "environment": {"kind": "lowerbound"}}
-    assert cli.main(["lowerbound", "--config", write_config(tmp_path, lowerbound),
-                     "--trials", "2000"]) == 2
+# at the batch size below, all repetitions together or a sweep's plans for every cell
+# outgrow one batch's estimate
+def test_run_many_holds_one_batch_at_a_time(monkeypatch):
+    cfg = base_config(T=500, n=1, delay={"kind": "permuted"}, repetitions=12)
+    batch = two_run_batches(monkeypatch, cfg)
+    seeds, _, peak = traced_peak(lambda c: [summary["seed"] for _, summary in run_many(c)], cfg)
+    assert seeds == list(range(7, 19)) and peak <= batch
+
+
+def test_cli_run_holds_one_batch_at_a_time(tmp_path, monkeypatch):
+    cfg = base_config(T=500, n=1, delay={"kind": "permuted"}, repetitions=6)
+    batch = two_run_batches(monkeypatch, cfg)
+    out = tmp_path / "out"
+    code, _, peak = traced_peak(lambda c: cli.main(["run", "--config", write_config(tmp_path, c),
+                                                    "--out", str(out)]), cfg)
+    assert code == 0 and peak <= batch
+    assert len(json.loads((out / "summary.json").read_text())["runs"]) == 6
+
+
+def test_sweep_holds_one_batch_at_a_time_and_its_rows(monkeypatch):
+    cfg = base_config(T=500, n=1)
+    batch = two_run_batches(monkeypatch, cfg)
+    rows, held, peak = traced_peak(lambda c: sweep(c, {"d": list(range(1, 13))}), cfg)
+    assert len(rows) == 12 and peak <= batch + held
+
+
+def test_a_failing_batch_leaves_complete_traces_and_no_summary(tmp_path, monkeypatch):
+    cfg = base_config(repetitions=4)
+    two_run_batches(monkeypatch, cfg)
+    run = harness._run
+
+    def second_batch_fails(rows):
+        if rows[0][1] == 9:  # seeds 7 and 8 make the first batch
+            raise ConfigError("the second batch fails")
+        return run(rows)
+
+    monkeypatch.setattr(harness, "_run", second_batch_fails)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert sorted(path.name for path in out.iterdir()) == ["trace_rep000.csv", "trace_rep001.csv"]
+    for rep in range(2):
+        assert (out / f"trace_rep{rep:03d}.csv").read_text() == \
+            trace_to_csv(run_experiment(cfg, seed=7 + rep)[0])
 
 
 @pytest.mark.parametrize("grid", [{"T": [10.5]}, {"d": [2.5]}])
