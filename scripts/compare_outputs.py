@@ -107,9 +107,12 @@ def report_set():
 def sweep_set():
     """The benchmark's drift sweep grid (4 learners x d in {1, 20}, T = 2000, n = 5) at
     seeds 0-2, and ragged grids at T = 300, n = 3, 3 repetitions: 4 learners x uniform
-    delays with d in {1, 5, 20}, 4 learners x permuted delays (which take no d), and
-    dogd and mild x the piecewise comparators' path budget P in {0, 1, 4, 50, 1e6}."""
+    delays with d in {1, 5, 20}, 4 learners x permuted delays (which take no d), dogd
+    and mild x the piecewise comparators' path budget P in {0, 1, 4, 50, 1e6}, and all
+    five learners, whose fixed-horizon and doubling-trick runs share lockstep batches, x
+    d in {1, 5, 20} on linear drift and on the lowerbound instance (T = 256)."""
     learners = ["dogd", "mild", "dogd_dt", "mild_dt"]
+    five = ["ogd", "dogd", "mild", "dogd_dt", "mild_dt"]
     for seed in range(3):
         yield (f"sweep/drift_sweep/s{seed}",
                {"T": 2000, "n": 5, "D": 2.0, "G": 1.0, "seed": seed,
@@ -128,6 +131,15 @@ def sweep_set():
             "delay": {"kind": "uniform", **DELAYS["uniform"]},
             "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}},
            {"learner": ["dogd", "mild"], "P": [0, 1, 4, 50, 1e6]})
+    yield ("sweep/linear/five-learners/r3",
+           {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4, "repetitions": 3,
+            "delay": {"kind": "uniform", **DELAYS["uniform"]},
+            "environment": {"kind": "drift", "step": 0.02, "loss": "linear"}},
+           {"learner": five, "d": [1, 5, 20]})
+    yield ("sweep/lowerbound/five-learners/r3",
+           {"T": 256, "n": 3, "D": 2.0, "G": 1.0, "seed": 4, "repetitions": 3,
+            "delay": {"kind": "blocks", "d": 1}, "environment": {"kind": "lowerbound"}},
+           {"learner": five, "d": [1, 8, 32]})
 
 
 BASE = {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4,

@@ -300,42 +300,58 @@ def _build_comparators(cfg: dict, box: Box, losses, targets, comp_seed: int) -> 
     return np.asarray(spec["points"], dtype=np.float64)  # list
 
 
-def _build_learner(cfg: dict, box: Box, sums: list[int]):
-    """The configured learner for runs whose backlog sums are ``sums``; returns (learner,
-    resolved params per run).  One run has no run axis; more get one, row r tuned to sums[r]."""
-    spec = cfg["learner"]
-    name = spec["name"]
-    D, G, T = cfg["D"], cfg["G"], cfg["T"]
-    runs = len(sums) if len(sums) > 1 else None
+# the learner families: a fixed-horizon learner is its family's doubling-trick learner
+# whose first epoch never ends, so a family's runs step in lockstep in one batch
+_FAMILY = {"ogd": "dogd", "dogd": "dogd", "dogd_dt": "dogd", "mild": "mild", "mild_dt": "mild"}
+
+
+def _build_learner(cfgs: list[dict], box: Box, sums: list[int]):
+    """The learner for runs of ``cfgs``, one learner family and T, whose backlog sums are
+    ``sums``; returns (learner, resolved params per run).  One run has no run axis; more get
+    one, row r running cfgs[r]'s learner: a fixed-horizon row tuned to sums[r] or to its
+    configured rates, a doubling-trick row at the budget 2 until it restarts."""
+    D, G, T = cfgs[0]["D"], cfgs[0]["G"], cfgs[0]["T"]
+    specs = [cfg["learner"] for cfg in cfgs]
+    restarts = [spec["name"].endswith("_dt") for spec in specs]
+    betas = [2 if dt else s for dt, s in zip(restarts, sums)]  # each row's first-epoch budget
+    stacked = len(cfgs) > 1
     try:  # the learners refuse the rates the paper formulas give near the float limits
-        if name in ("ogd", "dogd"):
-            source = spec.get("eta", "paper")
-            etas = [learn_mod.corollary_lr(D, G, s) if source == "paper" else float(source)
-                    for s in sums]
+        if _FAMILY[specs[0]["name"]] == "dogd":
+            sources = [spec.get("eta", "paper") for spec in specs]
+            etas = [learn_mod.corollary_lr(D, G, b) if source == "paper" else float(source)
+                    for source, b in zip(sources, betas)]
             # "ogd" names the same learner: under unit delays DelayedOGD is plain OGD
-            return (learn_mod.DelayedOGD(box, np.array(etas)[:, None] if runs else etas[0]),
-                    [{"eta": eta, "eta_source": source} for eta in etas])
-        if name == "mild":
-            etas, alpha = spec.get("etas", "paper"), spec.get("alpha", "paper")
-            grids = [np.asarray(learn_mod.mild_lr_grid(D, G, s, T) if etas == "paper" else etas,
-                                dtype=np.float64) for s in sums]
-            alphas = [learn_mod.hedge_alpha(D, G, s) if alpha == "paper" else float(alpha)
-                      for s in sums]
-            learner = learn_mod.MildOGD(box, *((np.array(grids), np.array(alphas)) if runs
-                                               else (grids[0], alphas[0])))
-            return learner, [{"expert_rates": g.tolist(), "alpha": a}
-                             for g, a in zip(grids, alphas)]
-        if name == "dogd_dt":
-            learner = learn_mod.DogdDoublingTrick(box, D, G, runs)
+            inner = learn_mod.DelayedOGD(box, np.array(etas)[:, None] if stacked else etas[0])
+            resolved = [{"eta": eta, "eta_source": source} for eta, source in zip(etas, sources)]
+
+            def make(beta):
+                return learn_mod.DelayedOGD(box, learn_mod.corollary_lr(D, G, beta))
         else:
-            learner = learn_mod.MildOgdDoublingTrick(box, D, G, T, runs)
-        # the constructor built epoch 1; an epoch v opens only once its budget
-        # 2^(v-1) is below sum_m and the rates fall with v, so the last is the other end
-        for s in sums:
-            learner.make(2 ** s.bit_length())
-        return learner, [{} for _ in sums]
+            grids = [np.asarray(learn_mod.mild_lr_grid(D, G, b, T) if spec.get("etas", "paper")
+                                == "paper" else spec["etas"], dtype=np.float64)
+                     for spec, b in zip(specs, betas)]
+            alphas = [learn_mod.hedge_alpha(D, G, b) if spec.get("alpha", "paper") == "paper"
+                      else float(spec["alpha"]) for spec, b in zip(specs, betas)]
+            inner = learn_mod.MildOGD(box, *((np.array(grids), np.array(alphas)) if stacked
+                                             else (grids[0], alphas[0])))
+            resolved = [{"expert_rates": g.tolist(), "alpha": a} for g, a in zip(grids, alphas)]
+
+            def make(beta):
+                return learn_mod.MildOGD(box, learn_mod.mild_lr_grid(D, G, beta, T),
+                                         learn_mod.hedge_alpha(D, G, beta))
+        if not any(restarts):
+            return inner, resolved
+        # an epoch v opens only once its budget 2^(v-1) is below sum_m and the rates fall
+        # with v, so the last is the other end of a doubling row's rates
+        for s, dt in zip(sums, restarts):
+            if dt:
+                make(2 ** s.bit_length())
+        return (learn_mod._RestartingLearner(make, restarts if stacked else None, inner),
+                [{} if dt else params for dt, params in zip(restarts, resolved)])
     except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"the {name} rates for D = {D!r}, G = {G!r}: {exc}") from None
+        names = sorted({spec["name"] for spec in specs})
+        raise ConfigError(f"the {'/'.join(names)} rates for D = {D!r}, G = {G!r}: {exc}") \
+            from None
 
 
 def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) -> RunTrace:
@@ -366,9 +382,10 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     grads = np.zeros((len(stamps), *lead, box.dim))  # in delivery order; padding stays 0
     if runs is None:  # the merged plan is the schedule's own
         stamps, slots, write = schedule.stamps, slots[:, 0].tolist(), grads
-    else:  # blocks as rows of R timestamps; a round's gradients scatter entry by entry
-        # (far cheaper than row by row), so slots holds each entry's flat index
-        stamps, write = stamps.tolist(), grads.reshape(-1)
+    else:  # blocks of rows of R timestamps, each made a list when delivered; a round's
+        # gradients scatter entry by entry (far cheaper than row by row), so slots holds
+        # each entry's flat index
+        write = grads.reshape(-1)
         slots = slots[:, :, None] * box.dim + np.arange(box.dim)
     decisions = np.empty((T, *lead, box.dim))
     weights = np.empty((T, *learner.weights.shape)) if hasattr(learner, "weights") else None
@@ -379,7 +396,8 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
         write[slots[t - 1]] = losses.gradient(t, x)
         if rounds[j] == t:  # j stays in range: timestamp T arrives at round T or later
             lo, hi = offsets[j], offsets[j + 1]
-            learner.ingest(t, stamps[lo:hi], grads[lo:hi])
+            learner.ingest(t, stamps[lo:hi] if runs is None else stamps[lo:hi].tolist(),
+                           grads[lo:hi])
             j += 1
         if weights is not None:
             weights[t - 1] = learner.weights
@@ -387,10 +405,12 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
         raise ValueError("the run played a non-finite decision or queried a non-finite gradient")
     for j in range(j, len(rounds)):
         lo, hi = offsets[j], offsets[j + 1]
-        learner.ingest(rounds[j], stamps[lo:hi], grads[lo:hi])
+        learner.ingest(rounds[j], stamps[lo:hi] if runs is None else stamps[lo:hi].tolist(),
+                       grads[lo:hi])
+    del slots, stamps, grads, write  # the plan's arrays go before the losses are read
     starts = getattr(learner, "epoch_starts", None)
-    if starts is not None:
-        starts = [tuple(s) for s in ([starts] if runs is None else starts)]
+    if starts is not None:  # None, or per run its epoch starts or None
+        starts = [None if s is None else tuple(s) for s in ([starts] if runs is None else starts)]
     dropped = np.broadcast_to(getattr(learner, "dropped", 0), runs or 1).tolist()
     per_run = (lambda v: v) if runs else (lambda v: None if v is None else v[0])
     return RunTrace(decisions=decisions, loss_values=losses.values(decisions), schedule=schedule,
@@ -405,15 +425,18 @@ _STRICT_BOUND = {"ogd": "bound_cor1", "dogd": "bound_cor1", "mild": "bound_thm2"
 _Inputs = namedtuple("_Inputs", "box losses env_fingerprint schedule comparators")
 
 
-def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None) -> list[_Inputs]:
+def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None,
+                  plans: dict | None = None) -> list[_Inputs]:
     """Environment, arrival plan and comparators of one normalized config at each seed.
 
     Each run seed splits once, into the plan's, the environment's and the comparators'
     seeds.  A sweep's cells share their environment section, so it passes one ``walks``:
     each environment is kept under its run seed, T and, for a lowerbound instance (one sign
-    vector per block), d, and built once per sweep.
+    vector per block), d, and built once per T.  It passes one ``plans`` per batch, which
+    keeps each arrival plan under its run seed, T and delay section.
     """
     walks, box = {} if walks is None else walks, Box.from_diameter(cfg["n"], cfg["D"])
+    plans = {} if plans is None else plans
     reads = (cfg["T"], cfg["delay"]["d"]) if cfg["environment"]["kind"] == "lowerbound" else \
         (cfg["T"],)
     children = {s: _child_seeds(s, 3) for s in seeds}  # (plan, environment, comparators)
@@ -426,18 +449,20 @@ def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None) -> lis
         losses, targets, env_fp = walks[(s, *reads)]
         comparators = _build_comparators(cfg, box, losses, targets, children[s][2])
         comparators.setflags(write=False)
-        out.append(_Inputs(box, losses, env_fp, _build_schedule(cfg, children[s][0]),
-                           comparators))
+        plan = (s, cfg["T"], repr(cfg["delay"]))
+        if plan not in plans:
+            plans[plan] = _build_schedule(cfg, children[s][0])
+        out.append(_Inputs(box, losses, env_fp, plans[plan], comparators))
     return out
 
 
 def _run(rows: list[tuple[dict, int, _Inputs]]) -> list[tuple[RunTrace, dict]]:
     """Runs of normalized configs on prebuilt inputs, in lockstep through one ``simulate``;
-    the rows share the learner spec, T, n, D, G and loss kind.  Returns (trace, summary)s."""
-    cfg, _, first = rows[0]
+    the rows share the learner family, T, n, D, G and loss kind.  Returns (trace, summary)s."""
+    first = rows[0][2]
     schedules = [inputs.schedule for _, _, inputs in rows]
     sums = [schedule.sum_backlog for schedule in schedules]
-    learner, resolved = _build_learner(cfg, first.box, sums)
+    learner, resolved = _build_learner([cfg for cfg, _, _ in rows], first.box, sums)
     if len(rows) == 1:
         trace = simulate(learner, first.losses, first.schedule, first.box)
     else:
@@ -506,8 +531,9 @@ def _batch_bytes(cfg: dict, runs: int, rows: int | None = None) -> int:
     Each run holds what it holds alone (``_run_bytes``), a stacked copy of its loss
     arrays and the int64 slots its gradients scatter to (T*n of each).
     The batch holds the padded gradient rows of the merged arrival plan (n
-    floats per run and row) and its timestamp block, an int64 array and the
-    Python lists made of it (under 64 bytes an entry); a plan has at most R*T
+    floats per run and row) and its timestamp block, an int64 array that each
+    delivery slices into a Python list (64 bytes an entry allows for lists of
+    the whole block); a plan has at most R*T
     rows, one per arrival, when no two runs deliver at the same round.
     Measured with tracemalloc on batches of 4 runs (T = 20000, n from 1 to 5,
     constant, uniform, permuted and mixed-d block delays), a batch allocates
@@ -580,46 +606,61 @@ def sweep(config: dict, grid: dict) -> list[dict]:
     Rows come out in deterministic (grid key, value order, repetition) order
     regardless of any execution order, one row per repetition per cell; each
     is the summary ``run_many`` gives for its cell, less the config.  The
-    runs of all cells that share a learner and T step in lockstep.  A batch's
-    inputs are built when it runs; only the rows and the environments outlive it.
+    runs of all cells that share a learner family (``_FAMILY``) and T step in
+    lockstep.  A batch's inputs are built when it runs, its runs of one seed, T
+    and delay section sharing one arrival plan; only the rows and the current
+    T's environments outlive it.
     """
     cfg = normalize_config(config)
     if not (isinstance(grid, dict) and grid
             and all(isinstance(v, (list, tuple)) and v for v in grid.values())):
         raise ConfigError(f"sweep grid must map keys to nonempty lists of values, got {grid!r}")
     keys = sorted(grid)
-    cells, groups = [], {}  # cells: (cell, its config); groups: (cell index, seed) per run
+    # cells: (cell, its config); groups: per T, per learner family, (cell index, seed) per run
+    cells, groups = [], {}
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, combo))
         try:
             cell_cfg = normalize_config(_apply_cell(cfg, cell))
         except Exception as exc:
             raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
-        groups.setdefault((repr(cell_cfg["learner"]), cell_cfg["T"]), []).extend(
+        family = _FAMILY[cell_cfg["learner"]["name"]]
+        groups.setdefault(cell_cfg["T"], {}).setdefault(family, []).extend(
             (len(cells), cell_cfg["seed"] + rep) for rep in range(cell_cfg["repetitions"]))
         cells.append((cell, cell_cfg))
-    walks, rows = {}, {}
-    for batch in (b for group in groups.values() for b in _batches(group, cells[group[0][0]][1])):
-        runs = []  # (cell config, seed, inputs) per run of the batch
-        for c, same in itertools.groupby(batch, lambda run: run[0]):
-            (cell, cell_cfg), seeds = cells[c], [seed for _, seed in same]
-            try:
-                runs += zip([cell_cfg] * len(seeds), seeds, _build_inputs(cell_cfg, seeds, walks))
-            except Exception as exc:
-                raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
-        try:  # the traces go at once
-            summaries = [summary for _, summary in _run(runs)]
-        except Exception:  # rerun one run at a time, to name the failing cell
-            for (c, _), run in zip(batch, runs):
-                try:
-                    _run([run])
-                except Exception as exc:
-                    raise SweepError(f"sweep cell {cells[c][0]} failed: {exc}") from exc
-            raise  # no run fails alone: the fault is the batch's own
-        for (c, seed), summary in zip(batch, summaries):
-            rows[c, seed] = {"cell": cells[c][0], "repetition": seed - cells[c][1]["seed"],
-                             **{k: v for k, v in summary.items() if k != "config"}}
+    rows = {}
+    for families in groups.values():
+        walks = {}  # this T's environments, which its families' runs share
+        for group in families.values():
+            largest = max((cells[c][1] for c, _ in group), key=_run_bytes)
+            for batch in _batches(group, largest):
+                for (c, seed), summary in zip(batch, _sweep_batch(batch, cells, walks)):
+                    rows[c, seed] = {"cell": cells[c][0],
+                                     "repetition": seed - cells[c][1]["seed"],
+                                     **{k: v for k, v in summary.items() if k != "config"}}
     return [rows[run] for run in sorted(rows)]
+
+
+def _sweep_batch(batch: list, cells: list, walks: dict) -> list[dict]:
+    """The summaries of a sweep's lockstep batch of (cell index, seed) runs; its inputs and
+    traces go when it returns.  A failure names its cell in a ``SweepError``."""
+    runs, plans = [], {}  # (cell config, seed, inputs) per run
+    for c, same in itertools.groupby(batch, lambda run: run[0]):
+        (cell, cell_cfg), seeds = cells[c], [seed for _, seed in same]
+        try:
+            runs += zip([cell_cfg] * len(seeds), seeds,
+                        _build_inputs(cell_cfg, seeds, walks, plans))
+        except Exception as exc:
+            raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
+    try:  # the traces go at once
+        return [summary for _, summary in _run(runs)]
+    except Exception:  # rerun one run at a time, to name the failing cell
+        for (c, _), run in zip(batch, runs):
+            try:
+                _run([run])
+            except Exception as exc:
+                raise SweepError(f"sweep cell {cells[c][0]} failed: {exc}") from exc
+        raise  # no run fails alone: the fault is the batch's own
 
 
 def lowerbound_report(T: int, d: int, D: float, G: float, n: int,

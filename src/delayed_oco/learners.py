@@ -34,6 +34,12 @@ Four algorithms are provided:
   ``MildOgdDoublingTrick`` still reads the horizon T: it sizes the expert
   grid, N = ceil(log2(T+1)/2) + 1 rates (``expert_count``).
 
+A fixed-horizon learner is its doubling-trick variant with a first epoch that
+never ends, so the restarting wrapper's rows may be fixed-horizon too: one
+lockstep batch steps a learner family, ``DelayedOGD`` with
+``DogdDoublingTrick`` or ``MildOGD`` with ``MildOgdDoublingTrick``, as a sweep
+does for the cells that share a learner family and T.
+
 Rate helpers (``corollary_lr``, ``mild_lr_grid``, ``hedge_alpha``,
 ``init_weights``) compute the formula-derived parameters each algorithm's
 guarantee asks for; the learners refuse rates that are not positive and finite.
@@ -334,22 +340,29 @@ class EpochController:
 class _RestartingLearner:
     """Epoch bookkeeping + stale-feedback dropping; epoch v runs a fresh ``make(2^v)``,
     where ``make(beta)`` builds the one-run learner tuned for the backlog sum beta.
-    With ``runs`` each run has its own controller, restarts its own row of the
-    shared inner learner and counts its own ``dropped``."""
 
-    def __init__(self, make, runs: int | None = None):
+    With ``restarts`` the learner runs len(restarts) rows in lockstep, row r restarting
+    iff ``restarts[r]``; ``inner`` is the first epoch's learner, by default ``make(2)``
+    (tiled to the rows).  A restarting row has its own controller, restarts its own row
+    of ``inner`` and counts its own ``dropped``.  A fixed-horizon row (a restarting run
+    whose first epoch never ends) has no controller: it never restarts, drops nothing and
+    reports ``epoch_starts`` None, so it runs as its learner alone would."""
+
+    def __init__(self, make, restarts: list[bool] | None = None, inner=None):
         self.make = make
-        self.runs = runs
-        self.ctrls = [EpochController() for _ in range(runs or 1)]
-        self.dropped = 0 if runs is None else np.zeros(runs, dtype=np.int64)
-        self.inner = make(2) if runs is None else make(2).tiled(runs)
+        self.runs = None if restarts is None else len(restarts)
+        self.ctrls = [EpochController() if r else None for r in restarts or [True]]
+        self._restarting = [(r, ctrl) for r, ctrl in enumerate(self.ctrls) if ctrl is not None]
+        self.dropped = 0 if restarts is None else np.zeros(self.runs, dtype=np.int64)
+        self.inner = inner if inner is not None else \
+            make(2) if restarts is None else make(2).tiled(self.runs)
 
     def play(self, t: int) -> np.ndarray:
         if self.runs is None:
             if self.ctrls[0].begin_round(t):
                 self.inner = self.make(2 ** self.ctrls[0].v)
         else:
-            for r, ctrl in enumerate(self.ctrls):
+            for r, ctrl in self._restarting:
                 if ctrl.begin_round(t):
                     self.inner.set_row(r, self.make(2 ** ctrl.v))
         return self.inner.play(t)
@@ -364,7 +377,8 @@ class _RestartingLearner:
             if stale < len(stamps):
                 self.inner.ingest(t, stamps[stale:], grads[stale:])
             return
-        starts = [ctrl.epoch_start for ctrl in self.ctrls]
+        # a fixed row's epoch starts at round 1, so none of its stamps is stale
+        starts = [1 if ctrl is None else ctrl.epoch_start for ctrl in self.ctrls]
         # a run's column ascends above its padding, so its first stamp is its oldest
         if any(0 < k < start for k, start in zip(stamps[0], starts)):
             block = np.array(stamps)  # a dropped item becomes padding: stamp 0, a zero step
@@ -372,15 +386,19 @@ class _RestartingLearner:
             self.dropped = self.dropped + stale.sum(axis=0)
             stamps, grads = np.where(stale, 0, block).tolist(), np.where(stale[..., None], 0, grads)
         counts = [len(column) - column.count(0) for column in zip(*stamps)]
-        for ctrl, count in zip(self.ctrls, counts):
-            ctrl.note_arrivals(count)
+        for r, ctrl in self._restarting:
+            ctrl.note_arrivals(counts[r])
         if any(counts):
             self.inner.ingest(t, stamps, grads)
 
     @property
     def epoch_starts(self) -> list:
-        starts = [list(ctrl.epoch_starts) for ctrl in self.ctrls]
+        starts = [None if ctrl is None else list(ctrl.epoch_starts) for ctrl in self.ctrls]
         return starts[0] if self.runs is None else starts
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.inner.weights
 
 
 class DogdDoublingTrick(_RestartingLearner):
@@ -392,7 +410,8 @@ class DogdDoublingTrick(_RestartingLearner):
     """
 
     def __init__(self, box: Box, D: float, G: float, runs: int | None = None):
-        super().__init__(lambda beta: DelayedOGD(box, corollary_lr(D, G, beta)), runs)
+        super().__init__(lambda beta: DelayedOGD(box, corollary_lr(D, G, beta)),
+                         None if runs is None else [True] * runs)
 
 
 class MildOgdDoublingTrick(_RestartingLearner):
@@ -408,8 +427,5 @@ class MildOgdDoublingTrick(_RestartingLearner):
 
     def __init__(self, box: Box, D: float, G: float, T: int, runs: int | None = None):
         super().__init__(lambda beta: MildOGD(box, mild_lr_grid(D, G, beta, T),
-                                              hedge_alpha(D, G, beta)), runs)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.inner.weights
+                                              hedge_alpha(D, G, beta)),
+                         None if runs is None else [True] * runs)

@@ -496,6 +496,18 @@ def test_lockstep_runs_restart_and_drop_stale_feedback_each_on_its_own_plan(lear
         harness.to_json([run_experiment(cfg, seed=1 + rep)[1] for rep in range(3)])
 
 
+def recorded_batch_sizes(monkeypatch) -> list[int]:
+    """The number of runs each ``simulate`` call steps, appended as the calls are made."""
+    sizes, simulate_ = [], harness.simulate
+
+    def recording(learner, losses, schedule, box):
+        sizes.append(1 if isinstance(schedule, DelaySchedule) else len(schedule))
+        return simulate_(learner, losses, schedule, box)
+
+    monkeypatch.setattr(harness, "simulate", recording)
+    return sizes
+
+
 def test_a_batch_is_cut_on_what_it_allocates_not_on_runs_times_one_run(monkeypatch):
     cfg = base_config(T=30, repetitions=5, learner={"name": "mild"},
                       delay={"kind": "constant", "value": 1})
@@ -505,13 +517,7 @@ def test_a_batch_is_cut_on_what_it_allocates_not_on_runs_times_one_run(monkeypat
     memory = 2 * harness._batch_bytes(norm, 2) + 1
     assert memory // harness._run_bytes(norm) >= 5
     monkeypatch.setattr(harness, "_physical_memory", lambda: memory)
-    sizes, simulate_ = [], harness.simulate
-
-    def recording(learner, losses, schedule, box):
-        sizes.append(1 if isinstance(schedule, DelaySchedule) else len(schedule))
-        return simulate_(learner, losses, schedule, box)
-
-    monkeypatch.setattr(harness, "simulate", recording)
+    sizes = recorded_batch_sizes(monkeypatch)
     results = list(run_many(cfg))  # the batches run as the results are read
     assert sizes == [2, 2, 1]
     for rep, (_, summary) in enumerate(results):
@@ -524,6 +530,17 @@ def test_a_batch_is_cut_on_what_it_allocates_not_on_runs_times_one_run(monkeypat
         run_many(cfg)
 
 
+def test_a_sweep_steps_each_learner_family_and_horizon_in_one_batch(monkeypatch):
+    # ogd, dogd and dogd_dt are one family, mild and mild_dt the other: a fixed-horizon
+    # run is a restarting run whose first epoch never ends
+    sizes = recorded_batch_sizes(monkeypatch)
+    rows = sweep(base_config(), {"learner": _LEARNER_NAMES, "d": [1, 3]})
+    assert sizes == [6, 4] and len(rows) == 10
+    sizes.clear()
+    sweep(base_config(), {"learner": _LEARNER_NAMES, "T": [20, 30]})
+    assert sizes == [3, 2, 3, 2]
+
+
 def test_sweep_raises_a_fault_of_the_batch_path_that_no_run_has_alone(monkeypatch):
     def broken(families):
         raise RuntimeError("a fault of the batch path")
@@ -533,12 +550,14 @@ def test_sweep_raises_a_fault_of_the_batch_path_that_no_run_has_alone(monkeypatc
         sweep(base_config(), {"d": [1, 2]})
 
 
-@pytest.mark.parametrize("learner,n", [("dogd_dt", 1), ("mild", 3)])
+@pytest.mark.parametrize("learner,n", [("dogd_dt", 1), ("mild", 3), ("dogd+dogd_dt", 1)])
 def test_a_ragged_batch_allocates_less_than_its_estimate(learner, n):
-    rows = []
+    # "+" joins the learners of one family that the rows take in turn
+    rows, names = [], learner.split("+")
     for seed, d in enumerate((1, 40, 400)):
         cfg = harness.normalize_config(base_config(
-            T=3000, n=n, learner={"name": learner}, delay={"kind": "blocks", "d": d}))
+            T=3000, n=n, learner={"name": names[seed % len(names)]},
+            delay={"kind": "blocks", "d": d}))
         rows.append((cfg, seed, *harness._build_inputs(cfg, [seed])))
     plan_rows = len(merge_plans([inputs.schedule for _, _, inputs in rows])[2])
     assert 3000 < plan_rows <= 3 * 3000  # the blocks of the three plans do not line up
@@ -549,7 +568,8 @@ def test_a_ragged_batch_allocates_less_than_its_estimate(learner, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= harness._batch_bytes(rows[0][0], 3, plan_rows)
+    largest = max((cfg for cfg, _, _ in rows), key=harness._run_bytes)
+    assert peak <= harness._batch_bytes(largest, 3, plan_rows)
 
 
 def listed(T: int, n: int) -> dict:
@@ -632,6 +652,16 @@ def test_sweep_holds_one_batch_at_a_time_and_its_rows(monkeypatch):
     batch = two_run_batches(monkeypatch, cfg)
     rows, held, peak = traced_peak(lambda c: sweep(c, {"d": list(range(1, 13))}), cfg)
     assert len(rows) == 12 and peak <= batch + held
+
+
+def test_a_sweep_over_several_horizons_holds_one_batch_and_its_rows(monkeypatch):
+    # a horizon's environments go once its last batch has run, so the sweep never holds
+    # those of every T at once; the largest T's batch bounds it
+    cfg = base_config(T=2000, n=5, repetitions=6)
+    batch = two_run_batches(monkeypatch, cfg)
+    rows, held, peak = traced_peak(
+        lambda c: sweep(c, {"T": [c["T"] // 4 * k for k in (1, 2, 3, 4)]}), cfg)
+    assert len(rows) == 24 and peak <= batch + held
 
 
 def test_a_failing_batch_leaves_complete_traces_and_no_summary(tmp_path, monkeypatch):

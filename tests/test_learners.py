@@ -640,6 +640,38 @@ def test_restart_resets_rate_and_iterate():
     assert learner.inner.eta == corollary_lr(2.0, 1.0, 2**2)
 
 
+@pytest.mark.parametrize("family", ["dogd", "mild"])
+def test_a_fixed_row_and_a_doubling_row_step_together_each_as_alone(family):
+    # row 0 is fixed-horizon (no controller: it never restarts and drops nothing), row 1
+    # doubles; each row's decisions, weights, dropped count and epoch starts are bitwise
+    # what its learner gives alone
+    box, T, D, G = Box(2, 1.0), 150, 2.0, 1.0
+    schedules = [uniform_schedule(T, 1, 9, 5), permuted_schedule(T, 6)]
+    families = [make_drift_environment(box, T, 0.2, "linear", 30 + r, G)[0] for r in range(2)]
+    sum_m = schedules[0].sum_backlog
+    if family == "dogd":
+        fixed, doubling = DelayedOGD(box, corollary_lr(D, G, sum_m)), DogdDoublingTrick(box, D, G)
+        inner = DelayedOGD(box, np.array([[fixed.eta], [doubling.inner.eta]]))
+    else:
+        fixed = MildOGD(box, mild_lr_grid(D, G, sum_m, T), hedge_alpha(D, G, sum_m))
+        doubling = MildOgdDoublingTrick(box, D, G, T)
+        inner = MildOGD(box, np.array([fixed.expert_rates, doubling.inner.expert_rates]),
+                        np.array([fixed.alpha, doubling.inner.alpha]))
+    batch = learners._RestartingLearner(doubling.make, [False, True], inner)
+    trace = simulate(batch, stack(families), schedules, box)
+    alone = [simulate(learner, losses, schedule, box)
+             for learner, losses, schedule in zip((fixed, doubling), families, schedules)]
+    for run, one in zip(trace.runs(), alone):
+        assert run.decisions.tobytes() == one.decisions.tobytes()
+        assert (run.dropped, run.epoch_starts, run.c_log) == (one.dropped, one.epoch_starts,
+                                                              one.c_log)
+        if family == "mild":
+            assert run.weights.tobytes() == one.weights.tobytes()
+    assert batch.epoch_starts == [None, doubling.epoch_starts]
+    assert batch.dropped.tolist() == [0, doubling.dropped] and doubling.dropped > 0
+    assert len(doubling.epoch_starts) > 2
+
+
 def epoch_learners(learner, losses, schedule, box):
     """Run a restarting learner; returns the inner learner of each epoch, in order."""
     inners, make = [learner.inner], learner.make
