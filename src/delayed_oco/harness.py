@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -236,7 +237,7 @@ def _run_bytes(cfg: dict) -> int:
     ``expert_count(T)``."""
     etas = cfg["learner"].get("etas", "paper")
     N = (learn_mod.expert_count(cfg["T"]) if etas == "paper" else len(etas)) \
-        if cfg["learner"]["name"].startswith("mild") else 0
+        if _family(cfg["learner"]["name"]) == "mild" else 0
     lists = [v for section in _SPEC for v in cfg[section].values() if isinstance(v, (list, tuple))]
     rows = sum(len(v) for v in lists if v and isinstance(v[0], (list, tuple)))
     return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + 320 * cfg["T"] + \
@@ -300,32 +301,33 @@ def _build_comparators(cfg: dict, box: Box, losses, targets, comp_seed: int) -> 
     return np.asarray(spec["points"], dtype=np.float64)  # list
 
 
-# the learner families: a fixed-horizon learner is its family's doubling-trick learner
-# whose first epoch never ends, so a family's runs step in lockstep in one batch
-_FAMILY = {"ogd": "dogd", "dogd": "dogd", "dogd_dt": "dogd", "mild": "mild", "mild_dt": "mild"}
+def _family(name: str) -> str:
+    """A learner's family, "dogd" or "mild": a fixed-horizon learner is its family's
+    doubling-trick learner whose first epoch never ends, so a family's runs step in
+    lockstep in one batch.  "ogd" names DelayedOGD: under unit delays it is plain OGD."""
+    return "mild" if name.startswith("mild") else "dogd"
 
 
 def _build_learner(cfgs: list[dict], box: Box, sums: list[int]):
     """The learner for runs of ``cfgs``, one learner family and T, whose backlog sums are
     ``sums``; returns (learner, resolved params per run).  One run has no run axis; more get
     one, row r running cfgs[r]'s learner: a fixed-horizon row tuned to sums[r] or to its
-    configured rates, a doubling-trick row at the budget 2 until it restarts."""
+    configured rates, a doubling-trick row at the budget 2 until it restarts.  The rows'
+    first-epoch learners stack into one ``DelayedOGD`` or ``MildOGD``, which the family's
+    doubling-trick learner wraps when some row restarts."""
     D, G, T = cfgs[0]["D"], cfgs[0]["G"], cfgs[0]["T"]
     specs = [cfg["learner"] for cfg in cfgs]
     restarts = [spec["name"].endswith("_dt") for spec in specs]
     betas = [2 if dt else s for dt, s in zip(restarts, sums)]  # each row's first-epoch budget
     stacked = len(cfgs) > 1
     try:  # the learners refuse the rates the paper formulas give near the float limits
-        if _FAMILY[specs[0]["name"]] == "dogd":
+        if _family(specs[0]["name"]) == "dogd":
             sources = [spec.get("eta", "paper") for spec in specs]
             etas = [learn_mod.corollary_lr(D, G, b) if source == "paper" else float(source)
                     for source, b in zip(sources, betas)]
-            # "ogd" names the same learner: under unit delays DelayedOGD is plain OGD
             inner = learn_mod.DelayedOGD(box, np.array(etas)[:, None] if stacked else etas[0])
             resolved = [{"eta": eta, "eta_source": source} for eta, source in zip(etas, sources)]
-
-            def make(beta):
-                return learn_mod.DelayedOGD(box, learn_mod.corollary_lr(D, G, beta))
+            doubling = functools.partial(learn_mod.DogdDoublingTrick, box, D, G)
         else:
             grids = [np.asarray(learn_mod.mild_lr_grid(D, G, b, T) if spec.get("etas", "paper")
                                 == "paper" else spec["etas"], dtype=np.float64)
@@ -335,19 +337,16 @@ def _build_learner(cfgs: list[dict], box: Box, sums: list[int]):
             inner = learn_mod.MildOGD(box, *((np.array(grids), np.array(alphas)) if stacked
                                              else (grids[0], alphas[0])))
             resolved = [{"expert_rates": g.tolist(), "alpha": a} for g, a in zip(grids, alphas)]
-
-            def make(beta):
-                return learn_mod.MildOGD(box, learn_mod.mild_lr_grid(D, G, beta, T),
-                                         learn_mod.hedge_alpha(D, G, beta))
+            doubling = functools.partial(learn_mod.MildOgdDoublingTrick, box, D, G, T)
         if not any(restarts):
             return inner, resolved
+        learner = doubling(restarts if stacked else None, inner)
         # an epoch v opens only once its budget 2^(v-1) is below sum_m and the rates fall
         # with v, so the last is the other end of a doubling row's rates
         for s, dt in zip(sums, restarts):
             if dt:
-                make(2 ** s.bit_length())
-        return (learn_mod._RestartingLearner(make, restarts if stacked else None, inner),
-                [{} if dt else params for dt, params in zip(restarts, resolved)])
+                learner.make(2 ** s.bit_length())
+        return learner, [{} if dt else params for dt, params in zip(restarts, resolved)]
     except (ValueError, ArithmeticError) as exc:
         names = sorted({spec["name"] for spec in specs})
         raise ConfigError(f"the {'/'.join(names)} rates for D = {D!r}, G = {G!r}: {exc}") \
@@ -433,12 +432,16 @@ def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None,
     seeds.  A sweep's cells share their environment section, so it passes one ``walks``:
     each environment is kept under its run seed, T and, for a lowerbound instance (one sign
     vector per block), d, and built once per T.  It passes one ``plans`` per batch, which
-    keeps each arrival plan under its run seed, T and delay section.
+    keeps each arrival plan under its run seed, T and the delay section's scalars: a
+    sweep's cells differ in their delay section only in the scalar that "d" sets, never in
+    a list, so the key stays small when the section holds T delays.
     """
     walks, box = {} if walks is None else walks, Box.from_diameter(cfg["n"], cfg["D"])
     plans = {} if plans is None else plans
     reads = (cfg["T"], cfg["delay"]["d"]) if cfg["environment"]["kind"] == "lowerbound" else \
         (cfg["T"],)
+    delay = (cfg["T"], *((k, v) for k, v in sorted(cfg["delay"].items())
+                         if not isinstance(v, list)))
     children = {s: _child_seeds(s, 3) for s in seeds}  # (plan, environment, comparators)
     todo = [s for s in seeds if (s, *reads) not in walks]  # their walks step together
     walks.update(zip([(s, *reads) for s in todo],
@@ -449,7 +452,7 @@ def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None,
         losses, targets, env_fp = walks[(s, *reads)]
         comparators = _build_comparators(cfg, box, losses, targets, children[s][2])
         comparators.setflags(write=False)
-        plan = (s, cfg["T"], repr(cfg["delay"]))
+        plan = (s, *delay)
         if plan not in plans:
             plans[plan] = _build_schedule(cfg, children[s][0])
         out.append(_Inputs(box, losses, env_fp, plans[plan], comparators))
@@ -531,17 +534,22 @@ def _batch_bytes(cfg: dict, runs: int, rows: int | None = None) -> int:
     Each run holds what it holds alone (``_run_bytes``), a stacked copy of its loss
     arrays and the int64 slots its gradients scatter to (T*n of each).
     The batch holds the padded gradient rows of the merged arrival plan (n
-    floats per run and row) and its timestamp block, an int64 array that each
-    delivery slices into a Python list (64 bytes an entry allows for lists of
-    the whole block); a plan has at most R*T
-    rows, one per arrival, when no two runs deliver at the same round.
-    Measured with tracemalloc on batches of 4 runs (T = 20000, n from 1 to 5,
-    constant, uniform, permuted and mixed-d block delays), a batch allocates
-    0.3 to 0.5 of this at the plan's own rows.
+    floats per run and row) and its timestamp block, an int64 array (8 bytes
+    an entry), of which each delivery lists only its own rows (8 bytes an
+    entry more); a plan has at most R*T rows, one per arrival, when no two
+    runs deliver at the same round.  Measured with tracemalloc on batches of
+    2 to 4 runs (T from 500 to 20000, n from 1 to 5; constant, permuted and
+    mixed-d block delays, and blocks of T, whose one delivery lists the whole
+    block), a batch allocates 0.2 to 0.8 of this at the plan's own rows.
+    ``delayed-oco run`` then writes each trace as it arrives: ``trace_to_csv``
+    holds the text twice, within what the runs held, and ``_CSV_CELLS``
+    formatted floats at a time, which the last term allows 256 bytes each for
+    (tracemalloc: at most 160, n from 1 to 20, T from 100 to 20000).
     """
     T, n = cfg["T"], cfg["n"]
     rows = runs * T if rows is None else rows
-    return runs * (_run_bytes(cfg) + 16 * T * n) + rows * runs * (8 * n + 64)
+    return runs * (_run_bytes(cfg) + 16 * T * n) + rows * runs * (8 * n + 16) + \
+        256 * _CSV_CELLS
 
 
 def _batches(rows: list, cfg: dict) -> list[list]:
@@ -606,7 +614,7 @@ def sweep(config: dict, grid: dict) -> list[dict]:
     Rows come out in deterministic (grid key, value order, repetition) order
     regardless of any execution order, one row per repetition per cell; each
     is the summary ``run_many`` gives for its cell, less the config.  The
-    runs of all cells that share a learner family (``_FAMILY``) and T step in
+    runs of all cells that share a learner family (``_family``) and T step in
     lockstep.  A batch's inputs are built when it runs, its runs of one seed, T
     and delay section sharing one arrival plan; only the rows and the current
     T's environments outlive it.
@@ -624,7 +632,7 @@ def sweep(config: dict, grid: dict) -> list[dict]:
             cell_cfg = normalize_config(_apply_cell(cfg, cell))
         except Exception as exc:
             raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
-        family = _FAMILY[cell_cfg["learner"]["name"]]
+        family = _family(cell_cfg["learner"]["name"])
         groups.setdefault(cell_cfg["T"], {}).setdefault(family, []).extend(
             (len(cells), cell_cfg["seed"] + rep) for rep in range(cell_cfg["repetitions"]))
         cells.append((cell, cell_cfg))

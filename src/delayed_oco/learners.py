@@ -102,10 +102,6 @@ class DelayedOGD:
             y = np.minimum(np.maximum(y - step, lo), hi)
         self.y = y
 
-    def tiled(self, runs: int) -> "DelayedOGD":
-        """``runs`` fresh copies of this one-run learner, as one learner."""
-        return DelayedOGD(self.box, np.full((runs, 1), self.eta))
-
     def set_row(self, r: int, other: "DelayedOGD") -> None:
         """Run r becomes the one-run learner ``other``."""
         self.eta[r], self.y[r] = other.eta, other.y
@@ -270,6 +266,7 @@ class MildOGD:
             # np.sum would add a single expert's column pairwise
             spreads = np.array(spreads).reshape(grads.shape[:-1] + self._no_spread.shape)
             loss_sums = np.add.accumulate((spreads @ grads[..., None])[..., 0], axis=0)[-1]
+        del spreads  # as large as the pool's steps: a wide delivery holds one at a time
         log_w = delayed_hedge_update(self.log_w, self.alpha, loss_sums)
         if self.runs is None:
             self.log_w = log_w
@@ -280,10 +277,6 @@ class MildOGD:
             log_w = np.where(fed[:, None], log_w, self.log_w)
         self.log_w = log_w
         self.pool.ingest(t, stamps, grads[:, :, None, :])
-
-    def tiled(self, runs: int) -> "MildOGD":
-        """``runs`` fresh copies of this one-run learner, as one learner."""
-        return MildOGD(self.box, np.tile(self.expert_rates, (runs, 1)), np.full(runs, self.alpha))
 
     def set_row(self, r: int, other: "MildOGD") -> None:
         """Run r becomes the one-run learner ``other``."""
@@ -341,21 +334,23 @@ class _RestartingLearner:
     """Epoch bookkeeping + stale-feedback dropping; epoch v runs a fresh ``make(2^v)``,
     where ``make(beta)`` builds the one-run learner tuned for the backlog sum beta.
 
-    With ``restarts`` the learner runs len(restarts) rows in lockstep, row r restarting
-    iff ``restarts[r]``; ``inner`` is the first epoch's learner, by default ``make(2)``
-    (tiled to the rows).  A restarting row has its own controller, restarts its own row
-    of ``inner`` and counts its own ``dropped``.  A fixed-horizon row (a restarting run
-    whose first epoch never ends) has no controller: it never restarts, drops nothing and
-    reports ``epoch_starts`` None, so it runs as its learner alone would."""
+    ``inner`` is the first epoch's learner, by default ``make(2)``.  With ``restarts`` the
+    learner runs len(restarts) rows in lockstep, row r restarting iff ``restarts[r]``, and
+    ``inner`` is the rows' first-epoch learners stacked on a run axis.  A restarting row
+    has its own controller, restarts its own row of ``inner`` and counts its own
+    ``dropped``.  A fixed-horizon row (a restarting run whose first epoch never ends) has
+    no controller: it never restarts, drops nothing and reports ``epoch_starts`` None, so
+    it runs as its learner alone would."""
 
     def __init__(self, make, restarts: list[bool] | None = None, inner=None):
+        if restarts is not None and inner is None:
+            raise ValueError("lockstep rows need their stacked first-epoch learner")
         self.make = make
         self.runs = None if restarts is None else len(restarts)
         self.ctrls = [EpochController() if r else None for r in restarts or [True]]
         self._restarting = [(r, ctrl) for r, ctrl in enumerate(self.ctrls) if ctrl is not None]
         self.dropped = 0 if restarts is None else np.zeros(self.runs, dtype=np.int64)
-        self.inner = inner if inner is not None else \
-            make(2) if restarts is None else make(2).tiled(self.runs)
+        self.inner = make(2) if inner is None else inner
 
     def play(self, t: int) -> np.ndarray:
         if self.runs is None:
@@ -406,12 +401,13 @@ class DogdDoublingTrick(_RestartingLearner):
 
     Gradients queried before the current epoch are discarded on arrival
     (counted in ``dropped``), so each instance sees exactly the feedback the
-    epoch-local backlog statistic accounts for.
+    epoch-local backlog statistic accounts for.  ``restarts`` and ``inner`` make lockstep
+    rows, as for ``_RestartingLearner``.
     """
 
-    def __init__(self, box: Box, D: float, G: float, runs: int | None = None):
-        super().__init__(lambda beta: DelayedOGD(box, corollary_lr(D, G, beta)),
-                         None if runs is None else [True] * runs)
+    def __init__(self, box: Box, D: float, G: float, restarts: list[bool] | None = None,
+                 inner: DelayedOGD | None = None):
+        super().__init__(lambda beta: DelayedOGD(box, corollary_lr(D, G, beta)), restarts, inner)
 
 
 class MildOgdDoublingTrick(_RestartingLearner):
@@ -422,10 +418,11 @@ class MildOgdDoublingTrick(_RestartingLearner):
     estimate 2^v replaces the backlog sum inside both the expert rates and
     the Hedge temperature.  Using a single shared controller (instead of one
     copy per algorithm) triggers on identical conditions and makes drift
-    between meta and experts impossible.
+    between meta and experts impossible.  ``restarts`` and ``inner`` make lockstep rows, as
+    for ``_RestartingLearner``.
     """
 
-    def __init__(self, box: Box, D: float, G: float, T: int, runs: int | None = None):
+    def __init__(self, box: Box, D: float, G: float, T: int, restarts: list[bool] | None = None,
+                 inner: MildOGD | None = None):
         super().__init__(lambda beta: MildOGD(box, mild_lr_grid(D, G, beta, T),
-                                              hedge_alpha(D, G, beta)),
-                         None if runs is None else [True] * runs)
+                                              hedge_alpha(D, G, beta)), restarts, inner)

@@ -509,7 +509,7 @@ def recorded_batch_sizes(monkeypatch) -> list[int]:
 
 
 def test_a_batch_is_cut_on_what_it_allocates_not_on_runs_times_one_run(monkeypatch):
-    cfg = base_config(T=30, repetitions=5, learner={"name": "mild"},
+    cfg = base_config(T=30, n=5, repetitions=5, learner={"name": "mild"},
                       delay={"kind": "constant", "value": 1})
     norm = harness.normalize_config(cfg)
     # two runs' batch fills half of memory and three overfill it, though memory
@@ -561,15 +561,28 @@ def test_a_ragged_batch_allocates_less_than_its_estimate(learner, n):
         rows.append((cfg, seed, *harness._build_inputs(cfg, [seed])))
     plan_rows = len(merge_plans([inputs.schedule for _, _, inputs in rows])[2])
     assert 3000 < plan_rows <= 3 * 3000  # the blocks of the three plans do not line up
+    largest = max((cfg for cfg, _, _ in rows), key=harness._run_bytes)
+    assert batch_peak(rows) <= harness._batch_bytes(largest, 3, plan_rows)
+
+
+def test_a_batch_delivered_at_once_allocates_less_than_its_estimate():
+    # one block of T: the last round delivers every run's every timestamp, and mild's
+    # ingest of it holds (T, R, N, n) spreads and as many pool steps
+    cfg = harness.normalize_config(base_config(T=3000, n=10, learner={"name": "mild"},
+                                               delay={"kind": "blocks", "d": 3000}))
+    rows = [(cfg, seed, *harness._build_inputs(cfg, [seed])) for seed in range(2)]
+    assert batch_peak(rows) <= harness._batch_bytes(cfg, 2, 3000)
+
+
+def batch_peak(rows: list) -> int:
+    """The peak bytes tracemalloc reads while ``harness._run`` steps ``rows`` as one batch."""
     harness._run(rows)  # first calls may import or cache
     tracemalloc.start()
     try:
         harness._run(rows)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    largest = max((cfg for cfg, _, _ in rows), key=harness._run_bytes)
-    assert peak <= harness._batch_bytes(largest, 3, plan_rows)
 
 
 def listed(T: int, n: int) -> dict:
@@ -631,24 +644,24 @@ def traced_peak(call, cfg: dict):
 # at the batch size below, all repetitions together or a sweep's plans for every cell
 # outgrow one batch's estimate
 def test_run_many_holds_one_batch_at_a_time(monkeypatch):
-    cfg = base_config(T=500, n=1, delay={"kind": "permuted"}, repetitions=12)
+    cfg = base_config(T=2000, n=1, delay={"kind": "permuted"}, repetitions=12)
     batch = two_run_batches(monkeypatch, cfg)
     seeds, _, peak = traced_peak(lambda c: [summary["seed"] for _, summary in run_many(c)], cfg)
     assert seeds == list(range(7, 19)) and peak <= batch
 
 
 def test_cli_run_holds_one_batch_at_a_time(tmp_path, monkeypatch):
-    cfg = base_config(T=500, n=1, delay={"kind": "permuted"}, repetitions=6)
+    cfg = base_config(T=2000, n=1, delay={"kind": "permuted"}, repetitions=12)
     batch = two_run_batches(monkeypatch, cfg)
     out = tmp_path / "out"
     code, _, peak = traced_peak(lambda c: cli.main(["run", "--config", write_config(tmp_path, c),
                                                     "--out", str(out)]), cfg)
     assert code == 0 and peak <= batch
-    assert len(json.loads((out / "summary.json").read_text())["runs"]) == 6
+    assert len(json.loads((out / "summary.json").read_text())["runs"]) == 12
 
 
 def test_sweep_holds_one_batch_at_a_time_and_its_rows(monkeypatch):
-    cfg = base_config(T=500, n=1)
+    cfg = base_config(T=2000, n=1)
     batch = two_run_batches(monkeypatch, cfg)
     rows, held, peak = traced_peak(lambda c: sweep(c, {"d": list(range(1, 13))}), cfg)
     assert len(rows) == 12 and peak <= batch + held

@@ -228,6 +228,13 @@ def test_in_order_gives_identity_log():
         assert list(trace.c_log) == list(range(1, T + 1))
 
 
+def stacked(learner, R: int):
+    """R fresh copies of a one-run ``DelayedOGD`` or ``MildOGD``, as one learner."""
+    if isinstance(learner, MildOGD):
+        return MildOGD(learner.box, np.tile(learner.expert_rates, (R, 1)), np.full(R, learner.alpha))
+    return DelayedOGD(learner.box, np.full((R, 1), learner.eta))
+
+
 @settings(max_examples=100, deadline=None)
 @given(T=st.integers(1, 40), R=st.integers(1, 3),
        name=st.sampled_from(["dogd", "mild", "dogd_dt", "mild_dt"]), data=st.data())
@@ -239,10 +246,14 @@ def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
                                                         max_size=T)))) for _ in range(R)]
     runs = None if R == 1 else R
     learner = {"dogd": lambda: DelayedOGD(box, 0.1), "mild": lambda: MildOGD(box, [0.1, 0.4], 1.0),
-               "dogd_dt": lambda: DogdDoublingTrick(box, 2.0, 1.0, runs),
-               "mild_dt": lambda: MildOgdDoublingTrick(box, 2.0, 1.0, T, runs)}[name]()
-    if runs and name in ("dogd", "mild"):
-        learner = learner.tiled(runs)
+               "dogd_dt": lambda: DogdDoublingTrick(box, 2.0, 1.0),
+               "mild_dt": lambda: MildOgdDoublingTrick(box, 2.0, 1.0, T)}[name]()
+    if runs and name == "dogd_dt":
+        learner = DogdDoublingTrick(box, 2.0, 1.0, [True] * R, stacked(learner.inner, R))
+    elif runs and name == "mild_dt":
+        learner = MildOgdDoublingTrick(box, 2.0, 1.0, T, [True] * R, stacked(learner.inner, R))
+    elif runs:
+        learner = stacked(learner, R)
     seen, ingest = [[] for _ in range(R)], learner.ingest
 
     def spied(t, stamps, grads):
@@ -652,12 +663,13 @@ def test_a_fixed_row_and_a_doubling_row_step_together_each_as_alone(family):
     if family == "dogd":
         fixed, doubling = DelayedOGD(box, corollary_lr(D, G, sum_m)), DogdDoublingTrick(box, D, G)
         inner = DelayedOGD(box, np.array([[fixed.eta], [doubling.inner.eta]]))
+        batch = DogdDoublingTrick(box, D, G, [False, True], inner)
     else:
         fixed = MildOGD(box, mild_lr_grid(D, G, sum_m, T), hedge_alpha(D, G, sum_m))
         doubling = MildOgdDoublingTrick(box, D, G, T)
         inner = MildOGD(box, np.array([fixed.expert_rates, doubling.inner.expert_rates]),
                         np.array([fixed.alpha, doubling.inner.alpha]))
-    batch = learners._RestartingLearner(doubling.make, [False, True], inner)
+        batch = MildOgdDoublingTrick(box, D, G, T, [False, True], inner)
     trace = simulate(batch, stack(families), schedules, box)
     alone = [simulate(learner, losses, schedule, box)
              for learner, losses, schedule in zip((fixed, doubling), families, schedules)]
@@ -670,6 +682,12 @@ def test_a_fixed_row_and_a_doubling_row_step_together_each_as_alone(family):
     assert batch.epoch_starts == [None, doubling.epoch_starts]
     assert batch.dropped.tolist() == [0, doubling.dropped] and doubling.dropped > 0
     assert len(doubling.epoch_starts) > 2
+
+
+def test_lockstep_restarting_rows_need_their_stacked_first_epoch_learner():
+    # make(2) has no run axis, so rows without ``inner`` would step one run for all
+    with pytest.raises(ValueError, match="stacked first-epoch"):
+        DogdDoublingTrick(Box(1, 1.0), 2.0, 1.0, [True, True])
 
 
 def epoch_learners(learner, losses, schedule, box):
