@@ -18,6 +18,12 @@ and, for each ``delayed-oco run`` call of ``cli_set()``, its exit code, its
 standard output and every file it writes.  The script prints, per output,
 how many runs (and reports, sweeps, repetitions, calls) are byte-identical,
 names the first that differ, and exits 1 on any difference.
+
+    python3 scripts/compare_outputs.py --write-golden SRC
+
+writes ``golden_digests()`` of the tree SRC to ``tests/golden/digests.json``, the
+digests that ``tests/test_golden.py`` checks the package against with the same
+hashing functions.  Rewrite it only with a change that means to alter outputs.
 """
 
 import contextlib
@@ -26,6 +32,7 @@ import io
 import itertools
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -36,6 +43,7 @@ DELAYS = {"constant": {"value": 3}, "uniform": {"lo": 1, "hi": 12}, "blocks": {"
           "permuted": {}, "in_order_random": {"d_max": 8},
           "list": {"values": [1 + (7 * t) % 11 for t in range(T)]}}
 OUTPUTS = ("decisions", "trace.csv", "summary.json", "c_log", "weight_sums")
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden" / "digests.json"
 
 
 def comparison_set():
@@ -193,15 +201,25 @@ def many_set():
                 "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}})
 
 
+def digest(data) -> str:
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+def run_digests(harness, trace, summary) -> list:
+    """The digests of a run's ``OUTPUTS``: its decision bytes, ``trace.csv`` and
+    ``summary.json`` texts, and the values its trace derives rather than records."""
+    sums = trace.weight_sums
+    return [digest(trace.decisions.tobytes()), digest(harness.trace_to_csv(trace)),
+            digest(harness.to_json({"runs": [summary]})), digest(repr(trace.c_log)),
+            digest(b"None" if sums is None else sums.tobytes())]
+
+
+def sweep_digest(harness, cfg: dict, grid: dict) -> str:
+    return digest(harness.to_json({"grid": grid, "rows": harness.sweep(cfg, grid)}))
+
+
 def worker() -> None:
     from delayed_oco import harness
-
-    def digest(data):
-        return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
-
-    def derived(trace):  # the values a trace derives rather than records
-        sums = trace.weight_sums
-        return [digest(repr(trace.c_log)), digest(b"None" if sums is None else sums.tobytes())]
 
     result = {}
     for name, cfg in comparison_set():
@@ -210,28 +228,48 @@ def worker() -> None:
         except harness.ConfigError as exc:
             result[name] = [f"config error: {exc}"] * len(OUTPUTS)
             continue
-        result[name] = [digest(trace.decisions.tobytes()), digest(harness.trace_to_csv(trace)),
-                        digest(harness.to_json({"runs": [summary]})), *derived(trace)]
+        result[name] = run_digests(harness, trace, summary)
     reports = {name: digest(harness.to_json(harness.lowerbound_report(**kw)))
                for name, kw in report_set()}
-    sweeps = {name: digest(harness.to_json({"grid": grid, "rows": harness.sweep(cfg, grid)}))
-              for name, cfg, grid in sweep_set()}
-    many = {f"{name}/rep{i}": [digest(trace.decisions.tobytes() + b"\0" +
-                                      harness.trace_to_csv(trace).encode() + b"\0" +
-                                      harness.to_json({"runs": [summary]}).encode()),
-                               *derived(trace)]
-            for name, cfg in many_set()
-            for i, (trace, summary) in enumerate(harness.run_many(cfg))}
+    sweeps = {name: sweep_digest(harness, cfg, grid) for name, cfg, grid in sweep_set()}
+    many = {}
+    for name, cfg in many_set():
+        for i, (trace, summary) in enumerate(harness.run_many(cfg)):
+            decisions, csv, text, *derived = run_digests(harness, trace, summary)
+            many[f"{name}/rep{i}"] = [digest(decisions + csv + text), *derived]
     for name, cfg, grid in batched_sweep_set():
         with two_run_batches(harness, cfg):
-            sweeps[name] = digest(harness.to_json({"grid": grid,
-                                                   "rows": harness.sweep(cfg, grid)}))
+            sweeps[name] = sweep_digest(harness, cfg, grid)
     clis = {}
     for name, cfg, flags in cli_set():
         with two_run_batches(harness, cfg):
             clis[name] = cli_digest(cfg, flags)
     json.dump({"runs": result, "reports": reports, "sweeps": sweeps, "many": many, "cli": clis},
               sys.stdout)
+
+
+def golden_digests() -> dict:
+    """name -> sha256 of each output that ``tests/golden/digests.json`` pins, computed with
+    the ``delayed_oco`` that imports: the benchmark's shapes at seed 0 (the drift sweep grid,
+    the ``lowerbound_mild`` reports at d in {1, 64} and the files of its ``cli_run`` call),
+    and, at T = 300, one run of each learner on each delay kind."""
+    from delayed_oco import harness
+
+    name, cfg, grid = next(sweep_set())  # the drift sweep at seed 0
+    out = {name: sweep_digest(harness, cfg, grid)}
+    for name, kw in report_set():
+        if name.startswith("lowerbound_mild/mild/") and name.endswith("/s0"):
+            out[name] = digest(harness.to_json(harness.lowerbound_report(**kw)))
+    cfg = next(cfg for name, cfg in comparison_set() if name == "cli_run/s0")
+    out["cli_run/s0"] = cli_digest(cfg, ["--seed", "0", "--strict", "--format", "csv", "--out"])
+    for learner, (kind, spec) in itertools.product(
+            ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), DELAYS.items()):
+        cfg = {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 0, "learner": {"name": learner},
+               "delay": {"kind": kind, **spec},
+               "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}}
+        out[f"{learner}/{kind}"] = digest("".join(run_digests(harness,
+                                                               *harness.run_experiment(cfg))))
+    return out
 
 
 def two_run_batches(harness, cfg: dict):
@@ -243,14 +281,14 @@ def two_run_batches(harness, cfg: dict):
 
 def cli_digest(cfg: dict, flags: list) -> str:
     """The digest of a ``delayed-oco run`` call: its exit code, its standard output and the
-    name and text of each file it writes (a bare ``--out`` gets a fresh directory)."""
+    name and text of each file it writes (a last bare ``--out`` gets a fresh directory)."""
     from delayed_oco import cli
 
     with tempfile.TemporaryDirectory() as tmp:
         config, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
         with open(config, "w") as fh:
             json.dump(cfg, fh)
-        argv = ["run", "--config", config, *flags] + ([out] if flags == ["--out"] else [])
+        argv = ["run", "--config", config, *flags] + ([out] if flags[-1:] == ["--out"] else [])
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = cli.main(argv)
@@ -287,9 +325,18 @@ def main(parent: str, change: str) -> int:
     return int(differ)
 
 
+def write_golden(src: str) -> None:
+    """Write ``golden_digests()`` of the tree ``src`` to ``GOLDEN``."""
+    sys.path.insert(0, os.path.abspath(src))
+    GOLDEN.write_text(json.dumps(golden_digests(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--worker"]:
         worker()
+    elif len(sys.argv) == 3 and sys.argv[1] == "--write-golden":
+        write_golden(sys.argv[2])
     elif len(sys.argv) == 3:
         sys.exit(main(*sys.argv[1:]))
     else:

@@ -425,23 +425,26 @@ _Inputs = namedtuple("_Inputs", "box losses env_fingerprint schedule comparators
 
 
 def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None,
-                  plans: dict | None = None) -> list[_Inputs]:
+                  built: dict | None = None) -> list[_Inputs]:
     """Environment, arrival plan and comparators of one normalized config at each seed.
 
     Each run seed splits once, into the plan's, the environment's and the comparators'
     seeds.  A sweep's cells share their environment section, so it passes one ``walks``:
     each environment is kept under its run seed, T and, for a lowerbound instance (one sign
-    vector per block), d, and built once per T.  It passes one ``plans`` per batch, which
-    keeps each arrival plan under its run seed, T and the delay section's scalars: a
-    sweep's cells differ in their delay section only in the scalar that "d" sets, never in
-    a list, so the key stays small when the section holds T delays.
+    vector per block), d, and built once per T.  It passes one ``built`` per batch, which
+    keeps each arrival plan and comparator path under its walk's key and its section's
+    scalars: cells differ there only in what "d" or "P" sets, never in a list, so a key
+    stays small when a section holds T entries.
     """
     walks, box = {} if walks is None else walks, Box.from_diameter(cfg["n"], cfg["D"])
-    plans = {} if plans is None else plans
+    built = {} if built is None else built
     reads = (cfg["T"], cfg["delay"]["d"]) if cfg["environment"]["kind"] == "lowerbound" else \
         (cfg["T"],)
-    delay = (cfg["T"], *((k, v) for k, v in sorted(cfg["delay"].items())
-                         if not isinstance(v, list)))
+
+    def scalars(section):
+        return tuple((k, v) for k, v in sorted(cfg[section].items()) if not isinstance(v, list))
+
+    delay, comparators = (*reads, *scalars("delay")), (*reads, *scalars("comparators"))
     children = {s: _child_seeds(s, 3) for s in seeds}  # (plan, environment, comparators)
     todo = [s for s in seeds if (s, *reads) not in walks]  # their walks step together
     walks.update(zip([(s, *reads) for s in todo],
@@ -450,12 +453,13 @@ def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None,
     out = []
     for s in seeds:
         losses, targets, env_fp = walks[(s, *reads)]
-        comparators = _build_comparators(cfg, box, losses, targets, children[s][2])
-        comparators.setflags(write=False)
-        plan = (s, *delay)
-        if plan not in plans:
-            plans[plan] = _build_schedule(cfg, children[s][0])
-        out.append(_Inputs(box, losses, env_fp, plans[plan], comparators))
+        path, plan = ("comparators", s, *comparators), ("plan", s, *delay)
+        if path not in built:
+            built[path] = _build_comparators(cfg, box, losses, targets, children[s][2])
+            built[path].setflags(write=False)
+        if plan not in built:
+            built[plan] = _build_schedule(cfg, children[s][0])
+        out.append(_Inputs(box, losses, env_fp, built[plan], built[path]))
     return out
 
 
@@ -615,9 +619,9 @@ def sweep(config: dict, grid: dict) -> list[dict]:
     regardless of any execution order, one row per repetition per cell; each
     is the summary ``run_many`` gives for its cell, less the config.  The
     runs of all cells that share a learner family (``_family``) and T step in
-    lockstep.  A batch's inputs are built when it runs, its runs of one seed, T
-    and delay section sharing one arrival plan; only the rows and the current
-    T's environments outlive it.
+    lockstep.  A batch's inputs are built when it runs, each distinct arrival
+    plan and comparator path once; only the rows and the current T's
+    environments outlive it.
     """
     cfg = normalize_config(config)
     if not (isinstance(grid, dict) and grid
@@ -652,12 +656,12 @@ def sweep(config: dict, grid: dict) -> list[dict]:
 def _sweep_batch(batch: list, cells: list, walks: dict) -> list[dict]:
     """The summaries of a sweep's lockstep batch of (cell index, seed) runs; its inputs and
     traces go when it returns.  A failure names its cell in a ``SweepError``."""
-    runs, plans = [], {}  # (cell config, seed, inputs) per run
+    runs, built = [], {}  # (cell config, seed, inputs) per run
     for c, same in itertools.groupby(batch, lambda run: run[0]):
         (cell, cell_cfg), seeds = cells[c], [seed for _, seed in same]
         try:
             runs += zip([cell_cfg] * len(seeds), seeds,
-                        _build_inputs(cell_cfg, seeds, walks, plans))
+                        _build_inputs(cell_cfg, seeds, walks, built))
         except Exception as exc:
             raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
     try:  # the traces go at once

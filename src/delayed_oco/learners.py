@@ -77,7 +77,8 @@ class DelayedOGD:
     and NaN too).  A finite step that overflows to +-inf clamps to the face
     it points at, which is its exact projection.  One product forms all the
     steps of a burst of K gradients; a gradient row that lacks y's leading
-    axis (one gradient for N experts) steps every row.
+    axis (one gradient for N experts) steps every row.  A delivery of one row
+    takes its one step directly, as the same product and the same two clamps.
     """
 
     def __init__(self, box: Box, eta):
@@ -98,6 +99,9 @@ class DelayedOGD:
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
         y, lo, hi = self.y, self._lo, self._hi
+        if len(grads) == 1:  # the loop's one product and clamp, without the re-layout
+            self.y = np.minimum(np.maximum(y - self.eta * grads[0], lo), hi)
+            return
         for step in self.eta * (grads if grads.ndim > y.ndim else grads[:, None]):
             y = np.minimum(np.maximum(y - step, lo), hi)
         self.y = y
@@ -195,6 +199,11 @@ class MildOGD:
     mix is kept once, as the meta decision x and the spreads xs - x; a round
     points to the spreads it played until its feedback arrives, so memory is
     bounded by the maximum backlog.
+
+    One run's delivery of one timestamp pops its one spread, forms its one
+    surrogate product and steps the pool; a run axis's delivery of one row
+    takes the spreads and the runs that were fed from that row.  Either way
+    the Hedge step is ``delayed_hedge_update``, as for a burst.
     """
 
     def __init__(self, box: Box, expert_rates, alpha):
@@ -249,8 +258,11 @@ class MildOGD:
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
         if not len(stamps):
             return
+        one = len(grads) == 1  # one arrival per run: one (N, n) @ (n,) product each
         try:
-            if self.runs is None:
+            if self.runs is None and one:
+                spread = self._spreads.pop(stamps[0])
+            elif self.runs is None:
                 spreads = [self._spreads.pop(k) for k in stamps]
             else:
                 spreads = [run.pop(k) if k else self._no_spread
@@ -258,9 +270,12 @@ class MildOGD:
         except KeyError as exc:
             raise AssertionError(f"feedback for round {exc.args[0]} without a recorded play") \
                 from None
-        if len(grads) == 1:  # one arrival per run: one (N, n) @ (n,) product each
-            loss_sums = spreads[0] @ grads[0] if self.runs is None else \
-                (np.array(spreads) @ grads[0][..., None])[..., 0]
+        if self.runs is None and one:
+            self.log_w = delayed_hedge_update(self.log_w, self.alpha, spread @ grads[0])
+            self.pool.ingest(t, stamps, grads)
+            return
+        if one:
+            loss_sums = (np.array(spreads) @ grads[0][..., None])[..., 0]
         else:
             # a running sum in timestamp order gives the per-arrival float sums;
             # np.sum would add a single expert's column pairwise
@@ -273,7 +288,7 @@ class MildOGD:
             self.pool.ingest(t, stamps, grads)
             return
         if 0 in stamps[0]:  # a run without feedback keeps its weights
-            fed = np.array([any(col) for col in zip(*stamps)])
+            fed = np.array(stamps[0]) > 0 if one else np.array([any(col) for col in zip(*stamps)])
             log_w = np.where(fed[:, None], log_w, self.log_w)
         self.log_w = log_w
         self.pool.ingest(t, stamps, grads[:, :, None, :])
@@ -340,7 +355,9 @@ class _RestartingLearner:
     has its own controller, restarts its own row of ``inner`` and counts its own
     ``dropped``.  A fixed-horizon row (a restarting run whose first epoch never ends) has
     no controller: it never restarts, drops nothing and reports ``epoch_starts`` None, so
-    it runs as its learner alone would."""
+    it runs as its learner alone would.  Only the restarting rows are checked for stale
+    stamps; one run's single stamp is checked by one comparison, and a one-row block's
+    arrivals are counted from that row."""
 
     def __init__(self, make, restarts: list[bool] | None = None, inner=None):
         if restarts is not None and inner is None:
@@ -366,21 +383,23 @@ class _RestartingLearner:
         if self.runs is None:
             # stamps ascend, so the stale ones (queried before the epoch) are a prefix
             ctrl = self.ctrls[0]
-            stale = bisect_left(stamps, ctrl.epoch_start)
+            stale = int(stamps[0] < ctrl.epoch_start) if len(stamps) == 1 else \
+                bisect_left(stamps, ctrl.epoch_start)
             self.dropped += stale
             ctrl.note_arrivals(len(stamps) - stale)
             if stale < len(stamps):
                 self.inner.ingest(t, stamps[stale:], grads[stale:])
             return
-        # a fixed row's epoch starts at round 1, so none of its stamps is stale
-        starts = [1 if ctrl is None else ctrl.epoch_start for ctrl in self.ctrls]
-        # a run's column ascends above its padding, so its first stamp is its oldest
-        if any(0 < k < start for k, start in zip(stamps[0], starts)):
+        # a run's column ascends above its padding, so its first stamp is its oldest; a
+        # fixed row's epoch starts at round 1, so none of its stamps is stale
+        if any(0 < stamps[0][r] < ctrl.epoch_start for r, ctrl in self._restarting):
+            starts = [1 if ctrl is None else ctrl.epoch_start for ctrl in self.ctrls]
             block = np.array(stamps)  # a dropped item becomes padding: stamp 0, a zero step
             stale = (block > 0) & (block < starts)
             self.dropped = self.dropped + stale.sum(axis=0)
             stamps, grads = np.where(stale, 0, block).tolist(), np.where(stale[..., None], 0, grads)
-        counts = [len(column) - column.count(0) for column in zip(*stamps)]
+        counts = [1 if k else 0 for k in stamps[0]] if len(stamps) == 1 else \
+            [len(column) - column.count(0) for column in zip(*stamps)]
         for r, ctrl in self._restarting:
             ctrl.note_arrivals(counts[r])
         if any(counts):

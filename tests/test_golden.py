@@ -1,0 +1,26 @@
+"""Pinned outputs: the sha256 of what the package writes for the benchmark's shapes and for
+one run of each learner on each delay kind, kept in ``golden/digests.json``.
+
+The digests come from ``scripts/compare_outputs.py``'s hashing functions, with which
+``python3 scripts/compare_outputs.py --write-golden src`` rewrites the file; a change
+that alters any output bit fails here unless it rewrites the file on purpose.  The
+float bits are those of the NumPy build the file was written with (NumPy 2.4 on
+x86-64); another build may round a reduction differently.
+"""
+
+import importlib.util
+import json
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("compare_outputs",
+                                               ROOT / "scripts" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def test_outputs_match_their_golden_digests():
+    want = json.loads(compare_outputs.GOLDEN.read_text())
+    got = compare_outputs.golden_digests()
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []

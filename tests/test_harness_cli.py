@@ -1,10 +1,12 @@
 import contextlib
 import copy
+import gc
 import io
 import itertools
 import json
 import math
 import pathlib
+import pickle
 import re
 import tempfile
 import time
@@ -541,6 +543,27 @@ def test_a_sweep_steps_each_learner_family_and_horizon_in_one_batch(monkeypatch)
     assert sizes == [3, 2, 3, 2]
 
 
+@pytest.mark.parametrize("comparators", [{"kind": "piecewise", "path_budget": 4},
+                                         {"kind": "best_fixed"}])
+def test_a_batch_builds_each_comparator_path_once(comparators, monkeypatch):
+    # five learners x d in {1, 5} x 2 repetitions are 20 runs in two batches, one per
+    # learner family, each holding the 2 run seeds' walks: 4 paths, not one per run;
+    # static regret solves the hindsight optimum once per run besides
+    calls = []
+    for module, name in ((harness.env_mod, "make_path_budget_comparators"),
+                         (harness.metrics_mod, "minimize_total_loss")):
+        def counting(*args, _build=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _build(*args)
+        monkeypatch.setattr(module, name, counting)
+    rows = sweep(base_config(repetitions=2, comparators=comparators),
+                 {"learner": _LEARNER_NAMES, "d": [1, 5]})
+    piecewise = comparators["kind"] == "piecewise"
+    assert len(rows) == 20
+    assert calls.count("make_path_budget_comparators") == (4 if piecewise else 0)
+    assert calls.count("minimize_total_loss") == len(rows) + (0 if piecewise else 4)
+
+
 def test_sweep_raises_a_fault_of_the_batch_path_that_no_run_has_alone(monkeypatch):
     def broken(families):
         raise RuntimeError("a fault of the batch path")
@@ -630,33 +653,53 @@ def two_run_batches(monkeypatch, cfg: dict) -> int:
 
 
 def traced_peak(call, cfg: dict):
-    """``call(cfg)``'s result, the bytes it still holds when it returns, and its peak."""
+    """``call(cfg)``'s result, the bytes it still holds when it returns (garbage collected),
+    and its peak."""
     call({**cfg, "T": 50})  # warm up: first calls may import or cache
     tracemalloc.start()
     try:
         result = call(cfg)
+        gc.collect()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return result, held, peak
 
 
+def own_bytes(result) -> int:
+    """The bytes ``result`` holds, measured on their own: what a copy of it allocates."""
+    data = pickle.dumps(result)
+    tracemalloc.start()
+    try:
+        copied = pickle.loads(data)  # noqa: F841 (held while the memory is read)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+# what NumPy's and the interpreter's caches keep past a call's result (tracemalloc: 2 to 9 KB
+# after the calls below); one kept constant-delay plan of T = 2000 holds about 230 KB
+_CACHES = 2**14
+
+
 # at the batch size below, all repetitions together or a sweep's plans for every cell
-# outgrow one batch's estimate
+# outgrow one batch's estimate; a call holds its result and nothing else when it returns
 def test_run_many_holds_one_batch_at_a_time(monkeypatch):
     cfg = base_config(T=2000, n=1, delay={"kind": "permuted"}, repetitions=12)
     batch = two_run_batches(monkeypatch, cfg)
-    seeds, _, peak = traced_peak(lambda c: [summary["seed"] for _, summary in run_many(c)], cfg)
+    seeds, held, peak = traced_peak(
+        lambda c: [summary["seed"] for _, summary in run_many(c)], cfg)
     assert seeds == list(range(7, 19)) and peak <= batch
+    assert held <= own_bytes(seeds) + _CACHES
 
 
 def test_cli_run_holds_one_batch_at_a_time(tmp_path, monkeypatch):
     cfg = base_config(T=2000, n=1, delay={"kind": "permuted"}, repetitions=12)
     batch = two_run_batches(monkeypatch, cfg)
     out = tmp_path / "out"
-    code, _, peak = traced_peak(lambda c: cli.main(["run", "--config", write_config(tmp_path, c),
-                                                    "--out", str(out)]), cfg)
-    assert code == 0 and peak <= batch
+    code, held, peak = traced_peak(lambda c: cli.main(["run", "--config", write_config(tmp_path, c),
+                                                       "--out", str(out)]), cfg)
+    assert code == 0 and peak <= batch and held <= _CACHES
     assert len(json.loads((out / "summary.json").read_text())["runs"]) == 12
 
 
@@ -664,7 +707,8 @@ def test_sweep_holds_one_batch_at_a_time_and_its_rows(monkeypatch):
     cfg = base_config(T=2000, n=1)
     batch = two_run_batches(monkeypatch, cfg)
     rows, held, peak = traced_peak(lambda c: sweep(c, {"d": list(range(1, 13))}), cfg)
-    assert len(rows) == 12 and peak <= batch + held
+    kept = own_bytes(rows)
+    assert len(rows) == 12 and peak <= batch + kept and held <= kept + _CACHES
 
 
 def test_a_sweep_over_several_horizons_holds_one_batch_and_its_rows(monkeypatch):
@@ -674,7 +718,8 @@ def test_a_sweep_over_several_horizons_holds_one_batch_and_its_rows(monkeypatch)
     batch = two_run_batches(monkeypatch, cfg)
     rows, held, peak = traced_peak(
         lambda c: sweep(c, {"T": [c["T"] // 4 * k for k in (1, 2, 3, 4)]}), cfg)
-    assert len(rows) == 24 and peak <= batch + held
+    kept = own_bytes(rows)
+    assert len(rows) == 24 and peak <= batch + kept and held <= kept + _CACHES
 
 
 def test_a_failing_batch_leaves_complete_traces_and_no_summary(tmp_path, monkeypatch):

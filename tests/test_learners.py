@@ -25,7 +25,7 @@ from delayed_oco import (
 from delayed_oco.delay import permuted_schedule
 from delayed_oco.learners import EpochController, delayed_hedge_update, expert_count, init_weights
 from delayed_oco.losses import Linear, QuadraticTracking, stack
-from delayed_oco import learners
+from delayed_oco import harness, learners
 from delayed_oco.invariants import (arrivals_at, consumption_log_permutation, projected_ogd,
                                     random_schedule, zero_losses)
 
@@ -483,22 +483,32 @@ def test_pool_reweights_toward_better_expert():
     assert pool.weights[1] > pool.weights[0]
 
 
-def test_pool_gradient_queries_equal_horizon():
-    calls = {"n": 0}
+_OTHER_KIND = {"ogd": "dogd_dt", "dogd": "dogd_dt", "mild": "mild_dt", "dogd_dt": "dogd",
+               "mild_dt": "mild"}  # the learner of the same family with(out) restarts
 
-    class Counting(QuadraticTracking):
-        def gradient(self, t, x):
-            calls["n"] += 1
-            return super().gradient(t, x)
 
-    box = Box(1, 1.0)
+@pytest.mark.parametrize("name", sorted(_OTHER_KIND))
+def test_gradient_queries_equal_horizon(name, monkeypatch):
+    # simulate asks for one gradient a round, at the played point, whatever the learner:
+    # one run, and a lockstep batch of a fixed-horizon and a doubling row
+    calls, gradient = [], QuadraticTracking.gradient
+    monkeypatch.setattr(QuadraticTracking, "gradient",
+                        lambda self, t, x: calls.append(t) or gradient(self, t, x))
     T = 50
-    losses, _ = make_drift_environment(box, T, 0.1, "quadratic", 10, 1.0)
-    sched = uniform_schedule(T, 1, 7, 11)
-    pool = MildOGD(box, mild_lr_grid(2.0, 1.0, sched.sum_backlog, T),
-                   hedge_alpha(2.0, 1.0, sched.sum_backlog))
-    simulate(pool, Counting(losses.targets, losses.scale), sched, box)
-    assert calls["n"] == T
+    box = Box.from_diameter(2, 2.0)
+    schedules = [uniform_schedule(T, 1, 7, 11), permuted_schedule(T, 12)]
+    families = [make_drift_environment(box, T, 0.1, "quadratic", 10 + r, 1.0)[0] for r in range(2)]
+    for names in ([name], [name, _OTHER_KIND[name]]):
+        cfgs = [harness.normalize_config({"T": T, "n": 2, "learner": {"name": learner}})
+                for learner in names]
+        plans = schedules[:len(names)]
+        learner, _ = harness._build_learner(cfgs, box, [plan.sum_backlog for plan in plans])
+        calls.clear()
+        if len(names) == 1:
+            simulate(learner, families[0], plans[0], box)
+        else:
+            simulate(learner, stack(families), plans, box)
+        assert calls == list(range(1, T + 1))
 
 
 def test_pool_weight_sums_near_one_every_round():
@@ -651,37 +661,62 @@ def test_restart_resets_rate_and_iterate():
     assert learner.inner.eta == corollary_lr(2.0, 1.0, 2**2)
 
 
+@st.composite
+def lockstep_rows(draw):
+    """(T, restarts, one arrival plan per row): a fixed-horizon row, a doubling row and maybe
+    a third of either kind, in any order, each on constant delays d in {1, 20} (one-row
+    deliveries, as a drift sweep's batch has), uniform delays, or a permutation (whose
+    doubling rows see stale stamps)."""
+    T, seeds = draw(st.integers(1, 150)), st.integers(0, 2**32 - 1)
+    plans = st.one_of(st.sampled_from([1, 20]).map(lambda d: constant_schedule(T, d)),
+                      st.tuples(st.integers(1, 12), seeds).map(
+                          lambda a: uniform_schedule(T, 1, *a)),
+                      seeds.map(lambda seed: permuted_schedule(T, seed)))
+    restarts = draw(st.permutations([False, True] + draw(st.lists(st.booleans(), max_size=1))))
+    return T, restarts, [draw(plans) for _ in restarts]
+
+
 @pytest.mark.parametrize("family", ["dogd", "mild"])
-def test_a_fixed_row_and_a_doubling_row_step_together_each_as_alone(family):
-    # row 0 is fixed-horizon (no controller: it never restarts and drops nothing), row 1
-    # doubles; each row's decisions, weights, dropped count and epoch starts are bitwise
-    # what its learner gives alone
-    box, T, D, G = Box(2, 1.0), 150, 2.0, 1.0
-    schedules = [uniform_schedule(T, 1, 9, 5), permuted_schedule(T, 6)]
-    families = [make_drift_environment(box, T, 0.2, "linear", 30 + r, G)[0] for r in range(2)]
-    sum_m = schedules[0].sum_backlog
+@settings(max_examples=40, deadline=None)
+@given(case=lockstep_rows())
+@example(case=(150, [False, True], [uniform_schedule(150, 1, 9, 5), permuted_schedule(150, 6)]))
+@example(case=(150, [True, False, True], [constant_schedule(150, 1), constant_schedule(150, 20),
+                                          constant_schedule(150, 20)]))
+def test_a_fixed_row_and_a_doubling_row_step_together_each_as_alone(family, case):
+    # a fixed-horizon row has no controller: it never restarts and drops nothing; each row's
+    # decisions, weights, dropped count and epoch starts are bitwise what its learner gives
+    # alone
+    T, restarts, schedules = case
+    box, D, G = Box(2, 1.0), 2.0, 1.0
+    families = [make_drift_environment(box, T, 0.2, "linear", 30 + r, G)[0]
+                for r in range(len(restarts))]
+    alone = []
+    for dt, schedule in zip(restarts, schedules):
+        sum_m = schedule.sum_backlog
+        if family == "dogd":
+            alone.append(DogdDoublingTrick(box, D, G) if dt else
+                         DelayedOGD(box, corollary_lr(D, G, sum_m)))
+        else:
+            alone.append(MildOgdDoublingTrick(box, D, G, T) if dt else
+                         MildOGD(box, mild_lr_grid(D, G, sum_m, T), hedge_alpha(D, G, sum_m)))
+    firsts = [getattr(learner, "inner", learner) for learner in alone]
     if family == "dogd":
-        fixed, doubling = DelayedOGD(box, corollary_lr(D, G, sum_m)), DogdDoublingTrick(box, D, G)
-        inner = DelayedOGD(box, np.array([[fixed.eta], [doubling.inner.eta]]))
-        batch = DogdDoublingTrick(box, D, G, [False, True], inner)
+        inner = DelayedOGD(box, np.array([[first.eta] for first in firsts]))
+        batch = DogdDoublingTrick(box, D, G, restarts, inner)
     else:
-        fixed = MildOGD(box, mild_lr_grid(D, G, sum_m, T), hedge_alpha(D, G, sum_m))
-        doubling = MildOgdDoublingTrick(box, D, G, T)
-        inner = MildOGD(box, np.array([fixed.expert_rates, doubling.inner.expert_rates]),
-                        np.array([fixed.alpha, doubling.inner.alpha]))
-        batch = MildOgdDoublingTrick(box, D, G, T, [False, True], inner)
+        inner = MildOGD(box, np.array([first.expert_rates for first in firsts]),
+                        np.array([first.alpha for first in firsts]))
+        batch = MildOgdDoublingTrick(box, D, G, T, restarts, inner)
     trace = simulate(batch, stack(families), schedules, box)
-    alone = [simulate(learner, losses, schedule, box)
-             for learner, losses, schedule in zip((fixed, doubling), families, schedules)]
-    for run, one in zip(trace.runs(), alone):
+    for run, learner, losses, schedule in zip(trace.runs(), alone, families, schedules):
+        one = simulate(learner, losses, schedule, box)
         assert run.decisions.tobytes() == one.decisions.tobytes()
         assert (run.dropped, run.epoch_starts, run.c_log) == (one.dropped, one.epoch_starts,
                                                               one.c_log)
         if family == "mild":
             assert run.weights.tobytes() == one.weights.tobytes()
-    assert batch.epoch_starts == [None, doubling.epoch_starts]
-    assert batch.dropped.tolist() == [0, doubling.dropped] and doubling.dropped > 0
-    assert len(doubling.epoch_starts) > 2
+    assert batch.epoch_starts == [getattr(learner, "epoch_starts", None) for learner in alone]
+    assert batch.dropped.tolist() == [getattr(learner, "dropped", 0) for learner in alone]
 
 
 def test_lockstep_restarting_rows_need_their_stacked_first_epoch_learner():
