@@ -15,7 +15,8 @@ runs R independent runs in lockstep: ``play`` returns an (R, n) stack, and
 ``ingest`` takes K rows of R timestamps with (K, R, n) gradients, column r
 holding run r's arrivals in ascending order, padded below with timestamp 0
 and a zero gradient (a zero step leaves an iterate in the box as it is).  One
-run has no run axis.
+run has no run axis.  A delivery of one row takes a direct path: the products
+and clamps a burst would apply, without the burst's re-layout.
 
 Four algorithms are provided:
 
@@ -260,22 +261,18 @@ class MildOGD:
             return
         one = len(grads) == 1  # one arrival per run: one (N, n) @ (n,) product each
         try:
-            if self.runs is None and one:
-                spread = self._spreads.pop(stamps[0])
-            elif self.runs is None:
-                spreads = [self._spreads.pop(k) for k in stamps]
+            if self.runs is None:
+                spreads = self._spreads.pop(stamps[0]) if one else \
+                    [self._spreads.pop(k) for k in stamps]
             else:
                 spreads = [run.pop(k) if k else self._no_spread
                            for row in stamps for run, k in zip(self._spreads, row)]
         except KeyError as exc:
             raise AssertionError(f"feedback for round {exc.args[0]} without a recorded play") \
                 from None
-        if self.runs is None and one:
-            self.log_w = delayed_hedge_update(self.log_w, self.alpha, spread @ grads[0])
-            self.pool.ingest(t, stamps, grads)
-            return
         if one:
-            loss_sums = (np.array(spreads) @ grads[0][..., None])[..., 0]
+            loss_sums = spreads @ grads[0] if self.runs is None else \
+                (np.array(spreads) @ grads[0][..., None])[..., 0]
         else:
             # a running sum in timestamp order gives the per-arrival float sums;
             # np.sum would add a single expert's column pairwise
@@ -356,8 +353,7 @@ class _RestartingLearner:
     ``dropped``.  A fixed-horizon row (a restarting run whose first epoch never ends) has
     no controller: it never restarts, drops nothing and reports ``epoch_starts`` None, so
     it runs as its learner alone would.  Only the restarting rows are checked for stale
-    stamps; one run's single stamp is checked by one comparison, and a one-row block's
-    arrivals are counted from that row."""
+    stamps."""
 
     def __init__(self, make, restarts: list[bool] | None = None, inner=None):
         if restarts is not None and inner is None:
@@ -383,8 +379,7 @@ class _RestartingLearner:
         if self.runs is None:
             # stamps ascend, so the stale ones (queried before the epoch) are a prefix
             ctrl = self.ctrls[0]
-            stale = int(stamps[0] < ctrl.epoch_start) if len(stamps) == 1 else \
-                bisect_left(stamps, ctrl.epoch_start)
+            stale = bisect_left(stamps, ctrl.epoch_start)
             self.dropped += stale
             ctrl.note_arrivals(len(stamps) - stale)
             if stale < len(stamps):
@@ -398,8 +393,7 @@ class _RestartingLearner:
             stale = (block > 0) & (block < starts)
             self.dropped = self.dropped + stale.sum(axis=0)
             stamps, grads = np.where(stale, 0, block).tolist(), np.where(stale[..., None], 0, grads)
-        counts = [1 if k else 0 for k in stamps[0]] if len(stamps) == 1 else \
-            [len(column) - column.count(0) for column in zip(*stamps)]
+        counts = [len(column) - column.count(0) for column in zip(*stamps)]
         for r, ctrl in self._restarting:
             ctrl.note_arrivals(counts[r])
         if any(counts):

@@ -676,17 +676,11 @@ def lockstep_rows(draw):
     return T, restarts, [draw(plans) for _ in restarts]
 
 
-@pytest.mark.parametrize("family", ["dogd", "mild"])
-@settings(max_examples=40, deadline=None)
-@given(case=lockstep_rows())
-@example(case=(150, [False, True], [uniform_schedule(150, 1, 9, 5), permuted_schedule(150, 6)]))
-@example(case=(150, [True, False, True], [constant_schedule(150, 1), constant_schedule(150, 20),
-                                          constant_schedule(150, 20)]))
-def test_a_fixed_row_and_a_doubling_row_step_together_each_as_alone(family, case):
-    # a fixed-horizon row has no controller: it never restarts and drops nothing; each row's
-    # decisions, weights, dropped count and epoch starts are bitwise what its learner gives
-    # alone
-    T, restarts, schedules = case
+def lockstep_as_alone(family, T, restarts, schedules):
+    """Step one ``family`` row per schedule in lockstep, doubling where ``restarts`` says,
+    and assert each row bitwise what its learner gives alone: decisions, weights, dropped
+    count, epoch starts and c_log.  A fixed-horizon row has no controller: it never
+    restarts and drops nothing.  Returns the learners run alone."""
     box, D, G = Box(2, 1.0), 2.0, 1.0
     families = [make_drift_environment(box, T, 0.2, "linear", 30 + r, G)[0]
                 for r in range(len(restarts))]
@@ -717,6 +711,26 @@ def test_a_fixed_row_and_a_doubling_row_step_together_each_as_alone(family, case
             assert run.weights.tobytes() == one.weights.tobytes()
     assert batch.epoch_starts == [getattr(learner, "epoch_starts", None) for learner in alone]
     assert batch.dropped.tolist() == [getattr(learner, "dropped", 0) for learner in alone]
+    return alone
+
+
+@pytest.mark.parametrize("family", ["dogd", "mild"])
+def test_a_fixed_row_and_a_doubling_row_step_together_each_as_alone(family):
+    # permuted delays make the doubling row drop stale stamps and restart more than once
+    T = 150
+    _, doubling = lockstep_as_alone(family, T, [False, True],
+                                    [uniform_schedule(T, 1, 9, 5), permuted_schedule(T, 6)])
+    assert doubling.dropped > 0
+    assert len(doubling.epoch_starts) > 2
+
+
+@pytest.mark.parametrize("family", ["dogd", "mild"])
+@settings(max_examples=40, deadline=None)
+@given(case=lockstep_rows())
+@example(case=(150, [True, False, True], [constant_schedule(150, 1), constant_schedule(150, 20),
+                                          constant_schedule(150, 20)]))
+def test_fixed_and_doubling_rows_step_together_each_as_alone_on_any_delays(family, case):
+    lockstep_as_alone(family, *case)
 
 
 def test_lockstep_restarting_rows_need_their_stacked_first_epoch_learner():
