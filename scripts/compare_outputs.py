@@ -31,6 +31,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -54,7 +55,8 @@ def comparison_set():
     block a round) x n in {1, 3} for dogd and mild, and five learners at D = 3 and
     G in {1.5, 0.3}, which are not powers of two, so that a change in how a rate
     formula rounds shows; and in-order random delays at d_max in {1, 64, 2^40} x dogd and
-    mild x n in {1, 3}, the last past any horizon."""
+    mild x n in {1, 3}, the last past any horizon; and dogd with each comparator kind
+    (``golden_comparators``)."""
     base = {"T": T, "D": 2.0, "G": 1.0}
     for learner, (kind, spec), loss, step, n, seed in itertools.product(
             ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), DELAYS.items(),
@@ -95,6 +97,7 @@ def comparison_set():
                {**base, "n": n, "seed": 7, "learner": {"name": learner},
                 "delay": {"kind": "in_order_random", "d_max": d_max},
                 "environment": {"kind": "drift", "step": 0.02, "loss": "linear"}})
+    yield from golden_comparators()
 
 
 def report_set():
@@ -248,11 +251,27 @@ def worker() -> None:
               sys.stdout)
 
 
+GOLDEN_MANY = ("many/dogd_dt/permuted/linear", "many/mild_dt/blocks/quadratic")
+
+
+def golden_comparators():
+    """One dogd run at T = 300, n = 3 for each comparator kind, on uniform delays."""
+    points = [[0.5 * math.sin(0.05 * t + i) for i in range(3)] for t in range(T)]
+    for spec in ({"kind": "auto"}, {"kind": "targets"}, {"kind": "best_fixed"},
+                 {"kind": "constant"}, {"kind": "constant", "point": [0.5, -2.0, 0.25]},
+                 {"kind": "piecewise", "path_budget": 4}, {"kind": "list", "points": points}):
+        yield (f"comparators/{spec['kind']}{'/point' if 'point' in spec else ''}",
+               {**BASE, "learner": {"name": "dogd"}, "comparators": spec})
+
+
 def golden_digests() -> dict:
     """name -> sha256 of each output that ``tests/golden/digests.json`` pins, computed with
     the ``delayed_oco`` that imports: the benchmark's shapes at seed 0 (the drift sweep grid,
-    the ``lowerbound_mild`` reports at d in {1, 64} and the files of its ``cli_run`` call),
-    and, at T = 300, one run of each learner on each delay kind."""
+    the ``lowerbound_mild`` reports at d in {1, 64} and the files of its ``cli_run`` call);
+    at T = 300, one run of each learner on each delay kind, of three learners on the
+    lowerbound instance, of dogd with each comparator kind (``golden_comparators``); the
+    ``linear_list`` run; and the ``GOLDEN_MANY`` configs of ``many_set()`` in lockstep
+    batches of two runs."""
     from delayed_oco import harness
 
     name, cfg, grid = next(sweep_set())  # the drift sweep at seed 0
@@ -260,15 +279,29 @@ def golden_digests() -> dict:
     for name, kw in report_set():
         if name.startswith("lowerbound_mild/mild/") and name.endswith("/s0"):
             out[name] = digest(harness.to_json(harness.lowerbound_report(**kw)))
-    cfg = next(cfg for name, cfg in comparison_set() if name == "cli_run/s0")
-    out["cli_run/s0"] = cli_digest(cfg, ["--seed", "0", "--strict", "--format", "csv", "--out"])
+    runs = dict(comparison_set())
+    out["cli_run/s0"] = cli_digest(runs["cli_run/s0"],
+                                   ["--seed", "0", "--strict", "--format", "csv", "--out"])
+
+    def one_run(cfg):
+        return digest("".join(run_digests(harness, *harness.run_experiment(cfg))))
+
     for learner, (kind, spec) in itertools.product(
             ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), DELAYS.items()):
-        cfg = {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 0, "learner": {"name": learner},
-               "delay": {"kind": kind, **spec},
-               "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}}
-        out[f"{learner}/{kind}"] = digest("".join(run_digests(harness,
-                                                               *harness.run_experiment(cfg))))
+        out[f"{learner}/{kind}"] = one_run(
+            {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 0, "learner": {"name": learner},
+             "delay": {"kind": kind, **spec},
+             "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}})
+    for name in ("lowerbound/dogd/d8/n3", "lowerbound/mild/d1/n1", "lowerbound/mild_dt/d8/n3",
+                 "linear_list"):
+        out[name] = one_run(runs[name])
+    for name, cfg in golden_comparators():
+        out[name] = one_run(cfg)
+    for name, cfg in many_set():
+        if name in GOLDEN_MANY:
+            with two_run_batches(harness, cfg):
+                out[f"{name}/batches-of-two"] = digest("".join(
+                    "".join(run_digests(harness, *result)) for result in harness.run_many(cfg)))
     return out
 
 
