@@ -48,58 +48,66 @@ def _integer(v) -> int:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelaySchedule:
     """Materialized per-round delays with their precomputed arrival plan.
 
-    Delays are stored as a concrete integer tuple (not a generator) so that
-    S, d_max, m_t and the arrival sets are all computable before a run,
-    which formula-derived learning rates require.  The plan holds
-    ``stamps`` (all timestamps in delivery order), ``rounds`` (the rounds
-    that receive feedback, ascending) and ``offsets``: round ``rounds[j]``
-    receives ``stamps[offsets[j]:offsets[j + 1]]``.
+    Delays are materialized (not a generator) so that S, d_max, m_t and the arrival
+    sets are all computable before a run, which formula-derived learning rates require.
+    The plan holds ``stamps`` (all timestamps in delivery order), ``rounds`` (the rounds
+    that receive feedback, ascending) and ``offsets``: round ``rounds[j]`` receives
+    ``stamps[offsets[j]:offsets[j + 1]]``.  All four are read-only int64 arrays.  An int64
+    array of delays is taken as it is (the generators build one); any other sequence is
+    checked entry by entry.  Schedules with equal delays are equal.
     """
 
-    delays: tuple
-    stamps: list = field(init=False, repr=False, compare=False)
-    rounds: list = field(init=False, repr=False, compare=False)
-    offsets: list = field(init=False, repr=False, compare=False)
+    delays: np.ndarray
+    stamps: np.ndarray = field(init=False, repr=False)
+    rounds: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # type(True) is bool, not int: bools still reach _integer, which refuses them
-        d = tuple(v if type(v) is int else _integer(v) for v in self.delays)
+        d = self.delays
+        built = isinstance(d, np.ndarray) and d.dtype == np.int64 and d.ndim == 1
+        if not built:  # type(True) is bool, not int: bools still reach _integer, which refuses them
+            d = [v if type(v) is int else _integer(v) for v in d]
         if len(d) == 0:
             raise ValueError("schedule must cover at least one round")
-        if any(v < 1 for v in d):
+        low, high = (int(d.min()), int(d.max())) if built else (min(d), max(d))
+        if low < 1:
             raise ValueError("all delays must be >= 1")
-        if len(d) + max(d) - 1 > MAX_ROUND:
-            raise ValueError(f"delay {max(d)} too large: arrival rounds must stay "
+        if len(d) + high - 1 > MAX_ROUND:
+            raise ValueError(f"delay {high} too large: arrival rounds must stay "
                              f"below 2^63 over {len(d)} rounds")
-        object.__setattr__(self, "delays", d)
-        arrival = np.arange(1, len(d) + 1, dtype=np.int64) + np.array(d, dtype=np.int64) - 1
+        d = np.asarray(d, dtype=np.int64)
+        arrival = np.arange(d.size) + d  # t + d_t - 1 for t = 1, ..., T
         order = np.argsort(arrival, kind="stable")
         by_round = arrival[order]
         starts = np.flatnonzero(np.r_[True, by_round[1:] != by_round[:-1]])
-        object.__setattr__(self, "stamps", (order + 1).tolist())
-        object.__setattr__(self, "rounds", by_round[starts].tolist())
-        object.__setattr__(self, "offsets", starts.tolist() + [len(d)])
+        for name, values in zip(("delays", "stamps", "rounds", "offsets"),
+                                (d, order + 1, by_round[starts], np.append(starts, d.size))):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    def __eq__(self, other):
+        return isinstance(other, DelaySchedule) and np.array_equal(self.delays, other.delays)
 
     @property
     def horizon(self) -> int:
-        return len(self.delays)
+        return self.delays.size
 
     @property
     def total_delay(self) -> int:
-        """S = sum of all delays."""
-        return sum(self.delays)
+        """S = sum of all delays, exact past 2^63: their high and low 32 bits sum apart."""
+        return (int((self.delays >> 32).sum()) << 32) + int((self.delays & 0xFFFFFFFF).sum())
 
     @property
     def max_delay(self) -> int:
-        return max(self.delays)
+        return int(self.delays.max())
 
     def arrival_round(self, t: int) -> int:
         """Round at whose end the gradient queried at round t is delivered."""
-        return t + self.delays[t - 1] - 1
+        return t + int(self.delays[t - 1]) - 1
 
     def is_in_order(self) -> bool:
         """True iff arrival rounds are nondecreasing in the query round.
@@ -109,23 +117,22 @@ class DelaySchedule:
         stable plan therefore lists the timestamps in query order exactly
         when the schedule is in order.
         """
-        return self.stamps == list(range(1, self.horizon + 1))
+        return bool(np.array_equal(self.stamps, np.arange(1, self.horizon + 1)))
 
     def backlog(self) -> np.ndarray:
         """m_t = t - sum_{i<t} |F_i| for t in [1, T]."""
         t = np.arange(1, self.horizon + 1, dtype=np.int64)
-        earlier = np.searchsorted(np.array(self.rounds, dtype=np.int64), t)  # rounds < t
-        return t - np.array(self.offsets, dtype=np.int64)[earlier]
+        return t - self.offsets[np.searchsorted(self.rounds, t)]  # rounds < t
 
     @property
     def sum_backlog(self) -> int:
         return int(self.backlog().sum())
 
     def to_list(self) -> list[int]:
-        return list(self.delays)
+        return self.delays.tolist()
 
 
-def merge_plans(schedules: list) -> tuple[list, list, np.ndarray, np.ndarray]:
+def merge_plans(schedules: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One arrival plan for R runs of one horizon T, each on its own schedule.
 
     Returns (rounds, offsets, stamps, slots): round ``rounds[j]`` delivers the
@@ -139,20 +146,15 @@ def merge_plans(schedules: list) -> tuple[list, list, np.ndarray, np.ndarray]:
     T, R = schedules[0].horizon, len(schedules)
     plans = []
     for s in schedules:
-        stamps, rounds = np.array(s.stamps, dtype=np.int64), np.array(s.rounds, dtype=np.int64)
-        counts = np.diff(s.offsets)
+        stamps, rounds, counts = s.stamps, s.rounds, np.diff(s.offsets)
         at = np.repeat(rounds, counts)  # the round each timestamp arrives at
-        pos = np.arange(T) - np.repeat(np.cumsum(counts) - counts, counts)  # its place there
+        pos = np.arange(T) - np.repeat(s.offsets[:-1], counts)  # its place there
         if s.horizon != T or s.offsets[0] != 0 or counts.min() < 1 or np.any(np.diff(rounds) < 1) \
                 or not np.array_equal(np.sort(stamps), np.arange(1, T + 1)) or np.any(at < stamps) \
                 or np.any((pos[1:] > 0) & (stamps[1:] <= stamps[:-1])):
             raise ValueError("an arrival plan must deliver each timestamp exactly once, no "
                              "earlier than its round, in ascending order within a round")
         plans.append((stamps, rounds, counts, at, pos))
-    if R == 1:  # one run's plan is its schedule's own: its lists, its delivery order
-        slots = np.empty((T, 1), dtype=np.int64)
-        slots[stamps - 1, 0] = np.arange(T)
-        return s.rounds, s.offsets, stamps[:, None], slots
     merged = np.sort(np.concatenate([rounds for _, rounds, _, _, _ in plans]))
     merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]  # np.unique loads numpy.ma
     width = np.zeros(merged.size, dtype=np.int64)  # the largest arrival count of each round
@@ -163,7 +165,7 @@ def merge_plans(schedules: list) -> tuple[list, list, np.ndarray, np.ndarray]:
     for r, (run_stamps, _, _, at, pos) in enumerate(plans):
         row = offsets[np.searchsorted(merged, at)] + pos
         stamps[row, r], slots[run_stamps - 1, r] = run_stamps, row * R + r
-    return merged.tolist(), offsets.tolist(), stamps, slots
+    return merged, offsets, stamps, slots
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +173,16 @@ def merge_plans(schedules: list) -> tuple[list, list, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def constant_schedule(T: int, d: int) -> DelaySchedule:
-    return DelaySchedule((d,) * T)
+    if not 1 <= d <= MAX_ROUND:
+        raise ValueError(f"constant delays need 1 <= d < 2^63, got {d}")
+    return DelaySchedule(np.full(T, d, dtype=np.int64))
 
 
 def uniform_schedule(T: int, lo: int, hi: int, seed: int) -> DelaySchedule:
     if not 1 <= lo <= hi <= MAX_ROUND:  # the int64 draw's exclusive end, hi + 1, is at most 2^63
         raise ValueError(f"uniform delays need 1 <= lo <= hi < 2^63, got lo = {lo}, hi = {hi}")
     rng = np.random.default_rng(seed)
-    return DelaySchedule(tuple(rng.integers(lo, hi + 1, size=T).tolist()))
+    return DelaySchedule(rng.integers(lo, hi + 1, size=T))
 
 
 def block_schedule(T: int, d: int) -> DelaySchedule:
@@ -191,7 +195,7 @@ def block_schedule(T: int, d: int) -> DelaySchedule:
     if d < 1:
         raise ValueError("block length must be >= 1")
     d, t = min(d, T), np.arange(1, T + 1)  # a block of d >= T rounds ends at T; d fits int64
-    return DelaySchedule(tuple((np.minimum(((t - 1) // d + 1) * d, T) - t + 1).tolist()))
+    return DelaySchedule(np.minimum(((t - 1) // d + 1) * d, T) - t + 1)
 
 
 def permuted_schedule(T: int, seed: int) -> DelaySchedule:
@@ -203,7 +207,7 @@ def permuted_schedule(T: int, seed: int) -> DelaySchedule:
     rng = np.random.default_rng(seed)
     slots = rng.permutation(T) + 1
     t = np.arange(1, T + 1)
-    return DelaySchedule((np.maximum(slots, t) - t + 1).tolist())
+    return DelaySchedule(np.maximum(slots, t) - t + 1)
 
 
 def in_order_random_schedule(T: int, d_max: int, seed: int) -> DelaySchedule:
@@ -213,7 +217,7 @@ def in_order_random_schedule(T: int, d_max: int, seed: int) -> DelaySchedule:
         raise ValueError(f"in_order_random d_max must lie in [1, 2^63), got {d_max}")
     draws = np.random.default_rng(seed).integers(1, d_max + 1, size=T).astype(np.uint64)
     t = np.arange(1, T + 1, dtype=np.uint64)
-    return DelaySchedule(tuple((np.maximum.accumulate(t + draws - 1) - t + 1).tolist()))
+    return DelaySchedule((np.maximum.accumulate(t + draws - 1) - t + 1).astype(np.int64))
 
 
 def make_schedule(spec: dict, T: int, seed: int) -> DelaySchedule:
@@ -244,5 +248,5 @@ def make_schedule(spec: dict, T: int, seed: int) -> DelaySchedule:
             raise ValueError(f"explicit delay values must be a list, got {values!r}")
         if len(values) != T:
             raise ValueError(f"explicit delay list has length {len(values)}, expected {T}")
-        return DelaySchedule(tuple(values))
+        return DelaySchedule(values)
     raise ValueError(f"unknown delay spec kind: {kind!r}")

@@ -229,18 +229,18 @@ def normalize_config(config: dict) -> dict:
 
 def _run_bytes(cfg: dict) -> int:
     """Memory one run holds: T*n floats in five arrays (targets, decisions, gradients, loss
-    temporaries) and in N experts, T*N floats of weight history, 320 bytes a round for the
-    delays and the plan's lists (tracemalloc: 150 to 260 at T = 20000, n <= 20), and the
-    config's own lists, held twice (``normalize_config``'s copy and the summary's echo, whose
-    deep copy memoizes each row): 16 bytes an entry and 16*n + 256 a row of T rows of n
-    (tracemalloc: 16 and 16*n + 250).  N is the configured rate list's length, or
-    ``expert_count(T)``."""
+    temporaries) and in N experts, T*N floats of weight history, 32 bytes a round for the
+    schedule's four int64 arrays and 168 for the lists ``simulate`` builds from its plan
+    (four of T ints, 40 bytes an entry; tracemalloc: 167 at T = 20000), and the config's
+    own lists, held twice (``normalize_config``'s copy and the summary's echo, whose deep
+    copy memoizes each row): 16 bytes an entry and 16*n + 256 a row of T rows of n
+    (tracemalloc: 16 and 16*n + 250).  N is the rate list's length, or ``expert_count(T)``."""
     etas = cfg["learner"].get("etas", "paper")
     N = (learn_mod.expert_count(cfg["T"]) if etas == "paper" else len(etas)) \
         if _family(cfg["learner"]["name"]) == "mild" else 0
     lists = [v for section in _SPEC for v in cfg[section].values() if isinstance(v, (list, tuple))]
     rows = sum(len(v) for v in lists if v and isinstance(v[0], (list, tuple)))
-    return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + 320 * cfg["T"] + \
+    return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + (32 + 168) * cfg["T"] + \
         16 * sum(map(len, lists)) + (16 * cfg["n"] + 256) * rows
 
 
@@ -284,14 +284,13 @@ def _build_schedule(cfg: dict, sched_seed: int) -> DelaySchedule:
         raise ConfigError(f"bad delay spec: {exc}") from exc
 
 
-def _build_comparators(cfg: dict, box: Box, losses, targets, comp_seed: int) -> np.ndarray:
+def _build_comparators(cfg: dict, box: Box, targets, best, comp_seed: int) -> np.ndarray:
     spec = cfg["comparators"]
     kind = spec.get("kind", "auto")
     if kind in ("auto", "targets") and targets is not None:
         return targets
     if kind in ("auto", "best_fixed"):
-        x, _ = metrics_mod.minimize_total_loss(losses, box)
-        return np.tile(x, (cfg["T"], 1))
+        return np.tile(best, (cfg["T"], 1))
     if kind == "constant":
         point = spec.get("point", "origin")
         return np.tile(box.origin() if point == "origin" else box.project(point), (cfg["T"], 1))
@@ -377,10 +376,10 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
     lead = () if runs is None else (runs,)
     rounds, offsets, stamps, slots = delay_mod.merge_plans([schedule] if runs is None else schedule)
-    T = len(slots)
+    rounds, offsets, T = rounds.tolist(), offsets.tolist(), len(slots)
     grads = np.zeros((len(stamps), *lead, box.dim))  # in delivery order; padding stays 0
-    if runs is None:  # the merged plan is the schedule's own
-        stamps, slots, write = schedule.stamps, slots[:, 0].tolist(), grads
+    if runs is None:  # the merged plan is the schedule's own, one column
+        stamps, slots, write = stamps[:, 0].tolist(), slots[:, 0].tolist(), grads
     else:  # blocks of rows of R timestamps, each made a list when delivered; a round's
         # gradients scatter entry by entry (far cheaper than row by row), so slots holds
         # each entry's flat index
@@ -406,7 +405,7 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
         lo, hi = offsets[j], offsets[j + 1]
         learner.ingest(rounds[j], stamps[lo:hi] if runs is None else stamps[lo:hi].tolist(),
                        grads[lo:hi])
-    del slots, stamps, grads, write  # the plan's arrays go before the losses are read
+    del rounds, offsets, slots, stamps, grads, write  # the plan goes before the losses are read
     starts = getattr(learner, "epoch_starts", None)
     if starts is not None:  # None, or per run its epoch starts or None
         starts = [None if s is None else tuple(s) for s in ([starts] if runs is None else starts)]
@@ -420,8 +419,8 @@ _STRICT_BOUND = {"ogd": "bound_cor1", "dogd": "bound_cor1", "mild": "bound_thm2"
                  "dogd_dt": "bound_thm4", "mild_dt": "bound_thm5"}
 
 
-# what a run reads besides its learner; every array in it is read-only
-_Inputs = namedtuple("_Inputs", "box losses env_fingerprint schedule comparators")
+# what a run reads besides its learner, every array read-only; optimum: (x*, least loss)
+_Inputs = namedtuple("_Inputs", "box losses env_fingerprint optimum schedule comparators")
 
 
 def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None,
@@ -430,11 +429,11 @@ def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None,
 
     Each run seed splits once, into the plan's, the environment's and the comparators'
     seeds.  A sweep's cells share their environment section, so it passes one ``walks``:
-    each environment is kept under its run seed, T and, for a lowerbound instance (one sign
-    vector per block), d, and built once per T.  It passes one ``built`` per batch, which
-    keeps each arrival plan and comparator path under its walk's key and its section's
-    scalars: cells differ there only in what "d" or "P" sets, never in a list, so a key
-    stays small when a section holds T entries.
+    each environment is kept with its hindsight optimum under its run seed, T and, for a
+    lowerbound instance (one sign vector per block), d, and built and solved once per T.
+    It passes one ``built`` per batch, which keeps each arrival plan and comparator path
+    under its walk's key and its section's scalars: cells differ there only in what "d" or
+    "P" sets, never in a list, so a key stays small when a section holds T entries.
     """
     walks, box = {} if walks is None else walks, Box.from_diameter(cfg["n"], cfg["D"])
     built = {} if built is None else built
@@ -447,19 +446,19 @@ def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None,
     delay, comparators = (*reads, *scalars("delay")), (*reads, *scalars("comparators"))
     children = {s: _child_seeds(s, 3) for s in seeds}  # (plan, environment, comparators)
     todo = [s for s in seeds if (s, *reads) not in walks]  # their walks step together
-    walks.update(zip([(s, *reads) for s in todo],
-                     _build_environments(cfg, box, [children[s][1] for s in todo]) if todo
-                     else ()))
+    for s, (losses, targets, env_fp) in zip(todo, _build_environments(
+            cfg, box, [children[s][1] for s in todo]) if todo else ()):
+        walks[(s, *reads)] = losses, targets, env_fp, metrics_mod.minimize_total_loss(losses, box)
     out = []
     for s in seeds:
-        losses, targets, env_fp = walks[(s, *reads)]
+        losses, targets, env_fp, optimum = walks[(s, *reads)]
         path, plan = ("comparators", s, *comparators), ("plan", s, *delay)
         if path not in built:
-            built[path] = _build_comparators(cfg, box, losses, targets, children[s][2])
+            built[path] = _build_comparators(cfg, box, targets, optimum[0], children[s][2])
             built[path].setflags(write=False)
         if plan not in built:
             built[plan] = _build_schedule(cfg, children[s][0])
-        out.append(_Inputs(box, losses, env_fp, built[plan], built[path]))
+        out.append(_Inputs(box, losses, env_fp, optimum, built[plan], built[path]))
     return out
 
 
@@ -482,13 +481,10 @@ def _run(rows: list[tuple[dict, int, _Inputs]]) -> list[tuple[RunTrace, dict]]:
 def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resolved: dict,
                sum_m: int) -> tuple[RunTrace, dict]:
     """A run's summary: regrets, bounds and the echoed config."""
-    box, losses, schedule = inputs.box, inputs.losses, inputs.schedule
-    comparators = inputs.comparators
+    losses, schedule, comparators = inputs.losses, inputs.schedule, inputs.comparators
     name = cfg["learner"]["name"]
     D, G, T = cfg["D"], cfg["G"], cfg["T"]
-    S = schedule.total_delay
-    d_max = schedule.max_delay
-    in_order = schedule.is_in_order()
+    S, d_max, in_order = schedule.total_delay, schedule.max_delay, schedule.is_in_order()
     P_T = env_mod.path_length(comparators)
 
     summary: dict = {
@@ -499,7 +495,7 @@ def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resol
         "regret_dynamic": metrics_mod.dynamic_regret(trace, losses, comparators),
         "dropped": trace.dropped,
         "env_fingerprint": inputs.env_fingerprint,
-        "regret_static": metrics_mod.static_regret(trace, losses, box),
+        "regret_static": metrics_mod.static_regret(trace, inputs.optimum[1]),
     }
     summary["joint_effect"] = (metrics_mod.joint_effect(trace.c_log, comparators)
                                if trace.c_log is not None else None)
@@ -748,8 +744,8 @@ def trace_to_csv(trace: RunTrace) -> str:
     fresh = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
     size = max(1, _CSV_CELLS // (n + 2))  # rows to a block
     fresh[::size] = True
-    rounds, offsets, stamps, backlog = schedule.rounds, schedule.offsets, schedule.stamps, \
-        schedule.backlog()
+    rounds, offsets, stamps, backlog = (schedule.rounds.tolist(), schedule.offsets.tolist(),
+                                        schedule.stamps.tolist(), schedule.backlog())
     out, cum, j = ["t,x,loss,cum_loss,m_t,n_arrivals,arrived_timestamps"], 0.0, 0
     for lo in range(0, T, size):
         hi = min(lo + size, T)

@@ -28,7 +28,7 @@ from .metrics import grid_minimum, joint_effect, minimize_total_loss
 def random_schedule(rng: np.random.Generator, T_max: int, d_max: int) -> DelaySchedule:
     """Horizon uniform on 1..T_max, each delay uniform on 1..d_max."""
     T = int(rng.integers(1, T_max + 1))
-    return DelaySchedule(tuple(int(v) for v in rng.integers(1, d_max + 1, size=T)))
+    return DelaySchedule(rng.integers(1, d_max + 1, size=T))
 
 
 def zero_losses(T: int) -> Linear:
@@ -47,7 +47,7 @@ def projected_ogd(box: Box, eta: float, losses: QuadraticTracking | Linear) -> n
 
 def arrivals_at(schedule: DelaySchedule, t: int) -> list[int]:
     """F_t from its definition {k in [T] : k + d_k - 1 = t}, ascending, in O(T)."""
-    return [k for k, d in enumerate(schedule.delays, 1) if k + d - 1 == t]
+    return [k for k, d in enumerate(schedule.delays.tolist(), 1) if k + d - 1 == t]
 
 
 def delay_partition_backlog(rng, runs: int, T_max: int, d_max: int):
@@ -57,15 +57,17 @@ def delay_partition_backlog(rng, runs: int, T_max: int, d_max: int):
         m, order = s.backlog(), list(range(1, s.horizon + 1))
         if not (1 <= int(m.sum()) <= s.total_delay <= s.max_delay * s.horizon):
             return False, f"schedule #{i}: sum bounds violated"
-        live = [1 + sum(1 for k in range(1, t) if s.arrival_round(k) >= t) for t in order]
+        arrival = [s.arrival_round(k) for k in order]
+        live = [1 + sum(1 for a in arrival[:t - 1] if a >= t) for t in order]
         if not np.array_equal(m, live):
             return False, f"schedule #{i}: backlog != live outstanding count"
-        plan = dict(zip(s.rounds, (s.stamps[a:b] for a, b in zip(s.offsets, s.offsets[1:]))))
+        rounds, offsets = s.rounds.tolist(), s.offsets.tolist()
+        plan = dict(zip(rounds, (s.stamps[a:b].tolist() for a, b in zip(offsets, offsets[1:]))))
         window = range(1, s.horizon + s.max_delay)
-        if s.rounds != sorted(plan) or not set(plan) <= set(window) or \
+        if rounds != sorted(plan) or not set(plan) <= set(window) or \
                 any(plan.get(t, []) != arrivals_at(s, t) for t in window):
             return False, f"schedule #{i}: the arrival plan is not F_1, ..., F_(T+d-1)"
-        in_order = all(s.arrival_round(k) <= s.arrival_round(k + 1) for k in order[:-1])
+        in_order = all(a <= b for a, b in zip(arrival, arrival[1:]))
         if s.is_in_order() != in_order:
             return False, f"schedule #{i}: is_in_order disagrees with the arrival rounds"
     return True, f"sum(m) <= S <= d*T, m_t-1 = outstanding count, plan = F_t by definition, " \

@@ -66,7 +66,7 @@ class RunTrace:
         what it consumes never covers all T timestamps.  With a run axis, one per run."""
         if not isinstance(self.schedule, DelaySchedule):
             return [run.c_log for run in self.runs()]
-        return None if self.epoch_starts is not None else tuple(self.schedule.stamps)
+        return None if self.epoch_starts is not None else tuple(self.schedule.stamps.tolist())
 
     @property
     def weight_sums(self) -> np.ndarray | None:
@@ -124,12 +124,11 @@ def grid_minimum(losses: QuadraticTracking | Linear, box: Box) -> tuple[np.ndarr
     return mesh[best], float(totals[best])
 
 
-def static_regret(trace: RunTrace, losses: QuadraticTracking | Linear, box: Box) -> float:
+def static_regret(trace: RunTrace, least: float) -> float:
     """sum_t f_t(x_t) - min_{x in K} sum_t f_t(x), the played side read from the
-    trace's ``loss_values``; ``trace`` must be a run on these ``losses``."""
-    if len(losses) != len(trace.loss_values):
-        raise ValueError("losses and trace must share one horizon")
-    return float(trace.loss_values.sum() - minimize_total_loss(losses, box)[1])
+    trace's ``loss_values``; ``least`` is the minimum, the value
+    ``minimize_total_loss(losses, box)`` gives for the losses ``trace`` ran on."""
+    return float(trace.loss_values.sum() - least)
 
 
 def joint_effect(c_log, comparators) -> float:
@@ -139,11 +138,10 @@ def joint_effect(c_log, comparators) -> float:
     non-restarting learner's ``RunTrace.c_log`` (the arrival plan's order) is.
     """
     us = np.asarray(comparators, dtype=np.float64)
-    T = us.shape[0]
-    if c_log is None or sorted(c_log) != list(range(1, T + 1)):
+    c = None if c_log is None else np.asarray(c_log, dtype=np.int64)
+    if c is None or not np.array_equal(np.sort(c), np.arange(1, us.shape[0] + 1)):
         raise ValueError("consumption log is not a permutation of 1..T "
                          "(was the flush window run?)")
-    c = np.asarray(c_log, dtype=np.int64)
     return float(np.linalg.norm(us - us[c - 1], axis=1).sum())
 
 

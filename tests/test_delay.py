@@ -16,13 +16,16 @@ from delayed_oco.delay import (
     uniform_schedule,
 )
 from delayed_oco.geometry import Box
+from delayed_oco.harness import run_experiment
 from delayed_oco.invariants import (arrivals_at, delay_partition_backlog, random_schedule,
                                     zero_losses)
 
 
 def plan_sets(s):
     """The arrival plan as {round: stamps}, one entry per round that receives feedback."""
-    return dict(zip(s.rounds, (s.stamps[a:b] for a, b in zip(s.offsets, s.offsets[1:]))))
+    offsets = s.offsets.tolist()
+    return dict(zip(s.rounds.tolist(), (s.stamps[a:b].tolist()
+                                        for a, b in zip(offsets, offsets[1:]))))
 
 
 def delivered(s):
@@ -59,7 +62,7 @@ def test_in_order_delivery_is_identity():
         s = in_order_random_schedule(int(rng.integers(1, 100)), int(rng.integers(1, 10)), seed)
         assert s.is_in_order()
         by_definition = [k for t in range(1, s.horizon + s.max_delay) for k in arrivals_at(s, t)]
-        assert s.stamps == by_definition == list(range(1, s.horizon + 1))
+        assert s.stamps.tolist() == by_definition == list(range(1, s.horizon + 1))
         c_log = simulate(DelayedOGD(box, 0.1), zero_losses(s.horizon), s, box).c_log
         assert c_log == tuple(by_definition)
 
@@ -68,14 +71,14 @@ def in_order_by_definition(T, d_max, seed):
     """Delays whose arrival rounds are the running max of t + r_t - 1, in Python ints."""
     draws = np.random.default_rng(seed).integers(1, d_max + 1, size=T).tolist()
     arrivals = itertools.accumulate((t + r - 1 for t, r in enumerate(draws, 1)), max)
-    return tuple(a - t + 1 for t, a in enumerate(arrivals, 1))
+    return [a - t + 1 for t, a in enumerate(arrivals, 1)]
 
 
 @pytest.mark.parametrize("d_max", [1, 8, 64, 2**40, 2**63 - 64])
 def test_in_order_random_is_the_running_max_of_its_draws(d_max):
     for seed in range(5):
         s = in_order_random_schedule(40, d_max, seed)
-        assert s.delays == in_order_by_definition(40, d_max, seed)
+        assert s.delays.tolist() == in_order_by_definition(40, d_max, seed)
         assert s.is_in_order() and s.max_delay <= d_max
 
 
@@ -176,8 +179,8 @@ def test_constant_schedule():
 
 
 def test_generators_deterministic():
-    assert uniform_schedule(50, 1, 9, 123).delays == uniform_schedule(50, 1, 9, 123).delays
-    assert permuted_schedule(50, 7).delays == permuted_schedule(50, 7).delays
+    assert uniform_schedule(50, 1, 9, 123).to_list() == uniform_schedule(50, 1, 9, 123).to_list()
+    assert permuted_schedule(50, 7).to_list() == permuted_schedule(50, 7).to_list()
 
 
 def test_permuted_schedule_valid():
@@ -190,23 +193,22 @@ def test_permuted_schedule_valid():
 def test_permuted_schedule_matches_the_per_round_formula(T):
     for seed in range(5):
         slots = np.random.default_rng(seed).permutation(T) + 1
-        expected = tuple(int(max(p, t) - t + 1) for t, p in enumerate(slots, start=1))
+        expected = [int(max(p, t) - t + 1) for t, p in enumerate(slots, start=1)]
         delays = permuted_schedule(T, seed).delays
-        assert delays == expected
-        assert all(type(d) is int for d in delays)
+        assert delays.tolist() == expected and delays.dtype == np.int64
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 17, 500])
 def test_generators_match_the_per_round_formulas(T):
     for d in (1, 2, 7, T, T + 5, 10**30):
-        expected = tuple(min(((t - 1) // d + 1) * d, T) - t + 1 for t in range(1, T + 1))
-        assert block_schedule(T, d).delays == expected
+        expected = [min(((t - 1) // d + 1) * d, T) - t + 1 for t in range(1, T + 1)]
+        assert block_schedule(T, d).to_list() == expected
     for seed in range(3):
         draws = np.random.default_rng(seed).integers(2, 10, size=T)
-        assert uniform_schedule(T, 2, 9, seed).delays == tuple(int(v) for v in draws)
-    assert constant_schedule(T, 4).delays == (4,) * T
+        assert uniform_schedule(T, 2, 9, seed).to_list() == [int(v) for v in draws]
+    assert constant_schedule(T, 4).to_list() == [4] * T
     for s in (block_schedule(T, 3), uniform_schedule(T, 1, 5, 0), constant_schedule(T, 2)):
-        assert all(type(d) is int for d in s.delays)
+        assert s.delays.dtype == np.int64 and all(type(d) is int for d in s.to_list())
 
 
 def test_make_schedule_dispatch():
@@ -239,7 +241,7 @@ def test_fractional_delays_rejected():
     for bad in ("2", True, False, np.bool_(True)):
         with pytest.raises(ValueError):
             DelaySchedule((1, bad))
-    assert DelaySchedule((2.0, 1)).delays == (2, 1)
+    assert DelaySchedule((2.0, 1)).to_list() == [2, 1]
     assert make_schedule({"kind": "list", "values": [2.0, 1.0, 1]}, 3, 0).to_list() == [2, 1, 1]
 
 
@@ -249,16 +251,43 @@ def test_fractional_delays_rejected():
                          ids=["repeated", "before-its-round", "descending"])
 def test_simulate_refuses_a_tampered_plan(stamps):
     s, box = DelaySchedule((3, 1, 1)), Box(1, 1.0)  # plan: round 2 gets [2], round 3 [1, 3]
-    s.stamps[:] = stamps
+    object.__setattr__(s, "stamps", np.array(stamps))  # the plan's arrays are read-only
     with pytest.raises(ValueError, match="arrival plan must deliver"):
         simulate(DelayedOGD(box, 0.1), zero_losses(3), s, box)
 
 
+def test_schedule_fields_are_read_only_int64_arrays():
+    s = permuted_schedule(20, 3)
+    for name in ("delays", "stamps", "rounds", "offsets"):
+        values = getattr(s, name)
+        assert values.dtype == np.int64 and values.ndim == 1 and not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            values[:] = values.copy()
+        with pytest.raises(AttributeError):
+            setattr(s, name, values.copy())
+
+
+def test_schedules_with_equal_delays_are_equal():
+    s = uniform_schedule(30, 1, 9, 5)
+    assert s == uniform_schedule(30, 1, 9, 5) == DelaySchedule(s.to_list())
+    assert s != uniform_schedule(30, 1, 9, 6) and s != s.to_list()
+
+
+def test_total_delay_stays_exact_past_int64():
+    # an int64 sum of these delays wraps to -2^62
+    assert constant_schedule(3, 2**62).total_delay == 3 * 2**62
+    assert DelaySchedule((2**62, 2**62 - 1, 2**62 - 2)).total_delay == 3 * 2**62 - 3
+    _, summary = run_experiment({"T": 3, "delay": {"kind": "constant", "value": 2**62}})
+    assert summary["S"] == 3 * 2**62
+
+
 def test_plan_example():
     s = DelaySchedule((3, 1, 1))
-    assert s.stamps == [2, 1, 3]
-    assert s.rounds == [2, 3]  # only rounds that receive feedback
-    assert s.offsets == [0, 1, 3]
+    assert s.stamps.tolist() == [2, 1, 3]
+    assert s.rounds.tolist() == [2, 3]  # only rounds that receive feedback
+    assert s.offsets.tolist() == [0, 1, 3]
     assert [plan_sets(s).get(t, []) for t in range(1, 5)] == \
         [arrivals_at(s, t) for t in range(1, 5)] == [[], [2], [1, 3], []]
 
@@ -283,7 +312,7 @@ def test_arrivals_outside_the_window_are_empty():
 
 def test_plan_memory_does_not_grow_with_the_delay():
     s = constant_schedule(10, 10**9)
-    assert s.rounds == list(range(10**9, 10**9 + 10))
+    assert s.rounds.tolist() == list(range(10**9, 10**9 + 10))
     assert len(s.stamps) == 10 and len(s.offsets) == 11
     assert s.sum_backlog == 55
     assert plan_sets(s)[10**9 + 4] == arrivals_at(s, 10**9 + 4) == [5]
@@ -299,7 +328,7 @@ def test_plan_properties(delays):
     # ascending, and nothing outside it
     window = range(1, T + max(delays))
     plan = plan_sets(s)
-    assert s.rounds == sorted(plan) and set(plan) <= set(window)
+    assert s.rounds.tolist() == sorted(plan) and set(plan) <= set(window)
     for t in window:
         assert plan.get(t, []) == arrivals_at(s, t) == [k for k in range(1, T + 1)
                                                         if arrival[k - 1] == t]

@@ -548,7 +548,7 @@ def test_a_sweep_steps_each_learner_family_and_horizon_in_one_batch(monkeypatch)
 def test_a_batch_builds_each_comparator_path_once(comparators, monkeypatch):
     # five learners x d in {1, 5} x 2 repetitions are 20 runs in two batches, one per
     # learner family, each holding the 2 run seeds' walks: 4 paths, not one per run;
-    # static regret solves the hindsight optimum once per run besides
+    # each walk's hindsight optimum is solved once, for best_fixed and static regret
     calls = []
     for module, name in ((harness.env_mod, "make_path_budget_comparators"),
                          (harness.metrics_mod, "minimize_total_loss")):
@@ -561,7 +561,7 @@ def test_a_batch_builds_each_comparator_path_once(comparators, monkeypatch):
     piecewise = comparators["kind"] == "piecewise"
     assert len(rows) == 20
     assert calls.count("make_path_budget_comparators") == (4 if piecewise else 0)
-    assert calls.count("minimize_total_loss") == len(rows) + (0 if piecewise else 4)
+    assert calls.count("minimize_total_loss") == 2
 
 
 def test_sweep_raises_a_fault_of_the_batch_path_that_no_run_has_alone(monkeypatch):

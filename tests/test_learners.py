@@ -115,7 +115,7 @@ def test_bare_clamp_steps_match_box_project_bitwise(case):
     learner = DelayedOGD(box, eta)
     reference = reference_descent(box, eta, schedule, grads)
     for j, r in enumerate(schedule.rounds):
-        stamps = schedule.stamps[schedule.offsets[j]:schedule.offsets[j + 1]]
+        stamps = schedule.stamps[schedule.offsets[j]:schedule.offsets[j + 1]].tolist()
         learner.ingest(r, stamps, grads[np.asarray(stamps) - 1])
         assert learner.play(r + 1).tobytes() == reference[j].tobytes()
 
@@ -836,7 +836,7 @@ def mild_history(learner, losses, schedule):
         x = learner.play(t)
         grads[t - 1] = losses.gradient(t, x)
         if schedule.rounds[j] == t:
-            stamps = schedule.stamps[schedule.offsets[j]:schedule.offsets[j + 1]]
+            stamps = schedule.stamps[schedule.offsets[j]:schedule.offsets[j + 1]].tolist()
             learner.ingest(t, stamps, grads[np.asarray(stamps) - 1])
             j += 1
         log_w = getattr(learner, "inner", learner).log_w
