@@ -68,12 +68,12 @@ class DelaySchedule:
 
     def __post_init__(self):
         d = self.delays
-        built = isinstance(d, np.ndarray) and d.dtype == np.int64 and d.ndim == 1
-        if not built:  # type(True) is bool, not int: bools still reach _integer, which refuses them
+        int64 = isinstance(d, np.ndarray) and d.dtype == np.int64 and d.ndim == 1
+        if not int64:  # type(True) is bool, not int: bools still reach _integer, which refuses them
             d = [v if type(v) is int else _integer(v) for v in d]
         if len(d) == 0:
             raise ValueError("schedule must cover at least one round")
-        low, high = (int(d.min()), int(d.max())) if built else (min(d), max(d))
+        low, high = (int(d.min()), int(d.max())) if int64 else (min(d), max(d))
         if low < 1:
             raise ValueError("all delays must be >= 1")
         if len(d) + high - 1 > MAX_ROUND:

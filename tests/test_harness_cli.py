@@ -953,7 +953,7 @@ def _lowerbound(**delay):
     {"D": True},
     _learner("dogd", eta=True),
     {"delay": {"kind": "constant", "value": True}},
-    {"T": 10**12},  # 8 T n (N + 5) + 320 T bytes exceed physical memory
+    {"T": 10**12},  # 8 T n (N + 5) + 200 T bytes exceed physical memory
     {"T": 10**12, **_lowerbound(d=1)},
     {"D": 1e-200, "G": 1e-200, **_learner("mild")},  # G*D*sqrt(sum_m) underflows to 0
     {"D": 1e-200, "G": 1e-200, **_learner("mild_dt")},
