@@ -43,6 +43,7 @@ T = 300
 DELAYS = {"constant": {"value": 3}, "uniform": {"lo": 1, "hi": 12}, "blocks": {"d": 16},
           "permuted": {}, "in_order_random": {"d_max": 8},
           "list": {"values": [1 + (7 * t) % 11 for t in range(T)]}}
+POINTS = [[0.5 * math.sin(0.05 * t + i) for i in range(3)] for t in range(T)]  # in the n = 3 box
 OUTPUTS = ("decisions", "trace.csv", "summary.json", "c_log", "weight_sums")
 GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden" / "digests.json"
 
@@ -121,7 +122,9 @@ def sweep_set():
     delays with d in {1, 5, 20}, 4 learners x permuted delays (which take no d), dogd
     and mild x the piecewise comparators' path budget P in {0, 1, 4, 50, 1e6}, and all
     five learners, whose fixed-horizon and doubling-trick runs share lockstep batches, x
-    d in {1, 5, 20} on linear drift and on the lowerbound instance (T = 256)."""
+    d in {1, 5, 20} on linear drift and on the lowerbound instance (T = 256); and the five
+    learners with ``list`` delays and ``list`` comparators, which each run builds from
+    the config's T-entry lists."""
     learners = ["dogd", "mild", "dogd_dt", "mild_dt"]
     five = ["ogd", "dogd", "mild", "dogd_dt", "mild_dt"]
     for seed in range(3):
@@ -151,6 +154,12 @@ def sweep_set():
            {"T": 256, "n": 3, "D": 2.0, "G": 1.0, "seed": 4, "repetitions": 3,
             "delay": {"kind": "blocks", "d": 1}, "environment": {"kind": "lowerbound"}},
            {"learner": five, "d": [1, 8, 32]})
+    yield ("sweep/list/five-learners/r3",
+           {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4, "repetitions": 3,
+            "delay": {"kind": "list", **DELAYS["list"]},
+            "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"},
+            "comparators": {"kind": "list", "points": POINTS}},
+           {"learner": five})
 
 
 BASE = {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4,
@@ -256,10 +265,9 @@ GOLDEN_MANY = ("many/dogd_dt/permuted/linear", "many/mild_dt/blocks/quadratic")
 
 def golden_comparators():
     """One dogd run at T = 300, n = 3 for each comparator kind, on uniform delays."""
-    points = [[0.5 * math.sin(0.05 * t + i) for i in range(3)] for t in range(T)]
     for spec in ({"kind": "auto"}, {"kind": "targets"}, {"kind": "best_fixed"},
                  {"kind": "constant"}, {"kind": "constant", "point": [0.5, -2.0, 0.25]},
-                 {"kind": "piecewise", "path_budget": 4}, {"kind": "list", "points": points}):
+                 {"kind": "piecewise", "path_budget": 4}, {"kind": "list", "points": POINTS}):
         yield (f"comparators/{spec['kind']}{'/point' if 'point' in spec else ''}",
                {**BASE, "learner": {"name": "dogd"}, "comparators": spec})
 

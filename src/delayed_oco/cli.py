@@ -185,6 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:  # refused before the work, not at the first file written
+            out = pathlib.Path(args.out)
+            existing = next(p for p in (out, *out.parents) if p.exists())
+            if not existing.is_dir():
+                raise harness.ConfigError(f"--out {out}: {existing} is a file, not a directory")
         return args.fn(args)
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

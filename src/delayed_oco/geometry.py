@@ -55,14 +55,10 @@ class Box:
         return 2.0 * self.half_width * math.sqrt(self.dim)
 
     def project(self, p) -> np.ndarray:
-        """Euclidean projection: clamp each coordinate to [-half_width, half_width].
-
-        ``p`` is one point or an (N, dim) stack of points, projected row by row.
-        """
+        """Euclidean projection of one point: clamp each coordinate to [-half_width, half_width]."""
         p = np.asarray(p, dtype=np.float64)
-        if p.ndim not in (1, 2) or p.shape[-1] != self.dim:
-            raise ValueError(f"expected a point or a stack of points of dimension "
-                             f"{self.dim}, got shape {p.shape}")
+        if p.shape != (self.dim,):
+            raise ValueError(f"expected a point of dimension {self.dim}, got shape {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValueError("point has non-finite entries")
         return np.clip(p, -self.half_width, self.half_width)

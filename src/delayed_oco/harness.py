@@ -423,27 +423,18 @@ _STRICT_BOUND = {"ogd": "bound_cor1", "dogd": "bound_cor1", "mild": "bound_thm2"
 _Inputs = namedtuple("_Inputs", "box losses env_fingerprint optimum schedule comparators")
 
 
-def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None,
-                  built: dict | None = None) -> list[_Inputs]:
+def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None) -> list[_Inputs]:
     """Environment, arrival plan and comparators of one normalized config at each seed.
 
     Each run seed splits once, into the plan's, the environment's and the comparators'
-    seeds.  A sweep's cells share their environment section, so it passes one ``walks``:
-    each environment is kept with its hindsight optimum under its run seed, T and, for a
-    lowerbound instance (one sign vector per block), d, and built and solved once per T.
-    It passes one ``built`` per batch, which keeps each arrival plan and comparator path
-    under its walk's key and its section's scalars: cells differ there only in what "d" or
-    "P" sets, never in a list, so a key stays small when a section holds T entries.
+    seeds, and each run builds its own plan and comparator path.  A sweep's cells share
+    their environment section, so it passes one ``walks``: each environment is kept with
+    its hindsight optimum under its run seed, T and, for a lowerbound instance (one sign
+    vector per block), d, and built and solved once per T.
     """
     walks, box = {} if walks is None else walks, Box.from_diameter(cfg["n"], cfg["D"])
-    built = {} if built is None else built
     reads = (cfg["T"], cfg["delay"]["d"]) if cfg["environment"]["kind"] == "lowerbound" else \
         (cfg["T"],)
-
-    def scalars(section):
-        return tuple((k, v) for k, v in sorted(cfg[section].items()) if not isinstance(v, list))
-
-    delay, comparators = (*reads, *scalars("delay")), (*reads, *scalars("comparators"))
     children = {s: _child_seeds(s, 3) for s in seeds}  # (plan, environment, comparators)
     todo = [s for s in seeds if (s, *reads) not in walks]  # their walks step together
     for s, (losses, targets, env_fp) in zip(todo, _build_environments(
@@ -452,13 +443,10 @@ def _build_inputs(cfg: dict, seeds: list[int], walks: dict | None = None,
     out = []
     for s in seeds:
         losses, targets, env_fp, optimum = walks[(s, *reads)]
-        path, plan = ("comparators", s, *comparators), ("plan", s, *delay)
-        if path not in built:
-            built[path] = _build_comparators(cfg, box, targets, optimum[0], children[s][2])
-            built[path].setflags(write=False)
-        if plan not in built:
-            built[plan] = _build_schedule(cfg, children[s][0])
-        out.append(_Inputs(box, losses, env_fp, optimum, built[plan], built[path]))
+        comparators = _build_comparators(cfg, box, targets, optimum[0], children[s][2])
+        comparators.setflags(write=False)
+        out.append(_Inputs(box, losses, env_fp, optimum, _build_schedule(cfg, children[s][0]),
+                           comparators))
     return out
 
 
@@ -468,12 +456,16 @@ def _run(rows: list[tuple[dict, int, _Inputs]]) -> list[tuple[RunTrace, dict]]:
     first = rows[0][2]
     schedules = [inputs.schedule for _, _, inputs in rows]
     sums = [schedule.sum_backlog for schedule in schedules]
-    learner, resolved = _build_learner([cfg for cfg, _, _ in rows], first.box, sums)
-    if len(rows) == 1:
-        trace = simulate(learner, first.losses, first.schedule, first.box)
-    else:
-        losses = losses_mod.stack([inputs.losses for _, _, inputs in rows])
-        trace = simulate(learner, losses, schedules, first.box)
+    cfgs = [cfg for cfg, _, _ in rows]
+    learner, resolved = _build_learner(cfgs, first.box, sums)
+    losses = first.losses if len(rows) == 1 else \
+        losses_mod.stack([inputs.losses for _, _, inputs in rows])
+    try:  # rates that drive a learner out of the float range end its run non-finite
+        trace = simulate(learner, losses, first.schedule if len(rows) == 1 else schedules,
+                         first.box)
+    except ValueError as exc:
+        names = "/".join(sorted({cfg["learner"]["name"] for cfg in cfgs}))
+        raise ConfigError(f"the {names} run diverged: {exc}") from None
     return [_summarize(*row, trace, params, sum_m)
             for row, trace, params, sum_m in zip(rows, trace.runs(), resolved, sums)]
 
@@ -510,6 +502,10 @@ def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resol
         summary["weight_sum_err"] = float(np.abs(trace.weight_sums - 1.0).max())
     if trace.epoch_starts is not None:
         summary["epoch_starts"] = list(trace.epoch_starts)
+    overflowed = [k for k, v in summary.items() if isinstance(v, float) and not math.isfinite(v)]
+    if overflowed:  # JSON has no infinity
+        raise ConfigError(f"the {name} run for D = {D!r}, G = {G!r}, T = {T} would write "
+                          f"non-finite {', '.join(overflowed)} into its summary")
 
     formula_rates = all(v == "paper" for k, v in cfg["learner"].items() if k != "name")
     if formula_rates:
@@ -588,7 +584,7 @@ _SWEEP_KEYS = ("learner", "T", "d", "P")
 
 
 def _apply_cell(cfg: dict, cell: dict) -> dict:
-    out = copy.deepcopy(cfg)
+    out = dict(cfg)  # normalize_config copies it whole; an overridden section is a new dict
     for key, value in cell.items():
         if key == "learner":
             out["learner"] = {"name": value}
@@ -600,7 +596,7 @@ def _apply_cell(cfg: dict, cell: dict) -> dict:
                      "in_order_random": "d_max"}.get(kind)
             if field is None:
                 raise ConfigError(f'sweeping "d" unsupported for delay kind {kind!r}')
-            out["delay"][field] = value
+            out["delay"] = {**out["delay"], field: value}
         elif key == "P":
             out["comparators"] = {"kind": "piecewise", "path_budget": float(value)}
         else:
@@ -615,9 +611,9 @@ def sweep(config: dict, grid: dict) -> list[dict]:
     regardless of any execution order, one row per repetition per cell; each
     is the summary ``run_many`` gives for its cell, less the config.  The
     runs of all cells that share a learner family (``_family``) and T step in
-    lockstep.  A batch's inputs are built when it runs, each distinct arrival
-    plan and comparator path once; only the rows and the current T's
-    environments outlive it.
+    lockstep.  The runs share only their environment walks; a batch's plans and
+    comparator paths are built when it runs, one per run, and only the rows and
+    the current T's walks outlive it.
     """
     cfg = normalize_config(config)
     if not (isinstance(grid, dict) and grid
@@ -652,12 +648,11 @@ def sweep(config: dict, grid: dict) -> list[dict]:
 def _sweep_batch(batch: list, cells: list, walks: dict) -> list[dict]:
     """The summaries of a sweep's lockstep batch of (cell index, seed) runs; its inputs and
     traces go when it returns.  A failure names its cell in a ``SweepError``."""
-    runs, built = [], {}  # (cell config, seed, inputs) per run
+    runs = []  # (cell config, seed, inputs) per run
     for c, same in itertools.groupby(batch, lambda run: run[0]):
         (cell, cell_cfg), seeds = cells[c], [seed for _, seed in same]
         try:
-            runs += zip([cell_cfg] * len(seeds), seeds,
-                        _build_inputs(cell_cfg, seeds, walks, built))
+            runs += zip([cell_cfg] * len(seeds), seeds, _build_inputs(cell_cfg, seeds, walks))
         except Exception as exc:
             raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
     try:  # the traces go at once

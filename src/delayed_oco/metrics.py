@@ -59,13 +59,11 @@ class RunTrace:
     weights: np.ndarray | None = None
 
     @property
-    def c_log(self) -> tuple | list | None:
-        """The consumption order, flush window included: the plan's delivery order
-        ``schedule.stamps``, which is the order ``simulate`` hands timestamps to
-        ``ingest``.  None for a restarting learner, which drops stale feedback, so
-        what it consumes never covers all T timestamps.  With a run axis, one per run."""
-        if not isinstance(self.schedule, DelaySchedule):
-            return [run.c_log for run in self.runs()]
+    def c_log(self) -> tuple | None:
+        """A one-run trace's consumption order, flush window included: the plan's delivery
+        order ``schedule.stamps``, which is the order ``simulate`` hands timestamps to
+        ``ingest``.  None for a restarting learner, which drops stale feedback, so what it
+        consumes never covers all T timestamps.  A lockstep trace's ``runs()`` have theirs."""
         return None if self.epoch_starts is not None else tuple(self.schedule.stamps.tolist())
 
     @property

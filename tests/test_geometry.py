@@ -25,11 +25,11 @@ def test_project_dimension_mismatch():
         Box(2, 1.0).project([1.0, 2.0, 3.0])
 
 
-def test_project_stack_clamps_each_row_and_checks_it():
+def test_project_refuses_a_stack_of_points_and_non_finite_entries():
     box = Box(2, 1.0)
     stack = np.array([[2.0, -0.5], [0.0, 0.0], [3.0, -3.0]])
-    assert np.array_equal(box.project(stack), [box.project(p) for p in stack])
-    for bad in (np.zeros((3, 3)), np.zeros((2, 2, 2)), np.array([[0.0, 0.0], [np.nan, 0.0]])):
+    for bad in (stack, np.zeros((3, 3)), np.zeros((2, 2, 2)),
+                np.array([[0.0, 0.0], [np.nan, 0.0]]), np.array([0.0, np.nan])):
         with pytest.raises(ValueError):
             box.project(bad)
 

@@ -386,7 +386,7 @@ def _every_feature(delay, environment, grid):
 @example(_every_feature("blocks", {"kind": "lowerbound"}, {"T": [7, 12], "d": [1, 4]}))
 @example(_every_feature("blocks", {"kind": "lowerbound"}, {"P": [0, 5]}))
 def test_sweep_rows_equal_independent_runs(case):
-    # the shared input cache must not change a single byte of any row
+    # the shared walks must not change a single byte of any row
     cfg, grid = case
     rows = sweep(cfg, grid)
     keys = sorted(grid)
@@ -545,23 +545,20 @@ def test_a_sweep_steps_each_learner_family_and_horizon_in_one_batch(monkeypatch)
 
 @pytest.mark.parametrize("comparators", [{"kind": "piecewise", "path_budget": 4},
                                          {"kind": "best_fixed"}])
-def test_a_batch_builds_each_comparator_path_once(comparators, monkeypatch):
+def test_a_sweep_solves_each_walks_hindsight_optimum_once(comparators, monkeypatch):
     # five learners x d in {1, 5} x 2 repetitions are 20 runs in two batches, one per
-    # learner family, each holding the 2 run seeds' walks: 4 paths, not one per run;
-    # each walk's hindsight optimum is solved once, for best_fixed and static regret
+    # learner family, sharing the 2 run seeds' walks; each walk's hindsight optimum is
+    # solved once, for best_fixed and static regret
     calls = []
-    for module, name in ((harness.env_mod, "make_path_budget_comparators"),
-                         (harness.metrics_mod, "minimize_total_loss")):
-        def counting(*args, _build=getattr(module, name), _name=name):
-            calls.append(_name)
-            return _build(*args)
-        monkeypatch.setattr(module, name, counting)
+
+    def counting(*args, _solve=harness.metrics_mod.minimize_total_loss):
+        calls.append(args)
+        return _solve(*args)
+    monkeypatch.setattr(harness.metrics_mod, "minimize_total_loss", counting)
     rows = sweep(base_config(repetitions=2, comparators=comparators),
                  {"learner": _LEARNER_NAMES, "d": [1, 5]})
-    piecewise = comparators["kind"] == "piecewise"
     assert len(rows) == 20
-    assert calls.count("make_path_budget_comparators") == (4 if piecewise else 0)
-    assert calls.count("minimize_total_loss") == 2
+    assert len(calls) == 2
 
 
 def test_sweep_raises_a_fault_of_the_batch_path_that_no_run_has_alone(monkeypatch):
@@ -764,16 +761,18 @@ def test_lowerbound_single_trial_suppresses_verdict():
 
 # --- invariant suite -----------------------------------------------------------------
 
+_VERIFY_CHECKS = (
+    "delay_partition_backlog", "projection_optimal_idempotent", "loss_gradients",
+    "ogd_dogd_reduction", "consumption_log_permutation", "epoch_starts_closed_form",
+    "hedge_weight_simplex", "single_gradient_query_per_round", "measured_regret_below_bounds",
+    "joint_effect_caps", "adversarial_instance_oracles", "static_regret_closed_vs_grid")
+
+
 def test_verify_all_green():
     checks = invariants.verify_all(seed=0)
     failed = [c for c in checks if not c["ok"]]
     assert failed == []
-    assert [c["name"] for c in checks] == [
-        "delay_partition_backlog", "projection_optimal_idempotent", "loss_gradients",
-        "ogd_dogd_reduction", "consumption_log_permutation", "epoch_starts_closed_form",
-        "hedge_weight_simplex", "single_gradient_query_per_round",
-        "measured_regret_below_bounds", "joint_effect_caps", "adversarial_instance_oracles",
-        "static_regret_closed_vs_grid"]
+    assert tuple(c["name"] for c in checks) == _VERIFY_CHECKS
 
 
 def inject_hedge_fault(monkeypatch):
@@ -1157,6 +1156,52 @@ def test_cli_fractional_delays_exit_code(tmp_path, capsys):
     assert "1.5 is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config", [
+    (["run"], {"T": 200, "n": 3, "G": 100.0, "learner": {"name": "mild", "alpha": 1e308},
+               "delay": {"kind": "uniform", "lo": 1, "hi": 9},
+               "environment": {"kind": "drift", "step": 0.3, "loss": "linear"}}),
+    (["lowerbound", "--trials", "2"], {"T": 200, "learner": {"name": "mild", "alpha": 1e308},
+                                       **_lowerbound(d=4)}),
+], ids=["run", "lowerbound"])
+def test_cli_a_diverging_run_exits_2(tmp_path, capsys, command, config):
+    # the Hedge weights turn NaN, so the run plays a non-finite decision
+    assert cli.main([*command, "--config", write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the mild run") and "diverged" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_refuses_a_summary_with_a_non_finite_value(tmp_path, capsys, command):
+    # the bounds square D, and JSON has no infinity
+    cfg = {"T": 50, "D": 1e200, **({"sweep": {"learner": ["dogd", "mild"]}}
+                                    if command == "sweep" else {})}
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, cfg), "--strict", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if command == "run" else
+                          "sweep error: sweep cell {'learner': 'dogd'} failed:")
+    assert "bound_thm1, bound_thm2, bound_thm5, bound_lower" in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "lowerbound", "verify"])
+def test_cli_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def started(*args, **kw):
+        raise AssertionError("the command started its work")
+    monkeypatch.setattr(harness, "_build_inputs", started)
+    monkeypatch.setattr(invariants, "verify_all", started)
+    path = write_config(tmp_path, base_config(T=3, **_lowerbound(d=1), sweep={"d": [1, 2]}))
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    for out in (taken, taken / "out"):
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: --out {out}: {taken} is a file, not a directory\n"
+    assert taken.read_text() == "a file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+
 def test_cli_strict_bound_violation_exit_code(tmp_path, monkeypatch):
     # force a violation through a fault hook: an impossible negative bound
     monkeypatch.setattr("delayed_oco.metrics.bound_cor1", lambda *a, **k: -1.0)
@@ -1217,8 +1262,7 @@ def test_cli_verify_green(capsys):
     assert cli.main(["verify"]) == 0
     captured = capsys.readouterr()
     assert "[ok]" in captured.err and "FAIL" not in captured.err
-    assert [c["name"] for c in json.loads(captured.out)["checks"]] == \
-        [c["name"] for c in invariants.verify_all(seed=0)]
+    assert tuple(c["name"] for c in json.loads(captured.out)["checks"]) == _VERIFY_CHECKS
 
 
 def test_cli_verify_stdout_parses_as_json(monkeypatch, tmp_path, capsys):
