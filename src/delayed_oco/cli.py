@@ -34,12 +34,14 @@ def _load_config(path: str | None) -> dict:
 
 
 def _emit(text, out_dir: str | None, filename: str) -> None:
-    """Write a string or strings to stdout, or to out_dir/filename: complete or not at all."""
+    """Write a string or strings to stdout, or to out_dir/filename: complete or not at all.
+    A failure removes the directories this call made that are still empty."""
     pieces = [text] if isinstance(text, str) else text
     if out_dir is None:
         sys.stdout.writelines(pieces)
         return
     path = pathlib.Path(out_dir)
+    made = [p for p in (path, *path.parents) if not p.exists()]  # innermost first
     path.mkdir(parents=True, exist_ok=True)
     part = path / f"{filename}.part"
     try:
@@ -47,6 +49,10 @@ def _emit(text, out_dir: str | None, filename: str) -> None:
             fh.writelines(pieces)
     except BaseException:
         part.unlink(missing_ok=True)
+        for p in made:
+            if any(p.iterdir()):  # a file written while the pieces were made
+                break
+            p.rmdir()
         raise
     part.replace(path / filename)
 

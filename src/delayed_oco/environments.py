@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, clamped_walk
 from .losses import Linear, QuadraticTracking, quadratic_drift_scale
 
 
@@ -86,11 +86,8 @@ def _drift_environments(box: Box, T: int, step: float, loss_kind: str, seeds: li
     """``make_drift_environment`` at each of ``seeds``, the walks stepping together;
     each (family, targets) is bitwise what its seed gives alone.
 
-    A clamp leaves a point inside the box as it is, so theta plus a running sum of
-    the next moves is the walk bitwise up to the first row in which a coordinate of
-    some run leaves the box: a stretch commits those rows, clamps that one and
-    restarts there.  Near a wall, where a stretch ending within 8 rows costs more
-    than it commits, the walk steps round by round, twice as long each time.
+    The walks are one ``geometry.clamped_walk`` over the (R, n) stack of targets, which
+    sums them in clamp-free stretches, bitwise the round-by-round walk.
     """
     if not (math.isfinite(step) and step >= 0):
         raise ValueError("step must be a finite number >= 0")
@@ -103,30 +100,15 @@ def _drift_environments(box: Box, T: int, step: float, loss_kind: str, seeds: li
     away = norms > 0
     np.multiply(moves, (step / np.where(away, norms, 1.0))[..., None], out=moves,
                 where=away[..., None])
-    h = box.half_width
-    walks = np.zeros((T + 1, len(seeds), box.dim))  # row t is theta_t; row T is scratch
-    t, size, plain = 0, 32, 1
-    while t < T:
-        run = walks[t:t + size + 1]
-        run[1:] = moves[t:t + size]
-        with np.errstate(over="ignore"):  # a row that overflows leaves the box
-            np.add.accumulate(run, axis=0, out=run)
-        out = np.flatnonzero(np.abs(run[1:]) > h)
-        m = len(run) - 1 if out.size == 0 else int(out[0]) // run[0].size + 1
-        t, size = t + m, max(32, 2 * m)
-        np.clip(walks[t], -h, h, out=walks[t])
-        if m > 8:
-            plain = 1
-            continue
-        theta, stop = walks[t].copy(), min(t + plain, T)
-        for s in range(t, stop):
-            walks[s] = theta
-            theta = (theta + moves[s]).clip(-h, h)
-        t, plain = stop, 2 * plain
-        walks[t] = theta
+    walks = np.zeros((T, len(seeds), box.dim))  # row t-1 is theta_t
+    # theta + move is theta - (-move) bitwise, the clamped walk's step
+    with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows leaves the box
+        clamped_walk(walks[0], np.negative(moves[:T - 1], out=moves[:T - 1]),
+                     np.full(walks.shape[1:], -box.half_width),
+                     np.full(walks.shape[1:], box.half_width), walks)
 
     built = []
-    for targets in (np.ascontiguousarray(walks[:T, r]) for r in range(len(seeds))):
+    for targets in (np.ascontiguousarray(walks[:, r]) for r in range(len(seeds))):
         if loss_kind == "quadratic":
             scale = quadratic_drift_scale(grad_bound, box,
                                           float(np.linalg.norm(targets, axis=1).max()))

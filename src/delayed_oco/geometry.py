@@ -73,3 +73,72 @@ class Box:
         """Iterate over all 2^dim corners (keep dim small)."""
         for signs in itertools.product((-1.0, 1.0), repeat=self.dim):
             yield self.half_width * np.array(signs)
+
+
+_WALK_ROWS = 512  # the most steps a stretch sums at once, so a walk holds a chunk of rows
+
+
+def clamped_walk(y: np.ndarray, steps: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 path: np.ndarray | None = None) -> np.ndarray:
+    """The end of the walk y <- clamp(y - step) over the rows of ``steps``, in the box
+    [lo, hi] with lo = -hi, bitwise the per-step loop ``np.minimum(np.maximum(y - step,
+    lo), hi)``.
+
+    ``lo`` and ``hi`` are arrays of y's shape.  ``path``, when given, has len(steps) + 1
+    rows and receives every position, row 0 being y; without it the walk holds one
+    stretch of at most ``_WALK_ROWS`` rows.
+
+    A clamp leaves a point inside the box as it is, so y minus a running difference of
+    the next steps (``np.subtract.accumulate``) is the walk bitwise up to the row in
+    which a coordinate leaves the box, where the clamp puts it on a face.  A step that
+    pushes it further out clamps it back there (hi - s >= hi for s <= 0, and
+    -hi - s <= -hi for s >= 0) while the running difference moves further out, so
+    the coordinate rests on its face, the clamp of the difference, until a step of
+    the difference's sign turns it back in.  A stretch commits the rows up to the first
+    turn of any coordinate.  Once resting extends a stretch by at most 8 rows past its
+    first leaving row (a walk that bounces off its walls), the walk stops looking for
+    it, and its stretches end at their first leaving row.  Where a stretch commits at
+    most 8 rows the walk steps one row at a time, twice as many each time, and it
+    steps the last 16 rows or fewer so too.  A NaN never leaves the box and walks on as
+    NaN, as the loop's clamps keep it.  Past a row that left, the running difference
+    may overflow or read inf - inf; the callers step under ``np.errstate``.
+    """
+    K = len(steps)
+    chunk = path is None
+    if not chunk:
+        path[0] = y
+    elif K > 16:
+        path = np.empty((min(K, _WALK_ROWS) + 1, *y.shape))
+    k, size, plain, theta = 0, _WALK_ROWS, 1, y  # steps taken, the next stretch's, plain steps
+    rest = True  # whether to look for coordinates resting on a face
+    while k < K:
+        stop = K  # the rows to step one at a time, unless a stretch pays first
+        if K - k > 16:
+            span = path[(0 if chunk else k):][:min(size, K - k) + 1]
+            run, m = span[1:], len(span) - 1  # the positions after each step; their count
+            ahead = steps[k:k + m]
+            span[0] = theta  # before the steps, as theta may be a row of the stretch before
+            run[:] = ahead
+            np.subtract.accumulate(span, axis=0, out=span)
+            out = np.abs(run) > hi
+            left = np.flatnonzero(out)
+            if left.size:
+                first = int(left[0]) // theta.size + 1  # the rows up to the first out
+                if rest:  # up to its first turn a coordinate that left is out
+                    turns = (out[:-1] & (ahead[1:] * run[:-1] > 0)).reshape(m - 1, -1).any(1)
+                    m = int(turns.argmax()) + 1 if turns.any() else m
+                    rest = m - first > 8
+                else:
+                    m = first
+            np.minimum(np.maximum(run[:m], lo, out=run[:m]), hi, out=run[:m])
+            theta, k, size = run[m - 1], k + m, max(32, 2 * m)
+            if m > 8:
+                plain = 1
+                continue
+            stop, plain = min(k + plain, K), 2 * plain
+        for s in range(k, stop):
+            theta = np.minimum(np.maximum(theta - steps[s], lo), hi)
+            if not chunk:
+                path[s + 1] = theta
+        k = stop
+    return theta if theta.base is None else theta.copy()  # not a row of the stretch

@@ -355,9 +355,14 @@ def _build_learner(cfgs: list[dict], box: Box, sums: list[int]):
 def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) -> RunTrace:
     """Drive a learner through the delayed-feedback protocol: the one round loop.
 
-    Per round: play, query the gradient ``losses.gradient(t, x)`` at the
-    played point (exactly once), then, if the arrival plan delivers feedback
-    this round, hand the learner ``ingest(t, stamps, grads)``.  ``schedule``
+    The loop walks the arrival plan: a stretch of rounds runs up to the next
+    round with feedback (or T), and a learner with ``stretches`` plays it
+    with one ``play(t, stop)``, whose decision fills the stretch's rows (and
+    the weights before its feedback) by slice; any other learner plays one
+    round at a time.  Each round of a stretch queries its gradient
+    ``losses.gradient(t, x)`` at the played point, exactly once, in round
+    order; then, if the arrival plan delivers feedback at the stretch's last
+    round, the learner gets ``ingest(t, stamps, grads)``.  ``schedule``
     is one ``DelaySchedule``, or a list of R for a learner with a run axis
     and losses laid out by ``losses.stack``: the runs then step together,
     each on its own plan, merged (and checked) once by ``delay.merge_plans``.
@@ -366,7 +371,9 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     ``losses.values(decisions)`` call after the loop, bitwise equal to
     ``losses.value(t, x)`` round by round.  The learners step on bare
     clamps, so after the last round the run checks once that every decision
-    and gradient was finite, and raises ValueError if not.  The plan's
+    and gradient was finite, and raises ValueError if not; the loop runs
+    without NumPy's overflow and invalid-value warnings, which a diverging
+    run would print before that check refuses it.  The plan's
     rounds past the horizon are delivered too (plays suppressed), so every
     timestamp is handed over in the plan's order, ``RunTrace.c_log``;
     reported losses never include them.  A learner with ``weights`` has them
@@ -377,6 +384,9 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     lead = () if runs is None else (runs,)
     rounds, offsets, stamps, slots = delay_mod.merge_plans([schedule] if runs is None else schedule)
     rounds, offsets, T = rounds.tolist(), offsets.tolist(), len(slots)
+    # the last round of each stretch: each round with feedback before T, then T
+    ends = itertools.chain(itertools.islice(rounds, bisect.bisect_left(rounds, T)), [T]) \
+        if getattr(learner, "stretches", False) else range(1, T + 1)
     grads = np.zeros((len(stamps), *lead, box.dim))  # in delivery order; padding stays 0
     if runs is None:  # the merged plan is the schedule's own, one column
         stamps, slots, write = stamps[:, 0].tolist(), slots[:, 0].tolist(), grads
@@ -387,24 +397,37 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
         slots = slots[:, :, None] * box.dim + np.arange(box.dim)
     decisions = np.empty((T, *lead, box.dim))
     weights = np.empty((T, *learner.weights.shape)) if hasattr(learner, "weights") else None
-    j = 0  # next entry of the plan
-    for t in range(1, T + 1):
-        x = learner.play(t)
-        decisions[t - 1] = x
-        write[slots[t - 1]] = losses.gradient(t, x)
-        if rounds[j] == t:  # j stays in range: timestamp T arrives at round T or later
+    play, gradient = learner.play, losses.gradient
+    j, t = 0, 1  # next entry of the plan, first round of the stretch
+    # a diverging run overflows where it steps; the check after the loop refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stop in ends:
+            if stop == t:
+                x = play(t)
+                decisions[t - 1] = x
+                write[slots[t - 1]] = gradient(t, x)
+            else:  # one decision fills the stretch; each round still queries its gradient
+                x = play(t, stop)
+                decisions[t - 1:stop] = x
+                for s in range(t, stop + 1):
+                    write[slots[s - 1]] = gradient(s, x)
+                if weights is not None:
+                    weights[t - 1:stop - 1] = learner.weights
+            if rounds[j] == stop:  # j stays in range: timestamp T arrives at round T or later
+                lo, hi = offsets[j], offsets[j + 1]
+                learner.ingest(stop, stamps[lo:hi] if runs is None else stamps[lo:hi].tolist(),
+                               grads[lo:hi])
+                j += 1
+            if weights is not None:
+                weights[stop - 1] = learner.weights
+            t = stop + 1
+        if not (np.isfinite(decisions).all() and np.isfinite(grads).all()):
+            raise ValueError("the run played a non-finite decision or queried a non-finite "
+                             "gradient")
+        for j in range(j, len(rounds)):
             lo, hi = offsets[j], offsets[j + 1]
-            learner.ingest(t, stamps[lo:hi] if runs is None else stamps[lo:hi].tolist(),
+            learner.ingest(rounds[j], stamps[lo:hi] if runs is None else stamps[lo:hi].tolist(),
                            grads[lo:hi])
-            j += 1
-        if weights is not None:
-            weights[t - 1] = learner.weights
-    if not (np.isfinite(decisions).all() and np.isfinite(grads).all()):
-        raise ValueError("the run played a non-finite decision or queried a non-finite gradient")
-    for j in range(j, len(rounds)):
-        lo, hi = offsets[j], offsets[j + 1]
-        learner.ingest(rounds[j], stamps[lo:hi] if runs is None else stamps[lo:hi].tolist(),
-                       grads[lo:hi])
     del rounds, offsets, slots, stamps, grads, write  # the plan goes before the losses are read
     starts = getattr(learner, "epoch_starts", None)
     if starts is not None:  # None, or per run its epoch starts or None

@@ -4,9 +4,17 @@ All learners share one protocol so the harness can drive them identically:
 
     play(t)                    -> decision vector for round t (never mutates
                                   math state)
+    play(t, stop)              -> the one decision for rounds t..stop, none of
+                                  which receives feedback before stop's end
     ingest(t, stamps, grads)   -> consume the gradients delivered at the end of
                                   round t: ``grads[i]`` was queried at round
                                   ``stamps[i]``, and ``stamps`` is ascending
+
+A learner whose decision changes only when it ingests feedback has
+``stretches`` True, and ``simulate`` plays each stretch of rounds without
+feedback with one ``play(t, stop)``.  A restarting learner has none: a
+restart can change its decision at any round, so it plays one round at a
+time.
 
 A learner keeps only the state its algorithm needs, no record of what it was
 handed: the order it consumed timestamps in is the arrival plan's, which the
@@ -53,7 +61,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, clamped_walk
 
 
 class DelayedOGD:
@@ -78,9 +86,17 @@ class DelayedOGD:
     and NaN too).  A finite step that overflows to +-inf clamps to the face
     it points at, which is its exact projection.  One product forms all the
     steps of a burst of K gradients; a gradient row that lacks y's leading
-    axis (one gradient for N experts) steps every row.  A delivery of one row
-    takes its one step directly, as the same product and the same two clamps.
+    axis (one gradient for N experts) steps every row.  The burst is one
+    ``geometry.clamped_walk``: a running difference of the steps, committed up
+    to the first step that takes a coordinate off a face, bitwise the
+    per-step loop.  Its wall rule lets a coordinate that reached a face rest
+    there while the steps push it further out, so an expert pool whose fast
+    experts hit the faces early in a burst (block delays) takes one stretch.
+    A delivery of one row takes its one step directly, as the same product
+    and the same two clamps.
     """
+
+    stretches = True  # y changes only in ingest
 
     def __init__(self, box: Box, eta):
         rates = np.asarray(eta, dtype=np.float64)
@@ -95,17 +111,16 @@ class DelayedOGD:
         h = box.half_width
         self._lo, self._hi = np.full_like(self.y, -h), np.full_like(self.y, h)
 
-    def play(self, t: int) -> np.ndarray:
+    def play(self, t: int, stop: int | None = None) -> np.ndarray:
         return self.y.copy()
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
-        y, lo, hi = self.y, self._lo, self._hi
-        if len(grads) == 1:  # the loop's one product and clamp, without the re-layout
-            self.y = np.minimum(np.maximum(y - self.eta * grads[0], lo), hi)
+        y = self.y
+        if len(grads) == 1:  # the walk's one product and clamp, without the re-layout
+            self.y = np.minimum(np.maximum(y - self.eta * grads[0], self._lo), self._hi)
             return
-        for step in self.eta * (grads if grads.ndim > y.ndim else grads[:, None]):
-            y = np.minimum(np.maximum(y - step, lo), hi)
-        self.y = y
+        self.y = clamped_walk(y, self.eta * (grads if grads.ndim > y.ndim else grads[:, None]),
+                              self._lo, self._hi)
 
     def set_row(self, r: int, other: "DelayedOGD") -> None:
         """Run r becomes the one-run learner ``other``."""
@@ -199,13 +214,16 @@ class MildOGD:
     ``play`` mixes again only after feedback or a restart.  Each distinct
     mix is kept once, as the meta decision x and the spreads xs - x; a round
     points to the spreads it played until its feedback arrives, so memory is
-    bounded by the maximum backlog.
+    bounded by the maximum backlog.  ``play(t, stop)`` points rounds t..stop
+    to them at once.
 
     One run's delivery of one timestamp pops its one spread, forms its one
     surrogate product and steps the pool; a run axis's delivery of one row
     takes the spreads and the runs that were fed from that row.  Either way
     the Hedge step is ``delayed_hedge_update``, as for a burst.
     """
+
+    stretches = True  # the pool and the weights change only in ingest
 
     def __init__(self, box: Box, expert_rates, alpha):
         rates = np.sort(np.asarray(expert_rates, dtype=np.float64))
@@ -239,7 +257,7 @@ class MildOGD:
         self.weights = np.exp(value)
         self._mix = None  # or the meta decision x and the expert spreads xs - x (per run)
 
-    def play(self, t: int) -> np.ndarray:
+    def play(self, t: int, stop: int | None = None) -> np.ndarray:
         if self._mix is None:
             xs, w = self.pool.y, self.weights
             # the clamp guards the one-ulp rounding a float convex combination can incur
@@ -249,7 +267,14 @@ class MildOGD:
             else:
                 x = np.minimum(np.maximum(w[:, None, :] @ xs, self._lo), self._hi)
                 self._mix = (x[:, 0], list(xs - x))
-        if self.runs is None:
+        if stop is not None:  # rounds t..stop point to one spread
+            played = range(t, stop + 1)
+            if self.runs is None:
+                self._spreads.update(dict.fromkeys(played, self._mix[1]))
+            else:
+                for spreads, s in zip(self._spreads, self._mix[1]):
+                    spreads.update(dict.fromkeys(played, s))
+        elif self.runs is None:
             self._spreads[t] = self._mix[1]
         else:
             for spreads, s in zip(self._spreads, self._mix[1]):

@@ -11,6 +11,7 @@ import re
 import tempfile
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1164,10 +1165,14 @@ def test_cli_fractional_delays_exit_code(tmp_path, capsys):
                                        **_lowerbound(d=4)}),
 ], ids=["run", "lowerbound"])
 def test_cli_a_diverging_run_exits_2(tmp_path, capsys, command, config):
-    # the Hedge weights turn NaN, so the run plays a non-finite decision
-    assert cli.main([*command, "--config", write_config(tmp_path, config)]) == 2
+    # the Hedge weights turn NaN, so the run plays a non-finite decision; the round loop
+    # steps without NumPy's warnings, and the run's one error line says why it stopped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main([*command, "--config", write_config(tmp_path, config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: the mild run") and "diverged" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -1182,7 +1187,16 @@ def test_cli_refuses_a_summary_with_a_non_finite_value(tmp_path, capsys, command
     assert err.startswith("config error:" if command == "run" else
                           "sweep error: sweep cell {'learner': 'dogd'} failed:")
     assert "bound_thm1, bound_thm2, bound_thm5, bound_lower" in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def test_cli_run_removes_the_empty_directories_it_made_when_its_first_batch_fails(tmp_path):
+    # the summary is streamed to out/summary.json.part, so the directory exists before the
+    # first run does; a failing run leaves none of it, while a directory that was there stays
+    cfg = write_config(tmp_path, {"T": 50, "D": 1e200})
+    for out in (tmp_path / "new" / "nested", tmp_path):
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "lowerbound", "verify"])

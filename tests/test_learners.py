@@ -23,6 +23,7 @@ from delayed_oco import (
     uniform_schedule,
 )
 from delayed_oco.delay import permuted_schedule
+from delayed_oco.geometry import _WALK_ROWS
 from delayed_oco.learners import EpochController, delayed_hedge_update, expert_count, init_weights
 from delayed_oco.losses import Linear, QuadraticTracking, stack
 from delayed_oco import harness, learners
@@ -123,7 +124,10 @@ def test_bare_clamp_steps_match_box_project_bitwise(case):
 @st.composite
 def bursts(draw):
     """A box, a scalar rate or an (N, 1), (R, 1) or (R, N, 1) rate column, an iterate in
-    the box (walls and +-0.0 included) and 1-64 gradients laid out as ``ingest`` takes them."""
+    the box (walls and +-0.0 included) and 1-64 gradients, or more than a walk's chunk of
+    rows, laid out as ``ingest`` takes them.  The gradients are uniform, or each
+    coordinate's keep one size and flip sign now and then (so iterates rest on a face,
+    pushed out, then leave it), with +-0.0, +-inf and NaN sprinkled in or not."""
     n, N, R = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
     h = draw(st.floats(0.05, 5.0))
     rate_shape, row = draw(st.sampled_from([((), (n,)), ((N, 1), (n,)), ((R, 1), (R, n)),
@@ -132,8 +136,16 @@ def bursts(draw):
     eta = draw(arrays(np.float64, rate_shape, elements=rates)) if rate_shape else draw(rates)
     y = draw(arrays(np.float64, rate_shape[:-1] + (n,),
                     elements=st.sampled_from([-h, h, 0.0, -0.0]) | st.floats(-h, h)))
-    grads = draw(arrays(np.float64, (draw(st.integers(1, 64)), *row),
-                        elements=st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)))
+    K = draw(st.integers(1, 64) | st.integers(_WALK_ROWS - 8, 2 * _WALK_ROWS + 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grads = rng.uniform(-1e3, 1e3, (K, *row))
+    flips = draw(st.sampled_from([None, 0.02, 0.3]))
+    if flips is not None:
+        grads = np.abs(grads[0]) * np.where(np.logical_xor.accumulate(
+            rng.random((K, *row)) < flips, axis=0), -1.0, 1.0)
+    special = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    at = rng.random((K, *row)) < special
+    grads[at] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(at.sum()))
     return Box(n, h), eta, y, grads
 
 
@@ -146,7 +158,7 @@ def test_a_burst_steps_like_a_per_gradient_clip_loop_bitwise(case):
     learner = DelayedOGD(box, eta)
     learner.y = y
     h, expected = box.half_width, y
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 steps are NaN
         for g in grads:
             expected = np.clip(expected - eta * g, -h, h)
         learner.ingest(1, list(range(1, len(grads) + 1)), grads)
