@@ -76,6 +76,7 @@ class Box:
 
 
 _WALK_ROWS = 512  # the most steps a stretch sums at once, so a walk holds a chunk of rows
+_STEP_ROWS = 8  # up to this many steps, one at a time are cheaper than a stretch
 
 
 def clamped_walk(y: np.ndarray, steps: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -95,25 +96,24 @@ def clamped_walk(y: np.ndarray, steps: np.ndarray, lo: np.ndarray, hi: np.ndarra
     -hi - s <= -hi for s >= 0) while the running difference moves further out, so
     the coordinate rests on its face, the clamp of the difference, until a step of
     the difference's sign turns it back in.  A stretch commits the rows up to the first
-    turn of any coordinate.  Once resting extends a stretch by at most 8 rows past its
-    first leaving row (a walk that bounces off its walls), the walk stops looking for
-    it, and its stretches end at their first leaving row.  Where a stretch commits at
-    most 8 rows the walk steps one row at a time, twice as many each time, and it
-    steps the last 16 rows or fewer so too.  A NaN never leaves the box and walks on as
-    NaN, as the loop's clamps keep it.  Past a row that left, the running difference
-    may overflow or read inf - inf; the callers step under ``np.errstate``.
+    turn of any coordinate.  The turn is read from the signs of the step and the
+    difference, not from their product, which underflows to 0 below about 2.5e-324 (a
+    box of half-width about 1e-162, or subnormal steps).  The walk steps one row at a time where at most
+    ``_STEP_ROWS`` steps are left, and after a stretch that committed at most that
+    many rows, twice as many plain steps each time.  A NaN never leaves the box and
+    walks on as NaN, as the loop's clamps keep it.  Past a row that left, the running
+    difference may overflow or read inf - inf; the callers step under ``np.errstate``.
     """
     K = len(steps)
     chunk = path is None
     if not chunk:
         path[0] = y
-    elif K > 16:
+    elif K > _STEP_ROWS:
         path = np.empty((min(K, _WALK_ROWS) + 1, *y.shape))
     k, size, plain, theta = 0, _WALK_ROWS, 1, y  # steps taken, the next stretch's, plain steps
-    rest = True  # whether to look for coordinates resting on a face
     while k < K:
         stop = K  # the rows to step one at a time, unless a stretch pays first
-        if K - k > 16:
+        if K - k > _STEP_ROWS:
             span = path[(0 if chunk else k):][:min(size, K - k) + 1]
             run, m = span[1:], len(span) - 1  # the positions after each step; their count
             ahead = steps[k:k + m]
@@ -121,18 +121,14 @@ def clamped_walk(y: np.ndarray, steps: np.ndarray, lo: np.ndarray, hi: np.ndarra
             run[:] = ahead
             np.subtract.accumulate(span, axis=0, out=span)
             out = np.abs(run) > hi
-            left = np.flatnonzero(out)
-            if left.size:
-                first = int(left[0]) // theta.size + 1  # the rows up to the first out
-                if rest:  # up to its first turn a coordinate that left is out
-                    turns = (out[:-1] & (ahead[1:] * run[:-1] > 0)).reshape(m - 1, -1).any(1)
-                    m = int(turns.argmax()) + 1 if turns.any() else m
-                    rest = m - first > 8
-                else:
-                    m = first
+            if out[:-1].any():  # up to its first turn a coordinate that left is out
+                turns = out[:-1] & ((ahead[1:] > 0) == (run[:-1] > 0)) & (ahead[1:] != 0)
+                first = int(turns.argmax())  # in the flattened rows; 0 when none turns
+                if turns.flat[first]:
+                    m = first // theta.size + 1
             np.minimum(np.maximum(run[:m], lo, out=run[:m]), hi, out=run[:m])
             theta, k, size = run[m - 1], k + m, max(32, 2 * m)
-            if m > 8:
+            if m > _STEP_ROWS:
                 plain = 1
                 continue
             stop, plain = min(k + plain, K), 2 * plain

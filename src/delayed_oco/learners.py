@@ -91,7 +91,8 @@ class DelayedOGD:
     to the first step that takes a coordinate off a face, bitwise the
     per-step loop.  Its wall rule lets a coordinate that reached a face rest
     there while the steps push it further out, so an expert pool whose fast
-    experts hit the faces early in a burst (block delays) takes one stretch.
+    experts hit the faces early in a burst (block delays) takes one stretch;
+    a burst of at most 8 steps steps row by row.
     A delivery of one row takes its one step directly, as the same product
     and the same two clamps.
     """

@@ -95,19 +95,21 @@ def test_vertices_enumeration():
 @given(shape=st.sampled_from([(1,), (3,), (2, 4)]),
        K=st.integers(0, 64) | st.integers(_WALK_ROWS - 4, _WALK_ROWS + 40),
        flips=st.sampled_from([None, 0.02, 0.3]), special=st.sampled_from([0.0, 0.05]),
-       size=st.sampled_from([0.05, 1.0, 1e308]), seed=st.integers(0, 2**32 - 1))
+       size=st.sampled_from([0.05, 1.0, 1e308]), tiny=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 def test_a_clamped_walk_keeps_every_position_of_the_per_step_loop(shape, K, flips, special,
-                                                                 size, seed):
+                                                                 size, tiny, seed):
     # the whole path, as the drift walk keeps it, bitwise; steps that keep a coordinate's
-    # sign for a while pin it to a face, and +-0.0, +-inf and NaN steps are sprinkled in
-    rng, h = np.random.default_rng(seed), 0.5
-    steps = size * rng.uniform(-1.0, 1.0, (K, *shape))
+    # sign for a while pin it to a face, and +-0.0, +-inf and NaN steps are sprinkled in.
+    # In a tiny box (h 5e-201) a step times a position underflows to 0.
+    rng, h = np.random.default_rng(seed), 5e-201 if tiny else 0.5
+    steps = 2 * h * size * rng.uniform(-1.0, 1.0, (K, *shape))
     if flips is not None and K:
         steps = np.abs(steps[0]) * np.where(np.logical_xor.accumulate(
             rng.random(steps.shape) < flips, axis=0), -1.0, 1.0)
     at = rng.random(steps.shape) < special
     steps[at] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(at.sum()))
-    y = rng.choice([-h, h, 0.0, -0.0, 0.3], size=shape)
+    y = rng.choice([-h, h, 0.0, -0.0, 0.6 * h], size=shape)
     path, expected = np.full((K + 1, *shape), 7.0), [y]
     with np.errstate(over="ignore", invalid="ignore"):
         for step in steps:

@@ -125,9 +125,10 @@ def test_bare_clamp_steps_match_box_project_bitwise(case):
 def bursts(draw):
     """A box, a scalar rate or an (N, 1), (R, 1) or (R, N, 1) rate column, an iterate in
     the box (walls and +-0.0 included) and 1-64 gradients, or more than a walk's chunk of
-    rows, laid out as ``ingest`` takes them.  The gradients are uniform, or each
-    coordinate's keep one size and flip sign now and then (so iterates rest on a face,
-    pushed out, then leave it), with +-0.0, +-inf and NaN sprinkled in or not."""
+    rows, laid out as ``ingest`` takes them.  The gradients are drawn by hypothesis (its
+    edge values, repeats and shrinking), or uniform, or each coordinate's keep one size
+    and flip sign now and then (so iterates rest on a face, pushed out, then leave it),
+    the last two with +-0.0, +-inf and NaN sprinkled in or not."""
     n, N, R = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
     h = draw(st.floats(0.05, 5.0))
     rate_shape, row = draw(st.sampled_from([((), (n,)), ((N, 1), (n,)), ((R, 1), (R, n)),
@@ -136,6 +137,10 @@ def bursts(draw):
     eta = draw(arrays(np.float64, rate_shape, elements=rates)) if rate_shape else draw(rates)
     y = draw(arrays(np.float64, rate_shape[:-1] + (n,),
                     elements=st.sampled_from([-h, h, 0.0, -0.0]) | st.floats(-h, h)))
+    if draw(st.booleans()):
+        grads = draw(arrays(np.float64, (draw(st.integers(1, 64)), *row),
+                            elements=st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)))
+        return Box(n, h), eta, y, grads
     K = draw(st.integers(1, 64) | st.integers(_WALK_ROWS - 8, 2 * _WALK_ROWS + 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grads = rng.uniform(-1e3, 1e3, (K, *row))
