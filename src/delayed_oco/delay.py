@@ -27,6 +27,7 @@ sum_t m_t <= S <= d_max * T where S is the sum of all delays.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,33 +221,35 @@ def in_order_random_schedule(T: int, d_max: int, seed: int) -> DelaySchedule:
     return DelaySchedule((np.maximum.accumulate(t + draws - 1) - t + 1).astype(np.int64))
 
 
-def make_schedule(spec: dict, T: int, seed: int) -> DelaySchedule:
-    """Build a schedule from a config-style spec.
+def _listed(spec: dict, T: int, seed: int) -> DelaySchedule:
+    values = spec["values"]
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"explicit delay values must be a list, got {values!r}")
+    if len(values) != T:
+        raise ValueError(f"explicit delay list has length {len(values)}, expected {T}")
+    return DelaySchedule(values)
 
-    Supported kinds:
-      {"kind": "constant", "value": k}
-      {"kind": "uniform", "lo": a, "hi": b}
-      {"kind": "blocks", "d": d}
-      {"kind": "permuted"}
-      {"kind": "in_order_random", "d_max": d}
-      {"kind": "list", "values": [d_1, ..., d_T]}
-    """
-    kind = spec.get("kind")
-    if kind == "constant":
-        return constant_schedule(T, _integer(spec["value"]))
-    if kind == "uniform":
-        return uniform_schedule(T, _integer(spec["lo"]), _integer(spec["hi"]), seed)
-    if kind == "blocks":
-        return block_schedule(T, _integer(spec["d"]))
-    if kind == "permuted":
-        return permuted_schedule(T, seed)
-    if kind == "in_order_random":
-        return in_order_random_schedule(T, _integer(spec["d_max"]), seed)
-    if kind == "list":
-        values = spec["values"]
-        if not isinstance(values, (list, tuple)):
-            raise ValueError(f"explicit delay values must be a list, got {values!r}")
-        if len(values) != T:
-            raise ValueError(f"explicit delay list has length {len(values)}, expected {T}")
-        return DelaySchedule(values)
-    raise ValueError(f"unknown delay spec kind: {kind!r}")
+
+# A delay kind: its spec's fields (all required), the field a sweep's "d" sets (None: a
+# "d" cell is refused), and its schedule built from (spec, T, seed).
+Kind = namedtuple("Kind", "fields sweep build")
+
+KINDS = {
+    "constant": Kind(("value",), "value",
+                     lambda s, T, seed: constant_schedule(T, _integer(s["value"]))),
+    "uniform": Kind(("lo", "hi"), "hi", lambda s, T, seed: uniform_schedule(
+        T, _integer(s["lo"]), _integer(s["hi"]), seed)),
+    "blocks": Kind(("d",), "d", lambda s, T, seed: block_schedule(T, _integer(s["d"]))),
+    "permuted": Kind((), None, lambda s, T, seed: permuted_schedule(T, seed)),
+    "in_order_random": Kind(("d_max",), "d_max", lambda s, T, seed: in_order_random_schedule(
+        T, _integer(s["d_max"]), seed)),
+    "list": Kind(("values",), None, _listed),
+}
+
+
+def make_schedule(spec: dict, T: int, seed: int) -> DelaySchedule:
+    """Build a schedule from a config-style spec ``{"kind": ..., field: value, ...}``, whose
+    kind and fields ``KINDS`` lists; raises ValueError on anything the schedule refuses."""
+    if spec.get("kind") not in KINDS:
+        raise ValueError(f"unknown delay spec kind: {spec.get('kind')!r}")
+    return KINDS[spec["kind"]].build(spec, T, seed)

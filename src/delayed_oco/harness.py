@@ -144,16 +144,14 @@ def _gradients(v, cfg, what):
 _RATE, _LENGTH, _ECHOED = _check(_real, "paper"), _check(_real, positive=False), _check(_reals)
 # section: (tag key, {kind: ({required field: check}, {optional field: check})}); no tag
 # reads "auto".  check(value, cfg, what) writes nothing back, so runs echo sections as
-# given.  delay.make_schedule checks delays.  Runs echo expert_rates and resolved_values.
+# given; delay.KINDS' builders check delays.  Runs echo expert_rates and resolved_values.
 _SPEC = {
     "learner": ("name", {
         "ogd": ({}, {"eta": _RATE}), "dogd": ({}, {"eta": _RATE}),
         "mild": ({}, {"etas": _check(_reals, "paper"), "alpha": _RATE, "expert_rates": _ECHOED}),
         "dogd_dt": ({}, {}), "mild_dt": ({}, {})}),
-    "delay": ("kind", {
-        kind: (dict.fromkeys(required), {"resolved_values": _ECHOED}) for kind, required in {
-            "constant": ["value"], "uniform": ["lo", "hi"], "blocks": ["d"], "permuted": [],
-            "in_order_random": ["d_max"], "list": ["values"]}.items()}),
+    "delay": ("kind", {kind: (dict.fromkeys(k.fields), {"resolved_values": _ECHOED})
+                       for kind, k in delay_mod.KINDS.items()}),
     "environment": ("kind", {
         "drift": ({}, {"step": _LENGTH, "loss": _check(None, "quadratic", "linear")}),
         "lowerbound": ({}, {}), "linear_list": ({"gradients": _gradients}, {})}),
@@ -185,6 +183,8 @@ def normalize_config(config: dict) -> dict:
     cfg["D"], cfg["G"] = _real(cfg["D"], "D"), _real(cfg["G"], "G")
     if min(cfg["T"], cfg["n"], cfg["repetitions"]) < 1 or cfg["seed"] < 0:
         raise ConfigError("need T, n and repetitions >= 1 and seed >= 0")
+    if cfg["repetitions"] > delay_mod.MAX_ROUND:  # the seeds are a range, whose length is int64
+        raise ConfigError(f"repetitions must be below 2^63, got {cfg['repetitions']}")
     try:
         box = Box.from_diameter(cfg["n"], cfg["D"])
     except ValueError as exc:
@@ -209,21 +209,19 @@ def normalize_config(config: dict) -> dict:
                 check(spec[field], cfg, f"{section}.{field}")
     if cfg["comparators"].get("kind") == "targets" and cfg["environment"]["kind"] != "drift":
         raise ConfigError('comparators "targets" need a drift environment')
+    need = _run_bytes(cfg)
+    if need > _physical_memory():
+        raise ConfigError(f"T = {cfg['T']}, n = {cfg['n']} need about {need / 2**30:.3g} GiB a "
+                          "run, more than physical memory holds")
+    _build_schedule(cfg, 0)  # the code that builds schedules checks the delay spec
     if cfg["environment"]["kind"] == "lowerbound":
         delay = cfg["delay"]
         if delay["kind"] != "blocks":
             raise ConfigError('environment "lowerbound" requires delay {"kind": "blocks", '
                               '"d": ...} (the instance owns its block schedule)')
-        try:
-            delay["d"] = delay_mod._integer(delay["d"])
-        except ValueError as exc:
-            raise ConfigError(f"lowerbound block length d: {exc}") from exc
-        if not 1 <= delay["d"] <= delay_mod.MAX_ROUND:
+        delay["d"] = delay_mod._integer(delay["d"])  # the schedule took it as an integer >= 1
+        if delay["d"] > delay_mod.MAX_ROUND:
             raise ConfigError(f"lowerbound block length d must lie in [1, 2^63), got {delay['d']}")
-    need = _run_bytes(cfg)
-    if need > _physical_memory():
-        raise ConfigError(f"T = {cfg['T']}, n = {cfg['n']} need about {need / 2**30:.3g} GiB a "
-                          "run, more than physical memory holds")
     return cfg
 
 
@@ -571,13 +569,15 @@ def _batch_bytes(cfg: dict, runs: int, rows: int | None = None) -> int:
         256 * _CSV_CELLS
 
 
-def _batches(rows: list, cfg: dict) -> list[list]:
-    """``rows`` cut into lockstep batches, in order, of as many runs of ``cfg`` as keep
-    ``_batch_bytes`` within half of physical memory; a run alone always makes a batch."""
+def _batches(rows, cfg: dict) -> Iterator:
+    """``rows`` (a list or a range) cut into lockstep batches, yielded in order, of as many
+    runs of ``cfg`` as keep ``_batch_bytes`` within half of physical memory; a run alone
+    always makes a batch."""
     fit, cap = 1, _physical_memory() // 2
     while fit < len(rows) and _batch_bytes(cfg, fit + 1) <= cap:
         fit += 1
-    return [rows[i:i + fit] for i in range(0, len(rows), fit)]
+    for i in range(0, len(rows), fit):
+        yield rows[i:i + fit]
 
 
 def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dict]:
@@ -595,10 +595,11 @@ def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dic
 
 def run_many(config: dict) -> Iterator[tuple[RunTrace, dict]]:
     """One run per repetition, seeded base_seed + index, in lockstep batches that each fit in
-    half of physical memory; each is bitwise what ``run_experiment`` gives.  The config is
-    checked at the call; each batch runs when the iterator reaches it, and only it is held."""
+    half of physical memory; each is bitwise what ``run_experiment`` gives.  The config, its
+    delay spec included, is checked at the call; each batch runs when the iterator reaches
+    it, and only it is held, the seeds being a range."""
     cfg = normalize_config(config)
-    seeds = [cfg["seed"] + rep for rep in range(cfg["repetitions"])]
+    seeds = range(cfg["seed"], cfg["seed"] + cfg["repetitions"])
     return (result for batch in _batches(seeds, cfg)
             for result in _run(list(zip([cfg] * len(batch), batch, _build_inputs(cfg, batch)))))
 
@@ -609,14 +610,14 @@ _SWEEP_KEYS = ("learner", "T", "d", "P")
 def _apply_cell(cfg: dict, cell: dict) -> dict:
     out = dict(cfg)  # normalize_config copies it whole; an overridden section is a new dict
     for key, value in cell.items():
-        if key == "learner":
-            out["learner"] = {"name": value}
+        if key == "learner":  # a cell naming the base config's own learner keeps its rates
+            if out.get("learner", {}).get("name") != value:
+                out["learner"] = {"name": value}
         elif key == "T":
             out["T"] = value
         elif key == "d":
             kind = out["delay"]["kind"]
-            field = {"constant": "value", "blocks": "d", "uniform": "hi",
-                     "in_order_random": "d_max"}.get(kind)
+            field = delay_mod.KINDS[kind].sweep
             if field is None:
                 raise ConfigError(f'sweeping "d" unsupported for delay kind {kind!r}')
             out["delay"] = {**out["delay"], field: value}
@@ -632,7 +633,10 @@ def sweep(config: dict, grid: dict) -> list[dict]:
 
     Rows come out in deterministic (grid key, value order, repetition) order
     regardless of any execution order, one row per repetition per cell; each
-    is the summary ``run_many`` gives for its cell, less the config.  The
+    is the summary ``run_many`` gives for its cell, less the config.  Every
+    cell's config, its delay spec included, is checked before any batch runs;
+    a ``learner`` cell that names the base config's learner keeps its rates,
+    and any other takes the paper rates.  The
     runs of all cells that share a learner family (``_family``) and T step in
     lockstep.  The runs share only their environment walks; a batch's plans and
     comparator paths are built when it runs, one per run, and only the rows and

@@ -12,6 +12,8 @@ import importlib.util
 import json
 import pathlib
 
+from delayed_oco.delay import KINDS
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("compare_outputs",
                                                ROOT / "scripts" / "compare_outputs.py")
@@ -24,3 +26,7 @@ def test_outputs_match_their_golden_digests():
     got = compare_outputs.golden_digests()
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []
+
+
+def test_the_pinned_runs_cover_every_delay_kind():
+    assert sorted(compare_outputs.DELAYS) == sorted(KINDS)

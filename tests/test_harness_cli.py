@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from delayed_oco import (Box, DelayedOGD, DelaySchedule, MildOGD, cli, constant_schedule,
                          harness, invariants)
-from delayed_oco.delay import merge_plans
+from delayed_oco.delay import KINDS, merge_plans
 from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many,
                                  simulate, sweep, trace_to_csv)
 from delayed_oco.losses import QuadraticTracking
@@ -97,6 +97,70 @@ def test_a_malformed_scalar_field_is_named(key, value):
 def test_an_out_of_range_delay_bound_is_named(delay, named):
     with pytest.raises(ConfigError, match=named):
         run_experiment({"T": 5, "delay": delay})
+
+
+def _sweep_row(cell, run, repetition=0):
+    """The sweep row of ``cell`` that a (trace, summary) ``run`` gives."""
+    return {"cell": cell, "repetition": repetition,
+            **{k: v for k, v in run[1].items() if k != "config"}}
+
+
+# one valid spec per delay kind at T = 6; a kind added to delay.KINDS needs one here
+_VALID_DELAYS = {"constant": {"value": 2}, "uniform": {"lo": 1, "hi": 4}, "blocks": {"d": 3},
+                 "permuted": {}, "in_order_random": {"d_max": 3}, "list": {"values": [2] * 6}}
+
+
+def _malformed_delays(kind):
+    """Specs of ``kind`` with one bad field: a string, a value below 1, and the kind's own
+    rules (``uniform`` with lo > hi, a ``list`` of the wrong length)."""
+    spec = {"kind": kind, **_VALID_DELAYS[kind]}
+    for field in KINDS[kind].fields:
+        yield {**spec, field: "2"}
+        yield {**spec, field: [0] * 6 if field == "values" else 0}
+    if kind == "uniform":
+        yield {**spec, "lo": 5, "hi": 2}
+    if kind == "list":
+        yield {**spec, "values": [2] * 5}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_malformed_delay_spec_is_refused_at_the_call(kind):
+    for spec in _malformed_delays(kind):
+        cfg = base_config(T=6, delay=spec)
+        with pytest.raises(ConfigError, match="^bad delay spec: "):
+            run_experiment(cfg)
+        with pytest.raises(ConfigError, match="^bad delay spec: "):
+            run_many(cfg)  # the iterator is never read
+    # a "d" cell sets the kind's sweep field, or is refused by name
+    cfg = base_config(T=6, delay={"kind": kind, **_VALID_DELAYS[kind]})
+    field = KINDS[kind].sweep
+    if field is None:
+        with pytest.raises(harness.SweepError, match=r"^sweep cell \{'d': 1\} failed: .*"
+                                                     rf"unsupported for delay kind '{kind}'"):
+            sweep(cfg, {"d": [1, 3]})
+        return
+    expected = [_sweep_row({"d": d}, run_experiment({**cfg, "delay": {**cfg["delay"], field: d}}))
+                for d in (1, 3)]
+    assert harness.to_json(sweep(cfg, {"d": [1, 3]})) == harness.to_json(expected)
+
+
+def test_a_sweep_refuses_a_bad_delay_spec_before_any_batch_runs(monkeypatch):
+    calls = []
+    run = harness._run
+    monkeypatch.setattr(harness, "_run", lambda rows: calls.append(rows) or run(rows))
+    cfg = base_config(T=10, delay={"kind": "list", "values": [1] * 10})
+    with pytest.raises(harness.SweepError, match=r"^sweep cell \{'T': 20\} failed: bad delay"):
+        sweep(cfg, {"T": [10, 20]})  # the list fits T = 10 only
+    assert calls == []
+
+
+def test_a_learner_cell_keeps_the_base_learners_rates():
+    # the base learner's cell runs the configured eta; another learner's runs the paper's
+    cfg = {"T": 50, "learner": {"name": "dogd", "eta": 0.1}}
+    own, other = sweep(cfg, {"learner": ["dogd", "ogd"]})
+    assert harness.to_json(own) == harness.to_json(_sweep_row({"learner": "dogd"},
+                                                              run_experiment(cfg)))
+    assert (own["eta"], other["eta_source"]) == (0.1, "paper")
 
 
 # --- run ----------------------------------------------------------------------
@@ -394,9 +458,8 @@ def test_sweep_rows_equal_independent_runs(case):
     expected = []
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, combo))
-        for rep, (_, summary) in enumerate(run_many(harness._apply_cell(cfg, cell))):
-            expected.append({"cell": cell, "repetition": rep,
-                             **{k: v for k, v in summary.items() if k != "config"}})
+        for rep, run in enumerate(run_many(harness._apply_cell(cfg, cell))):
+            expected.append(_sweep_row(cell, run, rep))
     assert harness.to_json(rows) == harness.to_json(expected)
 
 
@@ -691,6 +754,14 @@ def test_run_many_holds_one_batch_at_a_time(monkeypatch):
     assert held <= own_bytes(seeds) + _CACHES
 
 
+def test_run_many_holds_no_seed_of_a_later_batch(monkeypatch):
+    # the repetitions' seeds are a range, cut into batches as the iterator reaches them
+    cfg = base_config(T=2, n=1, repetitions=10**6)
+    batch = two_run_batches(monkeypatch, cfg)
+    (_, summary), _, peak = traced_peak(lambda c: next(run_many(c)), cfg)
+    assert summary["seed"] == 7 and peak <= batch
+
+
 def test_cli_run_holds_one_batch_at_a_time(tmp_path, monkeypatch):
     cfg = base_config(T=2000, n=1, delay={"kind": "permuted"}, repetitions=12)
     batch = two_run_batches(monkeypatch, cfg)
@@ -769,13 +840,6 @@ _VERIFY_CHECKS = (
     "joint_effect_caps", "adversarial_instance_oracles", "static_regret_closed_vs_grid")
 
 
-def test_verify_all_green():
-    checks = invariants.verify_all(seed=0)
-    failed = [c for c in checks if not c["ok"]]
-    assert failed == []
-    assert tuple(c["name"] for c in checks) == _VERIFY_CHECKS
-
-
 def inject_hedge_fault(monkeypatch):
     """Shift Mild-OGD's Hedge log-weights after every ``ingest``, without renormalizing."""
     ingest = MildOGD.ingest
@@ -784,13 +848,6 @@ def inject_hedge_fault(monkeypatch):
         ingest(self, t, stamps, grads)
         self.log_w = self.log_w + 0.05
     monkeypatch.setattr(MildOGD, "ingest", shifted_ingest)
-
-
-def test_verify_catches_corrupted_normalization(monkeypatch):
-    inject_hedge_fault(monkeypatch)
-    checks = invariants.verify_all(seed=0)
-    simplex = [c for c in checks if c["name"] == "hedge_weight_simplex"]
-    assert simplex and not simplex[0]["ok"]
 
 
 # --- CLI surface ------------------------------------------------------------------
@@ -1029,7 +1086,7 @@ _FIELD_VALUES = {
     ("delay", "in_order_random", "d_max"): lambda T, n: st.integers(1, 5),
     ("delay", "list", "values"): _delays,
     **{("delay", kind, "resolved_values"): _delays
-       for kind in ("constant", "uniform", "blocks", "permuted", "in_order_random", "list")},
+       for kind in KINDS},
     ("environment", "drift", "step"): lambda T, n: st.floats(0.0, 0.5),
     ("environment", "drift", "loss"): lambda T, n: st.sampled_from(["quadratic", "linear"]),
     ("environment", "linear_list", "gradients"): _rows,

@@ -17,7 +17,7 @@ from delayed_oco import (
     make_lowerbound_instance,
     simulate,
 )
-from delayed_oco.delay import constant_schedule
+from delayed_oco.delay import KINDS, constant_schedule
 from delayed_oco.harness import run_experiment, run_many, trace_to_csv
 from delayed_oco.losses import Linear, QuadraticTracking
 from delayed_oco.metrics import (
@@ -186,7 +186,7 @@ def test_joint_effect_and_bound_thm1_from_their_definitions(delay, n):
 
 
 _LEARNERS = ["ogd", "dogd", "mild", "dogd_dt", "mild_dt"]
-_DELAY_KINDS = ["constant", "uniform", "blocks", "permuted", "in_order_random", "list"]
+_DELAY_KINDS = list(KINDS)  # a new kind needs its spec in _reference_configs
 _COMPARATOR_KINDS = ["auto", "targets", "best_fixed", "constant", "piecewise", "list"]
 
 
