@@ -40,6 +40,9 @@ import tempfile
 from unittest import mock
 
 T = 300
+# every learner, spelled here rather than read from delayed_oco.learners.KINDS, since the
+# script also runs trees that predate the table
+LEARNERS = ("ogd", "dogd", "mild", "dogd_dt", "mild_dt")
 DELAYS = {"constant": {"value": 3}, "uniform": {"lo": 1, "hi": 12}, "blocks": {"d": 16},
           "permuted": {}, "in_order_random": {"d_max": 8},
           "list": {"values": [1 + (7 * t) % 11 for t in range(T)]}}
@@ -60,8 +63,7 @@ def comparison_set():
     (``golden_comparators``)."""
     base = {"T": T, "D": 2.0, "G": 1.0}
     for learner, (kind, spec), loss, step, n, seed in itertools.product(
-            ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), DELAYS.items(),
-            ("quadratic", "linear"), (0.02, 1.0), (1, 3, 10), (0, 1)):
+            LEARNERS, DELAYS.items(), ("quadratic", "linear"), (0.02, 1.0), (1, 3, 10), (0, 1)):
         yield (f"{learner}/{kind}/{loss}-{step}/n{n}/s{seed}",
                {**base, "n": n, "seed": seed, "learner": {"name": learner},
                 "delay": {"kind": kind, **spec},
@@ -87,8 +89,7 @@ def comparison_set():
                 "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"},
                 "comparators": {"kind": "piecewise", "path_budget": P}})
     for learner, G, kind, n, seed in itertools.product(
-            ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), (1.5, 0.3), ("uniform", "permuted"),
-            (1, 3), (0, 1)):
+            LEARNERS, (1.5, 0.3), ("uniform", "permuted"), (1, 3), (0, 1)):
         yield (f"{learner}/D3-G{G}/{kind}/n{n}/s{seed}",
                {**base, "D": 3.0, "G": G, "n": n, "seed": seed, "learner": {"name": learner},
                 "delay": {"kind": kind, **DELAYS[kind]},
@@ -126,7 +127,6 @@ def sweep_set():
     learners with ``list`` delays and ``list`` comparators, which each run builds from
     the config's T-entry lists."""
     learners = ["dogd", "mild", "dogd_dt", "mild_dt"]
-    five = ["ogd", "dogd", "mild", "dogd_dt", "mild_dt"]
     for seed in range(3):
         yield (f"sweep/drift_sweep/s{seed}",
                {"T": 2000, "n": 5, "D": 2.0, "G": 1.0, "seed": seed,
@@ -149,17 +149,17 @@ def sweep_set():
            {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4, "repetitions": 3,
             "delay": {"kind": "uniform", **DELAYS["uniform"]},
             "environment": {"kind": "drift", "step": 0.02, "loss": "linear"}},
-           {"learner": five, "d": [1, 5, 20]})
+           {"learner": list(LEARNERS), "d": [1, 5, 20]})
     yield ("sweep/lowerbound/five-learners/r3",
            {"T": 256, "n": 3, "D": 2.0, "G": 1.0, "seed": 4, "repetitions": 3,
             "delay": {"kind": "blocks", "d": 1}, "environment": {"kind": "lowerbound"}},
-           {"learner": five, "d": [1, 8, 32]})
+           {"learner": list(LEARNERS), "d": [1, 8, 32]})
     yield ("sweep/list/five-learners/r3",
            {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4, "repetitions": 3,
             "delay": {"kind": "list", **DELAYS["list"]},
             "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"},
             "comparators": {"kind": "list", "points": POINTS}},
-           {"learner": five})
+           {"learner": list(LEARNERS)})
 
 
 BASE = {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4,
@@ -193,8 +193,7 @@ def many_set():
     x quadratic and linear drift, for dogd and mild with permuted delays; and dogd and
     mild at T = 9000, 3 repetitions, whose strided loss columns outrun NumPy's
     8192-element reduction buffer."""
-    for learner, kind, loss in itertools.product(("ogd", "dogd", "mild", "dogd_dt", "mild_dt"),
-                                                 ("uniform", "permuted", "blocks"),
+    for learner, kind, loss in itertools.product(LEARNERS, ("uniform", "permuted", "blocks"),
                                                  ("quadratic", "linear")):
         yield (f"many/{learner}/{kind}/{loss}",
                {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 2, "repetitions": 4,
@@ -294,8 +293,7 @@ def golden_digests() -> dict:
     def one_run(cfg):
         return digest("".join(run_digests(harness, *harness.run_experiment(cfg))))
 
-    for learner, (kind, spec) in itertools.product(
-            ("ogd", "dogd", "mild", "dogd_dt", "mild_dt"), DELAYS.items()):
+    for learner, (kind, spec) in itertools.product(LEARNERS, DELAYS.items()):
         out[f"{learner}/{kind}"] = one_run(
             {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 0, "learner": {"name": learner},
              "delay": {"kind": kind, **spec},

@@ -11,10 +11,10 @@ queried there, but still-pending gradients keep arriving, which is what
 lets consumption diagnostics cover all T timestamps.
 
 Every F_t is fixed by the delays alone, so a schedule builds its arrival
-plan once, at construction, in O(T) memory: the timestamps in delivery
+plan once, when first read, in O(T) memory: the timestamps in delivery
 order (a stable argsort of the arrival rounds, so each F_t is ascending)
 plus offsets over only the rounds that receive feedback.  Nothing about
-the plan is rediscovered during a run.
+the plan is rediscovered during a run, nor built for a schedule never run.
 
 The backlog counter
 
@@ -28,7 +28,8 @@ sum_t m_t <= S <= d_max * T where S is the sum of all delays.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,21 +52,18 @@ def _integer(v) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DelaySchedule:
-    """Materialized per-round delays with their precomputed arrival plan.
+    """Materialized per-round delays with their arrival plan.
 
     Delays are materialized (not a generator) so that S, d_max, m_t and the arrival
     sets are all computable before a run, which formula-derived learning rates require.
     The plan holds ``stamps`` (all timestamps in delivery order), ``rounds`` (the rounds
     that receive feedback, ascending) and ``offsets``: round ``rounds[j]`` receives
-    ``stamps[offsets[j]:offsets[j + 1]]``.  All four are read-only int64 arrays.  An int64
-    array of delays is taken as it is (the generators build one); any other sequence is
-    checked entry by entry.  Schedules with equal delays are equal.
+    ``stamps[offsets[j]:offsets[j + 1]]``, built when first read.  All four are read-only
+    int64 arrays.  An int64 array of delays is taken as it is (the generators build one);
+    any other sequence is checked entry by entry.  Schedules with equal delays are equal.
     """
 
     delays: np.ndarray
-    stamps: np.ndarray = field(init=False, repr=False)
-    rounds: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.delays
@@ -80,15 +78,21 @@ class DelaySchedule:
         if len(d) + high - 1 > MAX_ROUND:
             raise ValueError(f"delay {high} too large: arrival rounds must stay "
                              f"below 2^63 over {len(d)} rounds")
-        d = np.asarray(d, dtype=np.int64)
-        arrival = np.arange(d.size) + d  # t + d_t - 1 for t = 1, ..., T
+        object.__setattr__(self, "delays", np.asarray(d, dtype=np.int64))
+        self.delays.setflags(write=False)
+
+    @cached_property
+    def _plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        arrival = np.arange(self.delays.size) + self.delays  # t + d_t - 1 for t = 1, ..., T
         order = np.argsort(arrival, kind="stable")
         by_round = arrival[order]
         starts = np.flatnonzero(np.r_[True, by_round[1:] != by_round[:-1]])
-        for name, values in zip(("delays", "stamps", "rounds", "offsets"),
-                                (d, order + 1, by_round[starts], np.append(starts, d.size))):
+        plan = order + 1, by_round[starts], np.append(starts, self.delays.size)
+        for values in plan:
             values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        return plan
+
+    stamps, rounds, offsets = (cached_property(lambda self, i=i: self._plan[i]) for i in range(3))
 
     def __eq__(self, other):
         return isinstance(other, DelaySchedule) and np.array_equal(self.delays, other.delays)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import copy
-import functools
 import hashlib
 import itertools
 import json
@@ -142,14 +141,16 @@ def _gradients(v, cfg, what):
 
 
 _RATE, _LENGTH, _ECHOED = _check(_real, "paper"), _check(_real, positive=False), _check(_reals)
+_RATES = {"eta": _RATE, "alpha": _RATE, "expert_rates": _check(_reals, "paper")}
 # section: (tag key, {kind: ({required field: check}, {optional field: check})}); no tag
 # reads "auto".  check(value, cfg, what) writes nothing back, so runs echo sections as
-# given; delay.KINDS' builders check delays.  Runs echo expert_rates and resolved_values.
+# given; a learner field is checked as the rate it replaces (_RATES), and delay.KINDS'
+# builders check delays.  Runs echo their rates and resolved_values.
 _SPEC = {
-    "learner": ("name", {
-        "ogd": ({}, {"eta": _RATE}), "dogd": ({}, {"eta": _RATE}),
-        "mild": ({}, {"etas": _check(_reals, "paper"), "alpha": _RATE, "expert_rates": _ECHOED}),
-        "dogd_dt": ({}, {}), "mild_dt": ({}, {})}),
+    "learner": ("name", {name: ({}, {**{field: _RATES[rate] for field, rate in k.fields.items()},
+                                     **{rate: _ECHOED for rate in k.fields.values()
+                                        if rate not in k.fields}})
+                         for name, k in learn_mod.KINDS.items()}),
     "delay": ("kind", {kind: (dict.fromkeys(k.fields), {"resolved_values": _ECHOED})
                        for kind, k in delay_mod.KINDS.items()}),
     "environment": ("kind", {
@@ -232,10 +233,8 @@ def _run_bytes(cfg: dict) -> int:
     (four of T ints, 40 bytes an entry; tracemalloc: 167 at T = 20000), and the config's
     own lists, held twice (``normalize_config``'s copy and the summary's echo, whose deep
     copy memoizes each row): 16 bytes an entry and 16*n + 256 a row of T rows of n
-    (tracemalloc: 16 and 16*n + 250).  N is the rate list's length, or ``expert_count(T)``."""
-    etas = cfg["learner"].get("etas", "paper")
-    N = (learn_mod.expert_count(cfg["T"]) if etas == "paper" else len(etas)) \
-        if _family(cfg["learner"]["name"]) == "mild" else 0
+    (tracemalloc: 16 and 16*n + 250).  N is the run's expert count (``_pool``)."""
+    N = _pool(cfg)[1]
     lists = [v for section in _SPEC for v in cfg[section].values() if isinstance(v, (list, tuple))]
     rows = sum(len(v) for v in lists if v and isinstance(v[0], (list, tuple)))
     return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + (32 + 168) * cfg["T"] + \
@@ -298,52 +297,48 @@ def _build_comparators(cfg: dict, box: Box, targets, best, comp_seed: int) -> np
     return np.asarray(spec["points"], dtype=np.float64)  # list
 
 
-def _family(name: str) -> str:
-    """A learner's family, "dogd" or "mild": a fixed-horizon learner is its family's
-    doubling-trick learner whose first epoch never ends, so a family's runs step in
-    lockstep in one batch.  "ogd" names DelayedOGD: under unit delays it is plain OGD."""
-    return "mild" if name.startswith("mild") else "dogd"
+def _configured(spec: dict) -> dict:
+    """The rates a learner section's fields set, by the rate each replaces: floats or arrays."""
+    return {rate: np.asarray(v, dtype=np.float64) if np.ndim(v) else float(v)
+            for field, rate in learn_mod.KINDS[spec["name"]].fields.items()
+            if (v := spec.get(field, "paper")) != "paper"}
+
+
+def _pool(cfg: dict) -> tuple[str, int]:
+    """A run's learner family and expert count: the runs that share both and T can batch."""
+    family = learn_mod.KINDS[cfg["learner"]["name"]].family
+    return family, learn_mod.FAMILIES[family].experts(cfg["T"], _configured(cfg["learner"]))
 
 
 def _build_learner(cfgs: list[dict], box: Box, sums: list[int]):
-    """The learner for runs of ``cfgs``, one learner family and T, whose backlog sums are
-    ``sums``; returns (learner, resolved params per run).  One run has no run axis; more get
-    one, row r running cfgs[r]'s learner: a fixed-horizon row tuned to sums[r] or to its
-    configured rates, a doubling-trick row at the budget 2 until it restarts.  The rows'
-    first-epoch learners stack into one ``DelayedOGD`` or ``MildOGD``, which the family's
-    doubling-trick learner wraps when some row restarts."""
+    """The learner for runs of ``cfgs``, one ``_pool`` and T, whose backlog sums are ``sums``;
+    returns (learner, resolved params per run).  A row's rates are the paper rates at its
+    first-epoch budget (sums[r], or 2 if it restarts), less the configured ones.  More runs
+    than one stack their rates on a run axis, in one learner of their family, which a
+    ``_RestartingLearner`` wraps when some row restarts (epoch v at the budget 2^v)."""
     D, G, T = cfgs[0]["D"], cfgs[0]["G"], cfgs[0]["T"]
     specs = [cfg["learner"] for cfg in cfgs]
-    restarts = [spec["name"].endswith("_dt") for spec in specs]
-    betas = [2 if dt else s for dt, s in zip(restarts, sums)]  # each row's first-epoch budget
-    stacked = len(cfgs) > 1
+    kinds = [learn_mod.KINDS[spec["name"]] for spec in specs]
+    family, restarts = learn_mod.FAMILIES[kinds[0].family], [k.restarts for k in kinds]
     try:  # the learners refuse the rates the paper formulas give near the float limits
-        if _family(specs[0]["name"]) == "dogd":
-            sources = [spec.get("eta", "paper") for spec in specs]
-            etas = [learn_mod.corollary_lr(D, G, b) if source == "paper" else float(source)
-                    for source, b in zip(sources, betas)]
-            inner = learn_mod.DelayedOGD(box, np.array(etas)[:, None] if stacked else etas[0])
-            resolved = [{"eta": eta, "eta_source": source} for eta, source in zip(etas, sources)]
-            doubling = functools.partial(learn_mod.DogdDoublingTrick, box, D, G)
-        else:
-            grids = [np.asarray(learn_mod.mild_lr_grid(D, G, b, T) if spec.get("etas", "paper")
-                                == "paper" else spec["etas"], dtype=np.float64)
-                     for spec, b in zip(specs, betas)]
-            alphas = [learn_mod.hedge_alpha(D, G, b) if spec.get("alpha", "paper") == "paper"
-                      else float(spec["alpha"]) for spec, b in zip(specs, betas)]
-            inner = learn_mod.MildOGD(box, *((np.array(grids), np.array(alphas)) if stacked
-                                             else (grids[0], alphas[0])))
-            resolved = [{"expert_rates": g.tolist(), "alpha": a} for g, a in zip(grids, alphas)]
-            doubling = functools.partial(learn_mod.MildOgdDoublingTrick, box, D, G, T)
+        rows = [family.paper(D, G, 2 if k.restarts else s, T, **_configured(spec))
+                for k, s, spec in zip(kinds, sums, specs)]
+        inner = family.build(box, **({rate: np.array([row[rate] for row in rows]) for rate in
+                                      rows[0]} if len(rows) > 1 else rows[0]))
+        resolved = [{} if k.restarts else {
+            **{rate: np.asarray(v).tolist() for rate, v in row.items()},
+            **({"eta_source": spec.get("eta", "paper")} if "eta" in row else {})}
+            for k, row, spec in zip(kinds, rows, specs)]
         if not any(restarts):
             return inner, resolved
-        learner = doubling(restarts if stacked else None, inner)
+        learner = learn_mod._RestartingLearner(family.tuned(box, D, G, T),
+                                               restarts if len(rows) > 1 else None, inner)
         # an epoch v opens only once its budget 2^(v-1) is below sum_m and the rates fall
         # with v, so the last is the other end of a doubling row's rates
         for s, dt in zip(sums, restarts):
             if dt:
                 learner.make(2 ** s.bit_length())
-        return learner, [{} if dt else params for dt, params in zip(restarts, resolved)]
+        return learner, resolved
     except (ValueError, ArithmeticError) as exc:
         names = sorted({spec["name"] for spec in specs})
         raise ConfigError(f"the {'/'.join(names)} rates for D = {D!r}, G = {G!r}: {exc}") \
@@ -436,10 +431,6 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
                     dropped=per_run(dropped), epoch_starts=per_run(starts), weights=weights)
 
 
-_STRICT_BOUND = {"ogd": "bound_cor1", "dogd": "bound_cor1", "mild": "bound_thm2",
-                 "dogd_dt": "bound_thm4", "mild_dt": "bound_thm5"}
-
-
 # what a run reads besides its learner, every array read-only; optimum: (x*, least loss)
 _Inputs = namedtuple("_Inputs", "box losses env_fingerprint optimum schedule comparators")
 
@@ -512,7 +503,7 @@ def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resol
     }
     summary["joint_effect"] = (metrics_mod.joint_effect(trace.c_log, comparators)
                                if trace.c_log is not None else None)
-    summary["bound_thm1"] = (  # the fixed-rate learner's, "ogd" or "dogd"
+    summary["bound_thm1"] = (  # the bound of a fixed-horizon learner with one rate eta
         metrics_mod.bound_thm1(D, G, resolved["eta"], sum_m, P_T, summary["joint_effect"])
         if "eta" in resolved and summary["joint_effect"] is not None else None)
     for bound in ("bound_cor1", "bound_thm2", "bound_thm4", "bound_thm5"):
@@ -528,13 +519,10 @@ def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resol
         raise ConfigError(f"the {name} run for D = {D!r}, G = {G!r}, T = {T} would write "
                           f"non-finite {', '.join(overflowed)} into its summary")
 
-    formula_rates = all(v == "paper" for k, v in cfg["learner"].items() if k != "name")
-    if formula_rates:
-        field = _STRICT_BOUND[name]
-        summary["bound_check"] = {
-            "bound": field,
-            "ok": bool(summary["regret_dynamic"] <= summary[field]),
-        }
+    if all(v == "paper" for k, v in cfg["learner"].items() if k != "name"):  # paper rates
+        bound = learn_mod.KINDS[name].bound
+        summary["bound_check"] = {"bound": bound,
+                                  "ok": bool(summary["regret_dynamic"] <= summary[bound])}
 
     echo = copy.deepcopy(cfg)
     echo["seed"] = run_seed
@@ -637,17 +625,17 @@ def sweep(config: dict, grid: dict) -> list[dict]:
     cell's config, its delay spec included, is checked before any batch runs;
     a ``learner`` cell that names the base config's learner keeps its rates,
     and any other takes the paper rates.  The
-    runs of all cells that share a learner family (``_family``) and T step in
-    lockstep.  The runs share only their environment walks; a batch's plans and
-    comparator paths are built when it runs, one per run, and only the rows and
-    the current T's walks outlive it.
+    runs of all cells that share a learner family, expert count (``_pool``) and T
+    step in lockstep.  The runs share only their environment walks; a batch's
+    plans and comparator paths are built when it runs, one per run, and only the
+    rows and the current T's walks outlive it.
     """
     cfg = normalize_config(config)
     if not (isinstance(grid, dict) and grid
             and all(isinstance(v, (list, tuple)) and v for v in grid.values())):
         raise ConfigError(f"sweep grid must map keys to nonempty lists of values, got {grid!r}")
     keys = sorted(grid)
-    # cells: (cell, its config); groups: per T, per learner family, (cell index, seed) per run
+    # cells: (cell, its config); groups: per T, per _pool, (cell index, seed) per run
     cells, groups = [], {}
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, combo))
@@ -655,14 +643,13 @@ def sweep(config: dict, grid: dict) -> list[dict]:
             cell_cfg = normalize_config(_apply_cell(cfg, cell))
         except Exception as exc:
             raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
-        family = _family(cell_cfg["learner"]["name"])
-        groups.setdefault(cell_cfg["T"], {}).setdefault(family, []).extend(
+        groups.setdefault(cell_cfg["T"], {}).setdefault(_pool(cell_cfg), []).extend(
             (len(cells), cell_cfg["seed"] + rep) for rep in range(cell_cfg["repetitions"]))
         cells.append((cell, cell_cfg))
     rows = {}
-    for families in groups.values():
-        walks = {}  # this T's environments, which its families' runs share
-        for group in families.values():
+    for pools in groups.values():
+        walks = {}  # this T's environments, which its pools' runs share
+        for group in pools.values():
             largest = max((cells[c][1] for c, _ in group), key=_run_bytes)
             for batch in _batches(group, largest):
                 for (c, seed), summary in zip(batch, _sweep_batch(batch, cells, walks)):

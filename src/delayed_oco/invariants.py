@@ -20,7 +20,7 @@ from .environments import (block_bounds, make_drift_environment, make_lowerbound
                            path_length)
 from .geometry import Box
 from .harness import run_experiment, simulate
-from .learners import DelayedOGD, DogdDoublingTrick, MildOGD, hedge_alpha, mild_lr_grid
+from .learners import KINDS, DelayedOGD, DogdDoublingTrick, MildOGD, hedge_alpha, mild_lr_grid
 from .losses import Linear, QuadraticTracking
 from .metrics import grid_minimum, joint_effect, minimize_total_loss
 
@@ -198,13 +198,13 @@ def single_gradient_query_per_round(rng, T: int):
 def measured_regret_below_bounds(rng, T: int):
     """Each tuned learner's measured regret stays below its bound on one drift run."""
     seed = int(rng.integers(1 << 30))
-    for name in ("dogd", "mild", "dogd_dt", "mild_dt"):
+    for name in KINDS:
         _, summary = run_experiment({"T": T, "n": 2, "learner": {"name": name},
                                      "delay": {"kind": "uniform", "lo": 1, "hi": 8},
                                      "environment": {"kind": "drift", "step": 0.02}}, seed=seed)
         if not summary["bound_check"]["ok"]:
             return False, f"{name} exceeded {summary['bound_check']['bound']} (seed {seed})"
-    return True, f"four tuned learners below their bounds (seed {seed})"
+    return True, f"{len(KINDS)} tuned learners below their bounds (seed {seed})"
 
 
 def joint_effect_caps(rng, runs: int, T_max: int, d_max: int):

@@ -26,7 +26,7 @@ and a zero gradient (a zero step leaves an iterate in the box as it is).  One
 run has no run axis.  A delivery of one row takes a direct path: the products
 and clamps a burst would apply, without the burst's re-layout.
 
-Four algorithms are provided:
+Four algorithms are provided, two families of a fixed-horizon and a restarting one:
 
 * ``DelayedOGD``             - one projected step per delivered gradient, in
   ascending timestamp order; under unit delays this is textbook projected
@@ -34,30 +34,24 @@ Four algorithms are provided:
   N experts on one gradient, R runs, or R runs of N experts.
 * ``MildOGD``                - one such N-rate DelayedOGD pool with
   geometrically spaced learning rates, combined by a delay-aware Hedge over
-  linearized surrogate losses. The pool reuses the meta decision's gradient,
-  so the whole ensemble costs exactly one gradient query per round.
+  linearized surrogate losses, at one gradient query per round.
 * ``DogdDoublingTrick`` / ``MildOgdDoublingTrick`` - restart-based variants
   that track the backlog statistic online instead of needing the backlog sum
-  in advance.  Epoch v runs a fresh ``DelayedOGD`` / ``MildOGD`` tuned by the
-  fixed-horizon formulas with the budget 2^v in place of the backlog sum.
-  ``MildOgdDoublingTrick`` still reads the horizon T: it sizes the expert
-  grid, N = ceil(log2(T+1)/2) + 1 rates (``expert_count``).
+  in advance: epoch v runs a fresh learner at the paper rates for the budget 2^v.
 
-A fixed-horizon learner is its doubling-trick variant with a first epoch that
-never ends, so the restarting wrapper's rows may be fixed-horizon too: one
-lockstep batch steps a learner family, ``DelayedOGD`` with
-``DogdDoublingTrick`` or ``MildOGD`` with ``MildOgdDoublingTrick``, as a sweep
-does for the cells that share a learner family and T.
-
-Rate helpers (``corollary_lr``, ``mild_lr_grid``, ``hedge_alpha``,
-``init_weights``) compute the formula-derived parameters each algorithm's
-guarantee asks for; the learners refuse rates that are not positive and finite.
+``FAMILIES`` holds each family's learner, built from rates, and its paper rates
+(by the rate helpers ``corollary_lr``, ``mild_lr_grid`` and ``hedge_alpha``, which
+the learners refuse unless positive and finite); ``KINDS`` each configurable
+learner's family, restarts, config fields and strict bound.  A fixed-horizon
+learner is its doubling-trick variant with a first epoch that never ends, so
+one lockstep batch steps the runs of a family and expert count.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
 
 import numpy as np
 
@@ -389,7 +383,7 @@ class _RestartingLearner:
         self.ctrls = [EpochController() if r else None for r in restarts or [True]]
         self._restarting = [(r, ctrl) for r, ctrl in enumerate(self.ctrls) if ctrl is not None]
         self.dropped = 0 if restarts is None else np.zeros(self.runs, dtype=np.int64)
-        self.inner = make(2) if inner is None else inner
+        self.inner = self.make(2) if inner is None else inner
 
     def play(self, t: int) -> np.ndarray:
         if self.runs is None:
@@ -436,32 +430,57 @@ class _RestartingLearner:
 
 
 class DogdDoublingTrick(_RestartingLearner):
-    """DelayedOGD with restarts: epoch v runs a fresh instance at corollary_lr(D, G, 2^v).
-
-    Gradients queried before the current epoch are discarded on arrival
-    (counted in ``dropped``), so each instance sees exactly the feedback the
-    epoch-local backlog statistic accounts for.  ``restarts`` and ``inner`` make lockstep
-    rows, as for ``_RestartingLearner``.
-    """
+    """DelayedOGD with restarts: epoch v runs a fresh instance at corollary_lr(D, G, 2^v),
+    and the gradients queried before it are dropped on arrival (counted in ``dropped``), so
+    each instance sees exactly the feedback the epoch-local backlog statistic accounts for.
+    ``restarts`` and ``inner`` make lockstep rows, as for ``_RestartingLearner``."""
 
     def __init__(self, box: Box, D: float, G: float, restarts: list[bool] | None = None,
                  inner: DelayedOGD | None = None):
-        super().__init__(lambda beta: DelayedOGD(box, corollary_lr(D, G, beta)), restarts, inner)
+        super().__init__(FAMILIES["dogd"].tuned(box, D, G, None), restarts, inner)
 
 
 class MildOgdDoublingTrick(_RestartingLearner):
-    """Restarting expert pool: one controller drives meta and experts.
-
-    On each restart the pool is rebuilt from scratch: prior weights are
-    reinitialized, expert iterates return to the origin, and the epoch
-    estimate 2^v replaces the backlog sum inside both the expert rates and
-    the Hedge temperature.  Using a single shared controller (instead of one
-    copy per algorithm) triggers on identical conditions and makes drift
-    between meta and experts impossible.  ``restarts`` and ``inner`` make lockstep rows, as
-    for ``_RestartingLearner``.
-    """
+    """Restarting expert pool: one controller drives meta and experts, so they cannot drift
+    apart.  Each restart rebuilds the pool, prior weights and iterates at the origin, with
+    the epoch estimate 2^v in place of the backlog sum in the expert rates and in alpha; T
+    sizes the grid, ``expert_count(T)`` rates.  ``restarts`` and ``inner`` make lockstep
+    rows, as for ``_RestartingLearner``."""
 
     def __init__(self, box: Box, D: float, G: float, T: int, restarts: list[bool] | None = None,
                  inner: MildOGD | None = None):
-        super().__init__(lambda beta: MildOGD(box, mild_lr_grid(D, G, beta, T),
-                                              hedge_alpha(D, G, beta)), restarts, inner)
+        super().__init__(FAMILIES["mild"].tuned(box, D, G, T), restarts, inner)
+
+
+class Family(namedtuple("Family", "build formulas experts")):
+    """A learner family: ``build(box, **rates)``, its learner on one run's rates or on R runs'
+    stacked on a run axis; each rate's paper formula f(D, G, beta, T) for the backlog sum
+    beta; and ``experts(T, given)``, a run's expert count (0: one iterate) at set rates."""
+
+    def paper(self, D: float, G: float, beta: float, T: int, **given) -> dict:
+        """The paper rates at budget beta; a ``given`` rate replaces its formula, unevaluated."""
+        return {rate: given[rate] if rate in given else formula(D, G, beta, T)
+                for rate, formula in self.formulas.items()}
+
+    def tuned(self, box: Box, D: float, G: float, T: int | None):  # make(beta), at the paper rates
+        return lambda beta: self.build(box, **self.paper(D, G, beta, T))
+
+
+FAMILIES = {
+    "dogd": Family(lambda box, eta: DelayedOGD(box, eta[:, None] if np.ndim(eta) else eta),
+                   {"eta": lambda D, G, beta, T: corollary_lr(D, G, beta)}, lambda T, given: 0),
+    "mild": Family(MildOGD, {"expert_rates": mild_lr_grid,
+                             "alpha": lambda D, G, beta, T: hedge_alpha(D, G, beta)},
+                   lambda T, given: len(given.get("expert_rates", range(expert_count(T))))),
+}
+
+# A learner: its family, whether it restarts (taking no rates), its config fields, each mapped
+# to the rate it replaces, and its strict bound.  "ogd" is DelayedOGD (OGD at unit delays).
+Kind = namedtuple("Kind", "family restarts fields bound")
+KINDS = {
+    "ogd": Kind("dogd", False, {"eta": "eta"}, "bound_cor1"),
+    "dogd": Kind("dogd", False, {"eta": "eta"}, "bound_cor1"),
+    "mild": Kind("mild", False, {"etas": "expert_rates", "alpha": "alpha"}, "bound_thm2"),
+    "dogd_dt": Kind("dogd", True, {}, "bound_thm4"),
+    "mild_dt": Kind("mild", True, {}, "bound_thm5"),
+}

@@ -12,6 +12,7 @@ import importlib.util
 import json
 import pathlib
 
+from delayed_oco import learners
 from delayed_oco.delay import KINDS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -30,3 +31,7 @@ def test_outputs_match_their_golden_digests():
 
 def test_the_pinned_runs_cover_every_delay_kind():
     assert sorted(compare_outputs.DELAYS) == sorted(KINDS)
+
+
+def test_the_pinned_runs_cover_every_learner():
+    assert sorted(compare_outputs.LEARNERS) == sorted(learners.KINDS)

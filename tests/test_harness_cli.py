@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayed_oco import (Box, DelayedOGD, DelaySchedule, MildOGD, cli, constant_schedule,
-                         harness, invariants)
+                         harness, invariants, learners)
 from delayed_oco.delay import KINDS, merge_plans
 from delayed_oco.harness import (ConfigError, lowerbound_report, run_experiment, run_many,
                                  simulate, sweep, trace_to_csv)
@@ -161,6 +161,50 @@ def test_a_learner_cell_keeps_the_base_learners_rates():
     assert harness.to_json(own) == harness.to_json(_sweep_row({"learner": "dogd"},
                                                               run_experiment(cfg)))
     assert (own["eta"], other["eta_source"]) == (0.1, "paper")
+
+
+# one valid value per learner field, by the rate it replaces; a rate list is echoed unsorted
+_VALID_RATES = {"eta": 0.1, "expert_rates": [0.2, 0.05], "alpha": 0.5}
+
+
+@pytest.mark.parametrize("name", learners.KINDS)
+def test_each_learner_takes_its_own_fields_and_checks_them_at_the_call(name):
+    kind = learners.KINDS[name]
+    for field in kind.fields:
+        for bad in ("x", 0, -1, True, math.nan):
+            cfg = base_config(T=6, learner={"name": name, field: bad})
+            with pytest.raises(ConfigError, match=rf"^learner\.{field} must be"):
+                run_experiment(cfg)
+            with pytest.raises(ConfigError, match=rf"^learner\.{field} must be"):
+                run_many(cfg)  # the iterator is never read
+    others = {field for k in learners.KINDS.values() for field in k.fields} - set(kind.fields)
+    assert others and all(k.fields == {} for k in learners.KINDS.values() if k.restarts)
+    for field in others:  # etas on dogd, eta on mild, any field on a doubling learner
+        cfg = base_config(T=6, learner={"name": name, field: 0.1})
+        for call in (run_experiment, run_many):
+            with pytest.raises(ConfigError, match=rf"^learner '{name}' takes"):
+                call(cfg)
+    _, summary = run_experiment(base_config(learner={"name": name}))
+    assert summary["bound_check"]["bound"] == kind.bound
+    # configured rates run as given, and a learner cell that names the learner keeps them
+    cfg = base_config(T=20, learner={"name": name, **{
+        field: _VALID_RATES[rate] for field, rate in kind.fields.items()}})
+    _, summary = run_experiment(cfg)
+    assert all(summary[rate] == _VALID_RATES[rate] for rate in kind.fields.values())
+    assert harness.to_json(sweep(cfg, {"learner": [name]})) == \
+        harness.to_json([_sweep_row({"learner": name}, run_experiment(cfg))])
+
+
+def test_a_sweep_batches_runs_by_expert_count():
+    # a 2-expert mild row and a 4-expert (expert_count(50)) mild_dt row are one family but
+    # no one stack of rates: each row is what its cell gives alone
+    cfg = {"T": 50, "learner": {"name": "mild", "etas": [0.1, 0.2]}}
+    expected = [_sweep_row({"learner": name},
+                           run_experiment(harness._apply_cell(cfg, {"learner": name})))
+                for name in ("mild", "mild_dt")]
+    assert expected[0]["expert_rates"] == [0.1, 0.2]
+    assert harness.to_json(sweep(cfg, {"learner": ["mild", "mild_dt"]})) == \
+        harness.to_json(expected)
 
 
 # --- run ----------------------------------------------------------------------
@@ -400,7 +444,7 @@ def test_sweep_failure_identifies_cell():
         sweep(base_config(), {"T": [10, -5]})
 
 
-_LEARNER_NAMES = ["ogd", "dogd", "dogd_dt", "mild", "mild_dt"]
+_LEARNER_NAMES = sorted(learners.KINDS, key=lambda name: learners.KINDS[name].family)
 _SWEEP_DELAYS = {"constant": {"kind": "constant", "value": 2},
                  "uniform": {"kind": "uniform", "lo": 1, "hi": 4},
                  "permuted": {"kind": "permuted"},

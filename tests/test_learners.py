@@ -499,8 +499,10 @@ def test_pool_reweights_toward_better_expert():
     assert pool.weights[1] > pool.weights[0]
 
 
-_OTHER_KIND = {"ogd": "dogd_dt", "dogd": "dogd_dt", "mild": "mild_dt", "dogd_dt": "dogd",
-               "mild_dt": "mild"}  # the learner of the same family with(out) restarts
+# the (last) learner of the same family with(out) restarts
+_OTHER_KIND = {name: [other for other, o in learners.KINDS.items()
+                      if o.family == kind.family and o.restarts != kind.restarts][-1]
+               for name, kind in learners.KINDS.items()}
 
 
 @pytest.mark.parametrize("name", sorted(_OTHER_KIND))

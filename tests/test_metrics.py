@@ -14,6 +14,7 @@ from delayed_oco import (
     bound_thm2,
     dynamic_regret,
     harness,
+    learners,
     make_lowerbound_instance,
     simulate,
 )
@@ -185,7 +186,7 @@ def test_joint_effect_and_bound_thm1_from_their_definitions(delay, n):
         assert summary["bound_thm1"] == pytest.approx(bound, rel=1e-12)
 
 
-_LEARNERS = ["ogd", "dogd", "mild", "dogd_dt", "mild_dt"]
+_LEARNERS = list(learners.KINDS)
 _DELAY_KINDS = list(KINDS)  # a new kind needs its spec in _reference_configs
 _COMPARATOR_KINDS = ["auto", "targets", "best_fixed", "constant", "piecewise", "list"]
 
@@ -201,7 +202,7 @@ def _reference_configs(draw, cover: int | None = None):
     if cover is None:
         learner, kind = draw(st.sampled_from(_LEARNERS)), draw(st.sampled_from(_DELAY_KINDS))
     else:
-        learner, kind = _LEARNERS[cover % 5], _DELAY_KINDS[cover]
+        learner, kind = _LEARNERS[cover % len(_LEARNERS)], _DELAY_KINDS[cover]
     lo = draw(st.integers(1, 6))
     delay = {"kind": kind, **{
         "constant": {"value": lo}, "uniform": {"lo": lo, "hi": lo + draw(st.integers(0, 8))},

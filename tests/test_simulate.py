@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delayed_oco import harness
+from delayed_oco import harness, learners
 from delayed_oco.delay import DelaySchedule, merge_plans
 from delayed_oco.losses import stack
 
@@ -72,7 +72,8 @@ _DELAYS = {
     "list": lambda draw, T: {"values": draw(st.lists(st.integers(1, 25), min_size=T,
                                                      max_size=T))},
 }
-_FAMILIES = {"dogd": ["ogd", "dogd", "dogd_dt"], "mild": ["mild", "mild_dt"]}
+_FAMILIES = {family: [name for name, kind in learners.KINDS.items() if kind.family == family]
+             for family in learners.FAMILIES}
 
 
 @st.composite
