@@ -271,14 +271,28 @@ def golden_comparators():
                {**BASE, "learner": {"name": "dogd"}, "comparators": spec})
 
 
+def golden_runs():
+    """(name, config) of each single run ``golden_digests()`` pins: at T = 300, each learner
+    on each delay kind, three learners on the lowerbound instance, the ``linear_list`` run
+    and dogd with each comparator kind (``golden_comparators``)."""
+    for learner, (kind, spec) in itertools.product(LEARNERS, DELAYS.items()):
+        yield (f"{learner}/{kind}",
+               {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 0, "learner": {"name": learner},
+                "delay": {"kind": kind, **spec},
+                "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}})
+    runs = dict(comparison_set())
+    for name in ("lowerbound/dogd/d8/n3", "lowerbound/mild/d1/n1", "lowerbound/mild_dt/d8/n3",
+                 "linear_list"):
+        yield name, runs[name]
+    yield from golden_comparators()
+
+
 def golden_digests() -> dict:
     """name -> sha256 of each output that ``tests/golden/digests.json`` pins, computed with
     the ``delayed_oco`` that imports: the benchmark's shapes at seed 0 (the drift sweep grid,
     the ``lowerbound_mild`` reports at d in {1, 64} and the files of its ``cli_run`` call);
-    at T = 300, one run of each learner on each delay kind, of three learners on the
-    lowerbound instance, of dogd with each comparator kind (``golden_comparators``); the
-    ``linear_list`` run; and the ``GOLDEN_MANY`` configs of ``many_set()`` in lockstep
-    batches of two runs."""
+    the single runs of ``golden_runs()``; and the ``GOLDEN_MANY`` configs of ``many_set()``
+    in lockstep batches of two runs."""
     from delayed_oco import harness
 
     name, cfg, grid = next(sweep_set())  # the drift sweep at seed 0
@@ -286,23 +300,10 @@ def golden_digests() -> dict:
     for name, kw in report_set():
         if name.startswith("lowerbound_mild/mild/") and name.endswith("/s0"):
             out[name] = digest(harness.to_json(harness.lowerbound_report(**kw)))
-    runs = dict(comparison_set())
-    out["cli_run/s0"] = cli_digest(runs["cli_run/s0"],
+    out["cli_run/s0"] = cli_digest(dict(comparison_set())["cli_run/s0"],
                                    ["--seed", "0", "--strict", "--format", "csv", "--out"])
-
-    def one_run(cfg):
-        return digest("".join(run_digests(harness, *harness.run_experiment(cfg))))
-
-    for learner, (kind, spec) in itertools.product(LEARNERS, DELAYS.items()):
-        out[f"{learner}/{kind}"] = one_run(
-            {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 0, "learner": {"name": learner},
-             "delay": {"kind": kind, **spec},
-             "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}})
-    for name in ("lowerbound/dogd/d8/n3", "lowerbound/mild/d1/n1", "lowerbound/mild_dt/d8/n3",
-                 "linear_list"):
-        out[name] = one_run(runs[name])
-    for name, cfg in golden_comparators():
-        out[name] = one_run(cfg)
+    for name, cfg in golden_runs():
+        out[name] = digest("".join(run_digests(harness, *harness.run_experiment(cfg))))
     for name, cfg in many_set():
         if name in GOLDEN_MANY:
             with two_run_batches(harness, cfg):

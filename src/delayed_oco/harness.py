@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import reprlib
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -49,67 +50,48 @@ _DEFAULTS = {
 }
 
 
-def _real(value, what: str, positive: bool = True) -> float:
-    """A finite float > 0, or >= 0 unless ``positive``; bools are refused."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
-        v = math.nan
-    if isinstance(value, bool) or not (math.isfinite(v) and (v > 0 or v == 0 and not positive)):
-        raise ConfigError(f"{what} must be a finite number {'>' if positive else '>='} 0, "
-                          f"got {value!r}")
-    return v
-
-
-def _holds_bool(value) -> bool:
-    """Whether ``value`` is a bool or a list holding one; ``np.asarray`` reads it as 0 or 1."""
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, (list, tuple)):
-            stack.extend(v)
-        elif isinstance(v, (bool, np.bool_)):
-            return True
-    return False
-
-
 _MAX_DEPTH = 32  # a valid config nests containers 4 deep (the rows of environment.gradients)
 
 
-def _nests_too_deep(value) -> bool:
-    """Whether lists or objects nest more than ``_MAX_DEPTH`` deep in ``value``; iterative,
-    so nesting that would exhaust the recursion limit (``copy.deepcopy``'s) is measured too."""
-    stack = [(value, 0)]
+def _check_tree(config: dict) -> None:
+    """Refuse lists or objects nested more than ``_MAX_DEPTH`` deep, and a bool anywhere,
+    named by its section and field: no field takes one, and ``np.asarray`` would read one
+    inside a list as 0 or 1.  Iterative, so nesting that would exhaust the recursion limit
+    (``copy.deepcopy``'s) is measured too."""
+    stack = [(config, 0, "")]
     while stack:
-        v, depth = stack.pop()
+        v, depth, where = stack.pop()
         if depth == _MAX_DEPTH:
-            return True
-        stack.extend((c, depth + 1) for c in (v.values() if isinstance(v, dict) else v)
-                     if isinstance(c, (dict, list, tuple)))
-    return False
+            raise ConfigError(f"config nests lists or objects more than {_MAX_DEPTH} levels deep")
+        named = (((c, f"{where}.{k}" if depth == 1 else where or k) for k, c in v.items())
+                 if isinstance(v, dict) else ((c, where) for c in v))
+        for c, name in named:
+            if isinstance(c, (dict, list, tuple)):
+                stack.append((c, depth + 1, name))
+            elif isinstance(c, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be free of bools: no field takes true or false, "
+                                  f"got {c!r}")
 
 
-def _reals(value, what: str) -> np.ndarray:
-    """A nonempty flat list of finite numbers > 0, as a float64 array; bools are refused."""
-    try:
-        a = np.empty(0) if _holds_bool(value) else np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        a = np.empty(0)
-    if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0)):
-        raise ConfigError(f"{what} must be a nonempty flat list of finite numbers > 0, "
-                          f"got {value!r}")
-    return a
-
-
-def _finite_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """``value`` as a float64 array of ``shape`` holding finite numbers only, no bools."""
-    try:
-        a = np.empty(0) if _holds_bool(value) else np.asarray(value)
-    except ValueError:  # ragged rows
-        a = np.empty(0)
-    if a.dtype.kind not in "iuf" or a.shape != shape or not np.all(np.isfinite(a)):
-        raise ConfigError(f"{what} must be finite numbers of shape {shape}")
-    return a.astype(np.float64)
+def _numbers(value, what: str, shape: tuple[int, ...] | None = (), low: float = 0.0,
+             strict: bool = True):
+    """``value`` as JSON numbers of ``shape`` (a nonempty flat list where ``shape`` is None),
+    each finite and > ``low`` (>= unless ``strict``): a float for shape (), else a float64
+    array.  Text is refused, numeric or not; a bool inside a list is ``_check_tree``'s."""
+    try:  # NumPy holds ints past int64 as objects
+        a = np.asarray(value)
+        if a.dtype.kind == "O" and all(type(v) in (int, float) for v in a.flat):
+            a = a.astype(np.float64)
+    except (ValueError, OverflowError):  # ragged rows; an int past the float range
+        a = np.empty(0, dtype=object)
+    fits = a.shape == shape if shape is not None else a.ndim == 1 and a.size > 0
+    if not (a.dtype.kind in "iuf" and fits and np.all(np.isfinite(a) &
+                                                      (a > low if strict else a >= low))):
+        what_kind = ("a finite number" if shape == () else "a nonempty flat list of finite "
+                     "numbers" if shape is None else f"finite numbers of shape {shape}")
+        bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+        raise ConfigError(f"{what} must be {what_kind}{bound}, got {reprlib.repr(value)}")
+    return float(a) if shape == () else a.astype(np.float64)
 
 
 def _check(test, *words, **kw):
@@ -123,25 +105,26 @@ def _check(test, *words, **kw):
 
 
 def _point(v, cfg, what):
-    return v == "origin" or _finite_array(v, (cfg["n"],), what)
+    return v == "origin" or _numbers(v, what, (cfg["n"],), low=-math.inf)
 
 
 def _points(v, cfg, what):
-    pts = _finite_array(v, (cfg["T"], cfg["n"]), what)
+    pts = _numbers(v, what, (cfg["T"], cfg["n"]), low=-math.inf)
     if not np.all(np.abs(pts) <= Box.from_diameter(cfg["n"], cfg["D"]).half_width):
         raise ConfigError(f"{what} must lie in the feasible box")
 
 
 def _gradients(v, cfg, what):
-    grads = _finite_array(v, (cfg["T"], cfg["n"]), what)
+    grads = _numbers(v, what, (cfg["T"], cfg["n"]), low=-math.inf)
     with np.errstate(over="ignore"):  # an overflowing row reads inf
         worst = float(env_mod.row_norms(grads).max())
     if worst > cfg["G"] * (1 + 1e-12):  # every bound assumes ||g_t|| <= G, up to rounding
         raise ConfigError(f"{what} need norms <= G = {cfg['G']!r}, got {worst!r}")
 
 
-_RATE, _LENGTH, _ECHOED = _check(_real, "paper"), _check(_real, positive=False), _check(_reals)
-_RATES = {"eta": _RATE, "alpha": _RATE, "expert_rates": _check(_reals, "paper")}
+_RATE, _LENGTH = _check(_numbers, "paper"), _check(_numbers, strict=False)
+_ECHOED = _check(_numbers, shape=None)
+_RATES = {"eta": _RATE, "alpha": _RATE, "expert_rates": _check(_numbers, "paper", shape=None)}
 # section: (tag key, {kind: ({required field: check}, {optional field: check})}); no tag
 # reads "auto".  check(value, cfg, what) writes nothing back, so runs echo sections as
 # given; a learner field is checked as the rate it replaces (_RATES), and delay.KINDS'
@@ -170,8 +153,7 @@ def normalize_config(config: dict) -> dict:
     unknown = set(config) - {"T", *_DEFAULTS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if _nests_too_deep(config):
-        raise ConfigError(f"config nests lists or objects more than {_MAX_DEPTH} levels deep")
+    _check_tree(config)
     cfg = copy.deepcopy(_DEFAULTS)
     cfg.update(copy.deepcopy(config))
     if "T" not in cfg:
@@ -181,7 +163,7 @@ def normalize_config(config: dict) -> dict:
             cfg[key] = delay_mod._integer(cfg[key])
         except ValueError as exc:
             raise ConfigError(f"bad scalar field {key}: {exc}") from exc
-    cfg["D"], cfg["G"] = _real(cfg["D"], "D"), _real(cfg["G"], "G")
+    cfg["D"], cfg["G"] = _numbers(cfg["D"], "D"), _numbers(cfg["G"], "G")
     if min(cfg["T"], cfg["n"], cfg["repetitions"]) < 1 or cfg["seed"] < 0:
         raise ConfigError("need T, n and repetitions >= 1 and seed >= 0")
     if cfg["repetitions"] > delay_mod.MAX_ROUND:  # the seeds are a range, whose length is int64
@@ -501,8 +483,9 @@ def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resol
         "env_fingerprint": inputs.env_fingerprint,
         "regret_static": metrics_mod.static_regret(trace, inputs.optimum[1]),
     }
-    summary["joint_effect"] = (metrics_mod.joint_effect(trace.c_log, comparators)
-                               if trace.c_log is not None else None)
+    c_log = trace.c_log  # a T-long tuple, built at each read
+    summary["joint_effect"] = (metrics_mod.joint_effect(c_log, comparators)
+                               if c_log is not None else None)
     summary["bound_thm1"] = (  # the bound of a fixed-horizon learner with one rate eta
         metrics_mod.bound_thm1(D, G, resolved["eta"], sum_m, P_T, summary["joint_effect"])
         if "eta" in resolved and summary["joint_effect"] is not None else None)
@@ -610,7 +593,7 @@ def _apply_cell(cfg: dict, cell: dict) -> dict:
                 raise ConfigError(f'sweeping "d" unsupported for delay kind {kind!r}')
             out["delay"] = {**out["delay"], field: value}
         elif key == "P":
-            out["comparators"] = {"kind": "piecewise", "path_budget": float(value)}
+            out["comparators"] = {"kind": "piecewise", "path_budget": value}
         else:
             raise ConfigError(f"unknown sweep key {key!r}; supported: {_SWEEP_KEYS}")
     return out

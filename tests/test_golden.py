@@ -12,7 +12,7 @@ import importlib.util
 import json
 import pathlib
 
-from delayed_oco import learners
+from delayed_oco import harness, learners
 from delayed_oco.delay import KINDS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -35,3 +35,16 @@ def test_the_pinned_runs_cover_every_delay_kind():
 
 def test_the_pinned_runs_cover_every_learner():
     assert sorted(compare_outputs.LEARNERS) == sorted(learners.KINDS)
+
+
+def _pinned_kinds(section):
+    return sorted({cfg.get(section, harness._DEFAULTS[section]).get("kind", "auto")
+                   for _, cfg in compare_outputs.golden_runs()})
+
+
+def test_the_pinned_runs_cover_every_environment_kind():
+    assert _pinned_kinds("environment") == sorted(harness._SPEC["environment"][1])
+
+
+def test_the_pinned_runs_cover_every_comparator_kind():
+    assert _pinned_kinds("comparators") == sorted(harness._SPEC["comparators"][1])

@@ -163,6 +163,59 @@ def test_a_learner_cell_keeps_the_base_learners_rates():
     assert (own["eta"], other["eta_source"]) == (0.1, "paper")
 
 
+# (field name, the config that sets it to a value, one valid value at T = 3 and n = 2) for
+# each real-valued field
+_REAL_FIELDS = [
+    ("D", lambda v: {"D": v}, 2.0),
+    ("G", lambda v: {"G": v}, 1.0),
+    ("learner.eta", lambda v: {"learner": {"name": "dogd", "eta": v}}, 0.5),
+    ("learner.alpha", lambda v: {"learner": {"name": "mild", "alpha": v}}, 0.5),
+    ("learner.etas", lambda v: {"learner": {"name": "mild", "etas": v}}, [0.1, 0.2]),
+    ("learner.expert_rates", lambda v: {"learner": {"name": "mild", "expert_rates": v}},
+     [0.1, 0.2]),
+    ("environment.step", lambda v: {"environment": {"kind": "drift", "step": v}}, 0.1),
+    ("comparators.path_budget", lambda v: {"comparators": {"kind": "piecewise",
+                                                           "path_budget": v}}, 1),
+    ("comparators.point", lambda v: {"comparators": {"kind": "constant", "point": v}},
+     [0.1, 0.0]),
+    ("comparators.points", lambda v: {"comparators": {"kind": "list", "points": v}},
+     [[0.1, 0.0]] * 3),
+    ("environment.gradients", lambda v: {"environment": {"kind": "linear_list",
+                                                         "gradients": v}}, [[0.6, 0.0]] * 3),
+    ("delay.resolved_values", lambda v: {"delay": {"kind": "constant", "value": 1,
+                                                   "resolved_values": v}}, [1, 1, 1]),
+]
+
+
+def _as_text(value):
+    """``value`` with each number written as JSON text."""
+    return [_as_text(v) for v in value] if isinstance(value, list) else str(value)
+
+
+def _with_a_bool(value):
+    """``value`` with its first number a bool; a lone number becomes ``[True]``."""
+    if not isinstance(value, list):
+        return [True]
+    return [_with_a_bool(value[0]) if isinstance(value[0], list) else True, *value[1:]]
+
+
+@pytest.mark.parametrize("name,config,valid", _REAL_FIELDS, ids=[f[0] for f in _REAL_FIELDS])
+def test_every_real_field_refuses_text_and_bools_by_name(name, config, valid):
+    run_experiment({"T": 3, "n": 2, **config(valid)})
+    for bad in (_as_text(valid), True, _with_a_bool(valid)):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be"):
+            run_experiment({"T": 3, "n": 2, **config(bad)})
+
+
+def test_an_integer_past_int64_is_a_number():
+    # NumPy holds such ints as objects; they read as floats, and past the float range not at all
+    assert harness.normalize_config({"T": 3, "D": 10**20})["D"] == 1e20
+    _, summary = run_experiment({"T": 3, "learner": {"name": "mild", "etas": [0.5, 10**20]}})
+    assert summary["expert_rates"] == [0.5, 1e20]
+    with pytest.raises(ConfigError, match=r"^D must be a finite number > 0"):
+        harness.normalize_config({"T": 3, "D": 10**400})
+
+
 # one valid value per learner field, by the rate it replaces; a rate list is echoed unsorted
 _VALID_RATES = {"eta": 0.1, "expert_rates": [0.2, 0.05], "alpha": 0.5}
 
@@ -860,6 +913,15 @@ def test_sweep_rejects_fractional_cells(grid):
         sweep(base_config(), grid)
 
 
+@pytest.mark.parametrize("value", [True, "2", [True]])
+def test_sweep_refuses_a_path_budget_cell_that_is_not_a_number(value):
+    # a P cell is checked as comparators.path_budget, not read through float()
+    with pytest.raises(harness.SweepError,
+                       match=rf"^sweep cell \{{'P': {re.escape(repr(value))}\}} failed: "
+                             r"comparators\.path_budget must be"):
+        sweep({"T": 20}, {"P": [value]})
+
+
 # --- lowerbound report -------------------------------------------------------------
 
 def test_lowerbound_report_shape():
@@ -1065,6 +1127,12 @@ def _lowerbound(**delay):
     _gradients([[0.0, 1.0], [True, 0.0], [0.0, 1.0]]),
     _learner("mild", etas=nested(900)),  # copy.deepcopy would exhaust the recursion limit
     _learner("mild", etas=nested(100_000)),  # json.load would exhaust it
+    {"D": "2.0"},  # numeric text is text, not a number
+    _learner("dogd", eta="0.5"),
+    _learner("mild", etas=["0.1", "0.2"]),
+    _drift(step="0.1"),
+    _piecewise(path_budget="1"),
+    {"delay": {"kind": "constant", "value": 1, "resolved_values": ["1", "1", "1"]}},
 ], ids=["negative-step", "text-step", "nan-step", "unknown-loss", "nan-gradient",
         "narrow-gradients", "short-gradients", "string-gradients", "text-gradients",
         "missing-budget", "negative-budget", "infinite-budget",
@@ -1085,7 +1153,9 @@ def _lowerbound(**delay):
         "auto-comparators-extra", "drift-stpe", "bool-T", "bool-D", "bool-eta",
         "bool-delay-value", "memory-drift", "memory-lowerbound", "tiny-DG-mild",
         "tiny-DG-mild_dt", "bool-in-etas", "bool-in-expert_rates", "bool-in-point",
-        "bool-in-points", "bool-in-gradients", "nested-900", "nested-100000"])
+        "bool-in-points", "bool-in-gradients", "nested-900", "nested-100000", "text-D",
+        "numeric-text-eta", "numeric-text-etas", "numeric-text-step",
+        "numeric-text-budget", "numeric-text-resolved_values"])
 def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrides):
     cfg = base_config(**{"T": 3, **overrides})
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
@@ -1160,7 +1230,8 @@ def test_spec_strategies_cover_every_field():
 def spec_cases(draw):
     """A valid config drawn from harness._SPEC with one (section, kind) pinned, and
     one mutation of that section: a dropped required field, an unknown field, or a
-    field set to a bool, NaN, text or a negative number."""
+    field set to a bool, NaN, text (numeric or not, alone or in a list), a negative number
+    or a bool in a list."""
     T, n = draw(st.integers(1, 12)), draw(st.integers(1, 3))
     kinds = {section: list(k) for section, (_, k) in harness._SPEC.items()}
     pinned = draw(st.sampled_from(_spec_kinds()))
@@ -1186,7 +1257,8 @@ def spec_cases(draw):
         cfg[section] = body
     required, optional = _spec_fields(*pinned)
     mutations = [("drop", f, None) for f in required] + [("set", "extra", 1)] + [
-        ("set", f, v) for f in required + optional for v in (True, math.nan, "fast", -1)]
+        ("set", f, v) for f in required + optional
+        for v in (True, math.nan, "fast", -1, "1", ["1"], [True])]
     return cfg, pinned[0], draw(st.sampled_from(mutations))
 
 
