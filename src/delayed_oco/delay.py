@@ -225,35 +225,53 @@ def in_order_random_schedule(T: int, d_max: int, seed: int) -> DelaySchedule:
     return DelaySchedule((np.maximum.accumulate(t + draws - 1) - t + 1).astype(np.int64))
 
 
-def _listed(spec: dict, T: int, seed: int) -> DelaySchedule:
-    values = spec["values"]
+def _delay_list(values) -> list:
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"explicit delay values must be a list, got {values!r}")
+    return values
+
+
+def _listed(T: int, values: list) -> DelaySchedule:
     if len(values) != T:
         raise ValueError(f"explicit delay list has length {len(values)}, expected {T}")
     return DelaySchedule(values)
 
 
-# A delay kind: its spec's fields (all required), the field a sweep's "d" sets (None: a
-# "d" cell is refused), and its schedule built from (spec, T, seed).
+# A delay kind: its spec's fields (all required), each with the reader that takes its value,
+# the field a sweep's "d" sets (None: a "d" cell is refused), and its schedule built from
+# (T, seed, **fields read).
 Kind = namedtuple("Kind", "fields sweep build")
 
 KINDS = {
-    "constant": Kind(("value",), "value",
-                     lambda s, T, seed: constant_schedule(T, _integer(s["value"]))),
-    "uniform": Kind(("lo", "hi"), "hi", lambda s, T, seed: uniform_schedule(
-        T, _integer(s["lo"]), _integer(s["hi"]), seed)),
-    "blocks": Kind(("d",), "d", lambda s, T, seed: block_schedule(T, _integer(s["d"]))),
-    "permuted": Kind((), None, lambda s, T, seed: permuted_schedule(T, seed)),
-    "in_order_random": Kind(("d_max",), "d_max", lambda s, T, seed: in_order_random_schedule(
-        T, _integer(s["d_max"]), seed)),
-    "list": Kind(("values",), None, _listed),
+    "constant": Kind({"value": _integer}, "value",
+                     lambda T, seed, value: constant_schedule(T, value)),
+    "uniform": Kind({"lo": _integer, "hi": _integer}, "hi",
+                    lambda T, seed, lo, hi: uniform_schedule(T, lo, hi, seed)),
+    "blocks": Kind({"d": _integer}, "d", lambda T, seed, d: block_schedule(T, d)),
+    "permuted": Kind({}, None, lambda T, seed: permuted_schedule(T, seed)),
+    "in_order_random": Kind({"d_max": _integer}, "d_max",
+                            lambda T, seed, d_max: in_order_random_schedule(T, d_max, seed)),
+    "list": Kind({"values": _delay_list}, None, lambda T, seed, values: _listed(T, values)),
 }
 
 
 def make_schedule(spec: dict, T: int, seed: int) -> DelaySchedule:
     """Build a schedule from a config-style spec ``{"kind": ..., field: value, ...}``, whose
-    kind and fields ``KINDS`` lists; raises ValueError on anything the schedule refuses."""
+    kind and fields ``KINDS`` lists; raises ValueError on anything the schedule refuses,
+    naming the field (``delay.value: ...``), or the kind's fields where their range or their
+    values together are refused."""
     if spec.get("kind") not in KINDS:
         raise ValueError(f"unknown delay spec kind: {spec.get('kind')!r}")
-    return KINDS[spec["kind"]].build(spec, T, seed)
+    kind, fields = KINDS[spec["kind"]], {}
+    for field, read in kind.fields.items():
+        try:
+            fields[field] = read(spec[field])
+        except ValueError as exc:
+            raise ValueError(f"delay.{field}: {exc}") from exc
+    try:
+        return kind.build(T, seed, **fields)
+    except ValueError as exc:
+        if not fields:
+            raise
+        raise ValueError(f"{' and '.join(f'delay.{field}' for field in fields)}: {exc}") \
+            from exc

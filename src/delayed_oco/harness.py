@@ -127,8 +127,9 @@ _ECHOED = _check(_numbers, shape=None)
 _RATES = {"eta": _RATE, "alpha": _RATE, "expert_rates": _check(_numbers, "paper", shape=None)}
 # section: (tag key, {kind: ({required field: check}, {optional field: check})}); no tag
 # reads "auto".  check(value, cfg, what) writes nothing back, so runs echo sections as
-# given; a learner field is checked as the rate it replaces (_RATES), and delay.KINDS'
-# builders check delays.  Runs echo their rates and resolved_values.
+# given; a learner field is checked as the rate it replaces (_RATES), and
+# delay.make_schedule reads and checks the delay fields.  Runs echo their rates and
+# resolved_values.
 _SPEC = {
     "learner": ("name", {name: ({}, {**{field: _RATES[rate] for field, rate in k.fields.items()},
                                      **{rate: _ECHOED for rate in k.fields.values()
@@ -158,14 +159,14 @@ def normalize_config(config: dict) -> dict:
     cfg.update(copy.deepcopy(config))
     if "T" not in cfg:
         raise ConfigError("config must set the horizon T")
-    for key in ("T", "n", "seed", "repetitions"):
+    for key, low in (("T", 1), ("n", 1), ("seed", 0), ("repetitions", 1)):
         try:
             cfg[key] = delay_mod._integer(cfg[key])
         except ValueError as exc:
             raise ConfigError(f"bad scalar field {key}: {exc}") from exc
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
     cfg["D"], cfg["G"] = _numbers(cfg["D"], "D"), _numbers(cfg["G"], "G")
-    if min(cfg["T"], cfg["n"], cfg["repetitions"]) < 1 or cfg["seed"] < 0:
-        raise ConfigError("need T, n and repetitions >= 1 and seed >= 0")
     if cfg["repetitions"] > delay_mod.MAX_ROUND:  # the seeds are a range, whose length is int64
         raise ConfigError(f"repetitions must be below 2^63, got {cfg['repetitions']}")
     try:
@@ -178,10 +179,11 @@ def normalize_config(config: dict) -> dict:
 
     for section, (tag, kinds) in _SPEC.items():
         spec = cfg[section]
-        kind = spec.get(tag, "auto") if isinstance(spec, dict) else None
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{section} must be a JSON object, got {reprlib.repr(spec)}")
+        kind = spec.get(tag, "auto")
         if not isinstance(kind, str) or kind not in kinds:
-            raise ConfigError(f"{section} must be a JSON object with {tag!r} one of "
-                              f"{list(kinds)}, got {spec!r}")
+            raise ConfigError(f"{section}.{tag} must be one of {list(kinds)}, got {kind!r}")
         required, optional = kinds[kind]
         fields = {**required, **optional}
         if set(spec) - {tag, *fields} or set(required) - set(spec):
@@ -204,7 +206,8 @@ def normalize_config(config: dict) -> dict:
                               '"d": ...} (the instance owns its block schedule)')
         delay["d"] = delay_mod._integer(delay["d"])  # the schedule took it as an integer >= 1
         if delay["d"] > delay_mod.MAX_ROUND:
-            raise ConfigError(f"lowerbound block length d must lie in [1, 2^63), got {delay['d']}")
+            raise ConfigError(f"delay.d: lowerbound block length must lie in [1, 2^63), "
+                              f"got {delay['d']}")
     return cfg
 
 
@@ -215,11 +218,14 @@ def _run_bytes(cfg: dict) -> int:
     (four of T ints, 40 bytes an entry; tracemalloc: 167 at T = 20000), and the config's
     own lists, held twice (``normalize_config``'s copy and the summary's echo, whose deep
     copy memoizes each row): 16 bytes an entry and 16*n + 256 a row of T rows of n
-    (tracemalloc: 16 and 16*n + 250).  N is the run's expert count (``_pool``)."""
+    (tracemalloc: 16 and 16*n + 250).  N is the run's expert count (``_pool``).  A
+    restarting run's learner holds its stale record, 24 bytes for each of at most T
+    deliveries."""
     N = _pool(cfg)[1]
     lists = [v for section in _SPEC for v in cfg[section].values() if isinstance(v, (list, tuple))]
     rows = sum(len(v) for v in lists if v and isinstance(v[0], (list, tuple)))
-    return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + (32 + 168) * cfg["T"] + \
+    stale = 24 if learn_mod.KINDS[cfg["learner"]["name"]].restarts else 0
+    return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + (32 + 168 + stale) * cfg["T"] + \
         16 * sum(map(len, lists)) + (16 * cfg["n"] + 256) * rows
 
 
@@ -327,6 +333,17 @@ def _build_learner(cfgs: list[dict], box: Box, sums: list[int]):
             from None
 
 
+def _stretch_ends(rounds: list, T: int, restarts) -> Iterator[int]:
+    """The last round of each stretch, ascending: each round with feedback before T (the
+    merged plan's ``rounds``), each round before a restart (``restarts``, ascending), then T."""
+    i = 0
+    for end in [t - 1 for t in restarts] + [T]:
+        j = bisect.bisect_left(rounds, end, i)
+        yield from rounds[i:j]
+        yield end
+        i = j + (j < len(rounds) and rounds[j] == end)
+
+
 def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) -> RunTrace:
     """Drive a learner through the delayed-feedback protocol: the one round loop.
 
@@ -334,7 +351,9 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     round with feedback (or T), and a learner with ``stretches`` plays it
     with one ``play(t, stop)``, whose decision fills the stretch's rows (and
     the weights before its feedback) by slice; any other learner plays one
-    round at a time.  Each round of a stretch queries its gradient
+    round at a time.  A restarting learner gets the plan before round 1
+    (``follow(schedule)``, which returns its restart rounds), and a stretch
+    also ends before each restart.  Each round of a stretch queries its gradient
     ``losses.gradient(t, x)`` at the played point, exactly once, in round
     order; then, if the arrival plan delivers feedback at the stretch's last
     round, the learner gets ``ingest(t, stamps, grads)``.  ``schedule``
@@ -358,10 +377,10 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
     lead = () if runs is None else (runs,)
     rounds, offsets, stamps, slots = delay_mod.merge_plans([schedule] if runs is None else schedule)
+    restarts = learner.follow(schedule) if hasattr(learner, "follow") else ()
     rounds, offsets, T = rounds.tolist(), offsets.tolist(), len(slots)
-    # the last round of each stretch: each round with feedback before T, then T
-    ends = itertools.chain(itertools.islice(rounds, bisect.bisect_left(rounds, T)), [T]) \
-        if getattr(learner, "stretches", False) else range(1, T + 1)
+    ends = _stretch_ends(rounds, T, restarts) if getattr(learner, "stretches", False) else \
+        range(1, T + 1)
     grads = np.zeros((len(stamps), *lead, box.dim))  # in delivery order; padding stays 0
     if runs is None:  # the merged plan is the schedule's own, one column
         stamps, slots, write = stamps[:, 0].tolist(), slots[:, 0].tolist(), grads
@@ -483,9 +502,9 @@ def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resol
         "env_fingerprint": inputs.env_fingerprint,
         "regret_static": metrics_mod.static_regret(trace, inputs.optimum[1]),
     }
-    c_log = trace.c_log  # a T-long tuple, built at each read
-    summary["joint_effect"] = (metrics_mod.joint_effect(c_log, comparators)
-                               if c_log is not None else None)
+    # the consumption log, RunTrace.c_log, is the plan's delivery order unless the run restarts
+    summary["joint_effect"] = (metrics_mod.joint_effect(schedule.stamps, comparators)
+                               if trace.epoch_starts is None else None)
     summary["bound_thm1"] = (  # the bound of a fixed-horizon learner with one rate eta
         metrics_mod.bound_thm1(D, G, resolved["eta"], sum_m, P_T, summary["joint_effect"])
         if "eta" in resolved and summary["joint_effect"] is not None else None)

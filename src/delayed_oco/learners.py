@@ -12,9 +12,9 @@ All learners share one protocol so the harness can drive them identically:
 
 A learner whose decision changes only when it ingests feedback has
 ``stretches`` True, and ``simulate`` plays each stretch of rounds without
-feedback with one ``play(t, stop)``.  A restarting learner has none: a
-restart can change its decision at any round, so it plays one round at a
-time.
+feedback with one ``play(t, stop)``.  A restarting learner's decision also
+changes at a restart, which follows from the arrival plan: ``simulate`` hands
+it the plan first (``follow``), and ends a stretch before each restart too.
 
 A learner keeps only the state its algorithm needs, no record of what it was
 handed: the order it consumed timestamps in is the arrival plan's, which the
@@ -361,6 +361,39 @@ class EpochController:
         """Record epoch-local arrivals delivered at the end of the current round."""
         self._arrived += count
 
+    def follow(self, schedule) -> np.ndarray:
+        """The whole run at once, from its arrival plan, in place of round 1 onwards: sets
+        ``epoch_starts`` and returns each delivery's stale count (its stamps below the epoch
+        start in force at min(round, T)), aligned with ``schedule.rounds``.
+
+        In epoch v from s, B_t = (t-s+1)(t-s+2)/2 - sum_{r=s}^{t-1} A_r, where A_r counts
+        the stamps >= s delivered in rounds s..r: what ``begin_round`` and
+        ``note_arrivals`` add up round by round.  B grows by at least 1 a round and B_s = 1,
+        so the restart, the first t with B_t > 2^v, comes by s + 2^v; each epoch is one
+        pass of array operations over its rounds."""
+        T = schedule.horizon
+        arrival = np.arange(T) + schedule.delays  # stamp k arrives at round arrival[k - 1]
+        k = np.arange(1, T + 2)
+        first = k * (k + 1) // 2  # first[t - s] = sum_{j=s}^{t} (j + 1 - s); int64 for T < 3e9
+        s = self.epoch_start
+        while (end := min(s + 2 ** self.v, T)) > s:
+            # the arrivals in rounds s..end-1 of stamps s..end-1 (the only ones that arrive by
+            # end-1), by round; a last bin takes the later ones
+            count = np.bincount(np.minimum(arrival[s - 1:end - 1], end) - s, minlength=end - s + 1)
+            over = first[1:end - s + 1] - count[:-1].cumsum().cumsum() > 2 ** self.v  # t > s
+            t = int(over.argmax())
+            if not over[t]:  # end is T
+                break
+            s += 1 + t
+            self.v, self.epoch_start = self.v + 1, s
+            self.epoch_starts.append(s)
+        self._last_round = T
+        rounds, stamps = schedule.rounds, schedule.stamps
+        starts = np.array(self.epoch_starts)  # a flush round past T is in the last epoch
+        in_force = starts[np.searchsorted(starts, rounds, side="right") - 1]
+        counts = np.diff(schedule.offsets)
+        return np.add.reduceat(stamps < np.repeat(in_force, counts), schedule.offsets[:-1])
+
 
 class _RestartingLearner:
     """Epoch bookkeeping + stale-feedback dropping; epoch v runs a fresh ``make(2^v)``,
@@ -373,7 +406,15 @@ class _RestartingLearner:
     ``dropped``.  A fixed-horizon row (a restarting run whose first epoch never ends) has
     no controller: it never restarts, drops nothing and reports ``epoch_starts`` None, so
     it runs as its learner alone would.  Only the restarting rows are checked for stale
-    stamps."""
+    stamps.
+
+    Driven by hand, each ``play(t)`` advances the controllers a round and each ``ingest``
+    counts its arrivals.  ``simulate`` first hands it the run's arrival plan (``follow``):
+    each controller then computes its row's restart rounds and stale counts at once, and
+    the learner restarts rows and drops stale prefixes from that record, playing a stretch
+    without feedback or restart with one ``play(t, stop)``, as its inner learner does."""
+
+    stretches = True  # once it follows a plan: a restart round then opens a stretch
 
     def __init__(self, make, restarts: list[bool] | None = None, inner=None):
         if restarts is not None and inner is None:
@@ -384,18 +425,63 @@ class _RestartingLearner:
         self._restarting = [(r, ctrl) for r, ctrl in enumerate(self.ctrls) if ctrl is not None]
         self.dropped = 0 if restarts is None else np.zeros(self.runs, dtype=np.int64)
         self.inner = self.make(2) if inner is None else inner
+        self._restarts = self._stale = None  # a followed plan's record
 
-    def play(self, t: int) -> np.ndarray:
-        if self.runs is None:
-            if self.ctrls[0].begin_round(t):
-                self.inner = self.make(2 ** self.ctrls[0].v)
-        else:
-            for r, ctrl in self._restarting:
-                if ctrl.begin_round(t):
-                    self.inner.set_row(r, self.make(2 ** ctrl.v))
-        return self.inner.play(t)
+    def follow(self, schedule) -> list[int]:
+        """Take the run's arrival plan (one ``DelaySchedule``, or one per row) before round 1:
+        record by round which rows restart, at which epoch, and each delivery that holds
+        stale stamps, as (round, row, stale count) ordered by round.  Returns the restart
+        rounds, ascending."""
+        schedules = [schedule] if self.runs is None else schedule
+        self._restarts, parts = {}, [(np.zeros(0, dtype=np.int64),) * 3]  # rows may all be fixed
+        for r, ctrl in self._restarting:
+            stale = ctrl.follow(schedules[r])
+            for v, t in enumerate(ctrl.epoch_starts[1:], 2):
+                self._restarts.setdefault(t, []).append((r, v))
+            some = stale > 0
+            parts.append((schedules[r].rounds[some], np.full(some.sum(), r), stale[some]))
+        at, rows, counts = (np.concatenate(part) for part in zip(*parts))
+        order = np.argsort(at, kind="stable")
+        # a sentinel round 0 ends the record; _k is its next entry, _at that entry's round
+        self._stale, self._k = (np.append(at[order], 0), rows[order], counts[order]), 0
+        self._at = int(self._stale[0][0])
+        return sorted(self._restarts)
+
+    def play(self, t: int, stop: int | None = None) -> np.ndarray:
+        # (row, epoch) of each restart at t: from the record, or each controller a round on
+        restarts = self._restarts.get(t, ()) if self._restarts is not None else \
+            [(r, ctrl.v) for r, ctrl in self._restarting if ctrl.begin_round(t)]
+        for r, v in restarts:
+            if self.runs is None:
+                self.inner = self.make(2 ** v)
+            else:
+                self.inner.set_row(r, self.make(2 ** v))
+        return self.inner.play(t) if stop is None else self.inner.play(t, stop)
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
+        if self._stale is not None:
+            if t != self._at:
+                self.inner.ingest(t, stamps, grads)
+                return
+            at, rows, counts = self._stale
+            k = self._k
+            while at[self._k] == t:
+                self._k += 1
+            self._at = int(at[self._k])
+            if self.runs is None:  # stamps ascend, so the stale ones are a prefix
+                stale = int(counts[k])
+                self.dropped += stale
+                if stale < len(stamps):
+                    self.inner.ingest(t, stamps[stale:], grads[stale:])
+                return
+            stale = np.zeros(self.runs, dtype=np.int64)
+            stale[rows[k:self._k]] = counts[k:self._k]
+            # a column's stale stamps are its first rows; they become padding
+            drop = np.arange(len(stamps))[:, None] < stale
+            self.dropped = self.dropped + stale
+            self.inner.ingest(t, np.where(drop, 0, stamps).tolist(),
+                              np.where(drop[..., None], 0, grads))
+            return
         if self.runs is None:
             # stamps ascend, so the stale ones (queried before the epoch) are a prefix
             ctrl = self.ctrls[0]

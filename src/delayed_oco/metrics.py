@@ -132,8 +132,8 @@ def static_regret(trace: RunTrace, least: float) -> float:
 def joint_effect(c_log, comparators) -> float:
     """sum_t ||u_t - u_{c_t}||_2 over (T, n) comparators, the delay/comparator interaction term.
 
-    Requires a complete consumption log, a permutation of 1..T, as a
-    non-restarting learner's ``RunTrace.c_log`` (the arrival plan's order) is.
+    Requires a complete consumption log, a permutation of 1..T, as the arrival
+    plan's ``schedule.stamps`` (a non-restarting learner's ``RunTrace.c_log``) is.
     """
     us = np.asarray(comparators, dtype=np.float64)
     c = None if c_log is None else np.asarray(c_log, dtype=np.int64)

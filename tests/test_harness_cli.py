@@ -207,6 +207,43 @@ def test_every_real_field_refuses_text_and_bools_by_name(name, config, valid):
             run_experiment({"T": 3, "n": 2, **config(bad)})
 
 
+def _delay_field(kind, field):
+    """The config that sets ``field`` of a valid ``kind`` delay spec, or a list's first entry."""
+    spec = {"kind": kind, **_VALID_DELAYS[kind]}
+    return lambda v: {"delay": {**spec, field: [v, *spec[field][1:]] if field == "values" else v}}
+
+
+# (field name, the config that sets it to a value, a value out of its range) for each integer
+# and text field, at T = 6 and n = 2
+_INTEGER_AND_TEXT_FIELDS = [
+    ("T", lambda v: {"T": v}, 0),
+    ("n", lambda v: {"n": v}, 0),
+    ("seed", lambda v: {"seed": v}, -1),
+    ("repetitions", lambda v: {"repetitions": v}, 0),
+    *[(f"delay.{field}", _delay_field(kind, field), 0)
+      for kind, k in KINDS.items() for field in k.fields],
+    ("learner.name", lambda v: {"learner": {"name": v}}, "sgd"),
+    ("delay.kind", lambda v: {"delay": {"kind": v}}, "poisson"),
+    ("environment.kind", lambda v: {"environment": {"kind": v}}, "walk"),
+    ("environment.loss", lambda v: {"environment": {"kind": "drift", "loss": v}}, "hinge"),
+    ("comparators.kind", lambda v: {"comparators": {"kind": v}}, "best"),
+    ("comparators.point", lambda v: {"comparators": {"kind": "constant", "point": v}},
+     [math.inf, 0.0]),
+]
+
+
+@pytest.mark.parametrize("name,config,out_of_range", _INTEGER_AND_TEXT_FIELDS,
+                         ids=[f[0] for f in _INTEGER_AND_TEXT_FIELDS])
+def test_every_integer_and_text_field_refuses_a_bad_value_by_name(tmp_path, capsys, name,
+                                                                  config, out_of_range):
+    for bad in (1.5, "3", True, out_of_range):
+        path = write_config(tmp_path, {"T": 6, "n": 2, **config(bad)})
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), err
+        assert re.search(rf"(?<![\w.]){re.escape(name)}\b", err), (bad, err)
+
+
 def test_an_integer_past_int64_is_a_number():
     # NumPy holds such ints as objects; they read as floats, and past the float range not at all
     assert harness.normalize_config({"T": 3, "D": 10**20})["D"] == 1e20

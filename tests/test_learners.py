@@ -22,7 +22,7 @@ from delayed_oco import (
     simulate,
     uniform_schedule,
 )
-from delayed_oco.delay import permuted_schedule
+from delayed_oco.delay import KINDS as DELAY_KINDS, make_schedule, permuted_schedule
 from delayed_oco.geometry import _WALK_ROWS
 from delayed_oco.learners import EpochController, delayed_hedge_update, expert_count, init_weights
 from delayed_oco.losses import Linear, QuadraticTracking, stack
@@ -656,6 +656,54 @@ def test_restart_rounds_match_brute_force():
         learner = DogdDoublingTrick(box, 2.0, 1.0)
         simulate(learner, zero_losses(s.horizon), s, box)
         assert learner.epoch_starts == brute_force_epoch_starts(s)
+
+
+def per_round_epochs(schedule):
+    """The controller advanced round by round over a plan, as a hand-driven learner does:
+    (epoch starts, each delivery's stale count), flush rounds past T included."""
+    ctrl, T = EpochController(), schedule.horizon
+    rounds, offsets, stamps = (schedule.rounds.tolist(), schedule.offsets.tolist(),
+                               schedule.stamps.tolist())
+    stale, j = [], 0
+    for t in range(1, T + 1):
+        ctrl.begin_round(t)
+        while j < len(rounds) and (rounds[j] == t or t == T):  # after T, the flush rounds
+            block = stamps[offsets[j]:offsets[j + 1]]
+            stale.append(sum(k < ctrl.epoch_start for k in block))
+            ctrl.note_arrivals(len(block) - stale[-1])
+            j += 1
+    return ctrl.epoch_starts, stale
+
+
+@st.composite
+def delay_specs(draw):
+    """(T, a delay spec of any delay.KINDS kind), delays up to 3T, so past the horizon too."""
+    T = draw(st.integers(1, 120))
+    big = st.integers(1, 3 * T)
+    kind = draw(st.sampled_from(sorted(DELAY_KINDS)))
+    fields = {"constant": lambda: {"value": draw(big)},
+              "uniform": lambda: {"lo": 1, "hi": draw(big)},
+              "blocks": lambda: {"d": draw(big)},
+              "permuted": lambda: {},
+              "in_order_random": lambda: {"d_max": draw(big)},
+              "list": lambda: {"values": draw(st.lists(big, min_size=T, max_size=T))}}[kind]()
+    return T, {"kind": kind, **fields}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=delay_specs(), seed=st.integers(0, 2**16))
+@example(case=(1, {"kind": "constant", "value": 3}), seed=0)
+@example(case=(100, {"kind": "blocks", "d": 16}), seed=0)
+def test_the_plan_pass_equals_the_controller_round_by_round(case, seed):
+    T, spec = case
+    schedule = make_schedule(spec, T, seed)
+    starts, stale = per_round_epochs(schedule)
+    ctrl = EpochController()
+    assert (ctrl.follow(schedule).tolist(), ctrl.epoch_starts) == (stale, starts)
+    assert (ctrl.v, ctrl.epoch_start) == (len(starts), starts[-1])
+    box = Box(1, 1.0)
+    trace = simulate(DogdDoublingTrick(box, 2.0, 1.0), zero_losses(T), schedule, box)
+    assert (trace.epoch_starts, trace.dropped) == (tuple(starts), sum(stale))
 
 
 def test_restarting_learner_drops_stale_feedback():
