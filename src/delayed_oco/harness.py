@@ -218,14 +218,11 @@ def _run_bytes(cfg: dict) -> int:
     (four of T ints, 40 bytes an entry; tracemalloc: 167 at T = 20000), and the config's
     own lists, held twice (``normalize_config``'s copy and the summary's echo, whose deep
     copy memoizes each row): 16 bytes an entry and 16*n + 256 a row of T rows of n
-    (tracemalloc: 16 and 16*n + 250).  N is the run's expert count (``_pool``).  A
-    restarting run's learner holds its stale record, 24 bytes for each of at most T
-    deliveries."""
+    (tracemalloc: 16 and 16*n + 250).  N is the run's expert count (``_pool``)."""
     N = _pool(cfg)[1]
     lists = [v for section in _SPEC for v in cfg[section].values() if isinstance(v, (list, tuple))]
     rows = sum(len(v) for v in lists if v and isinstance(v[0], (list, tuple)))
-    stale = 24 if learn_mod.KINDS[cfg["learner"]["name"]].restarts else 0
-    return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + (32 + 168 + stale) * cfg["T"] + \
+    return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + (32 + 168) * cfg["T"] + \
         16 * sum(map(len, lists)) + (16 * cfg["n"] + 256) * rows
 
 
@@ -333,17 +330,6 @@ def _build_learner(cfgs: list[dict], box: Box, sums: list[int]):
             from None
 
 
-def _stretch_ends(rounds: list, T: int, restarts) -> Iterator[int]:
-    """The last round of each stretch, ascending: each round with feedback before T (the
-    merged plan's ``rounds``), each round before a restart (``restarts``, ascending), then T."""
-    i = 0
-    for end in [t - 1 for t in restarts] + [T]:
-        j = bisect.bisect_left(rounds, end, i)
-        yield from rounds[i:j]
-        yield end
-        i = j + (j < len(rounds) and rounds[j] == end)
-
-
 def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) -> RunTrace:
     """Drive a learner through the delayed-feedback protocol: the one round loop.
 
@@ -352,8 +338,8 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     with one ``play(t, stop)``, whose decision fills the stretch's rows (and
     the weights before its feedback) by slice; any other learner plays one
     round at a time.  A restarting learner gets the plan before round 1
-    (``follow(schedule)``, which returns its restart rounds), and a stretch
-    also ends before each restart.  Each round of a stretch queries its gradient
+    (``follow(schedule)``), from which it knows its restart rounds with no
+    per-round controller call.  Each round of a stretch queries its gradient
     ``losses.gradient(t, x)`` at the played point, exactly once, in round
     order; then, if the arrival plan delivers feedback at the stretch's last
     round, the learner gets ``ingest(t, stamps, grads)``.  ``schedule``
@@ -377,10 +363,12 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
     lead = () if runs is None else (runs,)
     rounds, offsets, stamps, slots = delay_mod.merge_plans([schedule] if runs is None else schedule)
-    restarts = learner.follow(schedule) if hasattr(learner, "follow") else ()
+    if hasattr(learner, "follow"):
+        learner.follow(schedule)
     rounds, offsets, T = rounds.tolist(), offsets.tolist(), len(slots)
-    ends = _stretch_ends(rounds, T, restarts) if getattr(learner, "stretches", False) else \
-        range(1, T + 1)
+    # the last round of each stretch: each round with feedback before T, then T
+    ends = itertools.chain(itertools.islice(rounds, bisect.bisect_left(rounds, T)), [T]) \
+        if getattr(learner, "stretches", False) else range(1, T + 1)
     grads = np.zeros((len(stamps), *lead, box.dim))  # in delivery order; padding stays 0
     if runs is None:  # the merged plan is the schedule's own, one column
         stamps, slots, write = stamps[:, 0].tolist(), slots[:, 0].tolist(), grads

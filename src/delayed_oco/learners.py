@@ -12,9 +12,10 @@ All learners share one protocol so the harness can drive them identically:
 
 A learner whose decision changes only when it ingests feedback has
 ``stretches`` True, and ``simulate`` plays each stretch of rounds without
-feedback with one ``play(t, stop)``.  A restarting learner's decision also
-changes at a restart, which follows from the arrival plan: ``simulate`` hands
-it the plan first (``follow``), and ends a stretch before each restart too.
+feedback with one ``play(t, stop)``.  A restarting learner has none: a
+restart can change its decision at any round, so it plays one round at a
+time.  ``simulate`` hands it the arrival plan first (``follow``), from which
+it knows its restart rounds before round 1.
 
 A learner keeps only the state its algorithm needs, no record of what it was
 handed: the order it consumed timestamps in is the arrival plan's, which the
@@ -361,10 +362,10 @@ class EpochController:
         """Record epoch-local arrivals delivered at the end of the current round."""
         self._arrived += count
 
-    def follow(self, schedule) -> np.ndarray:
+    def follow(self, schedule) -> None:
         """The whole run at once, from its arrival plan, in place of round 1 onwards: sets
-        ``epoch_starts`` and returns each delivery's stale count (its stamps below the epoch
-        start in force at min(round, T)), aligned with ``schedule.rounds``.
+        ``epoch_starts`` (and ``v``, ``epoch_start``) as ``begin_round`` and
+        ``note_arrivals`` would over the plan.
 
         In epoch v from s, B_t = (t-s+1)(t-s+2)/2 - sum_{r=s}^{t-1} A_r, where A_r counts
         the stamps >= s delivered in rounds s..r: what ``begin_round`` and
@@ -388,11 +389,6 @@ class EpochController:
             self.v, self.epoch_start = self.v + 1, s
             self.epoch_starts.append(s)
         self._last_round = T
-        rounds, stamps = schedule.rounds, schedule.stamps
-        starts = np.array(self.epoch_starts)  # a flush round past T is in the last epoch
-        in_force = starts[np.searchsorted(starts, rounds, side="right") - 1]
-        counts = np.diff(schedule.offsets)
-        return np.add.reduceat(stamps < np.repeat(in_force, counts), schedule.offsets[:-1])
 
 
 class _RestartingLearner:
@@ -409,12 +405,10 @@ class _RestartingLearner:
     stamps.
 
     Driven by hand, each ``play(t)`` advances the controllers a round and each ``ingest``
-    counts its arrivals.  ``simulate`` first hands it the run's arrival plan (``follow``):
-    each controller then computes its row's restart rounds and stale counts at once, and
-    the learner restarts rows and drops stale prefixes from that record, playing a stretch
-    without feedback or restart with one ``play(t, stop)``, as its inner learner does."""
-
-    stretches = True  # once it follows a plan: a restart round then opens a stretch
+    counts its arrivals.  ``simulate`` first hands it the run's arrival plan (``follow``),
+    from which each controller computes its row's restart rounds at once; the learner then
+    restarts rows at those rounds with no controller call a round.  Either way, a stamp
+    below its row's epoch start is stale."""
 
     def __init__(self, make, restarts: list[bool] | None = None, inner=None):
         if restarts is not None and inner is None:
@@ -423,87 +417,64 @@ class _RestartingLearner:
         self.runs = None if restarts is None else len(restarts)
         self.ctrls = [EpochController() if r else None for r in restarts or [True]]
         self._restarting = [(r, ctrl) for r, ctrl in enumerate(self.ctrls) if ctrl is not None]
+        self._starts = [1] * len(self.ctrls)  # each row's epoch start; a fixed row's stays 1
         self.dropped = 0 if restarts is None else np.zeros(self.runs, dtype=np.int64)
         self.inner = self.make(2) if inner is None else inner
-        self._restarts = self._stale = None  # a followed plan's record
+        self._restarts = None  # a followed plan's restarts: round -> [(row, epoch, last)]
+        self._stale_until = math.inf  # no stale stamp arrives after this round
 
-    def follow(self, schedule) -> list[int]:
-        """Take the run's arrival plan (one ``DelaySchedule``, or one per row) before round 1:
-        record by round which rows restart, at which epoch, and each delivery that holds
-        stale stamps, as (round, row, stale count) ordered by round.  Returns the restart
-        rounds, ascending."""
+    def follow(self, schedule) -> None:
+        """Take the run's arrival plan (one ``DelaySchedule``, or one per row) before round 1
+        and record by round which rows restart, at which epoch, and the last round at which
+        a stamp from before that epoch arrives."""
         schedules = [schedule] if self.runs is None else schedule
-        self._restarts, parts = {}, [(np.zeros(0, dtype=np.int64),) * 3]  # rows may all be fixed
+        self._restarts, self._stale_until = {}, 0
         for r, ctrl in self._restarting:
-            stale = ctrl.follow(schedules[r])
+            ctrl.follow(schedules[r])
+            last = np.maximum.accumulate(np.arange(len(schedules[r].delays)) +
+                                         schedules[r].delays)  # of stamps 1..k, at k - 1
             for v, t in enumerate(ctrl.epoch_starts[1:], 2):
-                self._restarts.setdefault(t, []).append((r, v))
-            some = stale > 0
-            parts.append((schedules[r].rounds[some], np.full(some.sum(), r), stale[some]))
-        at, rows, counts = (np.concatenate(part) for part in zip(*parts))
-        order = np.argsort(at, kind="stable")
-        # a sentinel round 0 ends the record; _k is its next entry, _at that entry's round
-        self._stale, self._k = (np.append(at[order], 0), rows[order], counts[order]), 0
-        self._at = int(self._stale[0][0])
-        return sorted(self._restarts)
+                self._restarts.setdefault(t, []).append((r, v, int(last[t - 2])))
 
-    def play(self, t: int, stop: int | None = None) -> np.ndarray:
-        # (row, epoch) of each restart at t: from the record, or each controller a round on
+    def play(self, t: int) -> np.ndarray:
+        # (row, epoch, last) of each restart at t: from the record, or each controller a
+        # round on, which cannot tell when the older stamps stop arriving
         restarts = self._restarts.get(t, ()) if self._restarts is not None else \
-            [(r, ctrl.v) for r, ctrl in self._restarting if ctrl.begin_round(t)]
-        for r, v in restarts:
+            [(r, ctrl.v, math.inf) for r, ctrl in self._restarting if ctrl.begin_round(t)]
+        for r, v, last in restarts:
+            self._starts[r], self._stale_until = t, max(self._stale_until, last)
             if self.runs is None:
                 self.inner = self.make(2 ** v)
             else:
                 self.inner.set_row(r, self.make(2 ** v))
-        return self.inner.play(t) if stop is None else self.inner.play(t, stop)
+        return self.inner.play(t)
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
-        if self._stale is not None:
-            if t != self._at:
-                self.inner.ingest(t, stamps, grads)
-                return
-            at, rows, counts = self._stale
-            k = self._k
-            while at[self._k] == t:
-                self._k += 1
-            self._at = int(at[self._k])
-            if self.runs is None:  # stamps ascend, so the stale ones are a prefix
-                stale = int(counts[k])
-                self.dropped += stale
-                if stale < len(stamps):
-                    self.inner.ingest(t, stamps[stale:], grads[stale:])
-                return
-            stale = np.zeros(self.runs, dtype=np.int64)
-            stale[rows[k:self._k]] = counts[k:self._k]
-            # a column's stale stamps are its first rows; they become padding
-            drop = np.arange(len(stamps))[:, None] < stale
-            self.dropped = self.dropped + stale
-            self.inner.ingest(t, np.where(drop, 0, stamps).tolist(),
-                              np.where(drop[..., None], 0, grads))
-            return
+        counted = self._restarts is None  # driven by hand, the controllers count arrivals
         if self.runs is None:
             # stamps ascend, so the stale ones (queried before the epoch) are a prefix
-            ctrl = self.ctrls[0]
-            stale = bisect_left(stamps, ctrl.epoch_start)
+            stale = bisect_left(stamps, self._starts[0])
             self.dropped += stale
-            ctrl.note_arrivals(len(stamps) - stale)
+            if counted:
+                self.ctrls[0].note_arrivals(len(stamps) - stale)
             if stale < len(stamps):
                 self.inner.ingest(t, stamps[stale:], grads[stale:])
             return
-        # a run's column ascends above its padding, so its first stamp is its oldest; a
-        # fixed row's epoch starts at round 1, so none of its stamps is stale
-        if any(0 < stamps[0][r] < ctrl.epoch_start for r, ctrl in self._restarting):
-            starts = [1 if ctrl is None else ctrl.epoch_start for ctrl in self.ctrls]
+        # a run's column ascends above its padding, so its first stamp is its oldest
+        if t <= self._stale_until and \
+                any(0 < stamps[0][r] < self._starts[r] for r, _ in self._restarting):
             block = np.array(stamps)  # a dropped item becomes padding: stamp 0, a zero step
-            stale = (block > 0) & (block < starts)
+            stale = (block > 0) & (block < self._starts)
             self.dropped = self.dropped + stale.sum(axis=0)
-            stamps, grads = np.where(stale, 0, block).tolist(), np.where(stale[..., None], 0, grads)
-        counts = [len(column) - column.count(0) for column in zip(*stamps)]
-        for r, ctrl in self._restarting:
-            ctrl.note_arrivals(counts[r])
-        if any(counts):
-            self.inner.ingest(t, stamps, grads)
+            block = np.where(stale, 0, block)
+            if not block.any():  # every stamp was stale
+                return
+            stamps, grads = block.tolist(), np.where(stale[..., None], 0, grads)
+        if counted:
+            counts = [len(column) - column.count(0) for column in zip(*stamps)]
+            for r, ctrl in self._restarting:
+                ctrl.note_arrivals(counts[r])
+        self.inner.ingest(t, stamps, grads)
 
     @property
     def epoch_starts(self) -> list:

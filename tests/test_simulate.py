@@ -133,24 +133,13 @@ def test_simulate_matches_the_per_round_loop_bitwise(cfgs):
         assert trace.dropped == np.broadcast_to(dropped, len(cfgs)).tolist()
 
 
-def played(learner) -> list:
-    """Spy on ``learner.play``: the returned list gets (t, stop) per call."""
-    calls, play = [], learner.play
-
-    def spied(t, stop=None):
-        calls.append((t, t if stop is None else stop))
-        return play(t, stop)
-
-    learner.play = spied
-    return calls
-
-
 @pytest.mark.parametrize("names", [["dogd_dt"], ["mild_dt"], ["dogd", "dogd_dt"],
                                    ["mild", "mild_dt"]], ids="+".join)
-def test_a_restart_inside_an_idle_stretch_ends_it_and_resets_the_decision(names):
-    # blocks of 16 deliver only at rounds 16, 32, ...; the restarts at 22 and 79 fall inside
-    # the stretches 17-32 and 65-80, after feedback has moved the decision off the origin.
-    # The doubling row runs alone, or in lockstep after a fixed-horizon row.
+def test_a_restart_between_deliveries_resets_the_decision(names):
+    # blocks of 16 deliver only at rounds 16, 32, ...; the restarts at 22 and 79 fall between
+    # deliveries, after feedback has moved the decision off the origin.  The doubling row
+    # runs alone, or in lockstep after a fixed-horizon row, from the plan's record, and
+    # equals the per-round reference.
     cfgs = [harness.normalize_config({"T": 100, "n": 2, "seed": 4, "learner": {"name": n},
                                       "delay": {"kind": "blocks", "d": 16},
                                       "environment": {"kind": "drift", "loss": "linear"}})
@@ -161,7 +150,6 @@ def test_a_restart_inside_an_idle_stretch_ends_it_and_resets_the_decision(names)
     plan = schedules[0] if len(cfgs) == 1 else schedules
     sums = [s.sum_backlog for s in schedules]
     learner, reference = (harness._build_learner(cfgs, box, sums)[0] for _ in range(2))
-    calls = played(learner)
 
     trace = harness.simulate(learner, losses, plan, box)
     decisions, weights = reference_simulate(reference, losses, plan, box)
@@ -170,9 +158,6 @@ def test_a_restart_inside_an_idle_stretch_ends_it_and_resets_the_decision(names)
     run = trace.runs()[-1]
     restarts = run.epoch_starts[1:]
     assert restarts == (2, 4, 7, 12, 22, 32, 48, 79)
-    starts = [t for t, _ in calls]
-    assert set(restarts) <= set(starts)  # each restart opens a stretch
-    assert (17, 21) in calls and (65, 78) in calls  # which ends the round before it
     for t in restarts:
         assert not run.decisions[t - 1].any()  # a fresh learner plays the origin
     assert run.decisions[20].any() and run.decisions[77].any()
