@@ -7,6 +7,12 @@ a fresh epoch (new instance, halved-scale rate) the moment B would exceed the
 estimate.  Every quantity involved is observable at the time it is needed,
 except the horizon T that ``MildOgdDoublingTrick`` reads to size its expert
 grid.
+
+Like every learner, a restarting one is played a stretch of rounds without
+feedback at a time, by ``play(t, stop)``.  ``simulate`` hands it the arrival
+plan first, by ``follow(schedule)``, from which ``learners.epoch_starts``
+computes its restart rounds before round 1; its restart at round t still reads
+only feedback delivered before t, so it is the restart an online learner takes.
 """
 
 from delayed_oco import (

@@ -6,7 +6,7 @@ feasible sequence, and one trace can be scored against several of them.
 
 Every environment builds one loss family (``QuadraticTracking`` or
 ``Linear``) over all T rounds with array operations; the drift targets'
-random walk is summed in clamp-free stretches, on moves scaled in one batch.
+random walk is summed in clamp-free spans, on moves scaled in one batch.
 
 The adversarial instance couples block-end delays with random-sign linear
 losses over a cube.  Within a block every round shares one loss
@@ -87,7 +87,7 @@ def _drift_environments(box: Box, T: int, step: float, loss_kind: str, seeds: li
     each (family, targets) is bitwise what its seed gives alone.
 
     The walks are one ``geometry.clamped_walk`` over the (R, n) stack of targets, which
-    sums them in clamp-free stretches, bitwise the round-by-round walk.
+    sums them in clamp-free spans, bitwise the round-by-round walk.
     """
     if not (math.isfinite(step) and step >= 0):
         raise ValueError("step must be a finite number >= 0")

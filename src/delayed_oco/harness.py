@@ -333,16 +333,17 @@ def _build_learner(cfgs: list[dict], box: Box, sums: list[int]):
 def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) -> RunTrace:
     """Drive a learner through the delayed-feedback protocol: the one round loop.
 
-    The loop walks the arrival plan: a stretch of rounds runs up to the next
-    round with feedback (or T), and a learner with ``stretches`` plays it
-    with one ``play(t, stop)``, whose decision fills the stretch's rows (and
-    the weights before its feedback) by slice; any other learner plays one
-    round at a time.  A restarting learner gets the plan before round 1
-    (``follow(schedule)``), from which it knows its restart rounds with no
-    per-round controller call.  Each round of a stretch queries its gradient
-    ``losses.gradient(t, x)`` at the played point, exactly once, in round
-    order; then, if the arrival plan delivers feedback at the stretch's last
-    round, the learner gets ``ingest(t, stamps, grads)``.  ``schedule``
+    The loop walks the arrival plan one stretch of rounds without feedback at a time:
+    a stretch ends at each round with feedback before T, at the round before
+    each restart, and at T.  Every learner plays a stretch with one
+    ``play(t, stop)``, whose decision fills the stretch's rows (and the
+    weights before its feedback) by slice.  A restarting learner gets the plan
+    before round 1 (``follow(schedule)``), which returns its restart rounds;
+    its restart at t reads only feedback delivered before t.  Each round of a
+    stretch queries its gradient ``losses.gradient(t, x)`` at the played
+    point, exactly once, in round order; then, if the arrival plan delivers
+    feedback at the stretch's last round, the learner gets
+    ``ingest(t, stamps, grads)``.  ``schedule``
     is one ``DelaySchedule``, or a list of R for a learner with a run axis
     and losses laid out by ``losses.stack``: the runs then step together,
     each on its own plan, merged (and checked) once by ``delay.merge_plans``.
@@ -363,12 +364,12 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
     lead = () if runs is None else (runs,)
     rounds, offsets, stamps, slots = delay_mod.merge_plans([schedule] if runs is None else schedule)
-    if hasattr(learner, "follow"):
-        learner.follow(schedule)
+    restarts = learner.follow(schedule) if hasattr(learner, "follow") else []
     rounds, offsets, T = rounds.tolist(), offsets.tolist(), len(slots)
-    # the last round of each stretch: each round with feedback before T, then T
-    ends = itertools.chain(itertools.islice(rounds, bisect.bisect_left(rounds, T)), [T]) \
-        if getattr(learner, "stretches", False) else range(1, T + 1)
+    # the last round of each stretch: each round with feedback before T, each round before
+    # a restart, and T
+    ends = sorted({*itertools.islice(rounds, bisect.bisect_left(rounds, T)),
+                   *(t - 1 for t in restarts), T})
     grads = np.zeros((len(stamps), *lead, box.dim))  # in delivery order; padding stays 0
     if runs is None:  # the merged plan is the schedule's own, one column
         stamps, slots, write = stamps[:, 0].tolist(), slots[:, 0].tolist(), grads

@@ -1,8 +1,8 @@
 """Named invariant checks, shared by ``delayed-oco verify`` and the acceptance suite.
 
 Each check takes a NumPy ``Generator`` and its sizes, draws its instances from
-it in a fixed order and returns ``(ok, detail)``.  Acceptance criteria 1-3
-and 9 call the checks at full size from their own seeds; ``verify_all`` runs
+it in a fixed order and returns ``(ok, detail)``.  Acceptance criteria 1-3,
+6 and 9 call the checks at full size from their own seeds; ``verify_all`` runs
 all twelve in order on one generator at desk scale.  The module is also the
 one home of the tests' reference helpers ``random_schedule``, ``arrivals_at``,
 ``zero_losses`` and ``projected_ogd``.
@@ -20,7 +20,8 @@ from .environments import (block_bounds, make_drift_environment, make_lowerbound
                            path_length)
 from .geometry import Box
 from .harness import run_experiment, simulate
-from .learners import KINDS, DelayedOGD, DogdDoublingTrick, MildOGD, hedge_alpha, mild_lr_grid
+from .learners import (KINDS, DelayedOGD, DogdDoublingTrick, MildOGD, MildOgdDoublingTrick,
+                       hedge_alpha, mild_lr_grid)
 from .losses import Linear, QuadraticTracking
 from .metrics import grid_minimum, joint_effect, minimize_total_loss
 
@@ -153,16 +154,18 @@ def consumption_log_permutation(rng, runs: int, T_max: int, d_max: int):
 
 
 def epoch_starts_closed_form(rng, T: int):
-    """Under unit delays the doubling trick restarts at rounds 1, 3, 7, 15, ..."""
+    """Under unit delays both doubling variants restart at rounds 1, 3, 7, 15, ..."""
     box = Box(1, 1.0)
     losses, _ = make_drift_environment(box, T, 0.02, "quadratic", int(rng.integers(1 << 30)), 1.0)
-    learner = DogdDoublingTrick(box, 2.0, 1.0)
-    simulate(learner, losses, constant_schedule(T, 1), box)
     expected, start = [], 1
     while start <= T:
         expected.append(start)
         start += 2 ** len(expected)  # epoch v spans 2^v rounds under unit delays
-    return learner.epoch_starts == expected, f"epochs start at {learner.epoch_starts[:6]}"
+    for learner in (DogdDoublingTrick(box, 2.0, 1.0), MildOgdDoublingTrick(box, 2.0, 1.0, T)):
+        simulate(learner, losses, constant_schedule(T, 1), box)
+        if learner.epoch_starts != expected:
+            return False, f"{type(learner).__name__}: epochs start at {learner.epoch_starts[:6]}"
+    return True, f"epochs start at {expected[:6]} for both doubling variants (T={T})"
 
 
 class _Counting(QuadraticTracking):

@@ -2,20 +2,19 @@
 
 All learners share one protocol so the harness can drive them identically:
 
-    play(t)                    -> decision vector for round t (never mutates
-                                  math state)
-    play(t, stop)              -> the one decision for rounds t..stop, none of
-                                  which receives feedback before stop's end
+    play(t, stop=None)         -> the one decision for rounds t..stop (t alone
+                                  if stop is None), none of which receives
+                                  feedback before stop's end; it never
+                                  mutates math state
     ingest(t, stamps, grads)   -> consume the gradients delivered at the end of
                                   round t: ``grads[i]`` was queried at round
                                   ``stamps[i]``, and ``stamps`` is ascending
 
-A learner whose decision changes only when it ingests feedback has
-``stretches`` True, and ``simulate`` plays each stretch of rounds without
-feedback with one ``play(t, stop)``.  A restarting learner has none: a
-restart can change its decision at any round, so it plays one round at a
-time.  ``simulate`` hands it the arrival plan first (``follow``), from which
-it knows its restart rounds before round 1.
+``simulate`` plays each stretch of rounds without feedback with one
+``play(t, stop)``.  A restarting learner also takes ``follow(schedule)``, the
+run's arrival plan, before round 1: it returns the restart rounds, each of
+which opens a stretch.  Its restart at round t reads only feedback delivered
+before t (``epoch_starts``), so it is one an online learner could take.
 
 A learner keeps only the state its algorithm needs, no record of what it was
 handed: the order it consumed timestamps in is the arrival plan's, which the
@@ -37,8 +36,9 @@ Four algorithms are provided, two families of a fixed-horizon and a restarting o
   geometrically spaced learning rates, combined by a delay-aware Hedge over
   linearized surrogate losses, at one gradient query per round.
 * ``DogdDoublingTrick`` / ``MildOgdDoublingTrick`` - restart-based variants
-  that track the backlog statistic online instead of needing the backlog sum
-  in advance: epoch v runs a fresh learner at the paper rates for the budget 2^v.
+  that estimate the backlog sum by the epoch-local backlog statistic instead of
+  needing it in advance: epoch v runs a fresh learner at the paper rates for the
+  budget 2^v, and ``epoch_starts`` computes the epochs from the arrival plan.
 
 ``FAMILIES`` holds each family's learner, built from rates, and its paper rates
 (by the rate helpers ``corollary_lr``, ``mild_lr_grid`` and ``hedge_alpha``, which
@@ -91,8 +91,6 @@ class DelayedOGD:
     A delivery of one row takes its one step directly, as the same product
     and the same two clamps.
     """
-
-    stretches = True  # y changes only in ingest
 
     def __init__(self, box: Box, eta):
         rates = np.asarray(eta, dtype=np.float64)
@@ -219,8 +217,6 @@ class MildOGD:
     the Hedge step is ``delayed_hedge_update``, as for a burst.
     """
 
-    stretches = True  # the pool and the weights change only in ingest
-
     def __init__(self, box: Box, expert_rates, alpha):
         rates = np.sort(np.asarray(expert_rates, dtype=np.float64))
         alphas = np.asarray(alpha, dtype=np.float64)
@@ -324,71 +320,33 @@ class MildOGD:
 # Doubling-trick variants.
 # ---------------------------------------------------------------------------
 
-class EpochController:
-    """Online tracker of the restart condition shared by the doubling variants.
+def epoch_starts(schedule) -> list[int]:
+    """The rounds at which the doubling trick opens its epochs over one arrival plan.
 
-    Maintains B = sum_{j=s_v..t} (j+1-s_v - A_j), where A_j counts epoch-local
-    arrivals strictly before round j; the summand is the epoch-local backlog
-    counter, so B estimates the quantity the fixed-horizon rates need.  At the
-    start of round t, if B would exceed the current budget 2^v, round t opens
-    epoch v+1 instead (strict inequality: B == 2^v continues the epoch).
-    Everything is integer arithmetic, hence exact.
-    """
-
-    def __init__(self):
-        self.v = 1
-        self.epoch_start = 1
-        self.epoch_starts = [1]
-        self._B = 0
-        self._arrived = 0
-        self._last_round = 0
-
-    def begin_round(self, t: int) -> bool:
-        """Advance to round t; True iff a new epoch starts at t."""
-        if t != self._last_round + 1:
-            raise ValueError("rounds must be visited consecutively, once each")
-        self._last_round = t
-        self._B += (t + 1 - self.epoch_start) - self._arrived
-        if self._B > 2 ** self.v:
-            self.v += 1
-            self.epoch_start = t
-            self.epoch_starts.append(t)
-            self._arrived = 0
-            self._B = 1
-            return True
-        return False
-
-    def note_arrivals(self, count: int) -> None:
-        """Record epoch-local arrivals delivered at the end of the current round."""
-        self._arrived += count
-
-    def follow(self, schedule) -> None:
-        """The whole run at once, from its arrival plan, in place of round 1 onwards: sets
-        ``epoch_starts`` (and ``v``, ``epoch_start``) as ``begin_round`` and
-        ``note_arrivals`` would over the plan.
-
-        In epoch v from s, B_t = (t-s+1)(t-s+2)/2 - sum_{r=s}^{t-1} A_r, where A_r counts
-        the stamps >= s delivered in rounds s..r: what ``begin_round`` and
-        ``note_arrivals`` add up round by round.  B grows by at least 1 a round and B_s = 1,
-        so the restart, the first t with B_t > 2^v, comes by s + 2^v; each epoch is one
-        pass of array operations over its rounds."""
-        T = schedule.horizon
-        arrival = np.arange(T) + schedule.delays  # stamp k arrives at round arrival[k - 1]
-        k = np.arange(1, T + 2)
-        first = k * (k + 1) // 2  # first[t - s] = sum_{j=s}^{t} (j + 1 - s); int64 for T < 3e9
-        s = self.epoch_start
-        while (end := min(s + 2 ** self.v, T)) > s:
-            # the arrivals in rounds s..end-1 of stamps s..end-1 (the only ones that arrive by
-            # end-1), by round; a last bin takes the later ones
-            count = np.bincount(np.minimum(arrival[s - 1:end - 1], end) - s, minlength=end - s + 1)
-            over = first[1:end - s + 1] - count[:-1].cumsum().cumsum() > 2 ** self.v  # t > s
-            t = int(over.argmax())
-            if not over[t]:  # end is T
-                break
-            s += 1 + t
-            self.v, self.epoch_start = self.v + 1, s
-            self.epoch_starts.append(s)
-        self._last_round = T
+    Epoch v (from v = 1, at round 1) runs from s while B_t = sum_{j=s}^{t} (j+1-s - A_j)
+    stays at most the budget 2^v, where A_j counts the stamps >= s delivered in rounds
+    s..j-1; the first round t with B_t > 2^v opens epoch v+1 (B == 2^v continues the
+    epoch).  B_t reads only feedback delivered before round t, so each restart is one an
+    online learner can take.  In closed form B_t = (t-s+1)(t-s+2)/2 - sum_{r=s}^{t-1} A'_r,
+    with A'_r the stamps >= s delivered in rounds s..r.  B grows by at least 1 a round and
+    B_s = 1, so the restart comes by s + 2^v, and each epoch is one pass of integer array
+    operations over its rounds, hence exact."""
+    T = schedule.horizon
+    arrival = np.arange(T) + schedule.delays  # stamp k arrives at round arrival[k - 1]
+    k = np.arange(1, T + 2)
+    first = k * (k + 1) // 2  # first[t - s] = sum_{j=s}^{t} (j + 1 - s); int64 for T < 3e9
+    starts, s, v = [1], 1, 1
+    while (end := min(s + 2 ** v, T)) > s:
+        # the arrivals in rounds s..end-1 of stamps s..end-1 (the only ones that arrive by
+        # end-1), by round; a last bin takes the later ones
+        count = np.bincount(np.minimum(arrival[s - 1:end - 1], end) - s, minlength=end - s + 1)
+        over = first[1:end - s + 1] - count[:-1].cumsum().cumsum() > 2 ** v  # t > s
+        t = int(over.argmax())
+        if not over[t]:  # end is T
+            break
+        s, v = s + 1 + t, v + 1
+        starts.append(s)
+    return starts
 
 
 class _RestartingLearner:
@@ -398,71 +356,66 @@ class _RestartingLearner:
     ``inner`` is the first epoch's learner, by default ``make(2)``.  With ``restarts`` the
     learner runs len(restarts) rows in lockstep, row r restarting iff ``restarts[r]``, and
     ``inner`` is the rows' first-epoch learners stacked on a run axis.  A restarting row
-    has its own controller, restarts its own row of ``inner`` and counts its own
-    ``dropped``.  A fixed-horizon row (a restarting run whose first epoch never ends) has
-    no controller: it never restarts, drops nothing and reports ``epoch_starts`` None, so
-    it runs as its learner alone would.  Only the restarting rows are checked for stale
-    stamps.
+    restarts its own row of ``inner`` and counts its own ``dropped``.  A fixed-horizon row
+    (a restarting run whose first epoch never ends) never restarts, drops nothing and
+    reports ``epoch_starts`` None, so it runs as its learner alone would.  Only the
+    restarting rows are checked for stale stamps.
 
-    Driven by hand, each ``play(t)`` advances the controllers a round and each ``ingest``
-    counts its arrivals.  ``simulate`` first hands it the run's arrival plan (``follow``),
-    from which each controller computes its row's restart rounds at once; the learner then
-    restarts rows at those rounds with no controller call a round.  Either way, a stamp
-    below its row's epoch start is stale."""
+    The learner takes the run's arrival plan before round 1 (``follow``), from which
+    ``epoch_starts`` gives each row's restart rounds; ``play`` restarts rows at those rounds
+    and refuses to play without a plan.  A stamp below its row's epoch start is stale."""
 
     def __init__(self, make, restarts: list[bool] | None = None, inner=None):
         if restarts is not None and inner is None:
             raise ValueError("lockstep rows need their stacked first-epoch learner")
         self.make = make
         self.runs = None if restarts is None else len(restarts)
-        self.ctrls = [EpochController() if r else None for r in restarts or [True]]
-        self._restarting = [(r, ctrl) for r, ctrl in enumerate(self.ctrls) if ctrl is not None]
-        self._starts = [1] * len(self.ctrls)  # each row's epoch start; a fixed row's stays 1
+        self._restarting = [r for r, dt in enumerate(restarts or [True]) if dt]
+        self._epochs = [[1] if dt else None for dt in restarts or [True]]  # each row's starts
+        self._starts = [1] * len(self._epochs)  # each row's epoch start; a fixed row's stays 1
         self.dropped = 0 if restarts is None else np.zeros(self.runs, dtype=np.int64)
         self.inner = self.make(2) if inner is None else inner
-        self._restarts = None  # a followed plan's restarts: round -> [(row, epoch, last)]
-        self._stale_until = math.inf  # no stale stamp arrives after this round
+        self._restarts = None  # the plan's restarts, from follow: round -> [(row, epoch, last)]
+        self._stale_until = 0  # no stale stamp arrives after this round
 
-    def follow(self, schedule) -> None:
-        """Take the run's arrival plan (one ``DelaySchedule``, or one per row) before round 1
-        and record by round which rows restart, at which epoch, and the last round at which
-        a stamp from before that epoch arrives."""
+    def follow(self, schedule) -> list[int]:
+        """Take the run's arrival plan (one ``DelaySchedule``, or one per row) before round 1:
+        record each restarting row's ``epoch_starts`` and, by round, which rows restart, at
+        which epoch, and the last round at which a stamp from before that epoch arrives.
+        Returns the rounds at which some row restarts, ascending."""
         schedules = [schedule] if self.runs is None else schedule
-        self._restarts, self._stale_until = {}, 0
-        for r, ctrl in self._restarting:
-            ctrl.follow(schedules[r])
+        self._restarts = {}
+        for r in self._restarting:
+            self._epochs[r] = epoch_starts(schedules[r])
             last = np.maximum.accumulate(np.arange(len(schedules[r].delays)) +
                                          schedules[r].delays)  # of stamps 1..k, at k - 1
-            for v, t in enumerate(ctrl.epoch_starts[1:], 2):
+            for v, t in enumerate(self._epochs[r][1:], 2):
                 self._restarts.setdefault(t, []).append((r, v, int(last[t - 2])))
+        return sorted(self._restarts)
 
-    def play(self, t: int) -> np.ndarray:
-        # (row, epoch, last) of each restart at t: from the record, or each controller a
-        # round on, which cannot tell when the older stamps stop arriving
-        restarts = self._restarts.get(t, ()) if self._restarts is not None else \
-            [(r, ctrl.v, math.inf) for r, ctrl in self._restarting if ctrl.begin_round(t)]
-        for r, v, last in restarts:
+    def play(self, t: int, stop: int | None = None) -> np.ndarray:
+        """The decision for rounds t..stop, none of which but t may be a restart round."""
+        if self._restarts is None:
+            raise ValueError("a restarting learner plays only after follow(schedule)")
+        for r, v, last in self._restarts.get(t, ()):
             self._starts[r], self._stale_until = t, max(self._stale_until, last)
             if self.runs is None:
                 self.inner = self.make(2 ** v)
             else:
                 self.inner.set_row(r, self.make(2 ** v))
-        return self.inner.play(t)
+        return self.inner.play(t, stop)
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
-        counted = self._restarts is None  # driven by hand, the controllers count arrivals
         if self.runs is None:
             # stamps ascend, so the stale ones (queried before the epoch) are a prefix
             stale = bisect_left(stamps, self._starts[0])
             self.dropped += stale
-            if counted:
-                self.ctrls[0].note_arrivals(len(stamps) - stale)
             if stale < len(stamps):
                 self.inner.ingest(t, stamps[stale:], grads[stale:])
             return
         # a run's column ascends above its padding, so its first stamp is its oldest
         if t <= self._stale_until and \
-                any(0 < stamps[0][r] < self._starts[r] for r, _ in self._restarting):
+                any(0 < stamps[0][r] < self._starts[r] for r in self._restarting):
             block = np.array(stamps)  # a dropped item becomes padding: stamp 0, a zero step
             stale = (block > 0) & (block < self._starts)
             self.dropped = self.dropped + stale.sum(axis=0)
@@ -470,15 +423,11 @@ class _RestartingLearner:
             if not block.any():  # every stamp was stale
                 return
             stamps, grads = block.tolist(), np.where(stale[..., None], 0, grads)
-        if counted:
-            counts = [len(column) - column.count(0) for column in zip(*stamps)]
-            for r, ctrl in self._restarting:
-                ctrl.note_arrivals(counts[r])
         self.inner.ingest(t, stamps, grads)
 
     @property
     def epoch_starts(self) -> list:
-        starts = [None if ctrl is None else list(ctrl.epoch_starts) for ctrl in self.ctrls]
+        starts = [None if s is None else list(s) for s in self._epochs]
         return starts[0] if self.runs is None else starts
 
     @property

@@ -6,7 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 import numpy as np
 
 from delayed_oco import invariants
-from delayed_oco.harness import lowerbound_report, run_experiment, run_many
+from delayed_oco.harness import lowerbound_report, run_many
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -35,7 +35,7 @@ def drift_sweep(learner: str):
                 yield n, d, summary["seed"], summary
 
 
-# Criteria 1-3 and 9 run the invariants ``delayed-oco verify`` runs, at full size.
+# Criteria 1-3, 6 and 9 run the invariants ``delayed-oco verify`` runs, at full size.
 
 def test_criterion_1_ogd_reduction():
     rng = np.random.default_rng(100)
@@ -81,15 +81,8 @@ def test_criterion_5_bound_thm2_domination():
 
 
 def test_criterion_6_doubling_trick():
-    ok, detail = True, ""
-    expected, nxt, v = [], 1, 1
-    while nxt <= 2000:
-        expected.append(nxt)
-        nxt, v = nxt + 2 ** v, v + 1
-    for learner in ("dogd_dt", "mild_dt"):
-        _, summary = run_experiment(drift_config(learner, 1, 1, 0))
-        if summary["epoch_starts"] != expected:
-            ok, detail = False, f"{learner}: unit-delay epochs {summary['epoch_starts'][:6]}..."
+    ok, epochs = invariants.epoch_starts_closed_form(np.random.default_rng(104), T=2000)
+    detail = "" if ok else epochs
     if ok:
         for learner, bound_key in (("dogd_dt", "bound_thm4"), ("mild_dt", "bound_thm5")):
             for n, d, seed, summary in drift_sweep(learner):

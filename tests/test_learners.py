@@ -24,7 +24,7 @@ from delayed_oco import (
 )
 from delayed_oco.delay import KINDS as DELAY_KINDS, make_schedule, permuted_schedule
 from delayed_oco.geometry import _WALK_ROWS
-from delayed_oco.learners import EpochController, delayed_hedge_update, expert_count, init_weights
+from delayed_oco.learners import delayed_hedge_update, epoch_starts, expert_count, init_weights
 from delayed_oco.losses import Linear, QuadraticTracking, stack
 from delayed_oco import harness, learners
 from delayed_oco.invariants import (arrivals_at, consumption_log_permutation, projected_ogd,
@@ -593,42 +593,26 @@ def test_lockstep_pool_steps_each_run_as_alone_and_keeps_unfed_weights_bitwise()
 
 # --- doubling trick -----------------------------------------------------------
 
-def test_epoch_controller_first_round_continues():
-    ctrl = EpochController()
-    assert ctrl.begin_round(1) is False
-    assert ctrl.v == 1 and ctrl.epoch_start == 1
+def test_epoch_starts_first_round_continues():
+    assert epoch_starts(DelaySchedule((1,))) == [1]
 
 
-def test_epoch_controller_unit_delay_closed_form():
+def test_epoch_starts_unit_delay_closed_form():
     # with one arrival per round the budget grows by one each round, so
     # epoch v spans 2^v rounds: starts at 1, 3, 7, 15, 31, ...
-    ctrl = EpochController()
-    starts = []
-    for t in range(1, 200 + 1):
-        if ctrl.begin_round(t):
-            starts.append(t)
-        ctrl.note_arrivals(1)
-    assert starts == [3, 7, 15, 31, 63, 127]
+    assert epoch_starts(constant_schedule(200, 1)) == [1, 3, 7, 15, 31, 63, 127]
 
 
-def test_epoch_controller_backlogged_restart():
+def test_epoch_starts_backlogged_restart():
     # delays (2, 1): nothing arrives before round 2's check, so the budget
     # hits 1 + 2 = 3 > 2 and round 2 opens epoch 2
-    ctrl = EpochController()
-    assert ctrl.begin_round(1) is False
-    ctrl.note_arrivals(0)
-    assert ctrl.begin_round(2) is True
-    assert ctrl.v == 2 and ctrl.epoch_start == 2
+    assert epoch_starts(DelaySchedule((2, 1))) == [1, 2]
 
 
-def test_epoch_controller_ties_continue():
-    # B == 2^v exactly must not restart (strict inequality)
-    ctrl = EpochController()
-    ctrl.begin_round(1)   # B = 1
-    ctrl.note_arrivals(1)
-    assert ctrl.begin_round(2) is False  # B = 1 + 1 = 2 == 2^1
-    ctrl.note_arrivals(1)
-    assert ctrl.begin_round(3) is True  # B = 2 + (3 - 2) = 3 > 2: B was 2, not less
+def test_epoch_starts_ties_continue():
+    # B == 2^v exactly must not restart (strict inequality): B_2 = 1 + 1 = 2 == 2^1
+    # continues epoch 1, and B_3 = 2 + (3 - 2) = 3 > 2 opens epoch 2
+    assert epoch_starts(DelaySchedule((1, 1, 1))) == [1, 3]
 
 
 def brute_force_epoch_starts(schedule):
@@ -659,20 +643,25 @@ def test_restart_rounds_match_brute_force():
 
 
 def per_round_epochs(schedule):
-    """The controller advanced round by round over a plan, as a hand-driven learner does:
+    """The restart rule round by round over a plan, the reference ``epoch_starts`` is checked
+    against: at the start of round t of epoch v from s, B grows by t + 1 - s less the stamps
+    >= s delivered in rounds s..t-1, and B > 2^v opens epoch v+1 at t with B = 1.  Returns
     (epoch starts, each delivery's stale count), flush rounds past T included."""
-    ctrl, T = EpochController(), schedule.horizon
+    T = schedule.horizon
     rounds, offsets, stamps = (schedule.rounds.tolist(), schedule.offsets.tolist(),
                                schedule.stamps.tolist())
-    stale, j = [], 0
+    starts, B, arrived, stale, j = [1], 0, 0, [], 0
     for t in range(1, T + 1):
-        ctrl.begin_round(t)
+        B += t + 1 - starts[-1] - arrived
+        if B > 2 ** len(starts):
+            starts.append(t)
+            B, arrived = 1, 0
         while j < len(rounds) and (rounds[j] == t or t == T):  # after T, the flush rounds
             block = stamps[offsets[j]:offsets[j + 1]]
-            stale.append(sum(k < ctrl.epoch_start for k in block))
-            ctrl.note_arrivals(len(block) - stale[-1])
+            stale.append(sum(k < starts[-1] for k in block))
+            arrived += len(block) - stale[-1]
             j += 1
-    return ctrl.epoch_starts, stale
+    return starts, stale
 
 
 @st.composite
@@ -698,12 +687,36 @@ def test_the_plan_pass_equals_the_controller_round_by_round(case, seed):
     T, spec = case
     schedule = make_schedule(spec, T, seed)
     starts, stale = per_round_epochs(schedule)
-    ctrl = EpochController()
-    ctrl.follow(schedule)
-    assert (ctrl.epoch_starts, ctrl.v, ctrl.epoch_start) == (starts, len(starts), starts[-1])
+    assert epoch_starts(schedule) == starts
     box = Box(1, 1.0)
     trace = simulate(DogdDoublingTrick(box, 2.0, 1.0), zero_losses(T), schedule, box)
     assert (trace.epoch_starts, trace.dropped) == (tuple(starts), sum(stale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=delay_specs(), seed=st.integers(0, 2**16), redraw=st.integers(0, 2**16))
+@example(case=(100, {"kind": "blocks", "d": 16}), seed=0, redraw=0)
+def test_a_restart_reads_only_feedback_delivered_before_it(case, seed, redraw):
+    # the rule is online: for each round t, redrawing the arrival rounds of the stamps that
+    # arrive at t or later, to any rounds >= max(t, k), leaves the epochs that start by t
+    # as they were
+    T, spec = case
+    schedule, rng = make_schedule(spec, T, seed), np.random.default_rng(redraw)
+    starts, k = epoch_starts(schedule), np.arange(1, T + 1)
+    arrival = k + schedule.delays - 1
+    for t in range(1, T + 1):
+        later = np.maximum(t, k) + rng.integers(0, 2 * T + 1, T)
+        moved = DelaySchedule(np.where(arrival >= t, later, arrival) - k + 1)
+        assert [s for s in epoch_starts(moved) if s <= t] == [s for s in starts if s <= t], t
+
+
+@pytest.mark.parametrize("restarts", [None, [False, True]], ids=["one-run", "lockstep"])
+def test_a_restarting_learner_refuses_to_play_without_its_plan(restarts):
+    box = Box(1, 1.0)
+    inner = None if restarts is None else DelayedOGD(box, np.full((2, 1), 0.1))
+    learner = DogdDoublingTrick(box, 2.0, 1.0, restarts, inner)
+    with pytest.raises(ValueError, match=r"follow\(schedule\)"):
+        learner.play(1)
 
 
 def test_restarting_learner_drops_stale_feedback():
@@ -865,11 +878,12 @@ class ReferenceMild(MildOGD):
         super().__init__(box, expert_rates, alpha)
         self.meta_plays, self.expert_plays = {}, {}
 
-    def play(self, t):
+    def play(self, t, stop=None):
         xs = self.pool.y
         h = self.box.half_width
         x = (self.weights @ xs).clip(-h, h)
-        self.expert_plays[t], self.meta_plays[t] = xs, x
+        for s in range(t, (stop or t) + 1):
+            self.expert_plays[s], self.meta_plays[s] = xs, x
         return x.copy()
 
     def ingest(self, t, stamps, grads):
@@ -894,7 +908,10 @@ class ReferenceMildDT(MildOgdDoublingTrick):
 
 
 def mild_history(learner, losses, schedule):
-    """Per round: the decision, and the weights and log-weights after the round's ingest."""
+    """Per round: the decision, and the weights and log-weights after the round's ingest.
+    A restarting learner takes its plan first."""
+    if hasattr(learner, "follow"):
+        learner.follow(schedule)
     grads = np.empty((schedule.horizon, getattr(learner, "inner", learner).box.dim))
     history = []
     j = 0

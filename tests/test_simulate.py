@@ -20,7 +20,9 @@ def reference_simulate(learner, losses, schedule, box):
     """The per-round loop: play round t, query its gradient at the played point and, when
     the plan delivers feedback at t, ingest it; record the weights after every round, and
     deliver the plan's rounds past the horizon at the end.  Returns the decisions and the
-    weight history, or None."""
+    weight history, or None.  A restarting learner takes its plan first."""
+    if hasattr(learner, "follow"):
+        learner.follow(schedule)
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
     rounds, offsets, stamps, slots = merge_plans([schedule] if runs is None else schedule)
     rounds, offsets, T = rounds.tolist(), offsets.tolist(), len(slots)
@@ -139,7 +141,8 @@ def test_a_restart_between_deliveries_resets_the_decision(names):
     # blocks of 16 deliver only at rounds 16, 32, ...; the restarts at 22 and 79 fall between
     # deliveries, after feedback has moved the decision off the origin.  The doubling row
     # runs alone, or in lockstep after a fixed-horizon row, from the plan's record, and
-    # equals the per-round reference.
+    # equals the per-round reference, playing one stretch at a time: a stretch ends at a
+    # round with feedback, before a restart, or at T.
     cfgs = [harness.normalize_config({"T": 100, "n": 2, "seed": 4, "learner": {"name": n},
                                       "delay": {"kind": "blocks", "d": 16},
                                       "environment": {"kind": "drift", "loss": "linear"}})
@@ -150,6 +153,8 @@ def test_a_restart_between_deliveries_resets_the_decision(names):
     plan = schedules[0] if len(cfgs) == 1 else schedules
     sums = [s.sum_backlog for s in schedules]
     learner, reference = (harness._build_learner(cfgs, box, sums)[0] for _ in range(2))
+    plays, play = [], learner.play
+    learner.play = lambda t, stop=None: plays.append(t) or play(t, stop)
 
     trace = harness.simulate(learner, losses, plan, box)
     decisions, weights = reference_simulate(reference, losses, plan, box)
@@ -158,6 +163,8 @@ def test_a_restart_between_deliveries_resets_the_decision(names):
     run = trace.runs()[-1]
     restarts = run.epoch_starts[1:]
     assert restarts == (2, 4, 7, 12, 22, 32, 48, 79)
+    fed = [t for t in schedules[-1].rounds.tolist() if t < 100]  # 16, 32, ..., 96
+    assert len(plays) <= len(fed) + len(restarts) + 1 == 15
     for t in restarts:
         assert not run.decisions[t - 1].any()  # a fresh learner plays the origin
     assert run.decisions[20].any() and run.decisions[77].any()
