@@ -2,13 +2,14 @@
 
 Subcommands: run, sweep, lowerbound, verify.
 Exit codes: 0 success, 2 config error, 3 strict-mode bound violation,
-4 invariant failure.
+4 invariant failure, 141 standard output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 
@@ -18,6 +19,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BOUND = 3
 EXIT_INVARIANT = 4
+EXIT_PIPE = 141  # what a shell reports for a writer cut off by a closed pipe
 
 
 def _load_config(path: str | None) -> dict:
@@ -196,7 +198,14 @@ def main(argv: list[str] | None = None) -> int:
             existing = next(p for p in (out, *out.parents) if p.exists())
             if not existing.is_dir():
                 raise harness.ConfigError(f"--out {out}: {existing} is a file, not a directory")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # here, so a reader gone before the flush at exit is caught too
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output (as `| head` does): point it at devnull, so
+        # the flush at exit has nowhere to fail (the note on SIGPIPE in `signal`'s docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

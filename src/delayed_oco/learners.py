@@ -214,7 +214,12 @@ class MildOGD:
     One run's delivery of one timestamp pops its one spread, forms its one
     surrogate product and steps the pool; a run axis's delivery of one row
     takes the spreads and the runs that were fed from that row.  Either way
-    the Hedge step is ``delayed_hedge_update``, as for a burst.
+    the Hedge step is ``delayed_hedge_update``, as for a burst.  One run's two
+    products a round, the mix w . xs in ``play`` and a one-timestamp delivery's
+    surrogate spread . g, are ``np.dot``: the same BLAS gemv as ``@``, bitwise,
+    without the ``matmul`` gufunc's dispatch, which costs more than the product
+    at these sizes.  A run axis keeps its stacked ``matmul``, which ``np.dot``
+    has no form of.
     """
 
     def __init__(self, box: Box, expert_rates, alpha):
@@ -254,7 +259,7 @@ class MildOGD:
             xs, w = self.pool.y, self.weights
             # the clamp guards the one-ulp rounding a float convex combination can incur
             if self.runs is None:
-                x = np.minimum(np.maximum(w @ xs, self._lo), self._hi)
+                x = np.minimum(np.maximum(np.dot(w, xs), self._lo), self._hi)
                 self._mix = (x, xs - x)
             else:
                 x = np.minimum(np.maximum(w[:, None, :] @ xs, self._lo), self._hi)
@@ -274,22 +279,25 @@ class MildOGD:
         return self._mix[0].copy()
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
-        if not len(stamps):
-            return
-        one = len(grads) == 1  # one arrival per run: one (N, n) @ (n,) product each
+        one = len(grads) == 1  # one arrival per run
+        single = one and self.runs is None  # most deliveries: tested first
         try:
-            if self.runs is None:
-                spreads = self._spreads.pop(stamps[0]) if one else \
-                    [self._spreads.pop(k) for k in stamps]
+            if single:
+                spreads = self._spreads.pop(stamps[0])
+            elif not len(stamps):
+                return
+            elif self.runs is None:
+                spreads = [self._spreads.pop(k) for k in stamps]
             else:
                 spreads = [run.pop(k) if k else self._no_spread
                            for row in stamps for run, k in zip(self._spreads, row)]
         except KeyError as exc:
             raise AssertionError(f"feedback for round {exc.args[0]} without a recorded play") \
                 from None
-        if one:
-            loss_sums = spreads @ grads[0] if self.runs is None else \
-                (np.array(spreads) @ grads[0][..., None])[..., 0]
+        if single:  # one (N, n) . (n,) gemv, without matmul's gufunc dispatch
+            loss_sums = np.dot(spreads, grads[0])
+        elif one:  # a stacked (R, N, n) @ (R, n, 1) product, which np.dot has no form of
+            loss_sums = (np.array(spreads) @ grads[0][..., None])[..., 0]
         else:
             # a running sum in timestamp order gives the per-arrival float sums;
             # np.sum would add a single expert's column pairwise

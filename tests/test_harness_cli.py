@@ -5,9 +5,12 @@ import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -1036,6 +1039,23 @@ def test_cli_seed_flag_overrides(tmp_path):
     cli.main(["run", "--config", path, "--out", str(out2), "--seed", "99"])
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
     assert json.loads((out1 / "summary.json").read_text())["runs"][0]["seed"] == 99
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_run_exits_141_without_a_traceback_when_its_reader_closes_the_pipe(tmp_path, fmt):
+    # two repetitions write far more than a pipe holds, so the writer meets the closed
+    # pipe mid-output (block-buffered: PYTHONUNBUFFERED unset), or at the flush at exit
+    path = write_config(tmp_path, {"T": 5000, "n": 3, "repetitions": 2})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    with subprocess.Popen([sys.executable, "-m", "delayed_oco.cli", "run", "--config", path,
+                           "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert (proc.wait(timeout=120), "Traceback" in stderr) == (141, False), stderr
 
 
 def test_cli_config_error_exit_code(tmp_path):

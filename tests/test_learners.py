@@ -565,19 +565,23 @@ def test_pool_surrogate_losses_bounded_by_GD(monkeypatch):
             assert max(np.abs(s).max() for s in seen) <= G * box.diameter + 1e-9
 
 
-def test_lockstep_pool_steps_each_run_as_alone_and_keeps_unfed_weights_bitwise():
+@pytest.mark.parametrize("N", [3, 9, 17, 40])
+@pytest.mark.parametrize("n", [2, 10])
+def test_lockstep_pool_steps_each_run_as_alone_and_keeps_unfed_weights_bitwise(N, n):
     # run 0 gets feedback every round, run 1 every fifth: run 1 keeps its weights
     # bitwise on the other rounds (renormalizing them would round some differently),
-    # and each run matches a one-run pool fed the same gradients
-    box, rng = Box(2, 1.0), np.random.default_rng(3)
-    rates, alphas = np.array([[0.1, 0.4, 1.6], [0.2, 0.5, 3.0]]), np.array([0.7, 1.3])
+    # and each run matches a one-run pool fed the same gradients; the run axis mixes
+    # and forms surrogates by stacked matmul, one run by np.dot, past the paper grid's sizes
+    box, rng = Box(n, 1.0), np.random.default_rng(3)
+    rates = np.array([0.1, 0.2])[:, None] * np.exp2(np.arange(N) / 3)
+    alphas = np.array([0.7, 1.3])
     pool = MildOGD(box, rates, alphas)
     alone = [MildOGD(box, rates[r], alphas[r]) for r in range(2)]
     for t in range(1, 400):
         xs, x_alone = pool.play(t), [a.play(t) for a in alone]
         assert all(xs[r].tobytes() == x_alone[r].tobytes() for r in range(2))
         fed = t % 5 == 0
-        grads = rng.uniform(-1, 1, (1, 2, 2))
+        grads = rng.uniform(-1, 1, (1, 2, n))
         if not fed:  # a padded slot: timestamp 0 and a +0.0 gradient, as simulate pads
             grads[0, 1] = 0.0
         stamps = [[t, t if fed else 0]]
@@ -589,6 +593,24 @@ def test_lockstep_pool_steps_each_run_as_alone_and_keeps_unfed_weights_bitwise()
         else:
             assert pool.log_w[1].tobytes() == before
         assert pool.log_w.tobytes() == np.stack([a.log_w for a in alone]).tobytes()
+
+
+def test_mild_refuses_feedback_for_a_round_it_never_played():
+    # the one guard serves every delivery: one run's single arrival (its weights untouched),
+    # one run's burst, and a lockstep row whose run 1 was never played at round 2
+    box = Box(2, 1.0)
+    pool = MildOGD(box, [0.1, 0.4, 1.6], 0.7)
+    pool.play(1)
+    before = pool.log_w.tobytes()
+    with pytest.raises(AssertionError, match="feedback for round 2 without a recorded play"):
+        pool.ingest(1, *feedback([2], [0.5, -0.5]))
+    assert pool.log_w.tobytes() == before
+    with pytest.raises(AssertionError, match="feedback for round 3 without a recorded play"):
+        pool.ingest(1, *feedback([1, 3], [0.5, -0.5], [1.0, 0.0]))
+    lockstep = MildOGD(box, [[0.1, 0.4, 1.6], [0.2, 0.5, 3.0]], [0.7, 1.3])
+    lockstep.play(1)
+    with pytest.raises(AssertionError, match="feedback for round 2 without a recorded play"):
+        lockstep.ingest(1, [[1, 2]], np.ones((1, 2, 2)))
 
 
 # --- doubling trick -----------------------------------------------------------
@@ -957,10 +979,10 @@ _MILD_DELAYS = {
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 5), kind=st.sampled_from(sorted(_MILD_DELAYS)), T=st.integers(1, 260),
+@given(n=st.integers(1, 12), kind=st.sampled_from(sorted(_MILD_DELAYS)), T=st.integers(1, 260),
        d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
        loss=st.sampled_from(["quadratic", "linear"]),
-       rates=st.none() | st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8))
+       rates=st.none() | st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40))
 @example(n=1, kind="blocks", T=256, d=64, seed=1, loss="linear", rates=None)
 @example(n=3, kind="blocks", T=200, d=64, seed=2, loss="quadratic", rates=[0.5])
 @example(n=5, kind="permuted", T=260, d=1, seed=3, loss="quadratic", rates=None)
