@@ -103,9 +103,8 @@ def _drift_environments(box: Box, T: int, step: float, loss_kind: str, seeds: li
     walks = np.zeros((T, len(seeds), box.dim))  # row t-1 is theta_t
     # theta + move is theta - (-move) bitwise, the clamped walk's step
     with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows leaves the box
-        clamped_walk(walks[0], np.negative(moves[:T - 1], out=moves[:T - 1]),
-                     np.full(walks.shape[1:], -box.half_width),
-                     np.full(walks.shape[1:], box.half_width), walks)
+        clamped_walk(walks[0], np.negative(moves[:T - 1], out=moves[:T - 1]), box.lo, box.hi,
+                     walks)
 
     built = []
     for targets in (np.ascontiguousarray(walks[:, r]) for r in range(len(seeds))):

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # clamp(v, lo, hi[, out]): the ufunc np.clip wraps, one dispatch, bitwise max then min
+    from numpy._core.umath import clip as clamp
+except ImportError:  # NumPy 1.x
+    from numpy.core.umath import clip as clamp
+
 
 def as_decision(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a finite float64 vector, optionally checking its length."""
@@ -31,7 +36,8 @@ class Box:
     """Origin-centered box ``[-half_width, half_width]^dim``.
 
     The box always contains the origin and has Euclidean diameter
-    ``2 * half_width * sqrt(dim)``.
+    ``2 * half_width * sqrt(dim)``.  ``lo`` and ``hi`` are its bounds -half_width and
+    half_width as read-only 0-d float64 arrays, against which every clamp runs.
     """
 
     dim: int
@@ -42,6 +48,10 @@ class Box:
             raise ValueError("dimension must be a positive integer")
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError("half_width must be a positive finite real")
+        for name, value in (("lo", -self.half_width), ("hi", self.half_width)):
+            bound = np.array(value, dtype=np.float64)
+            bound.setflags(write=False)
+            object.__setattr__(self, name, bound)
 
     @classmethod
     def from_diameter(cls, dim: int, diameter: float) -> "Box":
@@ -55,13 +65,9 @@ class Box:
         return 2.0 * self.half_width * math.sqrt(self.dim)
 
     def project(self, p) -> np.ndarray:
-        """Euclidean projection of one point: clamp each coordinate to [-half_width, half_width]."""
-        p = np.asarray(p, dtype=np.float64)
-        if p.shape != (self.dim,):
-            raise ValueError(f"expected a point of dimension {self.dim}, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("point has non-finite entries")
-        return np.clip(p, -self.half_width, self.half_width)
+        """Euclidean projection of one finite point of dimension ``dim`` (``as_decision``):
+        clamp each coordinate to [-half_width, half_width]."""
+        return clamp(as_decision(p, self.dim), self.lo, self.hi)
 
     def origin(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -81,28 +87,28 @@ _STEP_ROWS = 8  # up to this many steps, one at a time are cheaper than a stretc
 
 def clamped_walk(y: np.ndarray, steps: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  path: np.ndarray | None = None) -> np.ndarray:
-    """The end of the walk y <- clamp(y - step) over the rows of ``steps``, in the box
-    [lo, hi] with lo = -hi, bitwise the per-step loop ``np.minimum(np.maximum(y - step,
-    lo), hi)``.
-
-    ``lo`` and ``hi`` are arrays of y's shape.  ``path``, when given, has len(steps) + 1
-    rows and receives every position, row 0 being y; without it the walk holds one
-    stretch of at most ``_WALK_ROWS`` rows.
+    """The end of the walk y <- clamp(y - step, lo, hi) over the rows of ``steps``, in the
+    box [lo, hi] with lo = -hi, bitwise the per-step loop.  ``lo`` and ``hi`` are 0-d, as
+    a ``Box``'s, or arrays of y's shape; each clamp, of a stretch or of one step, is one
+    ``clamp`` call, which selects a value and never rounds one, so it gives the same bits
+    on every host.  ``path``, when given, has len(steps) + 1 rows and receives every
+    position, row 0 being y; without it the walk holds one stretch of at most
+    ``_WALK_ROWS`` rows.
 
     A clamp leaves a point inside the box as it is, so y minus a running difference of
     the next steps (``np.subtract.accumulate``) is the walk bitwise up to the row in
     which a coordinate leaves the box, where the clamp puts it on a face.  A step that
     pushes it further out clamps it back there (hi - s >= hi for s <= 0, and
-    -hi - s <= -hi for s >= 0) while the running difference moves further out, so
-    the coordinate rests on its face, the clamp of the difference, until a step of
-    the difference's sign turns it back in.  A stretch commits the rows up to the first
-    turn of any coordinate.  The turn is read from the signs of the step and the
-    difference, not from their product, which underflows to 0 below about 2.5e-324 (a
-    box of half-width about 1e-162, or subnormal steps).  The walk steps one row at a time where at most
-    ``_STEP_ROWS`` steps are left, and after a stretch that committed at most that
-    many rows, twice as many plain steps each time.  A NaN never leaves the box and
-    walks on as NaN, as the loop's clamps keep it.  Past a row that left, the running
-    difference may overflow or read inf - inf; the callers step under ``np.errstate``.
+    -hi - s <= -hi for s >= 0) while the running difference moves further out, so the
+    coordinate rests on its face, the clamp of the difference, until a step of the
+    difference's sign turns it back in.  A stretch commits the rows up to the first turn
+    of any coordinate, read from the signs of the step and the difference, not from
+    their product, which underflows to 0 below about 2.5e-324 (a box of half-width about
+    1e-162, or subnormal steps).  The walk steps one row at a time where at most
+    ``_STEP_ROWS`` steps are left, and after a stretch that committed at most that many
+    rows, twice as many plain steps each time.  A NaN never leaves the box and walks on
+    as NaN, as the loop's clamps keep it.  Past a row that left, the running difference
+    may overflow or read inf - inf; the callers step under ``np.errstate``.
     """
     K = len(steps)
     chunk = path is None
@@ -126,14 +132,14 @@ def clamped_walk(y: np.ndarray, steps: np.ndarray, lo: np.ndarray, hi: np.ndarra
                 first = int(turns.argmax())  # in the flattened rows; 0 when none turns
                 if turns.flat[first]:
                     m = first // theta.size + 1
-            np.minimum(np.maximum(run[:m], lo, out=run[:m]), hi, out=run[:m])
+            clamp(run[:m], lo, hi, out=run[:m])
             theta, k, size = run[m - 1], k + m, max(32, 2 * m)
             if m > _STEP_ROWS:
                 plain = 1
                 continue
             stop, plain = min(k + plain, K), 2 * plain
         for s in range(k, stop):
-            theta = np.minimum(np.maximum(theta - steps[s], lo), hi)
+            theta = clamp(theta - steps[s], lo, hi)
             if not chunk:
                 path[s + 1] = theta
         k = stop

@@ -548,15 +548,30 @@ def _batch_bytes(cfg: dict, runs: int, rows: int | None = None) -> int:
         256 * _CSV_CELLS
 
 
-def _batches(rows, cfg: dict) -> Iterator:
-    """``rows`` (a list or a range) cut into lockstep batches, yielded in order, of as many
-    runs of ``cfg`` as keep ``_batch_bytes`` within half of physical memory; a run alone
-    always makes a batch."""
-    fit, cap = 1, _physical_memory() // 2
-    while fit < len(rows) and _batch_bytes(cfg, fit + 1) <= cap:
+def _batches(rows, count: int, cfg: dict) -> Iterator[list]:
+    """The ``count`` runs that iterating ``rows`` yields, cut into lockstep batches (lists),
+    in order, of as many runs of ``cfg`` as keep ``_batch_bytes`` within half of physical
+    memory; a run alone always makes a batch."""
+    fit, cap, rows = 1, _physical_memory() // 2, iter(rows)
+    while fit < count and _batch_bytes(cfg, fit + 1) <= cap:
         fit += 1
-    for i in range(0, len(rows), fit):
-        yield rows[i:i + fit]
+    while batch := list(itertools.islice(rows, fit)):
+        yield batch
+
+
+def _refuse_kept(what: str, count: int, kept: int) -> None:
+    """Refuse, before any run, ``count`` results that keep ``kept`` bytes past half of
+    physical memory."""
+    if kept > _physical_memory() // 2:
+        raise ConfigError(f"{what} would keep {count} results, about {kept / 2**30:.3g} GiB, "
+                          "more than half of physical memory")
+
+
+def _row_bytes(cfg: dict) -> int:
+    """Memory a sweep row of ``cfg`` holds, kept and rendered by ``to_json``: 9 KB, and 128
+    bytes for each of its N expert rates and at most 2 log2(T) + 2 epoch starts
+    (tracemalloc: 2.0 and 6.9 KB at most, and 22 and 102 bytes an entry)."""
+    return 9 * 2**10 + 128 * (_pool(cfg)[1] + 2 * cfg["T"].bit_length() + 2)
 
 
 def run_experiment(config: dict, seed: int | None = None) -> tuple[RunTrace, dict]:
@@ -579,7 +594,7 @@ def run_many(config: dict) -> Iterator[tuple[RunTrace, dict]]:
     it, and only it is held, the seeds being a range."""
     cfg = normalize_config(config)
     seeds = range(cfg["seed"], cfg["seed"] + cfg["repetitions"])
-    return (result for batch in _batches(seeds, cfg)
+    return (result for batch in _batches(seeds, len(seeds), cfg)
             for result in _run(list(zip([cfg] * len(batch), batch, _build_inputs(cfg, batch)))))
 
 
@@ -619,14 +634,15 @@ def sweep(config: dict, grid: dict) -> list[dict]:
     runs of all cells that share a learner family, expert count (``_pool``) and T
     step in lockstep.  The runs share only their environment walks; a batch's
     plans and comparator paths are built when it runs, one per run, and only the
-    rows and the current T's walks outlive it.
+    rows and the current T's walks outlive it.  Each cell's seeds are a range; rows
+    (``_row_bytes``) past half of physical memory are refused before any run.
     """
     cfg = normalize_config(config)
     if not (isinstance(grid, dict) and grid
             and all(isinstance(v, (list, tuple)) and v for v in grid.values())):
         raise ConfigError(f"sweep grid must map keys to nonempty lists of values, got {grid!r}")
     keys = sorted(grid)
-    # cells: (cell, its config); groups: per T, per _pool, (cell index, seed) per run
+    # cells: (cell, its config); groups: per T, per _pool, (cell index, its seeds) per cell
     cells, groups = [], {}
     for combo in itertools.product(*(grid[k] for k in keys)):
         cell = dict(zip(keys, combo))
@@ -634,15 +650,18 @@ def sweep(config: dict, grid: dict) -> list[dict]:
             cell_cfg = normalize_config(_apply_cell(cfg, cell))
         except Exception as exc:
             raise SweepError(f"sweep cell {cell} failed: {exc}") from exc
-        groups.setdefault(cell_cfg["T"], {}).setdefault(_pool(cell_cfg), []).extend(
-            (len(cells), cell_cfg["seed"] + rep) for rep in range(cell_cfg["repetitions"]))
+        groups.setdefault(cell_cfg["T"], {}).setdefault(_pool(cell_cfg), []).append(
+            (len(cells), range(cell_cfg["seed"], cell_cfg["seed"] + cell_cfg["repetitions"])))
         cells.append((cell, cell_cfg))
+    _refuse_kept("the sweep", sum(c["repetitions"] for _, c in cells),
+                 sum(c["repetitions"] * _row_bytes(c) for _, c in cells))
     rows = {}
     for pools in groups.values():
         walks = {}  # this T's environments, which its pools' runs share
         for group in pools.values():
             largest = max((cells[c][1] for c, _ in group), key=_run_bytes)
-            for batch in _batches(group, largest):
+            runs = ((c, seed) for c, seeds in group for seed in seeds)
+            for batch in _batches(runs, sum(len(seeds) for _, seeds in group), largest):
                 for (c, seed), summary in zip(batch, _sweep_batch(batch, cells, walks)):
                     rows[c, seed] = {"cell": cells[c][0],
                                      "repetition": seed - cells[c][1]["seed"],
@@ -671,6 +690,10 @@ def _sweep_batch(batch: list, cells: list, walks: dict) -> list[dict]:
         raise  # no run fails alone: the fault is the batch's own
 
 
+# a lowerbound trial's regret, kept and rendered (tracemalloc: 31 kept, 78 as JSON, 318 as CSV)
+_TRIAL_BYTES = 512
+
+
 def lowerbound_report(T: int, d: int, D: float, G: float, n: int,
                       learner_spec: dict | None = None, trials: int = 200,
                       base_seed: int = 0) -> dict:
@@ -679,10 +702,12 @@ def lowerbound_report(T: int, d: int, D: float, G: float, n: int,
     Runs the learner on ``trials`` instances that differ only in their sign
     draws, then compares the mean static regret (with its standard error)
     against the expectation lower bound; the PASS flag is suppressed when
-    trials == 1 since a single draw has no averaging.
+    trials == 1 since a single draw has no averaging.  Trials past half of physical
+    memory (``_TRIAL_BYTES`` each) are refused before any run.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    _refuse_kept("lowerbound", trials, trials * _TRIAL_BYTES)
     config = {
         "T": T, "n": n, "D": D, "G": G,
         "learner": learner_spec or _DEFAULTS["learner"],
@@ -691,7 +716,8 @@ def lowerbound_report(T: int, d: int, D: float, G: float, n: int,
         "comparators": {"kind": "best_fixed"},
         "seed": base_seed, "repetitions": trials,
     }
-    regrets = np.array([summary["regret_static"] for _, summary in run_many(config)])
+    regrets = np.fromiter((summary["regret_static"] for _, summary in run_many(config)),
+                          dtype=np.float64, count=trials)
     mean = float(regrets.mean())
     stderr = float(regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
     bound = metrics_mod.bound_lemma3(T, d, D, G)
@@ -700,7 +726,7 @@ def lowerbound_report(T: int, d: int, D: float, G: float, n: int,
         "learner": config["learner"]["name"],
         "mean_static_regret": mean, "stderr": stderr,
         "bound_lemma3": bound,
-        "per_trial": [float(r) for r in regrets],
+        "per_trial": regrets.tolist(),
     }
     report["pass"] = bool(mean >= bound) if trials > 1 else None
     return report

@@ -56,44 +56,41 @@ from collections import namedtuple
 
 import numpy as np
 
-from .geometry import Box, clamped_walk
+from .geometry import Box, clamp, clamped_walk
 
 
 class DelayedOGD:
     """Delayed projected gradient descent.
 
     Keeps a single iterate y and performs one projected step per delivered
-    gradient, traversing each round's arrivals in ascending timestamp order
-    (the ascending order is load-bearing: it is what makes the consumption
-    order equal the query order whenever delays preserve arrival order), so
-    the order it consumes timestamps in is the arrival plan's.
+    gradient, in ascending timestamp order within each round's arrivals (the
+    order is load-bearing: it makes the consumption order equal the query order
+    whenever delays preserve arrival order), so the order it consumes timestamps
+    in is the arrival plan's.
 
-    ``eta`` is a positive finite scalar or a (..., 1) column of such rates:
-    y is then a (..., n) stack whose rows step at their own rates, projected
-    at once.  A column is kept spread to y's shape (a same-shape product is
-    far cheaper than a broadcast one on tiny arrays).
+    ``eta`` is a positive finite scalar, held as a 0-d float64 (whose product
+    skips a Python float's conversion, bitwise), or a (..., 1) column of such
+    rates: y is then a (..., n) stack whose rows step at their own rates.  A
+    column is kept spread to y's shape (a same-shape product is far cheaper
+    than a broadcast one on tiny arrays).
 
     A step projects by a bare clamp, without ``Box.project``'s checks: the
     rates are checked here, and ``simulate`` checks once per run that every
-    gradient it handed out was finite.  The clamp is ``np.minimum`` and
-    ``np.maximum`` against bound arrays of y's shape, built here (far cheaper
-    than ``clip`` with float bounds, and bitwise the same, for +-0.0, +-inf
-    and NaN too).  A finite step that overflows to +-inf clamps to the face
-    it points at, which is its exact projection.  One product forms all the
-    steps of a burst of K gradients; a gradient row that lacks y's leading
-    axis (one gradient for N experts) steps every row.  The burst is one
-    ``geometry.clamped_walk``: a running difference of the steps, committed up
-    to the first step that takes a coordinate off a face, bitwise the
-    per-step loop.  Its wall rule lets a coordinate that reached a face rest
-    there while the steps push it further out, so an expert pool whose fast
-    experts hit the faces early in a burst (block delays) takes one stretch;
-    a burst of at most 8 steps steps row by row.
-    A delivery of one row takes its one step directly, as the same product
-    and the same two clamps.
+    gradient it handed out was finite.  Each clamp is one ``geometry.clamp``
+    call (NumPy's ``clip`` ufunc) against the box's 0-d bounds; a clamp selects
+    a value, never rounds one, so it gives the same bits on every host.  A
+    finite step that overflows to +-inf clamps to the face it points at, its
+    exact projection.  A burst of K gradients is one product, whose gradient
+    rows may lack y's leading axis (one gradient for N experts steps every
+    row), and one ``geometry.clamped_walk``, bitwise the per-step loop: a
+    coordinate that reached a face rests there while the steps push it further
+    out, so an expert pool whose fast experts hit the faces early in a burst
+    (block delays) takes one stretch.  A delivery of one row takes its one
+    step directly, as the same product and the same clamp.
     """
 
     def __init__(self, box: Box, eta):
-        rates = np.asarray(eta, dtype=np.float64)
+        rates = np.array(eta, dtype=np.float64)  # a copy: a 0-d rate is held as it is
         if rates.ndim == 1 or rates.ndim > 3 or rates.ndim and rates.shape[-1] != 1 \
                 or rates.size < 1:
             raise ValueError("learning rate must be a scalar or a (..., 1) column")
@@ -101,20 +98,18 @@ class DelayedOGD:
             raise ValueError("learning rate must be positive and finite")
         self.box = box
         self.y = np.zeros(rates.shape[:-1] + (box.dim,)) if rates.ndim else box.origin()
-        self.eta = rates * np.ones_like(self.y) if rates.ndim else float(eta)
-        h = box.half_width
-        self._lo, self._hi = np.full_like(self.y, -h), np.full_like(self.y, h)
+        self.eta = rates * np.ones_like(self.y) if rates.ndim else rates
 
     def play(self, t: int, stop: int | None = None) -> np.ndarray:
         return self.y.copy()
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
-        y = self.y
+        y, box = self.y, self.box
         if len(grads) == 1:  # the walk's one product and clamp, without the re-layout
-            self.y = np.minimum(np.maximum(y - self.eta * grads[0], self._lo), self._hi)
+            self.y = clamp(y - self.eta * grads[0], box.lo, box.hi)
             return
         self.y = clamped_walk(y, self.eta * (grads if grads.ndim > y.ndim else grads[:, None]),
-                              self._lo, self._hi)
+                              box.lo, box.hi)
 
     def set_row(self, r: int, other: "DelayedOGD") -> None:
         """Run r becomes the one-run learner ``other``."""
@@ -200,8 +195,9 @@ class MildOGD:
     query gradients of their own: one query per round serves the meta
     decision and the whole pool.  (R, N) ``expert_rates`` with R alphas are R
     runs: an (R, N, n) pool and (R, N) ``log_w``; a run without feedback keeps
-    its weights bitwise.  ``play`` clamps the mix into the box against bound
-    arrays of its shape, built here, as the pool clamps its steps.
+    its weights bitwise.  ``play`` clamps the mix into the box as the pool
+    clamps its steps: one ``geometry.clamp`` against the box's 0-d bounds, which
+    gives the same bits on every host.  One run's ``alpha`` is a 0-d float64.
 
     The state (``pool.y`` and ``weights``) changes only in ``ingest`` and
     ``set_row``, and each assigns ``log_w``, which drops the cached mix, so
@@ -224,22 +220,19 @@ class MildOGD:
 
     def __init__(self, box: Box, expert_rates, alpha):
         rates = np.sort(np.asarray(expert_rates, dtype=np.float64))
-        alphas = np.asarray(alpha, dtype=np.float64)
+        alphas = np.array(alpha, dtype=np.float64)  # a copy, as the pool's rates
         if alphas.ndim > 1 or rates.shape[:-1] != alphas.shape or \
                 not np.all(np.isfinite(alphas) & (alphas > 0)):
             raise ValueError("alpha must be positive and finite, one per run")
         self.box = box
         self.runs = alphas.size if alphas.ndim else None
-        self.alpha = alphas[:, None] * np.ones_like(rates) if alphas.ndim else float(alpha)
+        self.alpha = alphas[:, None] * np.ones_like(rates) if alphas.ndim else alphas
         self.expert_rates = rates
         self.pool = DelayedOGD(box, rates[..., None])  # which checks the rates
         self.log_w = np.log(init_weights(rates.shape[-1])) + np.zeros(rates.shape)
         # round -> the spreads it played; with a run axis one such dict per run
         self._spreads = {} if self.runs is None else [{} for _ in range(self.runs)]
         self._no_spread = np.zeros((rates.shape[-1], box.dim))  # a padded slot's
-        # clamp bounds of the mix's shape, (n,) or (R, 1, n), as DelayedOGD's
-        mix = (box.dim,) if self.runs is None else (self.runs, 1, box.dim)
-        self._lo, self._hi = np.full(mix, -box.half_width), np.full(mix, box.half_width)
 
     @property
     def log_w(self) -> np.ndarray:
@@ -256,13 +249,13 @@ class MildOGD:
 
     def play(self, t: int, stop: int | None = None) -> np.ndarray:
         if self._mix is None:
-            xs, w = self.pool.y, self.weights
+            xs, w, box = self.pool.y, self.weights, self.box
             # the clamp guards the one-ulp rounding a float convex combination can incur
             if self.runs is None:
-                x = np.minimum(np.maximum(np.dot(w, xs), self._lo), self._hi)
+                x = clamp(np.dot(w, xs), box.lo, box.hi)
                 self._mix = (x, xs - x)
             else:
-                x = np.minimum(np.maximum(w[:, None, :] @ xs, self._lo), self._hi)
+                x = clamp(w[:, None, :] @ xs, box.lo, box.hi)
                 self._mix = (x[:, 0], list(xs - x))
         if stop is not None:  # rounds t..stop point to one spread
             played = range(t, stop + 1)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from delayed_oco import Box
-from delayed_oco.geometry import _WALK_ROWS, as_decision, clamped_walk
+from delayed_oco.geometry import _WALK_ROWS, as_decision, clamp, clamped_walk
 
 
 def test_project_clamps_outside_point():
@@ -85,6 +86,32 @@ def test_invalid_parameters_rejected():
         as_decision([np.nan, 0.0])
 
 
+def test_a_box_holds_its_bounds_as_read_only_0d_float64():
+    box = Box.from_diameter(3, 2.5)
+    for bound, value in ((box.lo, -box.half_width), (box.hi, box.half_width)):
+        assert bound.shape == () and bound.dtype == np.float64 and bound == value
+        assert not bound.flags.writeable
+    assert box == Box.from_diameter(3, 2.5) and "lo" not in repr(box)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.sampled_from([5e-324, 1e-310, 2.0**-1022, 5e-201, 0.5, 1.0, 1e308]) |
+       st.floats(min_value=5e-324, max_value=1e308), full=st.booleans(), data=st.data())
+def test_clamp_is_the_two_call_clamp_bitwise(h, full, data):
+    # geometry.clamp is NumPy's private clip ufunc, pinned here: on NaN (of either sign),
+    # +-inf, +-0.0, subnormals and the faces themselves, against 0-d bounds as a Box's and
+    # full-shape ones, and with out= aliasing the input as a walk's stretch commits
+    shape = data.draw(st.sampled_from([(1,), (7,), (3, 5)]))
+    faces = [h, -h, np.nextafter(h, np.inf), np.nextafter(-h, -np.inf), np.nextafter(h, 0.0)]
+    v = data.draw(hnp.arrays(np.float64, shape, elements=st.sampled_from(
+        [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, *faces]) | st.floats()))
+    lo, hi = (np.full(shape, -h), np.full(shape, h)) if full else (np.array(-h), np.array(h))
+    expected = np.minimum(np.maximum(v, lo), hi).tobytes()
+    assert clamp(v, lo, hi).tobytes() == expected
+    w = v.copy()
+    assert clamp(w, lo, hi, out=w) is w and w.tobytes() == expected
+
+
 def test_vertices_enumeration():
     box = Box(2, 0.5)
     verts = {tuple(v) for v in box.vertices()}
@@ -95,13 +122,14 @@ def test_vertices_enumeration():
 @given(shape=st.sampled_from([(1,), (3,), (2, 4)]),
        K=st.integers(0, 64) | st.integers(_WALK_ROWS - 4, _WALK_ROWS + 40),
        flips=st.sampled_from([None, 0.02, 0.3]), special=st.sampled_from([0.0, 0.05]),
-       size=st.sampled_from([0.05, 1.0, 1e308]), tiny=st.booleans(),
+       size=st.sampled_from([0.05, 1.0, 1e308]), tiny=st.booleans(), full=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_a_clamped_walk_keeps_every_position_of_the_per_step_loop(shape, K, flips, special,
-                                                                 size, tiny, seed):
+                                                                 size, tiny, full, seed):
     # the whole path, as the drift walk keeps it, bitwise; steps that keep a coordinate's
     # sign for a while pin it to a face, and +-0.0, +-inf and NaN steps are sprinkled in.
-    # In a tiny box (h 5e-201) a step times a position underflows to 0.
+    # In a tiny box (h 5e-201) a step times a position underflows to 0.  The bounds are a
+    # Box's 0-d ones or arrays of the walk's shape.
     rng, h = np.random.default_rng(seed), 5e-201 if tiny else 0.5
     steps = 2 * h * size * rng.uniform(-1.0, 1.0, (K, *shape))
     if flips is not None and K:
@@ -114,6 +142,8 @@ def test_a_clamped_walk_keeps_every_position_of_the_per_step_loop(shape, K, flip
     with np.errstate(over="ignore", invalid="ignore"):
         for step in steps:
             expected.append(np.clip(expected[-1] - step, -h, h))
-        end = clamped_walk(y, steps, np.full(shape, -h), np.full(shape, h), path)
+        box = Box(1, h)
+        lo, hi = (np.full(shape, -h), np.full(shape, h)) if full else (box.lo, box.hi)
+        end = clamped_walk(y, steps, lo, hi, path)
     assert path.tobytes() == np.array(expected).tobytes()
     assert end.tobytes() == expected[-1].tobytes()

@@ -977,6 +977,75 @@ def test_lowerbound_single_trial_suppresses_verdict():
     assert report["pass"] is None and report["stderr"] is None
 
 
+# --- results kept past the runs ------------------------------------------------------
+
+def no_run_starts(monkeypatch):
+    def run(rows):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(harness, "_run", run)
+
+
+def test_kept_results_past_half_of_physical_memory_are_refused_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    # a sweep that would keep 10^9 rows and a report of 10^15 trials; neither lists its
+    # seeds nor starts a run, and the CLI prints no traceback
+    no_run_starts(monkeypatch)
+    with pytest.raises(ConfigError, match="half of physical memory"):
+        sweep({"T": 2, "n": 1, "repetitions": 10**9}, {"d": [1]})
+    with pytest.raises(ConfigError, match="half of physical memory"):
+        lowerbound_report(T=8, d=2, D=1.0, G=1.0, n=1, trials=10**15)
+    for argv, cfg in (
+            (["sweep"], {"T": 2, "n": 1, "repetitions": 10**9, "sweep": {"d": [1]}}),
+            (["lowerbound", "--trials", str(10**15)], {"T": 8, **_lowerbound(d=2)})):
+        assert cli.main([*argv, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_kept_results_run_up_to_half_of_physical_memory(monkeypatch):
+    cfg = base_config(T=20, repetitions=3)
+    grid = {"learner": ["dogd", "mild_dt"]}
+    kept = 3 * sum(harness._row_bytes(harness.normalize_config(harness._apply_cell(
+        cfg, {"learner": name}))) for name in grid["learner"])
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * kept)
+    assert len(sweep(cfg, grid)) == 6
+    assert len(lowerbound_report(T=8, d=2, D=1.0, G=1.0, n=1, trials=3)["per_trial"]) == 3
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 2 * kept - 2)
+    no_run_starts(monkeypatch)
+    with pytest.raises(ConfigError, match="the sweep would keep 6 results"):
+        sweep(cfg, grid)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 6 * harness._TRIAL_BYTES - 2)
+    with pytest.raises(ConfigError, match="lowerbound would keep 3 results"):
+        lowerbound_report(T=8, d=2, D=1.0, G=1.0, n=1, trials=3)
+
+
+def rendering_peak(render) -> int:
+    tracemalloc.start()
+    try:
+        render()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kept_results_take_less_than_their_estimates():
+    # every learner's sweep rows, kept and rendered as JSON, and a report's trials, kept
+    # and rendered as JSON or CSV (the CLI's renderings), within _row_bytes and _TRIAL_BYTES
+    cfg = base_config(T=200, n=1, repetitions=10)
+    grid = {"learner": list(learners.KINDS)}
+    rows = sweep(cfg, grid)
+    estimate = 10 * sum(harness._row_bytes(harness.normalize_config(harness._apply_cell(
+        cfg, {"learner": name}))) for name in grid["learner"])
+    assert own_bytes(rows) + rendering_peak(
+        lambda: harness.to_json({"grid": grid, "rows": rows})) <= estimate
+    trials = 2000
+    report = lowerbound_report(T=2, d=1, D=1.0, G=1.0, n=1, trials=trials)
+    rows = [{"trial": i, "static_regret": r} for i, r in enumerate(report["per_trial"])]
+    rendered = max(rendering_peak(lambda: harness.to_json(report)), own_bytes(rows) +
+                   rendering_peak(lambda: cli._rows_to_csv(rows, ["trial", "static_regret"])))
+    assert own_bytes(report) + rendered <= trials * harness._TRIAL_BYTES
+
+
 # --- invariant suite -----------------------------------------------------------------
 
 _VERIFY_CHECKS = (
