@@ -12,13 +12,14 @@ It also hashes the ``to_json`` text of each ``lowerbound_report`` in
 ``report_set()``, the averaged static-regret path that single runs do not
 reach, the ``sweep.json`` text of each sweep in ``sweep_set()`` and, apart,
 the outputs, the log and the weight sums of every repetition of each
-``run_many`` config in ``many_set()``, whose runs step in lockstep.  In
+``run_many`` config in ``many_set()``, whose runs step in lockstep, and the
+sweeps and repetitions of the lockstep Mild-OGD slice ``lockstep_mild_set()``.  In
 lockstep batches of two runs, it hashes the sweep of ``batched_sweep_set()``
 and, for each ``delayed-oco run`` call of ``cli_set()``, its exit code, its
 standard output and every file it writes.  The script prints, per output,
 how many runs (and reports, sweeps, repetitions, calls) are byte-identical,
 names the first that differ, and exits 1 on any difference.  The set is 859 runs,
-24 reports, 10 sweeps, 8 CLI calls and 226 repetitions.
+24 reports, 13 sweeps, 8 CLI calls and 242 repetitions.
 
     python3 scripts/compare_outputs.py --write-golden SRC
 
@@ -180,6 +181,30 @@ BASE = {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 4,
         "environment": {"kind": "drift", "step": 0.02, "loss": "quadratic"}}
 
 
+def lockstep_mild_set():
+    """(name, config, grid or None) of the lockstep Mild-OGD slice, outside
+    ``golden_digests()``: ``mild`` and ``mild_dt`` in one batch, T = 300, n = 3, as sweeps at
+    2 repetitions over constant delays d in {1, 20, 340} (the last past T), blocks d in
+    {16, 64} (bursts, padded where a row's runs deliver apart, with doubling restarts
+    inside a burst's window) and permuted delays (the largest near T), and as ``run_many``
+    at 4 repetitions (grid None) on blocks of 64 and constant delays of 340."""
+    base = {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 9, "repetitions": 2,
+            "learner": {"name": "mild"}}
+    drift = {"kind": "drift", "step": 0.02}
+    for kind, d, loss in (("constant", [1, 20, 340], "quadratic"), ("blocks", [16, 64], "linear"),
+                          ("permuted", None, "quadratic")):
+        spec = {"kind": kind, **DELAYS[kind]}
+        yield (f"lockstep/sweep/{kind}", {**base, "delay": spec,
+                                          "environment": {**drift, "loss": loss}},
+               {"learner": ["mild", "mild_dt"], **({"d": d} if d else {})})
+    for learner, spec in itertools.product(("mild", "mild_dt"), ({"kind": "blocks", "d": 64},
+                                                                 {"kind": "constant",
+                                                                  "value": 340})):
+        yield (f"lockstep/many/{learner}/{spec['kind']}",
+               {**base, "repetitions": 4, "learner": {"name": learner}, "delay": spec,
+                "environment": {**drift, "loss": "linear"}}, None)
+
+
 def batched_sweep_set():
     """A sweep with memory for lockstep batches of two mild_dt runs: dogd and mild_dt x
     uniform delays with d in {1, 5, 20} at 3 repetitions, T = 300, n = 3; each learner's
@@ -258,10 +283,19 @@ def worker() -> None:
                for name, kw in report_set()}
     sweeps = {name: sweep_digest(harness, cfg, grid) for name, cfg, grid in sweep_set()}
     many = {}
-    for name, cfg in many_set():
+
+    def repetitions(name, cfg):
         for i, (trace, summary) in enumerate(harness.run_many(cfg)):
             decisions, csv, text, *derived = run_digests(harness, trace, summary)
             many[f"{name}/rep{i}"] = [digest(decisions + csv + text), *derived]
+
+    for name, cfg in many_set():
+        repetitions(name, cfg)
+    for name, cfg, grid in lockstep_mild_set():
+        if grid is None:
+            repetitions(name, cfg)
+        else:
+            sweeps[name] = sweep_digest(harness, cfg, grid)
     for name, cfg, grid in batched_sweep_set():
         with two_run_batches(harness, cfg):
             sweeps[name] = sweep_digest(harness, cfg, grid)

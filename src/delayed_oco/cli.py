@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 3 strict-mode bound violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import pathlib
@@ -59,6 +60,12 @@ def _emit(text, out_dir: str | None, filename: str) -> None:
     part.replace(path / filename)
 
 
+def _nested(value, indent: str) -> str:
+    """``harness.to_json(value)`` less its newline, its lines indented as a value inside an
+    indented document (``json.dumps`` indents each level alike)."""
+    return harness.to_json(value)[:-1].replace("\n", "\n" + indent)
+
+
 def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     lines = [",".join(columns)]
     for row in rows:
@@ -83,9 +90,8 @@ def _cmd_run(args) -> int:
                 _emit(harness.trace_to_csv(trace), args.out, name.format(i))
             if not violations and summary.get("bound_check") and not summary["bound_check"]["ok"]:
                 violations.append(summary)
-            if "json" in formats:  # to_json({"runs": ...}): json.dumps indents each level alike
-                yield (",\n    " if i else '{\n  "runs": [\n    ') + \
-                    harness.to_json(summary)[:-1].replace("\n", "\n    ")
+            if "json" in formats:  # the text of to_json({"runs": ...})
+                yield (",\n    " if i else '{\n  "runs": [\n    ') + _nested(summary, "    ")
         yield "\n  ]\n}\n" if "json" in formats else ""
 
     _emit(summary_json(), args.out, "summary.json")
@@ -117,11 +123,28 @@ def _cmd_sweep(args) -> int:
             columns += [c for c in r if c not in columns]
         _emit(_rows_to_csv(flat, columns), args.out, "sweep.csv")
     else:
-        _emit(harness.to_json({"grid": grid, "rows": rows}), args.out, "sweep.json")
+        _emit(_sweep_json(grid, rows), args.out, "sweep.json")
     if args.strict and violations:
         print(f"strict: bound violated in cell {violations[0]['cell']}", file=sys.stderr)
         return EXIT_BOUND
     return EXIT_OK
+
+
+def _sweep_json(grid: dict, rows: list[dict]):
+    """sweep.json a row at a time: the text of ``harness.to_json({"grid": grid, "rows": rows})``,
+    without the whole document's text and chunks at once."""
+    yield '{\n  "grid": ' + _nested(grid, "  ") + ',\n  "rows": ['
+    for i, row in enumerate(rows):
+        yield (",\n    " if i else "\n    ") + _nested(row, "    ")
+    yield "\n  ]\n}\n" if rows else "]\n}\n"
+
+
+def _trials_csv(per_trial: list[float]):
+    """lowerbound.csv a line at a time, straight from the per-trial regrets: the text
+    ``_rows_to_csv`` gives for one {"trial", "static_regret"} row per trial."""
+    yield "trial,static_regret\n"
+    for i, r in enumerate(per_trial):
+        yield f"{i},{r}\n"
 
 
 def _cmd_lowerbound(args) -> int:
@@ -133,9 +156,7 @@ def _cmd_lowerbound(args) -> int:
         n=config["n"], learner_spec=config["learner"],
         trials=args.trials, base_seed=args.seed if args.seed is not None else config["seed"])
     if args.format == "csv":
-        rows = [{"trial": i, "static_regret": r}
-                for i, r in enumerate(report["per_trial"])]
-        _emit(_rows_to_csv(rows, ["trial", "static_regret"]), args.out, "lowerbound.csv")
+        _emit(_trials_csv(report["per_trial"]), args.out, "lowerbound.csv")
     else:
         _emit(harness.to_json(report), args.out, "lowerbound.json")
     status = {True: "PASS", False: "FAIL", None: "n/a (single trial)"}[report["pass"]]
@@ -190,8 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process: building costs more than parsing
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.out is not None:  # refused before the work, not at the first file written
             out = pathlib.Path(args.out)

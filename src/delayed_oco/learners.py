@@ -171,14 +171,19 @@ def delayed_hedge_update(log_w: np.ndarray, alpha, arrived_loss_sums: np.ndarray
     ``arrived_loss_sums`` is a float64 array of ``log_w``'s shape.  One run
     takes its max on a list and its sum by ``np.add.reduce`` (the pairwise sum
     of ``ndarray.sum``), which skip the method wrappers' per-call cost.
-    Rows of a run axis normalize by ``math.log`` each (``np.log`` rounds differently).
+    Rows of a run axis normalize by one ``math.log`` each (``np.log`` rounds
+    differently), gathered in a flat array that broadcasts as a column.
     """
     lw = log_w - alpha * arrived_loss_sums
     if lw.ndim == 1:
         lw -= max(lw.tolist())
         return lw - math.log(np.add.reduce(np.exp(lw)))
     lw -= np.maximum.reduce(lw, axis=-1, keepdims=True)
-    return lw - np.array([[math.log(s)] for s in np.add.reduce(np.exp(lw), axis=-1).tolist()])
+    return lw - np.array(list(map(math.log, np.add.reduce(np.exp(lw), axis=-1).tolist())))[:, None]
+
+
+def _unplayed(k: int) -> AssertionError:
+    return AssertionError(f"feedback for round {k} without a recorded play")
 
 
 class MildOGD:
@@ -201,21 +206,35 @@ class MildOGD:
 
     The state (``pool.y`` and ``weights``) changes only in ``ingest`` and
     ``set_row``, and each assigns ``log_w``, which drops the cached mix, so
-    ``play`` mixes again only after feedback or a restart.  Each distinct
-    mix is kept once, as the meta decision x and the spreads xs - x; a round
+    ``play`` mixes again only after feedback or a restart.  Each distinct mix is
+    kept once, as the meta decision x and the spreads xs - x, and a played round
     points to the spreads it played until its feedback arrives, so memory is
-    bounded by the maximum backlog.  ``play(t, stop)`` points rounds t..stop
-    to them at once.
+    bounded by the maximum backlog; ``play(t, stop)`` points rounds t..stop to
+    them at once.  A round delivered twice, or never played, fails the guard
+    "feedback for round k without a recorded play".
+
+    One run keeps its rounds' spreads in a dict.  A run axis keeps each mix's
+    (R, N, n) spreads in a slot of one store, with a last slot of zeros that a
+    padded timestamp reads, so a delivery gathers its spreads by one ``take``;
+    a slot is free again once no round awaits feedback from it (the cached mix
+    holds its slot too).  Round k awaits its feedback in entry k mod L of a
+    ring of rounds, one per run, which names the round and the slot it reads.
+    ``follow(schedules)`` sizes the ring to L = min(T, the largest delay)
+    before round 1, which holds every round awaiting feedback; without a plan
+    (a run axis driven by hand) the ring grows to the span of the rounds
+    awaiting feedback when a round it needs is taken.  The store doubles when
+    no slot is free, up to the L slots the rounds awaiting feedback can read,
+    so it never holds more than min(T, largest delay) + 1 slots.
 
     One run's delivery of one timestamp pops its one spread, forms its one
     surrogate product and steps the pool; a run axis's delivery of one row
-    takes the spreads and the runs that were fed from that row.  Either way
-    the Hedge step is ``delayed_hedge_update``, as for a burst.  One run's two
-    products a round, the mix w . xs in ``play`` and a one-timestamp delivery's
-    surrogate spread . g, are ``np.dot``: the same BLAS gemv as ``@``, bitwise,
-    without the ``matmul`` gufunc's dispatch, which costs more than the product
-    at these sizes.  A run axis keeps its stacked ``matmul``, which ``np.dot``
-    has no form of.
+    gathers the spreads of that row.  Either way the Hedge step is
+    ``delayed_hedge_update``, as for a burst.  One run's two products a round,
+    the mix w . xs in ``play`` and a one-timestamp delivery's surrogate spread .
+    g, are ``np.dot``: the same BLAS gemv as ``@``, bitwise, without the
+    ``matmul`` gufunc's dispatch, which costs more than the product at these
+    sizes.  A run axis keeps its stacked ``matmul``, which ``np.dot`` has no form
+    of.
     """
 
     def __init__(self, box: Box, expert_rates, alpha):
@@ -229,10 +248,18 @@ class MildOGD:
         self.alpha = alphas[:, None] * np.ones_like(rates) if alphas.ndim else alphas
         self.expert_rates = rates
         self.pool = DelayedOGD(box, rates[..., None])  # which checks the rates
+        self._mix = None  # or the meta decision x and its spreads (a run axis: their slot)
         self.log_w = np.log(init_weights(rates.shape[-1])) + np.zeros(rates.shape)
-        # round -> the spreads it played; with a run axis one such dict per run
-        self._spreads = {} if self.runs is None else [{} for _ in range(self.runs)]
-        self._no_spread = np.zeros((rates.shape[-1], box.dim))  # a padded slot's
+        if self.runs is None:
+            self._spreads = {}  # round -> the spreads it played
+            return
+        R = self.runs
+        self._store = np.zeros((2, R) + self.pool.y.shape[-2:])  # one slot and the zeros
+        self._flat = self._store.reshape((-1,) + self._store.shape[-2:])  # slot * R + run
+        self._users, self._free = [0], [0]  # per slot, the holds on it; the free slots
+        # the ring: per entry (k mod L) * R + run, the round awaiting feedback (0: none),
+        # and per k mod L the slot its spreads are in
+        self._awaits, self._slot_of = [0] * R, [0]
 
     @property
     def log_w(self) -> np.ndarray:
@@ -245,76 +272,153 @@ class MildOGD:
         # re-normalizing here makes the weight-sum invariant a real check of it
         self._log_w = value
         self.weights = np.exp(value)
-        self._mix = None  # or the meta decision x and the expert spreads xs - x (per run)
+        if self._mix is not None and self.runs is not None:  # its slot loses the cache's hold
+            self._let_go(self._mix[1])
+        self._mix = None
+
+    def follow(self, schedule) -> list[int]:
+        """Take the run's arrival plan (one per run on a run axis) before round 1, which
+        sizes a run axis's ring of rounds; returns the restart rounds, none."""
+        if self.runs is not None:
+            self._resize(min(schedule[0].horizon, max(s.max_delay for s in schedule)))
+        return []
+
+    def _resize(self, size: int) -> None:
+        """Re-lay the ring of rounds over ``size`` entries per run, or over the span of the
+        rounds awaiting feedback if that is more."""
+        R, awaits, slot_of = self.runs, self._awaits, self._slot_of
+        awaited = [k for k in awaits if k]
+        if awaited:
+            size = max(size, max(awaited) - min(awaited) + 1)
+        self._awaits, self._slot_of = [0] * (size * R), [0] * size
+        for i, k in enumerate(awaits):
+            if k:
+                self._awaits[k % size * R + i % R], self._slot_of[k % size] = k, slot_of[i // R]
+
+    def _let_go(self, slot: int) -> None:
+        self._users[slot] -= 1
+        if not self._users[slot]:
+            self._free.append(slot)
+
+    def _forget(self, entries) -> None:
+        """The ring's ``entries`` (k mod L) * R + run await no feedback any more."""
+        R, awaits = self.runs, self._awaits
+        for i in entries:
+            if awaits[i]:
+                awaits[i] = 0
+                self._let_go(self._slot_of[i // R])
+
+    def _take_slot(self) -> int:
+        """A free slot of the store, which doubles, up to the ring's length, if none is."""
+        if not self._free:  # fewer rounds than the ring holds await feedback: it can grow
+            have, store = len(self._users), self._store
+            more = min(2 * have, len(self._slot_of))
+            self._store = np.zeros((more + 1,) + store.shape[1:])
+            self._store[:have] = store[:have]
+            self._flat = self._store.reshape((-1,) + store.shape[-2:])
+            self._users += [0] * (more - have)
+            self._free += range(more - 1, have - 1, -1)
+        return self._free.pop()
 
     def play(self, t: int, stop: int | None = None) -> np.ndarray:
+        if self.runs is not None:
+            return self._play_runs(t, t if stop is None else stop)
         if self._mix is None:
             xs, w, box = self.pool.y, self.weights, self.box
             # the clamp guards the one-ulp rounding a float convex combination can incur
-            if self.runs is None:
-                x = clamp(np.dot(w, xs), box.lo, box.hi)
-                self._mix = (x, xs - x)
-            else:
-                x = clamp(w[:, None, :] @ xs, box.lo, box.hi)
-                self._mix = (x[:, 0], list(xs - x))
-        if stop is not None:  # rounds t..stop point to one spread
-            played = range(t, stop + 1)
-            if self.runs is None:
-                self._spreads.update(dict.fromkeys(played, self._mix[1]))
-            else:
-                for spreads, s in zip(self._spreads, self._mix[1]):
-                    spreads.update(dict.fromkeys(played, s))
-        elif self.runs is None:
+            x = clamp(np.dot(w, xs), box.lo, box.hi)
+            self._mix = (x, xs - x)
+        if stop is None:
             self._spreads[t] = self._mix[1]
-        else:
-            for spreads, s in zip(self._spreads, self._mix[1]):
-                spreads[t] = s
+        else:  # rounds t..stop point to one spread
+            self._spreads.update(dict.fromkeys(range(t, stop + 1), self._mix[1]))
+        return self._mix[0].copy()
+
+    def _play_runs(self, t: int, stop: int) -> np.ndarray:
+        R, awaits, size = self.runs, self._awaits, len(self._slot_of)
+        if stop > t or any(awaits[t % size * R:t % size * R + R]):  # a stretch, or a taken entry
+            rounds = range(t, stop + 1)  # a round played again awaits its last play's feedback
+            self._forget([k % size * R + r for k in rounds for r in range(R)
+                          if awaits[k % size * R + r] == k])
+            if len(rounds) > size or any(any(awaits[k % size * R:k % size * R + R])
+                                         for k in rounds):
+                held = [t, stop, *(k for k in awaits if k)]  # a span of entries holds them apart
+                self._resize(max(held) - min(held) + 1)
+                awaits, size = self._awaits, len(self._slot_of)
+        if self._mix is None:
+            slot = self._take_slot()
+            xs, w, box = self.pool.y, self.weights, self.box
+            x = clamp(w[:, None, :] @ xs, box.lo, box.hi)
+            np.subtract(xs, x, out=self._store[slot])
+            self._users[slot] = 1  # the cache's hold
+            self._mix = (x[:, 0], slot)
+        slot = self._mix[1]
+        self._users[slot] += R * (stop + 1 - t)
+        for k in range(t, stop + 1):
+            awaits[k % size * R:k % size * R + R] = [k] * R
+            self._slot_of[k % size] = slot
         return self._mix[0].copy()
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
-        one = len(grads) == 1  # one arrival per run
-        single = one and self.runs is None  # most deliveries: tested first
+        if self.runs is not None:
+            self._ingest_runs(t, stamps, grads)
+            return
         try:
-            if single:
-                spreads = self._spreads.pop(stamps[0])
+            if len(grads) == 1:  # most deliveries: one (N, n) . (n,) gemv, without matmul's
+                loss_sums = np.dot(self._spreads.pop(stamps[0]), grads[0])  # gufunc dispatch
             elif not len(stamps):
                 return
-            elif self.runs is None:
-                spreads = [self._spreads.pop(k) for k in stamps]
             else:
-                spreads = [run.pop(k) if k else self._no_spread
-                           for row in stamps for run, k in zip(self._spreads, row)]
+                spreads = np.array([self._spreads.pop(k) for k in stamps])
+                # a running sum in timestamp order gives the per-arrival float sums;
+                # np.sum would add a single expert's column pairwise
+                loss_sums = np.add.accumulate((spreads @ grads[..., None])[..., 0], axis=0)[-1]
+                del spreads  # as large as the pool's steps: a wide delivery holds one at a time
         except KeyError as exc:
-            raise AssertionError(f"feedback for round {exc.args[0]} without a recorded play") \
-                from None
-        if single:  # one (N, n) . (n,) gemv, without matmul's gufunc dispatch
-            loss_sums = np.dot(spreads, grads[0])
-        elif one:  # a stacked (R, N, n) @ (R, n, 1) product, which np.dot has no form of
-            loss_sums = (np.array(spreads) @ grads[0][..., None])[..., 0]
-        else:
-            # a running sum in timestamp order gives the per-arrival float sums;
-            # np.sum would add a single expert's column pairwise
-            spreads = np.array(spreads).reshape(grads.shape[:-1] + self._no_spread.shape)
-            loss_sums = np.add.accumulate((spreads @ grads[..., None])[..., 0], axis=0)[-1]
-        del spreads  # as large as the pool's steps: a wide delivery holds one at a time
-        log_w = delayed_hedge_update(self.log_w, self.alpha, loss_sums)
-        if self.runs is None:
-            self.log_w = log_w
-            self.pool.ingest(t, stamps, grads)
+            raise _unplayed(exc.args[0]) from None
+        self.log_w = delayed_hedge_update(self.log_w, self.alpha, loss_sums)
+        self.pool.ingest(t, stamps, grads)
+
+    def _ingest_runs(self, t: int, stamps, grads: np.ndarray) -> None:
+        if not len(stamps):
             return
+        R, awaits, slot_of, users = self.runs, self._awaits, self._slot_of, self._users
+        size, zeros, rows = len(slot_of), len(users) * R, []  # a padded timestamp 0 reads zeros
+        for row in stamps:
+            for r, k in enumerate(row):
+                if not k:
+                    rows.append(zeros + r)
+                    continue
+                i = k % size * R + r
+                if awaits[i] != k:
+                    raise _unplayed(k)
+                awaits[i], slot = 0, slot_of[k % size]
+                users[slot] -= 1  # a slot freed here is not written before the take
+                if not users[slot]:
+                    self._free.append(slot)
+                rows.append(slot * R + r)
+        spreads = self._flat.take(rows, axis=0)
+        if len(grads) == 1:  # a stacked (R, N, n) @ (R, n, 1) product, which np.dot has no form of
+            loss_sums = (spreads @ grads[0][..., None])[..., 0]
+        else:  # per run, a running sum in timestamp order, as for one run
+            spreads = spreads.reshape(grads.shape[:-1] + spreads.shape[-2:])
+            loss_sums = np.add.accumulate((spreads @ grads[..., None])[..., 0], axis=0)[-1]
+        del spreads
+        log_w = delayed_hedge_update(self.log_w, self.alpha, loss_sums)
         if 0 in stamps[0]:  # a run without feedback keeps its weights
-            fed = np.array(stamps[0]) > 0 if one else np.array([any(col) for col in zip(*stamps)])
+            fed = np.array(stamps[0]) > 0 if len(grads) == 1 else \
+                np.array([any(col) for col in zip(*stamps)])
             log_w = np.where(fed[:, None], log_w, self.log_w)
         self.log_w = log_w
         self.pool.ingest(t, stamps, grads[:, :, None, :])
 
     def set_row(self, r: int, other: "MildOGD") -> None:
-        """Run r becomes the one-run learner ``other``."""
+        """Run r becomes the one-run learner ``other``; it awaits no feedback."""
         self.pool.set_row(r, other.pool)
         self.alpha[r], self.expert_rates[r], self.log_w[r] = \
             other.alpha, other.expert_rates, other.log_w
         self.log_w = self.log_w  # the weights follow, and the mix is dropped
-        self._spreads[r] = {}
+        self._forget(range(r, len(self._awaits), self.runs))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +468,10 @@ class _RestartingLearner:
 
     The learner takes the run's arrival plan before round 1 (``follow``), from which
     ``epoch_starts`` gives each row's restart rounds; ``play`` restarts rows at those rounds
-    and refuses to play without a plan.  A stamp below its row's epoch start is stale."""
+    and refuses to play without a plan, and hands the plan on to ``inner`` if it takes one.  A
+    stamp below its row's epoch start is stale: a lockstep delivery's stale stamps are a prefix
+    of their row's column, which becomes padding (stamp 0, a zero gradient) by list operations
+    on the rows that hold them, on a copy of the delivery."""
 
     def __init__(self, make, restarts: list[bool] | None = None, inner=None):
         if restarts is not None and inner is None:
@@ -392,6 +499,8 @@ class _RestartingLearner:
                                          schedules[r].delays)  # of stamps 1..k, at k - 1
             for v, t in enumerate(self._epochs[r][1:], 2):
                 self._restarts.setdefault(t, []).append((r, v, int(last[t - 2])))
+        if hasattr(self.inner, "follow"):  # a run axis sizes what it keeps from the plan
+            self.inner.follow(schedule)
         return sorted(self._restarts)
 
     def play(self, t: int, stop: int | None = None) -> np.ndarray:
@@ -414,16 +523,23 @@ class _RestartingLearner:
             if stale < len(stamps):
                 self.inner.ingest(t, stamps[stale:], grads[stale:])
             return
-        # a run's column ascends above its padding, so its first stamp is its oldest
-        if t <= self._stale_until and \
-                any(0 < stamps[0][r] < self._starts[r] for r in self._restarting):
-            block = np.array(stamps)  # a dropped item becomes padding: stamp 0, a zero step
-            stale = (block > 0) & (block < self._starts)
-            self.dropped = self.dropped + stale.sum(axis=0)
-            block = np.where(stale, 0, block)
-            if not block.any():  # every stamp was stale
-                return
-            stamps, grads = block.tolist(), np.where(stale[..., None], 0, grads)
+        # a run's column ascends above its padding, so its stale stamps are a prefix and its
+        # first stamp is its oldest
+        if t <= self._stale_until:
+            first, starts = stamps[0], self._starts
+            stale = [r for r in self._restarting if 0 < first[r] < starts[r]]
+            if stale:  # a dropped item becomes padding: stamp 0, a zero step
+                stamps, grads = list(stamps), grads.copy()
+                for r in stale:
+                    i = 0
+                    while i < len(stamps) and 0 < stamps[i][r] < starts[r]:
+                        stamps[i] = row = list(stamps[i])
+                        row[r] = 0
+                        i += 1
+                    grads[:i, r] = 0
+                    self.dropped[r] += i
+                if not any(map(any, stamps)):  # every stamp was stale
+                    return
         self.inner.ingest(t, stamps, grads)
 
     @property

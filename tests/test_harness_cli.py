@@ -1523,7 +1523,9 @@ def test_cli_strict_bound_violation_exit_code(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", path]) == 0  # advisory without --strict
 
 
-def test_cli_sweep(tmp_path):
+def test_cli_sweep(tmp_path, capsys):
+    # sweep.json is written a row at a time, to a file or to stdout, and reads as the text
+    # to_json gives for the whole document
     cfg = base_config()
     cfg["sweep"] = {"d": [1, 4]}
     path = write_config(tmp_path, cfg)
@@ -1531,6 +1533,15 @@ def test_cli_sweep(tmp_path):
     assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
     rows = json.loads((out / "sweep.json").read_text())["rows"]
     assert [r["cell"]["d"] for r in rows] == [1, 4]
+    grid = {"learner": ["dogd", "mild_dt"], "d": [1, 4]}
+    assert cli.main(["sweep", "--config", write_config(tmp_path, {**cfg, "sweep": grid}),
+                     "--out", str(out)]) == 0
+    document = harness.to_json({"grid": grid, "rows": sweep(base_config(), grid)})
+    assert (out / "sweep.json").read_text() == document
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", write_config(tmp_path, {**cfg, "sweep": grid})]) == 0
+    assert capsys.readouterr().out == document
+    assert "".join(cli._sweep_json(grid, [])) == harness.to_json({"grid": grid, "rows": []})
     assert cli.main(["sweep", "--config", path, "--out", str(out), "--format", "csv"]) == 0
     header = (out / "sweep.csv").read_text().splitlines()[0]
     assert header.startswith("cell_d,")
@@ -1568,6 +1579,12 @@ def test_cli_lowerbound(tmp_path, capsys):
     assert report["trials"] == 4 and len(report["per_trial"]) == 4
     err = capsys.readouterr().err
     assert "mean static regret" in err
+    # the CSV lines come straight from the per-trial regrets, as the dict rows rendered them
+    assert cli.main(["lowerbound", "--config", path, "--trials", "4", "--out", str(out),
+                     "--format", "csv"]) == 0
+    rows = [{"trial": i, "static_regret": r} for i, r in enumerate(report["per_trial"])]
+    assert (out / "lowerbound.csv").read_text() == \
+        cli._rows_to_csv(rows, ["trial", "static_regret"])
 
 
 def test_cli_verify_green(capsys):

@@ -766,10 +766,14 @@ def test_restart_resets_rate_and_iterate():
 def lockstep_rows(draw):
     """(T, restarts, one arrival plan per row): a fixed-horizon row, a doubling row and maybe
     a third of either kind, in any order, each on constant delays d in {1, 20} (one-row
-    deliveries, as a drift sweep's batch has), uniform delays, or a permutation (whose
-    doubling rows see stale stamps)."""
+    deliveries, as a drift sweep's batch has) or past T, blocks of 16 or 64 (bursts, padded
+    where the rows deliver apart, whose doubling rows restart inside a burst's window),
+    uniform delays, or a permutation (the largest delay near T; its doubling rows see stale
+    stamps)."""
     T, seeds = draw(st.integers(1, 150)), st.integers(0, 2**32 - 1)
     plans = st.one_of(st.sampled_from([1, 20]).map(lambda d: constant_schedule(T, d)),
+                      st.integers(T + 1, 2 * T + 5).map(lambda d: constant_schedule(T, d)),
+                      st.sampled_from([16, 64]).map(lambda d: block_schedule(T, d)),
                       st.tuples(st.integers(1, 12), seeds).map(
                           lambda a: uniform_schedule(T, 1, *a)),
                       seeds.map(lambda seed: permuted_schedule(T, seed)))
@@ -777,15 +781,10 @@ def lockstep_rows(draw):
     return T, restarts, [draw(plans) for _ in restarts]
 
 
-def lockstep_as_alone(family, T, restarts, schedules):
-    """Step one ``family`` row per schedule in lockstep, doubling where ``restarts`` says,
-    and assert each row bitwise what its learner gives alone: decisions, weights, dropped
-    count, epoch starts and c_log.  A fixed-horizon row has no controller: it never
-    restarts and drops nothing.  Returns the learners run alone."""
-    box, D, G = Box(2, 1.0), 2.0, 1.0
-    families = [make_drift_environment(box, T, 0.2, "linear", 30 + r, G)[0]
-                for r in range(len(restarts))]
-    alone = []
+def lockstep_learners(family, box, T, restarts, schedules):
+    """(a lockstep batch of one ``family`` row per schedule, doubling where ``restarts`` says,
+    each row's learner alone); with no doubling row the batch is the bare stacked learner."""
+    D, G, alone = 2.0, 1.0, []
     for dt, schedule in zip(restarts, schedules):
         sum_m = schedule.sum_backlog
         if family == "dogd":
@@ -802,6 +801,25 @@ def lockstep_as_alone(family, T, restarts, schedules):
         inner = MildOGD(box, np.array([first.expert_rates for first in firsts]),
                         np.array([first.alpha for first in firsts]))
         batch = MildOgdDoublingTrick(box, D, G, T, restarts, inner)
+    return (batch if any(restarts) else inner), alone
+
+
+def store_bound(schedules) -> int:
+    """The most slots a run axis's spread store may hold: min(T, largest delay) + 1."""
+    return min(schedules[0].horizon, max(s.max_delay for s in schedules)) + 1
+
+
+def lockstep_as_alone(family, T, restarts, schedules):
+    """Step one ``family`` row per schedule in lockstep, doubling where ``restarts`` says,
+    and assert each row bitwise what its learner gives alone: decisions, weights, dropped
+    count, epoch starts and c_log.  A fixed-horizon row has no controller: it never
+    restarts and drops nothing.  A Mild-OGD batch is also stepped by hand, with its plan
+    and, with every row fixed-horizon, without one (``rows_by_hand``).  Returns the
+    learners run alone."""
+    box = Box(2, 1.0)
+    families = [make_drift_environment(box, T, 0.2, "linear", 30 + r, 1.0)[0]
+                for r in range(len(restarts))]
+    batch, alone = lockstep_learners(family, box, T, restarts, schedules)
     trace = simulate(batch, stack(families), schedules, box)
     for run, learner, losses, schedule in zip(trace.runs(), alone, families, schedules):
         one = simulate(learner, losses, schedule, box)
@@ -812,7 +830,57 @@ def lockstep_as_alone(family, T, restarts, schedules):
             assert run.weights.tobytes() == one.weights.tobytes()
     assert batch.epoch_starts == [getattr(learner, "epoch_starts", None) for learner in alone]
     assert batch.dropped.tolist() == [getattr(learner, "dropped", 0) for learner in alone]
+    if family == "mild":
+        assert len(batch.inner._store) <= store_bound(schedules)
+        rows_by_hand(*lockstep_learners(family, box, T, restarts, schedules), families,
+                     schedules)
+        rows_by_hand(*lockstep_learners(family, box, T, [False] * len(restarts), schedules),
+                     families, schedules, plan=False)
     return alone
+
+
+def rows_by_hand(batch, alone, families, schedules, plan=True):
+    """Drive a Mild-OGD ``batch`` and its rows' learners alone round by round, the batch's
+    deliveries padded below as ``simulate`` pads them, with the arrival plan (``follow``) or,
+    for a batch that takes no restarts, without one; after every round each row must be its
+    learner alone bitwise (decision, log_w, weights, dropped count, epoch starts), and the
+    spread store must hold at most ``store_bound`` slots."""
+    pool = getattr(batch, "inner", batch)
+    R, T, n = len(alone), schedules[0].horizon, pool.box.dim
+    for learner, schedule in zip(alone, schedules):
+        if hasattr(learner, "follow"):
+            learner.follow(schedule)
+    if plan:
+        batch.follow(schedules)
+    arrivals = [{t: s.stamps[s.offsets[j]:s.offsets[j + 1]].tolist()
+                 for j, t in enumerate(s.rounds.tolist())} for s in schedules]
+    grads = np.zeros((R, T, n))
+    for t in range(1, max(max(a) for a in arrivals) + 1):
+        if t <= T:
+            x = batch.play(t)
+            for r, learner in enumerate(alone):
+                assert x[r].tobytes() == learner.play(t).tobytes()
+                grads[r, t - 1] = families[r].gradient(t, x[r])
+        cols = [a.get(t, []) for a in arrivals]
+        if any(cols):
+            rows = [[col[i] if i < len(col) else 0 for col in cols]
+                    for i in range(max(map(len, cols)))]
+            block = np.zeros((len(rows), R, n))
+            for r, col in enumerate(cols):
+                block[:len(col), r] = grads[r, np.array(col, dtype=int) - 1]
+            batch.ingest(t, rows, block)
+            for r, col in enumerate(cols):
+                if col:
+                    alone[r].ingest(t, col, grads[r, np.array(col) - 1])
+        for r, learner in enumerate(alone):
+            one = getattr(learner, "inner", learner)
+            assert pool.log_w[r].tobytes() == one.log_w.tobytes()
+            assert pool.weights[r].tobytes() == one.weights.tobytes()
+            assert np.broadcast_to(getattr(batch, "dropped", 0), R)[r] == \
+                getattr(learner, "dropped", 0)
+        assert getattr(batch, "epoch_starts", [None] * R) == \
+            [getattr(learner, "epoch_starts", None) for learner in alone]
+        assert len(pool._store) <= store_bound(schedules)
 
 
 @pytest.mark.parametrize("family", ["dogd", "mild"])
@@ -830,6 +898,10 @@ def test_a_fixed_row_and_a_doubling_row_step_together_each_as_alone(family):
 @given(case=lockstep_rows())
 @example(case=(150, [True, False, True], [constant_schedule(150, 1), constant_schedule(150, 20),
                                           constant_schedule(150, 20)]))
+@example(case=(150, [True, True, False], [block_schedule(150, 64), block_schedule(150, 16),
+                                          constant_schedule(150, 1)]))
+@example(case=(120, [False, True, True], [permuted_schedule(120, 3), constant_schedule(120, 130),
+                                          block_schedule(120, 64)]))
 def test_fixed_and_doubling_rows_step_together_each_as_alone_on_any_delays(family, case):
     lockstep_as_alone(family, *case)
 
