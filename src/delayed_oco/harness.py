@@ -338,8 +338,7 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     each restart, and at T.  Every learner plays a stretch with one
     ``play(t, stop)``, whose decision fills the stretch's rows (and the
     weights before its feedback) by slice.  A restarting learner gets the plan
-    before round 1 (``follow(schedule)``), which returns its restart rounds
-    (a Mild-OGD run axis takes it too, to size what it keeps, and returns none);
+    before round 1 (``follow(schedule)``), which returns its restart rounds;
     its restart at t reads only feedback delivered before t.  Each round of a
     stretch queries its gradient ``losses.gradient(t, x)`` at the played
     point, exactly once, in round order; then, if the arrival plan delivers

@@ -216,15 +216,11 @@ class MildOGD:
     One run keeps its rounds' spreads in a dict.  A run axis keeps each mix's
     (R, N, n) spreads in a slot of one store, with a last slot of zeros that a
     padded timestamp reads, so a delivery gathers its spreads by one ``take``;
-    a slot is free again once no round awaits feedback from it (the cached mix
-    holds its slot too).  Round k awaits its feedback in entry k mod L of a
-    ring of rounds, one per run, which names the round and the slot it reads.
-    ``follow(schedules)`` sizes the ring to L = min(T, the largest delay)
-    before round 1, which holds every round awaiting feedback; without a plan
-    (a run axis driven by hand) the ring grows to the span of the rounds
-    awaiting feedback when a round it needs is taken.  The store doubles when
-    no slot is free, up to the L slots the rounds awaiting feedback can read,
-    so it never holds more than min(T, largest delay) + 1 slots.
+    a dict names each round's slot and the runs that await its feedback, and a
+    slot is free again once no round awaits feedback from it (the cached mix
+    holds its slot too).  The store doubles when no slot is free, up to one
+    slot more than the rounds awaiting feedback, so it never holds more than
+    min(T, the largest delay) + 1 slots, with or without an arrival plan.
 
     One run's delivery of one timestamp pops its one spread, forms its one
     surrogate product and steps the pool; a run axis's delivery of one row
@@ -253,13 +249,10 @@ class MildOGD:
         if self.runs is None:
             self._spreads = {}  # round -> the spreads it played
             return
-        R = self.runs
-        self._store = np.zeros((2, R) + self.pool.y.shape[-2:])  # one slot and the zeros
+        self._store = np.zeros((2, self.runs) + self.pool.y.shape[-2:])  # one slot and the zeros
         self._flat = self._store.reshape((-1,) + self._store.shape[-2:])  # slot * R + run
-        self._users, self._free = [0], [0]  # per slot, the holds on it; the free slots
-        # the ring: per entry (k mod L) * R + run, the round awaiting feedback (0: none),
-        # and per k mod L the slot its spreads are in
-        self._awaits, self._slot_of = [0] * R, [0]
+        self._users, self._free = [0], [0]  # per slot, the rounds (and the cache) holding it
+        self._awaits = {}  # round -> [its slot, a bit per run that awaits its feedback]
 
     @property
     def log_w(self) -> np.ndarray:
@@ -276,43 +269,28 @@ class MildOGD:
             self._let_go(self._mix[1])
         self._mix = None
 
-    def follow(self, schedule) -> list[int]:
-        """Take the run's arrival plan (one per run on a run axis) before round 1, which
-        sizes a run axis's ring of rounds; returns the restart rounds, none."""
-        if self.runs is not None:
-            self._resize(min(schedule[0].horizon, max(s.max_delay for s in schedule)))
-        return []
-
-    def _resize(self, size: int) -> None:
-        """Re-lay the ring of rounds over ``size`` entries per run, or over the span of the
-        rounds awaiting feedback if that is more."""
-        R, awaits, slot_of = self.runs, self._awaits, self._slot_of
-        awaited = [k for k in awaits if k]
-        if awaited:
-            size = max(size, max(awaited) - min(awaited) + 1)
-        self._awaits, self._slot_of = [0] * (size * R), [0] * size
-        for i, k in enumerate(awaits):
-            if k:
-                self._awaits[k % size * R + i % R], self._slot_of[k % size] = k, slot_of[i // R]
-
     def _let_go(self, slot: int) -> None:
         self._users[slot] -= 1
         if not self._users[slot]:
             self._free.append(slot)
 
-    def _forget(self, entries) -> None:
-        """The ring's ``entries`` (k mod L) * R + run await no feedback any more."""
-        R, awaits = self.runs, self._awaits
-        for i in entries:
-            if awaits[i]:
-                awaits[i] = 0
-                self._let_go(self._slot_of[i // R])
+    def _release(self, k: int, bit: int) -> int:
+        """The run of ``bit`` awaits round k's feedback no more; returns the round's slot."""
+        entry = self._awaits.get(k)
+        if entry is None or not entry[1] & bit:
+            raise _unplayed(k)
+        entry[1] ^= bit
+        if not entry[1]:  # a slot freed here is not written before a delivery's take
+            del self._awaits[k]
+            self._let_go(entry[0])
+        return entry[0]
 
     def _take_slot(self) -> int:
-        """A free slot of the store, which doubles, up to the ring's length, if none is."""
-        if not self._free:  # fewer rounds than the ring holds await feedback: it can grow
+        """A free slot of the store, which doubles if none is, up to one slot more than the
+        rounds awaiting feedback, each of which holds one."""
+        if not self._free:
             have, store = len(self._users), self._store
-            more = min(2 * have, len(self._slot_of))
+            more = min(2 * have, len(self._awaits) + 1)
             self._store = np.zeros((more + 1,) + store.shape[1:])
             self._store[:have] = store[:have]
             self._flat = self._store.reshape((-1,) + store.shape[-2:])
@@ -335,16 +313,6 @@ class MildOGD:
         return self._mix[0].copy()
 
     def _play_runs(self, t: int, stop: int) -> np.ndarray:
-        R, awaits, size = self.runs, self._awaits, len(self._slot_of)
-        if stop > t or any(awaits[t % size * R:t % size * R + R]):  # a stretch, or a taken entry
-            rounds = range(t, stop + 1)  # a round played again awaits its last play's feedback
-            self._forget([k % size * R + r for k in rounds for r in range(R)
-                          if awaits[k % size * R + r] == k])
-            if len(rounds) > size or any(any(awaits[k % size * R:k % size * R + R])
-                                         for k in rounds):
-                held = [t, stop, *(k for k in awaits if k)]  # a span of entries holds them apart
-                self._resize(max(held) - min(held) + 1)
-                awaits, size = self._awaits, len(self._slot_of)
         if self._mix is None:
             slot = self._take_slot()
             xs, w, box = self.pool.y, self.weights, self.box
@@ -352,11 +320,13 @@ class MildOGD:
             np.subtract(xs, x, out=self._store[slot])
             self._users[slot] = 1  # the cache's hold
             self._mix = (x[:, 0], slot)
-        slot = self._mix[1]
-        self._users[slot] += R * (stop + 1 - t)
+        slot, awaits, every = self._mix[1], self._awaits, (1 << self.runs) - 1
+        self._users[slot] += stop + 1 - t
         for k in range(t, stop + 1):
-            awaits[k % size * R:k % size * R + R] = [k] * R
-            self._slot_of[k % size] = slot
+            replayed = awaits.get(k)  # a round played again awaits its last play's feedback
+            awaits[k] = [slot, every]
+            if replayed:
+                self._let_go(replayed[0])
         return self._mix[0].copy()
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
@@ -382,21 +352,11 @@ class MildOGD:
     def _ingest_runs(self, t: int, stamps, grads: np.ndarray) -> None:
         if not len(stamps):
             return
-        R, awaits, slot_of, users = self.runs, self._awaits, self._slot_of, self._users
-        size, zeros, rows = len(slot_of), len(users) * R, []  # a padded timestamp 0 reads zeros
+        R, release, rows = self.runs, self._release, []
+        zeros = len(self._users) * R  # a padded timestamp 0 reads the last slot, of zeros
         for row in stamps:
             for r, k in enumerate(row):
-                if not k:
-                    rows.append(zeros + r)
-                    continue
-                i = k % size * R + r
-                if awaits[i] != k:
-                    raise _unplayed(k)
-                awaits[i], slot = 0, slot_of[k % size]
-                users[slot] -= 1  # a slot freed here is not written before the take
-                if not users[slot]:
-                    self._free.append(slot)
-                rows.append(slot * R + r)
+                rows.append(release(k, 1 << r) * R + r if k else zeros + r)
         spreads = self._flat.take(rows, axis=0)
         if len(grads) == 1:  # a stacked (R, N, n) @ (R, n, 1) product, which np.dot has no form of
             loss_sums = (spreads @ grads[0][..., None])[..., 0]
@@ -418,7 +378,9 @@ class MildOGD:
         self.alpha[r], self.expert_rates[r], self.log_w[r] = \
             other.alpha, other.expert_rates, other.log_w
         self.log_w = self.log_w  # the weights follow, and the mix is dropped
-        self._forget(range(r, len(self._awaits), self.runs))
+        bit = 1 << r
+        for k in [k for k, (_, waiting) in self._awaits.items() if waiting & bit]:
+            self._release(k, bit)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +430,10 @@ class _RestartingLearner:
 
     The learner takes the run's arrival plan before round 1 (``follow``), from which
     ``epoch_starts`` gives each row's restart rounds; ``play`` restarts rows at those rounds
-    and refuses to play without a plan, and hands the plan on to ``inner`` if it takes one.  A
-    stamp below its row's epoch start is stale: a lockstep delivery's stale stamps are a prefix
-    of their row's column, which becomes padding (stamp 0, a zero gradient) by list operations
-    on the rows that hold them, on a copy of the delivery."""
+    and refuses to play without a plan.  A stamp below its row's epoch start is stale: a
+    lockstep delivery's stale stamps are a prefix of their row's column, which becomes padding
+    (stamp 0, a zero gradient) by list operations on the rows that hold them, on a copy of the
+    delivery."""
 
     def __init__(self, make, restarts: list[bool] | None = None, inner=None):
         if restarts is not None and inner is None:
@@ -499,8 +461,6 @@ class _RestartingLearner:
                                          schedules[r].delays)  # of stamps 1..k, at k - 1
             for v, t in enumerate(self._epochs[r][1:], 2):
                 self._restarts.setdefault(t, []).append((r, v, int(last[t - 2])))
-        if hasattr(self.inner, "follow"):  # a run axis sizes what it keeps from the plan
-            self.inner.follow(schedule)
         return sorted(self._restarts)
 
     def play(self, t: int, stop: int | None = None) -> np.ndarray:
@@ -529,12 +489,11 @@ class _RestartingLearner:
             first, starts = stamps[0], self._starts
             stale = [r for r in self._restarting if 0 < first[r] < starts[r]]
             if stale:  # a dropped item becomes padding: stamp 0, a zero step
-                stamps, grads = list(stamps), grads.copy()
+                stamps, grads = [list(row) for row in stamps], grads.copy()
                 for r in stale:
                     i = 0
                     while i < len(stamps) and 0 < stamps[i][r] < starts[r]:
-                        stamps[i] = row = list(stamps[i])
-                        row[r] = 0
+                        stamps[i][r] = 0
                         i += 1
                     grads[:i, r] = 0
                     self.dropped[r] += i

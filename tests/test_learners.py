@@ -595,6 +595,26 @@ def test_lockstep_pool_steps_each_run_as_alone_and_keeps_unfed_weights_bitwise(N
         assert pool.log_w.tobytes() == np.stack([a.log_w for a in alone]).tobytes()
 
 
+def test_a_round_played_again_reads_its_last_play():
+    # every round is played before the feedback of the round before it and again after:
+    # each run's surrogate reads the later play, as one run's does, and the earlier play
+    # holds no slot of the run axis's spread store
+    box, rng = Box(2, 1.0), np.random.default_rng(5)
+    rates, alphas = np.array([[0.1, 0.4, 1.6], [0.2, 0.5, 3.0]]), np.array([0.7, 1.3])
+    pool = MildOGD(box, rates, alphas)
+    alone = [MildOGD(box, rates[r], alphas[r]) for r in range(2)]
+    for t in range(1, 60):
+        for k in (t + 1, t):
+            xs = pool.play(k)
+            assert all(xs[r].tobytes() == one.play(k).tobytes() for r, one in enumerate(alone))
+        grads = rng.uniform(-1, 1, (1, 2, 2))
+        pool.ingest(t, [[t, t]], grads)
+        for r, one in enumerate(alone):
+            one.ingest(t, *feedback([t], grads[0, r]))
+        assert pool.log_w.tobytes() == np.stack([one.log_w for one in alone]).tobytes()
+        assert len(pool._store) <= 3
+
+
 def test_mild_refuses_feedback_for_a_round_it_never_played():
     # the one guard serves every delivery: one run's single arrival (its weights untouched),
     # one run's burst, and a lockstep row whose run 1 was never played at round 2
@@ -813,9 +833,9 @@ def lockstep_as_alone(family, T, restarts, schedules):
     """Step one ``family`` row per schedule in lockstep, doubling where ``restarts`` says,
     and assert each row bitwise what its learner gives alone: decisions, weights, dropped
     count, epoch starts and c_log.  A fixed-horizon row has no controller: it never
-    restarts and drops nothing.  A Mild-OGD batch is also stepped by hand, with its plan
-    and, with every row fixed-horizon, without one (``rows_by_hand``).  Returns the
-    learners run alone."""
+    restarts and drops nothing.  A Mild-OGD batch is also stepped by hand, as it is and
+    with every row fixed-horizon, a bare run axis without an arrival plan
+    (``rows_by_hand``).  Returns the learners run alone."""
     box = Box(2, 1.0)
     families = [make_drift_environment(box, T, 0.2, "linear", 30 + r, 1.0)[0]
                 for r in range(len(restarts))]
@@ -832,26 +852,23 @@ def lockstep_as_alone(family, T, restarts, schedules):
     assert batch.dropped.tolist() == [getattr(learner, "dropped", 0) for learner in alone]
     if family == "mild":
         assert len(batch.inner._store) <= store_bound(schedules)
-        rows_by_hand(*lockstep_learners(family, box, T, restarts, schedules), families,
-                     schedules)
-        rows_by_hand(*lockstep_learners(family, box, T, [False] * len(restarts), schedules),
-                     families, schedules, plan=False)
+        for flags in (restarts, [False] * len(restarts)):
+            rows_by_hand(*lockstep_learners(family, box, T, flags, schedules), families,
+                         schedules)
     return alone
 
 
-def rows_by_hand(batch, alone, families, schedules, plan=True):
+def rows_by_hand(batch, alone, families, schedules):
     """Drive a Mild-OGD ``batch`` and its rows' learners alone round by round, the batch's
-    deliveries padded below as ``simulate`` pads them, with the arrival plan (``follow``) or,
-    for a batch that takes no restarts, without one; after every round each row must be its
-    learner alone bitwise (decision, log_w, weights, dropped count, epoch starts), and the
-    spread store must hold at most ``store_bound`` slots."""
+    deliveries padded below as ``simulate`` pads them, each restarting learner given its
+    arrival plan (``follow``); after every round each row must be its learner alone bitwise
+    (decision, log_w, weights, dropped count, epoch starts), and the spread store must hold
+    at most ``store_bound`` slots."""
     pool = getattr(batch, "inner", batch)
     R, T, n = len(alone), schedules[0].horizon, pool.box.dim
-    for learner, schedule in zip(alone, schedules):
+    for learner, schedule in zip([batch, *alone], [schedules, *schedules]):
         if hasattr(learner, "follow"):
             learner.follow(schedule)
-    if plan:
-        batch.follow(schedules)
     arrivals = [{t: s.stamps[s.offsets[j]:s.offsets[j + 1]].tolist()
                  for j, t in enumerate(s.rounds.tolist())} for s in schedules]
     grads = np.zeros((R, T, n))
