@@ -264,6 +264,8 @@ def make_schedule(spec: dict, T: int, seed: int) -> DelaySchedule:
         raise ValueError(f"unknown delay spec kind: {spec.get('kind')!r}")
     kind, fields = KINDS[spec["kind"]], {}
     for field, read in kind.fields.items():
+        if field not in spec:
+            raise ValueError(f"delay.{field}: the {spec['kind']!r} delay requires it")
         try:
             fields[field] = read(spec[field])
         except ValueError as exc:

@@ -1,10 +1,10 @@
 """Experiment orchestration: configs, runs, sweeps, adversarial validation
 and output rendering.
 
-A config is a JSON-compatible dict.  Every output embeds the resolved config
-(including formula-derived rates and the materialized delay list), so runs
-are self-describing and replayable.  All randomness inside one run flows
-from a single seed; repetitions use ``seed + repetition_index``.
+A config is a JSON-compatible dict.  Every summary echoes the normalized config as
+given, with the run's seed set, so running the echo again replays the run bit for bit;
+the rates a run derives are summary fields of their own.  All randomness inside one run
+flows from a single seed; repetitions use ``seed + repetition_index``.
 """
 
 from __future__ import annotations
@@ -123,20 +123,15 @@ def _gradients(v, cfg, what):
 
 
 _RATE, _LENGTH = _check(_numbers, "paper"), _check(_numbers, strict=False)
-_ECHOED = _check(_numbers, shape=None)
 _RATES = {"eta": _RATE, "alpha": _RATE, "expert_rates": _check(_numbers, "paper", shape=None)}
 # section: (tag key, {kind: ({required field: check}, {optional field: check})}); no tag
 # reads "auto".  check(value, cfg, what) writes nothing back, so runs echo sections as
 # given; a learner field is checked as the rate it replaces (_RATES), and
-# delay.make_schedule reads and checks the delay fields.  Runs echo their rates and
-# resolved_values.
+# delay.make_schedule reads and checks the delay fields.
 _SPEC = {
-    "learner": ("name", {name: ({}, {**{field: _RATES[rate] for field, rate in k.fields.items()},
-                                     **{rate: _ECHOED for rate in k.fields.values()
-                                        if rate not in k.fields}})
+    "learner": ("name", {name: ({}, {field: _RATES[rate] for field, rate in k.fields.items()})
                          for name, k in learn_mod.KINDS.items()}),
-    "delay": ("kind", {kind: (dict.fromkeys(k.fields), {"resolved_values": _ECHOED})
-                       for kind, k in delay_mod.KINDS.items()}),
+    "delay": ("kind", {kind: (dict.fromkeys(k.fields), {}) for kind, k in delay_mod.KINDS.items()}),
     "environment": ("kind", {
         "drift": ({}, {"step": _LENGTH, "loss": _check(None, "quadratic", "linear")}),
         "lowerbound": ({}, {}), "linear_list": ({"gradients": _gradients}, {})}),
@@ -474,7 +469,7 @@ def _run(rows: list[tuple[dict, int, _Inputs]]) -> list[tuple[RunTrace, dict]]:
 
 def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resolved: dict,
                sum_m: int) -> tuple[RunTrace, dict]:
-    """A run's summary: regrets, bounds and the echoed config."""
+    """A run's summary: regrets, bounds, the resolved rates and the config as given."""
     losses, schedule, comparators = inputs.losses, inputs.schedule, inputs.comparators
     name = cfg["learner"]["name"]
     D, G, T = cfg["D"], cfg["G"], cfg["T"]
@@ -515,11 +510,7 @@ def _summarize(cfg: dict, run_seed: int, inputs: _Inputs, trace: RunTrace, resol
         summary["bound_check"] = {"bound": bound,
                                   "ok": bool(summary["regret_dynamic"] <= summary[bound])}
 
-    echo = copy.deepcopy(cfg)
-    echo["seed"] = run_seed
-    echo["learner"].update({k: v for k, v in resolved.items() if k != "eta_source"})
-    echo["delay"]["resolved_values"] = schedule.to_list()
-    summary["config"] = echo
+    summary["config"] = {**copy.deepcopy(cfg), "seed": run_seed}
     return trace, summary
 
 

@@ -220,6 +220,11 @@ def test_make_schedule_dispatch():
         make_schedule({"kind": "list", "values": [1, 2]}, 3, 0)
     with pytest.raises(ValueError):
         make_schedule({"kind": "nope"}, 3, 0)
+    # a missing field is a ValueError that names it, not a KeyError
+    with pytest.raises(ValueError, match=r"^delay\.value: "):
+        make_schedule({"kind": "constant"}, 3, 0)
+    with pytest.raises(ValueError, match=r"^delay\.hi: "):
+        make_schedule({"kind": "uniform", "lo": 1}, 3, 0)
 
 
 def test_invalid_delays_rejected():

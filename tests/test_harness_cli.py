@@ -174,8 +174,6 @@ _REAL_FIELDS = [
     ("learner.eta", lambda v: {"learner": {"name": "dogd", "eta": v}}, 0.5),
     ("learner.alpha", lambda v: {"learner": {"name": "mild", "alpha": v}}, 0.5),
     ("learner.etas", lambda v: {"learner": {"name": "mild", "etas": v}}, [0.1, 0.2]),
-    ("learner.expert_rates", lambda v: {"learner": {"name": "mild", "expert_rates": v}},
-     [0.1, 0.2]),
     ("environment.step", lambda v: {"environment": {"kind": "drift", "step": v}}, 0.1),
     ("comparators.path_budget", lambda v: {"comparators": {"kind": "piecewise",
                                                            "path_budget": v}}, 1),
@@ -185,8 +183,6 @@ _REAL_FIELDS = [
      [[0.1, 0.0]] * 3),
     ("environment.gradients", lambda v: {"environment": {"kind": "linear_list",
                                                          "gradients": v}}, [[0.6, 0.0]] * 3),
-    ("delay.resolved_values", lambda v: {"delay": {"kind": "constant", "value": 1,
-                                                   "resolved_values": v}}, [1, 1, 1]),
 ]
 
 
@@ -477,8 +473,8 @@ def test_summary_reports_resolved_rate_and_bounds():
     _, summary = run_experiment(base_config())
     sched_sum_m = summary["sum_m"]
     assert summary["eta"] == pytest.approx(2.0 / math.sqrt(sched_sum_m))
-    assert summary["config"]["learner"]["eta"] == summary["eta"]
-    assert summary["config"]["delay"]["resolved_values"] == [3] * 40
+    # the config is echoed as given ("eta": "paper"), its derived rate and delays left out
+    assert summary["config"] == harness.normalize_config(base_config())
     assert summary["in_order"] is True
     assert summary["joint_effect"] == 0.0
     assert summary["bound_thm1"] is not None
@@ -1112,9 +1108,11 @@ def test_cli_seed_flag_overrides(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_cli_run_exits_141_without_a_traceback_when_its_reader_closes_the_pipe(tmp_path, fmt):
-    # two repetitions write far more than a pipe holds, so the writer meets the closed
-    # pipe mid-output (block-buffered: PYTHONUNBUFFERED unset), or at the flush at exit
-    path = write_config(tmp_path, {"T": 5000, "n": 3, "repetitions": 2})
+    # two repetitions write far more than a pipe holds (each summary echoes the T listed
+    # delays), so the writer meets the closed pipe mid-output (block-buffered:
+    # PYTHONUNBUFFERED unset), or at the flush at exit
+    path = write_config(tmp_path, {"T": 5000, "n": 3, "repetitions": 2,
+                                   "delay": {"kind": "list", "values": [1] * 5000}})
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -1156,6 +1154,10 @@ def _comparators(kind, **fields):
 
 def _lowerbound(**delay):
     return {"environment": {"kind": "lowerbound"}, "delay": {"kind": "blocks", **delay}}
+
+
+# a mild learner's rates set under the name the summary gives them, once run on the paper grid
+_EXPERT_RATES = {"T": 20, **_learner("mild", expert_rates=[0.1, 0.2])}
 
 
 @pytest.mark.parametrize("overrides", [
@@ -1259,6 +1261,8 @@ def _lowerbound(**delay):
     _drift(step="0.1"),
     _piecewise(path_budget="1"),
     {"delay": {"kind": "constant", "value": 1, "resolved_values": ["1", "1", "1"]}},
+    _EXPERT_RATES,
+    {"delay": {"kind": "constant", "value": 1, "resolved_values": [1, 1, 1]}},
 ], ids=["negative-step", "text-step", "nan-step", "unknown-loss", "nan-gradient",
         "narrow-gradients", "short-gradients", "string-gradients", "text-gradients",
         "missing-budget", "negative-budget", "infinite-budget",
@@ -1281,11 +1285,15 @@ def _lowerbound(**delay):
         "tiny-DG-mild_dt", "bool-in-etas", "bool-in-expert_rates", "bool-in-point",
         "bool-in-points", "bool-in-gradients", "nested-900", "nested-100000", "text-D",
         "numeric-text-eta", "numeric-text-etas", "numeric-text-step",
-        "numeric-text-budget", "numeric-text-resolved_values"])
+        "numeric-text-budget", "numeric-text-resolved_values", "mild-expert_rates",
+        "valid-resolved_values"])
 def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrides):
     cfg = base_config(**{"T": 3, **overrides})
     assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    if overrides == _EXPERT_RATES:  # a mild learner takes its rates as etas
+        assert "'etas'" in err, err
 
 
 @pytest.mark.parametrize("learner", _LEARNER_NAMES)
@@ -1294,8 +1302,9 @@ def test_cli_config_error_exit_code_on_malformed_input(tmp_path, capsys, overrid
 def test_echoed_config_replays_bitwise(learner, setting):
     trace, summary = run_experiment(base_config(learner={"name": learner}, **setting))
     echo = json.loads(harness.to_json(summary))["config"]
-    replay, _ = run_experiment(echo)
+    replay, again = run_experiment(echo)
     assert replay.decisions.tobytes() == trace.decisions.tobytes()
+    assert harness.to_json(again) == harness.to_json(summary)
 
 
 _RATE = st.just("paper") | st.floats(0.01, 2.0)
@@ -1318,15 +1327,12 @@ _FIELD_VALUES = {
     ("learner", "dogd", "eta"): lambda T, n: _RATE,
     ("learner", "mild", "etas"): lambda T, n: st.just("paper") | _POSITIVES,
     ("learner", "mild", "alpha"): lambda T, n: _RATE,
-    ("learner", "mild", "expert_rates"): lambda T, n: _POSITIVES,
     ("delay", "constant", "value"): lambda T, n: st.integers(1, 5),
     ("delay", "uniform", "lo"): lambda T, n: st.integers(1, 2),
     ("delay", "uniform", "hi"): lambda T, n: st.integers(2, 5),
     ("delay", "blocks", "d"): lambda T, n: st.integers(1, 5),
     ("delay", "in_order_random", "d_max"): lambda T, n: st.integers(1, 5),
     ("delay", "list", "values"): _delays,
-    **{("delay", kind, "resolved_values"): _delays
-       for kind in KINDS},
     ("environment", "drift", "step"): lambda T, n: st.floats(0.0, 0.5),
     ("environment", "drift", "loss"): lambda T, n: st.sampled_from(["quadratic", "linear"]),
     ("environment", "linear_list", "gradients"): _rows,
