@@ -18,7 +18,7 @@ lockstep batches of two runs, it hashes the sweep of ``batched_sweep_set()``
 and, for each ``delayed-oco run`` call of ``cli_set()``, its exit code, its
 standard output and every file it writes.  The script prints, per output,
 how many runs (and reports, sweeps, repetitions, calls) are byte-identical,
-names the first that differ, and exits 1 on any difference.  The set is 859 runs,
+names the first that differ, and exits 1 on any difference.  The set is 867 runs,
 24 reports, 13 sweeps, 8 CLI calls and 242 repetitions.
 
     python3 scripts/compare_outputs.py --write-golden SRC
@@ -64,7 +64,8 @@ def comparison_set():
     formula rounds shows; and in-order random delays at d_max in {1, 64, 2^40} x dogd and
     mild x n in {1, 3}, the last past any horizon; and mild with 40 ``etas`` at n in {1, 10}
     on linear and quadratic drift; and dogd with each comparator kind
-    (``golden_comparators``)."""
+    (``golden_comparators``); and the walk path's slice at its benchmark sizes
+    (``walk_set``)."""
     base = {"T": T, "D": 2.0, "G": 1.0}
     for learner, (kind, spec), loss, step, n, seed in itertools.product(
             LEARNERS, DELAYS.items(), ("quadratic", "linear"), (0.02, 1.0), (1, 3, 10), (0, 1)):
@@ -106,6 +107,27 @@ def comparison_set():
     for n, loss in itertools.product((1, 10), ("linear", "quadratic")):
         yield (f"mild/etas40/{loss}/n{n}", etas40_config(n, loss))
     yield from golden_comparators()
+    yield from walk_set()
+
+
+def walk_set():
+    """DOGD-family runs on linear losses, which take ``simulate``'s walk path, at sizes
+    past one ``_WALK_ROWS`` = 512 stretch: dogd and dogd_dt on the lowerbound instance
+    with blocks of d in {1, 4, 64} at T = 4096, n = 1; dogd on linear drift with uniform
+    delays 1-30 at T = 4096, n = 1; and dogd on linear drift with unit delays at
+    T = 20000, n = 5."""
+    base = {"D": 2.0, "G": 1.0, "seed": 3}
+    for learner, d in itertools.product(("dogd", "dogd_dt"), (1, 4, 64)):
+        yield (f"walk/lowerbound/{learner}/d{d}",
+               {**base, "T": 4096, "n": 1, "learner": {"name": learner},
+                "delay": {"kind": "blocks", "d": d}, "environment": {"kind": "lowerbound"}})
+    drift = {"kind": "drift", "step": 0.02, "loss": "linear"}
+    yield ("walk/drift/uniform30", {**base, "T": 4096, "n": 1, "learner": {"name": "dogd"},
+                                    "delay": {"kind": "uniform", "lo": 1, "hi": 30},
+                                    "environment": drift})
+    yield ("walk/drift/constant1", {**base, "T": 20000, "n": 5, "learner": {"name": "dogd"},
+                                    "delay": {"kind": "constant", "value": 1},
+                                    "environment": drift})
 
 
 def etas40_config(n: int, loss: str) -> dict:

@@ -137,6 +137,23 @@ class DelaySchedule:
         return self.delays.tolist()
 
 
+def checked_plan(s: DelaySchedule, T: int) -> tuple:
+    """A schedule's plan, checked: (stamps, rounds, counts, at, pos), with ``counts`` the
+    arrivals of each of ``rounds`` and, per timestamp in delivery order, the round ``at``
+    which it arrives and its place ``pos`` there.  Raises ValueError unless the plan
+    delivers every timestamp of 1..T exactly once, never before its round, in ascending
+    order within a round."""
+    stamps, rounds, counts = s.stamps, s.rounds, np.diff(s.offsets)
+    at = np.repeat(rounds, counts)
+    pos = np.arange(T) - np.repeat(s.offsets[:-1], counts)
+    if s.horizon != T or s.offsets[0] != 0 or counts.min() < 1 or np.any(np.diff(rounds) < 1) \
+            or not np.array_equal(np.sort(stamps), np.arange(1, T + 1)) or np.any(at < stamps) \
+            or np.any((pos[1:] > 0) & (stamps[1:] <= stamps[:-1])):
+        raise ValueError("an arrival plan must deliver each timestamp exactly once, no "
+                         "earlier than its round, in ascending order within a round")
+    return stamps, rounds, counts, at, pos
+
+
 def merge_plans(schedules: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One arrival plan for R runs of one horizon T, each on its own schedule.
 
@@ -145,21 +162,10 @@ def merge_plans(schedules: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     holds run r's arrivals in ascending order, padded below with 0.  Run r's
     timestamp k sits at row ``slots[k - 1, r] // R`` of the blocks, so the
     gradient it queries can be written there.  One run gets its own plan.
-    Each plan is checked here, once: every timestamp is delivered exactly
-    once, never before its round, in ascending order within a round.
+    Each plan is checked here, once, by ``checked_plan``.
     """
     T, R = schedules[0].horizon, len(schedules)
-    plans = []
-    for s in schedules:
-        stamps, rounds, counts = s.stamps, s.rounds, np.diff(s.offsets)
-        at = np.repeat(rounds, counts)  # the round each timestamp arrives at
-        pos = np.arange(T) - np.repeat(s.offsets[:-1], counts)  # its place there
-        if s.horizon != T or s.offsets[0] != 0 or counts.min() < 1 or np.any(np.diff(rounds) < 1) \
-                or not np.array_equal(np.sort(stamps), np.arange(1, T + 1)) or np.any(at < stamps) \
-                or np.any((pos[1:] > 0) & (stamps[1:] <= stamps[:-1])):
-            raise ValueError("an arrival plan must deliver each timestamp exactly once, no "
-                             "earlier than its round, in ascending order within a round")
-        plans.append((stamps, rounds, counts, at, pos))
+    plans = [checked_plan(s, T) for s in schedules]
     merged = np.sort(np.concatenate([rounds for _, rounds, _, _, _ in plans]))
     merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]  # np.unique loads numpy.ma
     width = np.zeros(merged.size, dtype=np.int64)  # the largest arrival count of each round

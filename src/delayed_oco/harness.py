@@ -206,18 +206,28 @@ def normalize_config(config: dict) -> dict:
     return cfg
 
 
+def _walks(cfg: dict) -> bool:
+    """Whether a run of ``cfg`` takes ``simulate``'s walk path: a DOGD-family learner on
+    linear losses (linear drift, the lowerbound instance or listed gradients)."""
+    env = cfg["environment"]
+    return learn_mod.KINDS[cfg["learner"]["name"]].family == "dogd" and \
+        (env["kind"] != "drift" or env.get("loss", "quadratic") == "linear")
+
+
 def _run_bytes(cfg: dict) -> int:
     """Memory one run holds: T*n floats in five arrays (targets, decisions, gradients, loss
     temporaries) and in N experts, T*N floats of weight history, 32 bytes a round for the
-    schedule's four int64 arrays and 168 for the lists ``simulate`` builds from its plan
-    (four of T ints, 40 bytes an entry; tracemalloc: 167 at T = 20000), and the config's
-    own lists, held twice (``normalize_config``'s copy and the summary's echo, whose deep
-    copy memoizes each row): 16 bytes an entry and 16*n + 256 a row of T rows of n
-    (tracemalloc: 16 and 16*n + 250).  N is the run's expert count (``_pool``)."""
+    schedule's four int64 arrays and 168 for the lists ``simulate``'s round loop builds
+    from its plan (four of T ints, 40 bytes an entry; tracemalloc: 167 at T = 20000), and
+    the config's own lists, held twice (``normalize_config``'s copy and the summary's echo,
+    whose deep copy memoizes each row): 16 bytes an entry and 16*n + 256 a row of T rows of
+    n (tracemalloc: 16 and 16*n + 250).  A run on the walk path (``_walks``) holds T*n
+    floats more in two arrays, the walk's path and its steps, and no such lists.  N is the
+    run's expert count (``_pool``)."""
     N = _pool(cfg)[1]
     lists = [v for section in _SPEC for v in cfg[section].values() if isinstance(v, (list, tuple))]
     rows = sum(len(v) for v in lists if v and isinstance(v[0], (list, tuple)))
-    return 8 * cfg["T"] * (cfg["n"] * (N + 5) + N) + (32 + 168) * cfg["T"] + \
+    return 8 * cfg["T"] * (cfg["n"] * (N + 5 + 2 * _walks(cfg)) + N) + (32 + 168) * cfg["T"] + \
         16 * sum(map(len, lists)) + (16 * cfg["n"] + 256) * rows
 
 
@@ -326,9 +336,9 @@ def _build_learner(cfgs: list[dict], box: Box, sums: list[int]):
 
 
 def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) -> RunTrace:
-    """Drive a learner through the delayed-feedback protocol: the one round loop.
+    """Drive a learner through the delayed-feedback protocol.
 
-    The loop walks the arrival plan one stretch of rounds without feedback at a time:
+    The round loop walks the arrival plan one stretch of rounds without feedback at a time:
     a stretch ends at each round with feedback before T, at the round before
     each restart, and at T.  Every learner plays a stretch with one
     ``play(t, stop)``, whose decision fills the stretch's rows (and the
@@ -355,8 +365,34 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     reported losses never include them.  A learner with ``weights`` has them
     written to a (T, [R,] N) history after every round.  R runs give one
     trace with decisions (T, R, n), which ``RunTrace.runs()`` splits.
+
+    On ``Linear`` losses a ``DelayedOGD`` with one iterate per run, or a restarting learner
+    over one, takes the
+    walk path instead (``_walk``): a gradient there does not depend on the decision it is
+    queried at, so the learner's ``walk`` computes every decision from the plan and the
+    gradient rows, one ``clamped_walk`` per row and epoch, bitwise the round loop's, and
+    leaves the state the round loop would.  Each plan is checked as ``merge_plans``
+    checks it, each round still queries its gradient once at the decision played, in
+    round order, and the finite check is the same.
     """
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
+    inner = getattr(learner, "inner", learner)
+    if isinstance(losses, Linear) and isinstance(inner, learn_mod.DelayedOGD) and \
+            inner.y.ndim == (1 if runs is None else 2):  # one iterate per run
+        decisions, weights = _walk(learner, losses, schedule, runs, box), None
+    else:
+        decisions, weights = _round_loop(learner, losses, schedule, runs, box)
+    starts = getattr(learner, "epoch_starts", None)
+    if starts is not None:  # None, or per run its epoch starts or None
+        starts = [None if s is None else tuple(s) for s in ([starts] if runs is None else starts)]
+    dropped = np.broadcast_to(getattr(learner, "dropped", 0), runs or 1).tolist()
+    per_run = (lambda v: v) if runs else (lambda v: None if v is None else v[0])
+    return RunTrace(decisions=decisions, loss_values=losses.values(decisions), schedule=schedule,
+                    dropped=per_run(dropped), epoch_starts=per_run(starts), weights=weights)
+
+
+def _round_loop(learner, losses, schedule, runs: int | None, box: Box) -> tuple:
+    """``simulate``'s round loop; returns the decisions and the weight history or None."""
     lead = () if runs is None else (runs,)
     rounds, offsets, stamps, slots = delay_mod.merge_plans([schedule] if runs is None else schedule)
     restarts = learner.follow(schedule) if hasattr(learner, "follow") else []
@@ -399,21 +435,39 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
             if weights is not None:
                 weights[stop - 1] = learner.weights
             t = stop + 1
-        if not (np.isfinite(decisions).all() and np.isfinite(grads).all()):
-            raise ValueError("the run played a non-finite decision or queried a non-finite "
-                             "gradient")
+        _check_finite(decisions, grads)
         for j in range(j, len(rounds)):
             lo, hi = offsets[j], offsets[j + 1]
             learner.ingest(rounds[j], stamps[lo:hi] if runs is None else stamps[lo:hi].tolist(),
                            grads[lo:hi])
-    del rounds, offsets, slots, stamps, grads, write  # the plan goes before the losses are read
-    starts = getattr(learner, "epoch_starts", None)
-    if starts is not None:  # None, or per run its epoch starts or None
-        starts = [None if s is None else tuple(s) for s in ([starts] if runs is None else starts)]
-    dropped = np.broadcast_to(getattr(learner, "dropped", 0), runs or 1).tolist()
-    per_run = (lambda v: v) if runs else (lambda v: None if v is None else v[0])
-    return RunTrace(decisions=decisions, loss_values=losses.values(decisions), schedule=schedule,
-                    dropped=per_run(dropped), epoch_starts=per_run(starts), weights=weights)
+    return decisions, weights  # the plan goes before the losses are read
+
+
+def _walk(learner, losses: Linear, schedule, runs: int | None, box: Box) -> np.ndarray:
+    """``simulate``'s walk path; returns the decisions.  The learner walks first, then each
+    round queries its gradient at the decision played, which must be bitwise the row the
+    walk stepped on."""
+    schedules = [schedule] if runs is None else schedule
+    T = schedules[0].horizon
+    plans = [delay_mod.checked_plan(s, T)[::3] for s in schedules]  # (stamps, at) of each
+    if hasattr(learner, "follow"):
+        learner.follow(schedule)
+    decisions = np.empty((T, *(() if runs is None else (runs,)), box.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        learner.walk(plans, losses.grads, decisions)
+        queried, gradient = np.empty_like(decisions), losses.gradient  # after the walk's arrays
+        for t, x in enumerate(decisions, 1):
+            queried[t - 1] = gradient(t, x)
+        _check_finite(decisions, queried)
+    if not np.array_equal(queried.view(np.int64), losses.grads[:T].view(np.int64)):
+        raise AssertionError("a queried gradient differs from the row the walk stepped on")
+    return decisions
+
+
+def _check_finite(decisions: np.ndarray, grads: np.ndarray) -> None:
+    if not (np.isfinite(decisions).all() and np.isfinite(grads).all()):
+        raise ValueError("the run played a non-finite decision or queried a non-finite "
+                         "gradient")
 
 
 # what a run reads besides its learner, every array read-only; optimum: (x*, least loss)
@@ -518,7 +572,8 @@ def _batch_bytes(cfg: dict, runs: int, rows: int | None = None) -> int:
     """Memory a lockstep batch of ``runs`` runs of ``cfg`` holds, its merged plan having
     ``rows`` rows; by default the most a plan has, R*T.
 
-    Each run holds what it holds alone (``_run_bytes``), a stacked copy of its loss
+    Each run holds what it holds alone (``_run_bytes``, with the walk path's path and
+    steps, of which a batch walks one row at a time), a stacked copy of its loss
     arrays and the int64 slots its gradients scatter to (T*n of each).
     The batch holds the padded gradient rows of the merged arrival plan (n
     floats per run and row) and its timestamp block, an int64 array (8 bytes

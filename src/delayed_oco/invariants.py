@@ -32,8 +32,12 @@ def random_schedule(rng: np.random.Generator, T_max: int, d_max: int) -> DelaySc
     return DelaySchedule(rng.integers(1, d_max + 1, size=T))
 
 
-def zero_losses(T: int) -> Linear:
-    return Linear(np.zeros((T, 1)))
+def zero_losses(T: int, loss: str = "linear") -> Linear | QuadraticTracking:
+    """T rounds of zero ``loss`` losses in one dimension: linear, on which a DOGD-family
+    learner takes ``simulate``'s walk path, or quadratic with targets at the origin, on
+    which it takes the round loop and, starting there, stays there."""
+    zeros = np.zeros((T, 1))
+    return Linear(zeros) if loss == "linear" else QuadraticTracking(zeros, 1.0)
 
 
 def projected_ogd(box: Box, eta: float, losses: QuadraticTracking | Linear) -> np.ndarray:
@@ -119,38 +123,48 @@ def ogd_dogd_reduction(rng, runs: int, T_max: int):
     return True, f"{runs} unit-delay configs: delayed and textbook descent bitwise identical"
 
 
-def _consumed(schedule: DelaySchedule) -> tuple[list[int], tuple]:
-    """(the stamps DOGD's ``ingest`` received over ``schedule``, in order, the trace's log)."""
+def _consumed(schedule: DelaySchedule, loss: str) -> tuple[list[int], tuple]:
+    """(the stamps DOGD took over ``schedule`` on zero ``loss`` losses, in order, the trace's
+    log): what ``ingest`` received in the round loop, or what ``descend`` walked."""
     box, received = Box(1, 1.0), []
     learner = DelayedOGD(box, 0.1)
-    ingest = learner.ingest
+    ingest, descend = learner.ingest, learner.descend
 
     def recording_ingest(t, stamps, grads):
         received.extend(stamps)
         ingest(t, stamps, grads)
-    learner.ingest = recording_ingest
-    return received, simulate(learner, zero_losses(schedule.horizon), schedule, box).c_log
+
+    def recording_descend(row, stamps, *rest):
+        received.extend(stamps.tolist())
+        descend(row, stamps, *rest)
+    learner.ingest, learner.descend = recording_ingest, recording_descend
+    return received, simulate(learner, zero_losses(schedule.horizon, loss), schedule, box).c_log
 
 
 def consumption_log_permutation(rng, runs: int, T_max: int, d_max: int):
-    """Logs are what ``ingest`` received, permutations; in order the identity, joint effect 0."""
+    """Logs are what DOGD took, on the round loop and on the walk path, permutations; in
+    order the identity, joint effect 0."""
     for i in range(runs):
         s = random_schedule(rng, T_max, d_max)
-        received, c_log = _consumed(s)
-        if list(c_log) != received:
-            return False, f"random schedule #{i}: consumption log is not what ingest received"
-        if sorted(received) != list(range(1, s.horizon + 1)):
-            return False, f"random schedule #{i}: consumption log is not a permutation"
+        for loss in ("quadratic", "linear"):
+            received, c_log = _consumed(s, loss)
+            if list(c_log) != received:
+                return False, f"random schedule #{i}: consumption log is not what DOGD took " \
+                              f"on {loss} losses"
+            if sorted(received) != list(range(1, s.horizon + 1)):
+                return False, f"random schedule #{i}: consumption log is not a permutation"
     for i in range(runs):
         T = int(rng.integers(1, T_max + 1))
         s = in_order_random_schedule(T, int(rng.integers(1, d_max + 1)), seed=2000 + i)
-        received, c_log = _consumed(s)
-        if list(c_log) != received or received != list(range(1, T + 1)):
-            return False, f"in-order schedule #{i}: log is not the identity"
+        for loss in ("quadratic", "linear"):
+            received, c_log = _consumed(s, loss)
+            if list(c_log) != received or received != list(range(1, T + 1)):
+                return False, f"in-order schedule #{i}: log is not the identity on {loss} losses"
         if joint_effect(c_log, rng.uniform(-1, 1, size=(T, 1))) != 0.0:
             return False, f"in-order schedule #{i}: nonzero joint effect"
-    return True, f"{runs} random logs are what ingest received, permutations; {runs} " \
-                 "in-order logs are the identity with joint effect exactly 0"
+    return True, f"{runs} random logs are what DOGD took on the round loop and the walk " \
+                 f"path, permutations; {runs} in-order logs are the identity with joint " \
+                 "effect exactly 0"
 
 
 def epoch_starts_closed_form(rng, T: int):

@@ -16,6 +16,13 @@ run's arrival plan, before round 1: it returns the restart rounds, each of
 which opens a stretch.  Its restart at round t reads only feedback delivered
 before t (``epoch_starts``), so it is one an online learner could take.
 
+On linear losses, whose gradients do not depend on the decisions, ``simulate``
+drives a ``DelayedOGD``, or a restarting learner over one, through
+``walk(plans, grads, decisions)`` instead: it takes each row's whole arrival plan
+at once and writes every round's decision, one ``descend`` (a clamped walk with
+its path) per row and epoch, bitwise ``play`` and ``ingest`` round by round and
+leaving the state they would.
+
 A learner keeps only the state its algorithm needs, no record of what it was
 handed: the order it consumed timestamps in is the arrival plan's, which the
 run's trace reports.  A learner whose parameters carry a leading run axis
@@ -38,7 +45,8 @@ Four algorithms are provided, two families of a fixed-horizon and a restarting o
 * ``DogdDoublingTrick`` / ``MildOgdDoublingTrick`` - restart-based variants
   that estimate the backlog sum by the epoch-local backlog statistic instead of
   needing it in advance: epoch v runs a fresh learner at the paper rates for the
-  budget 2^v, and ``epoch_starts`` computes the epochs from the arrival plan.
+  budget 2^v, and ``epoch_starts`` computes the epochs from the arrival plan;
+  ``DogdDoublingTrick`` walks linear losses one epoch at a time.
 
 ``FAMILIES`` holds each family's learner, built from rates, and its paper rates
 (by the rate helpers ``corollary_lr``, ``mild_lr_grid`` and ``hedge_alpha``, which
@@ -114,6 +122,32 @@ class DelayedOGD:
     def set_row(self, r: int, other: "DelayedOGD") -> None:
         """Run r becomes the one-run learner ``other``."""
         self.eta[r], self.y[r] = other.eta, other.y
+
+    def walk(self, plans: list, grads: np.ndarray, decisions: np.ndarray) -> None:
+        """A run on linear losses, whose gradients do not depend on the decisions, as one
+        ``descend`` per row over its whole plan.  ``plans`` holds each row's timestamps in
+        delivery order and the rounds they arrive at (``delay.checked_plan``), ``grads``
+        the (T, [R,] n) gradients, and ``decisions`` receives the (T, [R,] n) decisions."""
+        for r, (stamps, at) in enumerate(plans):
+            self.descend(None if self.y.ndim == 1 else r, stamps, at, grads, decisions, 1,
+                         len(grads))
+
+    def descend(self, row: int | None, stamps, at, grads: np.ndarray, decisions: np.ndarray,
+                start: int, stop: int) -> None:
+        """Run ``row`` of the run axis (None: the one run) ingests ``stamps``, delivered at
+        the rounds ``at`` (ascending), and plays rounds start..stop, as ``play`` and
+        ``ingest`` would round by round: one ``clamped_walk`` over ``eta * grads[stamps -
+        1]`` with its path, which is bitwise the per-step loop and so every delivery's own
+        walk or step, and round t plays the position after every step delivered before t,
+        written to ``decisions[t - 1]``."""
+        key = ... if row is None else row
+        steps = grads[:, key][stamps - 1]
+        steps *= self.eta[key]
+        path = np.empty((len(steps) + 1, self.box.dim))
+        self.y[key] = clamped_walk(self.y[key], steps, self.box.lo, self.box.hi, path)
+        del steps
+        path.take(at.searchsorted(np.arange(start, stop + 1)), axis=0,
+                  out=decisions[start - 1:stop, key])
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +421,9 @@ class MildOGD:
 # Doubling-trick variants.
 # ---------------------------------------------------------------------------
 
+_LOOP_ROUNDS = 64  # a span of at most this many rounds takes a plain loop
+
+
 def epoch_starts(schedule) -> list[int]:
     """The rounds at which the doubling trick opens its epochs over one arrival plan.
 
@@ -394,26 +431,51 @@ def epoch_starts(schedule) -> list[int]:
     stays at most the budget 2^v, where A_j counts the stamps >= s delivered in rounds
     s..j-1; the first round t with B_t > 2^v opens epoch v+1 (B == 2^v continues the
     epoch).  B_t reads only feedback delivered before round t, so each restart is one an
-    online learner can take.  In closed form B_t = (t-s+1)(t-s+2)/2 - sum_{r=s}^{t-1} A'_r,
-    with A'_r the stamps >= s delivered in rounds s..r.  B grows by at least 1 a round and
-    B_s = 1, so the restart comes by s + 2^v, and each epoch is one pass of integer array
-    operations over its rounds, hence exact."""
+    online learner can take.  B grows by at least 1 a round and B_s = 1, so the restart
+    comes by s + 2^v.  An epoch often ends far sooner, so its rounds are first searched
+    up to twice the last epoch's length (at least ``_LOOP_ROUNDS``), then, if it has not
+    ended there, up to s + 2^v (``_first_over``)."""
     T = schedule.horizon
     arrival = np.arange(T) + schedule.delays  # stamp k arrives at round arrival[k - 1]
     k = np.arange(1, T + 2)
     first = k * (k + 1) // 2  # first[t - s] = sum_{j=s}^{t} (j + 1 - s); int64 for T < 3e9
-    starts, s, v = [1], 1, 1
+    starts, s, v, span = [1], 1, 1, _LOOP_ROUNDS
     while (end := min(s + 2 ** v, T)) > s:
-        # the arrivals in rounds s..end-1 of stamps s..end-1 (the only ones that arrive by
-        # end-1), by round; a last bin takes the later ones
-        count = np.bincount(np.minimum(arrival[s - 1:end - 1], end) - s, minlength=end - s + 1)
-        over = first[1:end - s + 1] - count[:-1].cumsum().cumsum() > 2 ** v  # t > s
-        t = int(over.argmax())
-        if not over[t]:  # end is T
+        t = _first_over(arrival, first, s, min(s + span, end), 2 ** v)
+        if t is None and s + span < end:
+            t = _first_over(arrival, first, s, end, 2 ** v)
+        if t is None:  # end is T
             break
-        s, v = s + 1 + t, v + 1
+        span = max(_LOOP_ROUNDS, 2 * (t - s))
+        s, v = t, v + 1
         starts.append(s)
     return starts
+
+
+def _first_over(arrival: np.ndarray, first: np.ndarray, s: int, stop: int, budget: int):
+    """The first round t in s+1..stop whose B_t, for the epoch opened at s, exceeds
+    ``budget``, or None.  Only the stamps s..stop-1 can arrive by stop - 1.  A span of at
+    most ``_LOOP_ROUNDS`` rounds steps B round by round in Python integers, cheaper there
+    than array calls; a longer one is one pass of integer array operations, by the closed
+    form B_t = (t-s+1)(t-s+2)/2 - sum_{r=s}^{t-1} A'_r, with A'_r the stamps >= s
+    delivered in rounds s..r.  Both are exact."""
+    if stop - s <= _LOOP_ROUNDS:
+        count = [0] * (stop - s)  # the arrivals of stamps s..stop-1 by round, up to stop - 1
+        for a in arrival[s - 1:stop - 1].tolist():
+            if a < stop:
+                count[a - s] += 1
+        B, arrived = 1, 0
+        for t in range(s + 1, stop + 1):
+            arrived += count[t - 1 - s]
+            B += t + 1 - s - arrived
+            if B > budget:
+                return t
+        return None
+    # a last bin takes the later arrivals
+    count = np.bincount(np.minimum(arrival[s - 1:stop - 1], stop) - s, minlength=stop - s + 1)
+    over = first[1:stop - s + 1] - count[:-1].cumsum().cumsum() > budget  # t > s
+    i = int(over.argmax())
+    return s + 1 + i if over[i] else None
 
 
 class _RestartingLearner:
@@ -468,12 +530,48 @@ class _RestartingLearner:
         if self._restarts is None:
             raise ValueError("a restarting learner plays only after follow(schedule)")
         for r, v, last in self._restarts.get(t, ()):
-            self._starts[r], self._stale_until = t, max(self._stale_until, last)
-            if self.runs is None:
-                self.inner = self.make(2 ** v)
-            else:
-                self.inner.set_row(r, self.make(2 ** v))
+            self._restart(t, r, v, last)
         return self.inner.play(t, stop)
+
+    def _restart(self, t: int, r: int, v: int, last: int) -> None:
+        """Row r opens epoch v at round t; no stamp from before t arrives after round last."""
+        self._starts[r], self._stale_until = t, max(self._stale_until, last)
+        if self.runs is None:
+            self.inner = self.make(2 ** v)
+        else:
+            self.inner.set_row(r, self.make(2 ** v))
+
+    def walk(self, plans: list, grads: np.ndarray, decisions: np.ndarray) -> None:
+        """``DelayedOGD.walk`` by epochs, over an inner ``DelayedOGD``: each row ``descend``s
+        once an epoch, from the round at which ``play`` would open it, on the deliveries of
+        the epoch's rounds (the last epoch's, the flush window's too) less its stale stamps,
+        which ``dropped`` counts as ``ingest`` would.  The restarts are ``play``'s, in round
+        order, so the state after is the round loop's."""
+        if self._restarts is None:
+            raise ValueError("a restarting learner plays only after follow(schedule)")
+        T, opened = len(grads), [1] * len(plans)  # the round each row's epoch opened at
+
+        def epoch(r: int, stop: int | None) -> None:  # row r's epoch, up to round stop
+            stamps, at = plans[r]
+            lo, hi = at.searchsorted(opened[r]), None if stop is None else at.searchsorted(stop)
+            stamps, at = stamps[lo:hi], at[lo:hi]
+            kept = stamps >= self._starts[r]
+            if not kept.all():
+                stamps, at = stamps[kept], at[kept]
+                if self.runs is None:
+                    self.dropped += len(kept) - len(stamps)
+                else:
+                    self.dropped[r] += len(kept) - len(stamps)
+            self.inner.descend(None if self.runs is None else r, stamps, at, grads, decisions,
+                               opened[r], T if stop is None else stop - 1)
+
+        for t in sorted(self._restarts):
+            for r, v, last in self._restarts[t]:
+                epoch(r, t)
+                self._restart(t, r, v, last)
+                opened[r] = t
+        for r in range(len(plans)):
+            epoch(r, None)
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
         if self.runs is None:

@@ -131,9 +131,29 @@ def test_epoch_feedback_set_drops_stale():
         return inner
 
     learner.make = spied
-    simulate(learner, zero_losses(3), s, box)
+    simulate(learner, zero_losses(3, "quadratic"), s, box)  # the round loop
     assert learner.epoch_starts == [1, 2]
     assert plan_sets(s)[3] == arrivals_at(s, 3) == [1, 3]
+    assert seen == [k for t in (2, 3) for k in arrivals_at(s, t) if k >= 2]
+    assert learner.dropped == 1
+
+
+def test_epoch_feedback_set_drops_stale_on_the_walk_path():
+    # on linear losses the epoch's learner walks the timestamps it keeps, in one descend
+    s, box = DelaySchedule((3, 1, 1)), Box(1, 1.0)
+    learner = DogdDoublingTrick(box, 2.0, 1.0)
+    seen, make = [], learner.make
+
+    def spied(beta):  # a restart's learner, recording the timestamps it walks
+        inner = make(beta)
+        descend = inner.descend
+        inner.descend = lambda row, stamps, *rest: (seen.extend(stamps.tolist()),
+                                                    descend(row, stamps, *rest))
+        return inner
+
+    learner.make = spied
+    simulate(learner, zero_losses(3), s, box)
+    assert learner.epoch_starts == [1, 2]
     assert seen == [k for t in (2, 3) for k in arrivals_at(s, t) if k >= 2]
     assert learner.dropped == 1
 

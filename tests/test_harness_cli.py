@@ -810,23 +810,29 @@ def listed(T: int, n: int) -> dict:
             "comparators": {"kind": "list", "points": rows[1].tolist()}}  # inside the box
 
 
-@pytest.mark.parametrize("T,n,delay,learner", [
-    (20000, 1, {"kind": "blocks", "d": 16}, {"name": "dogd"}),
-    (20000, 5, {"kind": "constant", "value": 3}, {"name": "dogd"}),
-    (20000, 1, {"kind": "permuted"}, {"name": "mild"}),
-    (20000, 1, {"kind": "permuted"}, {"name": "mild", "etas": [0.01 * 1.1**i for i in range(40)]}),
-    (20000, 1, "listed", {"name": "dogd"}), (20000, 5, "listed", {"name": "dogd"}),
-    (5000, 20, "listed", {"name": "dogd"})],
+@pytest.mark.parametrize("T,n,delay,learner,loss", [
+    (20000, 1, {"kind": "blocks", "d": 16}, {"name": "dogd"}, "quadratic"),
+    (20000, 5, {"kind": "constant", "value": 3}, {"name": "dogd"}, "quadratic"),
+    (20000, 1, {"kind": "permuted"}, {"name": "mild"}, "quadratic"),
+    (20000, 1, {"kind": "permuted"}, {"name": "mild", "etas": [0.01 * 1.1**i for i in range(40)]},
+     "quadratic"),
+    (20000, 1, "listed", {"name": "dogd"}, "quadratic"),
+    (20000, 5, "listed", {"name": "dogd"}, "quadratic"),
+    (5000, 20, "listed", {"name": "dogd"}, "quadratic"),
+    (20000, 10, {"kind": "permuted"}, {"name": "dogd_dt"}, "linear")],
     ids=["1-delay0", "5-delay1", "mild-1-permuted", "mild-40-rates", "lists-1", "lists-5",
-         "lists-20"])
-def test_one_run_allocates_less_than_its_estimate(T, n, delay, learner):
+         "lists-20", "walk-dogd_dt-10-permuted"])
+def test_one_run_allocates_less_than_its_estimate(T, n, delay, learner, loss):
     # the delays, the plan's lists and the consumption log cost the same bytes a round
     # whatever n is, so at n = 1 they outweigh the T*n arrays; mild adds its T*N weights,
     # N being the length of its rate list when the config gives one; a config's own lists
-    # are held twice, and a row of a nested list costs more than its entries
+    # are held twice, and a row of a nested list costs more than its entries; a DOGD-family
+    # run on linear losses (listed gradients too) holds its walk's path and steps instead
+    # of the round loop's lists
     def config(T):
         return base_config(T=T, n=n, learner=learner,
-                           **(listed(T, n) if delay == "listed" else {"delay": delay}))
+                           **{"environment": {"kind": "drift", "step": 0.05, "loss": loss},
+                              **(listed(T, n) if delay == "listed" else {"delay": delay})})
 
     run_experiment(config(50))  # warm up
     cfg = config(T)

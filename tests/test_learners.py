@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -252,15 +253,8 @@ def stacked(learner, R: int):
     return DelayedOGD(learner.box, np.full((R, 1), learner.eta))
 
 
-@settings(max_examples=100, deadline=None)
-@given(T=st.integers(1, 40), R=st.integers(1, 3),
-       name=st.sampled_from(["dogd", "mild", "dogd_dt", "mild_dt"]), data=st.data())
-def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
-    # the trace takes c_log from the plan; a spy on ingest sees what the learner was
-    # handed, each run's column of a lockstep block less its padding
-    box = Box(1, 1.0)
-    schedules = [DelaySchedule(tuple(data.draw(st.lists(st.integers(1, 12), min_size=T,
-                                                        max_size=T)))) for _ in range(R)]
+def consumption_learner(name: str, box: Box, T: int, R: int):
+    """A ``name`` learner of R rows (one run when R is 1) and its arrival plans' lengths T."""
     runs = None if R == 1 else R
     learner = {"dogd": lambda: DelayedOGD(box, 0.1), "mild": lambda: MildOGD(box, [0.1, 0.4], 1.0),
                "dogd_dt": lambda: DogdDoublingTrick(box, 2.0, 1.0),
@@ -271,6 +265,21 @@ def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
         learner = MildOgdDoublingTrick(box, 2.0, 1.0, T, [True] * R, stacked(learner.inner, R))
     elif runs:
         learner = stacked(learner, R)
+    return learner
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=st.integers(1, 40), R=st.integers(1, 3),
+       name=st.sampled_from(["dogd", "mild", "dogd_dt", "mild_dt"]), data=st.data())
+def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
+    # the trace takes c_log from the plan; a spy on ingest sees what the learner was
+    # handed, each run's column of a lockstep block less its padding; on quadratic
+    # losses every learner takes the round loop
+    box = Box(1, 1.0)
+    schedules = [DelaySchedule(tuple(data.draw(st.lists(st.integers(1, 12), min_size=T,
+                                                        max_size=T)))) for _ in range(R)]
+    runs = None if R == 1 else R
+    learner = consumption_learner(name, box, T, R)
     seen, ingest = [[] for _ in range(R)], learner.ingest
 
     def spied(t, stamps, grads):
@@ -281,10 +290,55 @@ def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
         ingest(t, stamps, grads)
 
     learner.ingest = spied
-    trace = simulate(learner, zero_losses(T) if runs is None else stack([zero_losses(T)] * R),
+    losses = zero_losses(T, "quadratic")
+    trace = simulate(learner, losses if runs is None else stack([losses] * R),
                      schedules[0] if runs is None else schedules, box)
     expected = [None] * R if name.endswith("_dt") else [tuple(log) for log in seen]
     assert [run.c_log for run in trace.runs()] == expected
+
+
+def spy_on_descend(learner, seen: list) -> None:
+    """Record, per row, the timestamps each ``descend`` of a DOGD ``learner`` walks: its
+    own, or for a restarting learner its inner learner's and every epoch's after."""
+    def spied(one):
+        descend = one.descend
+        one.descend = lambda row, stamps, *rest: (seen[row or 0].extend(stamps.tolist()),
+                                                  descend(row, stamps, *rest))
+        return one
+
+    if hasattr(learner, "make"):
+        spied(learner.inner)
+        make = learner.make
+        learner.make = lambda beta: spied(make(beta))
+    else:
+        spied(learner)
+
+
+@settings(max_examples=100, deadline=None)
+@given(T=st.integers(1, 40), R=st.integers(1, 3), name=st.sampled_from(["dogd", "dogd_dt"]),
+       data=st.data())
+def test_the_consumption_log_is_the_order_the_walk_took(T, R, name, data):
+    # on linear losses DOGD walks its plan instead of ingesting it: a spy on descend sees
+    # what each row walked, its plan's delivery order less the stamps its epochs dropped
+    # as stale, which it counts
+    box = Box(1, 1.0)
+    schedules = [DelaySchedule(tuple(data.draw(st.lists(st.integers(1, 12), min_size=T,
+                                                        max_size=T)))) for _ in range(R)]
+    runs = None if R == 1 else R
+    learner = consumption_learner(name, box, T, R)
+    seen = [[] for _ in range(R)]
+    spy_on_descend(learner, seen)
+    learner.ingest = None  # the walk path never ingests
+    trace = simulate(learner, zero_losses(T) if runs is None else stack([zero_losses(T)] * R),
+                     schedules[0] if runs is None else schedules, box)
+    for run, log in zip(trace.runs(), seen):
+        starts = run.epoch_starts or (1,)
+        s = run.schedule
+        kept = [k for k in s.stamps.tolist()
+                if k >= starts[bisect.bisect_right(starts, s.arrival_round(k)) - 1]]
+        assert log == kept
+        assert run.dropped == T - len(kept)
+        assert run.c_log == (None if name == "dogd_dt" else tuple(log))
 
 
 def test_every_play_feasible():
@@ -750,6 +804,19 @@ def test_a_restart_reads_only_feedback_delivered_before_it(case, seed, redraw):
         later = np.maximum(t, k) + rng.integers(0, 2 * T + 1, T)
         moved = DelaySchedule(np.where(arrival >= t, later, arrival) - k + 1)
         assert [s for s in epoch_starts(moved) if s <= t] == [s for s in starts if s <= t], t
+
+
+@pytest.mark.parametrize("schedule,outgrows", [
+    (permuted_schedule(2000, 5), True), (block_schedule(4096, 64), False),
+    (constant_schedule(2000, 1), False), (uniform_schedule(2000, 1, 30, 3), False)],
+    ids=["permuted", "blocks64", "constant1", "uniform30"])
+def test_long_epochs_equal_the_controller_round_by_round(schedule, outgrows):
+    # the plan pass searches an epoch first up to twice the last one's length (at least 64
+    # rounds), then on to its window's end; the permuted plan's last epoch outgrows that
+    starts = epoch_starts(schedule)
+    assert starts == per_round_epochs(schedule)[0]
+    lengths = np.diff(starts)
+    assert any(b > max(64, 2 * a) for a, b in zip(lengths, lengths[1:])) == outgrows
 
 
 @pytest.mark.parametrize("restarts", [None, [False, True]], ids=["one-run", "lockstep"])

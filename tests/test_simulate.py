@@ -1,9 +1,12 @@
 """``simulate`` against the per-round loop, bitwise.
 
-``simulate`` plays each stretch of rounds without feedback with one decision; the
-reference below plays, queries and records every round on its own, as the protocol
-reads.  Both must hand the learner the same feedback and give the same trace, for every
-learner, delay kind and environment, one run and a lockstep batch.
+``simulate`` plays each stretch of rounds without feedback with one decision, or, for a
+DOGD-family learner on linear losses, walks the whole plan; the reference below plays,
+queries and records every round on its own, as the protocol reads.  Both must give the
+same trace and leave the learner in the same state, for every learner, delay kind and
+environment, one run and a lockstep batch; the round loop must hand the learner the same
+feedback, and the walk path none.  On the walk path no decision may depend on a gradient
+delivered at its round or later.
 """
 
 import numpy as np
@@ -13,7 +16,8 @@ from hypothesis import strategies as st
 
 from delayed_oco import harness, learners
 from delayed_oco.delay import DelaySchedule, merge_plans
-from delayed_oco.losses import stack
+from delayed_oco.geometry import Box
+from delayed_oco.losses import Linear, stack
 
 
 def reference_simulate(learner, losses, schedule, box):
@@ -66,6 +70,17 @@ def recorded(learner) -> list:
     return calls
 
 
+def state(learner) -> tuple:
+    """What a learner keeps between rounds: iterates, rates and weights as bytes, and a
+    restarting learner's epochs, epoch starts, dropped counts and stale horizon."""
+    inner = getattr(learner, "inner", learner)
+    pool = getattr(inner, "pool", inner)
+    return (pool.y.tobytes(), pool.eta.tobytes(), getattr(inner, "log_w", pool.y).tobytes(),
+            np.asarray(getattr(learner, "dropped", 0)).tolist(),
+            getattr(learner, "epoch_starts", None), getattr(learner, "_starts", None),
+            getattr(learner, "_stale_until", None))
+
+
 _DELAYS = {
     "constant": lambda draw, T: {"value": draw(st.integers(1, 30))},
     "uniform": lambda draw, T: {"lo": 1, "hi": draw(st.integers(1, 20))},
@@ -80,12 +95,12 @@ _FAMILIES = {family: [name for name, kind in learners.KINDS.items() if kind.fami
 
 
 @st.composite
-def batches(draw):
+def batches(draw, families=tuple(sorted(_FAMILIES)), envs=("quadratic", "linear", "lowerbound")):
     """Normalized configs of 1-3 runs that may step in lockstep (one learner family, T, n
     and environment kind), each with its own learner, delay kind and run seed."""
-    family, T, n = draw(st.sampled_from(sorted(_FAMILIES))), draw(st.integers(1, 120)), \
+    family, T, n = draw(st.sampled_from(families)), draw(st.integers(1, 120)), \
         draw(st.integers(1, 3))
-    env = draw(st.sampled_from(["quadratic", "linear", "lowerbound"]))
+    env = draw(st.sampled_from(envs))
     cfgs = []
     for _ in range(draw(st.integers(1, 3))):
         kind = "blocks" if env == "lowerbound" else draw(st.sampled_from(sorted(_DELAYS)))
@@ -119,7 +134,11 @@ def test_simulate_matches_the_per_round_loop_bitwise(cfgs):
     assert (trace.weights is None) == (weights is None)
     if weights is not None:
         assert trace.weights.tobytes() == weights.tobytes()
-    assert fed == fed_reference
+    # a DOGD-family learner walks linear losses, without ingest, into the same state
+    walks = isinstance(losses, Linear) and isinstance(getattr(learner, "inner", learner),
+                                                      learners.DelayedOGD)
+    assert fed == ([] if walks else fed_reference)
+    assert state(learner) == state(reference)
     for r, (run, cfg) in enumerate(zip(trace.runs(), cfgs)):  # the stamps run r was handed
         got = [row[r] for _, stamps, _ in fed_reference
                for row in ([[k] for k in stamps] if len(cfgs) == 1 else stamps) if row[r]]
@@ -133,6 +152,46 @@ def test_simulate_matches_the_per_round_loop_bitwise(cfgs):
         assert trace.epoch_starts == (None if starts is None else
                                       [None if s is None else tuple(s) for s in starts])
         assert trace.dropped == np.broadcast_to(dropped, len(cfgs)).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches(families=["dogd"], envs=["linear", "lowerbound"]), st.data())
+def test_no_walked_decision_reads_feedback_delivered_at_its_round_or_later(cfgs, data):
+    # replace the gradient of every timestamp delivered at round t or later (timestamp k
+    # arrives at round k + d_k - 1): the walk path's decisions of rounds 1..t stay bitwise
+    inputs = [harness._build_inputs(cfg, [cfg["seed"]])[0] for cfg in cfgs]
+    box, schedules = inputs[0].box, [i.schedule for i in inputs]
+    T = schedules[0].horizon
+    t, seed = data.draw(st.integers(1, T)), data.draw(st.integers(0, 2**32 - 1))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng, replaced = np.random.default_rng(seed), []
+    for i, s in zip(inputs, schedules):
+        grads = i.losses.grads.copy()
+        late = np.arange(T) + s.delays >= t
+        grads[late] = scale * rng.standard_normal((int(late.sum()), box.dim))
+        replaced.append(Linear(grads))
+    plan = schedules[0] if len(cfgs) == 1 else schedules
+    sums = [s.sum_backlog for s in schedules]
+    played = []
+    for families in ([i.losses for i in inputs], replaced):
+        learner = harness._build_learner(cfgs, box, sums)[0]
+        learner.ingest = None  # the walk path never ingests
+        played.append(harness.simulate(learner, families[0] if len(cfgs) == 1 else
+                                       stack(families), plan, box).decisions[:t].tobytes())
+    assert played[0] == played[1]
+
+
+def test_one_run_of_a_one_row_rate_column_takes_the_round_loop():
+    # a rate column of one row holds one (1, n) iterate, not one per run: its one run
+    # plays as the scalar rate does, through the round loop
+    box, s = Box(2, 1.0), DelaySchedule(np.full(20, 3))
+    losses = Linear(np.random.default_rng(0).standard_normal((20, 2)))
+    column = learners.DelayedOGD(box, [[0.1]])
+    fed = recorded(column)
+    played = harness.simulate(column, losses, s, box).decisions
+    assert played.tobytes() == \
+        harness.simulate(learners.DelayedOGD(box, 0.1), losses, s, box).decisions.tobytes()
+    assert fed
 
 
 @pytest.mark.parametrize("names", [["dogd_dt"], ["mild_dt"], ["dogd", "dogd_dt"],
