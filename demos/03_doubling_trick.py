@@ -13,6 +13,9 @@ feedback at a time, by ``play(t, stop)``.  ``simulate`` hands it the arrival
 plan first, by ``follow(schedule)``, from which ``learners.epoch_starts``
 computes its restart rounds before round 1; its restart at round t still reads
 only feedback delivered before t, so it is the restart an online learner takes.
+A gradient queried before the epoch it arrives in is stale: ``simulate`` cuts
+it from the plan (``learners.kept_stamps``), so the learner never sees it, and
+the trace counts it in ``dropped``.
 """
 
 from delayed_oco import (

@@ -13,13 +13,14 @@ It also hashes the ``to_json`` text of each ``lowerbound_report`` in
 reach, the ``sweep.json`` text of each sweep in ``sweep_set()`` and, apart,
 the outputs, the log and the weight sums of every repetition of each
 ``run_many`` config in ``many_set()``, whose runs step in lockstep, and the
-sweeps and repetitions of the lockstep Mild-OGD slice ``lockstep_mild_set()``.  In
+sweeps and repetitions of the lockstep Mild-OGD slice ``lockstep_mild_set()`` and
+of the stale-feedback slice ``stale_set()``.  In
 lockstep batches of two runs, it hashes the sweep of ``batched_sweep_set()``
 and, for each ``delayed-oco run`` call of ``cli_set()``, its exit code, its
 standard output and every file it writes.  The script prints, per output,
 how many runs (and reports, sweeps, repetitions, calls) are byte-identical,
 names the first that differ, and exits 1 on any difference.  The set is 867 runs,
-24 reports, 13 sweeps, 8 CLI calls and 242 repetitions.
+24 reports, 21 sweeps, 8 CLI calls and 274 repetitions.
 
     python3 scripts/compare_outputs.py --write-golden SRC
 
@@ -227,6 +228,25 @@ def lockstep_mild_set():
                 "environment": {**drift, "loss": "linear"}}, None)
 
 
+def stale_set():
+    """(name, config, grid or None) of the stale-feedback slice, outside ``golden_digests()``:
+    dogd_dt and mild_dt, whose restarts cut stale stamps from their plans, at T = 2000,
+    n = 5, on permuted and constant-20 delays x quadratic drift (the round loop) and linear
+    drift (dogd_dt's walk path): as sweeps at 2 repetitions beside a fixed-horizon row of
+    their family, which cuts nothing, in one lockstep batch, and as ``run_many`` at 4
+    repetitions (grid None), whose permuted rows cut at different rounds."""
+    base = {"T": 2000, "n": 5, "D": 2.0, "G": 1.0, "seed": 11}
+    for (fixed, dt), (kind, spec), loss in itertools.product(
+            (("dogd", "dogd_dt"), ("mild", "mild_dt")),
+            (("permuted", {}), ("constant", {"value": 20})), ("quadratic", "linear")):
+        common = {**base, "delay": {"kind": kind, **spec},
+                  "environment": {"kind": "drift", "step": 0.02, "loss": loss}}
+        yield (f"stale/sweep/{dt}/{kind}/{loss}",
+               {**common, "repetitions": 2, "learner": {"name": fixed}}, {"learner": [fixed, dt]})
+        yield (f"stale/many/{dt}/{kind}/{loss}",
+               {**common, "repetitions": 4, "learner": {"name": dt}}, None)
+
+
 def batched_sweep_set():
     """A sweep with memory for lockstep batches of two mild_dt runs: dogd and mild_dt x
     uniform delays with d in {1, 5, 20} at 3 repetitions, T = 300, n = 3; each learner's
@@ -313,7 +333,7 @@ def worker() -> None:
 
     for name, cfg in many_set():
         repetitions(name, cfg)
-    for name, cfg, grid in lockstep_mild_set():
+    for name, cfg, grid in itertools.chain(lockstep_mild_set(), stale_set()):
         if grid is None:
             repetitions(name, cfg)
         else:

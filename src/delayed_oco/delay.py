@@ -137,44 +137,59 @@ class DelaySchedule:
         return self.delays.tolist()
 
 
-def checked_plan(s: DelaySchedule, T: int) -> tuple:
+def checked_plan(s: DelaySchedule, T: int, keep: np.ndarray | None = None) -> tuple:
     """A schedule's plan, checked: (stamps, rounds, counts, at, pos), with ``counts`` the
     arrivals of each of ``rounds`` and, per timestamp in delivery order, the round ``at``
     which it arrives and its place ``pos`` there.  Raises ValueError unless the plan
     delivers every timestamp of 1..T exactly once, never before its round, in ascending
-    order within a round."""
+    order within a round.  ``keep``, a boolean per timestamp (entry k - 1 for k), cuts the
+    checked plan to the timestamps it keeps: a round left without arrivals drops out."""
     stamps, rounds, counts = s.stamps, s.rounds, np.diff(s.offsets)
     at = np.repeat(rounds, counts)
-    pos = np.arange(T) - np.repeat(s.offsets[:-1], counts)
     if s.horizon != T or s.offsets[0] != 0 or counts.min() < 1 or np.any(np.diff(rounds) < 1) \
             or not np.array_equal(np.sort(stamps), np.arange(1, T + 1)) or np.any(at < stamps) \
-            or np.any((pos[1:] > 0) & (stamps[1:] <= stamps[:-1])):
+            or np.any((at[1:] == at[:-1]) & (stamps[1:] <= stamps[:-1])):
         raise ValueError("an arrival plan must deliver each timestamp exactly once, no "
                          "earlier than its round, in ascending order within a round")
-    return stamps, rounds, counts, at, pos
+    if keep is not None:
+        kept = keep[stamps - 1]
+        stamps, at = stamps[kept], at[kept]
+    first = np.flatnonzero(np.r_[True, at[1:] != at[:-1]])  # each round's first arrival
+    counts = np.diff(np.append(first, at.size))
+    return stamps, at[first], counts, at, np.arange(at.size) - np.repeat(first, counts)
 
 
-def merge_plans(schedules: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def merge_plans(schedules: list, kept: list | None = None) -> tuple[np.ndarray, np.ndarray,
+                                                                    np.ndarray, np.ndarray]:
     """One arrival plan for R runs of one horizon T, each on its own schedule.
 
     Returns (rounds, offsets, stamps, slots): round ``rounds[j]`` delivers the
     block ``stamps[offsets[j]:offsets[j + 1]]``, K rows by R, whose column r
     holds run r's arrivals in ascending order, padded below with 0.  Run r's
-    timestamp k sits at row ``slots[k - 1, r] // R`` of the blocks, so the
+    timestamp k sits at row ``slots[k - 1, r] // R`` of ``stamps``, so the
     gradient it queries can be written there.  One run gets its own plan.
-    Each plan is checked here, once, by ``checked_plan``.
+    Each plan is checked here, once, by ``checked_plan``.  ``kept``, per run
+    None or a boolean per timestamp, cuts run r's plan to the timestamps
+    ``kept[r]`` keeps (``checked_plan``); its cut timestamps, ascending, fill
+    rows of their own past the blocks, which no round delivers, so every
+    queried gradient is still written.
     """
     T, R = schedules[0].horizon, len(schedules)
-    plans = [checked_plan(s, T) for s in schedules]
+    kept = kept or [None] * R
+    plans = [checked_plan(s, T, keep) for s, keep in zip(schedules, kept)]
     merged = np.sort(np.concatenate([rounds for _, rounds, _, _, _ in plans]))
     merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]  # np.unique loads numpy.ma
     width = np.zeros(merged.size, dtype=np.int64)  # the largest arrival count of each round
     for _, rounds, counts, _, _ in plans:
         np.maximum.at(width, np.searchsorted(merged, rounds), counts)
     offsets = np.concatenate(([0], np.cumsum(width)))
-    stamps, slots = np.zeros((offsets[-1], R), dtype=np.int64), np.empty((T, R), dtype=np.int64)
-    for r, (run_stamps, _, _, at, pos) in enumerate(plans):
+    stamps = np.zeros((offsets[-1] + T - min(len(plan[0]) for plan in plans), R), dtype=np.int64)
+    slots = np.empty((T, R), dtype=np.int64)
+    for r, ((run_stamps, _, _, at, pos), keep) in enumerate(zip(plans, kept)):
         row = offsets[np.searchsorted(merged, at)] + pos
+        if keep is not None:  # the cut timestamps, in rows past the blocks
+            cut = np.flatnonzero(~keep) + 1
+            row, run_stamps = np.r_[row, offsets[-1] + np.arange(cut.size)], np.r_[run_stamps, cut]
         stamps[row, r], slots[run_stamps - 1, r] = run_stamps, row * R + r
     return merged, offsets, stamps, slots
 

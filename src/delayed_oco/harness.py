@@ -339,69 +339,72 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     """Drive a learner through the delayed-feedback protocol.
 
     The round loop walks the arrival plan one stretch of rounds without feedback at a time:
-    a stretch ends at each round with feedback before T, at the round before
-    each restart, and at T.  Every learner plays a stretch with one
-    ``play(t, stop)``, whose decision fills the stretch's rows (and the
-    weights before its feedback) by slice.  A restarting learner gets the plan
-    before round 1 (``follow(schedule)``), which returns its restart rounds;
-    its restart at t reads only feedback delivered before t.  Each round of a
-    stretch queries its gradient ``losses.gradient(t, x)`` at the played
-    point, exactly once, in round order; then, if the arrival plan delivers
-    feedback at the stretch's last round, the learner gets
-    ``ingest(t, stamps, grads)``.  ``schedule``
-    is one ``DelaySchedule``, or a list of R for a learner with a run axis
-    and losses laid out by ``losses.stack``: the runs then step together,
-    each on its own plan, merged (and checked) once by ``delay.merge_plans``.
-    Queried gradients are written where the plan delivers them, so each
-    round's arrivals are one slice.  The suffered losses are one
-    ``losses.values(decisions)`` call after the loop, bitwise equal to
-    ``losses.value(t, x)`` round by round.  The learners step on bare
-    clamps, so after the last round the run checks once that every decision
-    and gradient was finite, and raises ValueError if not; the loop runs
-    without NumPy's overflow and invalid-value warnings, which a diverging
-    run would print before that check refuses it.  The plan's
-    rounds past the horizon are delivered too (plays suppressed), so every
-    timestamp is handed over in the plan's order, ``RunTrace.c_log``;
-    reported losses never include them.  A learner with ``weights`` has them
-    written to a (T, [R,] N) history after every round.  R runs give one
-    trace with decisions (T, R, n), which ``RunTrace.runs()`` splits.
+    a stretch ends at each round with feedback before T, at the round before each restart,
+    and at T.  Every learner plays a stretch with one ``play(t, stop)``, whose decision
+    fills the stretch's rows (and the weights before its feedback) by slice.  A restarting
+    learner gets the plan before round 1 (``follow(schedule)``), which returns its restart
+    rounds; its restart at t reads only feedback delivered before t.  Each restarting row's
+    plan is then cut once to the stamps its epochs keep (``learners.kept_stamps``), and
+    ``RunTrace.dropped`` counts the rest.  Each round of a stretch queries its gradient
+    ``losses.gradient(t, x)`` at the played point, exactly once, in round order; then, if
+    the plan delivers feedback at the stretch's last round, the learner gets
+    ``ingest(t, stamps, grads)``.  ``schedule`` is one ``DelaySchedule``, or a list of R
+    for a learner with a run axis and losses laid out by ``losses.stack``: the runs then
+    step together, each on its own plan, merged (checked and cut) once by
+    ``delay.merge_plans``.  Queried gradients are written where the plan delivers them, so
+    each round's arrivals are one slice, and a cut stamp's past the deliveries.  The
+    suffered losses are one ``losses.values(decisions)`` call after the loop, bitwise equal
+    to ``losses.value(t, x)`` round by round.  The learners step on bare clamps, so after
+    the last round the run checks once that every decision and gradient was finite, and
+    raises ValueError if not; the loop runs without NumPy's overflow and invalid-value
+    warnings, which a diverging run would print before that check refuses it.  The plan's
+    rounds past the horizon are delivered too (plays suppressed), so every timestamp it
+    keeps is handed over in the plan's order, ``RunTrace.c_log``; reported losses never
+    include them.  A learner with ``weights`` has them written to a (T, [R,] N) history
+    after every round.  R runs give one trace with decisions (T, R, n), which
+    ``RunTrace.runs()`` splits.
 
     On ``Linear`` losses a ``DelayedOGD`` with one iterate per run, or a restarting learner
     over one, takes the
     walk path instead (``_walk``): a gradient there does not depend on the decision it is
     queried at, so the learner's ``walk`` computes every decision from the plan and the
     gradient rows, one ``clamped_walk`` per row and epoch, bitwise the round loop's, and
-    leaves the state the round loop would.  Each plan is checked as ``merge_plans``
-    checks it, each round still queries its gradient once at the decision played, in
-    round order, and the finite check is the same.
+    leaves the state the round loop would.  Each plan is checked and cut as ``merge_plans``
+    checks and cuts it, each round still queries its gradient once at the decision played,
+    in round order, and the finite check is the same.
     """
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
+    schedules = [schedule] if runs is None else schedule
+    restarts = learner.follow(schedule) if hasattr(learner, "follow") else []
+    starts = getattr(learner, "epoch_starts", None)  # None, or per run its epoch starts or None
+    if starts is not None:
+        starts = [None if s is None else tuple(s) for s in ([starts] if runs is None else starts)]
+    kept = [None if s is None else learn_mod.kept_stamps(plan, s)
+            for plan, s in zip(schedules, starts or [None] * len(schedules))]
     inner = getattr(learner, "inner", learner)
     if isinstance(losses, Linear) and isinstance(inner, learn_mod.DelayedOGD) and \
             inner.y.ndim == (1 if runs is None else 2):  # one iterate per run
-        decisions, weights = _walk(learner, losses, schedule, runs, box), None
+        decisions, weights = _walk(learner, losses, schedules, runs, kept, box), None
     else:
-        decisions, weights = _round_loop(learner, losses, schedule, runs, box)
-    starts = getattr(learner, "epoch_starts", None)
-    if starts is not None:  # None, or per run its epoch starts or None
-        starts = [None if s is None else tuple(s) for s in ([starts] if runs is None else starts)]
-    dropped = np.broadcast_to(getattr(learner, "dropped", 0), runs or 1).tolist()
+        decisions, weights = _round_loop(learner, losses, schedules, runs, kept, restarts, box)
+    dropped = [0 if k is None else int(k.size - np.count_nonzero(k)) for k in kept]
     per_run = (lambda v: v) if runs else (lambda v: None if v is None else v[0])
     return RunTrace(decisions=decisions, loss_values=losses.values(decisions), schedule=schedule,
                     dropped=per_run(dropped), epoch_starts=per_run(starts), weights=weights)
 
 
-def _round_loop(learner, losses, schedule, runs: int | None, box: Box) -> tuple:
-    """``simulate``'s round loop; returns the decisions and the weight history or None."""
+def _round_loop(learner, losses, schedules: list, runs: int | None, kept: list,
+                restarts: list[int], box: Box) -> tuple:
+    """``simulate``'s round loop over the plans cut to ``kept``; returns the decisions and the
+    weight history or None."""
     lead = () if runs is None else (runs,)
-    rounds, offsets, stamps, slots = delay_mod.merge_plans([schedule] if runs is None else schedule)
-    restarts = learner.follow(schedule) if hasattr(learner, "follow") else []
+    rounds, offsets, stamps, slots = delay_mod.merge_plans(schedules, kept)
     rounds, offsets, T = rounds.tolist(), offsets.tolist(), len(slots)
     # the last round of each stretch: each round with feedback before T, each round before
     # a restart, and T
     ends = sorted({*itertools.islice(rounds, bisect.bisect_left(rounds, T)),
                    *(t - 1 for t in restarts), T})
-    grads = np.zeros((len(stamps), *lead, box.dim))  # in delivery order; padding stays 0
+    grads = np.zeros((len(stamps), *lead, box.dim))  # in plan order; padding stays 0
     if runs is None:  # the merged plan is the schedule's own, one column
         stamps, slots, write = stamps[:, 0].tolist(), slots[:, 0].tolist(), grads
     else:  # blocks of rows of R timestamps, each made a list when delivered; a round's
@@ -427,7 +430,7 @@ def _round_loop(learner, losses, schedule, runs: int | None, box: Box) -> tuple:
                     write[slots[s - 1]] = gradient(s, x)
                 if weights is not None:
                     weights[t - 1:stop - 1] = learner.weights
-            if rounds[j] == stop:  # j stays in range: timestamp T arrives at round T or later
+            if rounds[j] == stop:  # j stays in range: stamp T is kept, and arrives at T or later
                 lo, hi = offsets[j], offsets[j + 1]
                 learner.ingest(stop, stamps[lo:hi] if runs is None else stamps[lo:hi].tolist(),
                                grads[lo:hi])
@@ -443,15 +446,14 @@ def _round_loop(learner, losses, schedule, runs: int | None, box: Box) -> tuple:
     return decisions, weights  # the plan goes before the losses are read
 
 
-def _walk(learner, losses: Linear, schedule, runs: int | None, box: Box) -> np.ndarray:
-    """``simulate``'s walk path; returns the decisions.  The learner walks first, then each
-    round queries its gradient at the decision played, which must be bitwise the row the
-    walk stepped on."""
-    schedules = [schedule] if runs is None else schedule
+def _walk(learner, losses: Linear, schedules: list, runs: int | None, kept: list,
+          box: Box) -> np.ndarray:
+    """``simulate``'s walk path over the plans cut to ``kept``; returns the decisions.  The
+    learner walks first, then each round queries its gradient at the decision played, which
+    must be bitwise the row the walk stepped on."""
     T = schedules[0].horizon
-    plans = [delay_mod.checked_plan(s, T)[::3] for s in schedules]  # (stamps, at) of each
-    if hasattr(learner, "follow"):
-        learner.follow(schedule)
+    plans = [delay_mod.checked_plan(s, T, keep)[::3]  # (stamps, at) of each
+             for s, keep in zip(schedules, kept)]
     decisions = np.empty((T, *(() if runs is None else (runs,)), box.dim))
     with np.errstate(over="ignore", invalid="ignore"):
         learner.walk(plans, losses.grads, decisions)
@@ -579,10 +581,12 @@ def _batch_bytes(cfg: dict, runs: int, rows: int | None = None) -> int:
     floats per run and row) and its timestamp block, an int64 array (8 bytes
     an entry), of which each delivery lists only its own rows (8 bytes an
     entry more); a plan has at most R*T rows, one per arrival, when no two
-    runs deliver at the same round.  Measured with tracemalloc on batches of
-    2 to 4 runs (T from 500 to 20000, n from 1 to 5; constant, permuted and
-    mixed-d block delays, and blocks of T, whose one delivery lists the whole
-    block), a batch allocates 0.2 to 0.8 of this at the plan's own rows.
+    runs deliver at the same round; the timestamps cut from restarting rows'
+    plans sit in rows past the blocks, still within R*T.  Measured with
+    tracemalloc on batches of 2 to 4 runs (T from 500 to 20000, n from 1 to 5;
+    constant, permuted and mixed-d block delays, and blocks of T, whose one
+    delivery lists the whole block), a batch allocates 0.2 to 0.8 of this at
+    the plan's own rows.
     ``delayed-oco run`` then writes each trace as it arrives: ``trace_to_csv``
     holds the text twice, within what the runs held, and ``_CSV_CELLS``
     formatted floats at a time, which the last term allows 256 bytes each for

@@ -14,7 +14,9 @@ All learners share one protocol so the harness can drive them identically:
 ``play(t, stop)``.  A restarting learner also takes ``follow(schedule)``, the
 run's arrival plan, before round 1: it returns the restart rounds, each of
 which opens a stretch.  Its restart at round t reads only feedback delivered
-before t (``epoch_starts``), so it is one an online learner could take.
+before t (``epoch_starts``), so it is one an online learner could take.  Like
+every learner it consumes every stamp it is handed: ``simulate`` cuts the stale
+ones, queried before the epoch they arrive in, from its plan (``kept_stamps``).
 
 On linear losses, whose gradients do not depend on the decisions, ``simulate``
 drives a ``DelayedOGD``, or a restarting learner over one, through
@@ -59,7 +61,6 @@ one lockstep batch steps the runs of a family and expert count.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
 
 import numpy as np
@@ -452,6 +453,16 @@ def epoch_starts(schedule) -> list[int]:
     return starts
 
 
+def kept_stamps(schedule, starts: list[int]) -> np.ndarray:
+    """Which stamps a run whose epochs open at ``starts`` keeps, a boolean per stamp (entry
+    k - 1 for k): stamp k iff it was queried in the epoch open at round min(k + d_k - 1, T),
+    the round it arrives at (a flush round's epoch is the last).  The rest, queried before
+    that epoch, are stale; stamp T is always kept."""
+    T, starts = schedule.horizon, np.asarray(starts)
+    opened = starts[starts.searchsorted(np.arange(T) + schedule.delays, side="right") - 1]
+    return np.arange(1, T + 1) >= opened
+
+
 def _first_over(arrival: np.ndarray, first: np.ndarray, s: int, stop: int, budget: int):
     """The first round t in s+1..stop whose B_t, for the epoch opened at s, exceeds
     ``budget``, or None.  Only the stamps s..stop-1 can arrive by stop - 1.  A span of at
@@ -479,63 +490,53 @@ def _first_over(arrival: np.ndarray, first: np.ndarray, s: int, stop: int, budge
 
 
 class _RestartingLearner:
-    """Epoch bookkeeping + stale-feedback dropping; epoch v runs a fresh ``make(2^v)``,
-    where ``make(beta)`` builds the one-run learner tuned for the backlog sum beta.
+    """Epoch bookkeeping; epoch v runs a fresh ``make(2^v)``, where ``make(beta)`` builds the
+    one-run learner tuned for the backlog sum beta.
 
     ``inner`` is the first epoch's learner, by default ``make(2)``.  With ``restarts`` the
     learner runs len(restarts) rows in lockstep, row r restarting iff ``restarts[r]``, and
     ``inner`` is the rows' first-epoch learners stacked on a run axis.  A restarting row
-    restarts its own row of ``inner`` and counts its own ``dropped``.  A fixed-horizon row
-    (a restarting run whose first epoch never ends) never restarts, drops nothing and
-    reports ``epoch_starts`` None, so it runs as its learner alone would.  Only the
-    restarting rows are checked for stale stamps.
+    restarts its own row of ``inner``.  A fixed-horizon row (a restarting run whose first
+    epoch never ends) never restarts and reports ``epoch_starts`` None, so it runs as its
+    learner alone would.
 
     The learner takes the run's arrival plan before round 1 (``follow``), from which
     ``epoch_starts`` gives each row's restart rounds; ``play`` restarts rows at those rounds
-    and refuses to play without a plan.  A stamp below its row's epoch start is stale: a
-    lockstep delivery's stale stamps are a prefix of their row's column, which becomes padding
-    (stamp 0, a zero gradient) by list operations on the rows that hold them, on a copy of the
-    delivery."""
+    and refuses to play without a plan.  It consumes every stamp it is handed: ``simulate``
+    hands a restarting row only the stamps its epochs keep (``kept_stamps``)."""
 
     def __init__(self, make, restarts: list[bool] | None = None, inner=None):
         if restarts is not None and inner is None:
             raise ValueError("lockstep rows need their stacked first-epoch learner")
         self.make = make
         self.runs = None if restarts is None else len(restarts)
-        self._restarting = [r for r, dt in enumerate(restarts or [True]) if dt]
         self._epochs = [[1] if dt else None for dt in restarts or [True]]  # each row's starts
-        self._starts = [1] * len(self._epochs)  # each row's epoch start; a fixed row's stays 1
-        self.dropped = 0 if restarts is None else np.zeros(self.runs, dtype=np.int64)
         self.inner = self.make(2) if inner is None else inner
-        self._restarts = None  # the plan's restarts, from follow: round -> [(row, epoch, last)]
-        self._stale_until = 0  # no stale stamp arrives after this round
+        self._restarts = None  # the plan's restarts, from follow: round -> [(row, epoch)]
 
     def follow(self, schedule) -> list[int]:
         """Take the run's arrival plan (one ``DelaySchedule``, or one per row) before round 1:
         record each restarting row's ``epoch_starts`` and, by round, which rows restart, at
-        which epoch, and the last round at which a stamp from before that epoch arrives.
-        Returns the rounds at which some row restarts, ascending."""
+        which epoch.  Returns the rounds at which some row restarts, ascending."""
         schedules = [schedule] if self.runs is None else schedule
         self._restarts = {}
-        for r in self._restarting:
-            self._epochs[r] = epoch_starts(schedules[r])
-            last = np.maximum.accumulate(np.arange(len(schedules[r].delays)) +
-                                         schedules[r].delays)  # of stamps 1..k, at k - 1
-            for v, t in enumerate(self._epochs[r][1:], 2):
-                self._restarts.setdefault(t, []).append((r, v, int(last[t - 2])))
+        for r, starts in enumerate(self._epochs):
+            if starts is not None:
+                self._epochs[r] = epoch_starts(schedules[r])
+                for v, t in enumerate(self._epochs[r][1:], 2):
+                    self._restarts.setdefault(t, []).append((r, v))
         return sorted(self._restarts)
 
     def play(self, t: int, stop: int | None = None) -> np.ndarray:
         """The decision for rounds t..stop, none of which but t may be a restart round."""
         if self._restarts is None:
             raise ValueError("a restarting learner plays only after follow(schedule)")
-        for r, v, last in self._restarts.get(t, ()):
-            self._restart(t, r, v, last)
+        for r, v in self._restarts.get(t, ()):
+            self._restart(r, v)
         return self.inner.play(t, stop)
 
-    def _restart(self, t: int, r: int, v: int, last: int) -> None:
-        """Row r opens epoch v at round t; no stamp from before t arrives after round last."""
-        self._starts[r], self._stale_until = t, max(self._stale_until, last)
+    def _restart(self, r: int, v: int) -> None:
+        """Row r opens epoch v."""
         if self.runs is None:
             self.inner = self.make(2 ** v)
         else:
@@ -544,9 +545,8 @@ class _RestartingLearner:
     def walk(self, plans: list, grads: np.ndarray, decisions: np.ndarray) -> None:
         """``DelayedOGD.walk`` by epochs, over an inner ``DelayedOGD``: each row ``descend``s
         once an epoch, from the round at which ``play`` would open it, on the deliveries of
-        the epoch's rounds (the last epoch's, the flush window's too) less its stale stamps,
-        which ``dropped`` counts as ``ingest`` would.  The restarts are ``play``'s, in round
-        order, so the state after is the round loop's."""
+        the epoch's rounds (the last epoch's, the flush window's too).  The restarts are
+        ``play``'s, in round order, so the state after is the round loop's."""
         if self._restarts is None:
             raise ValueError("a restarting learner plays only after follow(schedule)")
         T, opened = len(grads), [1] * len(plans)  # the round each row's epoch opened at
@@ -554,49 +554,18 @@ class _RestartingLearner:
         def epoch(r: int, stop: int | None) -> None:  # row r's epoch, up to round stop
             stamps, at = plans[r]
             lo, hi = at.searchsorted(opened[r]), None if stop is None else at.searchsorted(stop)
-            stamps, at = stamps[lo:hi], at[lo:hi]
-            kept = stamps >= self._starts[r]
-            if not kept.all():
-                stamps, at = stamps[kept], at[kept]
-                if self.runs is None:
-                    self.dropped += len(kept) - len(stamps)
-                else:
-                    self.dropped[r] += len(kept) - len(stamps)
-            self.inner.descend(None if self.runs is None else r, stamps, at, grads, decisions,
-                               opened[r], T if stop is None else stop - 1)
+            self.inner.descend(None if self.runs is None else r, stamps[lo:hi], at[lo:hi],
+                               grads, decisions, opened[r], T if stop is None else stop - 1)
 
         for t in sorted(self._restarts):
-            for r, v, last in self._restarts[t]:
+            for r, v in self._restarts[t]:
                 epoch(r, t)
-                self._restart(t, r, v, last)
+                self._restart(r, v)
                 opened[r] = t
         for r in range(len(plans)):
             epoch(r, None)
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
-        if self.runs is None:
-            # stamps ascend, so the stale ones (queried before the epoch) are a prefix
-            stale = bisect_left(stamps, self._starts[0])
-            self.dropped += stale
-            if stale < len(stamps):
-                self.inner.ingest(t, stamps[stale:], grads[stale:])
-            return
-        # a run's column ascends above its padding, so its stale stamps are a prefix and its
-        # first stamp is its oldest
-        if t <= self._stale_until:
-            first, starts = stamps[0], self._starts
-            stale = [r for r in self._restarting if 0 < first[r] < starts[r]]
-            if stale:  # a dropped item becomes padding: stamp 0, a zero step
-                stamps, grads = [list(row) for row in stamps], grads.copy()
-                for r in stale:
-                    i = 0
-                    while i < len(stamps) and 0 < stamps[i][r] < starts[r]:
-                        stamps[i][r] = 0
-                        i += 1
-                    grads[:i, r] = 0
-                    self.dropped[r] += i
-                if not any(map(any, stamps)):  # every stamp was stale
-                    return
         self.inner.ingest(t, stamps, grads)
 
     @property
@@ -611,7 +580,7 @@ class _RestartingLearner:
 
 class DogdDoublingTrick(_RestartingLearner):
     """DelayedOGD with restarts: epoch v runs a fresh instance at corollary_lr(D, G, 2^v),
-    and the gradients queried before it are dropped on arrival (counted in ``dropped``), so
+    and ``simulate`` cuts the gradients queried before it from the plan (``kept_stamps``), so
     each instance sees exactly the feedback the epoch-local backlog statistic accounts for.
     ``restarts`` and ``inner`` make lockstep rows, as for ``_RestartingLearner``."""
 

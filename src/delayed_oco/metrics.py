@@ -44,7 +44,8 @@ class RunTrace:
     ``decisions`` has exactly T rows; the arrivals and the backlog m_t of
     each round are the schedule's (its arrival plan ``stamps``, ``rounds``
     and ``offsets``, and ``schedule.backlog()``).  ``epoch_starts`` is a
-    restarting learner's, and None for any other.  ``weights`` is a weighted
+    restarting learner's, and None for any other; ``dropped`` counts the stale
+    stamps cut from a restarting learner's plan.  ``weights`` is a weighted
     learner's (T, N) history, the weights after each round.  ``simulate``
     over R runs in lockstep returns one trace with a run axis: decisions
     (T, R, n), weights (T, R, N), loss values (T, R), a list of R schedules
@@ -62,8 +63,8 @@ class RunTrace:
     def c_log(self) -> tuple | None:
         """A one-run trace's consumption order, flush window included: the plan's delivery
         order ``schedule.stamps``, which is the order ``simulate`` hands timestamps to
-        ``ingest``.  None for a restarting learner, which drops stale feedback, so what it
-        consumes never covers all T timestamps.  A lockstep trace's ``runs()`` have theirs."""
+        ``ingest``.  None for a restarting learner, whose plan loses its stale stamps, so what
+        it consumes never covers all T timestamps.  A lockstep trace's ``runs()`` have theirs."""
         return None if self.epoch_starts is not None else tuple(self.schedule.stamps.tolist())
 
     @property

@@ -131,11 +131,11 @@ def test_epoch_feedback_set_drops_stale():
         return inner
 
     learner.make = spied
-    simulate(learner, zero_losses(3, "quadratic"), s, box)  # the round loop
+    trace = simulate(learner, zero_losses(3, "quadratic"), s, box)  # the round loop
     assert learner.epoch_starts == [1, 2]
     assert plan_sets(s)[3] == arrivals_at(s, 3) == [1, 3]
     assert seen == [k for t in (2, 3) for k in arrivals_at(s, t) if k >= 2]
-    assert learner.dropped == 1
+    assert trace.dropped == 1
 
 
 def test_epoch_feedback_set_drops_stale_on_the_walk_path():
@@ -152,10 +152,10 @@ def test_epoch_feedback_set_drops_stale_on_the_walk_path():
         return inner
 
     learner.make = spied
-    simulate(learner, zero_losses(3), s, box)
+    trace = simulate(learner, zero_losses(3), s, box)
     assert learner.epoch_starts == [1, 2]
     assert seen == [k for t in (2, 3) for k in arrivals_at(s, t) if k >= 2]
-    assert learner.dropped == 1
+    assert trace.dropped == 1
 
 
 def test_epoch_feedback_set_full_from_start():

@@ -25,7 +25,8 @@ from delayed_oco import (
 )
 from delayed_oco.delay import KINDS as DELAY_KINDS, make_schedule, permuted_schedule
 from delayed_oco.geometry import _WALK_ROWS
-from delayed_oco.learners import delayed_hedge_update, epoch_starts, expert_count, init_weights
+from delayed_oco.learners import (delayed_hedge_update, epoch_starts, expert_count,
+                                  init_weights, kept_stamps)
 from delayed_oco.losses import Linear, QuadraticTracking, stack
 from delayed_oco import harness, learners
 from delayed_oco.invariants import (arrivals_at, consumption_log_permutation, projected_ogd,
@@ -253,6 +254,15 @@ def stacked(learner, R: int):
     return DelayedOGD(learner.box, np.full((R, 1), learner.eta))
 
 
+def kept_by_definition(schedule, starts) -> list[bool]:
+    """Which stamps a run whose epochs open at ``starts`` (None: it never restarts) keeps,
+    entry k - 1 for k: stamp k iff queried no earlier than the epoch open at the round it
+    arrives at."""
+    starts = starts or (1,)
+    return [k >= starts[bisect.bisect_right(starts, schedule.arrival_round(k)) - 1]
+            for k in range(1, schedule.horizon + 1)]
+
+
 def consumption_learner(name: str, box: Box, T: int, R: int):
     """A ``name`` learner of R rows (one run when R is 1) and its arrival plans' lengths T."""
     runs = None if R == 1 else R
@@ -273,8 +283,9 @@ def consumption_learner(name: str, box: Box, T: int, R: int):
        name=st.sampled_from(["dogd", "mild", "dogd_dt", "mild_dt"]), data=st.data())
 def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
     # the trace takes c_log from the plan; a spy on ingest sees what the learner was
-    # handed, each run's column of a lockstep block less its padding; on quadratic
-    # losses every learner takes the round loop
+    # handed, each run's column of a lockstep block less its padding: a restarting run's
+    # plan less the stamps its epochs cut, which it counts; on quadratic losses every
+    # learner takes the round loop
     box = Box(1, 1.0)
     schedules = [DelaySchedule(tuple(data.draw(st.lists(st.integers(1, 12), min_size=T,
                                                         max_size=T)))) for _ in range(R)]
@@ -295,6 +306,11 @@ def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
                      schedules[0] if runs is None else schedules, box)
     expected = [None] * R if name.endswith("_dt") else [tuple(log) for log in seen]
     assert [run.c_log for run in trace.runs()] == expected
+    for run, log in zip(trace.runs(), seen):
+        keep = kept_by_definition(run.schedule, run.epoch_starts)
+        kept = [k for k in run.schedule.stamps.tolist() if keep[k - 1]]
+        assert log == kept
+        assert run.dropped == T - len(kept)
 
 
 def spy_on_descend(learner, seen: list) -> None:
@@ -332,10 +348,8 @@ def test_the_consumption_log_is_the_order_the_walk_took(T, R, name, data):
     trace = simulate(learner, zero_losses(T) if runs is None else stack([zero_losses(T)] * R),
                      schedules[0] if runs is None else schedules, box)
     for run, log in zip(trace.runs(), seen):
-        starts = run.epoch_starts or (1,)
-        s = run.schedule
-        kept = [k for k in s.stamps.tolist()
-                if k >= starts[bisect.bisect_right(starts, s.arrival_round(k)) - 1]]
+        keep = kept_by_definition(run.schedule, run.epoch_starts)
+        kept = [k for k in run.schedule.stamps.tolist() if keep[k - 1]]
         assert log == kept
         assert run.dropped == T - len(kept)
         assert run.c_log == (None if name == "dogd_dt" else tuple(log))
@@ -784,6 +798,10 @@ def test_the_plan_pass_equals_the_controller_round_by_round(case, seed):
     schedule = make_schedule(spec, T, seed)
     starts, stale = per_round_epochs(schedule)
     assert epoch_starts(schedule) == starts
+    # each delivery's stamps that kept_stamps cuts are the ones the controller finds stale
+    cut, offsets = ~kept_stamps(schedule, starts), schedule.offsets.tolist()
+    assert [int(cut[schedule.stamps[a:b] - 1].sum()) for a, b in zip(offsets, offsets[1:])] \
+        == stale
     box = Box(1, 1.0)
     trace = simulate(DogdDoublingTrick(box, 2.0, 1.0), zero_losses(T), schedule, box)
     assert (trace.epoch_starts, trace.dropped) == (tuple(starts), sum(stale))
@@ -902,42 +920,44 @@ def lockstep_as_alone(family, T, restarts, schedules):
     count, epoch starts and c_log.  A fixed-horizon row has no controller: it never
     restarts and drops nothing.  A Mild-OGD batch is also stepped by hand, as it is and
     with every row fixed-horizon, a bare run axis without an arrival plan
-    (``rows_by_hand``).  Returns the learners run alone."""
+    (``rows_by_hand``).  Returns the traces of the learners run alone."""
     box = Box(2, 1.0)
     families = [make_drift_environment(box, T, 0.2, "linear", 30 + r, 1.0)[0]
                 for r in range(len(restarts))]
     batch, alone = lockstep_learners(family, box, T, restarts, schedules)
     trace = simulate(batch, stack(families), schedules, box)
-    for run, learner, losses, schedule in zip(trace.runs(), alone, families, schedules):
-        one = simulate(learner, losses, schedule, box)
+    ones = [simulate(*run, box) for run in zip(alone, families, schedules)]
+    for run, one in zip(trace.runs(), ones):
         assert run.decisions.tobytes() == one.decisions.tobytes()
         assert (run.dropped, run.epoch_starts, run.c_log) == (one.dropped, one.epoch_starts,
                                                               one.c_log)
         if family == "mild":
             assert run.weights.tobytes() == one.weights.tobytes()
     assert batch.epoch_starts == [getattr(learner, "epoch_starts", None) for learner in alone]
-    assert batch.dropped.tolist() == [getattr(learner, "dropped", 0) for learner in alone]
+    assert trace.dropped == [one.dropped for one in ones]
     if family == "mild":
         assert len(batch.inner._store) <= store_bound(schedules)
         for flags in (restarts, [False] * len(restarts)):
             rows_by_hand(*lockstep_learners(family, box, T, flags, schedules), families,
                          schedules)
-    return alone
+    return ones
 
 
 def rows_by_hand(batch, alone, families, schedules):
     """Drive a Mild-OGD ``batch`` and its rows' learners alone round by round, the batch's
     deliveries padded below as ``simulate`` pads them, each restarting learner given its
-    arrival plan (``follow``); after every round each row must be its learner alone bitwise
-    (decision, log_w, weights, dropped count, epoch starts), and the spread store must hold
-    at most ``store_bound`` slots."""
+    arrival plan (``follow``) and handed only the stamps its epochs keep; after every round
+    each row must be its learner alone bitwise (decision, log_w, weights, epoch starts), and
+    the spread store must hold at most ``store_bound`` slots."""
     pool = getattr(batch, "inner", batch)
     R, T, n = len(alone), schedules[0].horizon, pool.box.dim
     for learner, schedule in zip([batch, *alone], [schedules, *schedules]):
         if hasattr(learner, "follow"):
             learner.follow(schedule)
-    arrivals = [{t: s.stamps[s.offsets[j]:s.offsets[j + 1]].tolist()
-                 for j, t in enumerate(s.rounds.tolist())} for s in schedules]
+    kept = [kept_by_definition(s, getattr(learner, "epoch_starts", None))
+            for s, learner in zip(schedules, alone)]
+    arrivals = [{t: [k for k in s.stamps[s.offsets[j]:s.offsets[j + 1]].tolist() if keep[k - 1]]
+                 for j, t in enumerate(s.rounds.tolist())} for s, keep in zip(schedules, kept)]
     grads = np.zeros((R, T, n))
     for t in range(1, max(max(a) for a in arrivals) + 1):
         if t <= T:
@@ -960,8 +980,6 @@ def rows_by_hand(batch, alone, families, schedules):
             one = getattr(learner, "inner", learner)
             assert pool.log_w[r].tobytes() == one.log_w.tobytes()
             assert pool.weights[r].tobytes() == one.weights.tobytes()
-            assert np.broadcast_to(getattr(batch, "dropped", 0), R)[r] == \
-                getattr(learner, "dropped", 0)
         assert getattr(batch, "epoch_starts", [None] * R) == \
             [getattr(learner, "epoch_starts", None) for learner in alone]
         assert len(pool._store) <= store_bound(schedules)
@@ -1087,9 +1105,11 @@ class ReferenceMildDT(MildOgdDoublingTrick):
 
 def mild_history(learner, losses, schedule):
     """Per round: the decision, and the weights and log-weights after the round's ingest.
-    A restarting learner takes its plan first."""
+    A restarting learner takes its plan first and is handed only the stamps its epochs
+    keep."""
     if hasattr(learner, "follow"):
         learner.follow(schedule)
+    keep = kept_by_definition(schedule, getattr(learner, "epoch_starts", None))
     grads = np.empty((schedule.horizon, getattr(learner, "inner", learner).box.dim))
     history = []
     j = 0
@@ -1097,8 +1117,10 @@ def mild_history(learner, losses, schedule):
         x = learner.play(t)
         grads[t - 1] = losses.gradient(t, x)
         if schedule.rounds[j] == t:
-            stamps = schedule.stamps[schedule.offsets[j]:schedule.offsets[j + 1]].tolist()
-            learner.ingest(t, stamps, grads[np.asarray(stamps) - 1])
+            stamps = [k for k in schedule.stamps[schedule.offsets[j]:schedule.offsets[j + 1]]
+                      .tolist() if keep[k - 1]]
+            if stamps:
+                learner.ingest(t, stamps, grads[np.asarray(stamps) - 1])
             j += 1
         log_w = getattr(learner, "inner", learner).log_w
         history.append((t, x.tobytes(), learner.weights.tobytes(), log_w.tobytes()))

@@ -9,6 +9,8 @@ feedback, and the walk path none.  On the walk path no decision may depend on a 
 delivered at its round or later.
 """
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,18 +19,35 @@ from hypothesis import strategies as st
 from delayed_oco import harness, learners
 from delayed_oco.delay import DelaySchedule, merge_plans
 from delayed_oco.geometry import Box
-from delayed_oco.losses import Linear, stack
+from delayed_oco.losses import Linear, QuadraticTracking, stack
+
+
+def run_starts(learner, runs: int | None) -> list:
+    """Per run, the epoch starts of a restarting one, or None."""
+    starts = getattr(learner, "epoch_starts", None)
+    return [None] * (runs or 1) if starts is None else [starts] if runs is None else starts
+
+
+def kept_by_definition(schedule, starts):
+    """None for a run that does not restart (``starts`` None), or which stamps its epochs
+    keep: stamp k iff queried no earlier than the epoch open at the round it arrives at."""
+    return None if starts is None else np.array(
+        [k >= starts[bisect.bisect_right(starts, schedule.arrival_round(k)) - 1]
+         for k in range(1, schedule.horizon + 1)])
 
 
 def reference_simulate(learner, losses, schedule, box):
     """The per-round loop: play round t, query its gradient at the played point and, when
     the plan delivers feedback at t, ingest it; record the weights after every round, and
     deliver the plan's rounds past the horizon at the end.  Returns the decisions and the
-    weight history, or None.  A restarting learner takes its plan first."""
+    weight history, or None.  A restarting learner takes its plan first, cut to the stamps
+    its epochs keep (``kept_by_definition``)."""
     if hasattr(learner, "follow"):
         learner.follow(schedule)
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
-    rounds, offsets, stamps, slots = merge_plans([schedule] if runs is None else schedule)
+    schedules = [schedule] if runs is None else schedule
+    rounds, offsets, stamps, slots = merge_plans(schedules, [
+        kept_by_definition(*run) for run in zip(schedules, run_starts(learner, runs))])
     rounds, offsets, T = rounds.tolist(), offsets.tolist(), len(slots)
     lead = () if runs is None else (runs,)
     grads = np.zeros((len(stamps), *lead, box.dim))
@@ -72,13 +91,11 @@ def recorded(learner) -> list:
 
 def state(learner) -> tuple:
     """What a learner keeps between rounds: iterates, rates and weights as bytes, and a
-    restarting learner's epochs, epoch starts, dropped counts and stale horizon."""
+    restarting learner's epoch starts."""
     inner = getattr(learner, "inner", learner)
     pool = getattr(inner, "pool", inner)
     return (pool.y.tobytes(), pool.eta.tobytes(), getattr(inner, "log_w", pool.y).tobytes(),
-            np.asarray(getattr(learner, "dropped", 0)).tolist(),
-            getattr(learner, "epoch_starts", None), getattr(learner, "_starts", None),
-            getattr(learner, "_stale_until", None))
+            getattr(learner, "epoch_starts", None))
 
 
 _DELAYS = {
@@ -144,14 +161,16 @@ def test_simulate_matches_the_per_round_loop_bitwise(cfgs):
                for row in ([[k] for k in stamps] if len(cfgs) == 1 else stamps) if row[r]]
         assert run.c_log == (None if cfg["learner"]["name"].endswith("_dt") else tuple(got))
     starts = getattr(reference, "epoch_starts", None)
-    dropped = getattr(reference, "dropped", 0)
+    runs = None if len(cfgs) == 1 else len(cfgs)
+    dropped = [0 if keep is None else int((~keep).sum())
+               for keep in map(kept_by_definition, schedules, run_starts(reference, runs))]
     if len(cfgs) == 1:
         assert (trace.epoch_starts, trace.dropped) == \
-            (None if starts is None else tuple(starts), dropped)
+            (None if starts is None else tuple(starts), dropped[0])
     else:
         assert trace.epoch_starts == (None if starts is None else
                                       [None if s is None else tuple(s) for s in starts])
-        assert trace.dropped == np.broadcast_to(dropped, len(cfgs)).tolist()
+        assert trace.dropped == dropped
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,3 +246,30 @@ def test_a_restart_between_deliveries_resets_the_decision(names):
     for t in restarts:
         assert not run.decisions[t - 1].any()  # a fresh learner plays the origin
     assert run.decisions[20].any() and run.decisions[77].any()
+
+
+class InfAtRoundOne(QuadraticTracking):
+    """Quadratic losses whose gradient at round 1 is inf in the last run's row."""
+
+    def gradient(self, t, x):
+        g = super().gradient(t, x)
+        if t == 1:
+            g[-1] = np.inf
+        return g
+
+
+@pytest.mark.parametrize("names", [["dogd_dt"], ["mild_dt"], ["dogd", "dogd_dt"],
+                                   ["mild", "mild_dt"]], ids="+".join)
+def test_the_finite_check_reads_the_gradient_of_a_cut_stamp(names):
+    # delays (3, 1, 1) open epoch 2 at round 2, so stamp 1, which arrives at round 3, is cut
+    # from the doubling row's plan; its gradient still counts.  A lockstep batch's fixed row
+    # keeps its stamp 1, whose gradient is finite.
+    box, s = Box(1, 1.0), DelaySchedule((3, 1, 1))
+    cfgs = [harness.normalize_config({"T": 3, "learner": {"name": n}}) for n in names]
+    learner = harness._build_learner(cfgs, box, [s.sum_backlog] * len(cfgs))[0]
+    losses = QuadraticTracking(np.zeros((3, 1)), 1.0)
+    if len(cfgs) > 1:
+        losses = stack([losses] * len(cfgs))
+    with pytest.raises(ValueError, match="non-finite"):
+        harness.simulate(learner, InfAtRoundOne(losses.targets, losses.scale),
+                         s if len(cfgs) == 1 else [s] * len(cfgs), box)
