@@ -20,7 +20,7 @@ and, for each ``delayed-oco run`` call of ``cli_set()``, its exit code, its
 standard output and every file it writes.  The script prints, per output,
 how many runs (and reports, sweeps, repetitions, calls) are byte-identical,
 names the first that differ, and exits 1 on any difference.  The set is 867 runs,
-24 reports, 21 sweeps, 8 CLI calls and 274 repetitions.
+24 reports, 23 sweeps, 8 CLI calls and 402 repetitions.
 
     python3 scripts/compare_outputs.py --write-golden SRC
 
@@ -210,7 +210,10 @@ def lockstep_mild_set():
     2 repetitions over constant delays d in {1, 20, 340} (the last past T), blocks d in
     {16, 64} (bursts, padded where a row's runs deliver apart, with doubling restarts
     inside a burst's window) and permuted delays (the largest near T), and as ``run_many``
-    at 4 repetitions (grid None) on blocks of 64 and constant delays of 340."""
+    at 4 repetitions (grid None) on blocks of 64 and constant delays of 340; and batches of
+    32 runs, whose doubling rows restart at different rounds: ``mild`` and ``mild_dt`` at
+    T = 2000, n = 5 on quadratic drift with permuted and uniform delays, as ``run_many`` at
+    32 repetitions and as a sweep over both at 32 repetitions."""
     base = {"T": T, "n": 3, "D": 2.0, "G": 1.0, "seed": 9, "repetitions": 2,
             "learner": {"name": "mild"}}
     drift = {"kind": "drift", "step": 0.02}
@@ -226,6 +229,15 @@ def lockstep_mild_set():
         yield (f"lockstep/many/{learner}/{spec['kind']}",
                {**base, "repetitions": 4, "learner": {"name": learner}, "delay": spec,
                 "environment": {**drift, "loss": "linear"}}, None)
+    wide = {**base, "T": 2000, "n": 5, "repetitions": 32, "environment": {**drift,
+                                                                        "loss": "quadratic"}}
+    for kind in ("permuted", "uniform"):
+        spec = {"kind": kind, **DELAYS[kind]}
+        for learner in ("mild", "mild_dt"):
+            yield (f"lockstep/r32/many/{learner}/{kind}",
+                   {**wide, "learner": {"name": learner}, "delay": spec}, None)
+        yield f"lockstep/r32/sweep/{kind}", {**wide, "delay": spec}, {"learner": ["mild",
+                                                                                 "mild_dt"]}
 
 
 def stale_set():

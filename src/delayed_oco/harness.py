@@ -342,12 +342,13 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     a stretch ends at each round with feedback before T, at the round before each restart,
     and at T.  Every learner plays a stretch with one ``play(t, stop)``, whose decision
     fills the stretch's rows (and the weights before its feedback) by slice.  A restarting
-    learner gets the plan before round 1 (``follow(schedule)``), which returns its restart
-    rounds; its restart at t reads only feedback delivered before t.  Each restarting row's
-    plan is then cut once to the stamps its epochs keep (``learners.kept_stamps``), and
-    ``RunTrace.dropped`` counts the rest.  Each round of a stretch queries its gradient
-    ``losses.gradient(t, x)`` at the played point, exactly once, in round order; then, if
-    the plan delivers feedback at the stretch's last round, the learner gets
+    learner, or a ``MildOGD`` with a run axis, gets the plan before round 1
+    (``follow(schedule)``), which returns its restart rounds; a restart at t reads only
+    feedback delivered before t.  Each restarting row's plan is then cut once to the stamps
+    its epochs keep (``learners.kept_stamps``, which ``follow`` records as the learner's
+    ``kept``), and ``RunTrace.dropped`` counts the rest.  Each round of a stretch queries
+    its gradient ``losses.gradient(t, x)`` at the played point, exactly once, in round
+    order; then, if the plan delivers feedback at the stretch's last round, the learner gets
     ``ingest(t, stamps, grads)``.  ``schedule`` is one ``DelaySchedule``, or a list of R
     for a learner with a run axis and losses laid out by ``losses.stack``: the runs then
     step together, each on its own plan, merged (checked and cut) once by
@@ -379,8 +380,7 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     starts = getattr(learner, "epoch_starts", None)  # None, or per run its epoch starts or None
     if starts is not None:
         starts = [None if s is None else tuple(s) for s in ([starts] if runs is None else starts)]
-    kept = [None if s is None else learn_mod.kept_stamps(plan, s)
-            for plan, s in zip(schedules, starts or [None] * len(schedules))]
+    kept = getattr(learner, "kept", [None] * len(schedules))  # per run None or its kept stamps
     inner = getattr(learner, "inner", learner)
     if isinstance(losses, Linear) and isinstance(inner, learn_mod.DelayedOGD) and \
             inner.y.ndim == (1 if runs is None else 2):  # one iterate per run

@@ -11,12 +11,14 @@ All learners share one protocol so the harness can drive them identically:
                                   ``stamps[i]``, and ``stamps`` is ascending
 
 ``simulate`` plays each stretch of rounds without feedback with one
-``play(t, stop)``.  A restarting learner also takes ``follow(schedule)``, the
-run's arrival plan, before round 1: it returns the restart rounds, each of
-which opens a stretch.  Its restart at round t reads only feedback delivered
-before t (``epoch_starts``), so it is one an online learner could take.  Like
-every learner it consumes every stamp it is handed: ``simulate`` cuts the stale
-ones, queried before the epoch they arrive in, from its plan (``kept_stamps``).
+``play(t, stop)``.  A restarting learner, and a ``MildOGD`` with a run axis,
+also takes ``follow(schedule)``, the run's arrival plan (one per run), before
+round 1, and returns the restart rounds (none for ``MildOGD``), each of which
+opens a stretch.  A restart at round t reads only feedback delivered before t
+(``epoch_starts``), so it is one an online learner could take.  Like every
+learner a restarting one consumes every stamp it is handed: ``simulate`` cuts
+the stale ones, queried before the epoch they arrive in, from its plan
+(``kept_stamps``, which ``follow`` records as ``kept``).
 
 On linear losses, whose gradients do not depend on the decisions, ``simulate``
 drives a ``DelayedOGD``, or a restarting learner over one, through
@@ -243,19 +245,21 @@ class MildOGD:
     ``set_row``, and each assigns ``log_w``, which drops the cached mix, so
     ``play`` mixes again only after feedback or a restart.  Each distinct mix is
     kept once, as the meta decision x and the spreads xs - x, and a played round
-    points to the spreads it played until its feedback arrives, so memory is
-    bounded by the maximum backlog; ``play(t, stop)`` points rounds t..stop to
-    them at once.  A round delivered twice, or never played, fails the guard
-    "feedback for round k without a recorded play".
+    points to the spreads it played until its feedback arrives; ``play(t,
+    stop)`` points rounds t..stop to them at once.
 
-    One run keeps its rounds' spreads in a dict.  A run axis keeps each mix's
-    (R, N, n) spreads in a slot of one store, with a last slot of zeros that a
-    padded timestamp reads, so a delivery gathers its spreads by one ``take``;
-    a dict names each round's slot and the runs that await its feedback, and a
-    slot is free again once no round awaits feedback from it (the cached mix
-    holds its slot too).  The store doubles when no slot is free, up to one
-    slot more than the rounds awaiting feedback, so it never holds more than
-    min(T, the largest delay) + 1 slots, with or without an arrival plan.
+    One run keeps its rounds' spreads in a dict, popped on delivery, so memory
+    is bounded by the maximum backlog; a round delivered twice, or never played,
+    fails the guard "feedback for round k without a recorded play".  A run axis
+    takes its runs' arrival plans first (``follow``) and keeps mix m's (R, N, n)
+    spreads in slot m % M of one store, with a last slot of zeros that a padded
+    timestamp reads, so a delivery gathers its spreads by one ``take``.  M is the
+    most rounds a kept stamp waits from its play to its arrival or to T, at most
+    min(T, the largest kept delay); as ``simulate`` mixes at most once a round,
+    mix m's feedback has all arrived when mix m + M is made.  The store doubles
+    up to M slots as mixes are made, then wraps.  A ring of M (round, slot) tags
+    names the slot each round played; a tag of another round fails the same
+    guard.  The plan check (``delay.checked_plan``) refuses a stamp delivered twice.
 
     One run's delivery of one timestamp pops its one spread, forms its one
     surrogate product and steps the pool; a run axis's delivery of one row
@@ -279,15 +283,25 @@ class MildOGD:
         self.alpha = alphas[:, None] * np.ones_like(rates) if alphas.ndim else alphas
         self.expert_rates = rates
         self.pool = DelayedOGD(box, rates[..., None])  # which checks the rates
-        self._mix = None  # or the meta decision x and its spreads (a run axis: their slot)
         self.log_w = np.log(init_weights(rates.shape[-1])) + np.zeros(rates.shape)
         if self.runs is None:
             self._spreads = {}  # round -> the spreads it played
             return
         self._store = np.zeros((2, self.runs) + self.pool.y.shape[-2:])  # one slot and the zeros
         self._flat = self._store.reshape((-1,) + self._store.shape[-2:])  # slot * R + run
-        self._users, self._free = [0], [0]  # per slot, the rounds (and the cache) holding it
-        self._awaits = {}  # round -> [its slot, a bit per run that awaits its feedback]
+        self._mixes, self._tags = 0, None  # mixes made; from follow, (round, slot) by round % M
+
+    def follow(self, schedules, kept: list | None = None) -> list[int]:
+        """Take the runs' arrival plans (one ``DelaySchedule`` per run) before round 1, each
+        cut to the stamps ``kept[r]`` keeps (None: all of them, ``kept_stamps``): they set
+        the ring's length M, the most rounds any kept stamp waits from its play to its
+        arrival or to T.  One run needs no plan.  No run restarts, so it returns []."""
+        if self.runs is not None:
+            left = np.arange(schedules[0].horizon, 0, -1)  # stamp k's rounds from its play to T
+            waits = [np.minimum(s.delays, left)[... if keep is None else keep]
+                     for s, keep in zip(schedules, kept or [None] * len(schedules))]
+            self._tags = [(0, 0)] * int(max(w.max() for w in waits))
+        return []
 
     @property
     def log_w(self) -> np.ndarray:
@@ -300,38 +314,7 @@ class MildOGD:
         # re-normalizing here makes the weight-sum invariant a real check of it
         self._log_w = value
         self.weights = np.exp(value)
-        if self._mix is not None and self.runs is not None:  # its slot loses the cache's hold
-            self._let_go(self._mix[1])
-        self._mix = None
-
-    def _let_go(self, slot: int) -> None:
-        self._users[slot] -= 1
-        if not self._users[slot]:
-            self._free.append(slot)
-
-    def _release(self, k: int, bit: int) -> int:
-        """The run of ``bit`` awaits round k's feedback no more; returns the round's slot."""
-        entry = self._awaits.get(k)
-        if entry is None or not entry[1] & bit:
-            raise _unplayed(k)
-        entry[1] ^= bit
-        if not entry[1]:  # a slot freed here is not written before a delivery's take
-            del self._awaits[k]
-            self._let_go(entry[0])
-        return entry[0]
-
-    def _take_slot(self) -> int:
-        """A free slot of the store, which doubles if none is, up to one slot more than the
-        rounds awaiting feedback, each of which holds one."""
-        if not self._free:
-            have, store = len(self._users), self._store
-            more = min(2 * have, len(self._awaits) + 1)
-            self._store = np.zeros((more + 1,) + store.shape[1:])
-            self._store[:have] = store[:have]
-            self._flat = self._store.reshape((-1,) + store.shape[-2:])
-            self._users += [0] * (more - have)
-            self._free += range(more - 1, have - 1, -1)
-        return self._free.pop()
+        self._mix = None  # or the meta decision x and its spreads (a run axis: their slot)
 
     def play(self, t: int, stop: int | None = None) -> np.ndarray:
         if self.runs is not None:
@@ -348,20 +331,23 @@ class MildOGD:
         return self._mix[0].copy()
 
     def _play_runs(self, t: int, stop: int) -> np.ndarray:
+        tags = self._tags
+        if tags is None:
+            raise ValueError("a lockstep MildOGD plays only after follow(schedules)")
         if self._mix is None:
-            slot = self._take_slot()
+            slot, store = self._mixes % len(tags), self._store
+            if slot == len(store) - 1:  # the store doubles up to M slots, then wraps
+                self._store = np.zeros((min(2 * slot, len(tags)) + 1,) + store.shape[1:])
+                self._store[:slot] = store[:slot]
+                self._flat = self._store.reshape((-1,) + store.shape[-2:])
+            self._mixes += 1
             xs, w, box = self.pool.y, self.weights, self.box
             x = clamp(w[:, None, :] @ xs, box.lo, box.hi)
             np.subtract(xs, x, out=self._store[slot])
-            self._users[slot] = 1  # the cache's hold
             self._mix = (x[:, 0], slot)
-        slot, awaits, every = self._mix[1], self._awaits, (1 << self.runs) - 1
-        self._users[slot] += stop + 1 - t
+        slot, ring = self._mix[1], len(tags)
         for k in range(t, stop + 1):
-            replayed = awaits.get(k)  # a round played again awaits its last play's feedback
-            awaits[k] = [slot, every]
-            if replayed:
-                self._let_go(replayed[0])
+            tags[k % ring] = (k, slot)
         return self._mix[0].copy()
 
     def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
@@ -387,11 +373,14 @@ class MildOGD:
     def _ingest_runs(self, t: int, stamps, grads: np.ndarray) -> None:
         if not len(stamps):
             return
-        R, release, rows = self.runs, self._release, []
-        zeros = len(self._users) * R  # a padded timestamp 0 reads the last slot, of zeros
+        R, tags, rows = self.runs, self._tags, []
+        ring, zeros = len(tags), (0, len(self._store) - 1)  # timestamp 0 reads the zeros' slot
         for row in stamps:
             for r, k in enumerate(row):
-                rows.append(release(k, 1 << r) * R + r if k else zeros + r)
+                played, slot = tags[k % ring] if k else zeros
+                if played != k:
+                    raise _unplayed(k)
+                rows.append(slot * R + r)
         spreads = self._flat.take(rows, axis=0)
         if len(grads) == 1:  # a stacked (R, N, n) @ (R, n, 1) product, which np.dot has no form of
             loss_sums = (spreads @ grads[0][..., None])[..., 0]
@@ -408,14 +397,12 @@ class MildOGD:
         self.pool.ingest(t, stamps, grads[:, :, None, :])
 
     def set_row(self, r: int, other: "MildOGD") -> None:
-        """Run r becomes the one-run learner ``other``; it awaits no feedback."""
+        """Run r becomes the one-run learner ``other``; no stamp it played before arrives
+        (``kept_stamps``)."""
         self.pool.set_row(r, other.pool)
         self.alpha[r], self.expert_rates[r], self.log_w[r] = \
             other.alpha, other.expert_rates, other.log_w
         self.log_w = self.log_w  # the weights follow, and the mix is dropped
-        bit = 1 << r
-        for k in [k for k, (_, waiting) in self._awaits.items() if waiting & bit]:
-            self._release(k, bit)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +503,10 @@ class _RestartingLearner:
 
     def follow(self, schedule) -> list[int]:
         """Take the run's arrival plan (one ``DelaySchedule``, or one per row) before round 1:
-        record each restarting row's ``epoch_starts`` and, by round, which rows restart, at
-        which epoch.  Returns the rounds at which some row restarts, ascending."""
+        record each restarting row's ``epoch_starts``, the stamps it keeps (``kept``, per row
+        None or ``kept_stamps``) and, by round, which rows restart, at which epoch; a lockstep
+        inner learner that follows plans takes the rows' plans and ``kept``.  Returns the
+        rounds at which some row restarts, ascending."""
         schedules = [schedule] if self.runs is None else schedule
         self._restarts = {}
         for r, starts in enumerate(self._epochs):
@@ -525,6 +514,10 @@ class _RestartingLearner:
                 self._epochs[r] = epoch_starts(schedules[r])
                 for v, t in enumerate(self._epochs[r][1:], 2):
                     self._restarts.setdefault(t, []).append((r, v))
+        self.kept = [None if s is None else kept_stamps(plan, s)
+                     for plan, s in zip(schedules, self._epochs)]
+        if self.runs is not None and hasattr(self.inner, "follow"):
+            self.inner.follow(schedules, self.kept)
         return sorted(self._restarts)
 
     def play(self, t: int, stop: int | None = None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from delayed_oco import DelayedOGD, DogdDoublingTrick, simulate
 from delayed_oco.delay import (
     DelaySchedule,
     block_schedule,
+    checked_plan,
     constant_schedule,
     in_order_random_schedule,
     make_schedule,
@@ -279,6 +281,28 @@ def test_simulate_refuses_a_tampered_plan(stamps):
     object.__setattr__(s, "stamps", np.array(stamps))  # the plan's arrays are read-only
     with pytest.raises(ValueError, match="arrival plan must deliver"):
         simulate(DelayedOGD(box, 0.1), zero_losses(3), s, box)
+
+
+def stub_plan(stamps, rounds, offsets, horizon=3):
+    """An object with a schedule's plan fields, which ``checked_plan`` reads alone."""
+    return SimpleNamespace(stamps=np.array(stamps), rounds=np.array(rounds),
+                           offsets=np.array(offsets), horizon=horizon)
+
+
+@pytest.mark.parametrize("plan,T", [
+    (stub_plan([1, 2, 2, 3], [2, 3], [0, 2, 4]), 3),  # stamp 2 at rounds 2 and 3
+    (stub_plan([3, 1, 2], [2, 3], [0, 1, 3]), 3),  # stamp 3 at round 2
+    (stub_plan([2, 3, 1], [2, 3], [0, 1, 3]), 3),  # round 3 gets [3, 1]
+    (stub_plan([2, 1, 3], [2, 3], [0, 1, 3]), 4)],  # a plan of 3 rounds for T = 4
+    ids=["delivered-twice", "before-its-round", "descending", "wrong-horizon"])
+def test_checked_plan_refuses_a_malformed_plan(plan, T):
+    # the check a lockstep run's plans pass once is what refuses a stamp delivered twice:
+    # no learner tracks which runs still await a round's feedback
+    stamps, rounds, counts, at, pos = checked_plan(stub_plan([2, 1, 3], [2, 3], [0, 1, 3]), 3)
+    assert [stamps.tolist(), rounds.tolist(), counts.tolist(), at.tolist(), pos.tolist()] == \
+        [[2, 1, 3], [2, 3], [1, 2], [2, 3, 3], [0, 0, 1]]
+    with pytest.raises(ValueError, match="arrival plan must deliver each timestamp exactly once"):
+        checked_plan(plan, T)
 
 
 def test_schedule_fields_are_read_only_int64_arrays():

@@ -487,6 +487,7 @@ def test_play_mixes_again_after_log_w_feedback_or_a_restart():
     assert not np.array_equal(fed, shifted)
     assert fed.tobytes() == box.project(mild.weights @ mild.pool.y).tobytes()
     runs = MildOGD(box, np.tile([0.1, 0.4, 1.6], (2, 1)), np.ones(2))
+    runs.follow([constant_schedule(3, 1)] * 2)
     runs.play(1)
     runs.ingest(1, [[1, 1]], np.array([[[1.0, -0.5], [0.2, 0.3]]]))
     played = runs.play(2)
@@ -644,6 +645,7 @@ def test_lockstep_pool_steps_each_run_as_alone_and_keeps_unfed_weights_bitwise(N
     rates = np.array([0.1, 0.2])[:, None] * np.exp2(np.arange(N) / 3)
     alphas = np.array([0.7, 1.3])
     pool = MildOGD(box, rates, alphas)
+    pool.follow([constant_schedule(400, 1)] * 2)
     alone = [MildOGD(box, rates[r], alphas[r]) for r in range(2)]
     for t in range(1, 400):
         xs, x_alone = pool.play(t), [a.play(t) for a in alone]
@@ -670,6 +672,7 @@ def test_a_round_played_again_reads_its_last_play():
     box, rng = Box(2, 1.0), np.random.default_rng(5)
     rates, alphas = np.array([[0.1, 0.4, 1.6], [0.2, 0.5, 3.0]]), np.array([0.7, 1.3])
     pool = MildOGD(box, rates, alphas)
+    pool.follow([constant_schedule(60, 1)] * 2)
     alone = [MildOGD(box, rates[r], alphas[r]) for r in range(2)]
     for t in range(1, 60):
         for k in (t + 1, t):
@@ -685,7 +688,9 @@ def test_a_round_played_again_reads_its_last_play():
 
 def test_mild_refuses_feedback_for_a_round_it_never_played():
     # the one guard serves every delivery: one run's single arrival (its weights untouched),
-    # one run's burst, and a lockstep row whose run 1 was never played at round 2
+    # one run's burst, a lockstep row whose run 1 was never played at round 2, and a lockstep
+    # stamp older than the ring, whose slot a later mix has taken (its weights untouched);
+    # a run axis plays only once it has its runs' plans, which size the ring
     box = Box(2, 1.0)
     pool = MildOGD(box, [0.1, 0.4, 1.6], 0.7)
     pool.play(1)
@@ -696,9 +701,18 @@ def test_mild_refuses_feedback_for_a_round_it_never_played():
     with pytest.raises(AssertionError, match="feedback for round 3 without a recorded play"):
         pool.ingest(1, *feedback([1, 3], [0.5, -0.5], [1.0, 0.0]))
     lockstep = MildOGD(box, [[0.1, 0.4, 1.6], [0.2, 0.5, 3.0]], [0.7, 1.3])
+    with pytest.raises(ValueError, match=r"follow\(schedules\)"):
+        lockstep.play(1)
+    lockstep.follow([constant_schedule(3, 1)] * 2)  # unit delays: a ring of one mix
     lockstep.play(1)
     with pytest.raises(AssertionError, match="feedback for round 2 without a recorded play"):
         lockstep.ingest(1, [[1, 2]], np.ones((1, 2, 2)))
+    lockstep.ingest(1, [[1, 0]], np.ones((1, 2, 2)))  # run 1's feedback for round 1 waits
+    lockstep.play(2)  # a new mix, in the one slot
+    before = lockstep.log_w.tobytes()
+    with pytest.raises(AssertionError, match="feedback for round 1 without a recorded play"):
+        lockstep.ingest(2, [[2, 1]], np.ones((1, 2, 2)))
+    assert lockstep.log_w.tobytes() == before
 
 
 # --- doubling trick -----------------------------------------------------------
@@ -919,7 +933,7 @@ def lockstep_as_alone(family, T, restarts, schedules):
     and assert each row bitwise what its learner gives alone: decisions, weights, dropped
     count, epoch starts and c_log.  A fixed-horizon row has no controller: it never
     restarts and drops nothing.  A Mild-OGD batch is also stepped by hand, as it is and
-    with every row fixed-horizon, a bare run axis without an arrival plan
+    with every row fixed-horizon, a bare run axis given its rows' arrival plans
     (``rows_by_hand``).  Returns the traces of the learners run alone."""
     box = Box(2, 1.0)
     families = [make_drift_environment(box, T, 0.2, "linear", 30 + r, 1.0)[0]
@@ -945,10 +959,10 @@ def lockstep_as_alone(family, T, restarts, schedules):
 
 def rows_by_hand(batch, alone, families, schedules):
     """Drive a Mild-OGD ``batch`` and its rows' learners alone round by round, the batch's
-    deliveries padded below as ``simulate`` pads them, each restarting learner given its
-    arrival plan (``follow``) and handed only the stamps its epochs keep; after every round
-    each row must be its learner alone bitwise (decision, log_w, weights, epoch starts), and
-    the spread store must hold at most ``store_bound`` slots."""
+    deliveries padded below as ``simulate`` pads them, the batch and each restarting learner
+    given their arrival plans (``follow``) and handed only the stamps the epochs keep; after
+    every round each row must be its learner alone bitwise (decision, log_w, weights, epoch
+    starts), and the spread store must hold at most ``store_bound`` slots."""
     pool = getattr(batch, "inner", batch)
     R, T, n = len(alone), schedules[0].horizon, pool.box.dim
     for learner, schedule in zip([batch, *alone], [schedules, *schedules]):
@@ -1006,6 +1020,32 @@ def test_a_fixed_row_and_a_doubling_row_step_together_each_as_alone(family):
                                           block_schedule(120, 64)]))
 def test_fixed_and_doubling_rows_step_together_each_as_alone_on_any_delays(family, case):
     lockstep_as_alone(family, *case)
+
+
+def test_a_wide_mild_dt_batch_doubles_its_store_up_to_the_largest_kept_delay():
+    # 32 doubling rows on permuted delays restart at different rounds, so some row gets
+    # feedback nearly every round; the store still only doubles as mixes are made, up to
+    # the ring's length M = min(T, the largest delay a row keeps), which the stamps cut
+    # from the restarting rows' plans make shorter than the largest delay
+    T, R, box = 1000, 32, Box(2, 1.0)
+    schedules = [permuted_schedule(T, seed) for seed in range(R)]
+    batch = consumption_learner("mild_dt", box, T, R)
+    sizes, play = [], batch.inner.play
+
+    def spied(t, stop=None):
+        x = play(t, stop)
+        sizes.append(len(batch.inner._store))
+        return x
+
+    batch.inner.play = spied
+    families = [make_drift_environment(box, T, 0.1, "quadratic", r, 1.0)[0] for r in range(R)]
+    simulate(batch, stack(families), schedules, box)
+    longest = max(d for s, starts in zip(schedules, batch.epoch_starts)
+                  for d, keep in zip(s.delays.tolist(), kept_by_definition(s, starts)) if keep)
+    M = min(T, longest)
+    assert M < min(T, max(s.max_delay for s in schedules))
+    assert len(set(sizes)) - 1 <= math.ceil(math.log2(M)) + 1  # sizes only grow
+    assert max(sizes) <= M + 1
 
 
 def test_lockstep_restarting_rows_need_their_stacked_first_epoch_learner():
