@@ -2,11 +2,11 @@
 
 The package provides the full pipeline: box-constrained geometry, bounded
 convex loss families (one array-backed family per kind, covering all
-rounds), delay schedules with their arrival/backlog structure, four online
-learners (delayed projected gradient descent, an
-expert-aggregation pool over surrogate losses, and restart-based versions of
-both), comparator/drift/adversarial environments, and regret
-metrics with worst-case bound evaluators.
+rounds), delay schedules with their arrival/backlog structure, two online
+learners (delayed projected gradient descent and an
+expert-aggregation pool over surrogate losses), which ``simulate`` also runs
+restart-based (the doubling trick), comparator/drift/adversarial environments,
+and regret metrics with worst-case bound evaluators.
 
 The names below are the ones the demos and the README use; everything else
 is imported from its submodule (``delayed_oco.harness``, ``delayed_oco.metrics``,
@@ -17,9 +17,7 @@ from .geometry import Box
 from .delay import DelaySchedule, block_schedule, constant_schedule, uniform_schedule
 from .learners import (
     DelayedOGD,
-    DogdDoublingTrick,
     MildOGD,
-    MildOgdDoublingTrick,
     corollary_lr,
     hedge_alpha,
     mild_lr_grid,

@@ -302,56 +302,64 @@ def _pool(cfg: dict) -> tuple[str, int]:
 
 def _build_learner(cfgs: list[dict], box: Box, sums: list[int]):
     """The learner for runs of ``cfgs``, one ``_pool`` and T, whose backlog sums are ``sums``;
-    returns (learner, resolved params per run).  A row's rates are the paper rates at its
-    first-epoch budget (sums[r], or 2 if it restarts), less the configured ones.  More runs
-    than one stack their rates on a run axis, in one learner of their family, which a
-    ``_RestartingLearner`` wraps when some row restarts (epoch v at the budget 2^v)."""
+    returns (learner, make, resolved params per run).  A row's rates are the paper rates at
+    its first-epoch budget (sums[r], or 2 if it restarts), less the configured ones.  More
+    runs than one stack their rates on a run axis, in one learner of their family.  ``make``
+    is ``simulate``'s: per row None, or for a restarting row the family's ``tuned`` learner
+    at the paper rates for a budget beta, which epoch v takes at beta = 2^v; one value for
+    one run, a list for more."""
     D, G, T = cfgs[0]["D"], cfgs[0]["G"], cfgs[0]["T"]
     specs = [cfg["learner"] for cfg in cfgs]
     kinds = [learn_mod.KINDS[spec["name"]] for spec in specs]
-    family, restarts = learn_mod.FAMILIES[kinds[0].family], [k.restarts for k in kinds]
+    family = learn_mod.FAMILIES[kinds[0].family]
     try:  # the learners refuse the rates the paper formulas give near the float limits
         rows = [family.paper(D, G, 2 if k.restarts else s, T, **_configured(spec))
                 for k, s, spec in zip(kinds, sums, specs)]
-        inner = family.build(box, **({rate: np.array([row[rate] for row in rows]) for rate in
-                                      rows[0]} if len(rows) > 1 else rows[0]))
+        learner = family.build(box, **({rate: np.array([row[rate] for row in rows]) for rate
+                                        in rows[0]} if len(rows) > 1 else rows[0]))
         resolved = [{} if k.restarts else {
             **{rate: np.asarray(v).tolist() for rate, v in row.items()},
             **({"eta_source": spec.get("eta", "paper")} if "eta" in row else {})}
             for k, row, spec in zip(kinds, rows, specs)]
-        if not any(restarts):
-            return inner, resolved
-        learner = learn_mod._RestartingLearner(family.tuned(box, D, G, T),
-                                               restarts if len(rows) > 1 else None, inner)
+        tuned = family.tuned(box, D, G, T)
+        makes = [tuned if k.restarts else None for k in kinds]
         # an epoch v opens only once its budget 2^(v-1) is below sum_m and the rates fall
         # with v, so the last is the other end of a doubling row's rates
-        for s, dt in zip(sums, restarts):
-            if dt:
-                learner.make(2 ** s.bit_length())
-        return learner, resolved
+        for s, make in zip(sums, makes):
+            if make is not None:
+                make(2 ** s.bit_length())
+        return learner, makes[0] if len(rows) == 1 else makes, resolved
     except (ValueError, ArithmeticError) as exc:
         names = sorted({spec["name"] for spec in specs})
         raise ConfigError(f"the {'/'.join(names)} rates for D = {D!r}, G = {G!r}: {exc}") \
             from None
 
 
-def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) -> RunTrace:
+def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box,
+             make=None) -> RunTrace:
     """Drive a learner through the delayed-feedback protocol.
+
+    ``schedule`` is one ``DelaySchedule``, or a list of R for a learner with a run axis and
+    losses laid out by ``losses.stack``: the runs then step together, each on its own plan.
+    ``make`` is, per run, None (the run never restarts) or ``make(beta)``, the one-run
+    learner at budget beta (``learners.Family.tuned``): one value for one run, a list of R,
+    or None for none.  The learner holds each run's first epoch.  A restarting run's epochs
+    come from its plan alone (``learners.epoch_starts``), so its restart at round t reads
+    only feedback delivered before t, and epoch v >= 2 opens with ``learner.set_row(r,
+    make(2**v))``, r None for one run, so the learner ends in the run's last epoch.  The
+    plan is cut once to the stamps its epochs keep (``learners.kept_stamps``): a stamp
+    played before a restart and delivered after it is stale, and ``RunTrace.dropped`` counts
+    it.  A learner with ``follow`` (a run-axis ``MildOGD``) takes the plans and the kept
+    stamps before round 1.
 
     The round loop walks the arrival plan one stretch of rounds without feedback at a time:
     a stretch ends at each round with feedback before T, at the round before each restart,
-    and at T.  Every learner plays a stretch with one ``play(t, stop)``, whose decision
-    fills the stretch's rows (and the weights before its feedback) by slice.  A restarting
-    learner, or a ``MildOGD`` with a run axis, gets the plan before round 1
-    (``follow(schedule)``), which returns its restart rounds; a restart at t reads only
-    feedback delivered before t.  Each restarting row's plan is then cut once to the stamps
-    its epochs keep (``learners.kept_stamps``, which ``follow`` records as the learner's
-    ``kept``), and ``RunTrace.dropped`` counts the rest.  Each round of a stretch queries
-    its gradient ``losses.gradient(t, x)`` at the played point, exactly once, in round
-    order; then, if the plan delivers feedback at the stretch's last round, the learner gets
-    ``ingest(t, stamps, grads)``.  ``schedule`` is one ``DelaySchedule``, or a list of R
-    for a learner with a run axis and losses laid out by ``losses.stack``: the runs then
-    step together, each on its own plan, merged (checked and cut) once by
+    and at T.  The restarts of round t come before its ``play``.  Every learner plays a
+    stretch with one ``play(t, stop)``, whose decision fills the stretch's rows (and the
+    weights before its feedback) by slice.  Each round of a stretch queries its gradient
+    ``losses.gradient(t, x)`` at the played point, exactly once, in round order; then, if
+    the plan delivers feedback at the stretch's last round, the learner gets ``ingest(t,
+    stamps, grads)``.  R runs' plans are merged (checked and cut) once by
     ``delay.merge_plans``.  Queried gradients are written where the plan delivers them, so
     each round's arrivals are one slice, and a cut stamp's past the deliveries.  The
     suffered losses are one ``losses.values(decisions)`` call after the loop, bitwise equal
@@ -365,38 +373,45 @@ def simulate(learner, losses: QuadraticTracking | Linear, schedule, box: Box) ->
     after every round.  R runs give one trace with decisions (T, R, n), which
     ``RunTrace.runs()`` splits.
 
-    On ``Linear`` losses a ``DelayedOGD`` with one iterate per run, or a restarting learner
-    over one, takes the
-    walk path instead (``_walk``): a gradient there does not depend on the decision it is
-    queried at, so the learner's ``walk`` computes every decision from the plan and the
-    gradient rows, one ``clamped_walk`` per row and epoch, bitwise the round loop's, and
-    leaves the state the round loop would.  Each plan is checked and cut as ``merge_plans``
-    checks and cuts it, each round still queries its gradient once at the decision played,
-    in round order, and the finite check is the same.
+    On ``Linear`` losses a ``DelayedOGD`` with one iterate per run takes the walk path
+    instead (``_walk``): a gradient there does not depend on the decision it is queried at,
+    so each run's decisions come from its plan and the gradient rows, one ``descend`` per
+    epoch, bitwise the round loop's, leaving the state the round loop would.  Each plan is
+    checked and cut as ``merge_plans`` checks and cuts it, each round still queries its
+    gradient once at the decision played, in round order, and the finite check is the same.
     """
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
     schedules = [schedule] if runs is None else schedule
-    restarts = learner.follow(schedule) if hasattr(learner, "follow") else []
-    starts = getattr(learner, "epoch_starts", None)  # None, or per run its epoch starts or None
-    if starts is not None:
-        starts = [None if s is None else tuple(s) for s in ([starts] if runs is None else starts)]
-    kept = getattr(learner, "kept", [None] * len(schedules))  # per run None or its kept stamps
-    inner = getattr(learner, "inner", learner)
-    if isinstance(losses, Linear) and isinstance(inner, learn_mod.DelayedOGD) and \
-            inner.y.ndim == (1 if runs is None else 2):  # one iterate per run
-        decisions, weights = _walk(learner, losses, schedules, runs, kept, box), None
+    makes = [make] if runs is None else make or [None] * runs
+    starts = [None if m is None else learn_mod.epoch_starts(s) for m, s in zip(makes, schedules)]
+    kept = [None if s is None else learn_mod.kept_stamps(plan, s)
+            for plan, s in zip(schedules, starts)]
+    if hasattr(learner, "follow"):
+        learner.follow(schedules, kept)
+    if isinstance(losses, Linear) and isinstance(learner, learn_mod.DelayedOGD) and \
+            learner.y.ndim == (1 if runs is None else 2):  # one iterate per run
+        decisions = _walk(learner, losses, schedules, runs, kept, starts, makes, box)
+        weights = None
     else:
+        restarts = {}  # round -> (row, its make, budget) per row opening an epoch there
+        for r, (row_starts, m) in enumerate(zip(starts, makes)):
+            for v, t in enumerate((row_starts or [1])[1:], 2):
+                restarts.setdefault(t, []).append((None if runs is None else r, m, 2 ** v))
         decisions, weights = _round_loop(learner, losses, schedules, runs, kept, restarts, box)
     dropped = [0 if k is None else int(k.size - np.count_nonzero(k)) for k in kept]
-    per_run = (lambda v: v) if runs else (lambda v: None if v is None else v[0])
+    starts = [None if s is None else tuple(s) for s in starts]
+    if runs is None:
+        dropped, starts = dropped[0], starts[0]
+    elif all(s is None for s in starts):
+        starts = None
     return RunTrace(decisions=decisions, loss_values=losses.values(decisions), schedule=schedule,
-                    dropped=per_run(dropped), epoch_starts=per_run(starts), weights=weights)
+                    dropped=dropped, epoch_starts=starts, weights=weights)
 
 
 def _round_loop(learner, losses, schedules: list, runs: int | None, kept: list,
-                restarts: list[int], box: Box) -> tuple:
-    """``simulate``'s round loop over the plans cut to ``kept``; returns the decisions and the
-    weight history or None."""
+                restarts: dict, box: Box) -> tuple:
+    """``simulate``'s round loop over the plans cut to ``kept``, restarting rows as
+    ``restarts`` says; returns the decisions and the weight history or None."""
     lead = () if runs is None else (runs,)
     rounds, offsets, stamps, slots = delay_mod.merge_plans(schedules, kept)
     rounds, offsets, T = rounds.tolist(), offsets.tolist(), len(slots)
@@ -419,6 +434,8 @@ def _round_loop(learner, losses, schedules: list, runs: int | None, kept: list,
     # a diverging run overflows where it steps; the check after the loop refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         for stop in ends:
+            for row, make, beta in restarts.get(t, ()):
+                learner.set_row(row, make(beta))
             if stop == t:
                 x = play(t)
                 decisions[t - 1] = x
@@ -446,17 +463,26 @@ def _round_loop(learner, losses, schedules: list, runs: int | None, kept: list,
     return decisions, weights  # the plan goes before the losses are read
 
 
-def _walk(learner, losses: Linear, schedules: list, runs: int | None, kept: list,
-          box: Box) -> np.ndarray:
-    """``simulate``'s walk path over the plans cut to ``kept``; returns the decisions.  The
-    learner walks first, then each round queries its gradient at the decision played, which
+def _walk(learner, losses: Linear, schedules: list, runs: int | None, kept: list, starts: list,
+          makes: list, box: Box) -> np.ndarray:
+    """``simulate``'s walk path over the plans cut to ``kept``; returns the decisions.  Each
+    run walks one epoch at a time (a run that never restarts is one epoch from round 1):
+    from its second epoch on it restarts, ``set_row(r, make(2**v))``, then one ``descend``
+    takes the deliveries of the epoch's rounds (the last epoch's, the flush's too) and plays
+    the epoch's rounds.  Then each round queries its gradient at the decision played, which
     must be bitwise the row the walk stepped on."""
     T = schedules[0].horizon
     plans = [delay_mod.checked_plan(s, T, keep)[::3]  # (stamps, at) of each
              for s, keep in zip(schedules, kept)]
     decisions = np.empty((T, *(() if runs is None else (runs,)), box.dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        learner.walk(plans, losses.grads, decisions)
+        for r, ((stamps, at), epochs, make) in enumerate(zip(plans, starts, makes)):
+            row, epochs = None if runs is None else r, epochs or [1]
+            for v, (s, e) in enumerate(zip(epochs, [*epochs[1:], T + 1]), 1):
+                if v > 1:
+                    learner.set_row(row, make(2 ** v))
+                lo, hi = at.searchsorted(s), at.searchsorted(e) if e <= T else None
+                learner.descend(row, stamps[lo:hi], at[lo:hi], losses.grads, decisions, s, e - 1)
         queried, gradient = np.empty_like(decisions), losses.gradient  # after the walk's arrays
         for t, x in enumerate(decisions, 1):
             queried[t - 1] = gradient(t, x)
@@ -510,12 +536,12 @@ def _run(rows: list[tuple[dict, int, _Inputs]]) -> list[tuple[RunTrace, dict]]:
     schedules = [inputs.schedule for _, _, inputs in rows]
     sums = [schedule.sum_backlog for schedule in schedules]
     cfgs = [cfg for cfg, _, _ in rows]
-    learner, resolved = _build_learner(cfgs, first.box, sums)
+    learner, make, resolved = _build_learner(cfgs, first.box, sums)
     losses = first.losses if len(rows) == 1 else \
         losses_mod.stack([inputs.losses for _, _, inputs in rows])
     try:  # rates that drive a learner out of the float range end its run non-finite
         trace = simulate(learner, losses, first.schedule if len(rows) == 1 else schedules,
-                         first.box)
+                         first.box, make)
     except ValueError as exc:
         names = "/".join(sorted({cfg["learner"]["name"] for cfg in cfgs}))
         raise ConfigError(f"the {names} run diverged: {exc}") from None

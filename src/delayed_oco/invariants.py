@@ -20,8 +20,7 @@ from .environments import (block_bounds, make_drift_environment, make_lowerbound
                            path_length)
 from .geometry import Box
 from .harness import run_experiment, simulate
-from .learners import (KINDS, DelayedOGD, DogdDoublingTrick, MildOGD, MildOgdDoublingTrick,
-                       hedge_alpha, mild_lr_grid)
+from .learners import FAMILIES, KINDS, DelayedOGD, MildOGD, hedge_alpha, mild_lr_grid
 from .losses import Linear, QuadraticTracking
 from .metrics import grid_minimum, joint_effect, minimize_total_loss
 
@@ -175,10 +174,11 @@ def epoch_starts_closed_form(rng, T: int):
     while start <= T:
         expected.append(start)
         start += 2 ** len(expected)  # epoch v spans 2^v rounds under unit delays
-    for learner in (DogdDoublingTrick(box, 2.0, 1.0), MildOgdDoublingTrick(box, 2.0, 1.0, T)):
-        simulate(learner, losses, constant_schedule(T, 1), box)
-        if learner.epoch_starts != expected:
-            return False, f"{type(learner).__name__}: epochs start at {learner.epoch_starts[:6]}"
+    for family in ("dogd", "mild"):
+        make = FAMILIES[family].tuned(box, 2.0, 1.0, T)
+        starts = simulate(make(2), losses, constant_schedule(T, 1), box, make).epoch_starts
+        if list(starts) != expected:
+            return False, f"{family}_dt: epochs start at {list(starts[:6])}"
     return True, f"epochs start at {expected[:6]} for both doubling variants (T={T})"
 
 

@@ -11,21 +11,20 @@ All learners share one protocol so the harness can drive them identically:
                                   ``stamps[i]``, and ``stamps`` is ascending
 
 ``simulate`` plays each stretch of rounds without feedback with one
-``play(t, stop)``.  A restarting learner, and a ``MildOGD`` with a run axis,
-also takes ``follow(schedule)``, the run's arrival plan (one per run), before
-round 1, and returns the restart rounds (none for ``MildOGD``), each of which
-opens a stretch.  A restart at round t reads only feedback delivered before t
-(``epoch_starts``), so it is one an online learner could take.  Like every
-learner a restarting one consumes every stamp it is handed: ``simulate`` cuts
-the stale ones, queried before the epoch they arrive in, from its plan
-(``kept_stamps``, which ``follow`` records as ``kept``).
+``play(t, stop)``.  A ``MildOGD`` with a run axis also takes ``follow(schedules,
+kept)``, its runs' arrival plans, before round 1.  A learner restarts a row when
+``simulate`` says so: ``set_row(r, other)`` makes row r (None: the one run) the
+one-run learner ``other``.  Restarts are ``simulate``'s, from the arrival plan
+alone (``epoch_starts``), and each reads only feedback delivered before it, so
+it is one an online learner could take; ``simulate`` cuts the stale stamps,
+queried before the epoch they arrive in, from the plan (``kept_stamps``), so a
+learner consumes every stamp it is handed.
 
 On linear losses, whose gradients do not depend on the decisions, ``simulate``
-drives a ``DelayedOGD``, or a restarting learner over one, through
-``walk(plans, grads, decisions)`` instead: it takes each row's whole arrival plan
-at once and writes every round's decision, one ``descend`` (a clamped walk with
-its path) per row and epoch, bitwise ``play`` and ``ingest`` round by round and
-leaving the state they would.
+drives a ``DelayedOGD`` through ``descend`` instead: one clamped walk with its
+path per row and epoch takes the epoch's deliveries at once and writes every
+round's decision, bitwise ``play`` and ``ingest`` round by round and leaving
+the state they would.
 
 A learner keeps only the state its algorithm needs, no record of what it was
 handed: the order it consumed timestamps in is the arrival plan's, which the
@@ -37,7 +36,7 @@ and a zero gradient (a zero step leaves an iterate in the box as it is).  One
 run has no run axis.  A delivery of one row takes a direct path: the products
 and clamps a burst would apply, without the burst's re-layout.
 
-Four algorithms are provided, two families of a fixed-horizon and a restarting one:
+Two learner families are provided, each run fixed-horizon or restarting:
 
 * ``DelayedOGD``             - one projected step per delivered gradient, in
   ascending timestamp order; under unit delays this is textbook projected
@@ -46,11 +45,13 @@ Four algorithms are provided, two families of a fixed-horizon and a restarting o
 * ``MildOGD``                - one such N-rate DelayedOGD pool with
   geometrically spaced learning rates, combined by a delay-aware Hedge over
   linearized surrogate losses, at one gradient query per round.
-* ``DogdDoublingTrick`` / ``MildOgdDoublingTrick`` - restart-based variants
-  that estimate the backlog sum by the epoch-local backlog statistic instead of
-  needing it in advance: epoch v runs a fresh learner at the paper rates for the
-  budget 2^v, and ``epoch_starts`` computes the epochs from the arrival plan;
-  ``DogdDoublingTrick`` walks linear losses one epoch at a time.
+
+The doubling-trick variants (``dogd_dt``, ``mild_dt``) estimate the backlog sum
+by the epoch-local backlog statistic instead of needing it in advance: epoch v
+runs a fresh learner of the family at the paper rates for the budget 2^v
+(``Family.tuned``), and ``epoch_starts`` computes the epochs from the arrival
+plan.  ``simulate`` runs them, restarting a row of the family's learner at each
+epoch.
 
 ``FAMILIES`` holds each family's learner, built from rates, and its paper rates
 (by the rate helpers ``corollary_lr``, ``mild_lr_grid`` and ``hedge_alpha``, which
@@ -122,18 +123,10 @@ class DelayedOGD:
         self.y = clamped_walk(y, self.eta * (grads if grads.ndim > y.ndim else grads[:, None]),
                               box.lo, box.hi)
 
-    def set_row(self, r: int, other: "DelayedOGD") -> None:
-        """Run r becomes the one-run learner ``other``."""
-        self.eta[r], self.y[r] = other.eta, other.y
-
-    def walk(self, plans: list, grads: np.ndarray, decisions: np.ndarray) -> None:
-        """A run on linear losses, whose gradients do not depend on the decisions, as one
-        ``descend`` per row over its whole plan.  ``plans`` holds each row's timestamps in
-        delivery order and the rounds they arrive at (``delay.checked_plan``), ``grads``
-        the (T, [R,] n) gradients, and ``decisions`` receives the (T, [R,] n) decisions."""
-        for r, (stamps, at) in enumerate(plans):
-            self.descend(None if self.y.ndim == 1 else r, stamps, at, grads, decisions, 1,
-                         len(grads))
+    def set_row(self, r: int | None, other: "DelayedOGD") -> None:
+        """Run r of the run axis (None: the one run) becomes the one-run learner ``other``."""
+        key = ... if r is None else r
+        self.eta[key], self.y[key] = other.eta, other.y
 
     def descend(self, row: int | None, stamps, at, grads: np.ndarray, decisions: np.ndarray,
                 start: int, stop: int) -> None:
@@ -291,17 +284,16 @@ class MildOGD:
         self._flat = self._store.reshape((-1,) + self._store.shape[-2:])  # slot * R + run
         self._mixes, self._tags = 0, None  # mixes made; from follow, (round, slot) by round % M
 
-    def follow(self, schedules, kept: list | None = None) -> list[int]:
+    def follow(self, schedules, kept: list | None = None) -> None:
         """Take the runs' arrival plans (one ``DelaySchedule`` per run) before round 1, each
         cut to the stamps ``kept[r]`` keeps (None: all of them, ``kept_stamps``): they set
         the ring's length M, the most rounds any kept stamp waits from its play to its
-        arrival or to T.  One run needs no plan.  No run restarts, so it returns []."""
+        arrival or to T.  One run needs no plan."""
         if self.runs is not None:
             left = np.arange(schedules[0].horizon, 0, -1)  # stamp k's rounds from its play to T
             waits = [np.minimum(s.delays, left)[... if keep is None else keep]
                      for s, keep in zip(schedules, kept or [None] * len(schedules))]
             self._tags = [(0, 0)] * int(max(w.max() for w in waits))
-        return []
 
     @property
     def log_w(self) -> np.ndarray:
@@ -396,17 +388,21 @@ class MildOGD:
         self.log_w = log_w
         self.pool.ingest(t, stamps, grads[:, :, None, :])
 
-    def set_row(self, r: int, other: "MildOGD") -> None:
-        """Run r becomes the one-run learner ``other``; no stamp it played before arrives
-        (``kept_stamps``)."""
+    def set_row(self, r: int | None, other: "MildOGD") -> None:
+        """Run r of the run axis (None: the one run) becomes the one-run learner ``other``;
+        no stamp it played before arrives (``kept_stamps``), so one run lets go of the
+        spreads it played."""
+        key = ... if r is None else r
         self.pool.set_row(r, other.pool)
-        self.alpha[r], self.expert_rates[r], self.log_w[r] = \
+        self.alpha[key], self.expert_rates[key], self.log_w[key] = \
             other.alpha, other.expert_rates, other.log_w
         self.log_w = self.log_w  # the weights follow, and the mix is dropped
+        if r is None:
+            self._spreads.clear()
 
 
 # ---------------------------------------------------------------------------
-# Doubling-trick variants.
+# The doubling trick's epochs.
 # ---------------------------------------------------------------------------
 
 _LOOP_ROUNDS = 64  # a span of at most this many rounds takes a plain loop
@@ -474,124 +470,6 @@ def _first_over(arrival: np.ndarray, first: np.ndarray, s: int, stop: int, budge
     over = first[1:stop - s + 1] - count[:-1].cumsum().cumsum() > budget  # t > s
     i = int(over.argmax())
     return s + 1 + i if over[i] else None
-
-
-class _RestartingLearner:
-    """Epoch bookkeeping; epoch v runs a fresh ``make(2^v)``, where ``make(beta)`` builds the
-    one-run learner tuned for the backlog sum beta.
-
-    ``inner`` is the first epoch's learner, by default ``make(2)``.  With ``restarts`` the
-    learner runs len(restarts) rows in lockstep, row r restarting iff ``restarts[r]``, and
-    ``inner`` is the rows' first-epoch learners stacked on a run axis.  A restarting row
-    restarts its own row of ``inner``.  A fixed-horizon row (a restarting run whose first
-    epoch never ends) never restarts and reports ``epoch_starts`` None, so it runs as its
-    learner alone would.
-
-    The learner takes the run's arrival plan before round 1 (``follow``), from which
-    ``epoch_starts`` gives each row's restart rounds; ``play`` restarts rows at those rounds
-    and refuses to play without a plan.  It consumes every stamp it is handed: ``simulate``
-    hands a restarting row only the stamps its epochs keep (``kept_stamps``)."""
-
-    def __init__(self, make, restarts: list[bool] | None = None, inner=None):
-        if restarts is not None and inner is None:
-            raise ValueError("lockstep rows need their stacked first-epoch learner")
-        self.make = make
-        self.runs = None if restarts is None else len(restarts)
-        self._epochs = [[1] if dt else None for dt in restarts or [True]]  # each row's starts
-        self.inner = self.make(2) if inner is None else inner
-        self._restarts = None  # the plan's restarts, from follow: round -> [(row, epoch)]
-
-    def follow(self, schedule) -> list[int]:
-        """Take the run's arrival plan (one ``DelaySchedule``, or one per row) before round 1:
-        record each restarting row's ``epoch_starts``, the stamps it keeps (``kept``, per row
-        None or ``kept_stamps``) and, by round, which rows restart, at which epoch; a lockstep
-        inner learner that follows plans takes the rows' plans and ``kept``.  Returns the
-        rounds at which some row restarts, ascending."""
-        schedules = [schedule] if self.runs is None else schedule
-        self._restarts = {}
-        for r, starts in enumerate(self._epochs):
-            if starts is not None:
-                self._epochs[r] = epoch_starts(schedules[r])
-                for v, t in enumerate(self._epochs[r][1:], 2):
-                    self._restarts.setdefault(t, []).append((r, v))
-        self.kept = [None if s is None else kept_stamps(plan, s)
-                     for plan, s in zip(schedules, self._epochs)]
-        if self.runs is not None and hasattr(self.inner, "follow"):
-            self.inner.follow(schedules, self.kept)
-        return sorted(self._restarts)
-
-    def play(self, t: int, stop: int | None = None) -> np.ndarray:
-        """The decision for rounds t..stop, none of which but t may be a restart round."""
-        if self._restarts is None:
-            raise ValueError("a restarting learner plays only after follow(schedule)")
-        for r, v in self._restarts.get(t, ()):
-            self._restart(r, v)
-        return self.inner.play(t, stop)
-
-    def _restart(self, r: int, v: int) -> None:
-        """Row r opens epoch v."""
-        if self.runs is None:
-            self.inner = self.make(2 ** v)
-        else:
-            self.inner.set_row(r, self.make(2 ** v))
-
-    def walk(self, plans: list, grads: np.ndarray, decisions: np.ndarray) -> None:
-        """``DelayedOGD.walk`` by epochs, over an inner ``DelayedOGD``: each row ``descend``s
-        once an epoch, from the round at which ``play`` would open it, on the deliveries of
-        the epoch's rounds (the last epoch's, the flush window's too).  The restarts are
-        ``play``'s, in round order, so the state after is the round loop's."""
-        if self._restarts is None:
-            raise ValueError("a restarting learner plays only after follow(schedule)")
-        T, opened = len(grads), [1] * len(plans)  # the round each row's epoch opened at
-
-        def epoch(r: int, stop: int | None) -> None:  # row r's epoch, up to round stop
-            stamps, at = plans[r]
-            lo, hi = at.searchsorted(opened[r]), None if stop is None else at.searchsorted(stop)
-            self.inner.descend(None if self.runs is None else r, stamps[lo:hi], at[lo:hi],
-                               grads, decisions, opened[r], T if stop is None else stop - 1)
-
-        for t in sorted(self._restarts):
-            for r, v in self._restarts[t]:
-                epoch(r, t)
-                self._restart(r, v)
-                opened[r] = t
-        for r in range(len(plans)):
-            epoch(r, None)
-
-    def ingest(self, t: int, stamps, grads: np.ndarray) -> None:
-        self.inner.ingest(t, stamps, grads)
-
-    @property
-    def epoch_starts(self) -> list:
-        starts = [None if s is None else list(s) for s in self._epochs]
-        return starts[0] if self.runs is None else starts
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.inner.weights
-
-
-class DogdDoublingTrick(_RestartingLearner):
-    """DelayedOGD with restarts: epoch v runs a fresh instance at corollary_lr(D, G, 2^v),
-    and ``simulate`` cuts the gradients queried before it from the plan (``kept_stamps``), so
-    each instance sees exactly the feedback the epoch-local backlog statistic accounts for.
-    ``restarts`` and ``inner`` make lockstep rows, as for ``_RestartingLearner``."""
-
-    def __init__(self, box: Box, D: float, G: float, restarts: list[bool] | None = None,
-                 inner: DelayedOGD | None = None):
-        super().__init__(FAMILIES["dogd"].tuned(box, D, G, None), restarts, inner)
-
-
-class MildOgdDoublingTrick(_RestartingLearner):
-    """Restarting expert pool: one controller drives meta and experts, so they cannot drift
-    apart.  Each restart rebuilds the pool, prior weights and iterates at the origin, with
-    the epoch estimate 2^v in place of the backlog sum in the expert rates and in alpha; T
-    sizes the grid, ``expert_count(T)`` rates.  ``restarts`` and ``inner`` make lockstep
-    rows, as for ``_RestartingLearner``."""
-
-    def __init__(self, box: Box, D: float, G: float, T: int, restarts: list[bool] | None = None,
-                 inner: MildOGD | None = None):
-        super().__init__(FAMILIES["mild"].tuned(box, D, G, T), restarts, inner)
 
 
 class Family(namedtuple("Family", "build formulas experts")):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delayed_oco import DelayedOGD, DogdDoublingTrick, simulate
+from delayed_oco import DelayedOGD, simulate
 from delayed_oco.delay import (
     DelaySchedule,
     block_schedule,
@@ -19,6 +19,7 @@ from delayed_oco.delay import (
 )
 from delayed_oco.geometry import Box
 from delayed_oco.harness import run_experiment
+from delayed_oco.learners import FAMILIES
 from delayed_oco.invariants import (arrivals_at, delay_partition_backlog, random_schedule,
                                     zero_losses)
 
@@ -123,39 +124,27 @@ def test_epoch_feedback_set_drops_stale():
     # delays (3, 1, 1) open epoch 2 at round 2; round 3 delivers F_3 = {1, 3}
     # and the restarted learner keeps only the timestamps >= 2
     s, box = DelaySchedule((3, 1, 1)), Box(1, 1.0)
-    learner = DogdDoublingTrick(box, 2.0, 1.0)
-    seen, make = [], learner.make
-
-    def spied(beta):  # a restart's learner, recording the timestamps it is handed
-        inner = make(beta)
-        ingest = inner.ingest
-        inner.ingest = lambda t, stamps, grads: (seen.extend(stamps), ingest(t, stamps, grads))
-        return inner
-
-    learner.make = spied
-    trace = simulate(learner, zero_losses(3, "quadratic"), s, box)  # the round loop
-    assert learner.epoch_starts == [1, 2]
+    make = FAMILIES["dogd"].tuned(box, 2.0, 1.0, None)
+    learner, seen = make(2), []
+    ingest = learner.ingest  # records every timestamp the learner is handed, in every epoch
+    learner.ingest = lambda t, stamps, grads: (seen.extend(stamps), ingest(t, stamps, grads))
+    trace = simulate(learner, zero_losses(3, "quadratic"), s, box, make)  # the round loop
+    assert trace.epoch_starts == (1, 2)
     assert plan_sets(s)[3] == arrivals_at(s, 3) == [1, 3]
     assert seen == [k for t in (2, 3) for k in arrivals_at(s, t) if k >= 2]
     assert trace.dropped == 1
 
 
 def test_epoch_feedback_set_drops_stale_on_the_walk_path():
-    # on linear losses the epoch's learner walks the timestamps it keeps, in one descend
+    # on linear losses each epoch walks the timestamps it keeps, in one descend
     s, box = DelaySchedule((3, 1, 1)), Box(1, 1.0)
-    learner = DogdDoublingTrick(box, 2.0, 1.0)
-    seen, make = [], learner.make
-
-    def spied(beta):  # a restart's learner, recording the timestamps it walks
-        inner = make(beta)
-        descend = inner.descend
-        inner.descend = lambda row, stamps, *rest: (seen.extend(stamps.tolist()),
-                                                    descend(row, stamps, *rest))
-        return inner
-
-    learner.make = spied
-    trace = simulate(learner, zero_losses(3), s, box)
-    assert learner.epoch_starts == [1, 2]
+    make = FAMILIES["dogd"].tuned(box, 2.0, 1.0, None)
+    learner, seen = make(2), []
+    descend = learner.descend  # records every timestamp the learner walks, in every epoch
+    learner.descend = lambda row, stamps, *rest: (seen.extend(stamps.tolist()),
+                                                  descend(row, stamps, *rest))
+    trace = simulate(learner, zero_losses(3), s, box, make)
+    assert trace.epoch_starts == (1, 2)
     assert seen == [k for t in (2, 3) for k in arrivals_at(s, t) if k >= 2]
     assert trace.dropped == 1
 

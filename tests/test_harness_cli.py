@@ -699,9 +699,9 @@ def recorded_batch_sizes(monkeypatch) -> list[int]:
     """The number of runs each ``simulate`` call steps, appended as the calls are made."""
     sizes, simulate_ = [], harness.simulate
 
-    def recording(learner, losses, schedule, box):
+    def recording(learner, losses, schedule, box, make=None):
         sizes.append(1 if isinstance(schedule, DelaySchedule) else len(schedule))
-        return simulate_(learner, losses, schedule, box)
+        return simulate_(learner, losses, schedule, box, make)
 
     monkeypatch.setattr(harness, "simulate", recording)
     return sizes

@@ -1,4 +1,5 @@
 import bisect
+import copy
 import math
 
 import numpy as np
@@ -11,9 +12,7 @@ from delayed_oco import (
     Box,
     DelaySchedule,
     DelayedOGD,
-    DogdDoublingTrick,
     MildOGD,
-    MildOgdDoublingTrick,
     block_schedule,
     constant_schedule,
     corollary_lr,
@@ -25,12 +24,13 @@ from delayed_oco import (
 )
 from delayed_oco.delay import KINDS as DELAY_KINDS, make_schedule, permuted_schedule
 from delayed_oco.geometry import _WALK_ROWS
-from delayed_oco.learners import (delayed_hedge_update, epoch_starts, expert_count,
+from delayed_oco.learners import (FAMILIES, delayed_hedge_update, epoch_starts, expert_count,
                                   init_weights, kept_stamps)
 from delayed_oco.losses import Linear, QuadraticTracking, stack
 from delayed_oco import harness, learners
 from delayed_oco.invariants import (arrivals_at, consumption_log_permutation, projected_ogd,
                                     random_schedule, zero_losses)
+from restart_rule import per_round_epochs
 
 
 def feedback(stamps, *grads):
@@ -264,18 +264,17 @@ def kept_by_definition(schedule, starts) -> list[bool]:
 
 
 def consumption_learner(name: str, box: Box, T: int, R: int):
-    """A ``name`` learner of R rows (one run when R is 1) and its arrival plans' lengths T."""
-    runs = None if R == 1 else R
-    learner = {"dogd": lambda: DelayedOGD(box, 0.1), "mild": lambda: MildOGD(box, [0.1, 0.4], 1.0),
-               "dogd_dt": lambda: DogdDoublingTrick(box, 2.0, 1.0),
-               "mild_dt": lambda: MildOgdDoublingTrick(box, 2.0, 1.0, T)}[name]()
-    if runs and name == "dogd_dt":
-        learner = DogdDoublingTrick(box, 2.0, 1.0, [True] * R, stacked(learner.inner, R))
-    elif runs and name == "mild_dt":
-        learner = MildOgdDoublingTrick(box, 2.0, 1.0, T, [True] * R, stacked(learner.inner, R))
-    elif runs:
-        learner = stacked(learner, R)
-    return learner
+    """A ``name`` learner of R rows (one run when R is 1) and its arrival plans' lengths T,
+    and its ``make`` as ``simulate`` takes it (a doubling row's first epoch is make(2))."""
+    if name.endswith("_dt"):
+        make = FAMILIES[name.removesuffix("_dt")].tuned(box, 2.0, 1.0, T)
+        learner = make(2)
+    else:
+        make = None
+        learner = DelayedOGD(box, 0.1) if name == "dogd" else MildOGD(box, [0.1, 0.4], 1.0)
+    if R == 1:
+        return learner, make
+    return stacked(learner, R), [make] * R
 
 
 @settings(max_examples=100, deadline=None)
@@ -290,7 +289,7 @@ def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
     schedules = [DelaySchedule(tuple(data.draw(st.lists(st.integers(1, 12), min_size=T,
                                                         max_size=T)))) for _ in range(R)]
     runs = None if R == 1 else R
-    learner = consumption_learner(name, box, T, R)
+    learner, make = consumption_learner(name, box, T, R)
     seen, ingest = [[] for _ in range(R)], learner.ingest
 
     def spied(t, stamps, grads):
@@ -303,7 +302,7 @@ def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
     learner.ingest = spied
     losses = zero_losses(T, "quadratic")
     trace = simulate(learner, losses if runs is None else stack([losses] * R),
-                     schedules[0] if runs is None else schedules, box)
+                     schedules[0] if runs is None else schedules, box, make)
     expected = [None] * R if name.endswith("_dt") else [tuple(log) for log in seen]
     assert [run.c_log for run in trace.runs()] == expected
     for run, log in zip(trace.runs(), seen):
@@ -314,20 +313,11 @@ def test_the_consumption_log_is_the_order_ingest_received(T, R, name, data):
 
 
 def spy_on_descend(learner, seen: list) -> None:
-    """Record, per row, the timestamps each ``descend`` of a DOGD ``learner`` walks: its
-    own, or for a restarting learner its inner learner's and every epoch's after."""
-    def spied(one):
-        descend = one.descend
-        one.descend = lambda row, stamps, *rest: (seen[row or 0].extend(stamps.tolist()),
+    """Record, per row, the timestamps each ``descend`` of a DOGD ``learner`` walks, every
+    epoch's of a restarting row."""
+    descend = learner.descend
+    learner.descend = lambda row, stamps, *rest: (seen[row or 0].extend(stamps.tolist()),
                                                   descend(row, stamps, *rest))
-        return one
-
-    if hasattr(learner, "make"):
-        spied(learner.inner)
-        make = learner.make
-        learner.make = lambda beta: spied(make(beta))
-    else:
-        spied(learner)
 
 
 @settings(max_examples=100, deadline=None)
@@ -341,12 +331,12 @@ def test_the_consumption_log_is_the_order_the_walk_took(T, R, name, data):
     schedules = [DelaySchedule(tuple(data.draw(st.lists(st.integers(1, 12), min_size=T,
                                                         max_size=T)))) for _ in range(R)]
     runs = None if R == 1 else R
-    learner = consumption_learner(name, box, T, R)
+    learner, make = consumption_learner(name, box, T, R)
     seen = [[] for _ in range(R)]
     spy_on_descend(learner, seen)
     learner.ingest = None  # the walk path never ingests
     trace = simulate(learner, zero_losses(T) if runs is None else stack([zero_losses(T)] * R),
-                     schedules[0] if runs is None else schedules, box)
+                     schedules[0] if runs is None else schedules, box, make)
     for run, log in zip(trace.runs(), seen):
         keep = kept_by_definition(run.schedule, run.epoch_starts)
         kept = [k for k in run.schedule.stamps.tolist() if keep[k - 1]]
@@ -360,10 +350,10 @@ def test_every_play_feasible():
     box = Box.from_diameter(2, 1.5)
     losses, _ = make_drift_environment(box, 60, 0.2, "linear", 3, 2.0)
     sched = uniform_schedule(60, 1, 9, 4)
-    for learner in (DelayedOGD(box, 0.4), MildOGD(box, [0.1, 0.4], 0.5),
-                    DogdDoublingTrick(box, 1.5, 2.0),
-                    MildOgdDoublingTrick(box, 1.5, 2.0, 60)):
-        trace = simulate(learner, losses, sched, box)
+    dogd_dt, mild_dt = (FAMILIES[f].tuned(box, 1.5, 2.0, 60) for f in ("dogd", "mild"))
+    for learner, make in ((DelayedOGD(box, 0.4), None), (MildOGD(box, [0.1, 0.4], 0.5), None),
+                          (dogd_dt(2), dogd_dt), (mild_dt(2), mild_dt)):
+        trace = simulate(learner, losses, sched, box, make)
         assert np.all(np.abs(trace.decisions) <= box.half_width)
 
 
@@ -399,14 +389,14 @@ def test_init_weights_values():
 
 def test_dogd_dt_lr_values():
     def epoch_lr(D, G, v):
-        return DogdDoublingTrick(Box(1, 1.0), D, G).make(2**v).eta
+        return FAMILIES["dogd"].tuned(Box(1, 1.0), D, G, None)(2**v).eta
     assert epoch_lr(1.0, 1.0, 2) == pytest.approx(0.5)
     assert epoch_lr(math.sqrt(2.0), 1.0, 1) == pytest.approx(1.0)
     assert epoch_lr(1.0, 1.0, 5) == pytest.approx(2.0 * epoch_lr(1.0, 1.0, 7))
 
 
 def test_mild_dt_params_values():
-    inner = MildOgdDoublingTrick(Box(1, 1.0), 1.0, 1.0, 15).make(2**2)
+    inner = FAMILIES["mild"].tuned(Box(1, 1.0), 1.0, 1.0, 15)(2**2)
     assert inner.alpha == pytest.approx(0.5)
     assert len(inner.expert_rates) == 3
     assert inner.expert_rates[0] == pytest.approx(0.5)  # eta_1 = D/G scaled by 2^{-v/2}
@@ -589,12 +579,12 @@ def test_gradient_queries_equal_horizon(name, monkeypatch):
         cfgs = [harness.normalize_config({"T": T, "n": 2, "learner": {"name": learner}})
                 for learner in names]
         plans = schedules[:len(names)]
-        learner, _ = harness._build_learner(cfgs, box, [plan.sum_backlog for plan in plans])
+        learner, make, _ = harness._build_learner(cfgs, box, [plan.sum_backlog for plan in plans])
         calls.clear()
         if len(names) == 1:
-            simulate(learner, families[0], plans[0], box)
+            simulate(learner, families[0], plans[0], box, make)
         else:
-            simulate(learner, stack(families), plans, box)
+            simulate(learner, stack(families), plans, box, make)
         assert calls == list(range(1, T + 1))
 
 
@@ -759,33 +749,11 @@ def brute_force_epoch_starts(schedule):
 def test_restart_rounds_match_brute_force():
     rng = np.random.default_rng(24)
     box = Box(1, 1.0)
+    make = FAMILIES["dogd"].tuned(box, 2.0, 1.0, None)
     for _ in range(25):
         s = random_schedule(rng, T_max=80, d_max=8)
-        learner = DogdDoublingTrick(box, 2.0, 1.0)
-        simulate(learner, zero_losses(s.horizon), s, box)
-        assert learner.epoch_starts == brute_force_epoch_starts(s)
-
-
-def per_round_epochs(schedule):
-    """The restart rule round by round over a plan, the reference ``epoch_starts`` is checked
-    against: at the start of round t of epoch v from s, B grows by t + 1 - s less the stamps
-    >= s delivered in rounds s..t-1, and B > 2^v opens epoch v+1 at t with B = 1.  Returns
-    (epoch starts, each delivery's stale count), flush rounds past T included."""
-    T = schedule.horizon
-    rounds, offsets, stamps = (schedule.rounds.tolist(), schedule.offsets.tolist(),
-                               schedule.stamps.tolist())
-    starts, B, arrived, stale, j = [1], 0, 0, [], 0
-    for t in range(1, T + 1):
-        B += t + 1 - starts[-1] - arrived
-        if B > 2 ** len(starts):
-            starts.append(t)
-            B, arrived = 1, 0
-        while j < len(rounds) and (rounds[j] == t or t == T):  # after T, the flush rounds
-            block = stamps[offsets[j]:offsets[j + 1]]
-            stale.append(sum(k < starts[-1] for k in block))
-            arrived += len(block) - stale[-1]
-            j += 1
-    return starts, stale
+        trace = simulate(make(2), zero_losses(s.horizon), s, box, make)
+        assert list(trace.epoch_starts) == brute_force_epoch_starts(s)
 
 
 @st.composite
@@ -817,8 +785,24 @@ def test_the_plan_pass_equals_the_controller_round_by_round(case, seed):
     assert [int(cut[schedule.stamps[a:b] - 1].sum()) for a, b in zip(offsets, offsets[1:])] \
         == stale
     box = Box(1, 1.0)
-    trace = simulate(DogdDoublingTrick(box, 2.0, 1.0), zero_losses(T), schedule, box)
+    make = FAMILIES["dogd"].tuned(box, 2.0, 1.0, None)
+    trace = simulate(make(2), zero_losses(T), schedule, box, make)
     assert (trace.epoch_starts, trace.dropped) == (tuple(starts), sum(stale))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=delay_specs(), seed=st.integers(0, 2**16))
+@example(case=(100, {"kind": "blocks", "d": 16}), seed=0)
+@example(case=(2000, {"kind": "permuted"}), seed=5)
+def test_each_epoch_s_backlog_sum_is_within_its_budget(case, seed):
+    # the restart rule keeps epoch v's B_t, its backlog sum so far, at most 2^v: so the
+    # window of each epoch, the last one's too, as a schedule of its own has a backlog
+    # sum of at most 2^v
+    T, spec = case
+    schedule = make_schedule(spec, T, seed)
+    starts = epoch_starts(schedule)
+    for v, (s, e) in enumerate(zip(starts, starts[1:] + [T + 1]), 1):
+        assert DelaySchedule(schedule.delays[s - 1:e - 1]).sum_backlog <= 2 ** v, (v, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -851,34 +835,27 @@ def test_long_epochs_equal_the_controller_round_by_round(schedule, outgrows):
     assert any(b > max(64, 2 * a) for a, b in zip(lengths, lengths[1:])) == outgrows
 
 
-@pytest.mark.parametrize("restarts", [None, [False, True]], ids=["one-run", "lockstep"])
-def test_a_restarting_learner_refuses_to_play_without_its_plan(restarts):
-    box = Box(1, 1.0)
-    inner = None if restarts is None else DelayedOGD(box, np.full((2, 1), 0.1))
-    learner = DogdDoublingTrick(box, 2.0, 1.0, restarts, inner)
-    with pytest.raises(ValueError, match=r"follow\(schedule\)"):
-        learner.play(1)
-
-
 def test_restarting_learner_drops_stale_feedback():
     # delays (2, 1): restart at round 2 makes the round-1 gradient stale
     box = Box(1, 1.0)
     s = DelaySchedule((2, 1))
-    learner = DogdDoublingTrick(box, 2.0, 1.0)
+    make = FAMILIES["dogd"].tuned(box, 2.0, 1.0, None)
     losses = Linear(np.ones((2, 1)))
-    trace = simulate(learner, losses, s, box)
-    assert learner.epoch_starts == [1, 2]
+    trace = simulate(make(2), losses, s, box, make)
+    assert trace.epoch_starts == (1, 2)
     assert trace.dropped == 1
     assert trace.c_log is None  # incomplete by design
 
 
 def test_restart_resets_rate_and_iterate():
+    # the learner handed to simulate ends in the last epoch
     box = Box(1, 1.0)
-    learner = DogdDoublingTrick(box, 2.0, 1.0)
+    make = FAMILIES["dogd"].tuned(box, 2.0, 1.0, None)
+    learner = make(2)
     s = DelaySchedule((2, 1))
     losses = Linear(np.ones((2, 1)))
-    simulate(learner, losses, s, box)
-    assert learner.inner.eta == corollary_lr(2.0, 1.0, 2**2)
+    simulate(learner, losses, s, box, make)
+    assert learner.eta == corollary_lr(2.0, 1.0, 2**2)
 
 
 @st.composite
@@ -902,25 +879,26 @@ def lockstep_rows(draw):
 
 def lockstep_learners(family, box, T, restarts, schedules):
     """(a lockstep batch of one ``family`` row per schedule, doubling where ``restarts`` says,
-    each row's learner alone); with no doubling row the batch is the bare stacked learner."""
+    the batch's ``make`` list, and each row's learner alone with its ``make``); a doubling
+    row's first epoch is make(2)."""
     D, G, alone = 2.0, 1.0, []
+    make = FAMILIES[family].tuned(box, D, G, T)
     for dt, schedule in zip(restarts, schedules):
         sum_m = schedule.sum_backlog
-        if family == "dogd":
-            alone.append(DogdDoublingTrick(box, D, G) if dt else
-                         DelayedOGD(box, corollary_lr(D, G, sum_m)))
+        if dt:
+            alone.append((make(2), make))
+        elif family == "dogd":
+            alone.append((DelayedOGD(box, corollary_lr(D, G, sum_m)), None))
         else:
-            alone.append(MildOgdDoublingTrick(box, D, G, T) if dt else
-                         MildOGD(box, mild_lr_grid(D, G, sum_m, T), hedge_alpha(D, G, sum_m)))
-    firsts = [getattr(learner, "inner", learner) for learner in alone]
+            alone.append((MildOGD(box, mild_lr_grid(D, G, sum_m, T), hedge_alpha(D, G, sum_m)),
+                          None))
+    firsts = [learner for learner, _ in alone]
     if family == "dogd":
-        inner = DelayedOGD(box, np.array([[first.eta] for first in firsts]))
-        batch = DogdDoublingTrick(box, D, G, restarts, inner)
+        batch = DelayedOGD(box, np.array([[first.eta] for first in firsts]))
     else:
-        inner = MildOGD(box, np.array([first.expert_rates for first in firsts]),
+        batch = MildOGD(box, np.array([first.expert_rates for first in firsts]),
                         np.array([first.alpha for first in firsts]))
-        batch = MildOgdDoublingTrick(box, D, G, T, restarts, inner)
-    return (batch if any(restarts) else inner), alone
+    return batch, [m for _, m in alone], alone
 
 
 def store_bound(schedules) -> int:
@@ -931,49 +909,56 @@ def store_bound(schedules) -> int:
 def lockstep_as_alone(family, T, restarts, schedules):
     """Step one ``family`` row per schedule in lockstep, doubling where ``restarts`` says,
     and assert each row bitwise what its learner gives alone: decisions, weights, dropped
-    count, epoch starts and c_log.  A fixed-horizon row has no controller: it never
-    restarts and drops nothing.  A Mild-OGD batch is also stepped by hand, as it is and
-    with every row fixed-horizon, a bare run axis given its rows' arrival plans
-    (``rows_by_hand``).  Returns the traces of the learners run alone."""
+    count, epoch starts and c_log.  A fixed-horizon row never restarts and drops nothing.
+    A Mild-OGD batch is also stepped by hand, as it is and with every row fixed-horizon, a
+    bare run axis given its rows' arrival plans (``rows_by_hand``).  Returns the traces of
+    the learners run alone."""
     box = Box(2, 1.0)
     families = [make_drift_environment(box, T, 0.2, "linear", 30 + r, 1.0)[0]
                 for r in range(len(restarts))]
-    batch, alone = lockstep_learners(family, box, T, restarts, schedules)
-    trace = simulate(batch, stack(families), schedules, box)
-    ones = [simulate(*run, box) for run in zip(alone, families, schedules)]
+    batch, makes, alone = lockstep_learners(family, box, T, restarts, schedules)
+    trace = simulate(batch, stack(families), schedules, box, makes)
+    ones = [simulate(learner, f, s, box, make)
+            for (learner, make), f, s in zip(alone, families, schedules)]
     for run, one in zip(trace.runs(), ones):
         assert run.decisions.tobytes() == one.decisions.tobytes()
         assert (run.dropped, run.epoch_starts, run.c_log) == (one.dropped, one.epoch_starts,
                                                               one.c_log)
         if family == "mild":
             assert run.weights.tobytes() == one.weights.tobytes()
-    assert batch.epoch_starts == [getattr(learner, "epoch_starts", None) for learner in alone]
+    assert trace.epoch_starts == ([one.epoch_starts for one in ones] if any(restarts) else None)
     assert trace.dropped == [one.dropped for one in ones]
     if family == "mild":
-        assert len(batch.inner._store) <= store_bound(schedules)
+        assert len(batch._store) <= store_bound(schedules)
         for flags in (restarts, [False] * len(restarts)):
             rows_by_hand(*lockstep_learners(family, box, T, flags, schedules), families,
                          schedules)
     return ones
 
 
-def rows_by_hand(batch, alone, families, schedules):
+def rows_by_hand(batch, makes, alone, families, schedules):
     """Drive a Mild-OGD ``batch`` and its rows' learners alone round by round, the batch's
-    deliveries padded below as ``simulate`` pads them, the batch and each restarting learner
-    given their arrival plans (``follow``) and handed only the stamps the epochs keep; after
-    every round each row must be its learner alone bitwise (decision, log_w, weights, epoch
-    starts), and the spread store must hold at most ``store_bound`` slots."""
-    pool = getattr(batch, "inner", batch)
-    R, T, n = len(alone), schedules[0].horizon, pool.box.dim
-    for learner, schedule in zip([batch, *alone], [schedules, *schedules]):
-        if hasattr(learner, "follow"):
-            learner.follow(schedule)
-    kept = [kept_by_definition(s, getattr(learner, "epoch_starts", None))
-            for s, learner in zip(schedules, alone)]
+    deliveries padded below as ``simulate`` pads them, and the batch given its rows' arrival
+    plans (``follow``), cut to the stamps the epochs keep.  A doubling row opens epoch v at
+    the rounds ``per_round_epochs`` gives: its row of the batch by ``set_row(r,
+    make(2**v))``, its learner alone by a fresh ``make(2**v)``.  After every round each row
+    must be its learner alone bitwise (decision, log_w, weights), and the spread store must
+    hold at most ``store_bound`` slots."""
+    alone = [learner for learner, _ in alone]
+    R, T, n = len(alone), schedules[0].horizon, batch.box.dim
+    starts = [None if make is None else per_round_epochs(s)[0]
+              for s, make in zip(schedules, makes)]
+    kept = [kept_by_definition(s, epochs) for s, epochs in zip(schedules, starts)]
+    batch.follow(schedules, [np.array(keep) for keep in kept])
     arrivals = [{t: [k for k in s.stamps[s.offsets[j]:s.offsets[j + 1]].tolist() if keep[k - 1]]
                  for j, t in enumerate(s.rounds.tolist())} for s, keep in zip(schedules, kept)]
     grads = np.zeros((R, T, n))
     for t in range(1, max(max(a) for a in arrivals) + 1):
+        for r, (epochs, make) in enumerate(zip(starts, makes)):
+            if epochs is not None and t in epochs[1:]:
+                beta = 2 ** (epochs.index(t) + 1)
+                batch.set_row(r, make(beta))
+                alone[r] = make(beta)
         if t <= T:
             x = batch.play(t)
             for r, learner in enumerate(alone):
@@ -991,12 +976,9 @@ def rows_by_hand(batch, alone, families, schedules):
                 if col:
                     alone[r].ingest(t, col, grads[r, np.array(col) - 1])
         for r, learner in enumerate(alone):
-            one = getattr(learner, "inner", learner)
-            assert pool.log_w[r].tobytes() == one.log_w.tobytes()
-            assert pool.weights[r].tobytes() == one.weights.tobytes()
-        assert getattr(batch, "epoch_starts", [None] * R) == \
-            [getattr(learner, "epoch_starts", None) for learner in alone]
-        assert len(pool._store) <= store_bound(schedules)
+            assert batch.log_w[r].tobytes() == learner.log_w.tobytes()
+            assert batch.weights[r].tobytes() == learner.weights.tobytes()
+        assert len(batch._store) <= store_bound(schedules)
 
 
 @pytest.mark.parametrize("family", ["dogd", "mild"])
@@ -1029,18 +1011,18 @@ def test_a_wide_mild_dt_batch_doubles_its_store_up_to_the_largest_kept_delay():
     # from the restarting rows' plans make shorter than the largest delay
     T, R, box = 1000, 32, Box(2, 1.0)
     schedules = [permuted_schedule(T, seed) for seed in range(R)]
-    batch = consumption_learner("mild_dt", box, T, R)
-    sizes, play = [], batch.inner.play
+    batch, make = consumption_learner("mild_dt", box, T, R)
+    sizes, play = [], batch.play
 
     def spied(t, stop=None):
         x = play(t, stop)
-        sizes.append(len(batch.inner._store))
+        sizes.append(len(batch._store))
         return x
 
-    batch.inner.play = spied
+    batch.play = spied
     families = [make_drift_environment(box, T, 0.1, "quadratic", r, 1.0)[0] for r in range(R)]
-    simulate(batch, stack(families), schedules, box)
-    longest = max(d for s, starts in zip(schedules, batch.epoch_starts)
+    trace = simulate(batch, stack(families), schedules, box, make)
+    longest = max(d for s, starts in zip(schedules, trace.epoch_starts)
                   for d, keep in zip(s.delays.tolist(), kept_by_definition(s, starts)) if keep)
     M = min(T, longest)
     assert M < min(T, max(s.max_delay for s in schedules))
@@ -1048,18 +1030,14 @@ def test_a_wide_mild_dt_batch_doubles_its_store_up_to_the_largest_kept_delay():
     assert max(sizes) <= M + 1
 
 
-def test_lockstep_restarting_rows_need_their_stacked_first_epoch_learner():
-    # make(2) has no run axis, so rows without ``inner`` would step one run for all
-    with pytest.raises(ValueError, match="stacked first-epoch"):
-        DogdDoublingTrick(Box(1, 1.0), 2.0, 1.0, [True, True])
-
-
-def epoch_learners(learner, losses, schedule, box):
-    """Run a restarting learner; returns the inner learner of each epoch, in order."""
-    inners, make = [learner.inner], learner.make
-    learner.make = lambda beta: inners.append(make(beta)) or inners[-1]
-    simulate(learner, losses, schedule, box)
-    return inners
+def epoch_learners(make, losses, schedule, box):
+    """Run a restarting learner of ``make`` from its first epoch, make(2); returns the
+    trace and a copy of each epoch's learner as it opened, in order."""
+    first = make(2)
+    opened = [copy.deepcopy(first)]
+    trace = simulate(first, losses, schedule, box,
+                     lambda beta: opened.append(make(beta)) or opened[-1])
+    return trace, opened
 
 
 @settings(max_examples=60, deadline=None)
@@ -1070,11 +1048,17 @@ def epoch_learners(learner, losses, schedule, box):
 def test_epoch_v_runs_the_fixed_horizon_rates_at_budget_2_to_the_v(D, G, T, d, seed):
     box = Box(1, 1.0)
     schedule, losses = uniform_schedule(T, 1, d, seed), zero_losses(T)
-    dogd = DogdDoublingTrick(box, D, G)
-    for v, inner in enumerate(epoch_learners(dogd, losses, schedule, box), 1):
+    cfgs = [harness.normalize_config({"T": T, "D": D, "G": G, "learner": {"name": name}})
+            for name in ("dogd_dt", "mild_dt")]
+    (dogd_first, dogd_make, _), (mild_first, mild_make, _) = (
+        harness._build_learner([cfg], box, [schedule.sum_backlog]) for cfg in cfgs)
+    dogd, inners = epoch_learners(dogd_make, losses, schedule, box)
+    assert inners[0].eta == dogd_first.eta
+    for v, inner in enumerate(inners, 1):
         assert inner.eta == corollary_lr(D, G, 2**v)
-    mild = MildOgdDoublingTrick(box, D, G, T)
-    inners = epoch_learners(mild, losses, schedule, box)
+    mild, inners = epoch_learners(mild_make, losses, schedule, box)
+    assert inners[0].expert_rates.tobytes() == mild_first.expert_rates.tobytes()
+    assert inners[0].alpha == mild_first.alpha
     assert len(inners) == len(mild.epoch_starts) == len(dogd.epoch_starts)
     for v, inner in enumerate(inners, 1):
         assert inner.expert_rates.tobytes() == mild_lr_grid(D, G, 2**v, T).tobytes()
@@ -1086,20 +1070,21 @@ def test_mild_dt_reinitializes_weights_on_restart():
     T = 120
     losses, _ = make_drift_environment(box, T, 0.3, "linear", 14, 1.0)
     sched = uniform_schedule(T, 1, 6, 15)
-    learner = MildOgdDoublingTrick(box, 2.0, 1.0, T)
-    trace = simulate(learner, losses, sched, box)
-    assert len(learner.epoch_starts) > 1
+    make = FAMILIES["mild"].tuned(box, 2.0, 1.0, T)
+    trace = simulate(make(2), losses, sched, box, make)
+    assert len(trace.epoch_starts) > 1
     assert float(np.abs(trace.weight_sums - 1.0).max()) <= 1e-9
 
 
 def test_mild_dt_rates_scale_with_epoch():
     box = Box(1, 1.0)
-    learner = MildOgdDoublingTrick(box, 2.0, 1.0, 100)
-    base = learner.inner.expert_rates
+    make = FAMILIES["mild"].tuned(box, 2.0, 1.0, 100)
+    learner = make(2)
+    base = learner.expert_rates.copy()  # a restart writes the learner's rates in place
     s = DelaySchedule((2, 1))
     losses = Linear(np.ones((2, 1)))
-    simulate(learner, losses, s, box)
-    after = learner.inner.expert_rates
+    simulate(learner, losses, s, box, make)
+    after = learner.expert_rates
     assert np.allclose(np.array(base) / np.array(after), math.sqrt(2.0))
 
 
@@ -1134,26 +1119,24 @@ class ReferenceMild(MildOGD):
             y = np.clip(y - self.expert_rates[:, None] * g, -h, h)
         self.pool.y = y
 
-
-class ReferenceMildDT(MildOgdDoublingTrick):
-    """The restarting pool over ReferenceMild epochs."""
-
-    def __init__(self, box, D, G, T):
-        learners._RestartingLearner.__init__(self, lambda beta: ReferenceMild(
-            box, mild_lr_grid(D, G, beta, T), hedge_alpha(D, G, beta)))
+    def set_row(self, r, other):
+        """A restart: the one run becomes ``other`` whole, with none of its own state."""
+        self.__dict__.update(other.__dict__)
 
 
-def mild_history(learner, losses, schedule):
+def mild_history(learner, losses, schedule, make=None):
     """Per round: the decision, and the weights and log-weights after the round's ingest.
-    A restarting learner takes its plan first and is handed only the stamps its epochs
+    A restarting learner (a ``make``) opens epoch v at the rounds ``per_round_epochs``
+    gives, by ``set_row(None, make(2**v))``, and is handed only the stamps its epochs
     keep."""
-    if hasattr(learner, "follow"):
-        learner.follow(schedule)
-    keep = kept_by_definition(schedule, getattr(learner, "epoch_starts", None))
-    grads = np.empty((schedule.horizon, getattr(learner, "inner", learner).box.dim))
+    starts = None if make is None else per_round_epochs(schedule)[0]
+    keep = kept_by_definition(schedule, starts)
+    grads = np.empty((schedule.horizon, learner.box.dim))
     history = []
     j = 0
     for t in range(1, schedule.horizon + 1):
+        if starts is not None and t in starts[1:]:
+            learner.set_row(None, make(2 ** (starts.index(t) + 1)))
         x = learner.play(t)
         grads[t - 1] = losses.gradient(t, x)
         if schedule.rounds[j] == t:
@@ -1162,8 +1145,7 @@ def mild_history(learner, losses, schedule):
             if stamps:
                 learner.ingest(t, stamps, grads[np.asarray(stamps) - 1])
             j += 1
-        log_w = getattr(learner, "inner", learner).log_w
-        history.append((t, x.tobytes(), learner.weights.tobytes(), log_w.tobytes()))
+        history.append((t, x.tobytes(), learner.weights.tobytes(), learner.log_w.tobytes()))
     return history
 
 
@@ -1214,5 +1196,11 @@ def test_cached_mild_matches_the_per_round_reference_bitwise(n, kind, T, d, seed
     alpha = hedge_alpha(box.diameter, G, sum_m)
     assert mild_history(MildOGD(box, rates, alpha), losses, schedule) == \
         mild_history(ReferenceMild(box, rates, alpha), losses, schedule)
-    assert mild_history(MildOgdDoublingTrick(box, box.diameter, G, T), losses, schedule) == \
-        mild_history(ReferenceMildDT(box, box.diameter, G, T), losses, schedule)
+    make = FAMILIES["mild"].tuned(box, box.diameter, G, T)
+
+    def reference(beta):  # ReferenceMild at the paper rates for budget beta
+        return ReferenceMild(box, mild_lr_grid(box.diameter, G, beta, T),
+                             hedge_alpha(box.diameter, G, beta))
+
+    assert mild_history(make(2), losses, schedule, make) == \
+        mild_history(reference(2), losses, schedule, reference)

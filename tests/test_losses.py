@@ -10,12 +10,12 @@ from delayed_oco import (
     Box,
     DelayedOGD,
     MildOGD,
-    MildOgdDoublingTrick,
     make_drift_environment,
     mild_lr_grid,
     simulate,
     uniform_schedule,
 )
+from delayed_oco.learners import FAMILIES
 from delayed_oco.losses import Linear, QuadraticTracking, quadratic_drift_scale
 
 
@@ -152,10 +152,11 @@ def test_trace_loss_column_is_value_round_by_round(n, loss, learner):
     losses, _ = make_drift_environment(box, 300, 0.05, loss, 5 + n, 1.0)
     schedule = uniform_schedule(300, 1, 6, n)
     rates = mild_lr_grid(2.0, 1.0, schedule.sum_backlog, 300)
-    make = {"dogd": lambda: DelayedOGD(box, 0.05),
-            "mild": lambda: MildOGD(box, rates, 0.5),
-            "mild_dt": lambda: MildOgdDoublingTrick(box, 2.0, 1.0, 300)}[learner]
-    trace = simulate(make(), losses, schedule, box)
+    epoch = FAMILIES["mild"].tuned(box, 2.0, 1.0, 300)  # mild_dt's epoch learners
+    learner, make = {"dogd": (DelayedOGD(box, 0.05), None),
+                     "mild": (MildOGD(box, rates, 0.5), None),
+                     "mild_dt": (epoch(2), epoch)}[learner]
+    trace = simulate(learner, losses, schedule, box, make)
     one = np.array([losses.value(t, x) for t, x in enumerate(trace.decisions, start=1)])
     assert trace.loss_values.tobytes() == one.tobytes()
 

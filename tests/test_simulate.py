@@ -20,12 +20,13 @@ from delayed_oco import harness, learners
 from delayed_oco.delay import DelaySchedule, merge_plans
 from delayed_oco.geometry import Box
 from delayed_oco.losses import Linear, QuadraticTracking, stack
+from restart_rule import per_round_epochs
 
 
-def run_starts(learner, runs: int | None) -> list:
-    """Per run, the epoch starts of a restarting one, or None."""
-    starts = getattr(learner, "epoch_starts", None)
-    return [None] * (runs or 1) if starts is None else [starts] if runs is None else starts
+def run_epochs(schedules: list, makes: list) -> list:
+    """Per run, the epoch starts the round-by-round rule opens if it restarts (a ``make``),
+    or None."""
+    return [None if make is None else per_round_epochs(s)[0] for s, make in zip(schedules, makes)]
 
 
 def kept_by_definition(schedule, starts):
@@ -36,18 +37,23 @@ def kept_by_definition(schedule, starts):
          for k in range(1, schedule.horizon + 1)])
 
 
-def reference_simulate(learner, losses, schedule, box):
+def reference_simulate(learner, losses, schedule, box, make=None):
     """The per-round loop: play round t, query its gradient at the played point and, when
     the plan delivers feedback at t, ingest it; record the weights after every round, and
     deliver the plan's rounds past the horizon at the end.  Returns the decisions and the
-    weight history, or None.  A restarting learner takes its plan first, cut to the stamps
-    its epochs keep (``kept_by_definition``)."""
-    if hasattr(learner, "follow"):
-        learner.follow(schedule)
+    weight history, or None.  A restarting run (``make`` as ``simulate`` takes it) opens
+    epoch v at the rounds ``per_round_epochs`` gives, before that round's play, as
+    ``set_row(r, make(2**v))``, and its plan is cut to the stamps its epochs keep
+    (``kept_by_definition``); a learner that follows plans (a run-axis ``MildOGD``) takes
+    them, so cut, first."""
     runs = None if isinstance(schedule, DelaySchedule) else len(schedule)
     schedules = [schedule] if runs is None else schedule
-    rounds, offsets, stamps, slots = merge_plans(schedules, [
-        kept_by_definition(*run) for run in zip(schedules, run_starts(learner, runs))])
+    makes = [make] if runs is None else make or [None] * runs
+    starts = run_epochs(schedules, makes)
+    kept = list(map(kept_by_definition, schedules, starts))
+    if hasattr(learner, "follow"):
+        learner.follow(schedules, kept)
+    rounds, offsets, stamps, slots = merge_plans(schedules, kept)
     rounds, offsets, T = rounds.tolist(), offsets.tolist(), len(slots)
     lead = () if runs is None else (runs,)
     grads = np.zeros((len(stamps), *lead, box.dim))
@@ -56,6 +62,9 @@ def reference_simulate(learner, losses, schedule, box):
     j = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
+            for r, (epochs, m) in enumerate(zip(starts, makes)):
+                if epochs is not None and t in epochs[1:]:
+                    learner.set_row(None if runs is None else r, m(2 ** (epochs.index(t) + 1)))
             decisions[t - 1] = x = learner.play(t)
             g = losses.gradient(t, x)
             if runs is None:
@@ -90,12 +99,9 @@ def recorded(learner) -> list:
 
 
 def state(learner) -> tuple:
-    """What a learner keeps between rounds: iterates, rates and weights as bytes, and a
-    restarting learner's epoch starts."""
-    inner = getattr(learner, "inner", learner)
-    pool = getattr(inner, "pool", inner)
-    return (pool.y.tobytes(), pool.eta.tobytes(), getattr(inner, "log_w", pool.y).tobytes(),
-            getattr(learner, "epoch_starts", None))
+    """What a learner keeps between rounds: iterates, rates and weights as bytes."""
+    pool = getattr(learner, "pool", learner)
+    return (pool.y.tobytes(), pool.eta.tobytes(), getattr(learner, "log_w", pool.y).tobytes())
 
 
 _DELAYS = {
@@ -111,6 +117,16 @@ _FAMILIES = {family: [name for name, kind in learners.KINDS.items() if kind.fami
              for family in learners.FAMILIES}
 
 
+def draw_config(draw, name: str, T: int, n: int, env: str) -> dict:
+    """A normalized config of learner ``name`` on ``env`` with a drawn delay kind and seed."""
+    kind = "blocks" if env == "lowerbound" else draw(st.sampled_from(sorted(_DELAYS)))
+    return harness.normalize_config({
+        "T": T, "n": n, "seed": draw(st.integers(0, 2**16)), "learner": {"name": name},
+        "delay": {"kind": kind, **_DELAYS[kind](draw, T)},
+        "environment": {"kind": "lowerbound"} if env == "lowerbound" else
+        {"kind": "drift", "step": draw(st.sampled_from([0.02, 0.3])), "loss": env}})
+
+
 @st.composite
 def batches(draw, families=tuple(sorted(_FAMILIES)), envs=("quadratic", "linear", "lowerbound")):
     """Normalized configs of 1-3 runs that may step in lockstep (one learner family, T, n
@@ -118,16 +134,8 @@ def batches(draw, families=tuple(sorted(_FAMILIES)), envs=("quadratic", "linear"
     family, T, n = draw(st.sampled_from(families)), draw(st.integers(1, 120)), \
         draw(st.integers(1, 3))
     env = draw(st.sampled_from(envs))
-    cfgs = []
-    for _ in range(draw(st.integers(1, 3))):
-        kind = "blocks" if env == "lowerbound" else draw(st.sampled_from(sorted(_DELAYS)))
-        cfgs.append(harness.normalize_config({
-            "T": T, "n": n, "seed": draw(st.integers(0, 2**16)),
-            "learner": {"name": draw(st.sampled_from(_FAMILIES[family]))},
-            "delay": {"kind": kind, **_DELAYS[kind](draw, T)},
-            "environment": {"kind": "lowerbound"} if env == "lowerbound" else
-            {"kind": "drift", "step": draw(st.sampled_from([0.02, 0.3])), "loss": env}}))
-    return cfgs
+    return [draw_config(draw, draw(st.sampled_from(_FAMILIES[family])), T, n, env)
+            for _ in range(draw(st.integers(1, 3)))]
 
 
 @settings(max_examples=120, deadline=None)
@@ -141,35 +149,33 @@ def test_simulate_matches_the_per_round_loop_bitwise(cfgs):
     sums = [s.sum_backlog for s in schedules]
     losses = inputs[0].losses if len(cfgs) == 1 else stack([i.losses for i in inputs])
     plan = schedules[0] if len(cfgs) == 1 else schedules
-    learner, reference = (harness._build_learner(cfgs, box, sums)[0] for _ in range(2))
+    (learner, make, _), (reference, _, _) = (harness._build_learner(cfgs, box, sums)
+                                             for _ in range(2))
     fed, fed_reference = recorded(learner), recorded(reference)
 
-    trace = harness.simulate(learner, losses, plan, box)
-    decisions, weights = reference_simulate(reference, losses, plan, box)
+    trace = harness.simulate(learner, losses, plan, box, make)
+    decisions, weights = reference_simulate(reference, losses, plan, box, make)
     assert trace.decisions.tobytes() == decisions.tobytes()
     assert trace.loss_values.tobytes() == losses.values(decisions).tobytes()
     assert (trace.weights is None) == (weights is None)
     if weights is not None:
         assert trace.weights.tobytes() == weights.tobytes()
     # a DOGD-family learner walks linear losses, without ingest, into the same state
-    walks = isinstance(losses, Linear) and isinstance(getattr(learner, "inner", learner),
-                                                      learners.DelayedOGD)
+    walks = isinstance(losses, Linear) and isinstance(learner, learners.DelayedOGD)
     assert fed == ([] if walks else fed_reference)
     assert state(learner) == state(reference)
     for r, (run, cfg) in enumerate(zip(trace.runs(), cfgs)):  # the stamps run r was handed
         got = [row[r] for _, stamps, _ in fed_reference
                for row in ([[k] for k in stamps] if len(cfgs) == 1 else stamps) if row[r]]
         assert run.c_log == (None if cfg["learner"]["name"].endswith("_dt") else tuple(got))
-    starts = getattr(reference, "epoch_starts", None)
-    runs = None if len(cfgs) == 1 else len(cfgs)
+    starts = [None if s is None else tuple(s)
+              for s in run_epochs(schedules, [make] if len(cfgs) == 1 else make)]
     dropped = [0 if keep is None else int((~keep).sum())
-               for keep in map(kept_by_definition, schedules, run_starts(reference, runs))]
+               for keep in map(kept_by_definition, schedules, starts)]
     if len(cfgs) == 1:
-        assert (trace.epoch_starts, trace.dropped) == \
-            (None if starts is None else tuple(starts), dropped[0])
+        assert (trace.epoch_starts, trace.dropped) == (starts[0], dropped[0])
     else:
-        assert trace.epoch_starts == (None if starts is None else
-                                      [None if s is None else tuple(s) for s in starts])
+        assert trace.epoch_starts == (None if starts == [None] * len(cfgs) else starts)
         assert trace.dropped == dropped
 
 
@@ -193,11 +199,66 @@ def test_no_walked_decision_reads_feedback_delivered_at_its_round_or_later(cfgs,
     sums = [s.sum_backlog for s in schedules]
     played = []
     for families in ([i.losses for i in inputs], replaced):
-        learner = harness._build_learner(cfgs, box, sums)[0]
+        learner, make, _ = harness._build_learner(cfgs, box, sums)
         learner.ingest = None  # the walk path never ingests
         played.append(harness.simulate(learner, families[0] if len(cfgs) == 1 else
-                                       stack(families), plan, box).decisions[:t].tobytes())
+                                       stack(families), plan, box, make).decisions[:t].tobytes())
     assert played[0] == played[1]
+
+
+@st.composite
+def doubling_batches(draw):
+    """A ``dogd_dt`` or ``mild_dt`` config alone, or in lockstep beside a fixed-horizon
+    config of its family (either first), on any delay kind and environment."""
+    family, T, n = draw(st.sampled_from(sorted(_FAMILIES))), draw(st.integers(1, 150)), \
+        draw(st.integers(1, 3))
+    env = draw(st.sampled_from(["quadratic", "linear", "lowerbound"]))
+    names = [family + "_dt"] + draw(st.lists(st.sampled_from(
+        [name for name in _FAMILIES[family] if not learners.KINDS[name].restarts]), max_size=1))
+    return [draw_config(draw, name, T, n, env) for name in draw(st.permutations(names))]
+
+
+def window(losses, s: int, e: int):
+    """Rounds s..e-1 of a one-run loss family, as a family of their own."""
+    if isinstance(losses, Linear):
+        return Linear(losses.grads[s - 1:e - 1])
+    return QuadraticTracking(losses.targets[s - 1:e - 1], losses.scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doubling_batches())
+@example([harness.normalize_config({"T": 150, "n": 2, "learner": {"name": "mild_dt"},
+                                    "delay": {"kind": "permuted"}})])
+def test_a_doubling_run_is_its_epochs_run_as_fresh_fixed_horizon_learners(cfgs):
+    # split a doubling run at the epochs the round-by-round rule opens: epoch v, rounds
+    # s..e-1, is a fresh learner at budget 2^v on the window's losses and delays, whose
+    # flush takes the stamps arriving past the window; its decisions and weights are the
+    # run's bitwise, and the run drops exactly the stamps a window does not deliver
+    # (the last window's flush delivers all of its own)
+    rows = [(cfg, cfg["seed"], harness._build_inputs(cfg, [cfg["seed"]])[0]) for cfg in cfgs]
+    for (cfg, _, inputs), (trace, summary) in zip(rows, harness._run(rows)):
+        kind, T = learners.KINDS[cfg["learner"]["name"]], cfg["T"]
+        if not kind.restarts:
+            assert (trace.epoch_starts, trace.dropped) == (None, 0)
+            continue
+        box, losses, schedule = inputs.box, inputs.losses, inputs.schedule
+        make = learners.FAMILIES[kind.family].tuned(box, cfg["D"], cfg["G"], T)
+        starts = per_round_epochs(schedule)[0]
+        decisions, weights, dropped = [], [], 0
+        for v, (s, e) in enumerate(zip(starts, starts[1:] + [T + 1]), 1):
+            plan = DelaySchedule(schedule.delays[s - 1:e - 1])
+            part = harness.simulate(make(2 ** v), window(losses, s, e), plan, box)
+            decisions.append(part.decisions)
+            weights.append(part.weights)
+            if e <= T:
+                dropped += int(np.count_nonzero(np.arange(plan.horizon) + plan.delays
+                                                > plan.horizon))
+        assert trace.epoch_starts == tuple(starts)
+        assert trace.decisions.tobytes() == np.concatenate(decisions).tobytes()
+        assert (trace.weights is None) == (kind.family == "dogd")
+        if trace.weights is not None:
+            assert trace.weights.tobytes() == np.concatenate(weights).tobytes()
+        assert trace.dropped == summary["dropped"] == dropped
 
 
 def test_one_run_of_a_one_row_rate_column_takes_the_round_loop():
@@ -218,9 +279,9 @@ def test_one_run_of_a_one_row_rate_column_takes_the_round_loop():
 def test_a_restart_between_deliveries_resets_the_decision(names):
     # blocks of 16 deliver only at rounds 16, 32, ...; the restarts at 22 and 79 fall between
     # deliveries, after feedback has moved the decision off the origin.  The doubling row
-    # runs alone, or in lockstep after a fixed-horizon row, from the plan's record, and
-    # equals the per-round reference, playing one stretch at a time: a stretch ends at a
-    # round with feedback, before a restart, or at T.
+    # runs alone, or in lockstep after a fixed-horizon row, and equals the per-round
+    # reference, playing one stretch at a time: a stretch ends at a round with feedback,
+    # before a restart, or at T.
     cfgs = [harness.normalize_config({"T": 100, "n": 2, "seed": 4, "learner": {"name": n},
                                       "delay": {"kind": "blocks", "d": 16},
                                       "environment": {"kind": "drift", "loss": "linear"}})
@@ -230,12 +291,13 @@ def test_a_restart_between_deliveries_resets_the_decision(names):
     losses = inputs[0].losses if len(cfgs) == 1 else stack([i.losses for i in inputs])
     plan = schedules[0] if len(cfgs) == 1 else schedules
     sums = [s.sum_backlog for s in schedules]
-    learner, reference = (harness._build_learner(cfgs, box, sums)[0] for _ in range(2))
+    (learner, make, _), (reference, _, _) = (harness._build_learner(cfgs, box, sums)
+                                             for _ in range(2))
     plays, play = [], learner.play
     learner.play = lambda t, stop=None: plays.append(t) or play(t, stop)
 
-    trace = harness.simulate(learner, losses, plan, box)
-    decisions, weights = reference_simulate(reference, losses, plan, box)
+    trace = harness.simulate(learner, losses, plan, box, make)
+    decisions, weights = reference_simulate(reference, losses, plan, box, make)
     assert trace.decisions.tobytes() == decisions.tobytes()
     assert trace.weights is None or trace.weights.tobytes() == weights.tobytes()
     run = trace.runs()[-1]
@@ -266,10 +328,10 @@ def test_the_finite_check_reads_the_gradient_of_a_cut_stamp(names):
     # keeps its stamp 1, whose gradient is finite.
     box, s = Box(1, 1.0), DelaySchedule((3, 1, 1))
     cfgs = [harness.normalize_config({"T": 3, "learner": {"name": n}}) for n in names]
-    learner = harness._build_learner(cfgs, box, [s.sum_backlog] * len(cfgs))[0]
+    learner, make, _ = harness._build_learner(cfgs, box, [s.sum_backlog] * len(cfgs))
     losses = QuadraticTracking(np.zeros((3, 1)), 1.0)
     if len(cfgs) > 1:
         losses = stack([losses] * len(cfgs))
     with pytest.raises(ValueError, match="non-finite"):
         harness.simulate(learner, InfAtRoundOne(losses.targets, losses.scale),
-                         s if len(cfgs) == 1 else [s] * len(cfgs), box)
+                         s if len(cfgs) == 1 else [s] * len(cfgs), box, make)
